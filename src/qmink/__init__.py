@@ -1,9 +1,10 @@
 """Exact symbolic verification of quantum superconformal geometry.
 
 Layers: exact scalars over Q(i)[q, q^-1]; a parity-graded rewriting
-core with a compiled kernel and a pure-Python fallback; the quantum
-matrix superalgebra, Grassmannian and chiral Minkowski superspace; the
-classical (q = 1) geometry and real forms; and a verification CLI.
+core on one pure-Python kernel; the quantum matrix superalgebra,
+Grassmannian and chiral Minkowski superspace; the classical (q = 1)
+geometry and real forms; and a verification CLI that runs its checks
+serially.
 """
 
 from .kernel import backend_name

@@ -40,7 +40,7 @@ class Presentation:
 
     Values are immutable once rules are installed and every operation is
     pure; the per-word normal-form memo only ever receives idempotent
-    writes, so concurrent readers are safe.
+    writes, so it can be shared by every caller.
     """
 
     def __init__(self, generators, odd_squares_vanish=False, budget=200_000_000,
@@ -207,10 +207,6 @@ class Presentation:
             res = (tuple(sorted(w)), -1 if inv & 1 else 1)
         self._memo[w] = res
         return res
-
-    def is_normal_word(self, w):
-        rules = self._rules
-        return not any((w[i], w[i + 1]) in rules for i in range(len(w) - 1))
 
     def pbw_dimension(self, d):
         """Number of normal words of total degree d (transfer-matrix count)."""

@@ -1,16 +1,15 @@
 """Suite definitions: every machine-checked claim, one record each.
 
 A suite is a list of (id, statement, anchor, thunk); thunks return
-(verdict, witness) and may run concurrently.  Heavy shared objects
-(presentations, the closure table, the localization) are cached
-singletons warmed while the suite is being assembled, so records stay
-independent.
+(verdict, witness) and run one after another, each timed on its own.
+Heavy shared objects (presentations, the closure table, the
+localization) are cached singletons warmed while the suite is being
+assembled, so no record pays for building them.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import classical, realforms
 from .algebra import Element, overlap_words, resolve_overlap
@@ -646,36 +645,30 @@ class UnknownSuiteError(ValueError):
     pass
 
 
-def _run_checks(checks, serial=False, max_workers=None):
-    records = [None] * len(checks)
-
-    def run_one(idx):
-        cid, stmt, anchor, thunk = checks[idx]
+def _run_checks(checks):
+    records = []
+    for cid, stmt, anchor, thunk in checks:
         t0 = time.perf_counter()
         try:
             verdict, witness = thunk()
         except Exception as exc:  # a crash is a failed check, not a crash
             verdict, witness = False, "exception: %r" % (exc,)
         dt = time.perf_counter() - t0
-        records[idx] = CheckRecord(cid, stmt, anchor, bool(verdict),
-                                   witness if not verdict else "", dt)
-
-    if serial or len(checks) <= 1:
-        for i in range(len(checks)):
-            run_one(i)
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers or 8) as pool:
-            list(pool.map(run_one, range(len(checks))))
+        records.append(CheckRecord(cid, stmt, anchor, bool(verdict),
+                                   witness if not verdict else "", dt))
     return records
 
 
-def run_suite(name, serial=False, max_workers=None):
-    """Run a named suite (or 'all'); report assembly is deterministic."""
+def run_suite(name, serial=True):
+    """Run a named suite (or 'all'); report assembly is deterministic.
+
+    Checks always run one after another; ``serial`` is accepted for
+    older callers and ignored.
+    """
     if name == "all":
         report = SuiteReport("all")
         for sub in SUITE_NAMES:
-            subreport = run_suite(sub, serial=serial, max_workers=max_workers)
-            for r in subreport.records:
+            for r in run_suite(sub).records:
                 r.id = "%s/%s" % (sub, r.id)
                 report.records.append(r)
         return report
@@ -684,5 +677,4 @@ def run_suite(name, serial=False, max_workers=None):
         raise UnknownSuiteError(
             "unknown suite %r (expected one of %s or 'all')"
             % (name, ", ".join(SUITE_NAMES)))
-    checks = builder()
-    return SuiteReport(name, _run_checks(checks, serial, max_workers))
+    return SuiteReport(name, _run_checks(builder()))

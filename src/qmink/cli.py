@@ -199,7 +199,8 @@ def build_arg_parser():
     check.add_argument("suite", choices=SUITE_NAMES + ("all",))
     check.add_argument("--format", choices=("json", "text"), default="text")
     check.add_argument("--serial", action="store_true",
-                       help="run checks single-threaded")
+                       help="accepted for older scripts; checks always run "
+                            "serially")
     check.add_argument("--out", default=None,
                        help="also write the report to this path")
     check.add_argument("--verbose", action="store_true",
@@ -223,7 +224,7 @@ def main(argv=None):
         return 0
     if args.command == "check":
         try:
-            report = run_suite(args.suite, serial=args.serial)
+            report = run_suite(args.suite)
         except UnknownSuiteError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2

@@ -475,13 +475,6 @@ class GrassmannMatrix:
             rows.extend(m.rows)
         return cls(ga, rows)
 
-    @classmethod
-    def hstack(cls, *mats):
-        ga = mats[0].ga
-        rows = [sum((m.rows[i] for m in mats), []) for i in
-                range(len(mats[0].rows))]
-        return cls(ga, rows)
-
     def to_text(self):
         return "[" + "; ".join(", ".join(a.to_text() for a in r)
                                for r in self.rows) + "]"

@@ -63,6 +63,10 @@ _TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9]*|\d+|\^|\*|\+|-|\(|\)|\[|\]|,|;|\S")
 
 _X_NAMES = {"x0": 0, "x1": 1, "x2": 2, "x3": 3}
 
+# deepest nesting of "(" and unary "-" the recursive descent accepts;
+# deeper input is a syntax error rather than a RecursionError
+MAX_DEPTH = 100
+
 _MINOR_PAIRS = {(i, j) for i in range(1, 4) for j in range(i + 1, 5)} \
     | {(i, 5) for i in range(1, 5)} | {(5, 5)}
 
@@ -97,6 +101,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.k][0]
@@ -119,6 +124,12 @@ class _Parser:
     def fail(self, message):
         line, col = self.where()
         raise ExprSyntaxError(message, line, col)
+
+    def nest(self):
+        """Enter one "(" or unary "-" level at the current token."""
+        if self.depth >= MAX_DEPTH:
+            self.fail("expression nested deeper than %d levels" % MAX_DEPTH)
+        self.depth += 1
 
     def fail_atom(self, message):
         line, col = self.where()
@@ -150,8 +161,11 @@ class _Parser:
 
     def factor(self):
         if self.peek() == "-":
+            self.nest()
             self.advance()
-            return Neg(self.factor())
+            node = Neg(self.factor())
+            self.depth -= 1
+            return node
         return self.primary()
 
     def signed_int(self):
@@ -175,9 +189,11 @@ class _Parser:
         if tok is None:
             self.fail("unexpected end of input")
         if tok == "(":
+            self.nest()
             self.advance()
             node = self.expr()
             self.expect(")")
+            self.depth -= 1
             return node
         if tok.isdigit():
             self.advance()

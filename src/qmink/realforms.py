@@ -59,10 +59,6 @@ def mat_is_zero(a):
     return all(not x for row in a for x in row)
 
 
-def mat_eq(a, b):
-    return mat_is_zero(mat_sub(a, b))
-
-
 @lru_cache(maxsize=None)
 def f_matrix():
     """F = i [[0, -I2], [I2, 0]] (4x4)."""

@@ -5,9 +5,12 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qmink import backend_name
 from qmink.algebra import (Element, Generator, MalformedRuleError,
                            Presentation, TensorPoly, check_confluence)
+from qmink.grassmann import supercommutative_presentation
 from qmink.kernel import BudgetExceeded
 from qmink.linalg import DegenerateBasisError, SpanSolver, express_in_basis
 from qmink.scalars import ONE, Q, QINV, Scalar
@@ -65,6 +68,7 @@ def test_normal_form_matches_naive_reducer():
     for _ in range(40):
         terms = random_element(pres, rng)
         assert pres.normal_form(terms) == naive_nf(pres, terms)
+    assert backend_name() == "python"
 
 
 def test_normal_form_idempotent_and_linear():
@@ -99,6 +103,33 @@ def test_multiplicativity_under_confluence():
         r = Element(pres, pres.normal_form(random_element(pres, rng, 2)))
         raw = p.free_mul(r)
         assert pres.normal_form(raw) == (p * r).terms
+
+
+@st.composite
+def _parities_and_terms(draw):
+    parities = draw(st.lists(st.integers(0, 1), min_size=1, max_size=6))
+    n = len(parities)
+    words = st.lists(st.integers(0, n - 1), max_size=5).map(tuple)
+    coeffs = st.tuples(st.integers(-3, 3), st.integers(-2, 2)).map(
+        lambda t: Scalar.from_int(t[0]) * Scalar.q_pow(t[1]))
+    terms = draw(st.dictionaries(words, coeffs, max_size=4))
+    return parities, terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(_parities_and_terms())
+def test_supercommutative_shortcut_matches_rewriting(case):
+    parities, terms = case
+    sc = supercommutative_presentation(
+        [("v%d" % r, p) for r, p in enumerate(parities)])
+    # the same generators and rules, reduced letter by letter
+    ref = Presentation(sc.generators, odd_squares_vanish=True)
+    for lhs, rhs in sc.rules.items():
+        if lhs not in ref.rules:  # odd squares come with the constructor
+            ref.add_rule(lhs, rhs)
+    assert sc.normal_form(terms) == ref.normal_form(terms)
+    for w in terms:
+        assert dict(sc.nf_word(w)) == dict(ref.nf_word(w))
 
 
 def test_mq2_confluence():

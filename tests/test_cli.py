@@ -1,11 +1,14 @@
 """CLI contract: normal forms, suite reports, tables, exit codes."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
-from qmink.checks import run_suite
+from qmink.checks import _SUITE_BUILDERS, _run_checks
 from qmink.cli import main, normal_form_text
+from qmink.reports import SuiteReport
 
 
 def run(capsys, *argv):
@@ -57,6 +60,18 @@ def test_nf_errors(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("expr", ["(" * 3000 + "q" + ")" * 3000,
+                                  "-" * 3000 + "q"],
+                         ids=["parentheses", "minus-signs"])
+def test_nf_deep_nesting_is_bad_input(expr):
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmink.cli", "nf", "--algebra", "slq41", "--",
+         expr], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "nested deeper" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_check_exit_codes(capsys):
     rc, out, _ = run(capsys, "check", "pauli-metric", "--format", "json")
     assert rc == 0
@@ -78,8 +93,10 @@ def test_check_unknown_suite():
 
 
 def test_report_determinism():
-    rep1 = run_suite("sct-inversion", serial=True)
-    rep2 = run_suite("sct-inversion", serial=False)
+    # the same checks twice: first on a cold normal-form memo, then warm
+    checks = _SUITE_BUILDERS["sct-inversion"]()
+    rep1 = SuiteReport("sct-inversion", _run_checks(checks))
+    rep2 = SuiteReport("sct-inversion", _run_checks(checks))
     d1, d2 = rep1.to_dict(), rep2.to_dict()
     for d in (d1, d2):
         for r in d["records"]:

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmink.parser import (Atom, ExprSyntaxError, ImagUnit, IntLit, Neg, Prod,
-                          QPow, Sum, UnknownAtomError, parse, to_text)
+from qmink.parser import (MAX_DEPTH, Atom, ExprSyntaxError, ImagUnit, IntLit,
+                          Neg, Prod, QPow, Sum, UnknownAtomError, parse,
+                          to_text)
 
 CORPUS = [
     "a[1,2]*a[1,1]",
@@ -61,6 +62,19 @@ def test_syntax_errors_carry_positions():
         parse("q^x")
     with pytest.raises(ExprSyntaxError):
         parse("a[1,2] a[1,1])")
+
+
+def test_nesting_depth_limit():
+    n = MAX_DEPTH
+    assert parse("(" * n + "q" + ")" * n) == QPow(1)
+    for text in ("-" * n + "q", "-(" * (n // 2) + "q" + ")" * (n // 2)):
+        node = parse(text)
+        assert parse(to_text(node)) == node
+    for text in ("(" * (n + 1) + "q" + ")" * (n + 1), "-" * (n + 1) + "q",
+                 "-(" * (n // 2) + "-q" + ")" * (n // 2)):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert err.value.line == 1 and err.value.col == n + 1
 
 
 def test_juxtaposition_is_product():
