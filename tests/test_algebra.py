@@ -7,7 +7,6 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmink import backend_name
 from qmink.algebra import (Element, Generator, MalformedRuleError,
                            Presentation, TensorPoly, check_confluence)
 from qmink.grassmann import supercommutative_presentation
@@ -68,7 +67,6 @@ def test_normal_form_matches_naive_reducer():
     for _ in range(40):
         terms = random_element(pres, rng)
         assert pres.normal_form(terms) == naive_nf(pres, terms)
-    assert backend_name() == "python"
 
 
 def test_normal_form_idempotent_and_linear():
