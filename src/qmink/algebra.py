@@ -246,10 +246,6 @@ class Presentation:
                   for r in names_or_ranks)
         return Element(self, dict(self.nf_word(w)))
 
-    def element(self, terms):
-        """Element from a raw word->Scalar map (reduced on construction)."""
-        return Element(self, self.normal_form(terms))
-
 
 class Element:
     """Noncommutative polynomial kept in normal form."""
@@ -343,12 +339,6 @@ class Element:
         if len(ps) > 1:
             raise AlgebraError("element is not parity-homogeneous")
         return ps.pop() if ps else 0
-
-    def degree(self):
-        return max((len(w) for w in self.terms), default=0)
-
-    def is_homogeneous(self):
-        return len({len(w) for w in self.terms}) <= 1
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]),
@@ -501,9 +491,6 @@ class OverlapResult:
     word: tuple
     resolves: bool
     difference: dict
-
-    def describe(self, pres):
-        return pres.word_text(self.word)
 
 
 @dataclass

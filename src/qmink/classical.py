@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import Element, Generator, Presentation
+from .algebra import Element
 from .grassmann import (GrassmannAlgebra, GrassmannMatrix, GrassmannRational,
-                        SymbolSpec)
+                        SymbolSpec, supercommutative_presentation)
 from .linalg import SpanSolver
 from .scalars import I, ONE, Scalar
 
@@ -496,16 +496,8 @@ def real_point(ga, c_names, theta_names):
 
 @lru_cache(maxsize=None)
 def _classical_image(pres):
-    gens = [Generator(g.name, g.index, g.parity, g.rank)
-            for g in pres.generators]
-    image = Presentation(gens, odd_squares_vanish=True, supercommutative=True)
-    for a in gens:
-        for b in gens:
-            if b.rank <= a.rank:
-                continue
-            sign = -ONE if (a.parity and b.parity) else ONE
-            image.add_rule((b.rank, a.rank), {(a.rank, b.rank): sign})
-    return image
+    return supercommutative_presentation(
+        [(g.name, g.parity) for g in pres.generators])
 
 
 def specialize_q1(p):

@@ -162,14 +162,6 @@ class GrassmannAlgebra:
         return Element(self.pres, {w: c for w, c in el.terms.items()
                                    if any(par[r] for r in w)})
 
-    def rational(self, num, den=()):
-        if isinstance(num, Scalar):
-            num = self.scalar(num)
-        return GrassmannRational(self, num, den)
-
-    def invert(self, el):
-        return GrassmannRational(self, self.one()).div_element(el)
-
 
 class GrassmannRational:
     """num / (product of factors), factors central (odd-free) and nonzero.
@@ -280,9 +272,6 @@ class GrassmannRational:
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
-
-    def div_element(self, el):
-        return self * GrassmannRational(self.ga, el).inverse()
 
     def inverse(self):
         """1/(b + n) = sum_k (-n)^k b^{-k-1}, n nilpotent, b the body."""

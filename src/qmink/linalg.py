@@ -1,9 +1,9 @@
 """Exact linear algebra over Q(i)[q,q^-1] and over Q.
 
 SpanSolver keeps an incrementally built echelon of sparse vectors
-(word -> Scalar maps) with division-free row operations; divisions by
-row content keep coefficients small, and a transformation record lets
-queries be expressed back in the original basis over the fraction
+(word -> Scalar maps) with fraction-free row operations, which stay
+exact without dividing rows by their content; a transformation record
+lets queries be expressed back in the original basis over the fraction
 field Q(i)(q).
 """
 
@@ -22,18 +22,17 @@ def _word_key(w):
     return (len(w), w)
 
 
-def _content(maps):
-    g = Scalar.zero()
-    for m in maps:
-        for c in m.values():
-            g = g.gcd_with(c)
-            if g.monomial_unit() is not None and g.max_exp() == 0:
-                return None
-    return g if g else None
-
-
-def _divide_all(m, g):
-    return {k: c.exact_div(g) for k, c in m.items()}
+def _combine(pc, a, e, b):
+    """pc*a - e*b over sparse maps, dropping the zeros."""
+    out = {k: pc * c for k, c in a.items()}
+    for k, c in b.items():
+        prev = out.get(k)
+        v = -(e * c) if prev is None else prev - e * c
+        if v:
+            out[k] = v
+        elif prev is not None:
+            del out[k]
+    return out
 
 
 class _Pivot:
@@ -59,38 +58,22 @@ class SpanSolver:
         return len(self.pivots)
 
     def _eliminate(self, row, trans):
-        """Reduce (row, trans) against the pivots; invariants preserved."""
+        """Reduce (row, trans) against the pivots.
+
+        Each step keeps row = scale*input + sum trans[j]*basis[j], where
+        scale is the product of the pivot coefficients used; returns
+        (row, trans, scale).
+        """
+        scale = ONE
         for p in self.pivots:
             e = row.get(p.lead)
             if e is None:
                 continue
             pc = p.lead_coef
-            new_row = {}
-            for w, c in row.items():
-                new_row[w] = pc * c
-            for w, c in p.row.items():
-                prev = new_row.get(w)
-                v = -(e * c) if prev is None else prev - e * c
-                if v:
-                    new_row[w] = v
-                elif prev is not None:
-                    del new_row[w]
-            new_trans = {}
-            for j, c in trans.items():
-                new_trans[j] = pc * c
-            for j, c in p.trans.items():
-                prev = new_trans.get(j)
-                v = -(e * c) if prev is None else prev - e * c
-                if v:
-                    new_trans[j] = v
-                elif prev is not None:
-                    del new_trans[j]
-            row, trans = new_row, new_trans
-            g = _content((row, trans))
-            if g is not None:
-                row = _divide_all(row, g)
-                trans = _divide_all(trans, g)
-        return row, trans
+            row = _combine(pc, row, e, p.row)
+            trans = _combine(pc, trans, e, p.trans)
+            scale = pc * scale
+        return row, trans, scale
 
     def add(self, vec):
         """Add a basis vector; returns True when it enlarges the span."""
@@ -99,7 +82,7 @@ class SpanSolver:
         row = {w: c for w, c in vec.items() if c}
         if not row:
             raise DegenerateBasisError("zero vector in basis (index %d)" % idx)
-        row, trans = self._eliminate(row, {idx: ONE})
+        row, trans, _scale = self._eliminate(row, {idx: ONE})
         if not row:
             self.dependent.append(idx)
             return False
@@ -110,53 +93,12 @@ class SpanSolver:
             e = p.row.get(piv.lead)
             if e is None:
                 continue
-            pc = piv.lead_coef
-            nrow = {w: pc * c for w, c in p.row.items()}
-            for w, c in piv.row.items():
-                prev = nrow.get(w)
-                v = -(e * c) if prev is None else prev - e * c
-                if v:
-                    nrow[w] = v
-                elif prev is not None:
-                    del nrow[w]
-            ntrans = {j: pc * c for j, c in p.trans.items()}
-            for j, c in piv.trans.items():
-                prev = ntrans.get(j)
-                v = -(e * c) if prev is None else prev - e * c
-                if v:
-                    ntrans[j] = v
-                elif prev is not None:
-                    del ntrans[j]
-            g = _content((nrow, ntrans))
-            if g is not None:
-                nrow = _divide_all(nrow, g)
-                ntrans = _divide_all(ntrans, g)
-            p.row = nrow
-            p.trans = ntrans
-            p.lead_coef = nrow[p.lead]
+            p.row = _combine(piv.lead_coef, p.row, e, piv.row)
+            p.trans = _combine(piv.lead_coef, p.trans, e, piv.trans)
+            p.lead_coef = p.row[p.lead]
         self.pivots.append(piv)
         self.pivots.sort(key=lambda p: _word_key(p.lead), reverse=True)
         return True
-
-    def contains(self, vec):
-        row = {w: c for w, c in vec.items() if c}
-        for p in self.pivots:
-            e = row.get(p.lead)
-            if e is None:
-                continue
-            pc = p.lead_coef
-            new_row = {}
-            for w, c in row.items():
-                new_row[w] = pc * c
-            for w, c in p.row.items():
-                prev = new_row.get(w)
-                v = -(e * c) if prev is None else prev - e * c
-                if v:
-                    new_row[w] = v
-                elif prev is not None:
-                    del new_row[w]
-            row = new_row
-        return not row
 
     def express(self, vec):
         """Coordinates of vec over the added vectors, or None.
@@ -164,43 +106,12 @@ class SpanSolver:
         Returns a list of ScalarFraction of length nbasis; vectors that
         were dependent when added always receive coefficient zero.
         """
-        row = {w: c for w, c in vec.items() if c}
-        acc = {}
-        scale = ONE
-        for p in self.pivots:
-            e = row.get(p.lead)
-            if e is None:
-                continue
-            pc = p.lead_coef
-            new_row = {}
-            for w, c in row.items():
-                new_row[w] = pc * c
-            for w, c in p.row.items():
-                prev = new_row.get(w)
-                v = -(e * c) if prev is None else prev - e * c
-                if v:
-                    new_row[w] = v
-                elif prev is not None:
-                    del new_row[w]
-            row = new_row
-            new_acc = {j: pc * c for j, c in acc.items()}
-            for j, c in p.trans.items():
-                prev = new_acc.get(j)
-                v = e * c if prev is None else prev + e * c
-                if v:
-                    new_acc[j] = v
-                elif prev is not None:
-                    del new_acc[j]
-            acc = new_acc
-            scale = pc * scale
-            g = _content((row, acc, {0: scale}))
-            if g is not None:
-                row = _divide_all(row, g)
-                acc = _divide_all(acc, g)
-                scale = scale.exact_div(g)
+        row, trans, scale = self._eliminate(
+            {w: c for w, c in vec.items() if c}, {})
         if row:
             return None
-        return [ScalarFraction(acc.get(j, Scalar.zero()), scale)
+        # the reduced row is scale*vec + sum trans[j]*basis[j] = 0
+        return [ScalarFraction(-trans.get(j, Scalar.zero()), scale)
                 for j in range(self.nbasis)]
 
 
@@ -218,35 +129,6 @@ def span_dimension(vectors):
         if v:
             solver.add(v)
     return solver.rank
-
-
-def rational_kernel_dimension(rows, ncols):
-    """Kernel dimension of a matrix over Q given as list of coefficient lists."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    col = 0
-    nrows = len(mat)
-    while rank < nrows and col < ncols:
-        piv = None
-        for r in range(rank, nrows):
-            if mat[r][col]:
-                piv = r
-                break
-        if piv is None:
-            col += 1
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pv = mat[rank][col]
-        for r in range(rank + 1, nrows):
-            if mat[r][col]:
-                f = mat[r][col] / pv
-                row = mat[r]
-                prow = mat[rank]
-                for c2 in range(col, ncols):
-                    row[c2] -= f * prow[c2]
-        rank += 1
-        col += 1
-    return ncols - rank
 
 
 def rational_kernel_basis(rows, ncols):

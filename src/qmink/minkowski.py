@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .algebra import Generator, Presentation
+from .algebra import AlgebraError, Generator, Presentation
 from .linalg import SpanSolver, span_dimension
-from .scalars import ONE, QINV, Scalar, ScalarFraction
+from .scalars import ONE, QINV, Scalar, ScalarError, ScalarFraction
 from .supergroup import build_slq41, comultiply, minor
 
 MINOR_ORDER = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
@@ -57,18 +57,11 @@ class ClosureEntry:
     ok: bool
     witness: str = ""
 
-    @property
-    def pure(self):
-        return self.ok and not self.correction
-
 
 @dataclass
 class QCommutationTable:
     entries: dict
     all_ok: bool
-
-    def entry(self, a, b):
-        return self.entries[(a, b)]
 
     def d12_exponents(self):
         """Exchange exponents of every minor against D[1,2] (index 0)."""
@@ -91,7 +84,7 @@ def _unit_fraction(fr):
     """Decompose a ScalarFraction equal to +-q^e; returns (sign, e) or None."""
     try:
         s = fr.as_scalar()
-    except Exception:
+    except ScalarError:
         return None
     mono = s.monomial_unit()
     if mono is None:
@@ -100,6 +93,44 @@ def _unit_fraction(fr):
     if im != 0 or den != 1 or re not in (1, -1):
         return None
     return (re, e)
+
+
+def _closure_entry(a, b, minors, products, solver, basis_pairs):
+    """The reordering identity for D_b D_a (a <= b), derived or refuted.
+
+    An even nonzero square is trivial.  Otherwise the reversed product
+    (or the square) is the target; when a < b and the sorted product
+    D_a D_b is nonzero, its +-q^e multiple is split off as the lead.
+    What remains must lie in the span of the sorted minor products.
+    """
+    ab = products[(a, b)]
+    if a == b:
+        if minors[a].parity() == 0 and ab:
+            return ClosureEntry(b, a, 1, 0, {}, "trivial", True)
+        kind, residual = "square", ab
+    else:
+        kind, residual = "reorder", minors[b].value * minors[a].value
+    sign, exp = 1, 0
+    if a < b and ab:
+        lead = _lead_word(ab.terms)
+        cfr = ScalarFraction(residual.terms.get(lead, Scalar.zero()),
+                             ab.terms[lead])
+        unit = _unit_fraction(cfr)
+        if unit is None:
+            return ClosureEntry(b, a, 1, 0, {}, kind, False,
+                                "leading coefficient %s is not +-q^e"
+                                % cfr.to_text())
+        sign, exp = unit
+        residual = residual - ab.scale(cfr.as_scalar())
+    if not residual:
+        return ClosureEntry(b, a, sign, exp, {}, kind, True)
+    coeffs = solver.express(residual.terms)
+    if coeffs is None:
+        return ClosureEntry(b, a, sign, exp, {}, kind, False,
+                            "%s not in the span of sorted minor products"
+                            % ("square" if a == b else "correction"))
+    corr = {basis_pairs[j]: c for j, c in enumerate(coeffs) if c}
+    return ClosureEntry(b, a, sign, exp, corr, kind, True)
 
 
 def derive_closure_table(minors=None):
@@ -112,11 +143,8 @@ def derive_closure_table(minors=None):
     """
     minors = minors or minor_set()
     n = len(minors)
-    vals = [m.value for m in minors]
-    products = {}
-    for a in range(n):
-        for b in range(a, n):
-            products[(a, b)] = vals[a] * vals[b]
+    products = {(a, b): minors[a].value * minors[b].value
+                for a in range(n) for b in range(a, n)}
     # sorted products: strict pairs plus even squares
     basis_pairs = []
     solver = SpanSolver()
@@ -129,77 +157,10 @@ def derive_closure_table(minors=None):
                 continue
             solver.add(p.terms)
             basis_pairs.append((a, b))
-    entries = {}
-    all_ok = True
-    for a in range(n):
-        for b in range(a, n):
-            if a == b:
-                if minors[a].parity() == 0 and products[(a, b)]:
-                    entries[(a, b)] = ClosureEntry(b, a, 1, 0, {}, "trivial", True)
-                    continue
-                # odd square (or an even one that collapsed): reduce it
-                target = products[(a, b)]
-                if not target:
-                    entries[(a, b)] = ClosureEntry(b, a, 1, 0, {}, "square", True)
-                    continue
-                coeffs = solver.express(target.terms)
-                if coeffs is None:
-                    all_ok = False
-                    entries[(a, b)] = ClosureEntry(
-                        b, a, 1, 0, {}, "square", False,
-                        "square not in the span of sorted minor products")
-                    continue
-                corr = {basis_pairs[j]: c for j, c in enumerate(coeffs) if c}
-                entries[(a, b)] = ClosureEntry(b, a, 1, 0, corr, "square", True)
-                continue
-            target = vals[b] * vals[a]
-            ab = products[(a, b)]
-            if not ab:
-                # the sorted product vanishes; the reversed one must be
-                # expressible over the remaining sorted products
-                if not target:
-                    entries[(a, b)] = ClosureEntry(b, a, 1, 0, {},
-                                                   "reorder", True)
-                    continue
-                coeffs = solver.express(target.terms)
-                if coeffs is None:
-                    all_ok = False
-                    entries[(a, b)] = ClosureEntry(
-                        b, a, 1, 0, {}, "reorder", False,
-                        "not in the span of sorted minor products")
-                    continue
-                corr = {basis_pairs[j]: c for j, c in enumerate(coeffs) if c}
-                entries[(a, b)] = ClosureEntry(b, a, 1, 0, corr,
-                                               "reorder", True)
-                continue
-            lead = _lead_word(ab.terms)
-            num = target.terms.get(lead, Scalar.zero())
-            cfr = ScalarFraction(num, ab.terms[lead])
-            unit = _unit_fraction(cfr)
-            if unit is None:
-                all_ok = False
-                entries[(a, b)] = ClosureEntry(
-                    b, a, 1, 0, {}, "reorder", False,
-                    "leading coefficient %s is not +-q^e" % cfr.to_text())
-                continue
-            sign, exp = unit
-            lead_scalar = cfr.as_scalar()
-            residual = target - ab.scale(lead_scalar)
-            if not residual:
-                entries[(a, b)] = ClosureEntry(b, a, sign, exp, {},
-                                               "reorder", True)
-                continue
-            coeffs = solver.express(residual.terms)
-            if coeffs is None:
-                all_ok = False
-                entries[(a, b)] = ClosureEntry(
-                    b, a, sign, exp, {}, "reorder", False,
-                    "correction not in the span of sorted minor products")
-                continue
-            corr = {basis_pairs[j]: c for j, c in enumerate(coeffs) if c}
-            entries[(a, b)] = ClosureEntry(b, a, sign, exp, corr,
-                                           "reorder", True)
-    return QCommutationTable(entries, all_ok)
+    entries = {(a, b): _closure_entry(a, b, minors, products, solver,
+                                      basis_pairs)
+               for a in range(n) for b in range(a, n)}
+    return QCommutationTable(entries, all(e.ok for e in entries.values()))
 
 
 @lru_cache(maxsize=None)
@@ -210,35 +171,38 @@ def closure_table():
 def straightening_presentation(table=None):
     """Rewrite system on the minor alphabet induced by the closure table.
 
-    Reorders minor words toward the table order; usable for canonical
-    printing when every correction is Laurent-polynomial and
-    order-compatible (returns None otherwise).  Confluence of this
-    system is not claimed; zero tests always go through the ambient
-    algebra.
+    Reorders minor words toward the table order, for canonical printing.
+    Raises ClosureError, naming the entry, when an entry failed or its
+    correction is not a Laurent polynomial below the reordered word.
+    Confluence of this system is not claimed; zero tests always go
+    through the ambient algebra.
     """
     table = table or closure_table()
     minors = minor_set()
     gens = [Generator(m.name, m.rows, m.parity(), r)
             for r, m in enumerate(minors)]
     pres = Presentation(gens)
-    try:
-        for (a, b), e in sorted(table.entries.items()):
-            if not e.ok:
-                return None
-            rhs = {}
-            if e.kind == "trivial":
-                continue
-            if e.kind == "reorder":
-                c = Scalar.q_pow(e.exponent)
-                rhs[(a, b)] = c if e.sign == 1 else -c
-                lhs = (b, a)
-            else:
-                lhs = (a, a)
+    for (a, b), e in sorted(table.entries.items()):
+        if e.kind == "trivial":
+            continue
+        where = "%s*%s" % (minors[b].name, minors[a].name)
+        if not e.ok:
+            raise ClosureError("closure entry %s failed: %s"
+                               % (where, e.witness))
+        rhs = {}
+        if e.kind == "reorder":
+            c = Scalar.q_pow(e.exponent)
+            rhs[(a, b)] = c if e.sign == 1 else -c
+            lhs = (b, a)
+        else:
+            lhs = (a, a)
+        try:
             for (c1, c2), fr in e.correction.items():
                 rhs[(c1, c2)] = fr.as_scalar()
             pres.add_rule(lhs, rhs)
-    except Exception:
-        return None
+        except (ScalarError, AlgebraError) as exc:
+            raise ClosureError("closure entry %s gives no rewrite rule: %s"
+                               % (where, exc)) from exc
     return pres
 
 
@@ -259,10 +223,6 @@ class LocalizedAlgebra:
         self._expand_cache = {(): self.ambient.one()}
         self._d12_powers = {0: self.ambient.one()}
         self._straightener = None
-        self._straightener_ready = False
-
-    def minor_rank(self, i, j):
-        return minor_index(i, j)
 
     def expand(self, mword):
         cached = self._expand_cache.get(mword)
@@ -291,9 +251,8 @@ class LocalizedAlgebra:
         return LocalElement(self, {((rank,), dinv): coeff})
 
     def straightener(self):
-        if not self._straightener_ready:
+        if self._straightener is None:
             self._straightener = straightening_presentation(self.table)
-            self._straightener_ready = True
         return self._straightener
 
 
@@ -379,19 +338,16 @@ class LocalElement:
         loc = self.loc
         pres = loc.straightener()
         exps = loc.exponents
-        terms = self.terms
-        if pres is not None:
-            sorted_terms = {}
-            for (w, k), c in terms.items():
-                for sw, sc in pres.nf_word(w):
-                    key = (sw, k)
-                    prev = sorted_terms.get(key)
-                    v = c * sc if prev is None else prev + c * sc
-                    if v:
-                        sorted_terms[key] = v
-                    elif prev is not None:
-                        del sorted_terms[key]
-            terms = sorted_terms
+        terms = {}
+        for (w, k), c in self.terms.items():
+            for sw, sc in pres.nf_word(w):
+                key = (sw, k)
+                prev = terms.get(key)
+                v = c * sc if prev is None else prev + c * sc
+                if v:
+                    terms[key] = v
+                elif prev is not None:
+                    del terms[key]
         out = {}
         for (w, k), c in terms.items():
             while k > 0 and w and w[0] == 0:

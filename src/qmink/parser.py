@@ -84,7 +84,7 @@ def _tokenize(text):
             col = 1
             pos += 1
             continue
-        if ch in " \t\r":
+        if ch.isspace():
             pos += 1
             col += 1
             continue
@@ -125,15 +125,25 @@ class _Parser:
         line, col = self.where()
         raise ExprSyntaxError(message, line, col)
 
+    def integer(self, tok, line, col):
+        """int(tok); a digit token int() rejects is a syntax error.
+
+        int() refuses literals past Python's int-string limit (4300
+        digits by default) and digit characters such as superscripts.
+        """
+        try:
+            return int(tok)
+        except ValueError:
+            shown = repr(tok) if len(tok) <= 12 else \
+                "%r... (%d digits)" % (tok[:12], len(tok))
+            raise ExprSyntaxError("invalid integer literal %s" % shown,
+                                  line, col) from None
+
     def nest(self):
         """Enter one "(" or unary "-" level at the current token."""
         if self.depth >= MAX_DEPTH:
             self.fail("expression nested deeper than %d levels" % MAX_DEPTH)
         self.depth += 1
-
-    def fail_atom(self, message):
-        line, col = self.where()
-        raise UnknownAtomError(message, line, col)
 
     # expr := term (("+"|"-") term)*
     def expr(self):
@@ -176,13 +186,14 @@ class _Parser:
         tok, line, col = self.advance()
         if tok is None or not tok.isdigit():
             raise ExprSyntaxError("expected an integer exponent", line, col)
-        return -int(tok) if neg else int(tok)
+        value = self.integer(tok, line, col)
+        return -value if neg else value
 
     def int_token(self):
         tok, line, col = self.advance()
         if tok is None or not tok.isdigit():
             raise ExprSyntaxError("expected an integer", line, col)
-        return int(tok)
+        return self.integer(tok, line, col)
 
     def primary(self):
         tok = self.peek()
@@ -196,8 +207,8 @@ class _Parser:
             self.depth -= 1
             return node
         if tok.isdigit():
-            self.advance()
-            return IntLit(int(tok))
+            tok, line, col = self.advance()
+            return IntLit(self.integer(tok, line, col))
         if tok[0].isalpha():
             return self.atom()
         self.fail("unexpected token %r" % tok)

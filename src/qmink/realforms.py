@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .classical import real_group_element
 from .grassmann import SymbolSpec
-from .linalg import rational_kernel_basis, rational_kernel_dimension
+from .linalg import rational_kernel_basis
 from .scalars import I, ONE, Scalar
 
 ZERO = Scalar.zero()
@@ -221,8 +221,8 @@ def _gauss_parts(s):
     return coeffs[0]
 
 
-def fixed_point_dimension(return_bases=False):
-    """Real dimensions (even, odd) of the sigma fixed points.
+def fixed_point_bases():
+    """Bases over Q of the (even, odd) sigma fixed points.
 
     Realifies p (32 parameters) and (alpha, beta) (16 parameters) and
     solves sigma(X) = X exactly over Q.
@@ -243,8 +243,7 @@ def fixed_point_dimension(return_bases=False):
                             re, im = _gauss_parts(c[ei][ej])
                             row.append(re if part == 0 else im)
                 rows.append(row)
-    even_dim = rational_kernel_dimension(rows, 32)
-    even_basis = rational_kernel_basis(rows, 32) if return_bases else None
+    even_basis = rational_kernel_basis(rows, 32)
 
     # odd sector: alpha = i F beta^+ and beta = i alpha^+ F
     odd_rows = []
@@ -276,11 +275,13 @@ def fixed_point_dimension(return_bases=False):
                 re, im = _gauss_parts(val)
                 row_entries.append(re if part == 0 else im)
         odd_rows.append(row_entries)
-    odd_dim = rational_kernel_dimension(odd_rows, 16)
-    odd_basis = rational_kernel_basis(odd_rows, 16) if return_bases else None
-    if return_bases:
-        return (even_dim, odd_dim), (even_basis, odd_basis)
-    return (even_dim, odd_dim)
+    return even_basis, rational_kernel_basis(odd_rows, 16)
+
+
+def fixed_point_dimension():
+    """Real dimensions (even, odd) of the sigma fixed points."""
+    even_basis, odd_basis = fixed_point_bases()
+    return len(even_basis), len(odd_basis)
 
 
 def su22_conditions_hold():
@@ -289,8 +290,7 @@ def su22_conditions_hold():
     Even sector: F p + p^+ F = 0 and tr p purely imaginary; odd sector:
     alpha = i F beta^+.
     """
-    (even_dim, odd_dim), (even_basis, odd_basis) = \
-        fixed_point_dimension(return_bases=True)
+    even_basis, odd_basis = fixed_point_bases()
     f = _f()
     failures = []
     for vec in even_basis:
@@ -328,7 +328,7 @@ def su22_conditions_hold():
         c1 = mat_sub(alpha, mat_scale(I, mat_mul(f, mat_dagger(beta))))
         if not mat_is_zero(c1):
             failures.append("alpha != i F beta^+")
-    return (even_dim, odd_dim), failures
+    return (len(even_basis), len(odd_basis)), failures
 
 
 # -- group-level reality ---------------------------------------------------------

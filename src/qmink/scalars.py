@@ -75,10 +75,6 @@ class Scalar:
         return cls({0: (re, im)}, den)
 
     @classmethod
-    def i_unit(cls):
-        return _I
-
-    @classmethod
     def q_pow(cls, k):
         return cls({k: (1, 0)})
 
@@ -172,9 +168,6 @@ class Scalar:
         e, re, im, den = mono
         nrm = re * re + im * im
         return Scalar({-e: (re * den, -im * den)}, nrm)
-
-    def divide_by_unit(self, unit):
-        return self * unit.inverse_of_unit()
 
     def subs_q_one(self):
         """Evaluate q -> 1 (stays a Scalar, concentrated in exponent 0)."""

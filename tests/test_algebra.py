@@ -12,7 +12,7 @@ from qmink.algebra import (Element, Generator, MalformedRuleError,
 from qmink.grassmann import supercommutative_presentation
 from qmink.kernel import BudgetExceeded
 from qmink.linalg import DegenerateBasisError, SpanSolver, express_in_basis
-from qmink.scalars import ONE, Q, QINV, Scalar
+from qmink.scalars import ONE, Q, QINV, Scalar, ScalarFraction
 from qmink.supergroup import build_mq2, build_slq41, minor
 
 
@@ -244,6 +244,57 @@ def test_span_solver_dependent_vectors():
     assert coeffs is not None
     assert not coeffs[2]  # dependent vectors get coefficient zero
     assert coeffs[0] == Q and coeffs[1] == Q
+
+
+_small_scalars = st.builds(
+    lambda triples, den: Scalar({e: (re, im) for e, re, im in triples}, den),
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-3, 3),
+                       st.integers(-3, 3)), min_size=1, max_size=2),
+    st.integers(1, 3))
+# words (0,), (1,), ..., (5,); the fresh word (6,) is in no basis vector
+_sparse_vectors = st.dictionaries(st.integers(0, 5).map(lambda k: (k,)),
+                                  _small_scalars, min_size=1, max_size=4)
+
+
+def _combination(coeffs, vectors):
+    out = {}
+    for c, v in zip(coeffs, vectors):
+        for w, x in v.items():
+            out[w] = out.get(w, Scalar.zero()) + c * x
+    return {w: x for w, x in out.items() if x}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(_sparse_vectors, min_size=1, max_size=5),
+       st.lists(_small_scalars, min_size=5, max_size=5),
+       st.lists(_small_scalars, min_size=5, max_size=5))
+def test_span_solver_coordinates_rebuild(vectors, dep_coeffs, coeffs):
+    basis = [v for v in vectors if any(v.values())]
+    # one more vector that depends on the others, when it is nonzero
+    dep = _combination(dep_coeffs, basis)
+    if dep:
+        basis.append(dep)
+    if not basis:
+        return
+    solver = SpanSolver()
+    added = [solver.add(v) for v in basis]
+    if dep:
+        assert not added[-1] and len(basis) - 1 in solver.dependent
+    assert solver.rank == added.count(True)
+    target = _combination(coeffs, basis)
+    got = solver.express(target)
+    assert got is not None and len(got) == len(basis)
+    for j in solver.dependent:
+        assert not got[j]
+    for w in {w for v in basis for w in v}:
+        total = ScalarFraction(Scalar.zero())
+        for c, v in zip(got, basis):
+            if w in v:
+                total = total + c * v[w]
+        assert total == target.get(w, Scalar.zero())
+    fresh = dict(target)
+    fresh[(6,)] = ONE
+    assert solver.express(fresh) is None
 
 
 def test_budget_guard():

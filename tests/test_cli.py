@@ -1,13 +1,16 @@
 """CLI contract: normal forms, suite reports, tables, exit codes."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmink.checks import _SUITE_BUILDERS, _run_checks
-from qmink.cli import main, normal_form_text
+from qmink.cli import ALGEBRAS, main, normal_form_text
 from qmink.reports import SuiteReport
 
 
@@ -60,16 +63,37 @@ def test_nf_errors(capsys):
     assert rc == 2
 
 
-@pytest.mark.parametrize("expr", ["(" * 3000 + "q" + ")" * 3000,
-                                  "-" * 3000 + "q"],
-                         ids=["parentheses", "minus-signs"])
-def test_nf_deep_nesting_is_bad_input(expr):
+@pytest.mark.parametrize("expr, message", [
+    ("(" * 3000 + "q" + ")" * 3000, "nested deeper"),
+    ("-" * 3000 + "q", "nested deeper"),
+    ("9" * 5000, "invalid integer literal"),
+], ids=["parentheses", "minus-signs", "long-integer"])
+def test_nf_deep_nesting_is_bad_input(expr, message):
     proc = subprocess.run(
         [sys.executable, "-m", "qmink.cli", "nf", "--algebra", "slq41", "--",
          expr], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ") and "nested deeper" in proc.stderr
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+_FRAGMENTS = ["a[1,2]", "a[5,5]", "a[6,1]", "D[1,2]", "D[3,4]", "D[2,5]",
+              "D[5,5]", "D[2,1]", "Dc[12;34]", "Dc[21;34]", "t[3,1]",
+              "tau[5,2]", "D12inv", "x0", "q", "q^-2", "q^", "i", "2", "07",
+              "-", "+", "*", "(", ")", "[", "]", ",", ";", "^", " "]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ALGEBRAS),
+       st.lists(st.sampled_from(_FRAGMENTS) | st.characters(), max_size=10))
+def test_nf_fuzz_exits_cleanly(algebra, pieces):
+    # any text is a normal form (exit 0) or bad input (exit 2), never a
+    # traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["nf", "--algebra", algebra, "--", "".join(pieces)])
+    assert rc in (0, 2)
+    assert (rc == 2) == err.getvalue().startswith("error: ")
 
 
 def test_check_exit_codes(capsys):

@@ -1,18 +1,23 @@
 """Closure table, localization, chiral Minkowski presentation, coaction."""
 
+import dataclasses
 import itertools
 
+import pytest
+
 from qmink.algebra import check_confluence
-from qmink.minkowski import (MINOR_ORDER, build_chiral_generators,
+from qmink.minkowski import (MINOR_ORDER, ClosureError,
+                             build_chiral_generators,
                              build_chiral_presentation, chiral_normal_words,
                              closure_table, coaction_membership,
-                             cofactor_proportional_to, localize_at_d12,
+                             cofactor_proportional_to, derive_closure_table,
+                             localize_at_d12,
                              localized, minor_index, minor_set,
                              straightening_presentation,
                              substituted_span_dimension,
                              supercommutative_dimension, verify_presentation)
 from qmink.scalars import ONE, Q, QINV, Scalar
-from qmink.supergroup import general_minor
+from qmink.supergroup import build_slq41, general_minor
 
 
 def test_minor_order():
@@ -30,6 +35,20 @@ def test_closure_table_complete_and_ok():
     for (a, b), e in table.entries.items():
         assert a <= b
         assert e.ok
+
+
+def test_corrupted_minor_fails_closure():
+    # negative control: D[1,3] replaced by the product a[1,1]*a[3,2]
+    minors = list(minor_set())
+    minors[1] = dataclasses.replace(
+        minors[1], value=build_slq41().word(["a[1,1]", "a[3,2]"]))
+    table = derive_closure_table(tuple(minors))
+    assert not table.all_ok
+    failing = sorted(k for k, e in table.entries.items() if not e.ok)
+    assert failing == [(1, 2), (1, 4), (1, 6), (1, 7)]
+    assert all(table.entries[k].witness for k in failing)
+    with pytest.raises(ClosureError, match=r"D\[1,4\]\*D\[1,3\]"):
+        straightening_presentation(table)
 
 
 def test_closure_identities_reconstruct():
