@@ -11,7 +11,7 @@ from .checks import SUITE_NAMES, UnknownSuiteError, run_suite
 from .minkowski import localized, minor_index, minor_set
 from .parser import (Atom, ExprSyntaxError, ImagUnit, IntLit, Neg, Prod,
                      QPow, Sum, parse, to_text)
-from .scalars import I, Scalar
+from .scalars import DigitLimitError, I, Scalar
 from .supergroup import build_slq41, general_minor, minor
 
 ALGEBRAS = ("slq41", "grq", "minkq", "chiral-abstract")
@@ -205,6 +205,9 @@ def build_arg_parser():
                        help="also write the report to this path")
     check.add_argument("--verbose", action="store_true",
                        help="list passing records in text format")
+    check.add_argument("--profile", metavar="PATH", default=None,
+                       help="write cProfile statistics of the run to this "
+                            "path (pstats format)")
 
     table = sub.add_parser("table", help="emit a derived table")
     table.add_argument("which", choices=("closure", "conformal"))
@@ -218,22 +221,33 @@ def main(argv=None):
     if args.command == "nf":
         try:
             print(normal_form_text(args.expr, args.algebra))
-        except (ExprSyntaxError, EvaluationError) as exc:
+        except (ExprSyntaxError, EvaluationError, DigitLimitError) as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2
         return 0
     if args.command == "check":
+        prof = None
+        if args.profile:
+            import cProfile
+            prof = cProfile.Profile()
         try:
-            report = run_suite(args.suite)
+            report = prof.runcall(run_suite, args.suite) if prof \
+                else run_suite(args.suite)
         except UnknownSuiteError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2
         out = report.to_json(indent=2) if args.format == "json" \
             else report.to_text(verbose=args.verbose)
         print(out)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(out + "\n")
+        try:
+            if args.out:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(out + "\n")
+            if prof:
+                prof.dump_stats(args.profile)
+        except OSError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
         return 0 if report.passed else 1
     if args.command == "table":
         data = closure_table_data() if args.which == "closure" \

@@ -11,6 +11,8 @@ with a dagger.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from operator import neg
 
 from .algebra import Element, Generator, Presentation
 from .scalars import ONE, Scalar
@@ -33,9 +35,28 @@ def supercommutative_presentation(variables):
 def exact_divide(pres, num, g):
     """Quotient q with q * g == num, or None; g must be odd-free.
 
-    Multivariate division by graded-lex lead reduction; sound because
-    sorted-tuple comparison is compatible with multiset union and g has
-    no odd letters (so no Koszul signs and no killed squares arise).
+    Multivariate division by lead reduction in graded-lex order, words
+    compared as (len(w), w) on sorted tuples.  That order is a monomial
+    order (compatible with multiset union), and g has no odd letters, so
+    multiplying by a word of g brings no Koszul sign and kills no odd
+    square.  With a monomial-unit lead coefficient in g, the reduction
+    therefore finds q exactly when it exists.
+
+    Early rejection: if num = q*g, then num's lead word is
+    lead(q)*lead(g) and its trailing word is trail(q)*trail(g).  Each of
+    these products lies strictly above (below) every other product of a
+    word of q with a word of g, and its coefficient is nonzero because
+    Q(i)[q, q^-1] is a domain.  So when num's lead word does not contain
+    g's lead word, or num's trailing word does not contain g's trailing
+    word, there is no quotient, and None is returned before any Scalar
+    arithmetic.
+
+    The remainder is a dict plus a heap of its words (Monagan & Pearce,
+    CASC 2007), keyed (-len(w), -w letterwise) so that heapq's smallest
+    entry is the graded-lex largest word.  A word is pushed when it
+    enters the remainder and skipped when popped after it has left.
+    Every product term lies below the current lead, so the leads come
+    out in the same order as a rescan of the whole remainder gives.
     """
     gt = g.terms
     if not gt:
@@ -43,48 +64,53 @@ def exact_divide(pres, num, g):
     key = lambda w: (len(w), w)
     glead = max(gt, key=key)
     glc = gt[glead]
-    inv = glc.monomial_unit()
-    if inv is None:
+    if glc.monomial_unit() is None:
         return None
-    glc_inv = glc.inverse_of_unit()
     r = dict(num.terms)
+    if not r:
+        return Element(pres, {})
+    if _multiset_difference(max(r, key=key), glead) is None or \
+            _multiset_difference(min(r, key=key), min(gt, key=key)) is None:
+        return None
+    heap = [(-len(w), tuple(map(neg, w)), w) for w in r]
+    heapify(heap)
+    glc_inv = glc.inverse_of_unit()
+    minus_g = [(w2, -c2) for w2, c2 in gt.items()]
     q = {}
-    while r:
-        lw = max(r, key=key)
+    while heap:
+        lw = heappop(heap)[2]
+        lc = r.get(lw)
+        if lc is None:
+            continue
         qw = _multiset_difference(lw, glead)
         if qw is None:
             return None
-        qc = r[lw] * glc_inv
+        qc = lc * glc_inv
         q[qw] = qc
-        for w2, c2 in gt.items():
+        for w2, c2 in minus_g:
             w = tuple(sorted(qw + w2))
-            c = qc * c2
+            c = qc * c2  # nonzero: Q(i)[q, q^-1] is a domain
             prev = r.get(w)
-            v = -c if prev is None else prev - c
-            if v:
-                r[w] = v
-            elif prev is not None:
-                del r[w]
+            if prev is None:
+                r[w] = c
+                heappush(heap, (-len(w), tuple(map(neg, w)), w))
+            else:
+                v = prev + c
+                if v:
+                    r[w] = v
+                else:
+                    del r[w]
     return Element(pres, q)
 
 
 def _multiset_difference(w, sub):
     """w minus sub as sorted tuples, or None when sub is not contained."""
-    out = []
-    i = j = 0
-    n, m = len(w), len(sub)
-    while i < n and j < m:
-        if w[i] == sub[j]:
-            i += 1
-            j += 1
-        elif w[i] < sub[j]:
-            out.append(w[i])
-            i += 1
-        else:
-            return None
-    if j < m:
+    out = list(w)
+    try:
+        for x in sub:
+            out.remove(x)
+    except ValueError:
         return None
-    out.extend(w[i:])
     return tuple(out)
 
 

@@ -221,11 +221,13 @@ def _gauss_parts(s):
     return coeffs[0]
 
 
+@lru_cache(maxsize=None)
 def fixed_point_bases():
     """Bases over Q of the (even, odd) sigma fixed points.
 
     Realifies p (32 parameters) and (alpha, beta) (16 parameters) and
-    solves sigma(X) = X exactly over Q.
+    solves sigma(X) = X exactly over Q.  Cached, so the bases come back
+    as tuples of tuples.
     """
     # even sector: p = sum (a_kl + i b_kl) E_kl, constraint p + F p^+ F = 0
     rows = []
@@ -275,7 +277,8 @@ def fixed_point_bases():
                 re, im = _gauss_parts(val)
                 row_entries.append(re if part == 0 else im)
         odd_rows.append(row_entries)
-    return even_basis, rational_kernel_basis(odd_rows, 16)
+    odd_basis = rational_kernel_basis(odd_rows, 16)
+    return tuple(map(tuple, even_basis)), tuple(map(tuple, odd_basis))
 
 
 def fixed_point_dimension():

@@ -9,12 +9,17 @@ Conjugation sends i to -i and fixes q.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd
 
 
 class ScalarError(ArithmeticError):
     pass
+
+
+class DigitLimitError(ScalarError):
+    """A coefficient has more digits than Python converts to text."""
 
 
 def _content(coeffs, den):
@@ -115,16 +120,32 @@ class Scalar:
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        if not self._c or not other._c:
+        c1, c2 = self._c, other._c
+        if not c1 or not c2:
             return _ZERO
+        den = self._den * other._den
+        if len(c1) == 1 and len(c2) == 1:
+            # monomial times monomial: one term, nonzero (Q(i) is a domain),
+            # and its content can only share factors with den
+            e1, = c1
+            e2, = c2
+            (a, b), (c, d) = c1[e1], c2[e2]
+            re, im = a * c - b * d, a * d + b * c
+            if den > 1:
+                g = gcd(den, gcd(re, im))
+                if g > 1:
+                    den //= g
+                    re //= g
+                    im //= g
+            return Scalar({e1 + e2: (re, im)}, den, _normalized=True)
         out = {}
-        for e1, (a, b) in self._c.items():
-            for e2, (c, d) in other._c.items():
+        for e1, (a, b) in c1.items():
+            for e2, (c, d) in c2.items():
                 e = e1 + e2
                 re, im = a * c - b * d, a * d + b * c
                 pre, pim = out.get(e, (0, 0))
                 out[e] = (pre + re, pim + im)
-        return Scalar(out, self._den * other._den)
+        return Scalar(out, den)
 
     def conjugate(self):
         """i -> -i, q fixed."""
@@ -235,9 +256,14 @@ class Scalar:
         if not self._c:
             return "0"
         parts = []
-        for e in sorted(self._c, reverse=True):
-            re, im = self._c[e]
-            parts.append(_monomial_text(e, re, im, self._den))
+        try:
+            for e in sorted(self._c, reverse=True):
+                re, im = self._c[e]
+                parts.append(_monomial_text(e, re, im, self._den))
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise DigitLimitError(
+                "a coefficient has more than %d digits, Python's limit for "
+                "printing an integer" % sys.get_int_max_str_digits()) from None
         out = parts[0]
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p

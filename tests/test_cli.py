@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import pstats
 import subprocess
 import sys
 
@@ -67,7 +68,8 @@ def test_nf_errors(capsys):
     ("(" * 3000 + "q" + ")" * 3000, "nested deeper"),
     ("-" * 3000 + "q", "nested deeper"),
     ("9" * 5000, "invalid integer literal"),
-], ids=["parentheses", "minus-signs", "long-integer"])
+    ("9" * 3000 + "*" + "9" * 3000, "more than 4300 digits"),
+], ids=["parentheses", "minus-signs", "long-integer", "long-coefficient"])
 def test_nf_deep_nesting_is_bad_input(expr, message):
     proc = subprocess.run(
         [sys.executable, "-m", "qmink.cli", "nf", "--algebra", "slq41", "--",
@@ -105,6 +107,24 @@ def test_check_exit_codes(capsys):
     assert all(r["verdict"] for r in data["records"])
 
 
+def test_check_profile_flag(capsys, tmp_path):
+    path = tmp_path / "suite.pstats"
+    rc, out, _ = run(capsys, "check", "su221-dimensions", "--format", "json")
+    rc_p, out_p, _ = run(capsys, "check", "su221-dimensions", "--format",
+                         "json", "--profile", str(path))
+    assert rc_p == rc == 0
+    reports = json.loads(out), json.loads(out_p)
+    for d in reports:
+        for r in d["records"]:
+            r["seconds"] = 0.0
+    assert reports[0] == reports[1]
+    stats = pstats.Stats(str(path))
+    assert any(fn == "run_suite" for _f, _l, fn in stats.stats)
+    rc, _, err = run(capsys, "check", "pauli-metric", "--profile",
+                     str(tmp_path / "missing" / "x.pstats"))
+    assert rc == 2 and err.startswith("error: ")
+
+
 def test_check_text_format(capsys):
     rc, out, _ = run(capsys, "check", "su221-dimensions", "--verbose")
     assert rc == 0
@@ -135,6 +155,9 @@ def test_check_out_file(tmp_path, capsys):
     assert rc == 0
     data = json.loads(path.read_text())
     assert data["suite"] == "twistor" and data["passed"]
+    rc, _, err = run(capsys, "check", "pauli-metric", "--out",
+                     str(tmp_path / "missing" / "report.json"))
+    assert rc == 2 and err.startswith("error: ")
 
 
 def test_table_closure(capsys):

@@ -1,0 +1,112 @@
+"""Exact Grassmann division against a plain lead-reduction reference."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qmink.algebra import Element
+from qmink.grassmann import _multiset_difference, exact_divide, \
+    supercommutative_presentation
+from qmink.scalars import Scalar
+
+# three even letters (ranks 0-2) and two odd ones (ranks 3, 4)
+PRES = supercommutative_presentation(
+    [("x", 0), ("y", 0), ("z", 0), ("s", 1), ("t", 1)])
+EVEN, ODD = (0, 1, 2), (3, 4)
+
+
+def reference_divide(pres, num, g):
+    """Division as it was written before the heap: a full max scan of the
+    remainder at every step, and no early rejection."""
+    gt = g.terms
+    if not gt:
+        raise ZeroDivisionError
+    key = lambda w: (len(w), w)
+    glead = max(gt, key=key)
+    glc = gt[glead]
+    if glc.monomial_unit() is None:
+        return None
+    glc_inv = glc.inverse_of_unit()
+    r = dict(num.terms)
+    q = {}
+    while r:
+        lw = max(r, key=key)
+        qw = _multiset_difference(lw, glead)
+        if qw is None:
+            return None
+        qc = r[lw] * glc_inv
+        q[qw] = qc
+        for w2, c2 in gt.items():
+            w = tuple(sorted(qw + w2))
+            c = qc * c2
+            prev = r.get(w)
+            v = -c if prev is None else prev - c
+            if v:
+                r[w] = v
+            elif prev is not None:
+                del r[w]
+    return Element(pres, q)
+
+
+monomials = st.builds(
+    lambda e, re, im, den: Scalar({e: (re, im)}, den),
+    st.integers(-2, 2), st.integers(-4, 4), st.integers(-4, 4),
+    st.integers(1, 6)).filter(bool)
+# two q-powers: never a monomial unit
+binomials = st.builds(
+    lambda e, re, im: Scalar({e: (re, im), e + 1: (1, 0)}),
+    st.integers(-2, 2), st.integers(-4, 4), st.integers(-4, 4))
+even_words = st.lists(st.sampled_from(EVEN), max_size=3).map(
+    lambda w: tuple(sorted(w)))
+words = st.tuples(even_words, st.sets(st.sampled_from(ODD))).map(
+    lambda wo: tuple(sorted(wo[0] + tuple(wo[1]))))
+
+
+def element(pairs):
+    terms = {}
+    for w, c in pairs:
+        terms[w] = c
+    return Element(PRES, terms)
+
+
+odd_free = st.lists(st.tuples(even_words, monomials | binomials),
+                    min_size=1, max_size=3).map(element).filter(bool)
+unit_lead = odd_free.filter(
+    lambda g: g.terms[max(g.terms, key=lambda w: (len(w), w))]
+    .monomial_unit() is not None)
+elements = st.lists(st.tuples(words, monomials | binomials),
+                    max_size=4).map(element)
+
+
+@settings(max_examples=150, deadline=None)
+@given(elements, odd_free)
+def test_exact_divide_recovers_quotient(q, g):
+    num = q * g
+    quo = exact_divide(PRES, num, g)
+    assert quo == reference_divide(PRES, num, g)
+    glead = max(g.terms, key=lambda w: (len(w), w))
+    if g.terms[glead].monomial_unit() is not None:
+        assert quo == q
+
+
+@settings(max_examples=150, deadline=None)
+@given(elements, odd_free)
+def test_exact_divide_matches_reference(num, g):
+    assert exact_divide(PRES, num, g) == reference_divide(PRES, num, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements.filter(bool), unit_lead, monomials)
+def test_trailing_word_rejects_without_arithmetic(q, g, c):
+    # g without a constant term: q*g + c keeps q*g's lead word, so only
+    # the trailing word () rules the quotient out
+    g = Element(PRES, {w: v for w, v in g.terms.items() if w}) or \
+        Element(PRES, {(0,): Scalar.from_int(1)})
+    num = q * g + Element(PRES, {(): c})
+    assert reference_divide(PRES, num, g) is None
+    calls = []
+    mul = Scalar.__mul__
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Scalar, "__mul__",
+                   lambda a, b: calls.append(1) or mul(a, b))
+        assert exact_divide(PRES, num, g) is None
+    assert calls == []

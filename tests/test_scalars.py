@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qmink.scalars import I, ONE, Q, QINV, Scalar, ScalarError, ScalarFraction
 
@@ -18,6 +18,30 @@ scalars = st.builds(
                        st.integers(-9, 9)), max_size=4),
     st.integers(1, 12),
 )
+
+
+parts = st.integers(-12, 12) | st.integers(-10**20, 10**20)
+monomials = st.builds(
+    lambda e, re, im, den: Scalar({e: (re, im)}, den),
+    st.integers(-4, 4), parts, parts,
+    st.integers(1, 60) | st.integers(1, 10**12)).filter(bool)
+
+
+@settings(max_examples=300)
+@given(monomials, monomials)
+@example(Scalar.rational(2, 3), Scalar.gauss(0, -3, 4))
+@example(Scalar.term(-2, -6, 4, 10), Scalar.term(1, 5, 0, 9))
+@example(Scalar.gauss(1, 1, 2), Scalar.gauss(1, -1))
+def test_monomial_product_matches_general_path(x, y):
+    # the one-term fast path in __mul__ builds the canonical Scalar the
+    # general constructor would build
+    (e1, (a, b)), = x._c.items()
+    (e2, (c, d)), = y._c.items()
+    expected = Scalar({e1 + e2: (a * c - b * d, a * d + b * c)},
+                      x._den * y._den)
+    got = x * y
+    assert got._c == expected._c and got._den == expected._den
+    assert hash(got) == hash(expected)
 
 
 def test_basic_arithmetic():
