@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .algebra import Element
 from .grassmann import (GrassmannAlgebra, GrassmannMatrix, GrassmannRational,
-                        SymbolSpec, supercommutative_presentation)
+                        SymbolSpec, rational_sum, supercommutative_presentation)
 from .linalg import SpanSolver
 from .scalars import I, ONE, Scalar
 
@@ -214,7 +214,7 @@ class RationalMap:
 
 def substitute(ga, el, images):
     """Evaluate an Element at generator -> rational images (default identity)."""
-    total = GrassmannRational(ga, ga.zero())
+    terms = []
     for w, c in el.terms.items():
         f = GrassmannRational(ga, ga.scalar(c))
         for r in w:
@@ -222,8 +222,8 @@ def substitute(ga, el, images):
             if img is None:
                 img = GrassmannRational(ga, ga.pres.word([r]))
             f = f * img
-        total = total + f
-    return total
+        terms.append(f)
+    return rational_sum(ga, terms)
 
 
 def substitute_product(ga, factors, images):

@@ -192,10 +192,13 @@ class GrassmannAlgebra:
 class GrassmannRational:
     """num / (product of factors), factors central (odd-free) and nonzero.
 
-    Denominators are kept factored; sums take least common multiples of
-    the factor multisets and every operation tries exact division of
-    the numerator by each factor, which keeps the double-inverse and
-    conjugation chains of the group computations from blowing up.
+    Denominators are kept factored, and numerators are cancelled by
+    exact division wherever a factor can divide, which keeps the
+    double-inverse and conjugation chains of the group computations from
+    blowing up.  A product divides each numerator by the other operand's
+    factors only (cross-cancellation); a sum (``rational_sum``) takes one
+    least common multiple of the factor multisets and tries every factor
+    of it against the summed numerator once.
     """
 
     __slots__ = ("ga", "num", "den")
@@ -227,14 +230,7 @@ class GrassmannRational:
                 self.num = self.num.scale(mono.inverse_of_unit())
             else:
                 factors.append(f)
-        out = []
-        for f in factors:
-            quo = exact_divide(ga.pres, self.num, f)
-            if quo is not None:
-                self.num = quo
-            else:
-                out.append(f)
-        self.den = tuple(out)
+        self.num, self.den = _cancel(ga, self.num, factors)
 
     def _den_counter(self):
         counts = {}
@@ -259,22 +255,7 @@ class GrassmannRational:
         raise TypeError(other)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        mine, theirs = self._den_counter(), other._den_counter()
-        lcm = dict(mine)
-        for f, k in theirs.items():
-            if lcm.get(f, 0) < k:
-                lcm[f] = k
-        a = self.num
-        for f, k in lcm.items():
-            for _ in range(k - mine.get(f, 0)):
-                a = a * f
-        b = other.num
-        for f, k in lcm.items():
-            for _ in range(k - theirs.get(f, 0)):
-                b = b * f
-        den = tuple(f for f, k in lcm.items() for _ in range(k))
-        return GrassmannRational(self.ga, a + b, den)
+        return rational_sum(self.ga, (self, self._coerce(other)))
 
     def __radd__(self, other):
         return self + other
@@ -289,9 +270,18 @@ class GrassmannRational:
         return (-self) + other
 
     def __mul__(self, other):
+        """Cross-cancel, then multiply: each numerator has already been
+        tried against its own denominator, so only the other operand's
+        factors are tried."""
         other = self._coerce(other)
-        return GrassmannRational(self.ga, self.num * other.num,
-                                 self.den + other.den)
+        num, den = self.ga.zero(), ()
+        if self.num and other.num:
+            a, b_den = _cancel(self.ga, self.num, other.den)
+            b, a_den = _cancel(self.ga, other.num, self.den)
+            num = a * b
+            if num:
+                den = a_den + b_den
+        return GrassmannRational(self.ga, num, den, _reduced=True)
 
     def __rmul__(self, other):
         return self._coerce(other) * self
@@ -353,6 +343,43 @@ class GrassmannRational:
         return "<%s>" % self.to_text()
 
 
+def _cancel(ga, num, den):
+    """num divided by every factor of den that divides it exactly, and
+    the factors left over."""
+    left = []
+    for f in den:
+        quo = exact_divide(ga.pres, num, f)
+        if quo is None:
+            left.append(f)
+        else:
+            num = quo
+    return num, tuple(left)
+
+
+def rational_sum(ga, terms):
+    """Sum of GrassmannRationals over one lcm of their denominators.
+
+    The numerators are brought to the lcm and added into one numerator,
+    which is normalized once, against every factor of the lcm.
+    """
+    terms = [t for t in terms if t.num]
+    counters = [t._den_counter() for t in terms]
+    lcm = {}
+    for counts in counters:
+        for f, k in counts.items():
+            if lcm.get(f, 0) < k:
+                lcm[f] = k
+    num = ga.zero()
+    for t, counts in zip(terms, counters):
+        a = t.num
+        for f, k in lcm.items():
+            for _ in range(k - counts.get(f, 0)):
+                a = a * f
+        num = num + a
+    den = tuple(f for f, k in lcm.items() for _ in range(k))
+    return GrassmannRational(ga, num, den)
+
+
 class GrassmannMatrix:
     """Dense matrix with GrassmannRational entries."""
 
@@ -410,9 +437,8 @@ class GrassmannMatrix:
             if k != k2:
                 raise ValueError("shape mismatch")
             return GrassmannMatrix(self.ga, [
-                [sum((self.rows[i][t] * other.rows[t][j]
-                      for t in range(k)),
-                     GrassmannRational(self.ga, self.ga.zero()))
+                [rational_sum(self.ga, [self.rows[i][t] * other.rows[t][j]
+                                        for t in range(k)])
                  for j in range(n)]
                 for i in range(m)])
         return self.scale(other)

@@ -99,7 +99,33 @@ class Scalar:
     def __add__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
+        c1, c2 = self._c, other._c
+        if not c2:
+            return self
+        if not c1:
+            return other
         a, b = self._den, other._den
+        if len(c1) == 1 and len(c2) == 1:
+            e, = c1
+            if e in c2:
+                # one term plus one term at the same exponent: the content
+                # can only share factors with the common denominator
+                (r1, i1), (r2, i2) = c1[e], c2[e]
+                if a == b:
+                    den, re, im = a, r1 + r2, i1 + i2
+                else:
+                    g = gcd(a, b)
+                    ma, mb = b // g, a // g
+                    den, re, im = a * ma, r1 * ma + r2 * mb, i1 * ma + i2 * mb
+                if not (re or im):
+                    return _ZERO
+                if den > 1:
+                    g = gcd(den, gcd(re, im))
+                    if g > 1:
+                        den //= g
+                        re //= g
+                        im //= g
+                return Scalar({e: (re, im)}, den, _normalized=True)
         g = gcd(a, b)
         ma, mb = b // g, a // g
         out = {e: (re * ma, im * ma) for e, (re, im) in self._c.items()}
@@ -115,6 +141,8 @@ class Scalar:
     def __sub__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
+        if not other._c:
+            return self
         return self + (-other)
 
     def __mul__(self, other):
@@ -380,6 +408,8 @@ class ScalarFraction:
         return hash((self.num, self.den))
 
     def __add__(self, other):
+        if isinstance(other, Scalar):
+            other = ScalarFraction(other)
         return ScalarFraction(self.num * other.den + other.num * self.den,
                               self.den * other.den)
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qmink import classical
+from qmink.checks import run_suite
 from qmink.classical import (RationalMap, SuperPoincareElement,
                              big_cell_reduce, bracket_closure_table,
                              conformal_basis, conformal_generator,
@@ -288,6 +289,28 @@ def test_twistor_even_and_prereduced():
     assert (red.alpha - alpha).is_zero() and (red.beta - beta).is_zero()
 
 
+def suite_records(name):
+    return {r.id: r for r in run_suite(name).records}
+
+
+def test_flipped_twistor_sign_fails_generic(monkeypatch):
+    # negative control: B = A + beta alpha in place of B = A - beta alpha
+    reduce = classical.superflag_reduce
+
+    def flipped(P1, P2):
+        red = reduce(P1, P2)
+        red.twistor_holds = (red.B - (red.A + red.beta * red.alpha)).is_zero()
+        return red
+
+    monkeypatch.setattr(classical, "superflag_reduce", flipped)
+    records = suite_records("twistor")
+    generic = records["generic"]
+    assert not generic.verdict
+    assert not generic.witness.startswith("exception:")
+    # with the odd variables off, beta alpha = 0 and the sign cannot show
+    assert records["even"].verdict
+
+
 def test_twistor_preconditions():
     ga = _flag_symbols()
     g = ga.gen
@@ -340,6 +363,15 @@ def test_chiral_action_composition():
         g2, super_poincare_chiral_action(g1, pt))
     direct = super_poincare_chiral_action(g2.compose(g1), pt)
     assert step.equals(direct)
+
+
+def test_wrong_half_fails_super_action(monkeypatch):
+    # negative control: 1/3 in place of the 1/2 in T = N + S/2 and in the
+    # action on the chiral point
+    monkeypatch.setattr(classical, "HALF", Scalar.rational(1, 3))
+    composition = suite_records("super-action")["composition"]
+    assert not composition.verdict
+    assert not composition.witness.startswith("exception:")
 
 
 def test_block_matrix_round_trip():

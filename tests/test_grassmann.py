@@ -1,16 +1,21 @@
-"""Exact Grassmann division against a plain lead-reduction reference."""
+"""Exact Grassmann division against a plain lead-reduction reference, and
+cancelled rational arithmetic against uncancelled fractions."""
+
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmink.algebra import Element
-from qmink.grassmann import _multiset_difference, exact_divide, \
-    supercommutative_presentation
+from qmink.grassmann import GrassmannAlgebra, GrassmannMatrix, \
+    GrassmannRational, _multiset_difference, exact_divide, rational_sum
 from qmink.scalars import Scalar
 
 # three even letters (ranks 0-2) and two odd ones (ranks 3, 4)
-PRES = supercommutative_presentation(
-    [("x", 0), ("y", 0), ("z", 0), ("s", 1), ("t", 1)])
+GA = GrassmannAlgebra([(n, p, n) for n, p in
+                       (("x", 0), ("y", 0), ("z", 0), ("s", 1), ("t", 1))])
+PRES = GA.pres
 EVEN, ODD = (0, 1, 2), (3, 4)
 
 
@@ -110,3 +115,82 @@ def test_trailing_word_rejects_without_arithmetic(q, g, c):
                    lambda a, b: calls.append(1) or mul(a, b))
         assert exact_divide(PRES, num, g) is None
     assert calls == []
+
+
+# Rational arithmetic.  Denominator factors come from a small shared pool,
+# so operands share factors, and numerators are drawn as multiples of
+# pool factors (repeats allowed), so that cancellation really happens.
+# Pool factors have monomial coefficients, so exact_divide can find
+# their quotients.
+pool_factors = st.lists(
+    st.tuples(st.lists(st.sampled_from(EVEN), max_size=2).map(
+        lambda w: tuple(sorted(w))), monomials),
+    min_size=1, max_size=2).map(element).filter(
+        lambda f: f and set(f.terms) != {()})
+small_elements = st.lists(st.tuples(words, monomials), min_size=1,
+                          max_size=2).map(element)
+
+
+@st.composite
+def rationals(draw, pool):
+    index = st.sampled_from(range(len(pool)))
+    den = tuple(pool[i] for i in draw(st.lists(index, max_size=2)))
+    num = reduce(mul, (pool[i] for i in draw(st.lists(index, min_size=1,
+                                                      max_size=3))),
+                 draw(small_elements))
+    return GrassmannRational(GA, num, den)
+
+
+def prod(factors):
+    return reduce(mul, factors, GA.one())
+
+
+def same_value(new, ref):
+    """new == ref as fractions, by Element cross-multiplication only."""
+    return new.num * prod(ref.den) == ref.num * prod(new.den)
+
+
+def uncancelled_product(x, y):
+    return GrassmannRational(GA, x.num * y.num, x.den + y.den, _reduced=True)
+
+
+def uncancelled_sum(terms):
+    num = GA.zero()
+    for i, t in enumerate(terms):
+        others = [f for j, u in enumerate(terms) if j != i for f in u.den]
+        num = num + t.num * prod(others)
+    return GrassmannRational(GA, num, sum((t.den for t in terms), ()),
+                             _reduced=True)
+
+
+@st.composite
+def pool_and_rationals(draw, n):
+    pool = draw(st.lists(pool_factors, min_size=1, max_size=3))
+    return [draw(rationals(pool)) for _ in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pool_and_rationals(2))
+def test_rational_product_and_sum_match_uncancelled(xy):
+    x, y = xy
+    assert same_value(x * y, uncancelled_product(x, y))
+    assert same_value(x + y, uncancelled_sum([x, y]))
+    assert same_value(x - y, uncancelled_sum([x, -y]))
+    # a sum whose numerator is a multiple of the whole lcm: every factor
+    # cancels, because pool factors have monomial-unit leads
+    z = GrassmannRational(GA, y.num * prod(x.den) - x.num, x.den)
+    total = x + z
+    assert total.num == y.num and total.den == ()
+
+
+@settings(max_examples=40, deadline=None)
+@given(pool_and_rationals(6))
+def test_matrix_entry_sum_matches_uncancelled(xs):
+    row, col = xs[:3], xs[3:]
+    entry = (GrassmannMatrix(GA, [row]) *
+             GrassmannMatrix(GA, [[b] for b in col]))[0, 0]
+    ref = uncancelled_sum([uncancelled_product(a, b)
+                           for a, b in zip(row, col)])
+    assert same_value(entry, ref)
+    assert same_value(rational_sum(GA, [a * b for a, b in zip(row, col)]),
+                      ref)

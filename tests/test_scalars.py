@@ -44,6 +44,43 @@ def test_monomial_product_matches_general_path(x, y):
     assert hash(got) == hash(expected)
 
 
+def general_sum(x, y, sign):
+    """x + sign*y through the general constructor, over the product of the
+    denominators."""
+    out = {e: (re * y._den, im * y._den) for e, (re, im) in x._c.items()}
+    for e, (re, im) in y._c.items():
+        pre, pim = out.get(e, (0, 0))
+        out[e] = (pre + sign * re * x._den, pim + sign * im * x._den)
+    return Scalar(out, x._den * y._den)
+
+
+# exponents and denominators from small ranges, so that equal exponents,
+# equal denominators and cancelling sums are common
+near_monomials = st.builds(
+    lambda e, re, im, den: Scalar({e: (re, im)}, den),
+    st.integers(-1, 1), st.integers(-6, 6) | parts, st.integers(-6, 6),
+    st.sampled_from([1, 2, 3, 4, 6, 12]) | st.integers(1, 10**12))
+
+
+@settings(max_examples=300)
+@given(near_monomials, near_monomials)
+@example(Scalar.rational(1, 2), Scalar.rational(-1, 2))  # cancels to zero
+@example(Scalar.rational(1, 2), Scalar.rational(1, 2))   # content 2
+@example(Scalar.rational(1, 6), Scalar.rational(1, 3))   # 1/2
+@example(Scalar.gauss(1, 3, 4), Scalar.gauss(1, -1, 4))  # (1+i)/2
+@example(Scalar.term(1, 2, 0, 3), Scalar.term(-1, 2, 0, 3))  # two exponents
+@example(Scalar.zero(), Scalar.gauss(2, 1, 5))
+@example(Scalar.gauss(2, 1, 5), Scalar.zero())
+@example(Scalar.zero(), Scalar.zero())
+def test_one_term_sum_matches_general_path(x, y):
+    # the one-term and zero-operand paths of __add__ and __sub__ build the
+    # canonical Scalar the general constructor would build
+    for got, sign in ((x + y, 1), (x - y, -1)):
+        expected = general_sum(x, y, sign)
+        assert got._c == expected._c and got._den == expected._den
+        assert hash(got) == hash(expected)
+
+
 def test_basic_arithmetic():
     two = Scalar.from_int(2)
     assert (two + two).to_text() == "4"
@@ -131,6 +168,13 @@ def test_fractions():
     assert (h * (ONE + Q)).as_scalar() == ONE
     assert not h.is_polynomial()
     assert ScalarFraction(Q * Q, Q).is_polynomial()
+
+
+def test_fraction_with_scalar_operand():
+    f = ScalarFraction(ONE, ONE + Q)
+    assert f + Q == ScalarFraction(ONE + Q + Q * Q, ONE + Q)
+    assert f - Q == ScalarFraction(ONE - Q - Q * Q, ONE + Q)
+    assert (f + Q) - Q == f
 
 
 def test_text_forms():
