@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernel
-from .scalars import Scalar, ONE
+from .scalars import GaussRational, ONE, Scalar
+
+# the coefficient types an Element multiplies by as a scalar
+_COEFFICIENTS = (Scalar, GaussRational)
 
 
 class AlgebraError(ValueError):
@@ -40,11 +43,13 @@ class Presentation:
 
     Values are immutable once rules are installed and every operation is
     pure; the per-word normal-form memo only ever receives idempotent
-    writes, so it can be shared by every caller.
+    writes, so it can be shared by every caller.  ``unit`` is the one of
+    the coefficient ring: the Scalar ONE of Q(i)[q, q^-1] by default, or
+    a GaussRational one for the q = 1 layer.
     """
 
     def __init__(self, generators, odd_squares_vanish=False, budget=200_000_000,
-                 supercommutative=False):
+                 supercommutative=False, unit=ONE):
         gens = tuple(generators)
         if [g.rank for g in gens] != list(range(len(gens))):
             raise AlgebraError("generator ranks must be 0..n-1 in order")
@@ -57,6 +62,7 @@ class Presentation:
         # letter-by-letter rewriting; only valid for the standard
         # supercommutative rule set
         self.supercommutative = supercommutative
+        self.unit = unit
         self._rules = {}
         self._kernel_rules = None
         self._memo = {}
@@ -75,7 +81,7 @@ class Presentation:
         return g
 
     def add_rule(self, lhs, rhs, validate=True):
-        """Install lhs (a length-2 word) -> rhs (word -> Scalar map)."""
+        """Install lhs (a length-2 word) -> rhs (word -> coefficient map)."""
         lhs = tuple(lhs)
         if lhs in self._rules:
             raise AlgebraError("duplicate rule for %s" % (lhs,))
@@ -157,7 +163,7 @@ class Presentation:
     # -- normal forms ---------------------------------------------------------
 
     def normal_form(self, terms):
-        """Reduce a word->Scalar map (or iterable of pairs) to normal form."""
+        """Reduce a word->coefficient map (or iterable of pairs) to normal form."""
         if self.supercommutative:
             out = {}
             items = terms.items() if isinstance(terms, dict) else terms
@@ -177,7 +183,7 @@ class Presentation:
                     del out[sw]
             return out
         return kernel.normal_form_terms(terms, self._kernel_view(), self.ngens,
-                                        ONE, self._memo, self.budget)
+                                        self.unit, self._memo, self.budget)
 
     def nf_word(self, w):
         if self.supercommutative:
@@ -185,9 +191,9 @@ class Presentation:
             if nf is None:
                 return ()
             sw, sgn = nf
-            return ((sw, ONE if sgn > 0 else -ONE),)
+            return ((sw, self.unit if sgn > 0 else -self.unit),)
         return kernel.nf_word(tuple(w), self._kernel_view(), self.ngens,
-                              ONE, self._memo, self.budget)
+                              self.unit, self._memo, self.budget)
 
     def _sc_word(self, w):
         """Sorted word and Koszul sign, or None when an odd letter repeats."""
@@ -233,13 +239,13 @@ class Presentation:
         return Element(self, {})
 
     def one(self):
-        return Element(self, {(): ONE})
+        return Element(self, {(): self.unit})
 
     def scalar(self, s):
         return Element(self, {(): s} if s else {})
 
     def gen(self, name):
-        return Element(self, {(self.generator(name).rank,): ONE})
+        return Element(self, {(self.generator(name).rank,): self.unit})
 
     def word(self, names_or_ranks):
         w = tuple(r if isinstance(r, int) else self.generator(r).rank
@@ -292,10 +298,17 @@ class Element:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, Scalar):
+        if isinstance(other, _COEFFICIENTS):
             return self.scale(other)
         if not isinstance(other, Element) or other.alg is not self.alg:
             return NotImplemented
+        alg = self.alg
+        if alg.supercommutative:
+            # the closed-form normal form merges equal words itself
+            t2 = other.terms.items()
+            return Element(alg, alg.normal_form(
+                (w1 + w2, c1 * c2)
+                for w1, c1 in self.terms.items() for w2, c2 in t2))
         prod = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -307,10 +320,10 @@ class Element:
                     prod[w] = v
                 elif prev is not None:
                     del prod[w]
-        return Element(self.alg, self.alg.normal_form(prod))
+        return Element(alg, alg.normal_form(prod))
 
     def __rmul__(self, other):
-        if isinstance(other, Scalar):
+        if isinstance(other, _COEFFICIENTS):
             return self.scale(other)
         return NotImplemented
 
@@ -352,7 +365,7 @@ class Element:
             wt = self.alg.word_text(w)
             if not w:
                 parts.append(c.to_text())
-            elif c == ONE:
+            elif c == self.alg.unit:
                 parts.append(wt)
             else:
                 ct = c.to_factor_text()
@@ -406,7 +419,7 @@ class TensorPoly:
 
     @classmethod
     def unit(cls, alg):
-        return cls(alg, {((), ()): ONE}, reduce=False)
+        return cls(alg, {((), ()): alg.unit}, reduce=False)
 
     def __bool__(self):
         return bool(self.terms)

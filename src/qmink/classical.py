@@ -3,8 +3,9 @@
 Vector fields are quadruples of exact polynomials in x0..x3 with the
 mostly-minus metric; finite maps are tuples of rational functions
 compared by cross-multiplication; the super side runs over Grassmann
-algebras from the grassmann module.  The last section carries the
-q -> 1 specialization bridge from the quantum layer.
+algebras from the grassmann module.  Coefficients are GaussRationals;
+``PolyVectorField.flat`` hands Scalars to the span solver.  The last
+section carries the q -> 1 specialization bridge from the quantum layer.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from .algebra import Element
 from .grassmann import (GrassmannAlgebra, GrassmannMatrix, GrassmannRational,
                         SymbolSpec, rational_sum, supercommutative_presentation)
 from .linalg import SpanSolver
-from .scalars import I, ONE, Scalar
+from .scalars import GaussRational, I
 
 METRIC = (1, -1, -1, -1)
-HALF = Scalar.rational(1, 2)
+HALF = GaussRational(1, 0, 2)
 
 
 def coordinate_algebra(extra=()):
@@ -57,7 +58,7 @@ def d_dx(el, rank):
             continue
         i = w.index(rank)
         nw = w[:i] + w[i + 1:]
-        cc = c * Scalar.from_int(n)
+        cc = c * GaussRational(n)
         prev = out.get(nw)
         v = cc if prev is None else prev + cc
         if v:
@@ -89,11 +90,11 @@ class PolyVectorField:
         return PolyVectorField(ga, out)
 
     def flat(self):
-        """Coefficient vector keyed by (component, word)."""
+        """Coefficient vector keyed by (component, word), as Scalars."""
         vec = {}
         for mu, comp in enumerate(self.comps):
             for w, c in comp.terms.items():
-                vec[(mu, w)] = c
+                vec[(mu, w)] = c.to_scalar()
         return vec
 
     def is_zero(self):
@@ -121,7 +122,7 @@ def conformal_basis():
     for mu in range(4):
         comps = []
         for nu in range(4):
-            c = (xl[mu] * x[nu]).scale(Scalar.from_int(2))
+            c = (xl[mu] * x[nu]).scale(GaussRational(2))
             if nu == mu:
                 c = c - x2
             comps.append(c)
@@ -259,7 +260,7 @@ def special_conformal_map(ga, b, variant="standard"):
     x2 = minkowski_square(ga)
     b2 = minkowski_square(ga, b)
     bx = minkowski_dot(ga, b, x)
-    den = ga.one() + bx.scale(Scalar.from_int(2)) + b2 * x2
+    den = ga.one() + bx.scale(GaussRational(2)) + b2 * x2
     if variant == "literal":
         den = den + b2 * x2
     return RationalMap(ga, [GrassmannRational(ga, x[mu] + b[mu] * x2, (den,))
@@ -503,15 +504,6 @@ def _classical_image(pres):
 def specialize_q1(p):
     """Evaluate q -> 1 and map words into the supercommutative algebra."""
     image = _classical_image(p.alg)
-    terms = {w: c.subs_q_one() for w, c in p.terms.items()}
+    terms = {w: GaussRational.from_scalar(c.subs_q_one())
+             for w, c in p.terms.items()}
     return Element(image, image.normal_form(terms))
-
-
-def rules_supercommute_at_q1(pres):
-    """lhs - rhs of every rule maps to zero at q = 1; returns failures."""
-    failures = []
-    for lhs, rhs in sorted(pres.rules.items()):
-        el = Element(pres, {lhs: ONE}) - Element(pres, dict(rhs))
-        if specialize_q1(el):
-            failures.append(lhs)
-    return failures

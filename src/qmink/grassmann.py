@@ -2,10 +2,11 @@
 
 Built on the same rewriting engine as the quantum layer: a Grassmann
 algebra is a confluent presentation whose rules swap generators with
-Koszul signs and kill odd squares.  On top sit rational elements
-(numerators over central, odd-free denominators, so that inverses of
-even elements exist via a finite Neumann expansion) and dense matrices
-with a dagger.
+Koszul signs and kill odd squares.  Its coefficients are GaussRationals,
+elements of Q(i); ``GrassmannAlgebra.scalar`` brings a q-free Scalar in.
+On top sit rational elements (numerators over central, odd-free
+denominators, so that inverses of even elements exist via a finite
+Neumann expansion) and dense matrices with a dagger.
 """
 
 from __future__ import annotations
@@ -15,19 +16,21 @@ from heapq import heapify, heappop, heappush
 from operator import neg
 
 from .algebra import Element, Generator, Presentation
-from .scalars import ONE, Scalar
+from .scalars import GaussRational, Scalar
 
 
 def supercommutative_presentation(variables):
     """Presentation from a list of (name, parity) in rank order."""
     gens = [Generator(name, (r,), parity, r)
             for r, (name, parity) in enumerate(variables)]
-    pres = Presentation(gens, odd_squares_vanish=True, supercommutative=True)
+    one = GaussRational(1)
+    pres = Presentation(gens, odd_squares_vanish=True, supercommutative=True,
+                        unit=one)
     for a in gens:
         for b in gens:
             if b.rank <= a.rank:
                 continue
-            sign = -ONE if (a.parity and b.parity) else ONE
+            sign = -one if (a.parity and b.parity) else one
             pres.add_rule((b.rank, a.rank), {(a.rank, b.rank): sign})
     return pres
 
@@ -46,10 +49,10 @@ def exact_divide(pres, num, g):
     lead(q)*lead(g) and its trailing word is trail(q)*trail(g).  Each of
     these products lies strictly above (below) every other product of a
     word of q with a word of g, and its coefficient is nonzero because
-    Q(i)[q, q^-1] is a domain.  So when num's lead word does not contain
-    g's lead word, or num's trailing word does not contain g's trailing
-    word, there is no quotient, and None is returned before any Scalar
-    arithmetic.
+    the coefficient ring, Q(i) or Q(i)[q, q^-1], is a domain.  So when
+    num's lead word does not contain g's lead word, or num's trailing
+    word does not contain g's trailing word, there is no quotient, and
+    None is returned before any coefficient arithmetic.
 
     The remainder is a dict plus a heap of its words (Monagan & Pearce,
     CASC 2007), keyed (-len(w), -w letterwise) so that heapq's smallest
@@ -89,7 +92,7 @@ def exact_divide(pres, num, g):
         q[qw] = qc
         for w2, c2 in minus_g:
             w = tuple(sorted(qw + w2))
-            c = qc * c2  # nonzero: Q(i)[q, q^-1] is a domain
+            c = qc * c2  # nonzero: the coefficient ring is a domain
             prev = r.get(w)
             if prev is None:
                 r[w] = c
@@ -154,6 +157,11 @@ class GrassmannAlgebra:
         return self.pres.one()
 
     def scalar(self, s):
+        """The constant s: a GaussRational, an int, or a Scalar free of q."""
+        if isinstance(s, int):
+            s = GaussRational(s)
+        elif not isinstance(s, GaussRational):
+            s = GaussRational.from_scalar(s)
         return self.pres.scalar(s)
 
     def gen(self, name):
@@ -245,13 +253,9 @@ class GrassmannRational:
             return other
         if isinstance(other, Element):
             return GrassmannRational(self.ga, other, (), _reduced=True)
-        if isinstance(other, Scalar):
+        if isinstance(other, (GaussRational, Scalar, int)):
             return GrassmannRational(self.ga, self.ga.scalar(other), (),
                                      _reduced=True)
-        if isinstance(other, int):
-            return GrassmannRational(self.ga,
-                                     self.ga.scalar(Scalar.from_int(other)),
-                                     (), _reduced=True)
         raise TypeError(other)
 
     def __add__(self, other):
@@ -395,10 +399,8 @@ class GrassmannMatrix:
             return x
         if isinstance(x, Element):
             return GrassmannRational(ga, x)
-        if isinstance(x, Scalar):
+        if isinstance(x, (GaussRational, Scalar, int)):
             return GrassmannRational(ga, ga.scalar(x))
-        if isinstance(x, int):
-            return GrassmannRational(ga, ga.scalar(Scalar.from_int(x)))
         raise TypeError(x)
 
     @classmethod

@@ -5,6 +5,10 @@ A Scalar is an element of Q(i)[q, q^-1], stored as a map
 positive integer denominator.  The representation is canonical: no zero
 numerator pairs, gcd(content, denominator) == 1, denominator >= 1.
 Conjugation sends i to -i and fixes q.
+
+A GaussRational is an element of Q(i) alone, the coefficient ring of the
+q = 1 layer.  ``GaussRational.from_scalar`` and ``to_scalar`` carry a
+q-free Scalar across and back.
 """
 
 from __future__ import annotations
@@ -289,9 +293,7 @@ class Scalar:
                 re, im = self._c[e]
                 parts.append(_monomial_text(e, re, im, self._den))
         except ValueError:  # past sys.get_int_max_str_digits()
-            raise DigitLimitError(
-                "a coefficient has more than %d digits, Python's limit for "
-                "printing an integer" % sys.get_int_max_str_digits()) from None
+            raise _digit_limit_error() from None
         out = parts[0]
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p
@@ -303,6 +305,12 @@ class Scalar:
         if len(self._c) > 1 or t.startswith("-"):
             return "(" + t + ")"
         return t
+
+
+def _digit_limit_error():
+    return DigitLimitError(
+        "a coefficient has more than %d digits, Python's limit for "
+        "printing an integer" % sys.get_int_max_str_digits())
 
 
 def _gauss_text(re, im, den):
@@ -460,3 +468,142 @@ ONE = _ONE
 I = _I
 Q = Scalar({1: (1, 0)}, 1, _normalized=True)
 QINV = Scalar({-1: (1, 0)}, 1, _normalized=True)
+
+
+class GaussRational:
+    """Element (re + im*i)/den of Q(i), the coefficient ring at q = 1.
+
+    Canonical: den >= 1, gcd(re, im, den) == 1, and zero is (0, 0, 1).
+    It prints exactly as the Scalar with the same value at exponent 0.
+    """
+
+    __slots__ = ("re", "im", "den")
+
+    def __init__(self, re, im=0, den=1):
+        if den == 0:
+            raise ZeroDivisionError("scalar denominator is zero")
+        if den < 0:
+            re, im, den = -re, -im, -den
+        g = gcd(re, im, den)
+        self.re = re // g
+        self.im = im // g
+        self.den = den // g
+
+    @classmethod
+    def from_scalar(cls, s):
+        """The q-free Scalar s as a GaussRational; ScalarError if q occurs."""
+        c = s._c
+        if not c:
+            return _GZERO
+        if len(c) != 1 or 0 not in c:
+            raise ScalarError("scalar depends on q: %r" % (s,))
+        re, im = c[0]
+        return cls(re, im, s._den)
+
+    def to_scalar(self):
+        """The same value as a Scalar, at exponent 0."""
+        if not (self.re or self.im):
+            return _ZERO
+        return Scalar({0: (self.re, self.im)}, self.den, _normalized=True)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __eq__(self, other):
+        if other.__class__ is not GaussRational:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im and \
+            self.den == other.den
+
+    def __hash__(self):
+        return hash((self.re, self.im, self.den))
+
+    def __add__(self, other):
+        if other.__class__ is not GaussRational:
+            return NotImplemented
+        a, b = self.den, other.den
+        if a == b:
+            re, im, den = self.re + other.re, self.im + other.im, a
+        else:
+            g = gcd(a, b)
+            ma, mb = b // g, a // g
+            re = self.re * ma + other.re * mb
+            im = self.im * ma + other.im * mb
+            den = a * ma
+        return _reduced(re, im, den)
+
+    def __sub__(self, other):
+        if other.__class__ is not GaussRational:
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return _raw(-self.re, -self.im, self.den)
+
+    def __mul__(self, other):
+        if other.__class__ is not GaussRational:
+            return NotImplemented
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _reduced(a * c - b * d, a * d + b * c, self.den * other.den)
+
+    def conjugate(self):
+        """i -> -i."""
+        return _raw(self.re, -self.im, self.den)
+
+    def monomial_unit(self):
+        """(0, re, im, den) when nonzero, else None, as Scalar has it."""
+        if not (self.re or self.im):
+            return None
+        return (0, self.re, self.im, self.den)
+
+    def inverse_of_unit(self):
+        """Inverse; every nonzero element of Q(i) is a unit."""
+        re, im, den = self.re, self.im, self.den
+        if not (re or im):
+            raise ScalarError("zero is not invertible")
+        return _reduced(re * den, -im * den, re * re + im * im)
+
+    def to_text(self):
+        if not (self.re or self.im):
+            return "0"
+        try:
+            return _gauss_text(self.re, self.im, self.den)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise _digit_limit_error() from None
+
+    def to_factor_text(self):
+        t = self.to_text()
+        return "(" + t + ")" if t.startswith("-") else t
+
+    def __repr__(self):
+        return "GaussRational(%s)" % self.to_text()
+
+
+_new = object.__new__
+
+
+def _raw(re, im, den):
+    """A GaussRational from parts already in canonical form."""
+    x = _new(GaussRational)
+    x.re = re
+    x.im = im
+    x.den = den
+    return x
+
+
+def _reduced(re, im, den):
+    """A GaussRational from parts with den >= 1, dividing out their gcd."""
+    if den > 1:
+        g = gcd(re, im, den)  # den when re == im == 0: zero is (0, 0, 1)
+        if g > 1:
+            re //= g
+            im //= g
+            den //= g
+    x = _new(GaussRational)
+    x.re = re
+    x.im = im
+    x.den = den
+    return x
+
+
+_GZERO = _raw(0, 0, 1)

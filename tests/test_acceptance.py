@@ -12,11 +12,12 @@ import sys
 import time
 
 from qmink.algebra import check_confluence
+from qmink.checks import run_suite
 from qmink.classical import (bracket_closure_table, conj_column,
                              coordinate_algebra, det2, inversion_map,
                              minkowski_square, pauli_map, poincare_action,
                              poincare_compose, real_point,
-                             rules_supercommute_at_q1, special_conformal_map,
+                             special_conformal_map,
                              super_poincare_chiral_action, superflag_reduce,
                              translation_map)
 from qmink.grassmann import GrassmannMatrix, GrassmannRational, SymbolSpec
@@ -83,10 +84,12 @@ def test_coaction():
 
 
 def test_classical_limit():
-    f1 = rules_supercommute_at_q1(build_slq41())
-    f2 = rules_supercommute_at_q1(build_chiral_presentation())
-    ok = not f1 and not f2
-    report("classical-limit", ok, "(exceptions: %d)" % (len(f1) + len(f2)))
+    # one record per rule of each presentation; a failure names its rule
+    records = run_suite("classical-limit").records
+    rules = len(build_slq41().rules) + len(build_chiral_presentation().rules)
+    failures = [r.id for r in records if not r.verdict]
+    ok = len(records) == rules and not failures
+    report("classical-limit", ok, "(exceptions: %d)" % len(failures))
 
 
 def test_conformal_closure():

@@ -12,7 +12,7 @@ from qmink.algebra import (Element, Generator, MalformedRuleError,
 from qmink.grassmann import supercommutative_presentation
 from qmink.kernel import BudgetExceeded
 from qmink.linalg import DegenerateBasisError, SpanSolver, express_in_basis
-from qmink.scalars import ONE, Q, QINV, Scalar, ScalarFraction
+from qmink.scalars import ONE, Q, QINV, GaussRational, Scalar, ScalarFraction
 from qmink.supergroup import build_mq2, build_slq41, minor
 
 
@@ -108,8 +108,8 @@ def _parities_and_terms(draw):
     parities = draw(st.lists(st.integers(0, 1), min_size=1, max_size=6))
     n = len(parities)
     words = st.lists(st.integers(0, n - 1), max_size=5).map(tuple)
-    coeffs = st.tuples(st.integers(-3, 3), st.integers(-2, 2)).map(
-        lambda t: Scalar.from_int(t[0]) * Scalar.q_pow(t[1]))
+    coeffs = st.builds(GaussRational, st.integers(-3, 3), st.integers(-2, 2),
+                       st.integers(1, 3))
     terms = draw(st.dictionaries(words, coeffs, max_size=4))
     return parities, terms
 
@@ -121,13 +121,56 @@ def test_supercommutative_shortcut_matches_rewriting(case):
     sc = supercommutative_presentation(
         [("v%d" % r, p) for r, p in enumerate(parities)])
     # the same generators and rules, reduced letter by letter
-    ref = Presentation(sc.generators, odd_squares_vanish=True)
+    ref = Presentation(sc.generators, odd_squares_vanish=True, unit=sc.unit)
     for lhs, rhs in sc.rules.items():
         if lhs not in ref.rules:  # odd squares come with the constructor
             ref.add_rule(lhs, rhs)
     assert sc.normal_form(terms) == ref.normal_form(terms)
     for w in terms:
         assert dict(sc.nf_word(w)) == dict(ref.nf_word(w))
+
+
+def dict_path_product(x, y):
+    """x*y as Element.__mul__ built it before the one-pass path: every
+    concatenated word summed into a dict first, then one normal form."""
+    prod = {}
+    for w1, c1 in x.terms.items():
+        for w2, c2 in y.terms.items():
+            w = w1 + w2
+            prev = prod.get(w)
+            v = c1 * c2 if prev is None else prev + c1 * c2
+            if v:
+                prod[w] = v
+            elif prev is not None:
+                del prod[w]
+    return Element(x.alg, x.alg.normal_form(prod))
+
+
+@st.composite
+def _grassmann_factors(draw):
+    # raw words, unsorted and with repeated letters, so products carry
+    # Koszul signs and repeated odd letters
+    n_even, n_odd = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    pres = supercommutative_presentation(
+        [("e%d" % r, 0) for r in range(n_even)]
+        + [("o%d" % r, 1) for r in range(n_odd)])
+    words = st.lists(st.integers(0, n_even + n_odd - 1), max_size=4).map(tuple)
+    coeffs = st.builds(GaussRational, st.integers(-3, 3), st.integers(-2, 2),
+                       st.integers(1, 4)).filter(bool)
+    x, y = (Element(pres, draw(st.dictionaries(words, coeffs, max_size=4)))
+            for _ in range(2))
+    return x, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grassmann_factors())
+def test_supercommutative_one_pass_product(xy):
+    x, y = xy
+    assert (x * y).terms == dict_path_product(x, y).terms
+    # and on normal-form factors, as the q = 1 layer multiplies them
+    xn = Element(x.alg, x.alg.normal_form(x.terms))
+    yn = Element(y.alg, y.alg.normal_form(y.terms))
+    assert (xn * yn).terms == dict_path_product(xn, yn).terms
 
 
 def test_mq2_confluence():

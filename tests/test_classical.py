@@ -13,12 +13,13 @@ from qmink.classical import (RationalMap, SuperPoincareElement,
                              conj_column, coordinate_algebra, det2, d_dx,
                              inversion_map, minkowski_square, pauli_map,
                              poincare_action, poincare_compose, real_point,
-                             real_group_element, rules_supercommute_at_q1,
-                             special_conformal_map, specialize_q1,
+                             real_group_element, special_conformal_map,
+                             specialize_q1,
                              substitute, super_poincare_chiral_action,
                              superflag_reduce, translation_map)
-from qmink.grassmann import GrassmannMatrix, GrassmannRational, SymbolSpec
-from qmink.scalars import I, ONE, Q, QINV, Scalar
+from qmink.grassmann import (GrassmannMatrix, GrassmannRational, SymbolSpec,
+                             supercommutative_presentation)
+from qmink.scalars import I, ONE, Q, QINV, GaussRational, Scalar
 from qmink.supergroup import build_slq41
 
 
@@ -32,7 +33,7 @@ def test_conformal_generator_forms():
     # K1 = 2 x_1 x^nu d_nu - x^2 d_1 with x_1 = -x^1
     k1 = conformal_generator("K", 1)
     x2 = minkowski_square(ga)
-    two = Scalar.from_int(2)
+    two = GaussRational(2)
     for nu in range(4):
         expected = (-x[1] * x[nu]).scale(two)
         if nu == 1:
@@ -49,7 +50,7 @@ def test_partial_derivative():
     x0 = ga.gen("x0")
     r0 = ga.pres.generator("x0").rank
     p = x0 * x0 * ga.gen("x1")
-    assert d_dx(p, r0) == (x0 * ga.gen("x1")).scale(Scalar.from_int(2))
+    assert d_dx(p, r0) == (x0 * ga.gen("x1")).scale(GaussRational(2))
 
 
 def test_bracket_examples():
@@ -384,7 +385,11 @@ def test_specialize_q1():
     pres = build_slq41()
     p = pres.word(["a[1,1]", "a[1,2]"]).scale(Q) - pres.word(["a[1,2]", "a[1,1]"])
     assert specialize_q1(p).is_zero()
-    assert not rules_supercommute_at_q1(pres)
+    # every slq41 rule becomes supercommutativity at q = 1
+    records = [r for r in run_suite("classical-limit").records
+               if r.id.startswith("slq41:")]
+    assert len(records) == len(pres.rules)
+    assert all(r.verdict for r in records)
     corr = pres.one().scale(QINV - Q)
     assert specialize_q1(corr).is_zero()
 
@@ -406,3 +411,64 @@ def test_specialize_is_algebra_map():
         p, r = rnd(), rnd()
         assert (specialize_q1(p * r)
                 - specialize_q1(p) * specialize_q1(r)).is_zero()
+
+
+# Negative controls for the q = 1 suites: each mutation must turn exactly
+# the named records false, with a witness that is not a crash.
+
+
+def false_records(name):
+    records = run_suite(name).records
+    bad = {r.id: r.witness for r in records if not r.verdict}
+    assert not any(w.startswith("exception:") for w in bad.values())
+    return bad
+
+
+def test_even_image_fails_classical_limit(monkeypatch):
+    # the first odd generator made even in the q = 1 image: the rules
+    # swapping it with an odd letter (and its square) no longer vanish
+    def even_image(pres):
+        gens = [(g.name, g.parity) for g in pres.generators]
+        k = next(r for r, (_n, p) in enumerate(gens) if p)
+        gens[k] = (gens[k][0], 0)
+        return supercommutative_presentation(gens)
+
+    monkeypatch.setattr(classical, "_classical_image", even_image)
+    bad = false_records("classical-limit")
+    assert len(bad) == 10
+    assert bad["slq41:a[2,5]*a[1,5]"] == "2*a[1,5]*a[2,5]"
+    assert "chiral:tau[5,2]*tau[5,1]" in bad
+
+
+def test_missing_x2_term_fails_conformal_algebra(monkeypatch):
+    # K_mu built without its -x^2 d_mu term: the P|K brackets leave the
+    # span, since x^2 enters only there
+    monkeypatch.setattr(classical, "minkowski_square",
+                        lambda ga, vec=None: ga.zero())
+    conformal_basis.cache_clear()
+    try:
+        bad = false_records("conformal-algebra")
+    finally:
+        monkeypatch.undo()
+        conformal_basis.cache_clear()
+    assert set(bad) == {"bracket:P%d|K%d" % (mu, nu)
+                        for mu in range(4) for nu in range(4)}
+
+
+def test_wrong_metric_fails_pauli_metric(monkeypatch):
+    monkeypatch.setattr(classical, "METRIC", (1, -1, 1, -1))
+    assert set(false_records("pauli-metric")) == {"determinant-identity"}
+
+
+def test_wrong_action_fails_poincare_action(monkeypatch):
+    # A -> N + R A L in place of N + R A L^-1
+    monkeypatch.setattr(classical, "poincare_action",
+                        lambda L, R, N, A: N + R * A * L)
+    assert set(false_records("poincare-action")) == \
+        {"axiom", "covariance", "metric-preserved"}
+
+
+def test_wrong_half_fails_poincare_reality(monkeypatch):
+    monkeypatch.setattr(classical, "HALF", GaussRational(1, 0, 3))
+    assert set(false_records("poincare-reality")) == \
+        {"fixed-point", "displayed-conditions"}

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qmink.algebra import Element
 from qmink.grassmann import GrassmannAlgebra, GrassmannMatrix, \
     GrassmannRational, _multiset_difference, exact_divide, rational_sum
-from qmink.scalars import Scalar
+from qmink.scalars import GaussRational, Scalar
 
 # three even letters (ranks 0-2) and two odd ones (ranks 3, 4)
 GA = GrassmannAlgebra([(n, p, n) for n, p in
@@ -117,17 +117,19 @@ def test_trailing_word_rejects_without_arithmetic(q, g, c):
     assert calls == []
 
 
-# Rational arithmetic.  Denominator factors come from a small shared pool,
-# so operands share factors, and numerators are drawn as multiples of
-# pool factors (repeats allowed), so that cancellation really happens.
-# Pool factors have monomial coefficients, so exact_divide can find
-# their quotients.
+# Rational arithmetic, over the algebra's own ring Q(i).  Denominator
+# factors come from a small shared pool, so operands share factors, and
+# numerators are drawn as multiples of pool factors (repeats allowed), so
+# that cancellation really happens.  Every nonzero coefficient is a unit,
+# so exact_divide can find the quotients.
+gauss = st.builds(GaussRational, st.integers(-4, 4), st.integers(-4, 4),
+                  st.integers(1, 6)).filter(bool)
 pool_factors = st.lists(
     st.tuples(st.lists(st.sampled_from(EVEN), max_size=2).map(
-        lambda w: tuple(sorted(w))), monomials),
+        lambda w: tuple(sorted(w))), gauss),
     min_size=1, max_size=2).map(element).filter(
         lambda f: f and set(f.terms) != {()})
-small_elements = st.lists(st.tuples(words, monomials), min_size=1,
+small_elements = st.lists(st.tuples(words, gauss), min_size=1,
                           max_size=2).map(element)
 
 

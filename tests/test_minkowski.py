@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from qmink.algebra import check_confluence
+from qmink.checks import run_suite
 from qmink.minkowski import (MINOR_ORDER, ClosureError,
                              build_chiral_generators,
                              build_chiral_presentation, chiral_normal_words,
@@ -197,8 +198,10 @@ def test_chiral_normal_words():
 
 
 def test_abstract_presentation_supercommutes_at_q1():
-    from qmink.classical import rules_supercommute_at_q1
-    assert rules_supercommute_at_q1(build_chiral_presentation()) == []
+    records = [r for r in run_suite("classical-limit").records
+               if r.id.startswith("chiral:")]
+    assert len(records) == len(build_chiral_presentation().rules)
+    assert [r.id for r in records if not r.verdict] == []
 
 
 def test_coaction_membership_all_minors():

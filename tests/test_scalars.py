@@ -1,7 +1,10 @@
+from math import gcd
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qmink.scalars import I, ONE, Q, QINV, Scalar, ScalarError, ScalarFraction
+from qmink.scalars import (I, ONE, Q, QINV, GaussRational, Scalar,
+                           ScalarError, ScalarFraction)
 
 
 def rand_scalar(draw_ints):
@@ -184,3 +187,63 @@ def test_text_forms():
     assert (QINV - Q).to_text() == "-q + q^-1"
     assert I.to_text() == "i"
     assert Scalar.gauss(1, 1).to_text() == "(1+1*i)"
+
+
+# exponent-0 Scalars from raw parts: negative and non-reduced
+# denominators, common factors and zeros, which the constructor
+# normalizes first
+raw_parts = st.integers(-12, 12) | st.integers(-10**15, 10**15)
+raw_dens = st.integers(-36, 36).filter(bool) | st.integers(1, 10**12)
+q_free = st.builds(lambda re, im, den: Scalar({0: (re, im)}, den),
+                   raw_parts, raw_parts, raw_dens)
+
+
+@settings(max_examples=300)
+@given(q_free, q_free)
+@example(Scalar.rational(1, 2), Scalar.rational(1, 2))
+@example(Scalar({0: (4, 6)}, -8), Scalar({0: (-2, -3)}, 4))
+@example(Scalar.gauss(3, 0, 10), Scalar.gauss(0, 7, 15))
+@example(Scalar.zero(), Scalar.gauss(0, -1))
+def test_gauss_rational_matches_scalar(x, y):
+    # from_scalar is a ring map from the exponent-0 Scalars that commutes
+    # with every operation the q = 1 layer uses
+    f = GaussRational.from_scalar
+    a, b = f(x), f(y)
+    assert a.den >= 1 and gcd(a.re, a.im, a.den) == 1
+    assert a.to_scalar() == x and b.to_scalar() == y
+    assert f(x + y) == a + b
+    assert f(x - y) == a - b
+    assert f(x * y) == a * b
+    assert f(-x) == -a
+    assert f(x.conjugate()) == a.conjugate()
+    assert bool(a) == bool(x)
+    assert (a == b) == (x == y)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert a.to_text() == x.to_text()
+    assert a.to_factor_text() == x.to_factor_text()
+    assert a.monomial_unit() == x.monomial_unit()
+    assert GaussRational(*x._c.get(0, (0, 0)), x._den) == a
+    if x:
+        assert f(x.inverse_of_unit()) == a.inverse_of_unit()
+        assert (a * a.inverse_of_unit()).to_text() == "1"
+    else:
+        assert a.re == a.im == 0 and a.den == 1
+        with pytest.raises(ScalarError):
+            a.inverse_of_unit()
+
+
+@given(raw_parts, raw_parts, raw_dens)
+def test_gauss_rational_constructor_is_canonical(re, im, den):
+    assert GaussRational(re, im, den) == \
+        GaussRational.from_scalar(Scalar({0: (re, im)}, den))
+
+
+@pytest.mark.parametrize("s", [Q, QINV, Q + ONE, Scalar.term(2, 1, 1, 3)],
+                         ids=["q", "qinv", "q+1", "q2"])
+def test_gauss_rational_rejects_q(s):
+    with pytest.raises(ScalarError):
+        GaussRational.from_scalar(s)
+    # at q = 1 the same scalars cross
+    assert GaussRational.from_scalar(s.subs_q_one()).to_scalar() == \
+        s.subs_q_one()
