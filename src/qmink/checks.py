@@ -19,7 +19,7 @@ from .minkowski import (build_chiral_presentation, closure_table,
                         localized, minor_set, substituted_span_dimension,
                         supercommutative_dimension, verify_presentation)
 from .reports import CheckRecord, SuiteReport
-from .scalars import ONE, Scalar
+from .scalars import ONE
 from .supergroup import build_slq41, comultiply, general_minor
 
 SUITE_NAMES = (
@@ -252,7 +252,7 @@ def _suite_sct_inversion():
         ga, [GrassmannRational(ga, x) for x in b])
 
     def zero_case():
-        k0 = classical.special_conformal_map(ga, [Scalar.zero()] * 4)
+        k0 = classical.special_conformal_map(ga, [0] * 4)
         return _pass_fail(k0 == classical.RationalMap.identity(ga))
 
     def inversion_identity():
@@ -302,18 +302,16 @@ def _suite_pauli_metric():
                           .is_zero())
 
     def sigma2_example():
-        m = classical.pauli_map(ga, [Scalar.zero(), Scalar.zero(),
-                                     Scalar.from_int(1), Scalar.zero()])
-        from .scalars import I
-        want = GrassmannMatrix(ga, [[Scalar.zero(), -I], [I, Scalar.zero()]])
+        m = classical.pauli_map(ga, [0, 0, 1, 0])
+        gi = classical.GI
+        want = GrassmannMatrix(ga, [[0, -gi], [gi, 0]])
         ok = (m - want).is_zero() and \
             (classical.det2(m) - GrassmannRational(
-                ga, ga.scalar(Scalar.from_int(-1)))).is_zero()
+                ga, ga.scalar(-1))).is_zero()
         return _pass_fail(ok)
 
     def unit_example():
-        m = classical.pauli_map(ga, [Scalar.from_int(1), Scalar.zero(),
-                                     Scalar.zero(), Scalar.zero()])
+        m = classical.pauli_map(ga, [1, 0, 0, 0])
         ok = (m - GrassmannMatrix.identity(ga, 2)).is_zero() and \
             (classical.det2(m) - GrassmannRational(ga, ga.one())).is_zero()
         return _pass_fail(ok)

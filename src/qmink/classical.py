@@ -17,10 +17,11 @@ from .algebra import Element
 from .grassmann import (GrassmannAlgebra, GrassmannMatrix, GrassmannRational,
                         SymbolSpec, rational_sum, supercommutative_presentation)
 from .linalg import SpanSolver
-from .scalars import GaussRational, I
+from .scalars import GaussRational
 
 METRIC = (1, -1, -1, -1)
 HALF = GaussRational(1, 0, 2)
+GI = GaussRational(0, 1)
 
 
 def coordinate_algebra(extra=()):
@@ -274,7 +275,7 @@ def pauli_map(ga, x):
     """A = x^mu sigma_mu as a 2x2 matrix; entries in the given algebra."""
     x = [v if isinstance(v, (Element, GrassmannRational)) else ga.scalar(v)
          for v in x]
-    i = ga.scalar(I)
+    i = ga.scalar(GI)
     return GrassmannMatrix(ga, [
         [x[0] + x[3], x[1] - i * x[2]],
         [x[1] + i * x[2], x[0] - x[3]],
@@ -473,7 +474,7 @@ def real_group_element(ga, r_names, chi_names, t_names, u_name):
     chi = GrassmannMatrix(ga, [[g(chi_names[0]), g(chi_names[1])]])
     t11, t12, t22 = t_names
     T = GrassmannMatrix(ga, [[g(t11), g(t12)], [ga.star(g(t12)), g(t22)]])
-    iu = ga.scalar(I) * g(u_name)
+    iu = ga.scalar(GI) * g(u_name)
     d = GrassmannRational(ga, ga.one() + iu) / GrassmannRational(ga, ga.one() - iu)
     L = R.dagger().inverse()
     phi = chi.dagger()

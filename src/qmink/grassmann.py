@@ -3,10 +3,9 @@
 Built on the same rewriting engine as the quantum layer: a Grassmann
 algebra is a confluent presentation whose rules swap generators with
 Koszul signs and kill odd squares.  Its coefficients are GaussRationals,
-elements of Q(i); ``GrassmannAlgebra.scalar`` brings a q-free Scalar in.
-On top sit rational elements (numerators over central, odd-free
-denominators, so that inverses of even elements exist via a finite
-Neumann expansion) and dense matrices with a dagger.
+elements of Q(i).  On top sit rational elements (numerators over
+central, odd-free denominators, so that inverses of even elements exist
+via a finite Neumann expansion) and dense matrices with a dagger.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from heapq import heapify, heappop, heappush
 from operator import neg
 
 from .algebra import Element, Generator, Presentation
-from .scalars import GaussRational, Scalar
+from .scalars import GaussRational
 
 
 def supercommutative_presentation(variables):
@@ -157,11 +156,12 @@ class GrassmannAlgebra:
         return self.pres.one()
 
     def scalar(self, s):
-        """The constant s: a GaussRational, an int, or a Scalar free of q."""
+        """The constant s, a GaussRational or an int."""
         if isinstance(s, int):
             s = GaussRational(s)
         elif not isinstance(s, GaussRational):
-            s = GaussRational.from_scalar(s)
+            raise TypeError("a Grassmann constant is a GaussRational or an "
+                            "int, not %r" % (s,))
         return self.pres.scalar(s)
 
     def gen(self, name):
@@ -253,7 +253,7 @@ class GrassmannRational:
             return other
         if isinstance(other, Element):
             return GrassmannRational(self.ga, other, (), _reduced=True)
-        if isinstance(other, (GaussRational, Scalar, int)):
+        if isinstance(other, (GaussRational, int)):
             return GrassmannRational(self.ga, self.ga.scalar(other), (),
                                      _reduced=True)
         raise TypeError(other)
@@ -399,7 +399,7 @@ class GrassmannMatrix:
             return x
         if isinstance(x, Element):
             return GrassmannRational(ga, x)
-        if isinstance(x, (GaussRational, Scalar, int)):
+        if isinstance(x, (GaussRational, int)):
             return GrassmannRational(ga, ga.scalar(x))
         raise TypeError(x)
 

@@ -173,6 +173,30 @@ def test_supercommutative_one_pass_product(xy):
     assert (xn * yn).terms == dict_path_product(xn, yn).terms
 
 
+_QUANTUM = (build_mq2(), build_slq41())
+
+
+@st.composite
+def _quantum_factors(draw):
+    # Scalar coefficients over Q(i)[q, q^-1]; the rewriting kernel reduces
+    # the product, and raw words make equal concatenations likely
+    pres = draw(st.sampled_from(_QUANTUM))
+    words = st.lists(st.integers(0, min(pres.ngens, 6) - 1),
+                     max_size=3).map(tuple)
+    coeffs = st.builds(lambda n, k: Scalar.from_int(n) * Scalar.q_pow(k),
+                       st.integers(-3, 3).filter(bool), st.integers(-2, 2))
+    x, y = (Element(pres, pres.normal_form(
+        draw(st.dictionaries(words, coeffs, max_size=4)))) for _ in range(2))
+    return x, y
+
+
+@settings(max_examples=100, deadline=None)
+@given(_quantum_factors())
+def test_quantum_one_pass_product(xy):
+    x, y = xy
+    assert (x * y).terms == dict_path_product(x, y).terms
+
+
 def test_mq2_confluence():
     rep = check_confluence(build_mq2())
     assert rep.ok

@@ -19,7 +19,7 @@ from qmink.classical import (RationalMap, SuperPoincareElement,
                              superflag_reduce, translation_map)
 from qmink.grassmann import (GrassmannMatrix, GrassmannRational, SymbolSpec,
                              supercommutative_presentation)
-from qmink.scalars import I, ONE, Q, QINV, GaussRational, Scalar
+from qmink.scalars import ONE, Q, QINV, GaussRational, Scalar
 from qmink.supergroup import build_slq41
 
 
@@ -88,7 +88,7 @@ def _sct_algebra():
 
 def test_sct_zero_parameter():
     ga = _sct_algebra()
-    k0 = special_conformal_map(ga, [Scalar.zero()] * 4)
+    k0 = special_conformal_map(ga, [0] * 4)
     assert k0 == RationalMap.identity(ga)
 
 
@@ -122,11 +122,11 @@ def test_sct_numeric_point():
     ga = _sct_algebra()
     b = [Fraction(1, 2), Fraction(-1, 3), Fraction(0), Fraction(2)]
     x = [Fraction(1), Fraction(1, 5), Fraction(-2), Fraction(1, 7)]
-    bs = [ga.scalar(Scalar.rational(v.numerator, v.denominator)) for v in b]
+    bs = [ga.scalar(GaussRational(v.numerator, 0, v.denominator)) for v in b]
     k = special_conformal_map(ga, bs)
     images = {ga.pres.generator("x%d" % mu).rank:
               GrassmannRational(ga, ga.scalar(
-                  Scalar.rational(v.numerator, v.denominator)))
+                  GaussRational(v.numerator, 0, v.denominator)))
               for mu, v in enumerate(x)}
     # direct formula with plain fractions
     bx = b[0] * x[0] - b[1] * x[1] - b[2] * x[2] - b[3] * x[3]
@@ -138,7 +138,7 @@ def test_sct_numeric_point():
         got = substitute(ga, k.comps[mu].num, images) / \
             classical.substitute_product(ga, k.comps[mu].den, images)
         expected = GrassmannRational(ga, ga.scalar(
-            Scalar.rational(want.numerator, want.denominator)))
+            GaussRational(want.numerator, 0, want.denominator)))
         assert (got - expected).is_zero()
 
 
@@ -146,13 +146,11 @@ def test_pauli_map():
     ga = coordinate_algebra()
     a = pauli_map(ga, [ga.gen("x%d" % mu) for mu in range(4)])
     assert (det2(a) - GrassmannRational(ga, minkowski_square(ga))).is_zero()
-    m = pauli_map(ga, [Scalar.zero(), Scalar.zero(), Scalar.from_int(1),
-                       Scalar.zero()])
-    assert (m - GrassmannMatrix(ga, [[Scalar.zero(), -I],
-                                     [I, Scalar.zero()]])).is_zero()
+    m = pauli_map(ga, [0, 0, 1, 0])
+    gi = classical.GI
+    assert (m - GrassmannMatrix(ga, [[0, -gi], [gi, 0]])).is_zero()
     assert (det2(m) + 1).is_zero()
-    e = pauli_map(ga, [Scalar.from_int(1), Scalar.zero(), Scalar.zero(),
-                       Scalar.zero()])
+    e = pauli_map(ga, [1, 0, 0, 0])
     assert (e - GrassmannMatrix.identity(ga, 2)).is_zero()
     assert (det2(e) - 1).is_zero()
 
@@ -223,7 +221,7 @@ def test_big_cell_numeric():
     ga = coordinate_algebra()
     rng = random.Random(12)
     for _ in range(5):
-        entries = [[Scalar.rational(rng.randint(-5, 5), rng.randint(1, 4))
+        entries = [[GaussRational(rng.randint(-5, 5), 0, rng.randint(1, 4))
                     for _ in range(2)] for _ in range(4)]
         P1 = GrassmannMatrix(ga, entries)
         top = P1.block(0, 2, 0, 2)
@@ -369,7 +367,7 @@ def test_chiral_action_composition():
 def test_wrong_half_fails_super_action(monkeypatch):
     # negative control: 1/3 in place of the 1/2 in T = N + S/2 and in the
     # action on the chiral point
-    monkeypatch.setattr(classical, "HALF", Scalar.rational(1, 3))
+    monkeypatch.setattr(classical, "HALF", GaussRational(1, 0, 3))
     composition = suite_records("super-action")["composition"]
     assert not composition.verdict
     assert not composition.witness.startswith("exception:")

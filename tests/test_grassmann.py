@@ -196,3 +196,20 @@ def test_matrix_entry_sum_matches_uncancelled(xs):
     assert same_value(entry, ref)
     assert same_value(rational_sum(GA, [a * b for a, b in zip(row, col)]),
                       ref)
+
+
+def test_grassmann_api_refuses_scalar():
+    # specialize_q1 is the one bridge in: a Scalar constant is refused at
+    # once, and the same value as an int or a GaussRational is taken
+    half = Scalar.rational(1, 2)
+    with pytest.raises(TypeError):
+        GA.scalar(half)
+    with pytest.raises(TypeError):
+        GrassmannMatrix(GA, [[half]])
+    x = GrassmannRational(GA, GA.gen("x"))
+    with pytest.raises(TypeError):
+        x + half
+    g_half = GaussRational(1, 0, 2)
+    assert GA.scalar(g_half) * GA.scalar(2) == GA.one()
+    assert ((x + g_half) - x
+            - GrassmannRational(GA, GA.scalar(g_half))).is_zero()
