@@ -19,6 +19,17 @@ from .scalars import GaussRational, ONE, Scalar
 _COEFFICIENTS = (Scalar, GaussRational)
 
 
+def _odd_inversions(m1, m2):
+    """Pairs of a bit of m1 above a bit of m2: the odd letters a word with
+    mask m1 moves past when it is sorted together with one of mask m2."""
+    k = 0
+    while m2:
+        low = m2 & -m2
+        k += (m1 & -(low << 1)).bit_count()
+        m2 ^= low
+    return k
+
+
 class AlgebraError(ValueError):
     pass
 
@@ -66,6 +77,12 @@ class Presentation:
         self._rules = {}
         self._kernel_rules = None
         self._memo = {}
+        # supercommutative products: operand word -> odd-letter mask (-1
+        # when the word is not normal), and mask m1 -> {mask m2: whether
+        # the Koszul sign of m1 * m2 is -1}.  Both depend on the parities
+        # only, so rule changes keep them.
+        self._masks = {}
+        self._signs = {}
         self._by_name = {g.name: g for g in gens}
         if odd_squares_vanish:
             for g in gens:
@@ -218,6 +235,69 @@ class Presentation:
         self._memo[w] = res
         return res
 
+    def _odd_mask(self, w):
+        """Bit mask of w's odd letters (bit r for rank r), or -1 unless w
+        is normal: sorted, with no odd letter repeated."""
+        m = self._masks.get(w)
+        if m is None:
+            par = self.parities
+            m = 0
+            prev = 0
+            for r in w:
+                if r < prev:
+                    m = -1
+                    break
+                prev = r
+                if par[r]:
+                    bit = 1 << r
+                    if m & bit:
+                        m = -1
+                        break
+                    m |= bit
+            self._masks[w] = m
+        return m
+
+    def _sc_product(self, t1, t2):
+        """Product of two supercommutative term maps, or None when a word
+        is not normal.
+
+        For normal words w1, w2 with disjoint odd masks m1, m2, w1*w2 is
+        sorted(w1 + w2) times (-1)^k, where k counts the pairs of an odd
+        letter of w1 above an odd letter of w2; overlapping masks hold an
+        odd square, so the pair contributes nothing.
+        """
+        if not t1 or not t2:
+            return {}
+        mask = self._odd_mask
+        a = [(w, mask(w), c) for w, c in t1.items()]
+        b = [(w, mask(w), c) for w, c in t2.items()]
+        if any(m < 0 for _w, m, _c in a + b):
+            return None
+        signs = self._signs
+        out = {}
+        for w1, m1, c1 in a:
+            row = signs.get(m1)
+            if row is None:
+                row = signs[m1] = {}
+            for w2, m2, c2 in b:
+                if m1 & m2:
+                    continue
+                neg = row.get(m2)
+                if neg is None:
+                    neg = row[m2] = _odd_inversions(m1, m2) & 1 == 1
+                w = tuple(sorted(w1 + w2))
+                c = c1 * c2
+                prev = out.get(w)
+                if prev is None:
+                    out[w] = -c if neg else c
+                else:
+                    v = prev - c if neg else prev + c
+                    if v:
+                        out[w] = v
+                    else:
+                        del out[w]
+        return out
+
     def pbw_dimension(self, d):
         """Number of normal words of total degree d (transfer-matrix count)."""
         if d < 0:
@@ -306,11 +386,16 @@ class Element:
             if isinstance(other, _COEFFICIENTS):
                 return self.scale(other)
             return NotImplemented
-        if other.alg is not self.alg:
+        alg = self.alg
+        if other.alg is not alg:
             return NotImplemented
+        if alg.supercommutative:
+            prod = alg._sc_product(self.terms, other.terms)
+            if prod is not None:
+                return Element(alg, prod)
         # normal_form merges equal words itself
         t2 = other.terms.items()
-        return Element(self.alg, self.alg.normal_form(
+        return Element(alg, alg.normal_form(
             (w1 + w2, c1 * c2) for w1, c1 in self.terms.items()
             for w2, c2 in t2))
 
@@ -323,20 +408,6 @@ class Element:
         if not s:
             return Element(self.alg, {})
         return Element(self.alg, {w: s * c for w, c in self.terms.items()})
-
-    def free_mul(self, other):
-        """Unreduced concatenation product, as a raw term map."""
-        prod = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                prev = prod.get(w)
-                v = c1 * c2 if prev is None else prev + c1 * c2
-                if v:
-                    prod[w] = v
-                elif prev is not None:
-                    del prod[w]
-        return prod
 
     def parity(self):
         """Parity when homogeneous; raises for mixed terms."""

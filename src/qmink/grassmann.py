@@ -334,7 +334,10 @@ class GrassmannRational:
         return bool(self.num)
 
     def __eq__(self, other):
-        other = self._coerce(other)
+        try:
+            other = self._coerce(other)
+        except TypeError:
+            return NotImplemented
         return (self - other).is_zero()
 
     def to_text(self):

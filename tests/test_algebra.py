@@ -93,14 +93,29 @@ def test_normal_form_idempotent_and_linear():
         assert lhs == rhs
 
 
+def dict_path_product(x, y):
+    """x*y as Element.__mul__ built it before the one-pass path: every
+    concatenated word summed into a dict first, then one normal form."""
+    prod = {}
+    for w1, c1 in x.terms.items():
+        for w2, c2 in y.terms.items():
+            w = w1 + w2
+            prev = prod.get(w)
+            v = c1 * c2 if prev is None else prev + c1 * c2
+            if v:
+                prod[w] = v
+            elif prev is not None:
+                del prod[w]
+    return Element(x.alg, x.alg.normal_form(prod))
+
+
 def test_multiplicativity_under_confluence():
     pres = build_slq41()
     rng = random.Random(99)
     for _ in range(15):
         p = Element(pres, pres.normal_form(random_element(pres, rng, 2)))
         r = Element(pres, pres.normal_form(random_element(pres, rng, 2)))
-        raw = p.free_mul(r)
-        assert pres.normal_form(raw) == (p * r).terms
+        assert dict_path_product(p, r).terms == (p * r).terms
 
 
 @st.composite
@@ -130,22 +145,6 @@ def test_supercommutative_shortcut_matches_rewriting(case):
         assert dict(sc.nf_word(w)) == dict(ref.nf_word(w))
 
 
-def dict_path_product(x, y):
-    """x*y as Element.__mul__ built it before the one-pass path: every
-    concatenated word summed into a dict first, then one normal form."""
-    prod = {}
-    for w1, c1 in x.terms.items():
-        for w2, c2 in y.terms.items():
-            w = w1 + w2
-            prev = prod.get(w)
-            v = c1 * c2 if prev is None else prev + c1 * c2
-            if v:
-                prod[w] = v
-            elif prev is not None:
-                del prod[w]
-    return Element(x.alg, x.alg.normal_form(prod))
-
-
 @st.composite
 def _grassmann_factors(draw):
     # raw words, unsorted and with repeated letters, so products carry
@@ -171,6 +170,67 @@ def test_supercommutative_one_pass_product(xy):
     xn = Element(x.alg, x.alg.normal_form(x.terms))
     yn = Element(y.alg, y.alg.normal_form(y.terms))
     assert (xn * yn).terms == dict_path_product(xn, yn).terms
+
+
+def is_normal_sc_word(pres, w):
+    odds = [r for r in w if pres.parities[r]]
+    return list(w) == sorted(w) and len(set(odds)) == len(odds)
+
+
+@st.composite
+def _normal_grassmann_factors(draw):
+    # normal-form factors, as the q = 1 layer multiplies them; empty and
+    # one-term operands included
+    x, y = draw(_grassmann_factors())
+    size = st.integers(0, 4)
+    x, y = (Element(v.alg, dict(list(v.alg.normal_form(v.terms).items())
+                                [:draw(size)])) for v in (x, y))
+    return x, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(_normal_grassmann_factors())
+def test_odd_mask_product_matches_dict_path(xy):
+    x, y = xy
+    pres = x.alg
+    assert all(is_normal_sc_word(pres, w) for w in (*x.terms, *y.terms))
+    memo = len(pres._memo)
+    prod = (x * y).terms
+    # the product came from the masks: no concatenated word was memoized
+    assert len(pres._memo) == memo
+    assert prod == pres._sc_product(x.terms, y.terms)
+    assert prod == dict_path_product(x, y).terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grassmann_factors())
+def test_raw_factors_take_the_stream(xy):
+    x, y = xy
+    pres = x.alg
+    raw = any(not is_normal_sc_word(pres, w) for w in (*x.terms, *y.terms))
+    fast = pres._sc_product(x.terms, y.terms)
+    if x.terms and y.terms and raw:
+        assert fast is None
+    else:
+        assert fast == dict_path_product(x, y).terms
+    assert (x * y).terms == dict_path_product(x, y).terms
+
+
+def test_raw_word_products():
+    # unsorted words and a repeated odd letter go through normal_form
+    pres = supercommutative_presentation([("e", 0), ("s", 1), ("t", 1)])
+    one = pres.unit
+    t_s = Element(pres, {(2, 1): one})
+    s_s = Element(pres, {(1, 1): one})
+    s, t, e = pres.gen("s"), pres.gen("t"), pres.gen("e")
+    assert pres._sc_product(t_s.terms, e.terms) is None
+    assert pres._sc_product(s_s.terms, e.terms) is None
+    assert (t_s * e).terms == {(0, 1, 2): -one}
+    assert (s_s * e).terms == {}
+    assert (t * s).terms == {(1, 2): -one}
+    assert (s * t).terms == {(1, 2): one}
+    assert (s * s).terms == {}
+    assert (pres.zero() * t_s).terms == {}
 
 
 _QUANTUM = (build_mq2(), build_slq41())

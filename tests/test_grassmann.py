@@ -213,3 +213,15 @@ def test_grassmann_api_refuses_scalar():
     assert GA.scalar(g_half) * GA.scalar(2) == GA.one()
     assert ((x + g_half) - x
             - GrassmannRational(GA, GA.scalar(g_half))).is_zero()
+
+
+def test_rational_equality_with_a_foreign_operand():
+    # a value outside the Grassmann API compares unequal instead of raising
+    x = GrassmannRational(GA, GA.gen("x"))
+    assert not x == None  # noqa: E711
+    assert x != None  # noqa: E711
+    assert x != "x"
+    assert x in [None, x]
+    assert [None, x].index(x) == 1
+    assert x != Scalar.rational(1, 2)
+    assert x == GA.gen("x") and x - x == 0

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from qmink import realforms
+from qmink.checks import run_suite
 from qmink.grassmann import GrassmannMatrix, SymbolSpec
 from qmink.realforms import (bracket_compatibility, f_matrix,
                              fixed_point_dimension, generic_element,
@@ -151,3 +152,53 @@ def test_plain_convention_antihermitian_chi():
     chi = GrassmannMatrix(ga, [[g("x1"), g("x2")]])
     k = chi.dagger() * chi
     assert (k.dagger() + k).is_zero()
+
+
+def false_records(name):
+    # fixed_point_bases is cached: clear it so the suite sees the mutation,
+    # and again so later tests do not
+    realforms.fixed_point_bases.cache_clear()
+    try:
+        records = run_suite(name).records
+    finally:
+        realforms.fixed_point_bases.cache_clear()
+    bad = {r.id: r.witness for r in records if not r.verdict}
+    assert not any(w.startswith("exception:") for w in bad.values())
+    return bad
+
+
+def test_plus_conj_d_fails_sigma_involution(monkeypatch):
+    # sigma with +conj(d) in place of -conj(d) in the (5,5) entry: still
+    # involutive, but the image of H1 breaks the trace condition and sigma
+    # stops respecting the brackets of H1 with the odd generators
+    right = realforms.sigma
+
+    def sigma_plus_conj_d(x):
+        img = right(x)
+        rows = img.rows()
+        rows[4][4] = -rows[4][4]
+        return realforms.SuperMatrix5.make(rows, img.parity)
+
+    monkeypatch.setattr(realforms, "sigma", sigma_plus_conj_d)
+    assert set(false_records("sigma-involution")) == \
+        {"antilinearity", "bracket-compatibility"}
+    assert false_records("su221-dimensions") == {}
+
+
+def test_dropped_equation_fails_su221_dimensions(monkeypatch):
+    # the even fixed-point system loses the imaginary part of the (1,3)
+    # entry of p + F p^+ F = 0; that entry is paired with no other, so one
+    # more real direction passes as a fixed point and breaks the conditions
+    solve = realforms.rational_kernel_basis
+    dropped = 2 * (0 * 4 + 2) + 1  # row (ei, ej, part) = (0, 2, imaginary)
+
+    def kernel_without_equation(rows, ncols):
+        if ncols == 32:
+            rows = rows[:dropped] + rows[dropped + 1:]
+        return solve(rows, ncols)
+
+    monkeypatch.setattr(realforms, "rational_kernel_basis",
+                        kernel_without_equation)
+    assert set(false_records("su221-dimensions")) == \
+        {"fixed-point-dimensions", "defining-conditions"}
+    assert false_records("sigma-involution") == {}
