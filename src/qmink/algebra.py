@@ -78,11 +78,9 @@ class Presentation:
         self._kernel_rules = None
         self._memo = {}
         # supercommutative products: operand word -> odd-letter mask (-1
-        # when the word is not normal), and mask m1 -> {mask m2: whether
-        # the Koszul sign of m1 * m2 is -1}.  Both depend on the parities
-        # only, so rule changes keep them.
+        # when the word is not normal).  It depends on the parities only,
+        # so rule changes keep it.
         self._masks = {}
-        self._signs = {}
         self._by_name = {g.name: g for g in gens}
         if odd_squares_vanish:
             for g in gens:
@@ -257,34 +255,34 @@ class Presentation:
             self._masks[w] = m
         return m
 
+    def _masked_terms(self, t):
+        """(word, odd mask, coefficient) for each term of t, after bringing
+        t to normal form if one of its words is not normal."""
+        mask = self._odd_mask
+        out = [(w, mask(w), c) for w, c in t.items()]
+        if any(m < 0 for _w, m, _c in out):
+            out = [(w, mask(w), c) for w, c in self.normal_form(t).items()]
+        return out
+
     def _sc_product(self, t1, t2):
-        """Product of two supercommutative term maps, or None when a word
-        is not normal.
+        """Product of two supercommutative term maps.
 
         For normal words w1, w2 with disjoint odd masks m1, m2, w1*w2 is
         sorted(w1 + w2) times (-1)^k, where k counts the pairs of an odd
         letter of w1 above an odd letter of w2; overlapping masks hold an
-        odd square, so the pair contributes nothing.
+        odd square, so the pair contributes nothing.  An operand with a
+        word that is not normal is brought to normal form first, which
+        leaves the product unchanged.
         """
         if not t1 or not t2:
             return {}
-        mask = self._odd_mask
-        a = [(w, mask(w), c) for w, c in t1.items()]
-        b = [(w, mask(w), c) for w, c in t2.items()]
-        if any(m < 0 for _w, m, _c in a + b):
-            return None
-        signs = self._signs
+        b = self._masked_terms(t2)
         out = {}
-        for w1, m1, c1 in a:
-            row = signs.get(m1)
-            if row is None:
-                row = signs[m1] = {}
+        for w1, m1, c1 in self._masked_terms(t1):
             for w2, m2, c2 in b:
                 if m1 & m2:
                     continue
-                neg = row.get(m2)
-                if neg is None:
-                    neg = row[m2] = _odd_inversions(m1, m2) & 1 == 1
+                neg = _odd_inversions(m1, m2) & 1
                 w = tuple(sorted(w1 + w2))
                 c = c1 * c2
                 prev = out.get(w)
@@ -390,9 +388,7 @@ class Element:
         if other.alg is not alg:
             return NotImplemented
         if alg.supercommutative:
-            prod = alg._sc_product(self.terms, other.terms)
-            if prod is not None:
-                return Element(alg, prod)
+            return Element(alg, alg._sc_product(self.terms, other.terms))
         # normal_form merges equal words itself
         t2 = other.terms.items()
         return Element(alg, alg.normal_form(
