@@ -150,9 +150,6 @@ class Presentation:
     def rules(self):
         return dict(self._rules)
 
-    def rule_for(self, lhs):
-        return self._rules.get(tuple(lhs))
-
     def _kernel_view(self):
         if self._kernel_rules is None:
             n = self.ngens
@@ -559,25 +556,13 @@ class TensorPoly:
         return "<%s>" % self.to_text()
 
 
-@dataclass
-class OverlapResult:
-    word: tuple
-    resolves: bool
-    difference: dict
-
-
-@dataclass
-class ConfluenceReport:
-    overlaps: list
-    ok: bool
-
-    @property
-    def failures(self):
-        return [o for o in self.overlaps if not o.resolves]
-
-
 def overlap_words(pres):
-    """All length-3 overlap ambiguities (a, b, c), sorted."""
+    """All length-3 overlap ambiguities (a, b, c), sorted.
+
+    An overlap word (a, b, c) arises when both (a, b) and (b, c) are rule
+    left-hand sides; the diamond lemma requires its two one-step
+    reductions to share a normal form (``resolve_overlap``).
+    """
     rules = pres._rules
     by_first = {}
     for (a, b) in rules:
@@ -611,18 +596,3 @@ def resolve_overlap(pres, word):
             del diff[w]
     return not diff, diff
 
-
-def check_confluence(pres):
-    """Resolve every length-3 overlap ambiguity both ways and compare.
-
-    An overlap word (a, b, c) arises when both (a, b) and (b, c) are rule
-    left-hand sides; the diamond lemma requires the two one-step
-    reductions to share a normal form.
-    """
-    results = []
-    all_ok = True
-    for word in overlap_words(pres):
-        ok, diff = resolve_overlap(pres, word)
-        all_ok = all_ok and ok
-        results.append(OverlapResult(word, ok, diff))
-    return ConfluenceReport(results, all_ok)

@@ -131,25 +131,6 @@ def conformal_basis():
     return ga, basis
 
 
-def conformal_generator(kind, *indices):
-    """P(mu), D, L(mu, nu) with mu < nu, or K(mu)."""
-    _ga, basis = conformal_basis()
-    by_name = {vf.name: vf for vf in basis}
-    if kind == "P":
-        name = "P%d" % indices
-    elif kind == "D":
-        name = "D"
-    elif kind == "L":
-        name = "L%d%d" % indices
-    elif kind == "K":
-        name = "K%d" % indices
-    else:
-        raise ValueError("kind must be one of P, D, L, K")
-    if name not in by_name:
-        raise ValueError("invalid index for %s: %s" % (kind, indices))
-    return by_name[name]
-
-
 @dataclass
 class StructureConstants:
     names: list

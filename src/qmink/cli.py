@@ -198,9 +198,6 @@ def build_arg_parser():
     check = sub.add_parser("check", help="run a verification suite")
     check.add_argument("suite", choices=SUITE_NAMES + ("all",))
     check.add_argument("--format", choices=("json", "text"), default="text")
-    check.add_argument("--serial", action="store_true",
-                       help="accepted for older scripts; checks always run "
-                            "serially")
     check.add_argument("--out", default=None,
                        help="also write the report to this path")
     check.add_argument("--verbose", action="store_true",

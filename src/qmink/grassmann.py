@@ -119,20 +119,18 @@ def _multiset_difference(w, sub):
 class GrassmannAlgebra:
     """Supercommutative algebra with an antilinear involution.
 
-    ``conjugation`` selects how the involution acts on products:
-    "reverse" uses (ab)* = b* a*; "plain" uses (ab)* = a* b*.  Both are
-    antilinear (i -> -i) and involutive; they differ by a Koszul sign
-    on words with two or more odd letters.
+    The involution acts on products without reversing them, (ab)* =
+    a* b*; it is antilinear (i -> -i) and involutive.  The reversing
+    convention (ab)* = b* a* differs from it by a Koszul sign on words
+    with two or more odd letters, and breaks the group involution of the
+    real super Poincare group.
     """
 
-    def __init__(self, variables, conjugation="plain"):
+    def __init__(self, variables):
         """variables: list of (name, parity, conjugate_name).
 
         conjugate_name may equal name (self-conjugate variable).
         """
-        if conjugation not in ("plain", "reverse"):
-            raise ValueError("conjugation must be 'plain' or 'reverse'")
-        self.conjugation = conjugation
         self.pres = supercommutative_presentation(
             [(n, p) for (n, p, _c) in variables])
         conj = {}
@@ -143,7 +141,7 @@ class GrassmannAlgebra:
             conj[r] = by_name[cname]
         for r, rc in conj.items():
             if conj[rc] != r:
-                raise ValueError("conjugation table is not involutive")
+                raise ValueError("conjugate partner table is not involutive")
             if self.pres.parities[r] != self.pres.parities[rc]:
                 raise ValueError("conjugate partners must share parity")
         self._conj = conj
@@ -168,13 +166,11 @@ class GrassmannAlgebra:
         return self.pres.gen(name)
 
     def star(self, el):
-        """The involution, extended per the algebra's product convention."""
+        """The involution, extended letter by letter: (ab)* = a* b*."""
         out = {}
         conj = self._conj
-        reverse = self.conjugation == "reverse"
         for w, c in el.terms.items():
-            src = reversed(w) if reverse else w
-            img = tuple(conj[r] for r in src)
+            img = tuple(conj[r] for r in w)
             cc = c.conjugate()
             for sw, sc in self.pres.nf_word(img):
                 prev = out.get(sw)
@@ -202,7 +198,7 @@ class GrassmannRational:
 
     Denominators are kept factored, and numerators are cancelled by
     exact division wherever a factor can divide, which keeps the
-    double-inverse and conjugation chains of the group computations from
+    double-inverse and involution chains of the group computations from
     blowing up.  A product divides each numerator by the other operand's
     factors only (cross-cancellation); a sum (``rational_sum``) takes one
     least common multiple of the factor multisets and tries every factor
@@ -252,6 +248,8 @@ class GrassmannRational:
                 raise ValueError("mixed algebras")
             return other
         if isinstance(other, Element):
+            if other.alg is not self.ga.pres:
+                raise ValueError("mixed algebras")
             return GrassmannRational(self.ga, other, (), _reduced=True)
         if isinstance(other, (GaussRational, int)):
             return GrassmannRational(self.ga, self.ga.scalar(other), (),
@@ -338,6 +336,8 @@ class GrassmannRational:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
+        except ValueError:  # a value of another algebra is unequal
+            return False
         return (self - other).is_zero()
 
     def to_text(self):
@@ -507,7 +507,7 @@ class GrassmannMatrix:
     def __eq__(self, other):
         if not isinstance(other, GrassmannMatrix):
             return NotImplemented
-        return (self - other).is_zero()
+        return other.ga is self.ga and (self - other).is_zero()
 
     def block(self, r0, r1, c0, c1):
         return GrassmannMatrix(self.ga, [row[c0:c1]
@@ -563,5 +563,5 @@ class SymbolSpec:
             self.variables.append((name, 1, name))
         return self
 
-    def build(self, conjugation="plain"):
-        return GrassmannAlgebra(self.variables, conjugation)
+    def build(self):
+        return GrassmannAlgebra(self.variables)

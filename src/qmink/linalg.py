@@ -115,14 +115,6 @@ class SpanSolver:
                 for j in range(self.nbasis)]
 
 
-def express_in_basis(p, basis):
-    """Coordinates of element p over a list of same-degree elements, or None."""
-    solver = SpanSolver()
-    for b in basis:
-        solver.add(b.terms)
-    return solver.express(p.terms)
-
-
 def span_dimension(vectors):
     solver = SpanSolver()
     for v in vectors:

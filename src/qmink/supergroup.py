@@ -72,40 +72,6 @@ def build_slq41():
     return manin_presentation(4)
 
 
-@lru_cache(maxsize=None)
-def build_mq2():
-    """Quantum 2x2 matrix bialgebra (all-even toy case for confluence tests)."""
-    return manin_presentation_even(2)
-
-
-def manin_presentation_even(n):
-    """Manin relations for the all-even quantum n x n matrix bialgebra."""
-    gens = []
-    rank = 0
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            gens.append(Generator("a[%d,%d]" % (i, j), (i, j), 0, rank))
-            rank += 1
-    pres = Presentation(gens)
-    by_index = {g.index: g for g in gens}
-    qm1 = QINV - Scalar.q_pow(1)
-    for g in gens:
-        for h in gens:
-            if g.rank >= h.rank:
-                continue
-            (i, j), (k, l) = g.index, h.index
-            if i == k or j == l:
-                pres.add_rule((h.rank, g.rank),
-                              {(g.rank, h.rank): Scalar.q_pow(1)})
-            elif j > l:
-                pres.add_rule((h.rank, g.rank), {(g.rank, h.rank): ONE})
-            else:
-                w = (by_index[(k, j)].rank, by_index[(i, l)].rank)
-                pres.add_rule((h.rank, g.rank),
-                              {(g.rank, h.rank): ONE, w: -qm1})
-    return pres
-
-
 # -- comultiplication ---------------------------------------------------------
 
 
@@ -139,21 +105,6 @@ def comultiply(p):
             t = t * _delta_gen_cached(r)
         out = out + t.scale(c)
     return out
-
-
-def comultiplication_respects_rules(pres=None):
-    """Check Delta(lhs) == Delta(rhs) for every defining rule.
-
-    This is the computation that pins down all sign conventions at once;
-    returns a list of (lhs_word, ok) pairs.
-    """
-    pres = pres or build_slq41()
-    results = []
-    for lhs, rhs in sorted(pres.rules.items()):
-        dl = comultiply(Element(pres, {lhs: ONE}))
-        dr = comultiply(Element(pres, dict(rhs)))
-        results.append((lhs, not (dl - dr).terms))
-    return results
 
 
 # -- quantum minors -----------------------------------------------------------

@@ -9,8 +9,7 @@ from qmink import classical
 from qmink.checks import run_suite
 from qmink.classical import (RationalMap, SuperPoincareElement,
                              big_cell_reduce, bracket_closure_table,
-                             conformal_basis, conformal_generator,
-                             conj_column, coordinate_algebra, det2, d_dx,
+                             conformal_basis, conj_column, coordinate_algebra, det2, d_dx,
                              inversion_map, minkowski_square, pauli_map,
                              poincare_action, poincare_compose, real_point,
                              real_group_element, special_conformal_map,
@@ -24,14 +23,16 @@ from qmink.supergroup import build_slq41
 
 
 def test_conformal_generator_forms():
-    ga, _ = conformal_basis()
+    ga, basis = conformal_basis()
+    by_name = {vf.name: vf for vf in basis}
+    assert len(by_name) == len(basis) == 15
     x = [ga.gen("x%d" % mu) for mu in range(4)]
-    p0 = conformal_generator("P", 0)
+    p0 = by_name["P0"]
     assert p0.comps[0] == ga.one() and all(not c for c in p0.comps[1:])
-    d = conformal_generator("D")
+    d = by_name["D"]
     assert d.comps == x
     # K1 = 2 x_1 x^nu d_nu - x^2 d_1 with x_1 = -x^1
-    k1 = conformal_generator("K", 1)
+    k1 = by_name["K1"]
     x2 = minkowski_square(ga)
     two = GaussRational(2)
     for nu in range(4):
@@ -39,10 +40,6 @@ def test_conformal_generator_forms():
         if nu == 1:
             expected = expected - x2
         assert k1.comps[nu] == expected
-    with pytest.raises(ValueError):
-        conformal_generator("P", 7)
-    with pytest.raises(ValueError):
-        conformal_generator("Q", 0)
 
 
 def test_partial_derivative():

@@ -136,6 +136,20 @@ def test_check_unknown_suite():
         main(["check", "no-such-suite"])
 
 
+def test_serial_flag_is_a_usage_error(capsys):
+    # --serial was accepted and ignored; now argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "twistor", "--serial"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "--serial" in err
+    assert "Traceback" not in err
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert "--serial" not in capsys.readouterr().out
+
+
 def test_report_determinism():
     # the same checks twice: first on a cold normal-form memo, then warm
     checks = _SUITE_BUILDERS["sct-inversion"]()

@@ -225,3 +225,21 @@ def test_rational_equality_with_a_foreign_operand():
     assert [None, x].index(x) == 1
     assert x != Scalar.rational(1, 2)
     assert x == GA.gen("x") and x - x == 0
+    # a value of another algebra with the same letters is unequal, as for
+    # Element, and arithmetic across the two algebras still raises
+    other = GrassmannAlgebra([("x", 0, "x")])
+    y = GrassmannRational(other, other.gen("x"))
+    assert not x == y and x != y
+    assert not x == other.gen("x") and x != other.gen("x")
+    assert not GA.gen("x") == other.gen("x")
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y,
+               lambda: x + other.gen("x")):
+        with pytest.raises(ValueError, match="mixed algebras"):
+            op()
+    m = GrassmannMatrix(GA, [[GA.gen("x")]])
+    n = GrassmannMatrix(other, [[other.gen("x")]])
+    assert not m == n and m != n
+    assert m == GrassmannMatrix(GA, [[GA.gen("x")]])
+    for op in (lambda: m + n, lambda: m - n, lambda: m * n):
+        with pytest.raises(ValueError, match="mixed algebras"):
+            op()

@@ -5,7 +5,8 @@ import itertools
 
 import pytest
 
-from qmink.algebra import check_confluence
+from qmink import checks, minkowski, supergroup
+from qmink.algebra import Presentation, TensorPoly
 from qmink.checks import run_suite
 from qmink.minkowski import (MINOR_ORDER, ClosureError,
                              build_chiral_generators,
@@ -161,8 +162,10 @@ def test_abstract_presentation_confluent():
     pres = build_chiral_presentation()
     assert pres.ngens == 6
     assert len(pres.rules) == 17  # 15 pair rules + 2 odd squares
-    rep = check_confluence(pres)
-    assert rep.ok
+    overlaps = [r for r in run_suite("presentation-confluence").records
+                if r.id.startswith("overlap:")]
+    assert len(overlaps) == 32
+    assert [r.id for r in overlaps if not r.verdict] == []
 
 
 def sc_enumeration(n_even, n_odd, d):
@@ -232,3 +235,93 @@ def test_straightener_exists_and_is_order_compatible():
     el = loc.from_minor(5) * loc.from_minor(0)
     st = el.straightened()
     assert st.terms == {((0, 5), 0): Scalar.q_pow(2)}
+
+
+# Negative controls for the three quantum suites that build on the
+# localization and the comultiplication: each mutation must turn exactly
+# the named records false, with a witness that is not a crash.
+
+
+def false_records(name, *caches):
+    """The false records of a suite, with each cache in caches cleared
+    before the run, so that the suite sees the mutation, and after it, so
+    that later tests do not."""
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        records = run_suite(name).records
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    bad = {r.id: r.witness for r in records if not r.verdict}
+    assert not any(w.startswith("exception:") for w in bad.values())
+    return bad
+
+
+def test_wrong_generator_coefficient_fails_minkowski_presentation(
+        monkeypatch):
+    # t[3,1] = q^-1 D[2,3] D12inv in place of -q^-1 D[2,3] D12inv.  A sign
+    # on one generator keeps every relation that is homogeneous in it, so
+    # only the two with a correction term in t[3,1] fail.  No cache holds
+    # the generators: verify_presentation builds them on every call.
+    right = minkowski.build_chiral_generators
+
+    def flipped(loc=None):
+        loc = loc or localized()
+        gens = right(loc)
+        gens["t[3,1]"] = loc.from_minor(minor_index(2, 3), QINV, 1)
+        return gens
+
+    monkeypatch.setattr(minkowski, "build_chiral_generators", flipped)
+    assert set(false_records("minkowski-presentation")) == \
+        {"diagonal:1", "t2-tau1:1"}
+    # the substituted images span the same spaces
+    assert false_records("presentation-confluence") == {}
+
+
+def test_wrong_rule_coefficient_fails_presentation_confluence(monkeypatch):
+    # t[3,2]*t[3,1] -> q*t[3,1]*t[3,2] in place of q^-1: the two overlaps
+    # that pass the rule through the correction term q - q^-1 no longer
+    # resolve.  The copy is built from the cached presentation without
+    # changing it, and checks imports build_chiral_presentation by name.
+    right = build_chiral_presentation()
+    t31, t32 = (right.generator(n).rank for n in ("t[3,1]", "t[3,2]"))
+
+    def corrupted():
+        pres = Presentation(right.generators, odd_squares_vanish=True)
+        for lhs, rhs in right.rules.items():
+            if lhs == (t32, t31):
+                rhs = {(t31, t32): Q}
+            if lhs not in pres.rules:  # odd squares are already installed
+                pres.add_rule(lhs, rhs, validate=False)
+        return pres
+
+    monkeypatch.setattr(checks, "build_chiral_presentation", corrupted)
+    assert set(false_records("presentation-confluence")) == \
+        {"overlap:t[4,1]*t[3,2]*t[3,1]", "overlap:tau[5,1]*t[3,2]*t[3,1]"}
+
+
+def test_wrong_delta_term_fails_coaction(monkeypatch):
+    # Delta(a[1,1]) with -a[1,5] (x) a[5,1] in place of +a[1,5] (x) a[5,1]:
+    # every rule in a[1,1], the four minors D[1,j] and the cofactor
+    # pattern of Delta(D[1,2]) fail.  Delta of a generator is cached, and
+    # comultiply reaches _delta_gen through that cache.
+    pres = build_slq41()
+    a11, a15, a51 = (pres.generator(n).rank
+                     for n in ("a[1,1]", "a[1,5]", "a[5,1]"))
+    right = supergroup._delta_gen
+
+    def flipped(alg, rank):
+        delta = right(alg, rank)
+        if rank != a11:
+            return delta
+        terms = dict(delta.terms)
+        terms[((a15,), (a51,))] = -terms[((a15,), (a51,))]
+        return TensorPoly(alg, terms, reduce=False)
+
+    monkeypatch.setattr(supergroup, "_delta_gen", flipped)
+    bad = false_records("coaction", supergroup._delta_gen_cached)
+    assert set(bad) == \
+        {"homomorphism:%s*a[1,1]" % g.name for g in pres.generators[1:]} \
+        | {"membership:D[1,%d]" % j for j in (2, 3, 4, 5)} \
+        | {"cofactor-pattern:D[1,2]"}

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from qmink import realforms
 from qmink.checks import run_suite
+from qmink.algebra import Element
 from qmink.grassmann import GrassmannMatrix, SymbolSpec
 from qmink.realforms import (bracket_compatibility, f_matrix,
                              fixed_point_dimension, generic_element,
@@ -129,7 +130,22 @@ def test_reverse_convention_breaks_the_group_conjugation():
             "m11", "m12", "m21", "m22", "d", "t12")
     sp.even_self("t11", "t22", "u")
     sp.odd("x1", "x2", "f1", "f2")
-    ga = sp.build("reverse")
+    ga = sp.build()
+    pres = ga.pres
+    partner = {pres.generator(n).rank: pres.generator(c).rank
+               for n, _p, c in sp.variables}
+
+    def reversing_star(el):
+        out = ga.zero()
+        for w, c in el.terms.items():
+            img = tuple(partner[r] for r in reversed(w))
+            out = out + Element(pres, dict(pres.nf_word(img))) \
+                .scale(c.conjugate())
+        return out
+
+    # GrassmannAlgebra.star keeps products in order; this one algebra
+    # reverses them instead
+    ga.star = reversing_star
     g = ga.gen
     chi = GrassmannMatrix(ga, [[g("x1"), g("x2")]])
     k = chi.dagger() * chi

@@ -2,14 +2,19 @@
 
 import pytest
 
-from qmink.algebra import check_confluence
+from qmink.checks import run_suite
+from qmink.minkowski import build_chiral_presentation
 from qmink.scalars import ONE, Q, QINV
-from qmink.supergroup import (build_slq41, comultiplication_respects_rules,
-                              comultiply, general_minor, minor)
+from qmink.supergroup import build_slq41, comultiply, general_minor, minor
 
 
 def rank(pres, name):
     return pres.generator(name).rank
+
+
+def records(suite, family):
+    """The suite's records whose id starts with family, e.g. "overlap:"."""
+    return [r for r in run_suite(suite).records if r.id.startswith(family)]
 
 
 def test_generator_layout():
@@ -23,19 +28,19 @@ def test_generator_layout():
 
 def test_rule_lookup_examples():
     pres = build_slq41()
-    r = pres.rule_for((rank(pres, "a[1,2]"), rank(pres, "a[1,1]")))
+    rules = pres.rules
+    r = rules[(rank(pres, "a[1,2]"), rank(pres, "a[1,1]"))]
     assert r == {(rank(pres, "a[1,1]"), rank(pres, "a[1,2]")): Q}
-    r = pres.rule_for((rank(pres, "a[5,2]"), rank(pres, "a[5,1]")))
+    r = rules[(rank(pres, "a[5,2]"), rank(pres, "a[5,1]"))]
     assert r == {(rank(pres, "a[5,1]"), rank(pres, "a[5,2]")): -QINV}
-    r = pres.rule_for((rank(pres, "a[2,1]"), rank(pres, "a[1,2]")))
+    r = rules[(rank(pres, "a[2,1]"), rank(pres, "a[1,2]"))]
     assert r == {(rank(pres, "a[1,2]"), rank(pres, "a[2,1]")): ONE}
 
 
 def test_manin_confluence():
-    rep = check_confluence(build_slq41())
-    assert rep.ok
-    assert not rep.failures
-    assert len(rep.overlaps) == 2500
+    overlaps = records("manin-confluence", "overlap:")
+    assert len(overlaps) == 2500
+    assert [r.id for r in overlaps if not r.verdict] == []
 
 
 def test_comultiply_unit_and_generator():
@@ -51,9 +56,9 @@ def test_comultiply_unit_and_generator():
 
 
 def test_comultiplication_is_algebra_map():
-    results = comultiplication_respects_rules()
-    assert len(results) == 308
-    assert all(ok for _lhs, ok in results)
+    homs = records("coaction", "homomorphism:")
+    assert len(homs) == 308
+    assert [r.id for r in homs if not r.verdict] == []
 
 
 def test_minor_values():
@@ -105,6 +110,5 @@ def test_repeated_row_minor_vanishes():
 
 
 def test_comultiply_requires_the_right_algebra():
-    from qmink.supergroup import build_mq2
     with pytest.raises(ValueError):
-        comultiply(build_mq2().one())
+        comultiply(build_chiral_presentation().one())
