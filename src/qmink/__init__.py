@@ -8,8 +8,8 @@ serially.
 """
 
 from .kernel import backend_name
-from .scalars import Scalar, ScalarFraction
+from .scalars import Scalar
 
 __version__ = "0.1.0"
 
-__all__ = ["Scalar", "ScalarFraction", "backend_name", "__version__"]
+__all__ = ["Scalar", "backend_name", "__version__"]

@@ -134,7 +134,7 @@ def conformal_basis():
 @dataclass
 class StructureConstants:
     names: list
-    table: dict  # (i, j) -> list of (k, ScalarFraction)
+    table: dict  # (i, j) -> list of (k, Scalar coordinate)
     closed: bool
     witnesses: list
 
@@ -154,12 +154,14 @@ def bracket_closure_table():
             if br.is_zero():
                 table[(i, j)] = []
                 continue
-            coeffs = solver.express(br.flat())
-            if coeffs is None:
+            found = solver.express(br.flat())
+            if found is None:
                 closed = False
                 witnesses.append((basis[i].name, basis[j].name))
                 continue
-            table[(i, j)] = [(k, c) for k, c in enumerate(coeffs) if c]
+            scale, coords = found
+            table[(i, j)] = [(k, c.exact_div(scale))
+                             for k, c in enumerate(coords) if c]
     return StructureConstants([vf.name for vf in basis], table, closed,
                               witnesses)
 

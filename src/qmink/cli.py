@@ -116,9 +116,8 @@ def closure_table_data():
     entries = []
     for (a, b), e in sorted(table.entries.items()):
         corr = " + ".join(
-            "%s*%s*%s" % (fr.to_text() if fr.num.monomial_unit() is None
-                          else fr.to_text(), names[c1], names[c2])
-            for (c1, c2), fr in sorted(e.correction.items()))
+            "%s*%s*%s" % (c.to_text(), names[c1], names[c2])
+            for (c1, c2), c in sorted(e.correction.items()))
         entries.append({
             "left": names[b],
             "right": names[a],

@@ -422,12 +422,19 @@ class GrassmannMatrix:
     def __getitem__(self, ij):
         return self.rows[ij[0]][ij[1]]
 
+    def _same_shape(self, other):
+        return [len(r) for r in self.rows] == [len(r) for r in other.rows]
+
     def __add__(self, other):
+        if not self._same_shape(other):
+            raise ValueError("shape mismatch")
         return GrassmannMatrix(self.ga, [
             [a + b for a, b in zip(r1, r2)]
             for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
+        if not self._same_shape(other):
+            raise ValueError("shape mismatch")
         return GrassmannMatrix(self.ga, [
             [a - b for a, b in zip(r1, r2)]
             for r1, r2 in zip(self.rows, other.rows)])
@@ -507,7 +514,8 @@ class GrassmannMatrix:
     def __eq__(self, other):
         if not isinstance(other, GrassmannMatrix):
             return NotImplemented
-        return other.ga is self.ga and (self - other).is_zero()
+        return other.ga is self.ga and self._same_shape(other) and \
+            (self - other).is_zero()
 
     def block(self, r0, r1, c0, c1):
         return GrassmannMatrix(self.ga, [row[c0:c1]

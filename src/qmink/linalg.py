@@ -3,15 +3,17 @@
 SpanSolver keeps an incrementally built echelon of sparse vectors
 (word -> Scalar maps) with fraction-free row operations, which stay
 exact without dividing rows by their content; a transformation record
-lets queries be expressed back in the original basis over the fraction
-field Q(i)(q).
+lets queries be expressed back in the original basis as one common
+scale and ring numerators: scale*vec = sum coords[j]*basis[j].  The
+span is the one over the fraction field Q(i)(q); a caller that needs
+the coordinates themselves divides each numerator by the scale.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Scalar, ScalarFraction, ONE
+from .scalars import ONE, ZERO
 
 
 class DegenerateBasisError(ValueError):
@@ -103,16 +105,16 @@ class SpanSolver:
     def express(self, vec):
         """Coordinates of vec over the added vectors, or None.
 
-        Returns a list of ScalarFraction of length nbasis; vectors that
-        were dependent when added always receive coefficient zero.
+        Returns (scale, coords): a nonzero Scalar and a list of nbasis
+        Scalars with scale*vec == sum coords[j]*basis[j].  Vectors that
+        were dependent when added always receive coordinate zero.
         """
         row, trans, scale = self._eliminate(
             {w: c for w, c in vec.items() if c}, {})
         if row:
             return None
         # the reduced row is scale*vec + sum trans[j]*basis[j] = 0
-        return [ScalarFraction(-trans.get(j, Scalar.zero()), scale)
-                for j in range(self.nbasis)]
+        return scale, [-trans.get(j, ZERO) for j in range(self.nbasis)]
 
 
 def span_dimension(vectors):

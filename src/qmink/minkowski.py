@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .algebra import AlgebraError, Generator, Presentation
 from .linalg import SpanSolver, span_dimension
-from .scalars import ONE, QINV, Scalar, ScalarError, ScalarFraction
+from .scalars import ONE, QINV, Scalar, ScalarError
 from .supergroup import build_slq41, comultiply, minor
 
 MINOR_ORDER = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
@@ -80,19 +80,17 @@ def _lead_word(terms):
     return max(terms, key=lambda w: (len(w), w))
 
 
-def _unit_fraction(fr):
-    """Decompose a ScalarFraction equal to +-q^e; returns (sign, e) or None."""
-    try:
-        s = fr.as_scalar()
-    except ScalarError:
+def _unit_ratio(x, y):
+    """(sign, e) when x == sign * q^e * y and x != 0; otherwise None."""
+    if not x:
         return None
-    mono = s.monomial_unit()
-    if mono is None:
-        return None
-    e, re, im, den = mono
-    if im != 0 or den != 1 or re not in (1, -1):
-        return None
-    return (re, e)
+    e = x.max_exp() - y.max_exp()
+    qy = Scalar.q_pow(e) * y
+    if x == qy:
+        return (1, e)
+    if x == -qy:
+        return (-1, e)
+    return None
 
 
 def _closure_entry(a, b, minors, products, solver, basis_pairs):
@@ -101,7 +99,8 @@ def _closure_entry(a, b, minors, products, solver, basis_pairs):
     An even nonzero square is trivial.  Otherwise the reversed product
     (or the square) is the target; when a < b and the sorted product
     D_a D_b is nonzero, its +-q^e multiple is split off as the lead.
-    What remains must lie in the span of the sorted minor products.
+    What remains must lie in the span of the sorted minor products, with
+    Laurent-polynomial coordinates.
     """
     ab = products[(a, b)]
     if a == b:
@@ -113,23 +112,35 @@ def _closure_entry(a, b, minors, products, solver, basis_pairs):
     sign, exp = 1, 0
     if a < b and ab:
         lead = _lead_word(ab.terms)
-        cfr = ScalarFraction(residual.terms.get(lead, Scalar.zero()),
-                             ab.terms[lead])
-        unit = _unit_fraction(cfr)
+        x, y = residual.terms.get(lead, Scalar.zero()), ab.terms[lead]
+        unit = _unit_ratio(x, y)
         if unit is None:
             return ClosureEntry(b, a, 1, 0, {}, kind, False,
-                                "leading coefficient %s is not +-q^e"
-                                % cfr.to_text())
+                                "leading coefficient (%s)/(%s) is not +-q^e"
+                                % (x.to_text(), y.to_text()))
         sign, exp = unit
-        residual = residual - ab.scale(cfr.as_scalar())
+        residual = residual - ab.scale(Scalar.term(exp, sign))
     if not residual:
         return ClosureEntry(b, a, sign, exp, {}, kind, True)
-    coeffs = solver.express(residual.terms)
-    if coeffs is None:
+    found = solver.express(residual.terms)
+    if found is None:
         return ClosureEntry(b, a, sign, exp, {}, kind, False,
                             "%s not in the span of sorted minor products"
                             % ("square" if a == b else "correction"))
-    corr = {basis_pairs[j]: c for j, c in enumerate(coeffs) if c}
+    scale, coords = found
+    corr = {}
+    for j, c in enumerate(coords):
+        if not c:
+            continue
+        try:
+            corr[basis_pairs[j]] = c.exact_div(scale)
+        except ScalarError:
+            c1, c2 = basis_pairs[j]
+            return ClosureEntry(b, a, sign, exp, {}, kind, False,
+                                "coefficient (%s)/(%s) of %s*%s is not a "
+                                "Laurent polynomial"
+                                % (c.to_text(), scale.to_text(),
+                                   minors[c1].name, minors[c2].name))
     return ClosureEntry(b, a, sign, exp, corr, kind, True)
 
 
@@ -172,8 +183,9 @@ def straightening_presentation(table=None):
     """Rewrite system on the minor alphabet induced by the closure table.
 
     Reorders minor words toward the table order, for canonical printing.
-    Raises ClosureError, naming the entry, when an entry failed or its
-    correction is not a Laurent polynomial below the reordered word.
+    Raises ClosureError, naming the entry, when an entry failed (a
+    correction that is not a Laurent polynomial already fails its entry)
+    or its correction does not lie below the reordered word.
     Confluence of this system is not claimed; zero tests always go
     through the ambient algebra.
     """
@@ -191,16 +203,14 @@ def straightening_presentation(table=None):
                                % (where, e.witness))
         rhs = {}
         if e.kind == "reorder":
-            c = Scalar.q_pow(e.exponent)
-            rhs[(a, b)] = c if e.sign == 1 else -c
+            rhs[(a, b)] = Scalar.term(e.exponent, e.sign)
             lhs = (b, a)
         else:
             lhs = (a, a)
+        rhs.update(e.correction)
         try:
-            for (c1, c2), fr in e.correction.items():
-                rhs[(c1, c2)] = fr.as_scalar()
             pres.add_rule(lhs, rhs)
-        except (ScalarError, AlgebraError) as exc:
+        except AlgebraError as exc:
             raise ClosureError("closure entry %s gives no rewrite rule: %s"
                                % (where, exc)) from exc
     return pres
@@ -601,7 +611,7 @@ class CoactionRecord:
     name: str
     member: bool
     failing_rows: list
-    cofactors: list  # (minor name, {first-slot word: ScalarFraction})
+    cofactors: list  # (minor name, {first-slot word: (coord, scale)})
 
 
 @lru_cache(maxsize=None)
@@ -616,8 +626,10 @@ def coaction_membership(qm):
     """Check Delta(minor) lies in M_q(4|1) (x) span{minors}.
 
     Groups the comultiplication by first-slot word and expresses every
-    second-slot polynomial over the eleven minors; the cofactor of each
-    minor is accumulated as a first-slot polynomial.
+    second-slot polynomial over the eleven minors (in their span over
+    Q(i)(q)); the cofactor of each minor is accumulated as a first-slot
+    polynomial whose coefficients are the fractions coord/scale, kept as
+    (coord, scale) pairs.
     """
     minors = minor_set()
     solver = _minor_span_solver()
@@ -626,27 +638,28 @@ def coaction_membership(qm):
     failing = []
     for u in t.first_slot_words():
         vec = t.second_slot_for(u)
-        coeffs = solver.express(vec)
-        if coeffs is None:
+        found = solver.express(vec)
+        if found is None:
             failing.append(u)
             continue
-        for mi, c in enumerate(coeffs):
+        scale, coords = found
+        for mi, c in enumerate(coords):
             if c:
-                cof[mi][u] = c
+                cof[mi][u] = (c, scale)
     return CoactionRecord(qm.name, not failing, failing,
                           [(m.name, cof[mi]) for mi, m in enumerate(minors)])
 
 
 def cofactor_proportional_to(cofactor, target):
-    """If cofactor == +-q^e * target (as word->fraction vs Element), return
-    (sign, e); otherwise None."""
+    """If cofactor == +-q^e * target (word -> (coord, scale) against an
+    Element), return (sign, e); otherwise None.
+
+    coord/scale == +-q^e * t is checked as coord == +-q^e * (scale * t).
+    """
     if set(cofactor) != set(target.terms):
         return None
-    ratio = None
-    for w, c in cofactor.items():
-        r = c / ScalarFraction(target.terms[w])
-        if ratio is None:
-            ratio = r
-        elif not (ratio == r):
-            return None
-    return _unit_fraction(ratio) if ratio is not None else None
+    units = {_unit_ratio(c, scale * target.terms[w])
+             for w, (c, scale) in cofactor.items()}
+    if len(units) != 1:
+        return None
+    return units.pop()

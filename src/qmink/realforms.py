@@ -14,7 +14,7 @@ from functools import lru_cache
 from .classical import real_group_element
 from .grassmann import SymbolSpec
 from .linalg import rational_kernel_basis
-from .scalars import I, ONE, Scalar
+from .scalars import I, ONE, GaussRational, Scalar
 
 ZERO = Scalar.zero()
 
@@ -213,12 +213,14 @@ def bracket_compatibility():
 
 def _gauss_parts(s):
     """Scalar (q-free) -> (Fraction re, Fraction im)."""
-    coeffs = s.coefficients()
-    if not coeffs:
-        return Fraction(0), Fraction(0)
-    if set(coeffs) != {0}:
-        raise ValueError("scalar depends on q")
-    return coeffs[0]
+    g = GaussRational.from_scalar(s)
+    return Fraction(g.re, g.den), Fraction(g.im, g.den)
+
+
+def _gauss_scalar(re, im):
+    """(Fraction re, Fraction im) -> the Scalar re + im*i."""
+    return Scalar.rational(re.numerator, re.denominator) + \
+        Scalar.rational(im.numerator, im.denominator) * I
 
 
 @lru_cache(maxsize=None)
@@ -301,10 +303,8 @@ def su22_conditions_hold():
         k = 0
         for i in range(4):
             for j in range(4):
-                re, im = vec[k], vec[k + 1]
+                p[i][j] = _gauss_scalar(vec[k], vec[k + 1])
                 k += 2
-                p[i][j] = Scalar.rational(re.numerator, re.denominator) + \
-                    Scalar.rational(im.numerator, im.denominator) * I
         cond = mat_add(mat_mul(f, p), mat_mul(mat_dagger(p), f))
         if not mat_is_zero(cond):
             failures.append("F p + p^+ F != 0")
@@ -319,15 +319,11 @@ def su22_conditions_hold():
         beta = [[ZERO] * 4]
         k = 0
         for i in range(4):
-            re, im = vec[k], vec[k + 1]
+            alpha[i][0] = _gauss_scalar(vec[k], vec[k + 1])
             k += 2
-            alpha[i][0] = Scalar.rational(re.numerator, re.denominator) + \
-                Scalar.rational(im.numerator, im.denominator) * I
         for j in range(4):
-            re, im = vec[k], vec[k + 1]
+            beta[0][j] = _gauss_scalar(vec[k], vec[k + 1])
             k += 2
-            beta[0][j] = Scalar.rational(re.numerator, re.denominator) + \
-                Scalar.rational(im.numerator, im.denominator) * I
         c1 = mat_sub(alpha, mat_scale(I, mat_mul(f, mat_dagger(beta))))
         if not mat_is_zero(c1):
             failures.append("alpha != i F beta^+")

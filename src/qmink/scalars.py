@@ -14,7 +14,6 @@ q-free Scalar across and back.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from math import gcd
 
 
@@ -200,12 +199,6 @@ class Scalar:
 
     # -- structure ---------------------------------------------------------
 
-    def coefficients(self):
-        """Exponent -> Gaussian rational (re, im), as Fractions."""
-        d = self._den
-        return {e: (Fraction(re, d), Fraction(im, d))
-                for e, (re, im) in self._c.items()}
-
     def monomial_unit(self):
         """Return (exp, re, im, den) when self = (re+im*i)/den * q^exp, else None."""
         if len(self._c) != 1:
@@ -234,52 +227,33 @@ class Scalar:
     def max_exp(self):
         return max(self._c) if self._c else 0
 
-    # -- exact division and gcd (used by fraction-free elimination) --------
-
-    def _as_field_poly(self):
-        """Shift to q-exponent >= 0 and return (shift, {exp: (Fraction, Fraction)})."""
-        if not self._c:
-            return 0, {}
-        s = self.min_exp()
-        d = self._den
-        return s, {e - s: (Fraction(re, d), Fraction(im, d))
-                   for e, (re, im) in self._c.items()}
-
-    @staticmethod
-    def _from_field_poly(shift, poly):
-        den = 1
-        for re, im in poly.values():
-            den = den * re.denominator // gcd(den, re.denominator)
-            den = den * im.denominator // gcd(den, im.denominator)
-        coeffs = {e + shift: (int(re * den), int(im * den))
-                  for e, (re, im) in poly.items() if re or im}
-        return Scalar(coeffs, den)
+    # -- exact division ----------------------------------------------------
 
     def exact_div(self, other):
-        """Exact quotient in Q(i)[q,q^-1]; raises ScalarError on nonzero remainder."""
+        """Exact quotient in Q(i)[q,q^-1]; raises ScalarError on a remainder.
+
+        Long division from the top term: each quotient term is the
+        remainder's top term over the divisor's lead monomial.  An exact
+        quotient has no exponent below min(self) - min(other), so the first
+        quotient term that would fall below it proves a remainder.
+        """
         if not other._c:
             raise ZeroDivisionError("division by zero scalar")
         if not self._c:
             return _ZERO
-        s1, p1 = self._as_field_poly()
-        s2, p2 = other._as_field_poly()
-        q, r = _poly_divmod(p1, p2)
-        if r:
-            raise ScalarError("non-exact scalar division")
-        return Scalar._from_field_poly(s1 - s2, q)
-
-    def gcd_with(self, other):
-        """A gcd in Q(i)[q] of the two scalars, normalized monic, at shift 0."""
-        if not self._c:
-            return _normalize_monic(other)
-        if not other._c:
-            return _normalize_monic(self)
-        _, a = self._as_field_poly()
-        _, b = other._as_field_poly()
-        while b:
-            _, r = _poly_divmod(a, b)
-            a, b = b, r
-        return _normalize_monic(Scalar._from_field_poly(0, a))
+        top = other.max_exp()
+        lead_inv = Scalar({top: other._c[top]}, other._den,
+                          _normalized=True).inverse_of_unit()
+        low = self.min_exp() - other.min_exp()
+        quo, rem = _ZERO, self
+        while rem._c:
+            e = max(rem._c)
+            if e - top < low:
+                raise ScalarError("non-exact scalar division")
+            t = Scalar({e: rem._c[e]}, rem._den, _normalized=True) * lead_inv
+            quo = quo + t
+            rem = rem - t * other
+        return quo
 
     # -- printing ----------------------------------------------------------
 
@@ -334,129 +308,6 @@ def _monomial_text(e, re, im, den):
     if c == "-1":
         return "-" + qp
     return "%s*%s" % (c, qp)
-
-
-def _normalize_monic(s):
-    if not s._c:
-        return _ZERO
-    _, p = s._as_field_poly()
-    lead = p[max(p)]
-    lr, li = lead
-    nrm = lr * lr + li * li
-    out = {}
-    for e, (re, im) in p.items():
-        out[e] = ((re * lr + im * li) / nrm, (im * lr - re * li) / nrm)
-    return Scalar._from_field_poly(0, out)
-
-
-def _poly_divmod(a, b):
-    """Long division in Q(i)[q] on {exp: (Fraction re, Fraction im)} maps."""
-    if not b:
-        raise ZeroDivisionError
-    a = dict(a)
-    db = max(b)
-    br, bi = b[db]
-    bn = br * br + bi * bi
-    quo = {}
-    while a and max(a) >= db:
-        da = max(a)
-        ar, ai = a[da]
-        # (ar + ai*i) / (br + bi*i)
-        cr = (ar * br + ai * bi) / bn
-        ci = (ai * br - ar * bi) / bn
-        quo[da - db] = (cr, ci)
-        for e, (re, im) in b.items():
-            t = e + da - db
-            pre, pim = a.get(t, (Fraction(0), Fraction(0)))
-            nre = pre - (cr * re - ci * im)
-            nim = pim - (cr * im + ci * re)
-            if nre or nim:
-                a[t] = (nre, nim)
-            else:
-                a.pop(t, None)
-    return quo, a
-
-
-class ScalarFraction:
-    """Element of the fraction field Q(i)(q): a reduced pair of Scalars."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if den is None:
-            den = _ONE
-        if not den:
-            raise ZeroDivisionError("zero denominator in Q(i)(q)")
-        if num:
-            g = num.gcd_with(den)
-            if g.monomial_unit() is None or g.max_exp() != 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            # normalize: denominator's lowest term becomes 1*q^0
-            e = den.min_exp()
-            lo = Scalar({e: den._c[e]}, den._den, _normalized=True)
-            u = lo.inverse_of_unit()
-            num, den = num * u, den * u
-        else:
-            den = _ONE
-        self.num = num
-        self.den = den
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        if isinstance(other, Scalar):
-            other = ScalarFraction(other)
-        if not isinstance(other, ScalarFraction):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        if isinstance(other, Scalar):
-            other = ScalarFraction(other)
-        return ScalarFraction(self.num * other.den + other.num * self.den,
-                              self.den * other.den)
-
-    def __neg__(self):
-        return ScalarFraction(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Scalar):
-            other = ScalarFraction(other)
-        return ScalarFraction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if isinstance(other, Scalar):
-            other = ScalarFraction(other)
-        return ScalarFraction(self.num * other.den, self.den * other.num)
-
-    def as_scalar(self):
-        """Collapse to a Scalar when the denominator divides the numerator."""
-        if self.den == _ONE:
-            return self.num
-        return self.num.exact_div(self.den)
-
-    def is_polynomial(self):
-        try:
-            self.as_scalar()
-            return True
-        except ScalarError:
-            return False
-
-    def to_text(self):
-        if self.den == _ONE:
-            return self.num.to_text()
-        return "(%s)/(%s)" % (self.num.to_text(), self.den.to_text())
-
-    def __repr__(self):
-        return "ScalarFraction(%s)" % self.to_text()
 
 
 _ZERO = Scalar({}, 1, _normalized=True)

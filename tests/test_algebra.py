@@ -14,7 +14,7 @@ from qmink.algebra import (Element, Generator, MalformedRuleError,
 from qmink.grassmann import supercommutative_presentation
 from qmink.kernel import BudgetExceeded
 from qmink.linalg import DegenerateBasisError, SpanSolver
-from qmink.scalars import ONE, Q, QINV, GaussRational, Scalar, ScalarFraction
+from qmink.scalars import ONE, Q, QINV, GaussRational, Scalar
 from qmink.supergroup import build_slq41, minor
 
 
@@ -368,12 +368,11 @@ def test_express_in_basis_trivial_and_linear():
     b0 = pres.word(["a[1,1]", "a[2,2]"])
     b1 = pres.word(["a[1,2]", "a[2,1]"])
     solver = solver_over([b0, b1])
-    coeffs = solver.express(b0.terms)
-    assert coeffs is not None
-    assert coeffs[0] == ONE and not coeffs[1]
+    scale, coords = solver.express(b0.terms)
+    assert coords[0] == scale and not coords[1]
     p = b0.scale(Q) - b1.scale(QINV)
-    coeffs = solver.express(p.terms)
-    assert coeffs[0] == Q and coeffs[1] == -QINV
+    scale, coords = solver.express(p.terms)
+    assert [c.exact_div(scale) for c in coords] == [Q, -QINV]
 
 
 def test_express_in_basis_minor_reordering():
@@ -382,8 +381,8 @@ def test_express_in_basis_minor_reordering():
     d12, d13 = minor(1, 2).value, minor(1, 3).value
     target = d13 * d12
     basis0 = d12 * d13
-    coeffs = solver_over([basis0]).express(target.terms)
-    assert coeffs is not None and coeffs[0] == Q
+    scale, coords = solver_over([basis0]).express(target.terms)
+    assert coords[0].exact_div(scale) == Q
     assert (target - basis0.scale(Q)).is_zero()
 
 
@@ -409,10 +408,9 @@ def test_span_solver_dependent_vectors():
     assert solver.add(b1.terms)
     assert not solver.add((b0 + b1).terms)
     assert solver.rank == 2
-    coeffs = solver.express((b0.scale(Q) + b1.scale(Q)).terms)
-    assert coeffs is not None
-    assert not coeffs[2]  # dependent vectors get coefficient zero
-    assert coeffs[0] == Q and coeffs[1] == Q
+    scale, coords = solver.express((b0.scale(Q) + b1.scale(Q)).terms)
+    assert not coords[2]  # dependent vectors get coordinate zero
+    assert coords[0] == coords[1] == Q * scale
 
 
 _small_scalars = st.builds(
@@ -451,16 +449,17 @@ def test_span_solver_coordinates_rebuild(vectors, dep_coeffs, coeffs):
         assert not added[-1] and len(basis) - 1 in solver.dependent
     assert solver.rank == added.count(True)
     target = _combination(coeffs, basis)
-    got = solver.express(target)
-    assert got is not None and len(got) == len(basis)
+    scale, coords = solver.express(target)
+    assert scale and len(coords) == len(basis)
     for j in solver.dependent:
-        assert not got[j]
+        assert not coords[j]
+    # scale*target[w] == sum coords[j]*basis[j][w], in the ring
     for w in {w for v in basis for w in v}:
-        total = ScalarFraction(Scalar.zero())
-        for c, v in zip(got, basis):
+        total = Scalar.zero()
+        for c, v in zip(coords, basis):
             if w in v:
                 total = total + c * v[w]
-        assert total == target.get(w, Scalar.zero())
+        assert total == scale * target.get(w, Scalar.zero())
     fresh = dict(target)
     fresh[(6,)] = ONE
     assert solver.express(fresh) is None

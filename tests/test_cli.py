@@ -1,6 +1,7 @@
 """CLI contract: normal forms, suite reports, tables, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import pstats
@@ -174,9 +175,22 @@ def test_check_out_file(tmp_path, capsys):
     assert rc == 2 and err.startswith("error: ")
 
 
+# sha256 of the full JSON output of each table, pinned so that every
+# entry is checked, not a sample
+CLOSURE_JSON_SHA256 = \
+    "52c76567d2e8c628470dfb62d6d9fdc29c385cf16cc60a76080cc59c262c85df"
+CONFORMAL_JSON_SHA256 = \
+    "1833d15744ae16159982e0e37991238f24ef7c81f35ead029411dfd28fd029ce"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_table_closure(capsys):
     rc, out, _ = run(capsys, "table", "closure", "--format", "json")
     assert rc == 0
+    assert sha256(out) == CLOSURE_JSON_SHA256
     data = json.loads(out)
     assert data["all_ok"] is True
     assert len(data["entries"]) == 66
@@ -190,6 +204,7 @@ def test_table_closure(capsys):
 def test_table_conformal(capsys):
     rc, out, _ = run(capsys, "table", "conformal", "--format", "json")
     assert rc == 0
+    assert sha256(out) == CONFORMAL_JSON_SHA256
     data = json.loads(out)
     assert data["closed"] is True
     assert len(data["entries"]) == 105

@@ -243,3 +243,20 @@ def test_rational_equality_with_a_foreign_operand():
     for op in (lambda: m + n, lambda: m - n, lambda: m * n):
         with pytest.raises(ValueError, match="mixed algebras"):
             op()
+
+
+def test_matrix_shape_mismatch():
+    # + and - refuse operands of different shapes, as * does, instead of
+    # cutting both to the smaller one; == answers False
+    x, y = GA.gen("x"), GA.gen("y")
+    big = GrassmannMatrix(GA, [[x, y], [y, x]])
+    small = GrassmannMatrix(GA, [[x]])
+    for op in (lambda: big + small, lambda: big - small,
+               lambda: small - big, lambda: big * small):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            op()
+    assert not big == small and big != small and not small == big
+    row = GrassmannMatrix(GA, [[x, y]])
+    assert row != GrassmannMatrix(GA, [[x], [y]])
+    assert row == GrassmannMatrix(GA, [[x, y]])
+    assert (row - row).shape == (1, 2)

@@ -8,6 +8,7 @@ import pytest
 from qmink import checks, minkowski, supergroup
 from qmink.algebra import Presentation, TensorPoly
 from qmink.checks import run_suite
+from qmink.linalg import SpanSolver
 from qmink.minkowski import (MINOR_ORDER, ClosureError,
                              build_chiral_generators,
                              build_chiral_presentation, chiral_normal_words,
@@ -18,7 +19,7 @@ from qmink.minkowski import (MINOR_ORDER, ClosureError,
                              straightening_presentation,
                              substituted_span_dimension,
                              supercommutative_dimension, verify_presentation)
-from qmink.scalars import ONE, Q, QINV, Scalar
+from qmink.scalars import I, ONE, Q, QINV, Scalar
 from qmink.supergroup import build_slq41, general_minor
 
 
@@ -53,6 +54,39 @@ def test_corrupted_minor_fails_closure():
         straightening_presentation(table)
 
 
+def test_unit_ratio():
+    y = Scalar.term(1, 2, 1, 3) + I * QINV
+    assert minkowski._unit_ratio(y, y) == (1, 0)
+    assert minkowski._unit_ratio(Q * y, y) == (1, 1)
+    assert minkowski._unit_ratio(-Scalar.q_pow(-2) * y, y) == (-1, -2)
+    assert minkowski._unit_ratio(-QINV, ONE) == (-1, -1)
+    assert minkowski._unit_ratio((ONE + Q) * y, y) is None
+    assert minkowski._unit_ratio(ONE + Q, ONE) is None
+    assert minkowski._unit_ratio(Scalar.from_int(2) * y, y) is None
+    assert minkowski._unit_ratio(I * y, y) is None
+    zero = Scalar.zero()
+    assert minkowski._unit_ratio(zero, y) is None
+    assert minkowski._unit_ratio(y, zero) is None
+    assert minkowski._unit_ratio(zero, zero) is None
+
+
+def test_non_laurent_correction_fails_its_entry():
+    # the square of D[1,5] stands in for w; the one sorted product in the
+    # span is (1 + q)*w, so the correction would be w's coordinate
+    # 1/(1 + q), which is not a Laurent polynomial
+    minors = minor_set()
+    a = minor_index(1, 5)
+    w = build_slq41().word(["a[1,1]", "a[2,2]"])
+    solver = SpanSolver()
+    solver.add(w.scale(ONE + Q).terms)
+    entry = minkowski._closure_entry(a, a, minors, {(a, a): w}, solver,
+                                     [(0, 1)])
+    assert entry.kind == "square" and not entry.ok
+    assert not entry.correction
+    assert entry.witness.endswith("of D[1,2]*D[1,3] is not a Laurent "
+                                  "polynomial")
+
+
 def test_closure_identities_reconstruct():
     # independent verification: every derived identity evaluates to zero
     # in the ambient algebra
@@ -68,8 +102,8 @@ def test_closure_identities_reconstruct():
             lhs = vals[b] * vals[a]
             coef = Scalar.q_pow(e.exponent)
             lhs = lhs - (vals[a] * vals[b]).scale(coef if e.sign > 0 else -coef)
-        for (c1, c2), fr in e.correction.items():
-            lhs = lhs - (vals[c1] * vals[c2]).scale(fr.as_scalar())
+        for (c1, c2), c in e.correction.items():
+            lhs = lhs - (vals[c1] * vals[c2]).scale(c)
         assert lhs.is_zero(), (a, b)
 
 

@@ -12,7 +12,7 @@ from qmink.realforms import (bracket_compatibility, f_matrix,
                              reduced_element, sigma, sigma_is_involution,
                              sl41_basis, su22_conditions_hold,
                              supercommutator)
-from qmink.scalars import ONE, Scalar
+from qmink.scalars import ONE, GaussRational, Scalar
 
 
 def test_f_matrix_properties():
@@ -68,8 +68,8 @@ def test_sigma_explicit_image():
     img = sigma(h1)
     for i in range(4):
         for j in range(4):
-            coeffs = img.entries[i][j].coefficients()
-            got = coeffs.get(0, (Fraction(0), Fraction(0)))
+            g = GaussRational.from_scalar(img.entries[i][j])
+            got = (Fraction(g.re, g.den), Fraction(g.im, g.den))
             assert got == expected[i][j], (i, j)
     # the d entry of sigma(H1) is -conj(1) = -1
     assert img.entries[4][4] == -ONE
