@@ -652,4 +652,10 @@ def run_suite(name, serial=True):
         raise UnknownSuiteError(
             "unknown suite %r (expected one of %s or 'all')"
             % (name, ", ".join(SUITE_NAMES)))
-    return SuiteReport(name, _run_checks(builder()))
+    try:
+        checks = builder()
+    except Exception as exc:  # the other suites of 'all' still run
+        return SuiteReport(name, [CheckRecord(
+            "builder", "the suite's checks are built", "suite construction",
+            False, "exception: %r" % (exc,))])
+    return SuiteReport(name, _run_checks(checks))

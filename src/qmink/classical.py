@@ -3,9 +3,10 @@
 Vector fields are quadruples of exact polynomials in x0..x3 with the
 mostly-minus metric; finite maps are tuples of rational functions
 compared by cross-multiplication; the super side runs over Grassmann
-algebras from the grassmann module.  Coefficients are GaussRationals;
-``PolyVectorField.flat`` hands Scalars to the span solver.  The last
-section carries the q -> 1 specialization bridge from the quantum layer.
+algebras from the grassmann module.  Coefficients are GaussRationals,
+and the conformal structure constants are solved over the same ring.
+The last section carries the q -> 1 specialization bridge from the
+quantum layer.
 """
 
 from __future__ import annotations
@@ -58,14 +59,8 @@ def d_dx(el, rank):
         if not n:
             continue
         i = w.index(rank)
-        nw = w[:i] + w[i + 1:]
-        cc = c * GaussRational(n)
-        prev = out.get(nw)
-        v = cc if prev is None else prev + cc
-        if v:
-            out[nw] = v
-        elif prev is not None:
-            del out[nw]
+        # distinct words stay distinct without their first `rank`
+        out[w[:i] + w[i + 1:]] = c * GaussRational(n)
     return Element(el.alg, out)
 
 
@@ -91,12 +86,9 @@ class PolyVectorField:
         return PolyVectorField(ga, out)
 
     def flat(self):
-        """Coefficient vector keyed by (component, word), as Scalars."""
-        vec = {}
-        for mu, comp in enumerate(self.comps):
-            for w, c in comp.terms.items():
-                vec[(mu, w)] = c.to_scalar()
-        return vec
+        """Coefficient vector keyed by (component, word)."""
+        return {(mu, w): c for mu, comp in enumerate(self.comps)
+                for w, c in comp.terms.items()}
 
     def is_zero(self):
         return all(not c for c in self.comps)
@@ -134,7 +126,7 @@ def conformal_basis():
 @dataclass
 class StructureConstants:
     names: list
-    table: dict  # (i, j) -> list of (k, Scalar coordinate)
+    table: dict  # (i, j) -> list of (k, GaussRational coordinate)
     closed: bool
     witnesses: list
 
@@ -142,7 +134,7 @@ class StructureConstants:
 def bracket_closure_table():
     """Every pairwise bracket resolved exactly in the 15-element basis."""
     _ga, basis = conformal_basis()
-    solver = SpanSolver()
+    solver = SpanSolver(GaussRational(1))
     for vf in basis:
         solver.add(vf.flat())
     table = {}
@@ -160,8 +152,8 @@ def bracket_closure_table():
                 witnesses.append((basis[i].name, basis[j].name))
                 continue
             scale, coords = found
-            table[(i, j)] = [(k, c.exact_div(scale))
-                             for k, c in enumerate(coords) if c]
+            inv = scale.inverse_of_unit()
+            table[(i, j)] = [(k, c * inv) for k, c in enumerate(coords) if c]
     return StructureConstants([vf.name for vf in basis], table, closed,
                               witnesses)
 

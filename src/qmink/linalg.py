@@ -1,19 +1,22 @@
-"""Exact linear algebra over Q(i)[q,q^-1] and over Q.
+"""Exact linear algebra by one fraction-free elimination.
 
 SpanSolver keeps an incrementally built echelon of sparse vectors
-(word -> Scalar maps) with fraction-free row operations, which stay
-exact without dividing rows by their content; a transformation record
-lets queries be expressed back in the original basis as one common
-scale and ring numerators: scale*vec = sum coords[j]*basis[j].  The
-span is the one over the fraction field Q(i)(q); a caller that needs
-the coordinates themselves divides each numerator by the scale.
+(word -> coefficient maps) with fraction-free row operations (Bareiss
+1968), which stay exact without dividing rows by their content; a
+transformation record lets queries be expressed back in the original
+basis as one common scale and ring numerators:
+scale*vec = sum coords[j]*basis[j].  The elimination only multiplies
+and subtracts, so it runs over any coefficient ring whose unit it is
+given: Scalar, the Laurent ring Q(i)[q,q^-1] (the default), or
+GaussRational, the field Q(i) of the q = 1 layer.  The span is the one
+over the ring's fraction field; a caller that needs the coordinates
+themselves divides each numerator by the scale.  ``kernel_basis``
+solves a homogeneous system over Q(i) with the same solver.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .scalars import ONE, ZERO
+from .scalars import ONE
 
 
 class DegenerateBasisError(ValueError):
@@ -48,9 +51,14 @@ class _Pivot:
 
 
 class SpanSolver:
-    """Echelon of added vectors; answers membership and coordinates."""
+    """Echelon of added vectors; answers membership and coordinates.
 
-    def __init__(self):
+    ``unit`` is the one of the coefficient ring the vectors live in.
+    """
+
+    def __init__(self, unit=ONE):
+        self.unit = unit
+        self.zero = unit - unit
         self.pivots = []
         self.nbasis = 0
         self.dependent = []
@@ -66,7 +74,7 @@ class SpanSolver:
         scale is the product of the pivot coefficients used; returns
         (row, trans, scale).
         """
-        scale = ONE
+        scale = self.unit
         for p in self.pivots:
             e = row.get(p.lead)
             if e is None:
@@ -84,7 +92,7 @@ class SpanSolver:
         row = {w: c for w, c in vec.items() if c}
         if not row:
             raise DegenerateBasisError("zero vector in basis (index %d)" % idx)
-        row, trans, _scale = self._eliminate(row, {idx: ONE})
+        row, trans, _scale = self._eliminate(row, {idx: self.unit})
         if not row:
             self.dependent.append(idx)
             return False
@@ -105,16 +113,18 @@ class SpanSolver:
     def express(self, vec):
         """Coordinates of vec over the added vectors, or None.
 
-        Returns (scale, coords): a nonzero Scalar and a list of nbasis
-        Scalars with scale*vec == sum coords[j]*basis[j].  Vectors that
-        were dependent when added always receive coordinate zero.
+        Returns (scale, coords): a nonzero ring element and a list of
+        nbasis ring elements with scale*vec == sum coords[j]*basis[j].
+        Vectors that were dependent when added always receive coordinate
+        zero.
         """
         row, trans, scale = self._eliminate(
             {w: c for w, c in vec.items() if c}, {})
         if row:
             return None
         # the reduced row is scale*vec + sum trans[j]*basis[j] = 0
-        return scale, [-trans.get(j, ZERO) for j in range(self.nbasis)]
+        zero = self.zero
+        return scale, [-trans.get(j, zero) for j in range(self.nbasis)]
 
 
 def span_dimension(vectors):
@@ -125,37 +135,34 @@ def span_dimension(vectors):
     return solver.rank
 
 
-def rational_kernel_basis(rows, ncols):
-    """Basis of the kernel over Q, by back-substitution on the RREF."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    nrows = len(mat)
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if mat[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [x / pv for x in mat[rank]]
-        for r in range(nrows):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+def kernel_basis(rows, ncols, unit):
+    """Basis of {v : rows v = 0} over a field, one vector per free column.
+
+    Column c goes into a SpanSolver as the vector {(r,): rows[r][c]}.  A
+    zero column, or one that ``add`` finds dependent, is free; its basis
+    vector is unit at the column, minus the column's coordinates over
+    the earlier pivot columns: the reduced-row-echelon basis.
+    """
+    solver = SpanSolver(unit)
+    cols = [{(r,): row[c] for r, row in enumerate(rows) if row[c]}
+            for c in range(ncols)]
+    added = []  # the column of each solver index
+    free = []
+    for c, col in enumerate(cols):
+        if col:
+            added.append(c)
+            if solver.add(col):
+                continue
+        free.append(c)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
+    for f in free:
+        vec = [solver.zero] * ncols
+        vec[f] = unit
+        if cols[f]:
+            scale, coords = solver.express(cols[f])
+            inv = scale.inverse_of_unit()
+            for j, c in enumerate(coords):
+                if c:
+                    vec[added[j]] = -(c * inv)
         basis.append(vec)
     return basis

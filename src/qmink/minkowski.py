@@ -628,7 +628,7 @@ def coaction_membership(qm):
     Groups the comultiplication by first-slot word and expresses every
     second-slot polynomial over the eleven minors (in their span over
     Q(i)(q)); the cofactor of each minor is accumulated as a first-slot
-    polynomial whose coefficients are the fractions coord/scale, kept as
+    polynomial whose coefficients are the quotients coord/scale, kept as
     (coord, scale) pairs.
     """
     minors = minor_set()

@@ -1,22 +1,24 @@
 """Real forms: the conjugation defining su(2,2|1) and the real super
 Poincare group.
 
-The Lie-superalgebra side works with exact 5x5 matrices over Q(i); the
-group side reuses the Grassmann machinery from the classical module.
+The Lie-superalgebra side works with exact 5x5 matrices over Q(i),
+with GaussRational entries, and solves for the sigma fixed points with
+``linalg.kernel_basis`` over the same ring; the group side reuses the
+Grassmann machinery from the classical module.  Nothing here involves q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .classical import real_group_element
+from .classical import GI, real_group_element
 from .grassmann import SymbolSpec
-from .linalg import rational_kernel_basis
-from .scalars import I, ONE, GaussRational, Scalar
+from .linalg import kernel_basis
+from .scalars import GaussRational
 
-ZERO = Scalar.zero()
+ZERO = GaussRational(0)
+ONE = GaussRational(1)
 
 
 def _zeros(m, n):
@@ -64,8 +66,8 @@ def f_matrix():
     """F = i [[0, -I2], [I2, 0]] (4x4)."""
     f = _zeros(4, 4)
     for k in range(2):
-        f[k][k + 2] = -I
-        f[k + 2][k] = I
+        f[k][k + 2] = -GI
+        f[k + 2][k] = GI
     return tuple(tuple(r) for r in f)
 
 
@@ -77,7 +79,7 @@ def _f():
 class SuperMatrix5:
     """5x5 matrix over Q(i) with the (4|1) block grading."""
 
-    entries: tuple  # 5x5 tuple of Scalars
+    entries: tuple  # 5x5 tuple of GaussRationals
     parity: int  # 0: even block-diagonal, 1: odd block-off-diagonal
 
     @classmethod
@@ -144,8 +146,8 @@ def sigma(x):
     beta = x.beta()
     d = x.d_entry()
     new_p = mat_scale(-ONE, mat_mul(f, mat_mul(mat_dagger(p), f)))
-    new_alpha = mat_scale(I, mat_mul(f, mat_dagger(beta)))
-    new_beta = mat_scale(I, mat_mul(mat_dagger(alpha), f))
+    new_alpha = mat_scale(GI, mat_mul(f, mat_dagger(beta)))
+    new_beta = mat_scale(GI, mat_mul(mat_dagger(alpha), f))
     rows = _zeros(5, 5)
     for i in range(4):
         for j in range(4):
@@ -187,8 +189,8 @@ def sigma_is_involution():
     for name, x in sl41_basis():
         if not sigma(sigma(x)).sub(x).is_zero():
             failures.append((name, "sigma^2"))
-        ix = x.scale(I)
-        if not sigma(ix).add(sigma(x).scale(I)).is_zero():
+        ix = x.scale(GI)
+        if not sigma(ix).add(sigma(x).scale(GI)).is_zero():
             failures.append((name, "antilinearity"))
         if x.supertrace_condition():
             failures.append((name, "trace condition"))
@@ -211,16 +213,9 @@ def bracket_compatibility():
     return failures
 
 
-def _gauss_parts(s):
-    """Scalar (q-free) -> (Fraction re, Fraction im)."""
-    g = GaussRational.from_scalar(s)
-    return Fraction(g.re, g.den), Fraction(g.im, g.den)
-
-
-def _gauss_scalar(re, im):
-    """(Fraction re, Fraction im) -> the Scalar re + im*i."""
-    return Scalar.rational(re.numerator, re.denominator) + \
-        Scalar.rational(im.numerator, im.denominator) * I
+def _part(x, part):
+    """The real (part 0) or imaginary (part 1) part of x, in Q."""
+    return GaussRational(x.im if part else x.re, 0, x.den)
 
 
 @lru_cache(maxsize=None)
@@ -228,8 +223,8 @@ def fixed_point_bases():
     """Bases over Q of the (even, odd) sigma fixed points.
 
     Realifies p (32 parameters) and (alpha, beta) (16 parameters) and
-    solves sigma(X) = X exactly over Q.  Cached, so the bases come back
-    as tuples of tuples.
+    solves sigma(X) = X exactly over Q, with rational GaussRationals.
+    Cached, so the bases come back as tuples of tuples.
     """
     # even sector: p = sum (a_kl + i b_kl) E_kl, constraint p + F p^+ F = 0
     rows = []
@@ -241,21 +236,20 @@ def fixed_point_bases():
                     for j in range(4):
                         for comp in (0, 1):
                             p = _zeros(4, 4)
-                            p[i][j] = ONE if comp == 0 else I
+                            p[i][j] = ONE if comp == 0 else GI
                             f = _f()
                             c = mat_add(p, mat_mul(f, mat_mul(mat_dagger(p), f)))
-                            re, im = _gauss_parts(c[ei][ej])
-                            row.append(re if part == 0 else im)
+                            row.append(_part(c[ei][ej], part))
                 rows.append(row)
-    even_basis = rational_kernel_basis(rows, 32)
+    even_basis = kernel_basis(rows, 32, ONE)
 
     # odd sector: alpha = i F beta^+ and beta = i alpha^+ F
     odd_rows = []
     f = _f()
 
     def odd_constraint(alpha, beta):
-        c1 = mat_sub(alpha, mat_scale(I, mat_mul(f, mat_dagger(beta))))
-        c2 = mat_sub(beta, mat_scale(I, mat_mul(mat_dagger(alpha), f)))
+        c1 = mat_sub(alpha, mat_scale(GI, mat_mul(f, mat_dagger(beta))))
+        c2 = mat_sub(beta, mat_scale(GI, mat_mul(mat_dagger(alpha), f)))
         return c1, c2
     for which, idx, part in [(a, b, c) for a in (0, 1) for b in range(4)
                              for c in (0, 1)]:
@@ -263,23 +257,21 @@ def fixed_point_bases():
         for ui in range(4):
             for ucomp in (0, 1):  # alpha params
                 alpha = [[ZERO] for _ in range(4)]
-                alpha[ui][0] = ONE if ucomp == 0 else I
+                alpha[ui][0] = ONE if ucomp == 0 else GI
                 beta = [[ZERO] * 4]
                 c1, c2 = odd_constraint(alpha, beta)
                 val = c1[idx][0] if which == 0 else c2[0][idx]
-                re, im = _gauss_parts(val)
-                row_entries.append(re if part == 0 else im)
+                row_entries.append(_part(val, part))
         for ui in range(4):
             for ucomp in (0, 1):  # beta params
                 alpha = [[ZERO] for _ in range(4)]
                 beta = [[ZERO] * 4]
-                beta[0][ui] = ONE if ucomp == 0 else I
+                beta[0][ui] = ONE if ucomp == 0 else GI
                 c1, c2 = odd_constraint(alpha, beta)
                 val = c1[idx][0] if which == 0 else c2[0][idx]
-                re, im = _gauss_parts(val)
-                row_entries.append(re if part == 0 else im)
+                row_entries.append(_part(val, part))
         odd_rows.append(row_entries)
-    odd_basis = rational_kernel_basis(odd_rows, 16)
+    odd_basis = kernel_basis(odd_rows, 16, ONE)
     return tuple(map(tuple, even_basis)), tuple(map(tuple, odd_basis))
 
 
@@ -303,7 +295,7 @@ def su22_conditions_hold():
         k = 0
         for i in range(4):
             for j in range(4):
-                p[i][j] = _gauss_scalar(vec[k], vec[k + 1])
+                p[i][j] = vec[k] + vec[k + 1] * GI
                 k += 2
         cond = mat_add(mat_mul(f, p), mat_mul(mat_dagger(p), f))
         if not mat_is_zero(cond):
@@ -311,20 +303,19 @@ def su22_conditions_hold():
         tr = ZERO
         for i in range(4):
             tr = tr + p[i][i]
-        re, im = _gauss_parts(tr)
-        if re:
+        if tr.re:
             failures.append("tr p not purely imaginary")
     for vec in odd_basis:
         alpha = [[ZERO] for _ in range(4)]
         beta = [[ZERO] * 4]
         k = 0
         for i in range(4):
-            alpha[i][0] = _gauss_scalar(vec[k], vec[k + 1])
+            alpha[i][0] = vec[k] + vec[k + 1] * GI
             k += 2
         for j in range(4):
-            beta[0][j] = _gauss_scalar(vec[k], vec[k + 1])
+            beta[0][j] = vec[k] + vec[k + 1] * GI
             k += 2
-        c1 = mat_sub(alpha, mat_scale(I, mat_mul(f, mat_dagger(beta))))
+        c1 = mat_sub(alpha, mat_scale(GI, mat_mul(f, mat_dagger(beta))))
         if not mat_is_zero(c1):
             failures.append("alpha != i F beta^+")
     return (len(even_basis), len(odd_basis)), failures

@@ -1,13 +1,16 @@
 """Verification reports: one record per checked statement.
 
 The machine format and the human format carry identical verdict data;
-the wall-time field is the only non-deterministic part.
+the record fields named in NONDETERMINISTIC_FIELDS (the wall time) are
+the only non-deterministic part.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+
+NONDETERMINISTIC_FIELDS = ("seconds",)
 
 
 @dataclass

@@ -7,8 +7,8 @@ numerator pairs, gcd(content, denominator) == 1, denominator >= 1.
 Conjugation sends i to -i and fixes q.
 
 A GaussRational is an element of Q(i) alone, the coefficient ring of the
-q = 1 layer.  ``GaussRational.from_scalar`` and ``to_scalar`` carry a
-q-free Scalar across and back.
+q = 1 layer and of the su(2,2|1) matrices.  ``GaussRational.from_scalar``
+carries a q-free Scalar across; nothing carries one back.
 """
 
 from __future__ import annotations
@@ -351,12 +351,6 @@ class GaussRational:
         re, im = c[0]
         return cls(re, im, s._den)
 
-    def to_scalar(self):
-        """The same value as a Scalar, at exponent 0."""
-        if not (self.re or self.im):
-            return _ZERO
-        return Scalar({0: (self.re, self.im)}, self.den, _normalized=True)
-
     def __bool__(self):
         return bool(self.re or self.im)
 
@@ -372,6 +366,10 @@ class GaussRational:
     def __add__(self, other):
         if other.__class__ is not GaussRational:
             return NotImplemented
+        if not (other.re or other.im):
+            return self
+        if not (self.re or self.im):
+            return other
         a, b = self.den, other.den
         if a == b:
             re, im, den = self.re + other.re, self.im + other.im, a
@@ -386,6 +384,8 @@ class GaussRational:
     def __sub__(self, other):
         if other.__class__ is not GaussRational:
             return NotImplemented
+        if not (other.re or other.im):
+            return self
         return self + (-other)
 
     def __neg__(self):

@@ -6,6 +6,7 @@ give them: the 25-generator confluence check under 2 minutes and the
 full CLI suite under 10 minutes.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from qmink.realforms import (bracket_compatibility, fixed_point_dimension,
                              generic_element, poincare_group_algebra,
                              poincare_reality_reduce, reduced_element,
                              sigma_is_involution)
+from qmink.reports import NONDETERMINISTIC_FIELDS
 from qmink.supergroup import build_slq41
 
 
@@ -201,6 +203,21 @@ def test_real_forms():
               action_ok))
 
 
+# sha256 of `check all --format json` without the non-deterministic
+# record fields, dumped with sorted keys: every verdict, witness,
+# statement and anchor of all 3,428 records, pinned
+VERDICT_SHA256 = \
+    "63a8fc04a402f4f332453dd6fe4bdb008ed479e127d3f850d452ebcfad83fbce"
+
+
+def verdict_digest(data):
+    for r in data["records"]:
+        for key in NONDETERMINISTIC_FIELDS:
+            del r[key]
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()) \
+        .hexdigest()
+
+
 def test_cli_contract():
     t0 = time.monotonic()
     proc = subprocess.run(
@@ -212,7 +229,10 @@ def test_cli_contract():
     data = json.loads(proc.stdout) if proc.stdout else {}
     verdicts_ok = bool(data) and data.get("passed") is True and \
         all(r["verdict"] for r in data.get("records", []))
-    ok = ok and verdicts_ok
+    n_records = len(data.get("records", []))
+    digest_ok = verdicts_ok and verdict_digest(data) == VERDICT_SHA256
+    ok = ok and verdicts_ok and digest_ok
     report("cli-contract", ok,
-           "(exit=%d, %d records, %.1fs)"
-           % (proc.returncode, len(data.get("records", [])), dt))
+           "(exit=%d, %d records, digest %s, %.1fs)"
+           % (proc.returncode, n_records, "ok" if digest_ok else "changed",
+              dt))

@@ -18,7 +18,7 @@ from qmink.classical import (RationalMap, SuperPoincareElement,
                              superflag_reduce, translation_map)
 from qmink.grassmann import (GrassmannMatrix, GrassmannRational, SymbolSpec,
                              supercommutative_presentation)
-from qmink.scalars import ONE, Q, QINV, GaussRational, Scalar
+from qmink.scalars import Q, QINV, GaussRational, Scalar
 from qmink.supergroup import build_slq41
 
 
@@ -64,12 +64,12 @@ def test_bracket_examples():
     for mu in range(4):
         e = entry("D", "P%d" % mu)
         assert set(e) == {"P%d" % mu}
-        assert e["P%d" % mu] == -ONE
+        assert e["P%d" % mu] == GaussRational(-1)
     # [K_mu, P_mu] = 2 eta_mumu D + ...; frozen from the exact solve
     e = entry("K0", "P0")
-    assert set(e) == {"D"} and e["D"] == -Scalar.from_int(2)
+    assert set(e) == {"D"} and e["D"] == GaussRational(-2)
     e = entry("K1", "P0")
-    assert set(e) == {"L01"} and e["L01"] == -Scalar.from_int(2)
+    assert set(e) == {"L01"} and e["L01"] == GaussRational(-2)
 
 
 def test_conformal_closure_all_pairs():

@@ -11,9 +11,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmink.checks import _SUITE_BUILDERS, _run_checks
+from qmink.checks import SUITE_NAMES, _SUITE_BUILDERS, _run_checks, run_suite
 from qmink.cli import ALGEBRAS, main, normal_form_text
-from qmink.reports import SuiteReport
+from qmink.reports import NONDETERMINISTIC_FIELDS, SuiteReport
 
 
 def run(capsys, *argv):
@@ -99,6 +99,14 @@ def test_nf_fuzz_exits_cleanly(algebra, pieces):
     assert (rc == 2) == err.getvalue().startswith("error: ")
 
 
+def deterministic(report):
+    """The report dict without its non-deterministic record fields."""
+    for r in report["records"]:
+        for key in NONDETERMINISTIC_FIELDS:
+            del r[key]
+    return report
+
+
 def test_check_exit_codes(capsys):
     rc, out, _ = run(capsys, "check", "pauli-metric", "--format", "json")
     assert rc == 0
@@ -115,10 +123,7 @@ def test_check_profile_flag(capsys, tmp_path):
                          "json", "--profile", str(path))
     assert rc_p == rc == 0
     reports = json.loads(out), json.loads(out_p)
-    for d in reports:
-        for r in d["records"]:
-            r["seconds"] = 0.0
-    assert reports[0] == reports[1]
+    assert deterministic(reports[0]) == deterministic(reports[1])
     stats = pstats.Stats(str(path))
     assert any(fn == "run_suite" for _f, _l, fn in stats.stats)
     rc, _, err = run(capsys, "check", "pauli-metric", "--profile",
@@ -130,6 +135,28 @@ def test_check_text_format(capsys):
     rc, out, _ = run(capsys, "check", "su221-dimensions", "--verbose")
     assert rc == 0
     assert "PASS" in out and "fixed-point-dimensions" in out
+
+
+def test_raising_suite_builder_is_one_failed_record(capsys, monkeypatch):
+    # every other suite's record ids, from its builder alone
+    expected = ["%s/%s" % (name, check[0]) for name in SUITE_NAMES
+                if name != "pauli-metric"
+                for check in _SUITE_BUILDERS[name]()]
+
+    def broken():
+        raise RuntimeError("no checks")
+
+    monkeypatch.setitem(_SUITE_BUILDERS, "pauli-metric", broken)
+    rc, out, err = run(capsys, "check", "pauli-metric")
+    assert rc == 1 and "Traceback" not in out + err
+    assert "[FAIL] builder" in out
+    assert "witness: exception: RuntimeError('no checks')" in out
+    records = run_suite("all").records
+    bad = {r.id: r.witness for r in records if not r.verdict}
+    assert bad == {"pauli-metric/builder":
+                   "exception: RuntimeError('no checks')"}
+    assert [r.id for r in records if r.id != "pauli-metric/builder"] == \
+        expected
 
 
 def test_check_unknown_suite():
@@ -156,10 +183,7 @@ def test_report_determinism():
     checks = _SUITE_BUILDERS["sct-inversion"]()
     rep1 = SuiteReport("sct-inversion", _run_checks(checks))
     rep2 = SuiteReport("sct-inversion", _run_checks(checks))
-    d1, d2 = rep1.to_dict(), rep2.to_dict()
-    for d in (d1, d2):
-        for r in d["records"]:
-            r["seconds"] = 0.0
+    d1, d2 = (deterministic(rep.to_dict()) for rep in (rep1, rep2))
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
 
 

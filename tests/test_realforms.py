@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+from hypothesis import example, given, settings, strategies as st
+
 from qmink import realforms
 from qmink.checks import run_suite
 from qmink.algebra import Element
@@ -12,7 +14,9 @@ from qmink.realforms import (bracket_compatibility, f_matrix,
                              reduced_element, sigma, sigma_is_involution,
                              sl41_basis, su22_conditions_hold,
                              supercommutator)
-from qmink.scalars import ONE, GaussRational, Scalar
+from qmink.scalars import GaussRational
+
+ONE = GaussRational(1)
 
 
 def test_f_matrix_properties():
@@ -21,7 +25,7 @@ def test_f_matrix_properties():
     f2 = realforms.mat_mul(f, f)
     for i in range(4):
         for j in range(4):
-            want = ONE if i == j else Scalar.zero()
+            want = ONE if i == j else GaussRational(0)
             assert f2[i][j] == want
             assert f[i][j].conjugate() == f[j][i]
 
@@ -68,7 +72,7 @@ def test_sigma_explicit_image():
     img = sigma(h1)
     for i in range(4):
         for j in range(4):
-            g = GaussRational.from_scalar(img.entries[i][j])
+            g = img.entries[i][j]
             got = (Fraction(g.re, g.den), Fraction(g.im, g.den))
             assert got == expected[i][j], (i, j)
     # the d entry of sigma(H1) is -conj(1) = -1
@@ -205,16 +209,99 @@ def test_dropped_equation_fails_su221_dimensions(monkeypatch):
     # the even fixed-point system loses the imaginary part of the (1,3)
     # entry of p + F p^+ F = 0; that entry is paired with no other, so one
     # more real direction passes as a fixed point and breaks the conditions
-    solve = realforms.rational_kernel_basis
+    solve = realforms.kernel_basis
     dropped = 2 * (0 * 4 + 2) + 1  # row (ei, ej, part) = (0, 2, imaginary)
 
-    def kernel_without_equation(rows, ncols):
+    def kernel_without_equation(rows, ncols, unit):
         if ncols == 32:
             rows = rows[:dropped] + rows[dropped + 1:]
-        return solve(rows, ncols)
+        return solve(rows, ncols, unit)
 
-    monkeypatch.setattr(realforms, "rational_kernel_basis",
-                        kernel_without_equation)
+    monkeypatch.setattr(realforms, "kernel_basis", kernel_without_equation)
     assert set(false_records("su221-dimensions")) == \
         {"fixed-point-dimensions", "defining-conditions"}
     assert false_records("sigma-involution") == {}
+
+
+def test_reduced_element_d_is_a_phase_not_one():
+    # d = (1 + iu)/(1 - iu): either sign flip makes d = 1, which still has
+    # d d* = 1, so the reality records alone do not see it
+    d = reduced_element(poincare_group_algebra()).d
+    assert not (d - 1).is_zero()
+    assert (d * d.star() - 1).is_zero()
+
+
+def reference_kernel_basis(rows, ncols):
+    """Kernel over Q by back-substitution on the RREF, on Fractions."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    nrows = len(mat)
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = None
+        for r in range(rank, nrows):
+            if mat[r][col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        pv = mat[rank][col]
+        mat[rank] = [x / pv for x in mat[rank]]
+        for r in range(nrows):
+            if r != rank and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == nrows:
+            break
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -mat[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def _matrices():
+    # small integer entries, biased to zero, and some columns repeated
+    # as multiples of others so that dependent columns are common
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5])
+
+    def build(shape):
+        nrows, ncols = shape
+        cols = st.lists(st.lists(entry, min_size=nrows, max_size=nrows),
+                        min_size=ncols, max_size=ncols)
+        return st.tuples(cols, st.lists(
+            st.tuples(st.integers(0, ncols - 1), st.integers(-2, 2)),
+            max_size=3))
+
+    def assemble(data):
+        cols, copies = data
+        cols = [list(c) for c in cols]
+        for k, (src, m) in enumerate(copies):
+            dst = (src + k + 1) % len(cols)
+            cols[dst] = [m * x for x in cols[src]]
+        return [[c[r] for c in cols] for r in range(len(cols[0]))], len(cols)
+
+    shapes = st.tuples(st.integers(1, 5), st.integers(1, 7))
+    return shapes.flatmap(build).map(assemble)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices())
+@example(([[0, 1, 2], [0, 2, 4]], 3))
+@example(([[0, 0], [0, 0]], 2))
+@example(([[1, 0, 3, 0, -1], [0, 1, 2, 0, 4], [2, 1, 8, 0, 2]], 5))
+def test_kernel_basis_matches_back_substitution(data):
+    rows, ncols = data
+    got = realforms.kernel_basis(
+        [[GaussRational(x) for x in r] for r in rows], ncols, ONE)
+    for vec in got:
+        assert all(x.im == 0 for x in vec)
+    assert [[Fraction(x.re, x.den) for x in vec] for vec in got] == \
+        reference_kernel_basis(rows, ncols)
