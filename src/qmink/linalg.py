@@ -16,7 +16,7 @@ solves a homogeneous system over Q(i) with the same solver.
 
 from __future__ import annotations
 
-from .scalars import ONE
+from .scalars import ONE, GaussRational
 
 
 class DegenerateBasisError(ValueError):
@@ -135,15 +135,15 @@ def span_dimension(vectors):
     return solver.rank
 
 
-def kernel_basis(rows, ncols, unit):
-    """Basis of {v : rows v = 0} over a field, one vector per free column.
+def kernel_basis(rows, ncols):
+    """Basis of {v : rows v = 0} over Q(i), one vector per free column.
 
-    Column c goes into a SpanSolver as the vector {(r,): rows[r][c]}.  A
-    zero column, or one that ``add`` finds dependent, is free; its basis
-    vector is unit at the column, minus the column's coordinates over
-    the earlier pivot columns: the reduced-row-echelon basis.
+    Column c of the GaussRational rows goes into a SpanSolver as the
+    vector {(r,): rows[r][c]}.  A zero column, or one that ``add`` finds
+    dependent, is free; its basis vector is one at the column, minus its
+    coordinates over the earlier pivot columns: the RREF basis.
     """
-    solver = SpanSolver(unit)
+    solver = SpanSolver(GaussRational(1))
     cols = [{(r,): row[c] for r, row in enumerate(rows) if row[c]}
             for c in range(ncols)]
     added = []  # the column of each solver index
@@ -157,7 +157,7 @@ def kernel_basis(rows, ncols, unit):
     basis = []
     for f in free:
         vec = [solver.zero] * ncols
-        vec[f] = unit
+        vec[f] = solver.unit
         if cols[f]:
             scale, coords = solver.express(cols[f])
             inv = scale.inverse_of_unit()

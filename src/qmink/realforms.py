@@ -241,7 +241,7 @@ def fixed_point_bases():
                             c = mat_add(p, mat_mul(f, mat_mul(mat_dagger(p), f)))
                             row.append(_part(c[ei][ej], part))
                 rows.append(row)
-    even_basis = kernel_basis(rows, 32, ONE)
+    even_basis = kernel_basis(rows, 32)
 
     # odd sector: alpha = i F beta^+ and beta = i alpha^+ F
     odd_rows = []
@@ -271,7 +271,7 @@ def fixed_point_bases():
                 val = c1[idx][0] if which == 0 else c2[0][idx]
                 row_entries.append(_part(val, part))
         odd_rows.append(row_entries)
-    odd_basis = kernel_basis(odd_rows, 16, ONE)
+    odd_basis = kernel_basis(odd_rows, 16)
     return tuple(map(tuple, even_basis)), tuple(map(tuple, odd_basis))
 
 

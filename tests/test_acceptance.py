@@ -29,8 +29,9 @@ from qmink.realforms import (bracket_compatibility, fixed_point_dimension,
                              generic_element, poincare_group_algebra,
                              poincare_reality_reduce, reduced_element,
                              sigma_is_involution)
-from qmink.reports import NONDETERMINISTIC_FIELDS
 from qmink.supergroup import build_slq41
+
+from reporting import deterministic
 
 
 def report(name, ok, detail=""):
@@ -211,11 +212,8 @@ VERDICT_SHA256 = \
 
 
 def verdict_digest(data):
-    for r in data["records"]:
-        for key in NONDETERMINISTIC_FIELDS:
-            del r[key]
-    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()) \
-        .hexdigest()
+    return hashlib.sha256(json.dumps(deterministic(data), sort_keys=True)
+                          .encode()).hexdigest()
 
 
 def test_cli_contract():

@@ -212,10 +212,10 @@ def test_dropped_equation_fails_su221_dimensions(monkeypatch):
     solve = realforms.kernel_basis
     dropped = 2 * (0 * 4 + 2) + 1  # row (ei, ej, part) = (0, 2, imaginary)
 
-    def kernel_without_equation(rows, ncols, unit):
+    def kernel_without_equation(rows, ncols):
         if ncols == 32:
             rows = rows[:dropped] + rows[dropped + 1:]
-        return solve(rows, ncols, unit)
+        return solve(rows, ncols)
 
     monkeypatch.setattr(realforms, "kernel_basis", kernel_without_equation)
     assert set(false_records("su221-dimensions")) == \
@@ -300,7 +300,7 @@ def _matrices():
 def test_kernel_basis_matches_back_substitution(data):
     rows, ncols = data
     got = realforms.kernel_basis(
-        [[GaussRational(x) for x in r] for r in rows], ncols, ONE)
+        [[GaussRational(x) for x in r] for r in rows], ncols)
     for vec in got:
         assert all(x.im == 0 for x in vec)
     assert [[Fraction(x.re, x.den) for x in vec] for vec in got] == \
