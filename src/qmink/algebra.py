@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernel
-from .scalars import GaussRational, ONE, Scalar
+from .scalars import GaussRational, ONE, Scalar, signed_join
 
 # the coefficient types an Element multiplies by as a scalar
 _COEFFICIENTS = (Scalar, GaussRational)
@@ -56,10 +56,11 @@ class Presentation:
     pure; the per-word normal-form memo only ever receives idempotent
     writes, so it can be shared by every caller.  ``unit`` is the one of
     the coefficient ring: the Scalar ONE of Q(i)[q, q^-1] by default, or
-    a GaussRational one for the q = 1 layer.
+    a GaussRational one for the q = 1 layer.  Odd squares vanish: the
+    rule g*g -> 0 comes with every odd generator g.
     """
 
-    def __init__(self, generators, odd_squares_vanish=False, budget=200_000_000,
+    def __init__(self, generators, budget=200_000_000,
                  supercommutative=False, unit=ONE):
         gens = tuple(generators)
         if [g.rank for g in gens] != list(range(len(gens))):
@@ -67,7 +68,6 @@ class Presentation:
         self.generators = gens
         self.ngens = len(gens)
         self.parities = tuple(g.parity for g in gens)
-        self.odd_squares_vanish = odd_squares_vanish
         self.budget = budget
         # closed-form normal forms (sort + Koszul sign) instead of
         # letter-by-letter rewriting; only valid for the standard
@@ -82,10 +82,9 @@ class Presentation:
         # so rule changes keep it.
         self._masks = {}
         self._by_name = {g.name: g for g in gens}
-        if odd_squares_vanish:
-            for g in gens:
-                if g.parity:
-                    self._rules[(g.rank, g.rank)] = {}
+        for g in gens:
+            if g.parity:
+                self._rules[(g.rank, g.rank)] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -332,8 +331,30 @@ class Presentation:
         return Element(self, dict(self.nf_word(w)))
 
 
-class Element:
-    """Noncommutative polynomial kept in normal form."""
+def add_terms(a, b, negate=False):
+    """a + b, or a - b when negate, over sparse key -> coefficient maps,
+    dropping the zeros."""
+    out = dict(a)
+    for k, c in b.items():
+        prev = out.get(k)
+        if prev is None:
+            v = -c if negate else c
+        else:
+            v = prev - c if negate else prev + c
+        if v:
+            out[k] = v
+        elif prev is not None:
+            del out[k]
+    return out
+
+
+class TermMap:
+    """A sparse linear combination over alg: key -> nonzero coefficient.
+
+    The arithmetic Element, TensorPoly and LocalElement share: sums,
+    differences, negation and scalar multiples, all term by term.  Sums
+    and differences need the same class and the same alg.
+    """
 
     __slots__ = ("alg", "terms")
 
@@ -348,7 +369,7 @@ class Element:
         return not self.terms
 
     def __eq__(self, other):
-        if not isinstance(other, Element):
+        if other.__class__ is not self.__class__:
             return NotImplemented
         return self.alg is other.alg and self.terms == other.terms
 
@@ -356,25 +377,39 @@ class Element:
         return hash((id(self.alg), frozenset(self.terms.items())))
 
     def __add__(self, other):
-        if not isinstance(other, Element) or other.alg is not self.alg:
+        if other.__class__ is not self.__class__ or other.alg is not self.alg:
             return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            prev = out.get(w)
-            v = c if prev is None else prev + c
-            if v:
-                out[w] = v
-            elif prev is not None:
-                del out[w]
-        return Element(self.alg, out)
-
-    def __neg__(self):
-        return Element(self.alg, {w: -c for w, c in self.terms.items()})
+        return self.__class__(self.alg, add_terms(self.terms, other.terms))
 
     def __sub__(self, other):
-        if not isinstance(other, Element) or other.alg is not self.alg:
+        if other.__class__ is not self.__class__ or other.alg is not self.alg:
             return NotImplemented
-        return self + (-other)
+        return self.__class__(self.alg,
+                              add_terms(self.terms, other.terms, negate=True))
+
+    def __neg__(self):
+        return self.__class__(self.alg,
+                              {k: -c for k, c in self.terms.items()})
+
+    def scale(self, s):
+        if not s:
+            return self.__class__(self.alg, {})
+        return self.__class__(self.alg,
+                              {k: s * c for k, c in self.terms.items()})
+
+    def __rmul__(self, other):
+        if isinstance(other, _COEFFICIENTS):
+            return self.scale(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return "<%s>" % self.to_text()
+
+
+class Element(TermMap):
+    """Noncommutative polynomial kept in normal form."""
+
+    __slots__ = ()
 
     def __mul__(self, other):
         if other.__class__ is not Element:
@@ -391,16 +426,6 @@ class Element:
         return Element(alg, alg.normal_form(
             (w1 + w2, c1 * c2) for w1, c1 in self.terms.items()
             for w2, c2 in t2))
-
-    def __rmul__(self, other):
-        if isinstance(other, _COEFFICIENTS):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, s):
-        if not s:
-            return Element(self.alg, {})
-        return Element(self.alg, {w: s * c for w, c in self.terms.items()})
 
     def parity(self):
         """Parity when homogeneous; raises for mixed terms."""
@@ -427,30 +452,18 @@ class Element:
             else:
                 ct = c.to_factor_text()
                 parts.append(wt if ct == "1" else "%s*%s" % (ct, wt))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
-
-    def __repr__(self):
-        return "<%s>" % self.to_text()
+        return signed_join(parts)
 
 
-class TensorPoly:
+class TensorPoly(TermMap):
     """Element of A (x) A with Koszul-signed multiplication.
 
-    Terms map pairs of words to scalars; both slots are kept in normal
-    form, which is slot-linear and therefore commutes with the sign
-    bookkeeping.
+    Terms map pairs of words to scalars.  Products bring both slots to
+    normal form, which is slot-linear and therefore commutes with the
+    sign bookkeeping.
     """
 
-    __slots__ = ("alg", "terms")
-
-    def __init__(self, alg, terms, reduce=True):
-        if reduce:
-            terms = self._reduce(alg, terms)
-        self.alg = alg
-        self.terms = terms
+    __slots__ = ()
 
     @staticmethod
     def _reduce(alg, terms):
@@ -472,37 +485,11 @@ class TensorPoly:
 
     @classmethod
     def zero(cls, alg):
-        return cls(alg, {}, reduce=False)
+        return cls(alg, {})
 
     @classmethod
     def unit(cls, alg):
-        return cls(alg, {((), ()): alg.unit}, reduce=False)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        return self.alg is other.alg and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            prev = out.get(k)
-            v = c if prev is None else prev + c
-            if v:
-                out[k] = v
-            elif prev is not None:
-                del out[k]
-        return TensorPoly(self.alg, out, reduce=False)
-
-    def __neg__(self):
-        return TensorPoly(self.alg, {k: -c for k, c in self.terms.items()},
-                          reduce=False)
-
-    def __sub__(self, other):
-        return self + (-other)
+        return cls(alg, {((), ()): alg.unit})
 
     def __mul__(self, other):
         """(a (x) b)(c (x) d) = (-1)^{|b||c|} ac (x) bd."""
@@ -524,13 +511,7 @@ class TensorPoly:
                     prod[key] = val
                 elif prev is not None:
                     del prod[key]
-        return TensorPoly(alg, prod)
-
-    def scale(self, s):
-        if not s:
-            return TensorPoly.zero(self.alg)
-        return TensorPoly(self.alg, {k: s * c for k, c in self.terms.items()},
-                          reduce=False)
+        return TensorPoly(alg, self._reduce(alg, prod))
 
     def first_slot_words(self):
         return sorted({u for (u, _v) in self.terms})
@@ -550,10 +531,7 @@ class TensorPoly:
             ct = c.to_factor_text()
             body = "%s (x) %s" % (wt(u), wt(v))
             parts.append(body if ct == "1" else "%s*%s" % (ct, body))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return "<%s>" % self.to_text()
+        return signed_join(parts)
 
 
 def overlap_words(pres):
@@ -584,15 +562,6 @@ def resolve_overlap(pres, word):
     right = {}
     for w, coeff in rules[(b, c)].items():
         right[(a,) + w] = coeff
-    lnf = pres.normal_form(left)
-    rnf = pres.normal_form(right)
-    diff = dict(lnf)
-    for w, coeff in rnf.items():
-        prev = diff.get(w)
-        v = -coeff if prev is None else prev - coeff
-        if v:
-            diff[w] = v
-        elif prev is not None:
-            del diff[w]
+    diff = add_terms(pres.normal_form(left), pres.normal_form(right),
+                     negate=True)
     return not diff, diff
-

@@ -127,8 +127,7 @@ def conformal_basis():
 class StructureConstants:
     names: list
     table: dict  # (i, j) -> list of (k, GaussRational coordinate)
-    closed: bool
-    witnesses: list
+    closed: bool  # False when a bracket's (i, j) is missing from table
 
 
 def bracket_closure_table():
@@ -138,7 +137,6 @@ def bracket_closure_table():
     for vf in basis:
         solver.add(vf.flat())
     table = {}
-    witnesses = []
     closed = True
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
@@ -149,13 +147,11 @@ def bracket_closure_table():
             found = solver.express(br.flat())
             if found is None:
                 closed = False
-                witnesses.append((basis[i].name, basis[j].name))
                 continue
             scale, coords = found
             inv = scale.inverse_of_unit()
             table[(i, j)] = [(k, c * inv) for k, c in enumerate(coords) if c]
-    return StructureConstants([vf.name for vf in basis], table, closed,
-                              witnesses)
+    return StructureConstants([vf.name for vf in basis], table, closed)
 
 
 # -- finite conformal maps -----------------------------------------------------

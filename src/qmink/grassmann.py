@@ -23,8 +23,7 @@ def supercommutative_presentation(variables):
     gens = [Generator(name, (r,), parity, r)
             for r, (name, parity) in enumerate(variables)]
     one = GaussRational(1)
-    pres = Presentation(gens, odd_squares_vanish=True, supercommutative=True,
-                        unit=one)
+    pres = Presentation(gens, supercommutative=True, unit=one)
     for a in gens:
         for b in gens:
             if b.rank <= a.rank:
@@ -167,19 +166,10 @@ class GrassmannAlgebra:
 
     def star(self, el):
         """The involution, extended letter by letter: (ab)* = a* b*."""
-        out = {}
         conj = self._conj
-        for w, c in el.terms.items():
-            img = tuple(conj[r] for r in w)
-            cc = c.conjugate()
-            for sw, sc in self.pres.nf_word(img):
-                prev = out.get(sw)
-                v = cc * sc if prev is None else prev + cc * sc
-                if v:
-                    out[sw] = v
-                elif prev is not None:
-                    del out[sw]
-        return Element(self.pres, out)
+        return Element(self.pres, self.pres.normal_form(
+            (tuple(conj[r] for r in w), c.conjugate())
+            for w, c in el.terms.items()))
 
     def body(self, el):
         """Terms containing no odd generator (the non-nilpotent part)."""

@@ -61,7 +61,6 @@ class SpanSolver:
         self.zero = unit - unit
         self.pivots = []
         self.nbasis = 0
-        self.dependent = []
 
     @property
     def rank(self):
@@ -94,7 +93,6 @@ class SpanSolver:
             raise DegenerateBasisError("zero vector in basis (index %d)" % idx)
         row, trans, _scale = self._eliminate(row, {idx: self.unit})
         if not row:
-            self.dependent.append(idx)
             return False
         piv = _Pivot(row, trans)
         # keep reduced echelon form: clear the new lead from older rows so

@@ -14,12 +14,12 @@ the two column pairs), so only the chiral side is constructed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import AlgebraError, Generator, Presentation
+from .algebra import AlgebraError, Generator, Presentation, TermMap
 from .linalg import SpanSolver, span_dimension
-from .scalars import ONE, QINV, Scalar, ScalarError
+from .scalars import ONE, QINV, Scalar, ScalarError, signed_join
 from .supergroup import build_slq41, comultiply, minor
 
 MINOR_ORDER = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
@@ -46,10 +46,9 @@ def minor_index(i, j):
 
 @dataclass
 class ClosureEntry:
-    """D_b D_a = sign * q^exponent * D_a D_b + correction (a <= b)."""
+    """D_b D_a = sign * q^exponent * D_a D_b + correction (a <= b), the
+    entry at key (a, b) of the closure table."""
 
-    left: int
-    right: int
     sign: int
     exponent: int
     correction: dict
@@ -105,7 +104,7 @@ def _closure_entry(a, b, minors, products, solver, basis_pairs):
     ab = products[(a, b)]
     if a == b:
         if minors[a].parity() == 0 and ab:
-            return ClosureEntry(b, a, 1, 0, {}, "trivial", True)
+            return ClosureEntry(1, 0, {}, "trivial", True)
         kind, residual = "square", ab
     else:
         kind, residual = "reorder", minors[b].value * minors[a].value
@@ -115,16 +114,16 @@ def _closure_entry(a, b, minors, products, solver, basis_pairs):
         x, y = residual.terms.get(lead, Scalar.zero()), ab.terms[lead]
         unit = _unit_ratio(x, y)
         if unit is None:
-            return ClosureEntry(b, a, 1, 0, {}, kind, False,
+            return ClosureEntry(1, 0, {}, kind, False,
                                 "leading coefficient (%s)/(%s) is not +-q^e"
                                 % (x.to_text(), y.to_text()))
         sign, exp = unit
         residual = residual - ab.scale(Scalar.term(exp, sign))
     if not residual:
-        return ClosureEntry(b, a, sign, exp, {}, kind, True)
+        return ClosureEntry(sign, exp, {}, kind, True)
     found = solver.express(residual.terms)
     if found is None:
-        return ClosureEntry(b, a, sign, exp, {}, kind, False,
+        return ClosureEntry(sign, exp, {}, kind, False,
                             "%s not in the span of sorted minor products"
                             % ("square" if a == b else "correction"))
     scale, coords = found
@@ -136,15 +135,16 @@ def _closure_entry(a, b, minors, products, solver, basis_pairs):
             corr[basis_pairs[j]] = c.exact_div(scale)
         except ScalarError:
             c1, c2 = basis_pairs[j]
-            return ClosureEntry(b, a, sign, exp, {}, kind, False,
+            return ClosureEntry(sign, exp, {}, kind, False,
                                 "coefficient (%s)/(%s) of %s*%s is not a "
                                 "Laurent polynomial"
                                 % (c.to_text(), scale.to_text(),
                                    minors[c1].name, minors[c2].name))
-    return ClosureEntry(b, a, sign, exp, corr, kind, True)
+    return ClosureEntry(sign, exp, corr, kind, True)
 
 
-def derive_closure_table(minors=None):
+@lru_cache(maxsize=None)
+def closure_table():
     """Re-derive the reordering identities among the eleven minors.
 
     For every ordered pair the normal form of the reversed (or squared)
@@ -152,7 +152,7 @@ def derive_closure_table(minors=None):
     algebra; absence of a solution falsifies the closure claim and is
     recorded (kind/ok), not raised.
     """
-    minors = minors or minor_set()
+    minors = minor_set()
     n = len(minors)
     products = {(a, b): minors[a].value * minors[b].value
                 for a in range(n) for b in range(a, n)}
@@ -174,12 +174,7 @@ def derive_closure_table(minors=None):
     return QCommutationTable(entries, all(e.ok for e in entries.values()))
 
 
-@lru_cache(maxsize=None)
-def closure_table():
-    return derive_closure_table()
-
-
-def straightening_presentation(table=None):
+def straightening_presentation():
     """Rewrite system on the minor alphabet induced by the closure table.
 
     Reorders minor words toward the table order, for canonical printing.
@@ -187,9 +182,10 @@ def straightening_presentation(table=None):
     correction that is not a Laurent polynomial already fails its entry)
     or its correction does not lie below the reordered word.
     Confluence of this system is not claimed; zero tests always go
-    through the ambient algebra.
+    through the ambient algebra.  An odd minor's square, zero in the
+    table, is the rule the presentation already has.
     """
-    table = table or closure_table()
+    table = closure_table()
     minors = minor_set()
     gens = [Generator(m.name, m.rows, m.parity(), r)
             for r, m in enumerate(minors)]
@@ -208,6 +204,8 @@ def straightening_presentation(table=None):
         else:
             lhs = (a, a)
         rhs.update(e.correction)
+        if not rhs and lhs in pres.rules:
+            continue
         try:
             pres.add_rule(lhs, rhs)
         except AlgebraError as exc:
@@ -225,10 +223,9 @@ class LocalizedAlgebra:
     D12inv power.
     """
 
-    def __init__(self, minors, exponents, table):
+    def __init__(self, minors, exponents):
         self.minors = minors
         self.exponents = exponents
-        self.table = table
         self.ambient = build_slq41()
         self._expand_cache = {(): self.ambient.one()}
         self._d12_powers = {0: self.ambient.one()}
@@ -254,51 +251,31 @@ class LocalizedAlgebra:
     def one(self):
         return LocalElement(self, {((), 0): ONE})
 
-    def dinv(self, k=1):
-        return LocalElement(self, {((), k): ONE})
+    def dinv(self):
+        return LocalElement(self, {((), 1): ONE})
 
     def from_minor(self, rank, coeff=ONE, dinv=0):
         return LocalElement(self, {((rank,), dinv): coeff})
 
     def straightener(self):
         if self._straightener is None:
-            self._straightener = straightening_presentation(self.table)
+            self._straightener = straightening_presentation()
         return self._straightener
 
 
-class LocalElement:
-    """Sum of scalar * (minor word) * D12inv^k in a LocalizedAlgebra."""
+class LocalElement(TermMap):
+    """Sum of scalar * (minor word) * D12inv^k in a LocalizedAlgebra.
 
-    __slots__ = ("loc", "terms")
+    Keys are (minor word, k).  Equality and zero tests go through the
+    ambient algebra, so a LocalElement is not hashable.
+    """
 
-    def __init__(self, loc, terms):
-        self.loc = loc
-        self.terms = {k: c for k, c in terms.items() if c}
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            prev = out.get(k)
-            v = c if prev is None else prev + c
-            if v:
-                out[k] = v
-            elif prev is not None:
-                del out[k]
-        return LocalElement(self.loc, out)
-
-    def __neg__(self):
-        return LocalElement(self.loc, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, s):
-        return LocalElement(self.loc, {k: s * c for k, c in self.terms.items()})
+    __slots__ = ()
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
             return self.scale(other)
-        exps = self.loc.exponents
+        exps = self.alg.exponents
         out = {}
         for (w1, k1), c1 in self.terms.items():
             for (w2, k2), c2 in other.terms.items():
@@ -311,19 +288,14 @@ class LocalElement:
                     out[key] = v
                 elif prev is not None:
                     del out[key]
-        return LocalElement(self.loc, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, Scalar):
-            return self.scale(other)
-        return NotImplemented
+        return LocalElement(self.alg, out)
 
     def max_dinv(self):
         return max((k for (_w, k) in self.terms), default=0)
 
     def to_ambient(self, power=None):
         """Image p with self = p * D12inv^power, power >= every term's k."""
-        loc = self.loc
+        loc = self.alg
         power = self.max_dinv() if power is None else power
         acc = loc.ambient.zero()
         for (w, k), c in self.terms.items():
@@ -335,9 +307,6 @@ class LocalElement:
     def is_zero(self):
         return self.to_ambient().is_zero()
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         if not isinstance(other, LocalElement):
             return NotImplemented
@@ -345,7 +314,7 @@ class LocalElement:
 
     def straightened(self):
         """Table-sorted representative with D12inv powers cancelled."""
-        loc = self.loc
+        loc = self.alg
         pres = loc.straightener()
         exps = loc.exponents
         terms = {}
@@ -371,12 +340,12 @@ class LocalElement:
                 out[key] = v
             elif prev is not None:
                 del out[key]
-        return LocalElement(self.loc, out)
+        return LocalElement(self.alg, out)
 
     def to_text(self):
         if not self.terms:
             return "0"
-        names = [m.name for m in self.loc.minors]
+        names = [m.name for m in self.alg.minors]
         parts = []
         for (w, k) in sorted(self.terms, key=lambda t: (len(t[0]), t[0], t[1]),
                              reverse=True):
@@ -391,26 +360,13 @@ class LocalElement:
                 parts.append(body)
             else:
                 parts.append("%s*%s" % (ct, body))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
-
-    def __repr__(self):
-        return "<%s>" % self.to_text()
-
-
-def localize_at_d12(minors=None, table=None):
-    """Adjoin D12inv after verifying pure q-commutation of D[1,2]."""
-    minors = minors or minor_set()
-    table = table or closure_table()
-    exponents = table.d12_exponents()
-    return LocalizedAlgebra(minors, exponents, table)
+        return signed_join(parts)
 
 
 @lru_cache(maxsize=None)
 def localized():
-    return localize_at_d12()
+    """Adjoin D12inv after verifying pure q-commutation of D[1,2]."""
+    return LocalizedAlgebra(minor_set(), closure_table().d12_exponents())
 
 
 # -- chiral Minkowski generators ----------------------------------------------
@@ -418,9 +374,9 @@ def localized():
 CHIRAL_NAMES = ("t[3,1]", "t[3,2]", "t[4,1]", "t[4,2]", "tau[5,1]", "tau[5,2]")
 
 
-def build_chiral_generators(loc=None):
+def build_chiral_generators():
     """The t and tau block entries as localized elements."""
-    loc = loc or localized()
+    loc = localized()
     mi = minor_index
     return {
         "t[3,1]": loc.from_minor(mi(2, 3), -QINV, 1),
@@ -493,33 +449,26 @@ def chiral_relation_families():
     ]
 
 
-@dataclass
-class PresentationReport:
-    records: list = field(default_factory=list)  # (family, statement, ok, witness)
-    ok: bool = True
+def verify_presentation():
+    """Substitute the D-expressions into every relation family.
 
-    def add(self, family, statement, ok, witness=""):
-        self.records.append((family, statement, ok, witness))
-        self.ok = self.ok and ok
+    Returns one (family, statement, ok, witness) per relation instance.
+    """
+    gens = build_chiral_generators()
+    records = []
 
-
-def verify_presentation(loc=None):
-    """Substitute the D-expressions into every relation family."""
-    loc = loc or localized()
-    gens = build_chiral_generators(loc)
-    report = PresentationReport()
-    for famid, famstmt, fam in chiral_relation_families():
-        for stmt, elem in fam(gens, famid):
-            amb = elem.to_ambient()
-            ok = amb.is_zero()
-            report.add(famid, stmt, ok, "" if ok else amb.to_text())
-    for j in (1, 2):
-        sq = gens["tau[5,%d]" % j] * gens["tau[5,%d]" % j]
-        amb = sq.to_ambient()
+    def record(family, statement, elem):
+        amb = elem.to_ambient()
         ok = amb.is_zero()
-        report.add("odd-square", "tau[5,%d]^2 = 0" % j, ok,
-                   "" if ok else amb.to_text())
-    return report
+        records.append((family, statement, ok, "" if ok else amb.to_text()))
+
+    for famid, _famstmt, fam in chiral_relation_families():
+        for stmt, elem in fam(gens, famid):
+            record(famid, stmt, elem)
+    for j in (1, 2):
+        tau = gens["tau[5,%d]" % j]
+        record("odd-square", "tau[5,%d]^2 = 0" % j, tau * tau)
+    return records
 
 
 # -- abstract presentation -----------------------------------------------------
@@ -532,7 +481,7 @@ def build_chiral_presentation():
     parities = (0, 0, 0, 0, 1, 1)
     gens = [Generator(n, _chiral_index(n), p, r)
             for r, (n, p) in enumerate(zip(names, parities))]
-    pres = Presentation(gens, odd_squares_vanish=True)
+    pres = Presentation(gens)
     r = {n: g.rank for n, g in zip(names, gens)}
     q = Scalar.q_pow(1)
     qm1 = QINV - q
@@ -589,10 +538,10 @@ def chiral_normal_words(d):
     return words
 
 
-def substituted_span_dimension(d, loc=None):
+def substituted_span_dimension(d):
     """Rank of the images of the degree-d abstract normal words."""
-    loc = loc or localized()
-    gens = build_chiral_generators(loc)
+    loc = localized()
+    gens = build_chiral_generators()
     gen_list = [gens[n] for n in CHIRAL_NAMES]
     vectors = []
     for w in chiral_normal_words(d):

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 class ExprSyntaxError(ValueError):
     def __init__(self, message, line, col):
         super().__init__("%s (line %d, column %d)" % (message, line, col))
-        self.line = line
-        self.col = col
 
 
 class UnknownAtomError(ExprSyntaxError):

@@ -218,6 +218,25 @@ def _part(x, part):
     return GaussRational(x.im if part else x.re, 0, x.den)
 
 
+def _fixed_point_basis(cells, parity):
+    """Basis over Q of the sigma fixed points supported on cells.
+
+    Parameter 2k (2k + 1) is the real (imaginary) unit in cell k; its
+    column is x - sigma(x), realified on the same cells, so the kernel
+    is {x : sigma(x) = x}.
+    """
+    cols = []
+    for i, j in cells:
+        for unit in (ONE, GI):
+            rows = _zeros(5, 5)
+            rows[i][j] = unit
+            x = SuperMatrix5.make(rows, parity)
+            d = x.sub(sigma(x)).entries
+            cols.append([_part(d[a][b], part) for a, b in cells
+                         for part in (0, 1)])
+    return tuple(map(tuple, kernel_basis(list(zip(*cols)), len(cols))))
+
+
 @lru_cache(maxsize=None)
 def fixed_point_bases():
     """Bases over Q of the (even, odd) sigma fixed points.
@@ -226,53 +245,9 @@ def fixed_point_bases():
     solves sigma(X) = X exactly over Q, with rational GaussRationals.
     Cached, so the bases come back as tuples of tuples.
     """
-    # even sector: p = sum (a_kl + i b_kl) E_kl, constraint p + F p^+ F = 0
-    rows = []
-    for ei in range(4):
-        for ej in range(4):
-            for part in (0, 1):
-                row = []
-                for i in range(4):
-                    for j in range(4):
-                        for comp in (0, 1):
-                            p = _zeros(4, 4)
-                            p[i][j] = ONE if comp == 0 else GI
-                            f = _f()
-                            c = mat_add(p, mat_mul(f, mat_mul(mat_dagger(p), f)))
-                            row.append(_part(c[ei][ej], part))
-                rows.append(row)
-    even_basis = kernel_basis(rows, 32)
-
-    # odd sector: alpha = i F beta^+ and beta = i alpha^+ F
-    odd_rows = []
-    f = _f()
-
-    def odd_constraint(alpha, beta):
-        c1 = mat_sub(alpha, mat_scale(GI, mat_mul(f, mat_dagger(beta))))
-        c2 = mat_sub(beta, mat_scale(GI, mat_mul(mat_dagger(alpha), f)))
-        return c1, c2
-    for which, idx, part in [(a, b, c) for a in (0, 1) for b in range(4)
-                             for c in (0, 1)]:
-        row_entries = []
-        for ui in range(4):
-            for ucomp in (0, 1):  # alpha params
-                alpha = [[ZERO] for _ in range(4)]
-                alpha[ui][0] = ONE if ucomp == 0 else GI
-                beta = [[ZERO] * 4]
-                c1, c2 = odd_constraint(alpha, beta)
-                val = c1[idx][0] if which == 0 else c2[0][idx]
-                row_entries.append(_part(val, part))
-        for ui in range(4):
-            for ucomp in (0, 1):  # beta params
-                alpha = [[ZERO] for _ in range(4)]
-                beta = [[ZERO] * 4]
-                beta[0][ui] = ONE if ucomp == 0 else GI
-                c1, c2 = odd_constraint(alpha, beta)
-                val = c1[idx][0] if which == 0 else c2[0][idx]
-                row_entries.append(_part(val, part))
-        odd_rows.append(row_entries)
-    odd_basis = kernel_basis(odd_rows, 16)
-    return tuple(map(tuple, even_basis)), tuple(map(tuple, odd_basis))
+    even = [(i, j) for i in range(4) for j in range(4)]
+    odd = [(i, 4) for i in range(4)] + [(4, j) for j in range(4)]
+    return _fixed_point_basis(even, 0), _fixed_point_basis(odd, 1)
 
 
 def fixed_point_dimension():

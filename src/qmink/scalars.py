@@ -75,14 +75,6 @@ class Scalar:
         return cls({0: (n, 0)})
 
     @classmethod
-    def rational(cls, num, den=1):
-        return cls({0: (num, 0)}, den)
-
-    @classmethod
-    def gauss(cls, re, im, den=1):
-        return cls({0: (re, im)}, den)
-
-    @classmethod
     def q_pow(cls, k):
         return cls({k: (1, 0)})
 
@@ -268,10 +260,7 @@ class Scalar:
                 parts.append(_monomial_text(e, re, im, self._den))
         except ValueError:  # past sys.get_int_max_str_digits()
             raise _digit_limit_error() from None
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return signed_join(parts)
 
     def to_factor_text(self):
         """Text safe to juxtapose in a product (parenthesized when a sum)."""
@@ -279,6 +268,15 @@ class Scalar:
         if len(self._c) > 1 or t.startswith("-"):
             return "(" + t + ")"
         return t
+
+
+def signed_join(parts):
+    """The printed sum of parts: " - " before a part that starts with a
+    minus sign, which it takes the place of, and " + " before the rest."""
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
 
 
 def _digit_limit_error():

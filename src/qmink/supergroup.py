@@ -16,28 +16,30 @@ from .algebra import Element, Generator, Presentation, TensorPoly
 from .scalars import ONE, QINV, Scalar
 
 
-def manin_generators(n_even=4):
-    """Row-major a[i,j] generators for M_q(n_even|1)."""
-    size = n_even + 1
+# a[i,j] runs over 1 <= i, j <= SIZE; index SIZE is the odd one
+SIZE = 5
+
+
+def index_parity(i):
+    return 1 if i == SIZE else 0
+
+
+def manin_generators():
+    """Row-major a[i,j] generators for M_q(4|1)."""
     gens = []
     rank = 0
-    for i in range(1, size + 1):
-        for j in range(1, size + 1):
-            par = (index_parity_at(i, size) + index_parity_at(j, size)) % 2
+    for i in range(1, SIZE + 1):
+        for j in range(1, SIZE + 1):
+            par = (index_parity(i) + index_parity(j)) % 2
             gens.append(Generator("a[%d,%d]" % (i, j), (i, j), par, rank))
             rank += 1
     return gens
 
 
-def index_parity_at(i, size):
-    return 1 if i == size else 0
-
-
-def manin_presentation(n_even=4):
-    """Manin relations on the (n_even+1) x (n_even+1) supermatrix bialgebra."""
-    size = n_even + 1
-    gens = manin_generators(n_even)
-    pres = Presentation(gens, odd_squares_vanish=True)
+def manin_presentation():
+    """Manin relations on the SIZE x SIZE supermatrix bialgebra."""
+    gens = manin_generators()
+    pres = Presentation(gens)
     by_index = {g.index: g for g in gens}
     qm1 = QINV - Scalar.q_pow(1)  # q^-1 - q
     for g in gens:
@@ -48,11 +50,11 @@ def manin_presentation(n_even=4):
             sign = ONE if not (g.parity and h.parity) else -ONE
             if i == k:
                 # same row, j < l: g h = sign * q^eps * h g
-                eps = 1 if index_parity_at(i, size) else -1
+                eps = 1 if index_parity(i) else -1
                 pres.add_rule((h.rank, g.rank),
                               {(g.rank, h.rank): sign * Scalar.q_pow(-eps)})
             elif j == l:
-                eps = 1 if index_parity_at(j, size) else -1
+                eps = 1 if index_parity(j) else -1
                 pres.add_rule((h.rank, g.rank),
                               {(g.rank, h.rank): sign * Scalar.q_pow(-eps)})
             elif j > l:
@@ -69,7 +71,7 @@ def manin_presentation(n_even=4):
 @lru_cache(maxsize=None)
 def build_slq41():
     """The quantum supergroup presentation used everywhere downstream."""
-    return manin_presentation(4)
+    return manin_presentation()
 
 
 # -- comultiplication ---------------------------------------------------------
@@ -79,13 +81,12 @@ def _delta_gen(pres, rank):
     """Delta(a[i,j]) = sum_k a[i,k] (x) a[k,j]."""
     g = pres.generators[rank]
     i, j = g.index
-    size = 5
     terms = {}
-    for k in range(1, size + 1):
+    for k in range(1, SIZE + 1):
         u = pres.generator("a[%d,%d]" % (i, k)).rank
         v = pres.generator("a[%d,%d]" % (k, j)).rank
         terms[((u,), (v,))] = ONE
-    return TensorPoly(pres, terms, reduce=False)
+    return TensorPoly(pres, terms)
 
 
 @lru_cache(maxsize=None)
@@ -113,7 +114,6 @@ def comultiply(p):
 @dataclass(frozen=True)
 class QuantumMinor:
     rows: tuple
-    cols: tuple
     name: str
     value: Element
 
@@ -133,7 +133,7 @@ def minor(i, j):
         a = pres.word(["a[%d,1]" % i, "a[%d,2]" % j])
         b = pres.word(["a[%d,2]" % i, "a[%d,1]" % j])
         value = a - b.scale(QINV)
-    return QuantumMinor((i, j), (1, 2), "D[%d,%d]" % (i, j), value)
+    return QuantumMinor((i, j), "D[%d,%d]" % (i, j), value)
 
 
 def general_minor(rows, cols):
@@ -146,5 +146,5 @@ def general_minor(rows, cols):
     a = pres.word(["a[%d,%d]" % (r1, c1), "a[%d,%d]" % (r2, c2)])
     b = pres.word(["a[%d,%d]" % (r1, c2), "a[%d,%d]" % (r2, c1)])
     value = a - b.scale(QINV)
-    return QuantumMinor(tuple(rows), tuple(cols),
-                        "Dc[%d%d;%d%d]" % (r1, r2, c1, c2), value)
+    return QuantumMinor(tuple(rows), "Dc[%d%d;%d%d]" % (r1, r2, c1, c2),
+                        value)

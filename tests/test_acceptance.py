@@ -22,7 +22,7 @@ from qmink.classical import (bracket_closure_table, conj_column,
                              translation_map)
 from qmink.grassmann import GrassmannMatrix, GrassmannRational, SymbolSpec
 from qmink.minkowski import (build_chiral_presentation, closure_table,
-                             coaction_membership, localized, minor_set,
+                             coaction_membership, minor_set,
                              substituted_span_dimension,
                              supercommutative_dimension, verify_presentation)
 from qmink.realforms import (bracket_compatibility, fixed_point_dimension,
@@ -75,16 +75,16 @@ def test_grassmannian_closure():
 
 
 def test_chiral_minkowski_presentation():
-    rep = verify_presentation(localized())
+    rep = verify_presentation()
     pres = build_chiral_presentation()
     overlaps = records("presentation-confluence", "overlap:")
     confluent = len(overlaps) == 32 and not failed(overlaps)
     dims_ok = all(substituted_span_dimension(d) == pres.pbw_dimension(d)
                   for d in (1, 2, 3))
-    ok = rep.ok and confluent and dims_ok
+    ok = all(r[2] for r in rep) and confluent and dims_ok
     report("minkowski-presentation", ok,
            "(%d relation instances, confluent=%s, degrees 1..3 match=%s)"
-           % (len(rep.records), confluent, dims_ok))
+           % (len(rep), confluent, dims_ok))
 
 
 def test_coaction():

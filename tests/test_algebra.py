@@ -6,10 +6,10 @@ from functools import lru_cache
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qmink.algebra import (Element, Generator, MalformedRuleError,
-                           Presentation, TensorPoly, overlap_words,
+                           Presentation, TensorPoly, add_terms, overlap_words,
                            resolve_overlap)
 from qmink.grassmann import supercommutative_presentation
 from qmink.kernel import BudgetExceeded
@@ -175,7 +175,7 @@ def test_supercommutative_shortcut_matches_rewriting(case):
     sc = supercommutative_presentation(
         [("v%d" % r, p) for r, p in enumerate(parities)])
     # the same generators and rules, reduced letter by letter
-    ref = Presentation(sc.generators, odd_squares_vanish=True, unit=sc.unit)
+    ref = Presentation(sc.generators, unit=sc.unit)
     for lhs, rhs in sc.rules.items():
         if lhs not in ref.rules:  # odd squares come with the constructor
             ref.add_rule(lhs, rhs)
@@ -446,13 +446,14 @@ def test_span_solver_coordinates_rebuild(vectors, dep_coeffs, coeffs):
     solver = SpanSolver()
     added = [solver.add(v) for v in basis]
     if dep:
-        assert not added[-1] and len(basis) - 1 in solver.dependent
+        assert not added[-1]
     assert solver.rank == added.count(True)
     target = _combination(coeffs, basis)
     scale, coords = solver.express(target)
     assert scale and len(coords) == len(basis)
-    for j in solver.dependent:
-        assert not coords[j]
+    for j, enlarged in enumerate(added):
+        if not enlarged:
+            assert not coords[j]
     # scale*target[w] == sum coords[j]*basis[j][w], in the ring
     for w in {w for v in basis for w in v}:
         total = Scalar.zero()
@@ -511,17 +512,61 @@ def test_tensor_koszul_sign():
     t2 = TensorPoly(pres, {((odd2,), ()): ONE})
     prod = t1 * t2
     assert prod.terms == {((odd2,), (odd1,)): -ONE}
+    # products bring both slots to normal form: a[2,5]*a[1,5] is not normal
+    nf = pres.word(["a[2,5]", "a[1,5]"]).terms
+    assert (odd2, odd1) not in nf
+    prod = t2 * TensorPoly(pres, {((odd1,), (odd2,)): ONE}) * t1
+    assert prod.terms == {(u, v): cu * cv for u, cu in nf.items()
+                          for v, cv in nf.items()}
 
 
 def test_step_budget_not_hit_on_paper_presentation():
     pres = build_slq41()
-    tight = Presentation(pres.generators, odd_squares_vanish=False,
-                         budget=1_000_000)
+    tight = Presentation(pres.generators, budget=1_000_000)
     for lhs, rhs in pres.rules.items():
-        if lhs[0] == lhs[1]:
-            continue
-        tight.add_rule(lhs, rhs)
-    for g in pres.generators:
-        if g.parity and (g.rank, g.rank) not in tight.rules:
-            tight.add_rule((g.rank, g.rank), {})
+        if lhs not in tight.rules:  # odd squares come with the constructor
+            tight.add_rule(lhs, rhs)
     assert unresolved_overlaps(tight) == []
+
+
+def reference_add_terms(a, b, negate):
+    """a + b or a - b on plain dicts: every key, then the zeros dropped."""
+    sign = -1 if negate else 1
+    out = {k: a.get(k, Scalar.zero()) + Scalar.from_int(sign) * b.get(
+        k, Scalar.zero()) for k in set(a) | set(b)}
+    return {k: c for k, c in out.items() if c}
+
+
+_term_maps = st.dictionaries(st.integers(0, 4).map(lambda k: (k,)),
+                             _small_scalars.filter(bool), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_term_maps, _term_maps, st.booleans())
+@example({(0,): ONE, (1,): Q}, {(0,): -ONE, (2,): Q}, False)  # one cancels
+@example({(0,): ONE, (1,): Q}, {(1,): Q}, True)
+@example({}, {(0,): QINV}, True)
+def test_add_terms_matches_reference(a, b, negate):
+    frozen = dict(a), dict(b)
+    got = add_terms(a, b, negate)
+    assert got == reference_add_terms(a, b, negate)
+    assert all(got.values())
+    assert (a, b) == frozen  # the operands are left as they were
+    # a term map minus itself, or plus its negation, cancels to empty
+    assert add_terms(a, a, negate=True) == {}
+    assert add_terms(a, {k: -c for k, c in a.items()}) == {}
+
+
+def test_term_maps_of_another_kind_or_algebra_do_not_mix():
+    pres = build_slq41()
+    x = pres.gen("a[1,1]")
+    t = TensorPoly(pres, {((0,), ()): ONE})
+    other = build_mq2().gen("a[1,1]")
+    for op in (lambda u, v: u + v, lambda u, v: u - v):
+        for u, v in ((x, t), (t, x), (x, other), (other, x)):
+            with pytest.raises(TypeError):
+                op(u, v)
+    assert x != t and x != other
+    assert (x - x).is_zero() and not (t - t)
+    assert -x + x == pres.zero()
+    assert (ONE + ONE) * x == x + x == x.scale(ONE + ONE)

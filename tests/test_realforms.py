@@ -207,10 +207,11 @@ def test_plus_conj_d_fails_sigma_involution(monkeypatch):
 
 def test_dropped_equation_fails_su221_dimensions(monkeypatch):
     # the even fixed-point system loses the imaginary part of the (1,3)
-    # entry of p + F p^+ F = 0; that entry is paired with no other, so one
-    # more real direction passes as a fixed point and breaks the conditions
+    # entry of x - sigma(x) = 0, which is p + F p^+ F; that entry is paired
+    # with no other, so one more real direction passes as a fixed point
+    # and breaks the conditions
     solve = realforms.kernel_basis
-    dropped = 2 * (0 * 4 + 2) + 1  # row (ei, ej, part) = (0, 2, imaginary)
+    dropped = 2 * (0 * 4 + 2) + 1  # row (cell, part) = ((0, 2), imaginary)
 
     def kernel_without_equation(rows, ncols):
         if ncols == 32:

@@ -1,13 +1,16 @@
-"""Every public module-level name in qmink is reached by the program.
+"""Every public name in qmink is reached by the program.
 
-A public function or class that only tests name is surface kept for the
-tests alone: the suites, the CLI and the benchmark never run it, so it
-can drift from what `qmink check` verifies.  This test parses
-src/qmink/*.py and asserts that each module-level public definition is
-named somewhere in src/qmink or perfbench/*.py outside its own body.
+A public function, class, method or field that only tests name is
+surface kept for the tests alone: the suites, the CLI and the benchmark
+never run it, so it can drift from what `qmink check` verifies.  These
+tests parse src/qmink/*.py and assert that each module-level public
+definition is named, and each public member of a module-level class is
+read as an attribute, somewhere in src/qmink or perfbench/*.py outside
+its own definition.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,3 +58,60 @@ def unreached_public_names():
 
 def test_every_public_name_is_reached_outside_the_tests():
     assert unreached_public_names() == []
+
+
+def _decorator_name(node):
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else \
+        getattr(node, "id", None)
+
+
+def _public_members(cls):
+    """(name, defining node) for each public method, dataclass field and
+    attribute that __init__ sets on self, of the class cls."""
+    dataclass = any(_decorator_name(d) == "dataclass"
+                    for d in cls.decorator_list)
+    out = []
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            if not node.name.startswith("_"):
+                out.append((node.name, node))
+            elif node.name == "__init__":
+                out += [(t.attr, sub) for sub in ast.walk(node)
+                        if isinstance(sub, ast.Assign) for t in sub.targets
+                        if isinstance(t, ast.Attribute)
+                        and isinstance(t.value, ast.Name)
+                        and t.value.id == "self"
+                        and not t.attr.startswith("_")]
+        elif dataclass and isinstance(node, ast.AnnAssign) \
+                and isinstance(node.target, ast.Name) \
+                and not node.target.id.startswith("_"):
+            out.append((node.target.id, node))
+    return out
+
+
+def _attribute_reads(node):
+    """How often each name is read as an attribute (x.name) in node."""
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute)
+                   and isinstance(sub.ctx, ast.Load))
+
+
+def unread_class_members():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in _program_files()}
+    reads = sum((_attribute_reads(tree) for tree in trees.values()),
+                Counter())
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for name, node in _public_members(cls):
+                if reads[name] == _attribute_reads(node)[name]:
+                    unread.append("%s.%s.%s" % (path.stem, cls.name, name))
+    return unread
+
+
+def test_every_public_class_member_is_read_outside_the_tests():
+    assert unread_class_members() == []
