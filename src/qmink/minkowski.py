@@ -308,7 +308,7 @@ class LocalElement(TermMap):
         return self.to_ambient().is_zero()
 
     def __eq__(self, other):
-        if not isinstance(other, LocalElement):
+        if other.__class__ is not LocalElement or other.alg is not self.alg:
             return NotImplemented
         return (self - other).is_zero()
 

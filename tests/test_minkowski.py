@@ -152,6 +152,9 @@ def test_localization_requires_pure_commutation():
     assert d12 * loc.dinv() == loc.one()
     assert (d12 * loc.dinv()).terms != loc.one().terms
     assert d12 != loc.one()
+    # a LocalElement of another localization is unequal, not an error
+    other = minkowski.LocalizedAlgebra(loc.minors, loc.exponents)
+    assert loc.one() != other.one()
     assert (loc.dinv() * d12 - loc.one()).is_zero()
     d13 = loc.from_minor(minor_index(1, 3))
     lhs = loc.dinv() * d13
