@@ -496,6 +496,8 @@ class TensorPoly(TermMap):
         if isinstance(other, Scalar):
             return self.scale(other)
         alg = self.alg
+        if other.__class__ is not TensorPoly or other.alg is not alg:
+            return NotImplemented
         wp = alg.word_parity
         prod = {}
         for (u, v), c1 in self.terms.items():

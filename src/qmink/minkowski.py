@@ -275,6 +275,8 @@ class LocalElement(TermMap):
     def __mul__(self, other):
         if isinstance(other, Scalar):
             return self.scale(other)
+        if other.__class__ is not LocalElement or other.alg is not self.alg:
+            return NotImplemented
         exps = self.alg.exponents
         out = {}
         for (w1, k1), c1 in self.terms.items():

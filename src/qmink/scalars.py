@@ -72,11 +72,11 @@ class Scalar:
 
     @classmethod
     def from_int(cls, n):
-        return cls({0: (n, 0)})
+        return _ONE if n == 1 else cls({0: (n, 0)})
 
     @classmethod
     def q_pow(cls, k):
-        return cls({k: (1, 0)})
+        return _ONE if k == 0 else cls({k: (1, 0)})
 
     @classmethod
     def term(cls, exp, re, im=0, den=1):
@@ -143,6 +143,11 @@ class Scalar:
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
+        # the unit by identity: the kernel, ONE and q_pow(0) hand out _ONE
+        if other is _ONE:
+            return self
+        if self is _ONE:
+            return other
         c1, c2 = self._c, other._c
         if not c1 or not c2:
             return _ZERO
@@ -393,6 +398,11 @@ class GaussRational:
         if other.__class__ is not GaussRational:
             return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
+        # a factor of +-1 by value: no product, no gcd
+        if other.den == 1 and not d and (c == 1 or c == -1):
+            return self if c == 1 else _raw(-a, -b, self.den)
+        if self.den == 1 and not b and (a == 1 or a == -1):
+            return other if a == 1 else _raw(-c, -d, other.den)
         return _reduced(a * c - b * d, a * d + b * c, self.den * other.den)
 
     def conjugate(self):

@@ -570,3 +570,29 @@ def test_term_maps_of_another_kind_or_algebra_do_not_mix():
     assert (x - x).is_zero() and not (t - t)
     assert -x + x == pres.zero()
     assert (ONE + ONE) * x == x + x == x.scale(ONE + ONE)
+
+
+def test_tensor_products_refuse_another_kind_or_algebra():
+    pres = build_slq41()
+    t = TensorPoly(pres, {((0,), (1,)): ONE})
+    # the same keys over another algebra would be read as slq41 words
+    other = TensorPoly(build_mq2(), {((0,), (1,)): ONE})
+    for u, v in ((t, other), (other, t), (t, GaussRational(2)),
+                 (t, pres.gen("a[1,1]")), (pres.gen("a[1,1]"), t)):
+        with pytest.raises(TypeError):
+            u * v
+    assert (t * Scalar.from_int(2)).terms == {((0,), (1,)): Scalar.from_int(2)}
+    assert (t * TensorPoly.unit(pres)).terms == t.terms
+
+
+@pytest.mark.parametrize("pres", [
+    build_slq41(),
+    supercommutative_presentation([("x", 0), ("y", 0), ("th", 1), ("ch", 1)]),
+], ids=["slq41", "supercommutative"])
+def test_normal_words_carry_the_unit_itself(pres):
+    # the products' unit fast paths test the unit by identity, so the
+    # kernel must hand out the presentation's own unit, not a fresh one
+    assert pres.one().terms[()] is pres.unit
+    for w in [(), (0,), (1,), (0, 1), (0, 2, 3), (1, 2, 3)]:
+        (sw, c), = pres.nf_word(w)
+        assert sw == w and c is pres.unit

@@ -162,6 +162,19 @@ def test_localization_requires_pure_commutation():
     assert (lhs - rhs).is_zero()
 
 
+def test_local_products_refuse_another_kind_or_localization():
+    loc = localized()
+    other = minkowski.LocalizedAlgebra(loc.minors, loc.exponents)
+    d13 = minor_index(1, 3)
+    for u, v in ((loc.dinv(), other.from_minor(d13)),
+                 (other.from_minor(d13), loc.dinv()),
+                 (loc.dinv(), loc.ambient.one()),
+                 (loc.dinv(), TensorPoly.unit(loc.ambient))):
+        with pytest.raises(TypeError):
+            u * v
+    assert loc.dinv() * Q == loc.dinv().scale(Q)
+
+
 def test_localized_exchange_classical_limit():
     # every exchange coefficient q^e becomes 1 at q = 1
     loc = localized()

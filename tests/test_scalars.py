@@ -4,7 +4,8 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qmink.scalars import I, ONE, Q, QINV, GaussRational, Scalar, ScalarError
+from qmink.scalars import (I, ONE, Q, QINV, GaussRational, Scalar, ScalarError,
+                           _reduced)
 
 
 def rand_scalar(draw_ints):
@@ -46,6 +47,64 @@ def test_monomial_product_matches_general_path(x, y):
     assert got._c == expected._c and got._den == expected._den
     assert hash(got) == hash(expected)
 
+
+
+@settings(max_examples=200)
+@given(scalars | monomials)
+@example(Scalar.zero())
+@example(ONE)
+@example(-ONE)
+@example(Scalar.term(-2, 3, -1, 7))
+def test_unit_product_matches_general_path(x):
+    # a product with the singleton ONE hands back the other operand; a
+    # fresh one, which is not the singleton, takes the general path
+    fresh = Scalar({0: (1, 0)})
+    assert fresh is not ONE and fresh == ONE
+    expected = x * fresh
+    assert x * ONE is x and ONE * x is x
+    assert x * ONE == expected == fresh * x
+    assert hash(x * ONE) == hash(expected)
+
+
+def test_unit_constructors_return_the_singleton():
+    assert Scalar.q_pow(0) is ONE
+    assert Scalar.from_int(1) is ONE
+    assert Scalar.one() is ONE
+    assert Scalar.q_pow(1) == Q and Scalar.from_int(-1) == -ONE
+
+
+def _canonical(g):
+    return g.den >= 1 and gcd(g.re, g.im, g.den) == 1 and \
+        (g.re or g.im or g.den == 1)
+
+
+gauss = st.builds(GaussRational, st.integers(-12, 12) | st.integers(-10**15, 10**15),
+                  st.integers(-12, 12), st.integers(-36, 36).filter(bool))
+
+
+@settings(max_examples=300)
+@given(gauss, st.sampled_from([1, -1]))
+@example(GaussRational(0), 1)
+@example(GaussRational(0), -1)
+@example(GaussRational(5, 0, 6), -1)    # den > 1
+@example(GaussRational(0, 3, 4), 1)     # im != 0
+@example(GaussRational(2, -7), -1)
+@example(GaussRational(1), 1)           # +-1 times +-1
+@example(GaussRational(1), -1)
+@example(GaussRational(-1), 1)
+@example(GaussRational(-1), -1)
+def test_gauss_unit_product_matches_general_path(x, u):
+    # +-1 times x skips the product and the gcd; the general path's
+    # product, reduced, is the same canonical GaussRational
+    unit = GaussRational(u)
+    a, b, c, d = x.re, x.im, unit.re, unit.im
+    expected = _reduced(a * c - b * d, a * d + b * c, x.den * unit.den)
+    for got in (x * unit, unit * x):
+        assert _canonical(got)
+        assert (got.re, got.im, got.den) == \
+            (expected.re, expected.im, expected.den)
+    if u == 1:
+        assert x * unit is x
 
 def general_sum(x, y, sign):
     """x + sign*y through the general constructor, over the product of the

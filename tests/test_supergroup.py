@@ -5,7 +5,8 @@ import pytest
 from qmink.checks import run_suite
 from qmink.minkowski import build_chiral_presentation
 from qmink.scalars import ONE, Q, QINV
-from qmink.supergroup import build_slq41, comultiply, general_minor, minor
+from qmink.supergroup import (_delta_gen_cached, build_slq41, comultiply,
+                              general_minor, minor)
 
 
 def rank(pres, name):
@@ -112,3 +113,12 @@ def test_repeated_row_minor_vanishes():
 def test_comultiply_requires_the_right_algebra():
     with pytest.raises(ValueError):
         comultiply(build_chiral_presentation().one())
+
+
+def test_generator_coproducts_carry_the_unit_itself():
+    # comultiply's products hit Scalar's unit fast path only while these
+    # coefficients are the singleton ONE
+    for r in range(build_slq41().ngens):
+        d = _delta_gen_cached(r)
+        assert len(d.terms) == 5
+        assert all(c is ONE for c in d.terms.values())
