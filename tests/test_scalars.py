@@ -48,7 +48,6 @@ def test_monomial_product_matches_general_path(x, y):
     assert hash(got) == hash(expected)
 
 
-
 @settings(max_examples=200)
 @given(scalars | monomials)
 @example(Scalar.zero())
@@ -72,39 +71,6 @@ def test_unit_constructors_return_the_singleton():
     assert Scalar.one() is ONE
     assert Scalar.q_pow(1) == Q and Scalar.from_int(-1) == -ONE
 
-
-def _canonical(g):
-    return g.den >= 1 and gcd(g.re, g.im, g.den) == 1 and \
-        (g.re or g.im or g.den == 1)
-
-
-gauss = st.builds(GaussRational, st.integers(-12, 12) | st.integers(-10**15, 10**15),
-                  st.integers(-12, 12), st.integers(-36, 36).filter(bool))
-
-
-@settings(max_examples=300)
-@given(gauss, st.sampled_from([1, -1]))
-@example(GaussRational(0), 1)
-@example(GaussRational(0), -1)
-@example(GaussRational(5, 0, 6), -1)    # den > 1
-@example(GaussRational(0, 3, 4), 1)     # im != 0
-@example(GaussRational(2, -7), -1)
-@example(GaussRational(1), 1)           # +-1 times +-1
-@example(GaussRational(1), -1)
-@example(GaussRational(-1), 1)
-@example(GaussRational(-1), -1)
-def test_gauss_unit_product_matches_general_path(x, u):
-    # +-1 times x skips the product and the gcd; the general path's
-    # product, reduced, is the same canonical GaussRational
-    unit = GaussRational(u)
-    a, b, c, d = x.re, x.im, unit.re, unit.im
-    expected = _reduced(a * c - b * d, a * d + b * c, x.den * unit.den)
-    for got in (x * unit, unit * x):
-        assert _canonical(got)
-        assert (got.re, got.im, got.den) == \
-            (expected.re, expected.im, expected.den)
-    if u == 1:
-        assert x * unit is x
 
 def general_sum(x, y, sign):
     """x + sign*y through the general constructor, over the product of the
@@ -359,6 +325,32 @@ def test_gauss_rational_matches_scalar(x, y):
 def test_gauss_rational_constructor_is_canonical(re, im, den):
     assert GaussRational(re, im, den) == \
         GaussRational.from_scalar(Scalar({0: (re, im)}, den))
+
+
+@settings(max_examples=300)
+@given(st.builds(GaussRational, raw_parts, raw_parts, raw_dens),
+       st.sampled_from([1, -1]))
+@example(GaussRational(0), 1)
+@example(GaussRational(0), -1)
+@example(GaussRational(5, 0, 6), -1)    # den > 1
+@example(GaussRational(0, 3, 4), 1)     # im != 0
+@example(GaussRational(2, -7), -1)
+@example(GaussRational(1), 1)           # +-1 times +-1
+@example(GaussRational(1), -1)
+@example(GaussRational(-1), 1)
+@example(GaussRational(-1), -1)
+def test_gauss_unit_product_matches_general_path(x, u):
+    # +-1 times x skips the product and the gcd; the general path's
+    # product, reduced, is the same canonical GaussRational
+    unit = GaussRational(u)
+    a, b, c, d = x.re, x.im, unit.re, unit.im
+    expected = _reduced(a * c - b * d, a * d + b * c, x.den * unit.den)
+    for got in (x * unit, unit * x):
+        assert got.den >= 1 and gcd(got.re, got.im, got.den) == 1
+        assert (got.re, got.im, got.den) == \
+            (expected.re, expected.im, expected.den)
+    if u == 1:
+        assert x * unit is x
 
 
 @pytest.mark.parametrize("s", [Q, QINV, Q + ONE, Scalar.term(2, 1, 1, 3)],
