@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernel
+from .kernel import accumulate
 from .scalars import GaussRational, ONE, Scalar, signed_join
 
 # the coefficient types an Element multiplies by as a scalar
@@ -60,15 +61,13 @@ class Presentation:
     rule g*g -> 0 comes with every odd generator g.
     """
 
-    def __init__(self, generators, budget=200_000_000,
-                 supercommutative=False, unit=ONE):
+    def __init__(self, generators, supercommutative=False, unit=ONE):
         gens = tuple(generators)
         if [g.rank for g in gens] != list(range(len(gens))):
             raise AlgebraError("generator ranks must be 0..n-1 in order")
         self.generators = gens
         self.ngens = len(gens)
         self.parities = tuple(g.parity for g in gens)
-        self.budget = budget
         # closed-form normal forms (sort + Koszul sign) instead of
         # letter-by-letter rewriting; only valid for the standard
         # supercommutative rule set
@@ -176,29 +175,17 @@ class Presentation:
     def normal_form(self, terms):
         """Reduce a word->coefficient map (or iterable of pairs) to normal form."""
         if self.supercommutative:
-            out = {}
             items = terms.items() if isinstance(terms, dict) else terms
-            for w, c in items:
-                if not c:
-                    continue
-                nf = self._sc_word(w)
-                if nf is None:
-                    continue
-                sw, sgn = nf
-                prev = out.get(sw)
-                v = (c if sgn > 0 else -c) if prev is None else \
-                    (prev + c if sgn > 0 else prev - c)
-                if v:
-                    out[sw] = v
-                elif prev is not None:
-                    del out[sw]
-            return out
+            sc = self._sc_word
+            return accumulate({}, ((nf[0], c if nf[1] > 0 else -c)
+                                   for w, c in items
+                                   if c and (nf := sc(w)) is not None))
         if not isinstance(terms, dict):
             # run a stream's coefficient products here, not inside the
             # kernel call, whose benchmark trace span must not hold them
             terms = list(terms)
         return kernel.normal_form_terms(terms, self._kernel_view(), self.ngens,
-                                        self.unit, self._memo, self.budget)
+                                        self.unit, self._memo)
 
     def nf_word(self, w):
         if self.supercommutative:
@@ -208,7 +195,7 @@ class Presentation:
             sw, sgn = nf
             return ((sw, self.unit if sgn > 0 else -self.unit),)
         return kernel.nf_word(tuple(w), self._kernel_view(), self.ngens,
-                              self.unit, self._memo, self.budget)
+                              self.unit, self._memo)
 
     def _sc_word(self, w):
         """Sorted word and Koszul sign, or None when an odd letter repeats."""
@@ -273,24 +260,11 @@ class Presentation:
         if not t1 or not t2:
             return {}
         b = self._masked_terms(t2)
-        out = {}
-        for w1, m1, c1 in self._masked_terms(t1):
-            for w2, m2, c2 in b:
-                if m1 & m2:
-                    continue
-                neg = _odd_inversions(m1, m2) & 1
-                w = tuple(sorted(w1 + w2))
-                c = c1 * c2
-                prev = out.get(w)
-                if prev is None:
-                    out[w] = -c if neg else c
-                else:
-                    v = prev - c if neg else prev + c
-                    if v:
-                        out[w] = v
-                    else:
-                        del out[w]
-        return out
+        return accumulate({}, (
+            (tuple(sorted(w1 + w2)),
+             -(c1 * c2) if _odd_inversions(m1, m2) & 1 else c1 * c2)
+            for w1, m1, c1 in self._masked_terms(t1)
+            for w2, m2, c2 in b if not m1 & m2))
 
     def pbw_dimension(self, d):
         """Number of normal words of total degree d (transfer-matrix count)."""
@@ -331,23 +305,6 @@ class Presentation:
         return Element(self, dict(self.nf_word(w)))
 
 
-def add_terms(a, b, negate=False):
-    """a + b, or a - b when negate, over sparse key -> coefficient maps,
-    dropping the zeros."""
-    out = dict(a)
-    for k, c in b.items():
-        prev = out.get(k)
-        if prev is None:
-            v = -c if negate else c
-        else:
-            v = prev - c if negate else prev + c
-        if v:
-            out[k] = v
-        elif prev is not None:
-            del out[k]
-    return out
-
-
 class TermMap:
     """A sparse linear combination over alg: key -> nonzero coefficient.
 
@@ -379,13 +336,14 @@ class TermMap:
     def __add__(self, other):
         if other.__class__ is not self.__class__ or other.alg is not self.alg:
             return NotImplemented
-        return self.__class__(self.alg, add_terms(self.terms, other.terms))
+        return self.__class__(self.alg, accumulate(dict(self.terms),
+                                                   other.terms.items()))
 
     def __sub__(self, other):
         if other.__class__ is not self.__class__ or other.alg is not self.alg:
             return NotImplemented
-        return self.__class__(self.alg,
-                              add_terms(self.terms, other.terms, negate=True))
+        return self.__class__(self.alg, accumulate(
+            dict(self.terms), ((k, -c) for k, c in other.terms.items())))
 
     def __neg__(self):
         return self.__class__(self.alg,
@@ -467,21 +425,10 @@ class TensorPoly(TermMap):
 
     @staticmethod
     def _reduce(alg, terms):
-        out = {}
-        for (w1, w2), c in terms.items():
-            if not c:
-                continue
-            for u, cu in alg.nf_word(w1):
-                for v, cv in alg.nf_word(w2):
-                    key = (u, v)
-                    add = c * cu * cv
-                    prev = out.get(key)
-                    val = add if prev is None else prev + add
-                    if val:
-                        out[key] = val
-                    elif prev is not None:
-                        del out[key]
-        return out
+        nf = alg.nf_word
+        return accumulate({}, (((u, v), c * cu * cv)
+                               for (w1, w2), c in terms.items() if c
+                               for u, cu in nf(w1) for v, cv in nf(w2)))
 
     @classmethod
     def zero(cls, alg):
@@ -499,20 +446,13 @@ class TensorPoly(TermMap):
         if other.__class__ is not TensorPoly or other.alg is not alg:
             return NotImplemented
         wp = alg.word_parity
+        t2 = other.terms.items()
         prod = {}
         for (u, v), c1 in self.terms.items():
-            pv = wp(v)
-            for (x, y), c2 in other.terms.items():
-                c = c1 * c2
-                if pv and wp(x):
-                    c = -c
-                key = (u + x, v + y)
-                prev = prod.get(key)
-                val = c if prev is None else prev + c
-                if val:
-                    prod[key] = val
-                elif prev is not None:
-                    del prod[key]
+            odd = wp(v)
+            accumulate(prod, (((u + x, v + y),
+                               -(c1 * c2) if odd and wp(x) else c1 * c2)
+                              for (x, y), c2 in t2))
         return TensorPoly(alg, self._reduce(alg, prod))
 
     def first_slot_words(self):
@@ -564,6 +504,6 @@ def resolve_overlap(pres, word):
     right = {}
     for w, coeff in rules[(b, c)].items():
         right[(a,) + w] = coeff
-    diff = add_terms(pres.normal_form(left), pres.normal_form(right),
-                     negate=True)
+    diff = accumulate(pres.normal_form(left),
+                      ((k, -v) for k, v in pres.normal_form(right).items()))
     return not diff, diff

@@ -4,19 +4,41 @@ Words are tuples of generator ranks; a rule set maps the packed key
 ``g * ngens + h`` of a length-2 factor to a tuple of (word, coeff)
 replacement terms.  Coefficients are opaque ring elements supporting
 ``*``, ``+`` and truthiness.  Normal forms of single words are memoized
-in a caller-owned dict, so repeated reductions share work.
+in a caller-owned dict, so repeated reductions share work.  ``accumulate``
+is the one sparse merge that every term map in qmink sums through.
 """
+
+# reduction steps one nf_word call may take before it gives up; only a
+# malformed rule set (one that is not order-decreasing) comes near it
+STEP_BUDGET = 200_000_000
 
 
 class BudgetExceeded(RuntimeError):
     """Raised when reduction exceeds its step budget (malformed rule set)."""
 
 
-def nf_word(w0, rules, ngens, one, memo, budget):
+def accumulate(out, pairs):
+    """Add each (key, coeff) of pairs into the sparse map out, in place.
+
+    A key whose sum is zero is removed, and a zero coeff on a new key is
+    not stored, so out keeps only nonzero coefficients.  Returns out.
+    """
+    for k, c in pairs:
+        prev = out.get(k)
+        v = c if prev is None else prev + c
+        if v:
+            out[k] = v
+        elif prev is not None:
+            del out[k]
+    return out
+
+
+def nf_word(w0, rules, ngens, one, memo):
     """Normal form of the single word w0, as a tuple of (word, coeff) terms."""
     hit = memo.get(w0)
     if hit is not None:
         return hit
+    budget = STEP_BUDGET
     steps = 0
     stack = [w0]
     while stack:
@@ -50,6 +72,7 @@ def nf_word(w0, rules, ngens, one, memo, budget):
                 raise BudgetExceeded("rewrite budget exceeded at %r" % (w,))
             stack.extend(pending)
             continue
+        # inline: a generator fed to accumulate costs too much on 1-3 terms
         acc = {}
         for rw, rc in rhs:
             for sw, sc in memo[pre + rw + post]:
@@ -72,14 +95,15 @@ def nf_word(w0, rules, ngens, one, memo, budget):
 _nf_word = nf_word
 
 
-def normal_form_terms(terms, rules, ngens, one, memo, budget):
+def normal_form_terms(terms, rules, ngens, one, memo):
     """Reduce a term map / iterable of (word, coeff); returns a dict."""
     out = {}
     items = terms.items() if isinstance(terms, dict) else terms
     for w, c in items:
         if not c:
             continue
-        for sw, sc in _nf_word(w, rules, ngens, one, memo, budget):
+        # inline: a generator fed to accumulate costs too much on 1-3 terms
+        for sw, sc in _nf_word(w, rules, ngens, one, memo):
             prev = out.get(sw)
             v = c * sc if prev is None else prev + c * sc
             if v:

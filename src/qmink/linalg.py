@@ -16,6 +16,7 @@ solves a homogeneous system over Q(i) with the same solver.
 
 from __future__ import annotations
 
+from .kernel import accumulate
 from .scalars import ONE, GaussRational
 
 
@@ -29,15 +30,9 @@ def _word_key(w):
 
 def _combine(pc, a, e, b):
     """pc*a - e*b over sparse maps, dropping the zeros."""
-    out = {k: pc * c for k, c in a.items()}
-    for k, c in b.items():
-        prev = out.get(k)
-        v = -(e * c) if prev is None else prev - e * c
-        if v:
-            out[k] = v
-        elif prev is not None:
-            del out[k]
-    return out
+    ne = -e
+    return accumulate({k: pc * c for k, c in a.items()},
+                      ((k, ne * c) for k, c in b.items()))
 
 
 class _Pivot:

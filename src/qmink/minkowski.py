@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import AlgebraError, Generator, Presentation, TermMap
+from .kernel import accumulate
 from .linalg import SpanSolver, span_dimension
 from .scalars import ONE, QINV, Scalar, ScalarError, signed_join
 from .supergroup import build_slq41, comultiply, minor
@@ -278,19 +279,11 @@ class LocalElement(TermMap):
         if other.__class__ is not LocalElement or other.alg is not self.alg:
             return NotImplemented
         exps = self.alg.exponents
-        out = {}
-        for (w1, k1), c1 in self.terms.items():
-            for (w2, k2), c2 in other.terms.items():
-                shift = k1 * sum(exps[m] for m in w2)
-                c = c1 * c2 * Scalar.q_pow(shift)
-                key = (w1 + w2, k1 + k2)
-                prev = out.get(key)
-                v = c if prev is None else prev + c
-                if v:
-                    out[key] = v
-                elif prev is not None:
-                    del out[key]
-        return LocalElement(self.alg, out)
+        t2 = other.terms.items()
+        return LocalElement(self.alg, accumulate({}, (
+            ((w1 + w2, k1 + k2),
+             c1 * c2 * Scalar.q_pow(k1 * sum(exps[m] for m in w2)))
+            for (w1, k1), c1 in self.terms.items() for (w2, k2), c2 in t2)))
 
     def max_dinv(self):
         return max((k for (_w, k) in self.terms), default=0)
@@ -319,30 +312,17 @@ class LocalElement(TermMap):
         loc = self.alg
         pres = loc.straightener()
         exps = loc.exponents
-        terms = {}
-        for (w, k), c in self.terms.items():
-            for sw, sc in pres.nf_word(w):
-                key = (sw, k)
-                prev = terms.get(key)
-                v = c * sc if prev is None else prev + c * sc
-                if v:
-                    terms[key] = v
-                elif prev is not None:
-                    del terms[key]
-        out = {}
+        terms = accumulate({}, (((sw, k), c * sc)
+                                for (w, k), c in self.terms.items()
+                                for sw, sc in pres.nf_word(w)))
+        cancelled = []
         for (w, k), c in terms.items():
             while k > 0 and w and w[0] == 0:
                 c = c * Scalar.q_pow(-sum(exps[m] for m in w[1:]))
                 w = w[1:]
                 k -= 1
-            key = (w, k)
-            prev = out.get(key)
-            v = c if prev is None else prev + c
-            if v:
-                out[key] = v
-            elif prev is not None:
-                del out[key]
-        return LocalElement(self.alg, out)
+            cancelled.append(((w, k), c))
+        return LocalElement(self.alg, accumulate({}, cancelled))
 
     def to_text(self):
         if not self.terms:

@@ -8,11 +8,12 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qmink import kernel
 from qmink.algebra import (Element, Generator, MalformedRuleError,
-                           Presentation, TensorPoly, add_terms, overlap_words,
+                           Presentation, TensorPoly, overlap_words,
                            resolve_overlap)
 from qmink.grassmann import supercommutative_presentation
-from qmink.kernel import BudgetExceeded
+from qmink.kernel import BudgetExceeded, accumulate
 from qmink.linalg import DegenerateBasisError, SpanSolver
 from qmink.scalars import ONE, Q, QINV, GaussRational, Scalar
 from qmink.supergroup import build_slq41, minor
@@ -466,9 +467,10 @@ def test_span_solver_coordinates_rebuild(vectors, dep_coeffs, coeffs):
     assert solver.express(fresh) is None
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
+    monkeypatch.setattr(kernel, "STEP_BUDGET", 100)
     gens = [Generator(n, (r,), 0, r) for r, n in enumerate("ab")]
-    pres = Presentation(gens, budget=100)
+    pres = Presentation(gens)
     # not order-decreasing: b a -> b a would loop; bypass validation
     pres.add_rule((1, 0), {(1, 0): ONE}, validate=False)
     with pytest.raises(BudgetExceeded):
@@ -520,41 +522,66 @@ def test_tensor_koszul_sign():
                           for v, cv in nf.items()}
 
 
-def test_step_budget_not_hit_on_paper_presentation():
+def test_step_budget_not_hit_on_paper_presentation(monkeypatch):
+    monkeypatch.setattr(kernel, "STEP_BUDGET", 1_000_000)
     pres = build_slq41()
-    tight = Presentation(pres.generators, budget=1_000_000)
+    tight = Presentation(pres.generators)
     for lhs, rhs in pres.rules.items():
         if lhs not in tight.rules:  # odd squares come with the constructor
             tight.add_rule(lhs, rhs)
     assert unresolved_overlaps(tight) == []
 
 
-def reference_add_terms(a, b, negate):
-    """a + b or a - b on plain dicts: every key, then the zeros dropped."""
-    sign = -1 if negate else 1
-    out = {k: a.get(k, Scalar.zero()) + Scalar.from_int(sign) * b.get(
-        k, Scalar.zero()) for k in set(a) | set(b)}
-    return {k: c for k, c in out.items() if c}
+def reference_accumulate(start, pairs):
+    """Each key's total over start and pairs on a plain dict, then the
+    zeros dropped."""
+    total = dict(start)
+    for k, c in pairs:
+        total[k] = total.get(k, Scalar.zero()) + c
+    return {k: c for k, c in total.items() if c}
 
 
-_term_maps = st.dictionaries(st.integers(0, 4).map(lambda k: (k,)),
+# three keys, so streams repeat them; coefficients may be zero
+_keys = st.integers(0, 2).map(lambda k: (k,))
+_pair_streams = st.lists(st.tuples(_keys, st.one_of(
+    _small_scalars, st.just(Scalar.zero()))), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_keys, _small_scalars.filter(bool), max_size=3),
+       _pair_streams)
+@example({}, [((0,), ONE), ((0,), -ONE), ((0,), Q)])  # cancels, comes back
+@example({(0,): Q}, [((0,), -Q), ((1,), QINV), ((0,), ONE)])
+@example({(0,): Q}, [((1,), Scalar.zero())])  # a zero on a new key
+@example({(0,): Q}, [])  # out is left alone
+def test_accumulate_matches_reference(start, pairs):
+    out = dict(start)
+    got = accumulate(out, iter(pairs))
+    assert got is out  # merged in place
+    assert got == reference_accumulate(start, pairs)
+    assert all(got.values())
+
+
+_term_maps = st.dictionaries(st.integers(0, 3).map(lambda k: (k,)),
                              _small_scalars.filter(bool), max_size=4)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_term_maps, _term_maps, st.booleans())
-@example({(0,): ONE, (1,): Q}, {(0,): -ONE, (2,): Q}, False)  # one cancels
-@example({(0,): ONE, (1,): Q}, {(1,): Q}, True)
-@example({}, {(0,): QINV}, True)
-def test_add_terms_matches_reference(a, b, negate):
+@given(_term_maps, _term_maps)
+@example({(0,): ONE, (1,): Q}, {(0,): -ONE, (2,): Q})  # one cancels
+@example({(0,): ONE, (1,): Q}, {(1,): Q})
+@example({}, {(0,): QINV})
+def test_term_map_sums_match_reference(a, b):
+    pres = build_mq2()
+    x, y = Element(pres, a), Element(pres, b)
     frozen = dict(a), dict(b)
-    got = add_terms(a, b, negate)
-    assert got == reference_add_terms(a, b, negate)
-    assert all(got.values())
+    assert (x + y).terms == reference_accumulate(a, b.items())
+    assert (x - y).terms == reference_accumulate(
+        a, [(k, -c) for k, c in b.items()])
     assert (a, b) == frozen  # the operands are left as they were
     # a term map minus itself, or plus its negation, cancels to empty
-    assert add_terms(a, a, negate=True) == {}
-    assert add_terms(a, {k: -c for k, c in a.items()}) == {}
+    assert (x - x).terms == {}
+    assert (x + (-x)).terms == {}
 
 
 def test_term_maps_of_another_kind_or_algebra_do_not_mix():

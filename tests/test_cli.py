@@ -32,6 +32,9 @@ def test_nf_examples(capsys):
     assert rc == 0 and out.strip() == "0"
     rc, out, _ = run(capsys, "nf", "D[1,2]*D12inv", "--algebra", "minkq")
     assert rc == 0 and out.strip() == "1"
+    rc, out, _ = run(capsys, "nf", "--algebra", "minkq", "--",
+                     "D[1,2]*D12inv - 1")
+    assert rc == 0 and out.strip() == "0"
 
 
 def test_nf_round_trips_through_the_grammar():

@@ -148,6 +148,8 @@ def test_localization_requires_pure_commutation():
     # D12 * D12inv = 1 and D12inv * D13 = q^-1 D13 * D12inv
     d12 = loc.from_minor(0)
     assert (d12 * loc.dinv() - loc.one()).is_zero()
+    # straightening cancels D12*D12inv onto the key of 1, where the sum is 0
+    assert (d12 * loc.dinv() - loc.one()).straightened().terms == {}
     # equality goes through the ambient algebra, not the stored terms
     assert d12 * loc.dinv() == loc.one()
     assert (d12 * loc.dinv()).terms != loc.one().terms

@@ -6,7 +6,8 @@ never run it, so it can drift from what `qmink check` verifies.  These
 tests parse src/qmink/*.py and assert that each module-level public
 definition is named, and each public member of a module-level class is
 read as an attribute, somewhere in src/qmink or perfbench/*.py outside
-its own definition.
+its own definition.  A last test pins which functions hold a `del`, so
+that the sparse zero-dropping merge is not copied again.
 """
 
 import ast
@@ -115,3 +116,29 @@ def unread_class_members():
 
 def test_every_public_class_member_is_read_outside_the_tests():
     assert unread_class_members() == []
+
+
+def _deleting_functions(node, scope, func, out):
+    """Add to out the innermost function (module.name, or
+    module.Class.name) around each del statement under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = "%s.%s" % (scope, child.name)
+            _deleting_functions(child, name, name if isinstance(
+                child, ast.FunctionDef) else func, out)
+            continue
+        if isinstance(child, ast.Delete):
+            out.add(func)
+        _deleting_functions(child, scope, func, out)
+
+
+def test_the_sparse_merge_is_written_once():
+    # every term map sums through kernel.accumulate; the kernel's two
+    # per-word loops stay inline for speed, and exact_divide also pushes
+    # each word that enters its remainder onto a heap
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        _deleting_functions(tree, path.stem, path.stem, found)
+    assert sorted(found) == ["grassmann.exact_divide", "kernel.accumulate",
+                             "kernel.nf_word", "kernel.normal_form_terms"]
