@@ -11,7 +11,7 @@ from .checks import SUITE_NAMES, UnknownSuiteError, run_suite
 from .minkowski import localized, minor_index, minor_set
 from .parser import (Atom, ExprSyntaxError, ImagUnit, IntLit, Neg, Prod,
                      QPow, Sum, parse, to_text)
-from .scalars import DigitLimitError, I, Scalar
+from .scalars import DigitLimitError, I, ONE, Scalar, ZERO
 from .supergroup import build_slq41, general_minor, minor
 
 ALGEBRAS = ("slq41", "grq", "minkq", "chiral-abstract")
@@ -22,30 +22,59 @@ class EvaluationError(ValueError):
 
 
 def _evaluate(node, scalar, atom):
+    """The value of node in the algebra of scalar and atom.
+
+    A subtree that holds no Atom folds to one Scalar.  A Scalar meets
+    the algebra only as element.scale(s) in a product, as scalar(s)
+    where a sum mixes constants with elements, and as scalar(s) when
+    the whole expression is constant.  Nodes are visited left to
+    right, so the first EvaluationError is the one of a left-to-right
+    walk.
+    """
     def ev(n):
-        if isinstance(n, IntLit):
-            return scalar(Scalar.from_int(n.value))
-        if isinstance(n, ImagUnit):
-            return scalar(I)
-        if isinstance(n, QPow):
-            return scalar(Scalar.q_pow(n.exp))
-        if isinstance(n, Atom):
+        cls = n.__class__
+        if cls is Atom:
             return atom(n)
-        if isinstance(n, Neg):
+        if cls is Prod:
+            coeff = ONE
+            out = None
+            for f in n.factors:
+                v = ev(f)
+                if v.__class__ is Scalar:
+                    coeff = coeff * v
+                elif out is None:
+                    out = v
+                else:
+                    out = out * v
+            if out is None:
+                return coeff
+            return out if coeff is ONE else out.scale(coeff)
+        if cls is Sum:
+            const = ZERO
+            out = None
+            for t in n.terms:
+                v = ev(t)
+                if v.__class__ is Scalar:
+                    const = const + v
+                elif out is None:
+                    out = v
+                else:
+                    out = out + v
+            if out is None:
+                return const
+            return out + scalar(const) if const else out
+        if cls is Neg:
             return -ev(n.arg)
-        if isinstance(n, Prod):
-            out = ev(n.factors[0])
-            for f in n.factors[1:]:
-                out = out * ev(f)
-            return out
-        if isinstance(n, Sum):
-            out = ev(n.terms[0])
-            for t in n.terms[1:]:
-                out = out + ev(t)
-            return out
+        if cls is IntLit:
+            return Scalar.from_int(n.value)
+        if cls is QPow:
+            return Scalar.q_pow(n.exp)
+        if cls is ImagUnit:
+            return I
         raise TypeError(n)
 
-    return ev(node)
+    value = ev(node)
+    return scalar(value) if value.__class__ is Scalar else value
 
 
 def evaluate_expression(node, algebra):

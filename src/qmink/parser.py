@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 
 class ExprSyntaxError(ValueError):
@@ -70,61 +71,56 @@ _MINOR_PAIRS = {(i, j) for i in range(1, 4) for j in range(i + 1, 5)} \
 
 
 def _tokenize(text):
-    tokens = []
-    line = 1
-    col = 1
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch == "\n":
-            line += 1
-            col = 1
-            pos += 1
-            continue
-        if ch.isspace():
-            pos += 1
-            col += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        tok = m.group(0)
-        tokens.append((tok, line, col))
-        pos = m.end()
-        col += len(tok)
-    tokens.append((None, line, col))
+    """The token strings of text, then None for the end of input.
+
+    No alternative of _TOKEN matches a whitespace character, so one
+    findall skips whitespace between tokens.
+    """
+    tokens = _TOKEN.findall(text)
+    tokens.append(None)
     return tokens
 
 
 class _Parser:
     def __init__(self, text):
+        self.text = text
         self.tokens = _tokenize(text)
         self.k = 0
         self.depth = 0
 
     def peek(self):
-        return self.tokens[self.k][0]
-
-    def where(self):
-        _, line, col = self.tokens[self.k]
-        return line, col
+        return self.tokens[self.k]
 
     def advance(self):
         tok = self.tokens[self.k]
         self.k += 1
         return tok
 
+    def error(self, message, k, kind=ExprSyntaxError):
+        """kind(message) at the line and column of token k.
+
+        Only "\\n" starts a line, and a column counts characters from
+        1.  Both come from the token's offset in the text, found again
+        here, since only an error needs them.
+        """
+        text = self.text
+        if self.tokens[k] is None:
+            offset = len(text)
+        else:
+            offset = next(islice(_TOKEN.finditer(text), k, None)).start()
+        return kind(message, text.count("\n", 0, offset) + 1,
+                    offset - text.rfind("\n", 0, offset))
+
     def expect(self, what):
-        tok, line, col = self.advance()
+        tok = self.advance()
         if tok != what:
-            raise ExprSyntaxError("expected %r, found %r" % (what, tok),
-                                  line, col)
+            found = "end of input" if tok is None else repr(tok)
+            raise self.error("expected %r, found %s" % (what, found),
+                             self.k - 1)
 
-    def fail(self, message):
-        line, col = self.where()
-        raise ExprSyntaxError(message, line, col)
-
-    def integer(self, tok, line, col):
-        """int(tok); a digit token int() rejects is a syntax error.
+    def integer(self, tok, k):
+        """int(tok) of token k; a digit token int() rejects is a syntax
+        error.
 
         int() refuses literals past Python's int-string limit (4300
         digits by default) and digit characters such as superscripts.
@@ -134,20 +130,21 @@ class _Parser:
         except ValueError:
             shown = repr(tok) if len(tok) <= 12 else \
                 "%r... (%d digits)" % (tok[:12], len(tok))
-            raise ExprSyntaxError("invalid integer literal %s" % shown,
-                                  line, col) from None
+            raise self.error("invalid integer literal %s" % shown,
+                             k) from None
 
     def nest(self):
         """Enter one "(" or unary "-" level at the current token."""
         if self.depth >= MAX_DEPTH:
-            self.fail("expression nested deeper than %d levels" % MAX_DEPTH)
+            raise self.error("expression nested deeper than %d levels"
+                             % MAX_DEPTH, self.k)
         self.depth += 1
 
     # expr := term (("+"|"-") term)*
     def expr(self):
         terms = [self.term()]
         while self.peek() in ("+", "-"):
-            op, _, _ = self.advance()
+            op = self.advance()
             t = self.term()
             terms.append(Neg(t) if op == "-" else t)
         return terms[0] if len(terms) == 1 else Sum(tuple(terms))
@@ -181,22 +178,22 @@ class _Parser:
         if self.peek() == "-":
             self.advance()
             neg = True
-        tok, line, col = self.advance()
+        tok = self.advance()
         if tok is None or not tok.isdigit():
-            raise ExprSyntaxError("expected an integer exponent", line, col)
-        value = self.integer(tok, line, col)
+            raise self.error("expected an integer exponent", self.k - 1)
+        value = self.integer(tok, self.k - 1)
         return -value if neg else value
 
     def int_token(self):
-        tok, line, col = self.advance()
+        tok = self.advance()
         if tok is None or not tok.isdigit():
-            raise ExprSyntaxError("expected an integer", line, col)
-        return self.integer(tok, line, col)
+            raise self.error("expected an integer", self.k - 1)
+        return self.integer(tok, self.k - 1)
 
     def primary(self):
         tok = self.peek()
         if tok is None:
-            self.fail("unexpected end of input")
+            raise self.error("unexpected end of input", self.k)
         if tok == "(":
             self.nest()
             self.advance()
@@ -205,14 +202,15 @@ class _Parser:
             self.depth -= 1
             return node
         if tok.isdigit():
-            tok, line, col = self.advance()
-            return IntLit(self.integer(tok, line, col))
+            self.advance()
+            return IntLit(self.integer(tok, self.k - 1))
         if tok[0].isalpha():
             return self.atom()
-        self.fail("unexpected token %r" % tok)
+        raise self.error("unexpected token %r" % tok, self.k)
 
     def atom(self):
-        tok, line, col = self.advance()
+        k = self.k
+        tok = self.advance()
         if tok == "i":
             return ImagUnit()
         if tok == "q":
@@ -230,7 +228,7 @@ class _Parser:
             self.expect(",")
             j = self.int_token()
             self.expect("]")
-            return self._indexed_atom(tok, i, j, line, col)
+            return self._indexed_atom(tok, i, j, k)
         if tok == "Dc":
             self.expect("[")
             rows = self.int_token()
@@ -240,29 +238,30 @@ class _Parser:
             r = (rows // 10, rows % 10)
             c = (cols // 10, cols % 10)
             if not (1 <= r[0] < r[1] <= 5 and 1 <= c[0] < c[1] <= 5):
-                raise UnknownAtomError(
+                raise self.error(
                     "invalid minor Dc[%d;%d]: rows and columns must be "
-                    "strictly increasing in 1..5" % (rows, cols), line, col)
+                    "strictly increasing in 1..5" % (rows, cols), k,
+                    UnknownAtomError)
             return Atom("Dc", r + c)
-        raise UnknownAtomError("unknown atom name %r" % tok, line, col)
+        raise self.error("unknown atom name %r" % tok, k, UnknownAtomError)
 
-    def _indexed_atom(self, kind, i, j, line, col):
+    def _indexed_atom(self, kind, i, j, k):
         if kind == "a":
             if not (1 <= i <= 5 and 1 <= j <= 5):
-                raise UnknownAtomError("a[%d,%d] out of range 1..5" % (i, j),
-                                       line, col)
+                raise self.error("a[%d,%d] out of range 1..5" % (i, j), k,
+                                 UnknownAtomError)
         elif kind == "D":
             if (i, j) not in _MINOR_PAIRS:
-                raise UnknownAtomError("D[%d,%d] is not a quantum minor"
-                                       % (i, j), line, col)
+                raise self.error("D[%d,%d] is not a quantum minor" % (i, j),
+                                 k, UnknownAtomError)
         elif kind == "t":
             if not (i in (3, 4) and j in (1, 2)):
-                raise UnknownAtomError("t[%d,%d] out of range" % (i, j),
-                                       line, col)
+                raise self.error("t[%d,%d] out of range" % (i, j), k,
+                                 UnknownAtomError)
         elif kind == "tau":
             if not (i == 5 and j in (1, 2)):
-                raise UnknownAtomError("tau[%d,%d] out of range" % (i, j),
-                                       line, col)
+                raise self.error("tau[%d,%d] out of range" % (i, j), k,
+                                 UnknownAtomError)
         return Atom(kind, (i, j))
 
 
@@ -270,9 +269,9 @@ def parse(text):
     """Parse an expression; raises ExprSyntaxError with position info."""
     p = _Parser(text)
     node = p.expr()
-    tok, line, col = p.tokens[p.k]
+    tok = p.peek()
     if tok is not None:
-        raise ExprSyntaxError("unexpected trailing token %r" % tok, line, col)
+        raise p.error("unexpected trailing token %r" % tok, p.k)
     return node
 
 

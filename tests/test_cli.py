@@ -5,17 +5,24 @@ import hashlib
 import io
 import json
 import pstats
+import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmink import cli
 from qmink.checks import SUITE_NAMES, _SUITE_BUILDERS, _run_checks, run_suite
-from qmink.cli import ALGEBRAS, main, normal_form_text
+from qmink.cli import ALGEBRAS, EvaluationError, main, normal_form_text
+from qmink.parser import (Atom, ImagUnit, IntLit, Neg, Prod, QPow, Sum,
+                          to_text)
 from qmink.reports import SuiteReport
+from qmink.scalars import I, Scalar
 
 from reporting import deterministic
+from test_parser import _exprs
 
 
 def run(capsys, *argv):
@@ -68,6 +75,126 @@ def test_nf_errors(capsys):
     assert rc == 2 and "minkq" in err
     rc, _, err = run(capsys, "nf", "x0", "--algebra", "slq41")
     assert rc == 2
+
+
+# sha256 of normal_form_text over _nf_corpus(), one output a line, pinned
+# so that a change to parsing or evaluation cannot alter any output
+NF_SHA256 = \
+    "53cffdfea6e7f980b343ec4ec0c8110ca1df9f9704f15cd65a071a54a595ee18"
+
+_NF_ATOMS = {
+    "slq41": ["a[%d,%d]" % (i, j) for i in range(1, 6) for j in range(1, 6)]
+    + ["D[1,2]", "D[2,5]", "D[5,5]", "Dc[13;24]", "Dc[25;15]"],
+    "grq": ["D[%d,%d]" % p for p in ((1, 2), (1, 3), (2, 4), (3, 4), (1, 5),
+                                     (4, 5), (5, 5))],
+    "minkq": ["D[%d,%d]" % p for p in ((1, 2), (1, 4), (2, 3), (3, 4),
+                                       (2, 5), (5, 5))] + ["D12inv"],
+    "chiral-abstract": ["t[3,1]", "t[3,2]", "t[4,1]", "t[4,2]", "tau[5,1]",
+                        "tau[5,2]"],
+}
+_NF_CONSTANTS = ["2", "3", "0", "i", "q", "q^-1", "q^2", "-1", "-i",
+                 "(1 - q^2)", "(2 + i)", "(q - q)", "7*q^-3"]
+
+
+def _nf_corpus(n=300, seed=1515):
+    """n seeded (algebra, expression) queries, cycling the four algebras;
+    constants, atoms, juxtaposition, unary minus and nested sums mix."""
+    rng = random.Random(seed)
+
+    def factor(atoms, depth):
+        r = rng.random()
+        if r < 0.4:
+            return rng.choice(_NF_CONSTANTS)
+        if r < 0.5 and depth:
+            return "(" + expr(atoms, depth - 1) + ")"
+        return rng.choice(atoms)
+
+    def product(atoms, depth):
+        head = "-" if rng.random() < 0.2 else ""
+        return head + "".join(
+            (rng.choice(["*", " ", "*"]) if k else "") + factor(atoms, depth)
+            for k in range(rng.randint(1, 4)))
+
+    def expr(atoms, depth):
+        return "".join((rng.choice([" + ", " - "]) if k else "")
+                       + product(atoms, depth)
+                       for k in range(rng.randint(1, 3)))
+
+    return [(ALGEBRAS[k % 4], expr(_NF_ATOMS[ALGEBRAS[k % 4]], 1))
+            for k in range(n)]
+
+
+def test_nf_output_digest():
+    h = hashlib.sha256()
+    for algebra, expr in _nf_corpus():
+        h.update(normal_form_text(expr, algebra).encode() + b"\n")
+    assert h.hexdigest() == NF_SHA256
+
+
+def _reference_evaluate(node, scalar, atom):
+    """Evaluation that maps every node into the algebra, constants too:
+    the path before constant folding."""
+    def ev(n):
+        if isinstance(n, IntLit):
+            return scalar(Scalar.from_int(n.value))
+        if isinstance(n, ImagUnit):
+            return scalar(I)
+        if isinstance(n, QPow):
+            return scalar(Scalar.q_pow(n.exp))
+        if isinstance(n, Atom):
+            return atom(n)
+        if isinstance(n, Neg):
+            return -ev(n.arg)
+        if isinstance(n, Prod):
+            out = ev(n.factors[0])
+            for f in n.factors[1:]:
+                out = out * ev(f)
+            return out
+        if isinstance(n, Sum):
+            out = ev(n.terms[0])
+            for t in n.terms[1:]:
+                out = out + ev(t)
+            return out
+        raise TypeError(n)
+
+    return ev(node)
+
+
+def _nf_outcome(expr, algebra):
+    try:
+        return normal_form_text(expr, algebra)
+    except EvaluationError as exc:
+        return exc.__class__, str(exc)
+
+
+def _reference_nf_outcome(expr, algebra):
+    with mock.patch.object(cli, "_evaluate", _reference_evaluate):
+        return _nf_outcome(expr, algebra)
+
+
+@pytest.mark.parametrize("algebra, expr, expected", [
+    ("slq41", "2 3", "6"),
+    ("slq41", "(1 - 1)*a[1,1]", "0"),
+    ("grq", "q^99999999999999999999*q^-99999999999999999999", "1"),
+    ("slq41", "i*i*a[5,1]", "(-1)*a[5,1]"),
+    ("minkq", "D12inv*(q - q)", "0"),
+    ("minkq", "2 + D12inv*D[1,2] - 3", "0"),
+    ("chiral-abstract", "-(q - q^-1) t[3,1] i", "(-i*q + i*q^-1)*t[3,1]"),
+    ("slq41", "x0", (EvaluationError,
+                     "atom x0 is not defined in slq41")),
+    ("grq", "0*x1 + D12inv", (EvaluationError,
+                              "atom x1 is not defined in grq")),
+])
+def test_constant_folding_pinned(algebra, expr, expected):
+    assert _nf_outcome(expr, algebra) == expected
+    assert _reference_nf_outcome(expr, algebra) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ALGEBRAS), _exprs(3))
+def test_constant_folding_matches_elementwise_evaluation(algebra, node):
+    expr = to_text(node)
+    assert _nf_outcome(expr, algebra) == _reference_nf_outcome(expr, algebra)
 
 
 @pytest.mark.parametrize("expr, message", [

@@ -1,11 +1,11 @@
 """Expression grammar: round trips and position-annotated errors."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qmink.parser import (MAX_DEPTH, Atom, ExprSyntaxError, ImagUnit, IntLit,
-                          Neg, Prod, QPow, Sum, UnknownAtomError, parse,
-                          to_text)
+from qmink.parser import (_TOKEN, MAX_DEPTH, Atom, ExprSyntaxError, ImagUnit,
+                          IntLit, Neg, Prod, QPow, Sum, UnknownAtomError,
+                          _Parser, _tokenize, parse, to_text)
 
 CORPUS = [
     "a[1,2]*a[1,1]",
@@ -62,6 +62,10 @@ def test_syntax_errors_carry_positions():
         parse("q^x")
     with pytest.raises(ExprSyntaxError):
         parse("a[1,2] a[1,1])")
+    with pytest.raises(ExprSyntaxError) as err:
+        parse("a[1,1")
+    assert str(err.value) == \
+        "expected ']', found end of input (line 1, column 6)"
 
 
 def test_nesting_depth_limit():
@@ -118,3 +122,82 @@ def _exprs(depth):
 @given(_exprs(3))
 def test_round_trip_random_asts(node):
     assert parse(to_text(node)) == node
+
+
+def _reference_tokenize(text):
+    """The per-character tokenizer parse used before the one-pass scan:
+    (token, line, column) triples, then (None, line, column)."""
+    tokens = []
+    line = 1
+    col = 1
+    pos = 0
+    n = len(text)
+    while pos < n:
+        ch = text[pos]
+        if ch == "\n":
+            line += 1
+            col = 1
+            pos += 1
+            continue
+        if ch.isspace():
+            pos += 1
+            col += 1
+            continue
+        m = _TOKEN.match(text, pos)
+        tok = m.group(0)
+        tokens.append((tok, line, col))
+        pos = m.end()
+        col += len(tok)
+    tokens.append((None, line, col))
+    return tokens
+
+
+class _ReferenceParser(_Parser):
+    """parse's grammar over the reference tokens and their positions."""
+
+    def __init__(self, text):
+        super().__init__(text)
+        self.triples = _reference_tokenize(text)
+        self.tokens = [tok for tok, _line, _col in self.triples]
+
+    def error(self, message, k, kind=ExprSyntaxError):
+        _tok, line, col = self.triples[k]
+        return kind(message, line, col)
+
+
+def _reference_parse(text):
+    p = _ReferenceParser(text)
+    node = p.expr()
+    tok = p.peek()
+    if tok is not None:
+        raise p.error("unexpected trailing token %r" % tok, p.k)
+    return node
+
+
+def _outcome(fn, text):
+    try:
+        return fn(text)
+    except ExprSyntaxError as exc:
+        return exc.__class__, str(exc)
+
+
+_PIECES = ["a", "[", "]", ",", ";", "1", "2", "5", "12", "34", "q", "^",
+           "-", "+", "*", "(", ")", "i", "D", "Dc", "D12inv", "t", "tau",
+           "x0", "zeta", "%", " ", "\t", "\n", "\r\n", "\u00a0",
+           "\u2003", "\u2028", "\x0b", "\u0661", "\u00b2"]
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(_PIECES), max_size=24).map("".join))
+@example("a[1,2] +")
+@example("a[1\n,2)")
+@example("\u00a0\n\t a[6,1]")
+@example("q^\u00b2")
+@example("a[\u0661,1")
+@example("x0\r\n ) ")
+@example("a[1,2]\u2028\u2003 %")
+@example("(" * (MAX_DEPTH + 1) + "q")
+def test_positions_match_the_per_character_tokenizer(text):
+    assert _tokenize(text) == [tok for tok, _line, _col
+                               in _reference_tokenize(text)]
+    assert _outcome(parse, text) == _outcome(_reference_parse, text)
