@@ -118,13 +118,13 @@ class _Parser:
             raise self.error("expected %r, found %s" % (what, found),
                              self.k - 1)
 
-    def integer(self, tok, k):
-        """int(tok) of token k; a digit token int() rejects is a syntax
-        error.
+    def integer(self, k):
+        """int() of token k; a digit token int() rejects is a syntax error.
 
         int() refuses literals past Python's int-string limit (4300
         digits by default) and digit characters such as superscripts.
         """
+        tok = self.tokens[k]
         try:
             return int(tok)
         except ValueError:
@@ -181,14 +181,14 @@ class _Parser:
         tok = self.advance()
         if tok is None or not tok.isdigit():
             raise self.error("expected an integer exponent", self.k - 1)
-        value = self.integer(tok, self.k - 1)
+        value = self.integer(self.k - 1)
         return -value if neg else value
 
     def int_token(self):
         tok = self.advance()
         if tok is None or not tok.isdigit():
             raise self.error("expected an integer", self.k - 1)
-        return self.integer(tok, self.k - 1)
+        return self.integer(self.k - 1)
 
     def primary(self):
         tok = self.peek()
@@ -203,7 +203,7 @@ class _Parser:
             return node
         if tok.isdigit():
             self.advance()
-            return IntLit(self.integer(tok, self.k - 1))
+            return IntLit(self.integer(self.k - 1))
         if tok[0].isalpha():
             return self.atom()
         raise self.error("unexpected token %r" % tok, self.k)
