@@ -8,6 +8,7 @@ import sys
 
 from . import classical
 from .checks import SUITE_NAMES, UnknownSuiteError, run_suite
+from .kernel import BudgetExceeded
 from .minkowski import localized, minor_index, minor_set
 from .parser import (Atom, ExprSyntaxError, ImagUnit, IntLit, Neg, Prod,
                      QPow, Sum, parse, to_text)
@@ -246,7 +247,8 @@ def main(argv=None):
     if args.command == "nf":
         try:
             print(normal_form_text(args.expr, args.algebra))
-        except (ExprSyntaxError, EvaluationError, DigitLimitError) as exc:
+        except (ExprSyntaxError, EvaluationError, DigitLimitError,
+                BudgetExceeded) as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2
         return 0

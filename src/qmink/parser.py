@@ -1,15 +1,18 @@
 """Expression grammar for the CLI.
 
 Atoms: integers, i, q, q^k (integer k), a[i,j], D[i,j], Dc[r1r2;c1c2],
-t[i,j], tau[5,j], D12inv, x0..x3.  Product binds tighter than sum and
-is written with * or juxtaposition; parentheses group.  Parsing then
+t[i,j], tau[5,j], D12inv, x0..x3.  Unary minus binds tighter than
+product, which is written with * or juxtaposition, and product binds
+tighter than sum; parentheses group.  parse reads the token list in one
+precedence-climbing loop (Pratt, "Top down operator precedence", 1973)
+with an explicit stack for "(", so it does not recurse.  Syntax errors
+carry the line and column of the offending token.  Parsing then
 printing then parsing is the identity on syntax trees.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import islice
 
 
@@ -22,48 +25,83 @@ class UnknownAtomError(ExprSyntaxError):
     pass
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class _Node:
+    """A syntax tree node: equal to another node, and hashed alike, when
+    both have the same class and equal fields, as a frozen dataclass
+    would be.  Nothing assigns a field after __init__."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash((self.__class__.__name__,) + self._fields())
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
 
 
-@dataclass(frozen=True)
-class ImagUnit:
-    pass
+class IntLit(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
 
 
-@dataclass(frozen=True)
-class QPow:
-    exp: int
+class ImagUnit(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Atom:
-    kind: str  # "a", "D", "Dc", "t", "tau", "D12inv", "x"
-    indices: tuple
+class QPow(_Node):
+    __slots__ = ("exp",)
+
+    def __init__(self, exp):
+        self.exp = exp
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: object
+class Atom(_Node):
+    __slots__ = ("kind", "indices")
+
+    def __init__(self, kind, indices):
+        self.kind = kind  # "a", "D", "Dc", "t", "tau", "D12inv", "x"
+        self.indices = indices
 
 
-@dataclass(frozen=True)
-class Prod:
-    factors: tuple
+class Neg(_Node):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg):
+        self.arg = arg
 
 
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple  # first term positive; later terms may be Neg for "-"
+class Prod(_Node):
+    __slots__ = ("factors",)
+
+    def __init__(self, factors):
+        self.factors = factors
+
+
+class Sum(_Node):
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = terms  # first term positive; later may be Neg for "-"
 
 
 _TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9]*|\d+|\^|\*|\+|-|\(|\)|\[|\]|,|;|\S")
 
 _X_NAMES = {"x0": 0, "x1": 1, "x2": 2, "x3": 3}
 
-# deepest nesting of "(" and unary "-" the recursive descent accepts;
-# deeper input is a syntax error rather than a RecursionError
+# deepest nesting of "(" and unary "-", counted together, that parse
+# accepts; to_text and the CLI's evaluator recurse over the tree, so
+# deeper input is a syntax error rather than a RecursionError there
 MAX_DEPTH = 100
 
 _MINOR_PAIRS = {(i, j) for i in range(1, 4) for j in range(i + 1, 5)} \
@@ -81,198 +119,206 @@ def _tokenize(text):
     return tokens
 
 
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.k = 0
-        self.depth = 0
+def _error(text, tokens, message, k, kind=ExprSyntaxError):
+    """kind(message) at the line and column of token k.
 
-    def peek(self):
-        return self.tokens[self.k]
+    Only "\\n" starts a line, and a column counts characters from 1.
+    Both come from the token's offset in the text, found again here,
+    since only an error needs them.
+    """
+    if tokens[k] is None:
+        offset = len(text)
+    else:
+        offset = next(islice(_TOKEN.finditer(text), k, None)).start()
+    return kind(message, text.count("\n", 0, offset) + 1,
+                offset - text.rfind("\n", 0, offset))
 
-    def advance(self):
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
 
-    def error(self, message, k, kind=ExprSyntaxError):
-        """kind(message) at the line and column of token k.
+def _integer_error(text, tokens, k):
+    """The error for digit token k, which int() rejects.
 
-        Only "\\n" starts a line, and a column counts characters from
-        1.  Both come from the token's offset in the text, found again
-        here, since only an error needs them.
-        """
-        text = self.text
-        if self.tokens[k] is None:
-            offset = len(text)
-        else:
-            offset = next(islice(_TOKEN.finditer(text), k, None)).start()
-        return kind(message, text.count("\n", 0, offset) + 1,
-                    offset - text.rfind("\n", 0, offset))
+    int() refuses literals past Python's int-string limit (4300 digits
+    by default) and digit characters such as superscripts.
+    """
+    tok = tokens[k]
+    shown = repr(tok) if len(tok) <= 12 else \
+        "%r... (%d digits)" % (tok[:12], len(tok))
+    return _error(text, tokens, "invalid integer literal %s" % shown, k)
 
-    def expect(self, what):
-        tok = self.advance()
-        if tok != what:
-            found = "end of input" if tok is None else repr(tok)
-            raise self.error("expected %r, found %s" % (what, found),
-                             self.k - 1)
 
-    def integer(self, k):
-        """int() of token k; a digit token int() rejects is a syntax error.
+def _integer(text, tokens, k, what):
+    """int() of token k, which must be a digit token; what names the
+    integer in the error if it is not one."""
+    tok = tokens[k]
+    if tok is None or not tok.isdigit():
+        raise _error(text, tokens, "expected %s" % what, k)
+    try:
+        return int(tok)
+    except ValueError:
+        raise _integer_error(text, tokens, k) from None
 
-        int() refuses literals past Python's int-string limit (4300
-        digits by default) and digit characters such as superscripts.
-        """
-        tok = self.tokens[k]
+
+def _expected(text, tokens, k, what):
+    """The error for token k, where the token what belongs."""
+    tok = tokens[k]
+    found = "end of input" if tok is None else repr(tok)
+    return _error(text, tokens, "expected %r, found %s" % (what, found), k)
+
+
+def _index_error(text, tokens, k, sep):
+    """The error for the first of tokens k+1 .. k+5 that does not read as
+    "[i<sep>j]" with integers i and j; the caller found one."""
+    for k, what in zip(range(k + 1, k + 5), ("[", None, sep, None)):
+        if what is None:
+            _integer(text, tokens, k, "an integer")
+        elif tokens[k] != what:
+            return _expected(text, tokens, k, what)
+    return _expected(text, tokens, k + 1, "]")
+
+
+# the indexed atoms, each with the separator between its two indices
+_SEPARATORS = {"a": ",", "D": ",", "t": ",", "tau": ",", "Dc": ";"}
+
+
+def _atom(text, tokens, k):
+    """The atom named by token k, and the index of the token after it."""
+    tok = tokens[k]
+    sep = _SEPARATORS.get(tok)
+    if sep is not None:
+        if tokens[k + 1:k + 6:2] != ["[", sep, "]"]:
+            raise _index_error(text, tokens, k, sep)
         try:
-            return int(tok)
+            i = int(tokens[k + 2])
+            j = int(tokens[k + 4])
         except ValueError:
-            shown = repr(tok) if len(tok) <= 12 else \
-                "%r... (%d digits)" % (tok[:12], len(tok))
-            raise self.error("invalid integer literal %s" % shown,
-                             k) from None
-
-    def nest(self):
-        """Enter one "(" or unary "-" level at the current token."""
-        if self.depth >= MAX_DEPTH:
-            raise self.error("expression nested deeper than %d levels"
-                             % MAX_DEPTH, self.k)
-        self.depth += 1
-
-    # expr := term (("+"|"-") term)*
-    def expr(self):
-        terms = [self.term()]
-        while self.peek() in ("+", "-"):
-            op = self.advance()
-            t = self.term()
-            terms.append(Neg(t) if op == "-" else t)
-        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
-
-    # term := factor ("*"? factor)*
-    def term(self):
-        factors = [self.factor()]
-        while True:
-            nxt = self.peek()
-            if nxt == "*":
-                self.advance()
-                factors.append(self.factor())
-            elif nxt is not None and (nxt[0].isdigit() or nxt[0].isalpha()
-                                      or nxt == "("):
-                factors.append(self.factor())
-            else:
-                break
-        return factors[0] if len(factors) == 1 else Prod(tuple(factors))
-
-    def factor(self):
-        if self.peek() == "-":
-            self.nest()
-            self.advance()
-            node = Neg(self.factor())
-            self.depth -= 1
-            return node
-        return self.primary()
-
-    def signed_int(self):
-        neg = False
-        if self.peek() == "-":
-            self.advance()
-            neg = True
-        tok = self.advance()
-        if tok is None or not tok.isdigit():
-            raise self.error("expected an integer exponent", self.k - 1)
-        value = self.integer(self.k - 1)
-        return -value if neg else value
-
-    def int_token(self):
-        tok = self.advance()
-        if tok is None or not tok.isdigit():
-            raise self.error("expected an integer", self.k - 1)
-        return self.integer(self.k - 1)
-
-    def primary(self):
-        tok = self.peek()
-        if tok is None:
-            raise self.error("unexpected end of input", self.k)
-        if tok == "(":
-            self.nest()
-            self.advance()
-            node = self.expr()
-            self.expect(")")
-            self.depth -= 1
-            return node
-        if tok.isdigit():
-            self.advance()
-            return IntLit(self.integer(self.k - 1))
-        if tok[0].isalpha():
-            return self.atom()
-        raise self.error("unexpected token %r" % tok, self.k)
-
-    def atom(self):
-        k = self.k
-        tok = self.advance()
-        if tok == "i":
-            return ImagUnit()
-        if tok == "q":
-            if self.peek() == "^":
-                self.advance()
-                return QPow(self.signed_int())
-            return QPow(1)
-        if tok == "D12inv":
-            return Atom("D12inv", ())
-        if tok in _X_NAMES:
-            return Atom("x", (_X_NAMES[tok],))
-        if tok in ("a", "D", "t", "tau"):
-            self.expect("[")
-            i = self.int_token()
-            self.expect(",")
-            j = self.int_token()
-            self.expect("]")
-            return self._indexed_atom(tok, i, j, k)
-        if tok == "Dc":
-            self.expect("[")
-            rows = self.int_token()
-            self.expect(";")
-            cols = self.int_token()
-            self.expect("]")
-            r = (rows // 10, rows % 10)
-            c = (cols // 10, cols % 10)
+            raise _index_error(text, tokens, k, sep) from None
+        if tok == "a":
+            ok = 1 <= i <= 5 and 1 <= j <= 5
+            message = "a[%d,%d] out of range 1..5"
+        elif tok == "D":
+            ok = (i, j) in _MINOR_PAIRS
+            message = "D[%d,%d] is not a quantum minor"
+        elif tok == "t":
+            ok = i in (3, 4) and j in (1, 2)
+            message = "t[%d,%d] out of range"
+        elif tok == "tau":
+            ok = i == 5 and j in (1, 2)
+            message = "tau[%d,%d] out of range"
+        else:
+            r = (i // 10, i % 10)
+            c = (j // 10, j % 10)
             if not (1 <= r[0] < r[1] <= 5 and 1 <= c[0] < c[1] <= 5):
-                raise self.error(
-                    "invalid minor Dc[%d;%d]: rows and columns must be "
-                    "strictly increasing in 1..5" % (rows, cols), k,
-                    UnknownAtomError)
-            return Atom("Dc", r + c)
-        raise self.error("unknown atom name %r" % tok, k, UnknownAtomError)
-
-    def _indexed_atom(self, kind, i, j, k):
-        if kind == "a":
-            if not (1 <= i <= 5 and 1 <= j <= 5):
-                raise self.error("a[%d,%d] out of range 1..5" % (i, j), k,
-                                 UnknownAtomError)
-        elif kind == "D":
-            if (i, j) not in _MINOR_PAIRS:
-                raise self.error("D[%d,%d] is not a quantum minor" % (i, j),
-                                 k, UnknownAtomError)
-        elif kind == "t":
-            if not (i in (3, 4) and j in (1, 2)):
-                raise self.error("t[%d,%d] out of range" % (i, j), k,
-                                 UnknownAtomError)
-        elif kind == "tau":
-            if not (i == 5 and j in (1, 2)):
-                raise self.error("tau[%d,%d] out of range" % (i, j), k,
-                                 UnknownAtomError)
-        return Atom(kind, (i, j))
+                raise _error(text, tokens,
+                             "invalid minor Dc[%d;%d]: rows and columns must "
+                             "be strictly increasing in 1..5" % (i, j), k,
+                             UnknownAtomError)
+            return Atom("Dc", r + c), k + 6
+        if not ok:
+            raise _error(text, tokens, message % (i, j), k, UnknownAtomError)
+        return Atom(tok, (i, j)), k + 6
+    if tok == "q":
+        if tokens[k + 1] != "^":
+            return QPow(1), k + 1
+        if tokens[k + 2] == "-":
+            return QPow(-_integer(text, tokens, k + 3,
+                                  "an integer exponent")), k + 4
+        return QPow(_integer(text, tokens, k + 2,
+                             "an integer exponent")), k + 3
+    if tok == "i":
+        return ImagUnit(), k + 1
+    if tok == "D12inv":
+        return Atom("D12inv", ()), k + 1
+    if tok in _X_NAMES:
+        return Atom("x", (_X_NAMES[tok],)), k + 1
+    raise _error(text, tokens, "unknown atom name %r" % tok, k,
+                 UnknownAtomError)
 
 
 def parse(text):
-    """Parse an expression; raises ExprSyntaxError with position info."""
-    p = _Parser(text)
-    node = p.expr()
-    tok = p.peek()
-    if tok is not None:
-        raise p.error("unexpected trailing token %r" % tok, p.k)
-    return node
+    """Parse an expression; raises ExprSyntaxError with position info.
+
+    One loop reads the tokens left to right.  At an operand it counts
+    unary "-" and opens "(" until it reads a primary, an integer or an
+    atom.  The finished operand, with its "-" applied, is a factor of
+    the term being read; "*" or juxtaposition asks for the next factor.
+    Otherwise the term joins the sum being read, and "+" or "-" asks
+    for the next term.  Otherwise the sum is finished: it closes the
+    innermost "(" and is an operand there, or it is the whole
+    expression.  Each open "(" keeps the enclosing sum, term and signs
+    on a stack.
+    """
+    tokens = _tokenize(text)
+    k = 0
+    depth = 0  # open "(" plus pending unary "-", at most MAX_DEPTH
+    stack = []  # per open "(": the enclosing terms, factors, negs, minus
+    terms = []  # the finished terms of the innermost sum
+    factors = []  # the finished factors of the term being read
+    negs = 0  # unary "-" before the operand being read
+    minus = False  # whether a binary "-" precedes the term being read
+    while True:
+        tok = tokens[k]
+        if tok == "-" or tok == "(":
+            if depth >= MAX_DEPTH:
+                raise _error(text, tokens,
+                             "expression nested deeper than %d levels"
+                             % MAX_DEPTH, k)
+            depth += 1
+            k += 1
+            if tok == "-":
+                negs += 1
+            else:
+                stack.append((terms, factors, negs, minus))
+                terms = []
+                factors = []
+                negs = 0
+                minus = False
+            continue
+        if tok is None:
+            raise _error(text, tokens, "unexpected end of input", k)
+        if tok.isdigit():
+            try:
+                node = IntLit(int(tok))
+            except ValueError:
+                raise _integer_error(text, tokens, k) from None
+            k += 1
+        elif tok[0].isalpha():
+            node, k = _atom(text, tokens, k)
+        else:
+            raise _error(text, tokens, "unexpected token %r" % tok, k)
+        # node is a finished operand; each pass of this loop closes one
+        # operand, and then a term, a sum and a "(" if the tokens end them
+        while True:
+            if negs:
+                depth -= negs
+                for _ in range(negs):
+                    node = Neg(node)
+                negs = 0
+            factors.append(node)
+            tok = tokens[k]
+            if tok == "*":
+                k += 1
+                break
+            if tok is not None and (tok[0].isdigit() or tok[0].isalpha()
+                                    or tok == "("):
+                break
+            node = factors[0] if len(factors) == 1 else Prod(tuple(factors))
+            terms.append(Neg(node) if minus else node)
+            if tok == "+" or tok == "-":
+                k += 1
+                factors = []
+                minus = tok == "-"
+                break
+            node = terms[0] if len(terms) == 1 else Sum(tuple(terms))
+            if not stack:
+                if tok is not None:
+                    raise _error(text, tokens,
+                                 "unexpected trailing token %r" % tok, k)
+                return node
+            if tok != ")":
+                raise _expected(text, tokens, k, ")")
+            k += 1
+            depth -= 1
+            terms, factors, negs, minus = stack.pop()
 
 
 def to_text(node):

@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmink import cli
+from qmink import cli, kernel
 from qmink.checks import SUITE_NAMES, _SUITE_BUILDERS, _run_checks, run_suite
 from qmink.cli import ALGEBRAS, EvaluationError, main, normal_form_text
 from qmink.parser import (Atom, ImagUnit, IntLit, Neg, Prod, QPow, Sum,
@@ -210,6 +210,18 @@ def test_nf_deep_nesting_is_bad_input(expr, message):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_nf_past_the_rewrite_budget_is_bad_input(capsys, monkeypatch):
+    # no other test multiplies all 25 generators, so some word of this
+    # product is not in the memo and needs at least one rewrite step
+    monkeypatch.setattr(kernel, "STEP_BUDGET", 0)
+    expr = " ".join("a[%d,%d]" % (i, j) for i in range(5, 0, -1)
+                    for j in range(5, 0, -1))
+    rc, out, err = run(capsys, "nf", expr, "--algebra", "slq41")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: rewrite budget exceeded at ")
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 _FRAGMENTS = ["a[1,2]", "a[5,5]", "a[6,1]", "D[1,2]", "D[3,4]", "D[2,5]",

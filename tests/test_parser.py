@@ -1,11 +1,13 @@
 """Expression grammar: round trips and position-annotated errors."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qmink.parser import (_TOKEN, MAX_DEPTH, Atom, ExprSyntaxError, ImagUnit,
-                          IntLit, Neg, Prod, QPow, Sum, UnknownAtomError,
-                          _Parser, _tokenize, parse, to_text)
+from qmink.parser import (_MINOR_PAIRS, _TOKEN, _X_NAMES, MAX_DEPTH, Atom,
+                          ExprSyntaxError, ImagUnit, IntLit, Neg, Prod, QPow,
+                          Sum, UnknownAtomError, _tokenize, parse, to_text)
 
 CORPUS = [
     "a[1,2]*a[1,1]",
@@ -152,6 +154,193 @@ def _reference_tokenize(text):
     return tokens
 
 
+# The recursive descent that parse replaced, kept unchanged as the
+# reference grammar: one method per level (expr, term, factor, primary,
+# atom), with the depth of "(" and unary "-" counted in nest.
+class _Parser:
+    def __init__(self, text):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.k = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.k]
+
+    def advance(self):
+        tok = self.tokens[self.k]
+        self.k += 1
+        return tok
+
+    def error(self, message, k, kind=ExprSyntaxError):
+        """kind(message) at the line and column of token k.
+
+        Only "\\n" starts a line, and a column counts characters from
+        1.  Both come from the token's offset in the text, found again
+        here, since only an error needs them.
+        """
+        text = self.text
+        if self.tokens[k] is None:
+            offset = len(text)
+        else:
+            offset = next(islice(_TOKEN.finditer(text), k, None)).start()
+        return kind(message, text.count("\n", 0, offset) + 1,
+                    offset - text.rfind("\n", 0, offset))
+
+    def expect(self, what):
+        tok = self.advance()
+        if tok != what:
+            found = "end of input" if tok is None else repr(tok)
+            raise self.error("expected %r, found %s" % (what, found),
+                             self.k - 1)
+
+    def integer(self, k):
+        """int() of token k; a digit token int() rejects is a syntax error.
+
+        int() refuses literals past Python's int-string limit (4300
+        digits by default) and digit characters such as superscripts.
+        """
+        tok = self.tokens[k]
+        try:
+            return int(tok)
+        except ValueError:
+            shown = repr(tok) if len(tok) <= 12 else \
+                "%r... (%d digits)" % (tok[:12], len(tok))
+            raise self.error("invalid integer literal %s" % shown,
+                             k) from None
+
+    def nest(self):
+        """Enter one "(" or unary "-" level at the current token."""
+        if self.depth >= MAX_DEPTH:
+            raise self.error("expression nested deeper than %d levels"
+                             % MAX_DEPTH, self.k)
+        self.depth += 1
+
+    # expr := term (("+"|"-") term)*
+    def expr(self):
+        terms = [self.term()]
+        while self.peek() in ("+", "-"):
+            op = self.advance()
+            t = self.term()
+            terms.append(Neg(t) if op == "-" else t)
+        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+
+    # term := factor ("*"? factor)*
+    def term(self):
+        factors = [self.factor()]
+        while True:
+            nxt = self.peek()
+            if nxt == "*":
+                self.advance()
+                factors.append(self.factor())
+            elif nxt is not None and (nxt[0].isdigit() or nxt[0].isalpha()
+                                      or nxt == "("):
+                factors.append(self.factor())
+            else:
+                break
+        return factors[0] if len(factors) == 1 else Prod(tuple(factors))
+
+    def factor(self):
+        if self.peek() == "-":
+            self.nest()
+            self.advance()
+            node = Neg(self.factor())
+            self.depth -= 1
+            return node
+        return self.primary()
+
+    def signed_int(self):
+        neg = False
+        if self.peek() == "-":
+            self.advance()
+            neg = True
+        tok = self.advance()
+        if tok is None or not tok.isdigit():
+            raise self.error("expected an integer exponent", self.k - 1)
+        value = self.integer(self.k - 1)
+        return -value if neg else value
+
+    def int_token(self):
+        tok = self.advance()
+        if tok is None or not tok.isdigit():
+            raise self.error("expected an integer", self.k - 1)
+        return self.integer(self.k - 1)
+
+    def primary(self):
+        tok = self.peek()
+        if tok is None:
+            raise self.error("unexpected end of input", self.k)
+        if tok == "(":
+            self.nest()
+            self.advance()
+            node = self.expr()
+            self.expect(")")
+            self.depth -= 1
+            return node
+        if tok.isdigit():
+            self.advance()
+            return IntLit(self.integer(self.k - 1))
+        if tok[0].isalpha():
+            return self.atom()
+        raise self.error("unexpected token %r" % tok, self.k)
+
+    def atom(self):
+        k = self.k
+        tok = self.advance()
+        if tok == "i":
+            return ImagUnit()
+        if tok == "q":
+            if self.peek() == "^":
+                self.advance()
+                return QPow(self.signed_int())
+            return QPow(1)
+        if tok == "D12inv":
+            return Atom("D12inv", ())
+        if tok in _X_NAMES:
+            return Atom("x", (_X_NAMES[tok],))
+        if tok in ("a", "D", "t", "tau"):
+            self.expect("[")
+            i = self.int_token()
+            self.expect(",")
+            j = self.int_token()
+            self.expect("]")
+            return self._indexed_atom(tok, i, j, k)
+        if tok == "Dc":
+            self.expect("[")
+            rows = self.int_token()
+            self.expect(";")
+            cols = self.int_token()
+            self.expect("]")
+            r = (rows // 10, rows % 10)
+            c = (cols // 10, cols % 10)
+            if not (1 <= r[0] < r[1] <= 5 and 1 <= c[0] < c[1] <= 5):
+                raise self.error(
+                    "invalid minor Dc[%d;%d]: rows and columns must be "
+                    "strictly increasing in 1..5" % (rows, cols), k,
+                    UnknownAtomError)
+            return Atom("Dc", r + c)
+        raise self.error("unknown atom name %r" % tok, k, UnknownAtomError)
+
+    def _indexed_atom(self, kind, i, j, k):
+        if kind == "a":
+            if not (1 <= i <= 5 and 1 <= j <= 5):
+                raise self.error("a[%d,%d] out of range 1..5" % (i, j), k,
+                                 UnknownAtomError)
+        elif kind == "D":
+            if (i, j) not in _MINOR_PAIRS:
+                raise self.error("D[%d,%d] is not a quantum minor" % (i, j),
+                                 k, UnknownAtomError)
+        elif kind == "t":
+            if not (i in (3, 4) and j in (1, 2)):
+                raise self.error("t[%d,%d] out of range" % (i, j), k,
+                                 UnknownAtomError)
+        elif kind == "tau":
+            if not (i == 5 and j in (1, 2)):
+                raise self.error("tau[%d,%d] out of range" % (i, j), k,
+                                 UnknownAtomError)
+        return Atom(kind, (i, j))
+
+
 class _ReferenceParser(_Parser):
     """parse's grammar over the reference tokens and their positions."""
 
@@ -197,7 +386,49 @@ _PIECES = ["a", "[", "]", ",", ";", "1", "2", "5", "12", "34", "q", "^",
 @example("x0\r\n ) ")
 @example("a[1,2]\u2028\u2003 %")
 @example("(" * (MAX_DEPTH + 1) + "q")
+@example("-" * MAX_DEPTH + "q")
+@example("-" * (MAX_DEPTH + 1) + "q")
+@example("(-" * 50 + "q" + ")" * 50)
+@example("(-" * 50 + "(q" + ")" * 51)
+@example("a[1,1]*-q a[1,2]")
+@example("2 3 (i)")
+@example("q^-")
+@example("Dc[12;3")
+@example(")")
+@example("*".join(["-q"] * (MAX_DEPTH + 1)))
+@example("(q)" * (MAX_DEPTH + 1))
+@example("t[3,5]")
+@example("tau[5,3]")
+@example("Dc[12;36]")
 def test_positions_match_the_per_character_tokenizer(text):
     assert _tokenize(text) == [tok for tok, _line, _col
                                in _reference_tokenize(text)]
     assert _outcome(parse, text) == _outcome(_reference_parse, text)
+
+
+_BLANKS = st.lists(st.sampled_from([" ", "\t", "\n"]), max_size=2).map(
+    "".join)
+
+
+@settings(max_examples=150)
+@given(_exprs(3), st.data())
+def test_valid_input_matches_the_reference(node, data):
+    # most _PIECES texts are syntax errors; these parse, with whitespace
+    # of every kind between tokens
+    tokens = _TOKEN.findall(to_text(node))
+    text = "".join(data.draw(_BLANKS) + tok for tok in tokens) \
+        + data.draw(_BLANKS)
+    assert parse(text) == _reference_parse(text) == node
+
+
+def test_nodes_compare_by_class_and_fields():
+    def t():
+        return (Atom("a", (1, 2)), Neg(QPow(-1)))
+    assert IntLit(1) != QPow(1)
+    assert Prod(t()) != Sum(t())
+    assert Atom("a", (1, 2)) != Atom("D", (1, 2))
+    assert IntLit(1) != 1
+    for a, b in [(IntLit(7), IntLit(7)), (ImagUnit(), ImagUnit()),
+                 (Prod(t()), Prod(t())), (Sum(t()), Sum(t()))]:
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert len({IntLit(1), IntLit(1), QPow(1), ImagUnit(), ImagUnit()}) == 3
