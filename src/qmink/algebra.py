@@ -19,6 +19,11 @@ from .scalars import GaussRational, ONE, Scalar, signed_join
 # the coefficient types an Element multiplies by as a scalar
 _COEFFICIENTS = (Scalar, GaussRational)
 
+# packed supercommutative words: the value bits of an even letter's field,
+# and the highest total degree a word may have, which every field holds
+_EVEN_FIELD_BITS = 7
+MAX_DEGREE = (1 << _EVEN_FIELD_BITS) - 1
+
 
 def _odd_inversions(m1, m2):
     """Pairs of a bit of m1 above a bit of m2: the odd letters a word with
@@ -69,18 +74,17 @@ class Presentation:
         self.ngens = len(gens)
         self.parities = tuple(g.parity for g in gens)
         # closed-form normal forms (sort + Koszul sign) instead of
-        # letter-by-letter rewriting; only valid for the standard
+        # letter-by-letter rewriting, and Element.terms keyed by packed
+        # int words (_pack_layout); only valid for the standard
         # supercommutative rule set
         self.supercommutative = supercommutative
         self.unit = unit
         self._rules = {}
         self._kernel_rules = None
         self._memo = {}
-        # supercommutative products: operand word -> odd-letter mask (-1
-        # when the word is not normal).  It depends on the parities only,
-        # so rule changes keep it.
-        self._masks = {}
         self._by_name = {g.name: g for g in gens}
+        if supercommutative:
+            self._pack_layout()
         for g in gens:
             if g.parity:
                 self._rules[(g.rank, g.rank)] = {}
@@ -157,6 +161,34 @@ class Presentation:
             }
         return self._kernel_rules
 
+    def _pack_layout(self):
+        """Fields of the packed words of a supercommutative presentation.
+
+        A normal word is one int: a field per rank, rank 0 lowest, each
+        with a guard bit above it, and the total degree above them all.
+        An odd field is one bit, so w & odd_bits is the word's odd mask;
+        an even field holds any exponent up to MAX_DEGREE.  A product of
+        words is the sum of their ints, and int order is a graded
+        monomial order.  An exponent is at most the total degree, so a
+        word of degree at most MAX_DEGREE fills no field past its width.
+        """
+        fields = []
+        shift = odd = guards = 0
+        for p in self.parities:
+            width = 1 if p else _EVEN_FIELD_BITS
+            fields.append((shift, (1 << width) - 1))
+            if p:
+                odd |= 1 << shift
+            guards |= 1 << (shift + width)
+            shift += width + 1
+        self.fields = tuple(fields)
+        self.odd_bits = odd
+        self.guards = guards
+        self.letter_keys = tuple((1 << s) | (1 << shift) for s, _m in fields)
+        # the least int of a word of degree MAX_DEGREE + 1
+        self._key_limit = (MAX_DEGREE + 1) << shift
+        self._letters = {}
+
     # -- words ---------------------------------------------------------------
 
     def word_parity(self, w):
@@ -165,7 +197,21 @@ class Presentation:
             p ^= self.parities[r]
         return p
 
+    def letters(self, key):
+        """The sorted letters of the packed word key (memoized)."""
+        w = self._letters.get(key)
+        if w is None:
+            w = ()
+            for r, (shift, mask) in enumerate(self.fields):
+                e = (key >> shift) & mask
+                if e:
+                    w += (r,) * e
+            self._letters[key] = w
+        return w
+
     def word_text(self, w):
+        if self.supercommutative:
+            w = self.letters(w)
         if not w:
             return "1"
         return "*".join(self.generators[r].name for r in w)
@@ -198,7 +244,8 @@ class Presentation:
                               self.unit, self._memo)
 
     def _sc_word(self, w):
-        """Sorted word and Koszul sign, or None when an odd letter repeats."""
+        """Packed word and Koszul sign of the letters w, or None when an
+        odd letter repeats."""
         hit = self._memo.get(w)
         if hit is not None or w in self._memo:
             return hit
@@ -206,65 +253,60 @@ class Presentation:
         odds = [r for r in w if par[r]]
         res = None
         if len(set(odds)) == len(odds):
+            if len(w) > MAX_DEGREE:
+                raise OverflowError("word of degree %d: packed words hold "
+                                    "degree %d at most" % (len(w), MAX_DEGREE))
             inv = 0
             for i in range(len(odds)):
                 oi = odds[i]
                 for j in range(i + 1, len(odds)):
                     if oi > odds[j]:
                         inv += 1
-            res = (tuple(sorted(w)), -1 if inv & 1 else 1)
+            keys = self.letter_keys
+            res = (sum(keys[r] for r in w), -1 if inv & 1 else 1)
         self._memo[w] = res
         return res
 
-    def _odd_mask(self, w):
-        """Bit mask of w's odd letters (bit r for rank r), or -1 unless w
-        is normal: sorted, with no odd letter repeated."""
-        m = self._masks.get(w)
-        if m is None:
-            par = self.parities
-            m = 0
-            prev = 0
-            for r in w:
-                if r < prev:
-                    m = -1
-                    break
-                prev = r
-                if par[r]:
-                    bit = 1 << r
-                    if m & bit:
-                        m = -1
-                        break
-                    m |= bit
-            self._masks[w] = m
-        return m
-
-    def _masked_terms(self, t):
-        """(word, odd mask, coefficient) for each term of t, after bringing
-        t to normal form if one of its words is not normal."""
-        mask = self._odd_mask
-        out = [(w, mask(w), c) for w, c in t.items()]
-        if any(m < 0 for _w, m, _c in out):
-            out = [(w, mask(w), c) for w, c in self.normal_form(t).items()]
-        return out
+    def _key(self, w):
+        """The Element.terms key of the normal word w: w itself, or its
+        packed int in a supercommutative presentation."""
+        return self._sc_word(w)[0] if self.supercommutative else w
 
     def _sc_product(self, t1, t2):
         """Product of two supercommutative term maps.
 
-        For normal words w1, w2 with disjoint odd masks m1, m2, w1*w2 is
-        sorted(w1 + w2) times (-1)^k, where k counts the pairs of an odd
+        Packed words w1, w2 with disjoint odd masks m1, m2 multiply to the
+        word w1 + w2, times (-1)^k, where k counts the pairs of an odd
         letter of w1 above an odd letter of w2; overlapping masks hold an
-        odd square, so the pair contributes nothing.  An operand with a
-        word that is not normal is brought to normal form first, which
-        leaves the product unchanged.
+        odd square, so the pair contributes nothing.
         """
         if not t1 or not t2:
             return {}
-        b = self._masked_terms(t2)
-        return accumulate({}, (
-            (tuple(sorted(w1 + w2)),
-             -(c1 * c2) if _odd_inversions(m1, m2) & 1 else c1 * c2)
-            for w1, m1, c1 in self._masked_terms(t1)
-            for w2, m2, c2 in b if not m1 & m2))
+        if max(t1) + max(t2) >= self._key_limit:
+            raise OverflowError("product past degree %d, the most packed "
+                                "words hold" % MAX_DEGREE)
+        odd = self.odd_bits
+        b = [(w2, w2 & odd, c2) for w2, c2 in t2.items()]
+        out = {}
+        for w1, c1 in t1.items():
+            m1 = w1 & odd
+            for w2, m2, c2 in b:
+                if m1 & m2:
+                    continue
+                c = c1 * c2
+                if m1 and m2 and _odd_inversions(m1, m2) & 1:
+                    c = -c
+                w = w1 + w2
+                prev = out.get(w)
+                if prev is None:
+                    out[w] = c
+                else:
+                    c = prev + c
+                    if c:
+                        out[w] = c
+                    else:
+                        del out[w]
+        return out
 
     def pbw_dimension(self, d):
         """Number of normal words of total degree d (transfer-matrix count)."""
@@ -291,13 +333,14 @@ class Presentation:
         return Element(self, {})
 
     def one(self):
-        return Element(self, {(): self.unit})
+        return Element(self, {self._key(()): self.unit})
 
     def scalar(self, s):
-        return Element(self, {(): s} if s else {})
+        return Element(self, {self._key(()): s} if s else {})
 
     def gen(self, name):
-        return Element(self, {(self.generator(name).rank,): self.unit})
+        return Element(self, {self._key((self.generator(name).rank,)):
+                              self.unit})
 
     def word(self, names_or_ranks):
         w = tuple(r if isinstance(r, int) else self.generator(r).rank
@@ -387,14 +430,26 @@ class Element(TermMap):
 
     def parity(self):
         """Parity when homogeneous; raises for mixed terms."""
-        ps = {self.alg.word_parity(w) for w in self.terms}
+        alg = self.alg
+        if alg.supercommutative:
+            odd = alg.odd_bits
+            ps = {(w & odd).bit_count() & 1 for w in self.terms}
+        else:
+            ps = {alg.word_parity(w) for w in self.terms}
         if len(ps) > 1:
             raise AlgebraError("element is not parity-homogeneous")
         return ps.pop() if ps else 0
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]),
-                      reverse=True)
+        """Terms from the largest word down, words compared as (len(w), w)
+        on their letters."""
+        alg = self.alg
+        if alg.supercommutative:
+            letters = alg.letters
+            key = lambda t: (len(letters(t[0])), letters(t[0]))
+        else:
+            key = lambda t: (len(t[0]), t[0])
+        return sorted(self.terms.items(), key=key, reverse=True)
 
     def to_text(self):
         if not self.terms:

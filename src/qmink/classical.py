@@ -53,15 +53,19 @@ def minkowski_dot(ga, u, v):
 
 def d_dx(el, rank):
     """Partial derivative with respect to the even generator `rank`."""
+    pres = el.alg
+    if pres.parities[rank]:
+        raise ValueError("d_dx differentiates by an even generator, not %s"
+                         % pres.generators[rank].name)
+    shift, mask = pres.fields[rank]
+    step = pres.letter_keys[rank]
     out = {}
     for w, c in el.terms.items():
-        n = w.count(rank)
-        if not n:
-            continue
-        i = w.index(rank)
-        # distinct words stay distinct without their first `rank`
-        out[w[:i] + w[i + 1:]] = c * GaussRational(n)
-    return Element(el.alg, out)
+        n = (w >> shift) & mask
+        if n:
+            # distinct words stay distinct with one `rank` less
+            out[w - step] = c * GaussRational(n)
+    return Element(pres, out)
 
 
 @dataclass
@@ -188,9 +192,10 @@ class RationalMap:
 def substitute(ga, el, images):
     """Evaluate an Element at generator -> rational images (default identity)."""
     terms = []
+    letters = ga.pres.letters
     for w, c in el.terms.items():
         f = GrassmannRational(ga, ga.scalar(c))
-        for r in w:
+        for r in letters(w):
             img = images.get(r)
             if img is None:
                 img = GrassmannRational(ga, ga.pres.word([r]))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from operator import neg
 
 from .algebra import Element, Generator, Presentation
 from .scalars import GaussRational
@@ -36,12 +35,18 @@ def supercommutative_presentation(variables):
 def exact_divide(pres, num, g):
     """Quotient q with q * g == num, or None; g must be odd-free.
 
-    Multivariate division by lead reduction in graded-lex order, words
-    compared as (len(w), w) on sorted tuples.  That order is a monomial
-    order (compatible with multiset union), and g has no odd letters, so
-    multiplying by a word of g brings no Koszul sign and kills no odd
-    square.  With a monomial-unit lead coefficient in g, the reduction
-    therefore finds q exactly when it exists.
+    Multivariate division by lead reduction in the order of the packed
+    words, a graded monomial order: int order, and a product of words is
+    the sum of their ints.  g has no odd letters, so multiplying by a
+    word of g brings no Koszul sign and kills no odd square.  With a
+    monomial-unit lead coefficient in g, the reduction therefore finds q
+    exactly when it exists.
+
+    A word a contains a word b when no field of a is below b's field.
+    With the guard bits G of the layout set in a, (a | G) - b clears the
+    guard of each field that is short and of no other, so a contains b
+    exactly when the guards survive, and then the quotient word is the
+    difference without G.
 
     Early rejection: if num = q*g, then num's lead word is
     lead(q)*lead(g) and its trailing word is trail(q)*trail(g).  Each of
@@ -52,49 +57,50 @@ def exact_divide(pres, num, g):
     word does not contain g's trailing word, there is no quotient, and
     None is returned before any coefficient arithmetic.
 
-    The remainder is a dict plus a heap of its words (Monagan & Pearce,
-    CASC 2007), keyed (-len(w), -w letterwise) so that heapq's smallest
-    entry is the graded-lex largest word.  A word is pushed when it
-    enters the remainder and skipped when popped after it has left.
-    Every product term lies below the current lead, so the leads come
-    out in the same order as a rescan of the whole remainder gives.
+    The remainder is a dict plus a heap of its negated words (Monagan &
+    Pearce, CASC 2007), so that heapq's smallest entry is the largest
+    word.  A word is pushed when it enters the remainder and skipped when
+    popped after it has left.  Every product term lies below the current
+    lead, so the leads come out in the same order as a rescan of the
+    whole remainder gives.
     """
     gt = g.terms
     if not gt:
         raise ZeroDivisionError
-    key = lambda w: (len(w), w)
-    glead = max(gt, key=key)
+    glead = max(gt)
     glc = gt[glead]
     if glc.monomial_unit() is None:
         return None
     r = dict(num.terms)
     if not r:
         return Element(pres, {})
-    if _multiset_difference(max(r, key=key), glead) is None or \
-            _multiset_difference(min(r, key=key), min(gt, key=key)) is None:
+    guards = pres.guards
+    if ((max(r) | guards) - glead) & guards != guards or \
+            ((min(r) | guards) - min(gt)) & guards != guards:
         return None
-    heap = [(-len(w), tuple(map(neg, w)), w) for w in r]
+    heap = [-w for w in r]
     heapify(heap)
     glc_inv = glc.inverse_of_unit()
     minus_g = [(w2, -c2) for w2, c2 in gt.items()]
     q = {}
     while heap:
-        lw = heappop(heap)[2]
+        lw = -heappop(heap)
         lc = r.get(lw)
         if lc is None:
             continue
-        qw = _multiset_difference(lw, glead)
-        if qw is None:
+        qw = (lw | guards) - glead
+        if qw & guards != guards:
             return None
+        qw ^= guards
         qc = lc * glc_inv
         q[qw] = qc
         for w2, c2 in minus_g:
-            w = tuple(sorted(qw + w2))
+            w = qw + w2
             c = qc * c2  # nonzero: the coefficient ring is a domain
             prev = r.get(w)
             if prev is None:
                 r[w] = c
-                heappush(heap, (-len(w), tuple(map(neg, w)), w))
+                heappush(heap, -w)
             else:
                 v = prev + c
                 if v:
@@ -102,17 +108,6 @@ def exact_divide(pres, num, g):
                 else:
                     del r[w]
     return Element(pres, q)
-
-
-def _multiset_difference(w, sub):
-    """w minus sub as sorted tuples, or None when sub is not contained."""
-    out = list(w)
-    try:
-        for x in sub:
-            out.remove(x)
-    except ValueError:
-        return None
-    return tuple(out)
 
 
 class GrassmannAlgebra:
@@ -166,21 +161,21 @@ class GrassmannAlgebra:
 
     def star(self, el):
         """The involution, extended letter by letter: (ab)* = a* b*."""
-        conj = self._conj
+        conj, letters = self._conj, self.pres.letters
         return Element(self.pres, self.pres.normal_form(
-            (tuple(conj[r] for r in w), c.conjugate())
+            (tuple(conj[r] for r in letters(w)), c.conjugate())
             for w, c in el.terms.items()))
 
     def body(self, el):
         """Terms containing no odd generator (the non-nilpotent part)."""
-        par = self.pres.parities
+        odd = self.pres.odd_bits
         return Element(self.pres, {w: c for w, c in el.terms.items()
-                                   if not any(par[r] for r in w)})
+                                   if not w & odd})
 
     def soul(self, el):
-        par = self.pres.parities
+        odd = self.pres.odd_bits
         return Element(self.pres, {w: c for w, c in el.terms.items()
-                                   if any(par[r] for r in w)})
+                                   if w & odd})
 
 
 class GrassmannRational:
@@ -217,9 +212,8 @@ class GrassmannRational:
                 raise ZeroDivisionError("zero denominator factor")
             if ga.soul(f):
                 raise ValueError("denominator factors must be odd-free")
-            mono = None
-            if len(f.terms) == 1 and () in f.terms:
-                mono = f.terms[()]
+            # a constant: the empty word packs to 0
+            mono = f.terms.get(0) if len(f.terms) == 1 else None
             if mono is not None:
                 self.num = self.num.scale(mono.inverse_of_unit())
             else:

@@ -9,14 +9,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qmink import kernel
-from qmink.algebra import (Element, Generator, MalformedRuleError,
-                           Presentation, TensorPoly, overlap_words,
-                           resolve_overlap)
+from qmink.algebra import (MAX_DEGREE, AlgebraError, Element, Generator,
+                           MalformedRuleError, Presentation, TensorPoly,
+                           overlap_words, resolve_overlap)
 from qmink.grassmann import supercommutative_presentation
 from qmink.kernel import BudgetExceeded, accumulate
 from qmink.linalg import DegenerateBasisError, SpanSolver
 from qmink.scalars import ONE, Q, QINV, GaussRational, Scalar
 from qmink.supergroup import build_slq41, minor
+
+import tuple_words
+from tuple_words import decoded
 
 
 def manin_presentation_even(n):
@@ -180,51 +183,68 @@ def test_supercommutative_shortcut_matches_rewriting(case):
     for lhs, rhs in sc.rules.items():
         if lhs not in ref.rules:  # odd squares come with the constructor
             ref.add_rule(lhs, rhs)
-    assert sc.normal_form(terms) == ref.normal_form(terms)
+    packed = sc.normal_form(terms)
+    assert decoded(Element(sc, packed)) == ref.normal_form(terms)
+    assert decoded(Element(sc, packed)) == tuple_words.normal_form(
+        sc.parities, terms)
     for w in terms:
-        assert dict(sc.nf_word(w)) == dict(ref.nf_word(w))
+        assert decoded(Element(sc, dict(sc.nf_word(w)))) == \
+            dict(ref.nf_word(w))
+
+
+# both coefficient rings: Q(i) and Q(i)[q, q^-1]
+_RING_COEFFS = (
+    st.builds(GaussRational, st.integers(-3, 3), st.integers(-2, 2),
+              st.integers(1, 4)).filter(bool),
+    st.builds(lambda n, k: Scalar.from_int(n) * Scalar.q_pow(k),
+              st.integers(-3, 3).filter(bool), st.integers(-2, 2)),
+)
 
 
 @st.composite
 def _grassmann_factors(draw):
-    # raw words, unsorted and with repeated letters, so products carry
-    # Koszul signs and repeated odd letters
+    # raw tuple words, unsorted and with repeated letters, so products
+    # carry Koszul signs and repeated odd letters; returns the
+    # presentation and the two raw term maps
     n_even, n_odd = draw(st.integers(0, 3)), draw(st.integers(1, 3))
     pres = supercommutative_presentation(
         [("e%d" % r, 0) for r in range(n_even)]
         + [("o%d" % r, 1) for r in range(n_odd)])
     words = st.lists(st.integers(0, n_even + n_odd - 1), max_size=4).map(tuple)
-    coeffs = st.builds(GaussRational, st.integers(-3, 3), st.integers(-2, 2),
-                       st.integers(1, 4)).filter(bool)
-    x, y = (Element(pres, draw(st.dictionaries(words, coeffs, max_size=4)))
-            for _ in range(2))
-    return x, y
+    coeffs = draw(st.sampled_from(_RING_COEFFS))
+    tx, ty = (draw(st.dictionaries(words, coeffs, max_size=4))
+              for _ in range(2))
+    return pres, tx, ty
+
+
+def dict_path_raw(pres, tx, ty):
+    """The normal form of every concatenation of a word of tx with a word
+    of ty, summed as tuple words first."""
+    prod = {}
+    for w1, c1 in tx.items():
+        for w2, c2 in ty.items():
+            accumulate(prod, ((w1 + w2, c1 * c2),))
+    return pres.normal_form(prod)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_grassmann_factors())
-def test_supercommutative_one_pass_product(xy):
-    x, y = xy
-    assert (x * y).terms == dict_path_product(x, y).terms
-    # and on normal-form factors, as the q = 1 layer multiplies them
-    xn = Element(x.alg, x.alg.normal_form(x.terms))
-    yn = Element(y.alg, y.alg.normal_form(y.terms))
-    assert (xn * yn).terms == dict_path_product(xn, yn).terms
-
-
-def is_normal_sc_word(pres, w):
-    odds = [r for r in w if pres.parities[r]]
-    return list(w) == sorted(w) and len(set(odds)) == len(odds)
+def test_supercommutative_one_pass_product(case):
+    pres, tx, ty = case
+    x, y = (Element(pres, pres.normal_form(t)) for t in (tx, ty))
+    prod = (x * y).terms
+    assert prod == dict_path_raw(pres, tx, ty)
+    assert decoded(x * y) == tuple_words.sc_product(pres.parities, tx, ty)
 
 
 @st.composite
 def _normal_grassmann_factors(draw):
     # normal-form factors, as the q = 1 layer multiplies them; empty and
     # one-term operands included
-    x, y = draw(_grassmann_factors())
+    pres, tx, ty = draw(_grassmann_factors())
     size = st.integers(0, 4)
-    x, y = (Element(v.alg, dict(list(v.alg.normal_form(v.terms).items())
-                                [:draw(size)])) for v in (x, y))
+    x, y = (Element(pres, dict(list(pres.normal_form(t).items())
+                               [:draw(size)])) for t in (tx, ty))
     return x, y
 
 
@@ -233,41 +253,78 @@ def _normal_grassmann_factors(draw):
 def test_odd_mask_product_matches_dict_path(xy):
     x, y = xy
     pres = x.alg
-    assert all(is_normal_sc_word(pres, w) for w in (*x.terms, *y.terms))
+    odd = pres.odd_bits
+    # a packed word's odd mask is its odd fields, one bit each
+    for w in (*x.terms, *y.terms):
+        assert (w & odd).bit_count() == sum(
+            pres.parities[r] for r in pres.letters(w))
     memo = len(pres._memo)
     prod = (x * y).terms
-    # the product came from the masks: no concatenated word was memoized
+    # the product came from the packed words: no word was memoized
     assert len(pres._memo) == memo
     assert prod == pres._sc_product(x.terms, y.terms)
-    assert prod == dict_path_product(x, y).terms
+    tx, ty = decoded(x), decoded(y)
+    assert prod == dict_path_raw(pres, tx, ty)
+    assert decoded(x * y) == tuple_words.sc_product(pres.parities, tx, ty)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_grassmann_factors())
-def test_raw_factors_are_normalized_first(xy):
-    # operands with unsorted words or repeated odd letters are brought to
-    # normal form before the mask product; nf(x) * nf(y) = nf(x * y)
-    x, y = xy
-    ref = dict_path_product(x, y).terms
-    assert x.alg._sc_product(x.terms, y.terms) == ref
-    assert (x * y).terms == ref
+def test_raw_factors_are_normalized_first(case):
+    # raw words are brought to normal form when the Element is built, so
+    # the packed product is nf(x) * nf(y) = nf(x * y)
+    pres, tx, ty = case
+    x, y = (Element(pres, pres.normal_form(t)) for t in (tx, ty))
+    assert decoded(x) == tuple_words.normal_form(pres.parities, tx)
+    assert all(pres.letters(w) == tuple(sorted(pres.letters(w)))
+               for w in x.terms)
+    ref = tuple_words.sc_product(pres.parities, tx, ty)
+    assert {pres._key(w): c for w, c in ref.items()} == (x * y).terms
 
 
 def test_raw_word_products():
-    # unsorted words and a repeated odd letter are normalized first
+    # unsorted words and a repeated odd letter, normalized when built
     pres = supercommutative_presentation([("e", 0), ("s", 1), ("t", 1)])
     one = pres.unit
-    t_s = Element(pres, {(2, 1): one})
-    s_s = Element(pres, {(1, 1): one})
+    t_s = Element(pres, pres.normal_form({(2, 1): one}))
+    s_s = Element(pres, pres.normal_form({(1, 1): one}))
     s, t, e = pres.gen("s"), pres.gen("t"), pres.gen("e")
-    assert pres._sc_product(t_s.terms, e.terms) == {(0, 1, 2): -one}
-    assert pres._sc_product(e.terms, s_s.terms) == {}
-    assert (t_s * e).terms == {(0, 1, 2): -one}
+    assert decoded(t_s) == {(1, 2): -one}
+    assert s_s.terms == {}
+    assert decoded(t_s * e) == {(0, 1, 2): -one}
+    assert (t_s * e).to_text() == "(-1)*e*s*t"
     assert (s_s * e).terms == {}
-    assert (t * s).terms == {(1, 2): -one}
-    assert (s * t).terms == {(1, 2): one}
+    assert decoded(t * s) == {(1, 2): -one}
+    assert decoded(s * t) == {(1, 2): one}
     assert (s * s).terms == {}
     assert (pres.zero() * t_s).terms == {}
+    assert (e * e * t).parity() == 1 and (s * t).parity() == 0
+    with pytest.raises(AlgebraError):
+        (e + s).parity()
+
+
+def test_packed_words_refuse_a_degree_past_the_fields():
+    # every field holds any exponent up to MAX_DEGREE, the most a word's
+    # total degree may be; past it the layout raises instead of carrying
+    # into the guard bit or the next field
+    pres = supercommutative_presentation([("x", 0), ("s", 1), ("y", 0)])
+    x, y = pres.gen("x"), pres.gen("y")
+    top = pres.word(["x"] * MAX_DEGREE)
+    assert decoded(top) == {(0,) * MAX_DEGREE: pres.unit}
+    (w,) = top.terms
+    assert w & pres.guards == 0
+    half = pres.word(["x"] * (MAX_DEGREE // 2))
+    mixed = half * pres.word(["y"] * (MAX_DEGREE - MAX_DEGREE // 2))
+    assert decoded(mixed) == {(0,) * (MAX_DEGREE // 2) + (2,) * (
+        MAX_DEGREE - MAX_DEGREE // 2): pres.unit}
+    for past in (lambda: top * x, lambda: x * top, lambda: mixed * y,
+                 lambda: pres.word(["y"] * (MAX_DEGREE + 1)),
+                 lambda: pres.normal_form({(0,) * (MAX_DEGREE + 1):
+                                           pres.unit})):
+        with pytest.raises(OverflowError):
+            past()
+    # an odd square still vanishes, whatever its length would be
+    assert pres.normal_form({(1,) * (MAX_DEGREE + 1): pres.unit}) == {}
 
 
 _QUANTUM = (build_mq2(), build_slq41())
@@ -619,7 +676,9 @@ def test_tensor_products_refuse_another_kind_or_algebra():
 def test_normal_words_carry_the_unit_itself(pres):
     # the products' unit fast paths test the unit by identity, so the
     # kernel must hand out the presentation's own unit, not a fresh one
-    assert pres.one().terms[()] is pres.unit
+    letters = pres.letters if pres.supercommutative else (lambda w: w)
+    (w1, c1), = pres.one().terms.items()
+    assert letters(w1) == () and c1 is pres.unit
     for w in [(), (0,), (1,), (0, 1), (0, 2, 3), (1, 2, 3)]:
         (sw, c), = pres.nf_word(w)
-        assert sw == w and c is pres.unit
+        assert letters(sw) == w and c is pres.unit

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmink import classical
+from qmink.algebra import Element
 from qmink.checks import run_suite
 from qmink.classical import (RationalMap, SuperPoincareElement,
                              big_cell_reduce, bracket_closure_table,
@@ -20,6 +22,9 @@ from qmink.grassmann import (GrassmannMatrix, GrassmannRational, SymbolSpec,
                              supercommutative_presentation)
 from qmink.scalars import Q, QINV, GaussRational, Scalar
 from qmink.supergroup import build_slq41
+
+import tuple_words
+from tuple_words import decoded
 
 
 def test_conformal_generator_forms():
@@ -48,6 +53,30 @@ def test_partial_derivative():
     r0 = ga.pres.generator("x0").rank
     p = x0 * x0 * ga.gen("x1")
     assert d_dx(p, r0) == (x0 * ga.gen("x1")).scale(GaussRational(2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.lists(st.integers(0, 4), max_size=5).map(tuple),
+                       st.builds(GaussRational, st.integers(-3, 3),
+                                 st.integers(-3, 3), st.integers(1, 4)),
+                       max_size=4),
+       st.sampled_from(["x0", "x3", "w"]))
+def test_partial_derivative_matches_the_tuple_words(raw, name):
+    # raw words over x0..x3 and an even w, unsorted, with repeats
+    ga = coordinate_algebra(("w",))
+    pres = ga.pres
+    rank = pres.generator(name).rank
+    el = Element(pres, pres.normal_form(raw))
+    assert decoded(d_dx(el, rank)) == tuple_words.d_dx(
+        tuple_words.normal_form(pres.parities, raw), rank)
+
+
+def test_partial_derivative_refuses_an_odd_generator():
+    # an odd derivative needs a Koszul sign, which d_dx does not carry
+    ga = SymbolSpec.empty().even_self("x0").odd_self("th").build()
+    th = ga.pres.generator("th").rank
+    with pytest.raises(ValueError, match="even generator"):
+        d_dx(ga.gen("th") * ga.gen("x0"), th)
 
 
 def test_bracket_examples():

@@ -1,5 +1,6 @@
-"""Exact Grassmann division against a plain lead-reduction reference, and
-cancelled rational arithmetic against uncancelled fractions."""
+"""Exact Grassmann division, the involution and the body/soul split
+against the tuple-word references, and cancelled rational arithmetic
+against uncancelled fractions."""
 
 from functools import reduce
 from operator import mul
@@ -9,8 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from qmink.algebra import Element
 from qmink.grassmann import GrassmannAlgebra, GrassmannMatrix, \
-    GrassmannRational, _multiset_difference, exact_divide, rational_sum
+    GrassmannRational, exact_divide, rational_sum
 from qmink.scalars import GaussRational, Scalar
+
+import tuple_words
+from tuple_words import decoded
 
 # three even letters (ranks 0-2) and two odd ones (ranks 3, 4)
 GA = GrassmannAlgebra([(n, p, n) for n, p in
@@ -19,37 +23,15 @@ PRES = GA.pres
 EVEN, ODD = (0, 1, 2), (3, 4)
 
 
-def reference_divide(pres, num, g):
-    """Division as it was written before the heap: a full max scan of the
-    remainder at every step, and no early rejection."""
-    gt = g.terms
-    if not gt:
-        raise ZeroDivisionError
-    key = lambda w: (len(w), w)
-    glead = max(gt, key=key)
-    glc = gt[glead]
-    if glc.monomial_unit() is None:
-        return None
-    glc_inv = glc.inverse_of_unit()
-    r = dict(num.terms)
-    q = {}
-    while r:
-        lw = max(r, key=key)
-        qw = _multiset_difference(lw, glead)
-        if qw is None:
-            return None
-        qc = r[lw] * glc_inv
-        q[qw] = qc
-        for w2, c2 in gt.items():
-            w = tuple(sorted(qw + w2))
-            c = qc * c2
-            prev = r.get(w)
-            v = -c if prev is None else prev - c
-            if v:
-                r[w] = v
-            elif prev is not None:
-                del r[w]
-    return Element(pres, q)
+def reference_divide(num, g, key=tuple_words.graded_lex):
+    """exact_divide on tuple words, decoded: None, or the quotient's
+    terms."""
+    return tuple_words.divide(decoded(num), decoded(g), key)
+
+
+def divided(num, g):
+    quo = exact_divide(PRES, num, g)
+    return None if quo is None else decoded(quo)
 
 
 monomials = st.builds(
@@ -70,14 +52,13 @@ def element(pairs):
     terms = {}
     for w, c in pairs:
         terms[w] = c
-    return Element(PRES, terms)
+    return Element(PRES, PRES.normal_form(terms))
 
 
 odd_free = st.lists(st.tuples(even_words, monomials | binomials),
                     min_size=1, max_size=3).map(element).filter(bool)
 unit_lead = odd_free.filter(
-    lambda g: g.terms[max(g.terms, key=lambda w: (len(w), w))]
-    .monomial_unit() is not None)
+    lambda g: g.terms[max(g.terms)].monomial_unit() is not None)
 elements = st.lists(st.tuples(words, monomials | binomials),
                     max_size=4).map(element)
 
@@ -86,17 +67,58 @@ elements = st.lists(st.tuples(words, monomials | binomials),
 @given(elements, odd_free)
 def test_exact_divide_recovers_quotient(q, g):
     num = q * g
-    quo = exact_divide(PRES, num, g)
-    assert quo == reference_divide(PRES, num, g)
-    glead = max(g.terms, key=lambda w: (len(w), w))
-    if g.terms[glead].monomial_unit() is not None:
-        assert quo == q
+    quo = divided(num, g)
+    assert quo == reference_divide(num, g, tuple_words.packed_order)
+    if g.terms[max(g.terms)].monomial_unit() is not None:
+        assert quo == decoded(q)
+    # the quotient is unique, so the (len(w), w) order finds the same one
+    # whenever its own lead coefficient of g is a unit
+    old = reference_divide(num, g)
+    assert old is None or quo is None or old == quo
 
 
 @settings(max_examples=150, deadline=None)
 @given(elements, odd_free)
 def test_exact_divide_matches_reference(num, g):
-    assert exact_divide(PRES, num, g) == reference_divide(PRES, num, g)
+    # over Q(i)[q, q^-1], where a lead coefficient may not be a unit, the
+    # reference reduces in the order of the packed words
+    quo = divided(num, g)
+    assert quo == reference_divide(num, g, tuple_words.packed_order)
+    old = reference_divide(num, g)
+    assert old is None or quo is None or old == quo
+
+
+gauss = st.builds(GaussRational, st.integers(-4, 4), st.integers(-4, 4),
+                  st.integers(1, 6)).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(words, gauss), max_size=4).map(element),
+       st.lists(st.tuples(even_words, gauss), min_size=1, max_size=3)
+       .map(element).filter(bool), st.booleans())
+def test_exact_divide_over_q_i_matches_the_tuple_order(q, g, exact):
+    # over Q(i) every nonzero coefficient is a unit: the quotient does not
+    # depend on the order, and the (len(w), w) reference finds it too
+    num = q * g if exact else q
+    assert divided(num, g) == reference_divide(num, g)
+
+
+def test_a_short_field_does_not_borrow():
+    # y^2 is above x*y as an int (same degree, more of the higher rank),
+    # but x*y does not divide it: the x field of y^2 is short, and the
+    # guard bit stops the borrow from reaching the y field
+    one = GaussRational(1)
+    y2 = Element(PRES, PRES.normal_form({(1, 1): one}))
+    xy = Element(PRES, PRES.normal_form({(0, 1): one}))
+    (w_num,), (w_g,) = y2.terms, xy.terms
+    assert w_num > w_g
+    assert exact_divide(PRES, y2, xy) is None
+    assert reference_divide(y2, xy) is None
+    # the same words one degree up, with a real quotient next to them
+    num = y2 * GA.gen("z") + xy * GA.gen("z")
+    assert exact_divide(PRES, num, xy) is None
+    assert reference_divide(num, xy) is None
+    assert divided(xy * GA.gen("z") * y2, xy) == decoded(GA.gen("z") * y2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -105,9 +127,9 @@ def test_trailing_word_rejects_without_arithmetic(q, g, c):
     # g without a constant term: q*g + c keeps q*g's lead word, so only
     # the trailing word () rules the quotient out
     g = Element(PRES, {w: v for w, v in g.terms.items() if w}) or \
-        Element(PRES, {(0,): Scalar.from_int(1)})
-    num = q * g + Element(PRES, {(): c})
-    assert reference_divide(PRES, num, g) is None
+        element([((0,), Scalar.from_int(1))])
+    num = q * g + PRES.scalar(c)
+    assert reference_divide(num, g, tuple_words.packed_order) is None
     calls = []
     mul = Scalar.__mul__
     with pytest.MonkeyPatch.context() as mp:
@@ -117,18 +139,51 @@ def test_trailing_word_rejects_without_arithmetic(q, g, c):
     assert calls == []
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.sampled_from(EVEN + ODD), max_size=4)
+                          .map(tuple), gauss), max_size=4))
+def test_star_body_and_soul_match_the_tuple_words(pairs):
+    # raw words: unsorted, with repeated odd letters, built through
+    # normal_form; every letter is its own conjugate here, so the
+    # involution only conjugates coefficients and re-sorts signs
+    raw = dict(pairs)
+    el = Element(PRES, PRES.normal_form(raw))
+    conj = {r: r for r in range(PRES.ngens)}
+    ref = tuple_words.normal_form(PRES.parities, raw)
+    assert decoded(GA.star(el)) == tuple_words.star(PRES.parities, conj, ref)
+    assert decoded(GA.body(el)) == {
+        w: c for w, c in ref.items() if not set(w) & set(ODD)}
+    assert decoded(GA.soul(el)) == {
+        w: c for w, c in ref.items() if set(w) & set(ODD)}
+    assert GA.body(el) + GA.soul(el) == el
+
+
+def test_star_swaps_partners_with_koszul_signs():
+    ga = GrassmannAlgebra([("a", 1, "b"), ("b", 1, "a"), ("u", 0, "v"),
+                           ("v", 0, "u")])
+    pres = ga.pres
+    conj = {0: 1, 1: 0, 2: 3, 3: 2}
+    i = GaussRational(0, 1)
+    raw = {(0, 1, 2): i, (0, 3, 3): GaussRational(2), (1,): GaussRational(1)}
+    el = Element(pres, pres.normal_form(raw))
+    ref = tuple_words.star(pres.parities, conj,
+                           tuple_words.normal_form(pres.parities, raw))
+    assert decoded(ga.star(el)) == ref
+    # (a b u)* = b a v = -a b v, with i -> -i
+    assert ref[(0, 1, 3)] == i
+    assert ga.star(ga.star(el)) == el
+
+
 # Rational arithmetic, over the algebra's own ring Q(i).  Denominator
 # factors come from a small shared pool, so operands share factors, and
 # numerators are drawn as multiples of pool factors (repeats allowed), so
 # that cancellation really happens.  Every nonzero coefficient is a unit,
 # so exact_divide can find the quotients.
-gauss = st.builds(GaussRational, st.integers(-4, 4), st.integers(-4, 4),
-                  st.integers(1, 6)).filter(bool)
 pool_factors = st.lists(
     st.tuples(st.lists(st.sampled_from(EVEN), max_size=2).map(
         lambda w: tuple(sorted(w))), gauss),
     min_size=1, max_size=2).map(element).filter(
-        lambda f: f and set(f.terms) != {()})
+        lambda f: f and set(f.terms) != set(GA.one().terms))
 small_elements = st.lists(st.tuples(words, gauss), min_size=1,
                           max_size=2).map(element)
 

@@ -142,9 +142,8 @@ def test_reverse_convention_breaks_the_group_conjugation():
     def reversing_star(el):
         out = ga.zero()
         for w, c in el.terms.items():
-            img = tuple(partner[r] for r in reversed(w))
-            out = out + Element(pres, dict(pres.nf_word(img))) \
-                .scale(c.conjugate())
+            img = tuple(partner[r] for r in reversed(pres.letters(w)))
+            out = out + Element(pres, pres.normal_form({img: c.conjugate()}))
         return out
 
     # GrassmannAlgebra.star keeps products in order; this one algebra

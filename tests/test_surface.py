@@ -134,11 +134,13 @@ def _deleting_functions(node, scope, func, out):
 
 def test_the_sparse_merge_is_written_once():
     # every term map sums through kernel.accumulate; the kernel's two
-    # per-word loops stay inline for speed, and exact_divide also pushes
-    # each word that enters its remainder onto a heap
+    # per-word loops and the packed Grassmann product stay inline for
+    # speed, and exact_divide also pushes each word that enters its
+    # remainder onto a heap
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         _deleting_functions(tree, path.stem, path.stem, found)
-    assert sorted(found) == ["grassmann.exact_divide", "kernel.accumulate",
+    assert sorted(found) == ["algebra.Presentation._sc_product",
+                             "grassmann.exact_divide", "kernel.accumulate",
                              "kernel.nf_word", "kernel.normal_form_terms"]
