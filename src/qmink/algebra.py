@@ -14,10 +14,7 @@ from dataclasses import dataclass
 
 from . import kernel
 from .kernel import accumulate
-from .scalars import GaussRational, ONE, Scalar, signed_join
-
-# the coefficient types an Element multiplies by as a scalar
-_COEFFICIENTS = (Scalar, GaussRational)
+from .scalars import ONE, signed_join
 
 # packed supercommutative words: the value bits of an even letter's field,
 # and the highest total degree a word may have, which every field holds
@@ -50,9 +47,6 @@ class Generator:
     index: tuple
     parity: int
     rank: int
-
-    def __repr__(self):
-        return self.name
 
 
 class Presentation:
@@ -399,11 +393,6 @@ class TermMap:
         return self.__class__(self.alg,
                               {k: s * c for k, c in self.terms.items()})
 
-    def __rmul__(self, other):
-        if isinstance(other, _COEFFICIENTS):
-            return self.scale(other)
-        return NotImplemented
-
     def __repr__(self):
         return "<%s>" % self.to_text()
 
@@ -414,12 +403,8 @@ class Element(TermMap):
     __slots__ = ()
 
     def __mul__(self, other):
-        if other.__class__ is not Element:
-            if isinstance(other, _COEFFICIENTS):
-                return self.scale(other)
-            return NotImplemented
         alg = self.alg
-        if other.alg is not alg:
+        if other.__class__ is not Element or other.alg is not alg:
             return NotImplemented
         if alg.supercommutative:
             return Element(alg, alg._sc_product(self.terms, other.terms))
@@ -496,8 +481,6 @@ class TensorPoly(TermMap):
 
     def __mul__(self, other):
         """(a (x) b)(c (x) d) = (-1)^{|b||c|} ac (x) bd."""
-        if isinstance(other, Scalar):
-            return self.scale(other)
         alg = self.alg
         if other.__class__ is not TensorPoly or other.alg is not alg:
             return NotImplemented

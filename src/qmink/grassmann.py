@@ -193,8 +193,6 @@ class GrassmannRational:
     __slots__ = ("ga", "num", "den")
 
     def __init__(self, ga, num, den=(), _reduced=False):
-        if isinstance(den, Element):
-            den = (den,)
         self.ga = ga
         self.num = num
         self.den = tuple(den)
@@ -231,10 +229,6 @@ class GrassmannRational:
             if other.ga is not self.ga:
                 raise ValueError("mixed algebras")
             return other
-        if isinstance(other, Element):
-            if other.alg is not self.ga.pres:
-                raise ValueError("mixed algebras")
-            return GrassmannRational(self.ga, other, (), _reduced=True)
         if isinstance(other, (GaussRational, int)):
             return GrassmannRational(self.ga, self.ga.scalar(other), (),
                                      _reduced=True)
@@ -243,17 +237,11 @@ class GrassmannRational:
     def __add__(self, other):
         return rational_sum(self.ga, (self, self._coerce(other)))
 
-    def __radd__(self, other):
-        return self + other
-
     def __neg__(self):
         return GrassmannRational(self.ga, -self.num, self.den, _reduced=True)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         """Cross-cancel, then multiply: each numerator has already been
@@ -268,9 +256,6 @@ class GrassmannRational:
             if num:
                 den = a_den + b_den
         return GrassmannRational(self.ga, num, den, _reduced=True)
-
-    def __rmul__(self, other):
-        return self._coerce(other) * self
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -316,6 +301,9 @@ class GrassmannRational:
         return bool(self.num)
 
     def __eq__(self, other):
+        if isinstance(other, Element):  # refused, not silently unequal
+            raise TypeError("wrap an Element in GrassmannRational to "
+                            "compare it")
         try:
             other = self._coerce(other)
         except TypeError:
@@ -323,15 +311,6 @@ class GrassmannRational:
         except ValueError:  # a value of another algebra is unequal
             return False
         return (self - other).is_zero()
-
-    def to_text(self):
-        if not self.den:
-            return self.num.to_text()
-        dent = " * ".join("(%s)" % f.to_text() for f in self.den)
-        return "(%s) / %s" % (self.num.to_text(), dent)
-
-    def __repr__(self):
-        return "<%s>" % self.to_text()
 
 
 def _cancel(ga, num, den):
@@ -403,9 +382,6 @@ class GrassmannMatrix:
     def shape(self):
         return (len(self.rows), len(self.rows[0]) if self.rows else 0)
 
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
     def _same_shape(self, other):
         return [len(r) for r in self.rows] == [len(r) for r in other.rows]
 
@@ -423,24 +399,18 @@ class GrassmannMatrix:
             [a - b for a, b in zip(r1, r2)]
             for r1, r2 in zip(self.rows, other.rows)])
 
-    def __neg__(self):
-        return GrassmannMatrix(self.ga, [[-a for a in r] for r in self.rows])
-
     def __mul__(self, other):
-        if isinstance(other, GrassmannMatrix):
-            m, k = self.shape
-            k2, n = other.shape
-            if k != k2:
-                raise ValueError("shape mismatch")
-            return GrassmannMatrix(self.ga, [
-                [rational_sum(self.ga, [self.rows[i][t] * other.rows[t][j]
-                                        for t in range(k)])
-                 for j in range(n)]
-                for i in range(m)])
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        if not isinstance(other, GrassmannMatrix):
+            return NotImplemented  # scale by a constant with .scale()
+        m, k = self.shape
+        k2, n = other.shape
+        if k != k2:
+            raise ValueError("shape mismatch")
+        return GrassmannMatrix(self.ga, [
+            [rational_sum(self.ga, [self.rows[i][t] * other.rows[t][j]
+                                    for t in range(k)])
+             for j in range(n)]
+            for i in range(m)])
 
     def scale(self, s):
         s = self._coerce(self.ga, s)
@@ -512,13 +482,6 @@ class GrassmannMatrix:
         for m in mats:
             rows.extend(m.rows)
         return cls(ga, rows)
-
-    def to_text(self):
-        return "[" + "; ".join(", ".join(a.to_text() for a in r)
-                               for r in self.rows) + "]"
-
-    def __repr__(self):
-        return "<%s>" % self.to_text()
 
 
 @dataclass

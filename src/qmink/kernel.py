@@ -106,8 +106,6 @@ def normal_form_terms(terms, rules, ngens, one, memo):
     out = {}
     items = terms.items() if isinstance(terms, dict) else terms
     for w, c in items:
-        if not c:
-            continue
         # inline: a generator fed to accumulate costs too much on 1-3 terms
         for sw, sc in _nf_word(w, rules, ngens, one, memo):
             prev = out.get(sw)

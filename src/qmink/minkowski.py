@@ -246,9 +246,6 @@ class LocalizedAlgebra:
             self._d12_powers[k] = cached
         return cached
 
-    def zero(self):
-        return LocalElement(self, {})
-
     def one(self):
         return LocalElement(self, {((), 0): ONE})
 
@@ -274,8 +271,6 @@ class LocalElement(TermMap):
     __slots__ = ()
 
     def __mul__(self, other):
-        if isinstance(other, Scalar):
-            return self.scale(other)
         if other.__class__ is not LocalElement or other.alg is not self.alg:
             return NotImplemented
         exps = self.alg.exponents

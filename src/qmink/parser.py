@@ -1,9 +1,9 @@
 """Expression grammar for the CLI.
 
 Atoms: integers, i, q, q^k (integer k), a[i,j], D[i,j], Dc[r1r2;c1c2],
-t[i,j], tau[5,j], D12inv, x0..x3.  Unary minus binds tighter than
-product, which is written with * or juxtaposition, and product binds
-tighter than sum; parentheses group.  parse reads the token list in one
+t[i,j], tau[5,j] and D12inv.  Unary minus binds tighter than product,
+which is written with * or juxtaposition, and product binds tighter
+than sum; parentheses group.  parse reads the token list in one
 precedence-climbing loop (Pratt, "Top down operator precedence", 1973)
 with an explicit stack for "(", so it does not recurse.  Syntax errors
 carry the line and column of the offending token.  Parsing then
@@ -26,22 +26,16 @@ class UnknownAtomError(ExprSyntaxError):
 
 
 class _Node:
-    """A syntax tree node: equal to another node, and hashed alike, when
-    both have the same class and equal fields, as a frozen dataclass
-    would be.  Nothing assigns a field after __init__."""
+    """A syntax tree node: equal to another node when both have the same
+    class and equal fields.  Nodes are not hashable."""
 
     __slots__ = ()
-
-    def _fields(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash((self.__class__.__name__,) + self._fields())
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__slots__)
 
     def __repr__(self):
         return "%s(%s)" % (self.__class__.__name__, ", ".join(
@@ -70,7 +64,7 @@ class Atom(_Node):
     __slots__ = ("kind", "indices")
 
     def __init__(self, kind, indices):
-        self.kind = kind  # "a", "D", "Dc", "t", "tau", "D12inv", "x"
+        self.kind = kind  # "a", "D", "Dc", "t", "tau", "D12inv"
         self.indices = indices
 
 
@@ -96,8 +90,6 @@ class Sum(_Node):
 
 
 _TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9]*|\d+|\^|\*|\+|-|\(|\)|\[|\]|,|;|\S")
-
-_X_NAMES = {"x0": 0, "x1": 1, "x2": 2, "x3": 3}
 
 # deepest nesting of "(" and unary "-", counted together, that parse
 # accepts; to_text and the CLI's evaluator recurse over the tree, so
@@ -228,8 +220,6 @@ def _atom(text, tokens, k):
         return ImagUnit(), k + 1
     if tok == "D12inv":
         return Atom("D12inv", ()), k + 1
-    if tok in _X_NAMES:
-        return Atom("x", (_X_NAMES[tok],)), k + 1
     raise _error(text, tokens, "unknown atom name %r" % tok, k,
                  UnknownAtomError)
 
@@ -332,8 +322,6 @@ def to_text(node):
     if isinstance(node, Atom):
         if node.kind == "D12inv":
             return "D12inv"
-        if node.kind == "x":
-            return "x%d" % node.indices
         if node.kind == "Dc":
             r1, r2, c1, c2 = node.indices
             return "Dc[%d%d;%d%d]" % (r1, r2, c1, c2)

@@ -4,7 +4,6 @@ A Scalar is an element of Q(i)[q, q^-1], stored as a map
 ``exponent -> (re, im)`` of Gaussian *integer* numerators over a single
 positive integer denominator.  The representation is canonical: no zero
 numerator pairs, gcd(content, denominator) == 1, denominator >= 1.
-Conjugation sends i to -i and fixes q.
 
 A GaussRational is an element of Q(i) alone, the coefficient ring of the
 q = 1 layer and of the su(2,2|1) matrices.  ``GaussRational.from_scalar``
@@ -67,10 +66,6 @@ class Scalar:
         return _ZERO
 
     @classmethod
-    def one(cls):
-        return _ONE
-
-    @classmethod
     def from_int(cls, n):
         return _ONE if n == 1 else cls({0: (n, 0)})
 
@@ -87,9 +82,6 @@ class Scalar:
 
     def __bool__(self):
         return bool(self._c)
-
-    def is_zero(self):
-        return not self._c
 
     def __add__(self, other):
         if not isinstance(other, Scalar):
@@ -174,11 +166,6 @@ class Scalar:
                 pre, pim = out.get(e, (0, 0))
                 out[e] = (pre + re, pim + im)
         return Scalar(out, den)
-
-    def conjugate(self):
-        """i -> -i, q fixed."""
-        return Scalar({e: (re, -im) for e, (re, im) in self._c.items()},
-                      self._den, _normalized=True)
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):

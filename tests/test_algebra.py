@@ -1,7 +1,9 @@
 """Rewriting core: normal forms, confluence, PBW counts, linear algebra."""
 
+import inspect
 import itertools
 import random
+import sys
 from functools import lru_cache
 from math import comb
 
@@ -534,6 +536,36 @@ def test_budget_guard(monkeypatch):
         pres.normal_form({(1, 0): ONE})
 
 
+def test_nf_word_pops_a_word_pushed_twice():
+    # (1,0,0) -> (0,1,0) + (0,2,0), and (0,2,0) -> (0,1,0) pushes (0,1,0)
+    # again before its first copy is reduced; once the second copy is
+    # reduced, the first is found in the memo and popped unreduced
+    gens = [Generator(n, (r,), 0, r) for r, n in enumerate("abc")]
+    pres = Presentation(gens)
+    for lhs, rhs in [((1, 0), [(0, 1), (0, 2)]), ((2, 0), [(1, 0)]),
+                     ((2, 1), [(1, 2)]), ((2, 2), [(1, 0), (1, 1), (0, 0)])]:
+        pres.add_rule(lhs, dict.fromkeys(rhs, ONE))
+    source, first = inspect.getsourcelines(kernel.nf_word)
+    pop = first + 1 + next(k for k, line in enumerate(source)
+                           if line.strip() == "if w in memo:")
+    lines = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not kernel.nf_word.__code__:
+            return None
+        if event == "line":
+            lines.add(frame.f_lineno)
+        return trace
+
+    sys.settrace(trace)
+    try:
+        got = kernel.nf_word((1, 0, 0), pres._kernel_view(), 3, ONE, {})
+    finally:
+        sys.settrace(None)
+    assert pop in lines
+    assert dict(got) == naive_nf(pres, {(1, 0, 0): ONE})
+
+
 def test_rule_validation():
     gens = [Generator(n, (r,), r % 2, r) for r, n in enumerate("abcd")]
     pres = Presentation(gens)
@@ -653,7 +685,11 @@ def test_term_maps_of_another_kind_or_algebra_do_not_mix():
     assert x != t and x != other
     assert (x - x).is_zero() and not (t - t)
     assert -x + x == pres.zero()
-    assert (ONE + ONE) * x == x + x == x.scale(ONE + ONE)
+    assert x + x == x.scale(ONE + ONE)
+    # a coefficient scales through .scale() only
+    for op in (lambda: (ONE + ONE) * x, lambda: x * (ONE + ONE)):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_tensor_products_refuse_another_kind_or_algebra():
@@ -662,10 +698,12 @@ def test_tensor_products_refuse_another_kind_or_algebra():
     # the same keys over another algebra would be read as slq41 words
     other = TensorPoly(build_mq2(), {((0,), (1,)): ONE})
     for u, v in ((t, other), (other, t), (t, GaussRational(2)),
-                 (t, pres.gen("a[1,1]")), (pres.gen("a[1,1]"), t)):
+                 (t, Scalar.from_int(2)), (t, pres.gen("a[1,1]")),
+                 (pres.gen("a[1,1]"), t)):
         with pytest.raises(TypeError):
             u * v
-    assert (t * Scalar.from_int(2)).terms == {((0,), (1,)): Scalar.from_int(2)}
+    assert t.scale(Scalar.from_int(2)).terms == \
+        {((0,), (1,)): Scalar.from_int(2)}
     assert (t * TensorPoly.unit(pres)).terms == t.terms
 
 

@@ -479,6 +479,17 @@ def test_missing_x2_term_fails_conformal_algebra(monkeypatch):
                         for mu in range(4) for nu in range(4)}
 
 
+def test_flipped_translation_fails_sct_inversion(monkeypatch):
+    # x -> x - b in place of x + b: the two records that conjugate a
+    # translation by the inversion fail, and the literal variant still
+    # fails its identity
+    right = classical.translation_map
+    monkeypatch.setattr(classical, "translation_map",
+                        lambda ga, b: right(ga, [-x for x in b]))
+    assert set(false_records("sct-inversion")) == \
+        {"inversion-identity", "composition"}
+
+
 def test_wrong_metric_fails_pauli_metric(monkeypatch):
     monkeypatch.setattr(classical, "METRIC", (1, -1, 1, -1))
     assert set(false_records("pauli-metric")) == {"determinant-identity"}

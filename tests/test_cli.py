@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pstats
 import random
 import subprocess
@@ -74,7 +75,7 @@ def test_nf_errors(capsys):
     rc, _, err = run(capsys, "nf", "D12inv", "--algebra", "grq")
     assert rc == 2 and "minkq" in err
     rc, _, err = run(capsys, "nf", "x0", "--algebra", "slq41")
-    assert rc == 2
+    assert rc == 2 and "unknown atom name 'x0'" in err
 
 
 # sha256 of normal_form_text over _nf_corpus(), one output a line, pinned
@@ -180,10 +181,10 @@ def _reference_nf_outcome(expr, algebra):
     ("minkq", "D12inv*(q - q)", "0"),
     ("minkq", "2 + D12inv*D[1,2] - 3", "0"),
     ("chiral-abstract", "-(q - q^-1) t[3,1] i", "(-i*q + i*q^-1)*t[3,1]"),
-    ("slq41", "x0", (EvaluationError,
-                     "atom x0 is not defined in slq41")),
-    ("grq", "0*x1 + D12inv", (EvaluationError,
-                              "atom x1 is not defined in grq")),
+    ("slq41", "t[3,1]", (EvaluationError,
+                         "atom t[3,1] is not defined in slq41")),
+    ("grq", "0*t[4,1] + D12inv", (EvaluationError,
+                                  "atom t[4,1] is not defined in grq")),
 ])
 def test_constant_folding_pinned(algebra, expr, expected):
     assert _nf_outcome(expr, algebra) == expected
@@ -197,12 +198,16 @@ def test_constant_folding_matches_elementwise_evaluation(algebra, node):
     assert _nf_outcome(expr, algebra) == _reference_nf_outcome(expr, algebra)
 
 
-@pytest.mark.parametrize("expr, message", [
+_OVERSIZED = [
     ("(" * 3000 + "q" + ")" * 3000, "nested deeper"),
     ("-" * 3000 + "q", "nested deeper"),
     ("9" * 5000, "invalid integer literal"),
     ("9" * 3000 + "*" + "9" * 3000, "more than 4300 digits"),
-], ids=["parentheses", "minus-signs", "long-integer", "long-coefficient"])
+]
+
+
+@pytest.mark.parametrize("expr, message", _OVERSIZED, ids=[
+    "parentheses", "minus-signs", "long-integer", "long-coefficient"])
 def test_nf_deep_nesting_is_bad_input(expr, message):
     proc = subprocess.run(
         [sys.executable, "-m", "qmink.cli", "nf", "--algebra", "slq41", "--",
@@ -210,6 +215,37 @@ def test_nf_deep_nesting_is_bad_input(expr, message):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# argv that qmink refuses as bad input, exit 2; tests/line_audit.py runs
+# them with the other production entry points
+BAD_INPUT_ARGV = [
+    ["nf", "a[6,1]", "--algebra", "slq41"],
+    ["nf", "a[1,2] +", "--algebra", "slq41"],
+    ["nf", "a[1,1", "--algebra", "slq41"],
+    ["nf", "x0", "--algebra", "slq41"],
+    ["nf", "t[3,1]", "--algebra", "slq41"],
+    ["nf", "a[1,1]", "--algebra", "chiral-abstract"],
+    ["nf", "D12inv", "--algebra", "grq"],
+    ["nf", "t[3,1]", "--algebra", "minkq"],
+] + [["nf", "--algebra", "slq41", "--", expr] for expr, _m in _OVERSIZED] + [
+    ["check", "no-such-suite"],
+    ["check", "twistor", "--serial"],
+    ["check", "pauli-metric", "--out", os.path.join(os.devnull, "r.json")],
+    ["check", "pauli-metric", "--profile", os.path.join(os.devnull, "p")],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT_ARGV,
+                         ids=lambda argv: " ".join(argv)[:32])
+def test_bad_input_exits_2(capsys, argv):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse refuses the argv
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith(("error: ", "usage: "))
+    assert "Traceback" not in err
 
 
 def test_nf_past_the_rewrite_budget_is_bad_input(capsys, monkeypatch):

@@ -245,7 +245,7 @@ def test_rational_product_and_sum_match_uncancelled(xy):
 def test_matrix_entry_sum_matches_uncancelled(xs):
     row, col = xs[:3], xs[3:]
     entry = (GrassmannMatrix(GA, [row]) *
-             GrassmannMatrix(GA, [[b] for b in col]))[0, 0]
+             GrassmannMatrix(GA, [[b] for b in col])).rows[0][0]
     ref = uncancelled_sum([uncancelled_product(a, b)
                            for a, b in zip(row, col)])
     assert same_value(entry, ref)
@@ -279,16 +279,21 @@ def test_rational_equality_with_a_foreign_operand():
     assert x in [None, x]
     assert [None, x].index(x) == 1
     assert x != Scalar.term(0, 1, 0, 2)
-    assert x == GA.gen("x") and x - x == 0
+    assert x == GrassmannRational(GA, GA.gen("x")) and x - x == 0
+    # a bare Element is refused, in comparisons and in arithmetic alike,
+    # rather than compared unequal
+    for op in (lambda: x == GA.gen("x"), lambda: GA.gen("x") != x,
+               lambda: x + GA.gen("x"), lambda: x * GA.gen("x"),
+               lambda: GA.gen("x") * x, lambda: 2 * x, lambda: 0 + x):
+        with pytest.raises(TypeError):
+            op()
     # a value of another algebra with the same letters is unequal, as for
     # Element, and arithmetic across the two algebras still raises
     other = GrassmannAlgebra([("x", 0, "x")])
     y = GrassmannRational(other, other.gen("x"))
     assert not x == y and x != y
-    assert not x == other.gen("x") and x != other.gen("x")
     assert not GA.gen("x") == other.gen("x")
-    for op in (lambda: x + y, lambda: x - y, lambda: x * y,
-               lambda: x + other.gen("x")):
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y):
         with pytest.raises(ValueError, match="mixed algebras"):
             op()
     m = GrassmannMatrix(GA, [[GA.gen("x")]])
@@ -297,6 +302,10 @@ def test_rational_equality_with_a_foreign_operand():
     assert m == GrassmannMatrix(GA, [[GA.gen("x")]])
     for op in (lambda: m + n, lambda: m - n, lambda: m * n):
         with pytest.raises(ValueError, match="mixed algebras"):
+            op()
+    # a matrix scales through .scale() only
+    for op in (lambda: m * 2, lambda: 2 * m, lambda: m * x, lambda: -m):
+        with pytest.raises(TypeError):
             op()
 
 

@@ -68,7 +68,6 @@ def test_unit_product_matches_general_path(x):
 def test_unit_constructors_return_the_singleton():
     assert Scalar.q_pow(0) is ONE
     assert Scalar.from_int(1) is ONE
-    assert Scalar.one() is ONE
     assert Scalar.q_pow(1) == Q and Scalar.from_int(-1) == -ONE
 
 
@@ -113,7 +112,7 @@ def test_basic_arithmetic():
     two = Scalar.from_int(2)
     assert (two + two).to_text() == "4"
     assert (two * two).to_text() == "4"
-    assert (two - two).is_zero()
+    assert not (two - two)
     assert (Q * QINV) == ONE
     assert (I * I) == Scalar.from_int(-1)
 
@@ -122,7 +121,7 @@ def test_add_mixed_denominators():
     # regression: the common denominator of a/2 + b/3 is 6
     assert (Scalar.term(0, 1, 0, 2) + Scalar.term(0, 1, 0, 3)) == Scalar.term(0, 5, 0, 6)
     assert (Scalar.term(0, 1, 0, 2) + Scalar.term(0, 1, 0, 4)) == Scalar.term(0, 3, 0, 4)
-    assert (Scalar.term(0, 1, 0, 2) - Scalar.term(0, 1, 0, 2)).is_zero()
+    assert not (Scalar.term(0, 1, 0, 2) - Scalar.term(0, 1, 0, 2))
     assert (Scalar.term(0, 3, 0, 4) * Scalar.term(0, 2, 0, 3)) == Scalar.term(0, 1, 0, 2)
 
 
@@ -134,14 +133,18 @@ def test_canonical_form_unique():
     assert Scalar({0: (-1, 0)}, -2) == Scalar.term(0, 1, 0, 2)
 
 
+gauss = st.builds(GaussRational, st.integers(-9, 9), st.integers(-9, 9),
+                  st.integers(1, 12))
+
+
 @settings(max_examples=60)
-@given(scalars, scalars)
+@given(gauss, gauss)
 def test_conjugation_is_multiplicative(x, y):
     assert (x * y).conjugate() == x.conjugate() * y.conjugate()
 
 
 @settings(max_examples=60)
-@given(scalars)
+@given(gauss)
 def test_conjugation_involutive(x):
     assert x.conjugate().conjugate() == x
 
@@ -259,7 +262,7 @@ def test_exact_div_matches_reference(a, b, r):
 
 
 def test_subs_q_one():
-    assert (QINV - Q).subs_q_one().is_zero()
+    assert not (QINV - Q).subs_q_one()
     assert (Q * Scalar.from_int(3)).subs_q_one() == Scalar.from_int(3)
 
 
@@ -303,7 +306,6 @@ def test_gauss_rational_matches_scalar(x, y):
     assert f(x - y) == a - b
     assert f(x * y) == a * b
     assert f(-x) == -a
-    assert f(x.conjugate()) == a.conjugate()
     assert bool(a) == bool(x)
     assert (a == b) == (x == y)
     if a == b:

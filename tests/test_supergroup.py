@@ -2,6 +2,8 @@
 
 import pytest
 
+from qmink import checks
+from qmink.algebra import Presentation
 from qmink.checks import run_suite
 from qmink.minkowski import build_chiral_presentation
 from qmink.scalars import ONE, Q, QINV
@@ -16,6 +18,32 @@ def rank(pres, name):
 def records(suite, family):
     """The suite's records whose id starts with family, e.g. "overlap:"."""
     return [r for r in run_suite(suite).records if r.id.startswith(family)]
+
+
+def test_wrong_rule_coefficient_fails_manin_confluence(monkeypatch):
+    # negative control: a[1,4]*a[1,1] -> q^-1*a[1,1]*a[1,4] in place of
+    # q*a[1,1]*a[1,4] leaves 24 overlaps unresolved; the PBW counts read
+    # only the rules' left-hand sides and stay true.  The copy is built
+    # from the cached presentation without changing it.
+    right = build_slq41()
+    a11, a14 = rank(right, "a[1,1]"), rank(right, "a[1,4]")
+
+    def corrupted():
+        pres = Presentation(right.generators)
+        for lhs, rhs in right.rules.items():
+            if lhs == (a14, a11):
+                rhs = {(a11, a14): QINV}
+            if lhs not in pres.rules:  # odd squares are already installed
+                pres.add_rule(lhs, rhs, validate=False)
+        return pres
+
+    assert right.rules[(a14, a11)] == {(a11, a14): Q}
+    monkeypatch.setattr(checks, "build_slq41", corrupted)
+    bad = {r.id: r.witness for r in run_suite("manin-confluence").records
+           if not r.verdict}
+    assert len(bad) == 24
+    assert all(k.startswith("overlap:") and w and
+               not w.startswith("exception:") for k, w in bad.items())
 
 
 def test_generator_layout():

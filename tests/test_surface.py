@@ -6,13 +6,17 @@ never run it, so it can drift from what `qmink check` verifies.  These
 tests parse src/qmink/*.py and assert that each module-level public
 definition is named, and each public member of a module-level class is
 read as an attribute, somewhere in src/qmink or perfbench/*.py outside
-its own definition.  A last test pins which functions hold a `del`, so
-that the sparse zero-dropping merge is not copied again.
+its own definition.  A test pins which functions hold a `del`, so that
+the sparse zero-dropping merge is not copied again.  The last test runs
+the production entry points (tests/line_audit.py) and checks that every
+function in src/qmink is called there, but for an allow-list.
 """
 
 import ast
 from collections import Counter
 from pathlib import Path
+
+from line_audit import never_called
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qmink"
@@ -144,3 +148,33 @@ def test_the_sparse_merge_is_written_once():
     assert sorted(found) == ["algebra.Presentation._sc_product",
                              "grassmann.exact_divide", "kernel.accumulate",
                              "kernel.nf_word", "kernel.normal_form_terms"]
+
+
+# functions that no production entry point calls, each kept for a reason;
+# any other never-called function is surface to delete, and an entry
+# that production reaches is stale
+NEVER_CALLED = {
+    "grassmann.GrassmannRational.__eq__":
+        "without it == falls back to identity",
+    "grassmann.GrassmannRational.__bool__":
+        "without it every rational is truthy",
+    "grassmann.GrassmannMatrix.__eq__":
+        "without it == falls back to identity",
+    "minkowski.LocalElement.__eq__":
+        "TermMap's would compare term dicts, not ambient images",
+    "minkowski.LocalElement.is_zero":
+        "TermMap's would test the term dict, not the ambient image",
+    "scalars.Scalar.__hash__": "test_scalars pins the hash",
+    "parser._Node.__eq__": "test_parser compares syntax trees",
+    "scalars.GaussRational.to_factor_text":
+        "prints the classical-limit failure witness",
+    "algebra.TermMap.__repr__": "one-line repr over to_text",
+    "scalars.Scalar.__repr__": "one-line repr over to_text",
+    "scalars.GaussRational.__repr__": "one-line repr over to_text",
+    "parser._Node.__repr__": "hypothesis prints failing trees with it",
+    "kernel.backend_name": "perfbench records it with each run",
+}
+
+
+def test_only_allow_listed_functions_are_never_called():
+    assert never_called() == set(NEVER_CALLED)
