@@ -88,10 +88,7 @@ def production_argv():
 
 
 def _run_child(mode):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
-                               else []))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     job = {"mode": mode, "package": str(PACKAGE) + os.sep,
            "argv": production_argv()}
     proc = subprocess.run([sys.executable, "-c", _CHILD], input=json.dumps(job),
