@@ -11,7 +11,7 @@ from .checks import SUITE_NAMES, UnknownSuiteError, run_suite
 from .kernel import BudgetExceeded
 from .minkowski import localized, minor_index, minor_set
 from .parser import (Atom, ExprSyntaxError, ImagUnit, IntLit, Neg, Prod,
-                     QPow, Sum, parse, to_text)
+                     QPow, Sum, atom_text, parse)
 from .scalars import DigitLimitError, I, ONE, Scalar, ZERO
 from .supergroup import build_slq41, general_minor, minor
 
@@ -92,7 +92,7 @@ def evaluate_expression(node, algebra):
                 r1, r2, c1, c2 = n.indices
                 return general_minor((r1, r2), (c1, c2)).value
             raise EvaluationError("atom %s is not defined in slq41"
-                                      % to_text(n))
+                                      % atom_text(n))
 
         return _evaluate(node, lambda s: pres.scalar(s), atom)
     if algebra == "chiral-abstract":
@@ -103,7 +103,7 @@ def evaluate_expression(node, algebra):
             if n.kind in ("t", "tau"):
                 return pres.gen("%s[%d,%d]" % ((n.kind,) + n.indices))
             raise EvaluationError(
-                "atom %s is not defined in chiral-abstract" % to_text(n))
+                "atom %s is not defined in chiral-abstract" % atom_text(n))
 
         return _evaluate(node, lambda s: pres.scalar(s), atom)
     if algebra in ("grq", "minkq"):
@@ -118,7 +118,7 @@ def evaluate_expression(node, algebra):
                         "D12inv lives in minkq, not in grq")
                 return loc.dinv()
             raise EvaluationError("atom %s is not defined in %s"
-                                  % (to_text(n), algebra))
+                                  % (atom_text(n), algebra))
 
         def scalar(s):
             return loc.one().scale(s)

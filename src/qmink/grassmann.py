@@ -5,7 +5,9 @@ algebra is a confluent presentation whose rules swap generators with
 Koszul signs and kill odd squares.  Its coefficients are GaussRationals,
 elements of Q(i).  On top sit rational elements (numerators over
 central, odd-free denominators, so that inverses of even elements exist
-via a finite Neumann expansion) and dense matrices with a dagger.
+via a finite Neumann expansion) and dense matrices with a dagger.  Each
+algebra keeps a factor basis, the denominator factors it has seen so
+far, and every denominator is a product of its members.
 """
 
 from __future__ import annotations
@@ -139,6 +141,55 @@ class GrassmannAlgebra:
             if self.pres.parities[r] != self.pres.parities[rc]:
                 raise ValueError("conjugate partners must share parity")
         self._conj = conj
+        # the odd-free denominator factors seen so far, in order of
+        # arrival, each keyed by its value; no member divides a later one
+        self.factor_basis = {}
+        self._member_ids = set()
+
+    def split_factor(self, f, out):
+        """Write the odd-free factor f over the factor basis.
+
+        Appends to out the basis members whose product is f up to a
+        constant, and returns the inverse of that constant, or None when
+        the product is f itself.  A member passes through by identity, and
+        a factor equal to a member is that member.  Any other factor is
+        trial-divided by the members, earliest first; a member that
+        divides it is appended, and the quotient is split in turn.  A
+        quotient that no member divides joins the basis, so no member
+        divides a later one.  This is factor refinement (Bach, Driscoll &
+        Shallit, J. Algorithms 15, 1993) in one direction: the factors of
+        a sum's lcm do not divide one another, except a member that
+        arrived before its own divisor.
+        """
+        members = self._member_ids
+        if id(f) in members:
+            out.append(f)
+            return None
+        if not f:
+            raise ZeroDivisionError("zero denominator factor")
+        if self.soul(f):
+            raise ValueError("denominator factors must be odd-free")
+        pres, basis = self.pres, self.factor_basis
+        while True:
+            # a constant: the empty word packs to 0
+            mono = f.terms.get(0) if len(f.terms) == 1 else None
+            if mono is not None:
+                return mono.inverse_of_unit()
+            same = basis.get(f)
+            if same is not None:
+                out.append(same)
+                return None
+            for m in basis:
+                quo = exact_divide(pres, f, m)
+                if quo is not None:
+                    out.append(m)
+                    f = quo
+                    break
+            else:
+                basis[f] = f
+                members.add(id(f))
+                out.append(f)
+                return None
 
     # element constructors delegate to the presentation
     def zero(self):
@@ -181,13 +232,20 @@ class GrassmannAlgebra:
 class GrassmannRational:
     """num / (product of factors), factors central (odd-free) and nonzero.
 
-    Denominators are kept factored, and numerators are cancelled by
-    exact division wherever a factor can divide, which keeps the
-    double-inverse and involution chains of the group computations from
-    blowing up.  A product divides each numerator by the other operand's
-    factors only (cross-cancellation); a sum (``rational_sum``) takes one
-    least common multiple of the factor multisets and tries every factor
-    of it against the summed numerator once.
+    Denominators are kept factored over the algebra's factor basis
+    (``GrassmannAlgebra.split_factor``): each new factor is replaced by
+    the basis members that divide it and a constant, which moves into the
+    numerator, so every factor of a denominator is a basis member, and
+    two equal factors are the same object.  Block inverses make factors
+    such as (1 - iu) and (1 - iu)(1 - iU); over the basis the second is
+    the first times (1 - iU), so a sum's lcm needs no factor twice.
+    Numerators are cancelled by exact division wherever a factor can
+    divide, which keeps the double-inverse and involution chains of the
+    group computations from blowing up.  A product divides each numerator
+    by the other operand's factors only (cross-cancellation); a sum
+    (``rational_sum``) takes one least common multiple of the factor
+    multisets and tries every factor of it against the summed numerator
+    once.
     """
 
     __slots__ = ("ga", "num", "den")
@@ -206,16 +264,9 @@ class GrassmannRational:
             return
         factors = []
         for f in self.den:
-            if not f:
-                raise ZeroDivisionError("zero denominator factor")
-            if ga.soul(f):
-                raise ValueError("denominator factors must be odd-free")
-            # a constant: the empty word packs to 0
-            mono = f.terms.get(0) if len(f.terms) == 1 else None
-            if mono is not None:
-                self.num = self.num.scale(mono.inverse_of_unit())
-            else:
-                factors.append(f)
+            unit = ga.split_factor(f, factors)
+            if unit is not None:
+                self.num = self.num.scale(unit)
         self.num, self.den = _cancel(ga, self.num, factors)
 
     def _den_counter(self):

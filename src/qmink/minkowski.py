@@ -297,6 +297,9 @@ class LocalElement(TermMap):
     def is_zero(self):
         return self.to_ambient().is_zero()
 
+    def __bool__(self):
+        return not self.is_zero()
+
     def __eq__(self, other):
         if other.__class__ is not LocalElement or other.alg is not self.alg:
             return NotImplemented

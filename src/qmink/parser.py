@@ -6,8 +6,8 @@ which is written with * or juxtaposition, and product binds tighter
 than sum; parentheses group.  parse reads the token list in one
 precedence-climbing loop (Pratt, "Top down operator precedence", 1973)
 with an explicit stack for "(", so it does not recurse.  Syntax errors
-carry the line and column of the offending token.  Parsing then
-printing then parsing is the identity on syntax trees.
+carry the line and column of the offending token.  atom_text prints an
+atom back in this grammar, for the CLI's error messages.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ class Sum(_Node):
 _TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9]*|\d+|\^|\*|\+|-|\(|\)|\[|\]|,|;|\S")
 
 # deepest nesting of "(" and unary "-", counted together, that parse
-# accepts; to_text and the CLI's evaluator recurse over the tree, so
-# deeper input is a syntax error rather than a RecursionError there
+# accepts; the CLI's evaluator recurses over the tree, so deeper input
+# is a syntax error rather than a RecursionError there
 MAX_DEPTH = 100
 
 _MINOR_PAIRS = {(i, j) for i in range(1, 4) for j in range(i + 1, 5)} \
@@ -311,45 +311,10 @@ def parse(text):
             terms, factors, negs, minus = stack.pop()
 
 
-def to_text(node):
-    """Canonical printing; parse(to_text(parse(s))) == parse(s)."""
-    if isinstance(node, IntLit):
-        return str(node.value)
-    if isinstance(node, ImagUnit):
-        return "i"
-    if isinstance(node, QPow):
-        return "q" if node.exp == 1 else "q^%d" % node.exp
-    if isinstance(node, Atom):
-        if node.kind == "D12inv":
-            return "D12inv"
-        if node.kind == "Dc":
-            r1, r2, c1, c2 = node.indices
-            return "Dc[%d%d;%d%d]" % (r1, r2, c1, c2)
-        return "%s[%d,%d]" % ((node.kind,) + node.indices)
-    if isinstance(node, Neg):
-        inner = to_text(node.arg)
-        if isinstance(node.arg, (Sum, Prod)):
-            inner = "(" + inner + ")"
-        return "-" + inner
-    if isinstance(node, Prod):
-        parts = []
-        for f in node.factors:
-            t = to_text(f)
-            if isinstance(f, (Sum, Neg, Prod)):
-                t = "(" + t + ")"
-            parts.append(t)
-        return "*".join(parts)
-    if isinstance(node, Sum):
-        out = to_text(node.terms[0])
-        if isinstance(node.terms[0], Sum):
-            out = "(" + out + ")"
-        for t in node.terms[1:]:
-            if isinstance(t, Neg) and not isinstance(t.arg, Sum):
-                out += " - " + to_text(t.arg)
-            else:
-                inner = to_text(t)
-                if isinstance(t, Sum):
-                    inner = "(" + inner + ")"
-                out += " + " + inner
-        return out
-    raise TypeError(node)
+def atom_text(node):
+    """An atom as the grammar writes it, for error messages."""
+    if node.kind == "D12inv":
+        return "D12inv"
+    if node.kind == "Dc":
+        return "Dc[%d%d;%d%d]" % node.indices
+    return "%s[%d,%d]" % ((node.kind,) + node.indices)

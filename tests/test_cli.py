@@ -17,13 +17,12 @@ from hypothesis import given, settings, strategies as st
 from qmink import cli, kernel
 from qmink.checks import SUITE_NAMES, _SUITE_BUILDERS, _run_checks, run_suite
 from qmink.cli import ALGEBRAS, EvaluationError, main, normal_form_text
-from qmink.parser import (Atom, ImagUnit, IntLit, Neg, Prod, QPow, Sum,
-                          to_text)
+from qmink.parser import Atom, ImagUnit, IntLit, Neg, Prod, QPow, Sum
 from qmink.reports import SuiteReport
 from qmink.scalars import I, Scalar
 
 from reporting import deterministic
-from test_parser import _exprs
+from test_parser import _exprs, to_text
 
 
 def run(capsys, *argv):
@@ -189,6 +188,23 @@ def _reference_nf_outcome(expr, algebra):
 def test_constant_folding_pinned(algebra, expr, expected):
     assert _nf_outcome(expr, algebra) == expected
     assert _reference_nf_outcome(expr, algebra) == expected
+
+
+@pytest.mark.parametrize("algebra, expr, message", [
+    ("chiral-abstract", "Dc[12;34]",
+     "atom Dc[12;34] is not defined in chiral-abstract"),
+    ("chiral-abstract", "D[1,2] + t[3,1]",
+     "atom D[1,2] is not defined in chiral-abstract"),
+    ("slq41", "2*D12inv + q", "atom D12inv is not defined in slq41"),
+    ("slq41", "tau[5,2]", "atom tau[5,2] is not defined in slq41"),
+    ("grq", "a[1,2]", "atom a[1,2] is not defined in grq"),
+    ("minkq", "(Dc[12;45] + t[4,1])",
+     "atom Dc[12;45] is not defined in minkq"),
+])
+def test_undefined_atoms_print_as_written(capsys, algebra, expr, message):
+    # parser.atom_text writes each atom kind back as the grammar reads it
+    rc, out, err = run(capsys, "nf", "--algebra", algebra, "--", expr)
+    assert (rc, out, err) == (2, "", "error: %s\n" % message)
 
 
 @settings(max_examples=150, deadline=None)

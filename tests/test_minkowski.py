@@ -164,6 +164,17 @@ def test_localization_requires_pure_commutation():
     assert (lhs - rhs).is_zero()
 
 
+def test_truth_value_is_the_ambient_zero_test():
+    # D[1,2]*D12inv - 1 has terms but is zero in the ambient algebra
+    loc = localized()
+    el = loc.from_minor(0, dinv=1) - loc.one()
+    assert el.terms and el.is_zero()
+    assert bool(el) == (not el.is_zero())
+    assert not el
+    d13 = loc.from_minor(minor_index(1, 3))
+    assert d13 and bool(d13 - d13) is False and bool(loc.one()) is True
+
+
 def test_local_products_refuse_another_kind_or_localization():
     loc = localized()
     other = minkowski.LocalizedAlgebra(loc.minors, loc.exponents)

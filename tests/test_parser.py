@@ -7,7 +7,50 @@ from hypothesis import example, given, settings, strategies as st
 
 from qmink.parser import (_MINOR_PAIRS, _TOKEN, MAX_DEPTH, Atom,
                           ExprSyntaxError, ImagUnit, IntLit, Neg, Prod, QPow,
-                          Sum, UnknownAtomError, _tokenize, parse, to_text)
+                          Sum, UnknownAtomError, _tokenize, atom_text, parse)
+
+
+
+def to_text(node):
+    """Canonical printing; parse(to_text(parse(s))) == parse(s).  The
+    program prints only atoms (atom_text, in its error messages); the
+    round-trip tests here and in test_cli.py print whole trees."""
+    if isinstance(node, IntLit):
+        return str(node.value)
+    if isinstance(node, ImagUnit):
+        return "i"
+    if isinstance(node, QPow):
+        return "q" if node.exp == 1 else "q^%d" % node.exp
+    if isinstance(node, Atom):
+        return atom_text(node)
+    if isinstance(node, Neg):
+        inner = to_text(node.arg)
+        if isinstance(node.arg, (Sum, Prod)):
+            inner = "(" + inner + ")"
+        return "-" + inner
+    if isinstance(node, Prod):
+        parts = []
+        for f in node.factors:
+            t = to_text(f)
+            if isinstance(f, (Sum, Neg, Prod)):
+                t = "(" + t + ")"
+            parts.append(t)
+        return "*".join(parts)
+    if isinstance(node, Sum):
+        out = to_text(node.terms[0])
+        if isinstance(node.terms[0], Sum):
+            out = "(" + out + ")"
+        for t in node.terms[1:]:
+            if isinstance(t, Neg) and not isinstance(t.arg, Sum):
+                out += " - " + to_text(t.arg)
+            else:
+                inner = to_text(t)
+                if isinstance(t, Sum):
+                    inner = "(" + inner + ")"
+                out += " + " + inner
+        return out
+    raise TypeError(node)
+
 
 CORPUS = [
     "a[1,2]*a[1,1]",
