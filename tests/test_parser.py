@@ -10,7 +10,6 @@ from qmink.parser import (_MINOR_PAIRS, _TOKEN, MAX_DEPTH, Atom,
                           Sum, UnknownAtomError, _tokenize, atom_text, parse)
 
 
-
 def to_text(node):
     """Canonical printing; parse(to_text(parse(s))) == parse(s).  The
     program prints only atoms (atom_text, in its error messages); the
