@@ -270,9 +270,11 @@ class GrassmannRational:
         self.num, self.den = _cancel(ga, self.num, factors)
 
     def _den_counter(self):
+        """Multiplicity of each factor, keyed by id: equal factors are the
+        same basis member, and an int key skips hashing the terms."""
         counts = {}
         for f in self.den:
-            counts[f] = counts.get(f, 0) + 1
+            counts[id(f)] = counts.get(id(f), 0) + 1
         return counts
 
     def _coerce(self, other):
@@ -385,19 +387,20 @@ def rational_sum(ga, terms):
     """
     terms = [t for t in terms if t.num]
     counters = [t._den_counter() for t in terms]
+    factor = {id(f): f for t in terms for f in t.den}
     lcm = {}
     for counts in counters:
-        for f, k in counts.items():
-            if lcm.get(f, 0) < k:
-                lcm[f] = k
+        for i, k in counts.items():
+            if lcm.get(i, 0) < k:
+                lcm[i] = k
     num = ga.zero()
     for t, counts in zip(terms, counters):
         a = t.num
-        for f, k in lcm.items():
-            for _ in range(k - counts.get(f, 0)):
-                a = a * f
+        for i, k in lcm.items():
+            for _ in range(k - counts.get(i, 0)):
+                a = a * factor[i]
         num = num + a
-    den = tuple(f for f, k in lcm.items() for _ in range(k))
+    den = tuple(factor[i] for i, k in lcm.items() for _ in range(k))
     return GrassmannRational(ga, num, den)
 
 

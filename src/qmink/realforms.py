@@ -1,8 +1,11 @@
 """Real forms: the conjugation defining su(2,2|1) and the real super
 Poincare group.
 
-The Lie-superalgebra side works with exact 5x5 matrices over Q(i),
-with GaussRational entries, and solves for the sigma fixed points with
+The Lie-superalgebra side works with exact sparse 5x5 matrices over
+Q(i): a matrix is a dict from (row, column) to a nonzero GaussRational,
+and no zero is ever stored, so a product costs only the nonzero entry
+pairs that meet (a basis matrix holds one or two entries, its sigma
+image at most two).  The sigma fixed points are solved for with
 ``linalg.kernel_basis`` over the same ring; the group side reuses the
 Grassmann machinery from the classical module.  Nothing here involves q.
 """
@@ -14,148 +17,79 @@ from functools import lru_cache
 
 from .classical import GI, real_group_element
 from .grassmann import SymbolSpec
+from .kernel import accumulate
 from .linalg import kernel_basis
 from .scalars import GaussRational
 
 ZERO = GaussRational(0)
 ONE = GaussRational(1)
 
-
-def _zeros(m, n):
-    return [[ZERO for _ in range(n)] for _ in range(m)]
+# F = i [[0, -I2], [I2, 0]] (4x4), and K = diag(F, i) (5x5)
+F = {(0, 2): -GI, (1, 3): -GI, (2, 0): GI, (3, 1): GI}
+K = {**F, (4, 4): GI}
 
 
 def mat_mul(a, b):
-    m, k, n = len(a), len(b), len(b[0])
-    out = _zeros(m, n)
-    for i in range(m):
-        for t in range(k):
-            c = a[i][t]
-            if not c:
-                continue
-            for j in range(n):
-                if b[t][j]:
-                    out[i][j] = out[i][j] + c * b[t][j]
+    """Row-indexed sparse product (Gustavson, ACM TOMS 4, 1978): each
+    entry a[i, t] meets only the entries of row t of b, and a sum that
+    cancels is dropped."""
+    rows = {}
+    for (t, j), c in b.items():
+        rows.setdefault(t, []).append((j, c))
+    out = {}
+    for (i, t), c in a.items():
+        accumulate(out, (((i, j), c * d) for j, d in rows.get(t, ())))
     return out
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
-def mat_scale(s, a):
-    return [[s * x for x in row] for row in a]
 
 
 def mat_dagger(a):
     """Conjugate transpose, no parity sign."""
-    m, n = len(a), len(a[0])
-    return [[a[i][j].conjugate() for i in range(m)] for j in range(n)]
+    return {(j, i): c.conjugate() for (i, j), c in a.items()}
 
 
-def mat_is_zero(a):
-    return all(not x for row in a for x in row)
-
-
-@lru_cache(maxsize=None)
-def f_matrix():
-    """F = i [[0, -I2], [I2, 0]] (4x4)."""
-    f = _zeros(4, 4)
-    for k in range(2):
-        f[k][k + 2] = -GI
-        f[k + 2][k] = GI
-    return tuple(tuple(r) for r in f)
-
-
-def _f():
-    return [list(r) for r in f_matrix()]
+def _scaled(s, a):
+    return {k: s * c for k, c in a.items()}
 
 
 @dataclass(frozen=True)
 class SuperMatrix5:
-    """5x5 matrix over Q(i) with the (4|1) block grading."""
+    """5x5 matrix over Q(i) with the (4|1) block grading.
 
-    entries: tuple  # 5x5 tuple of GaussRationals
+    entries holds the nonzero entries only, so two matrices are equal
+    exactly when their entry maps and parities are.
+    """
+
+    entries: dict  # (i, j) -> nonzero GaussRational, never changed
     parity: int  # 0: even block-diagonal, 1: odd block-off-diagonal
 
-    @classmethod
-    def make(cls, rows, parity):
-        return cls(tuple(tuple(r) for r in rows), parity)
-
-    def rows(self):
-        return [list(r) for r in self.entries]
-
-    def p_block(self):
-        return [list(r[:4]) for r in self.entries[:4]]
-
-    def alpha(self):
-        return [[r[4]] for r in self.entries[:4]]
-
-    def beta(self):
-        return [list(self.entries[4][:4])]
-
-    def d_entry(self):
-        return self.entries[4][4]
-
     def scale(self, s):
-        return SuperMatrix5.make(mat_scale(s, self.rows()), self.parity)
-
-    def add(self, other):
-        if self.parity != other.parity:
-            raise ValueError("parity mismatch")
-        return SuperMatrix5.make(mat_add(self.rows(), other.rows()),
-                                 self.parity)
-
-    def sub(self, other):
-        if self.parity != other.parity:
-            raise ValueError("parity mismatch")
-        return SuperMatrix5.make(mat_sub(self.rows(), other.rows()),
-                                 self.parity)
-
-    def is_zero(self):
-        return mat_is_zero(self.rows())
+        return SuperMatrix5(_scaled(s, self.entries), self.parity)
 
     def supertrace_condition(self):
         """tr p - c, which vanishes on sl(4|1)."""
+        e = self.entries
         tr = ZERO
         for k in range(4):
-            tr = tr + self.entries[k][k]
-        return tr - self.entries[4][4]
+            tr = tr + e.get((k, k), ZERO)
+        return tr - e.get((4, 4), ZERO)
 
 
 def supercommutator(x, y):
     """[x, y] = xy - (-1)^{|x||y|} yx on 5x5 matrices."""
-    xy = mat_mul(x.rows(), y.rows())
-    yx = mat_mul(y.rows(), x.rows())
-    if x.parity and y.parity:
-        rows = mat_add(xy, yx)
-    else:
-        rows = mat_sub(xy, yx)
-    return SuperMatrix5.make(rows, (x.parity + y.parity) % 2)
+    sign = ONE if x.parity and y.parity else -ONE
+    yx = _scaled(sign, mat_mul(y.entries, x.entries))
+    return SuperMatrix5(accumulate(mat_mul(x.entries, y.entries),
+                                   yx.items()), (x.parity + y.parity) % 2)
 
 
 def sigma(x):
-    """sigma(p, alpha; beta, d) = (-F p^+ F, iF beta^+; i alpha^+ F, -conj d)."""
-    f = _f()
-    p = x.p_block()
-    alpha = x.alpha()
-    beta = x.beta()
-    d = x.d_entry()
-    new_p = mat_scale(-ONE, mat_mul(f, mat_mul(mat_dagger(p), f)))
-    new_alpha = mat_scale(GI, mat_mul(f, mat_dagger(beta)))
-    new_beta = mat_scale(GI, mat_mul(mat_dagger(alpha), f))
-    rows = _zeros(5, 5)
-    for i in range(4):
-        for j in range(4):
-            rows[i][j] = new_p[i][j]
-        rows[i][4] = new_alpha[i][0]
-        rows[4][i] = new_beta[0][i]
-    rows[4][4] = -d.conjugate()
-    return SuperMatrix5.make(rows, x.parity)
+    """sigma(p, alpha; beta, d) = (-F p^+ F, iF beta^+; i alpha^+ F, -conj d).
+
+    That is K x^+ K with K = diag(F, i), its 4x4 block negated.
+    """
+    img = mat_mul(K, mat_mul(mat_dagger(x.entries), K))
+    return SuperMatrix5({(i, j): -c if i < 4 and j < 4 else c
+                         for (i, j), c in img.items()}, x.parity)
 
 
 @lru_cache(maxsize=None)
@@ -164,22 +98,17 @@ def sl41_basis():
     basis = []
     for i in range(4):
         for j in range(4):
-            rows = _zeros(5, 5)
-            rows[i][j] = ONE
             if i == j:
-                rows[4][4] = ONE  # trace condition tr p = c
-                basis.append(("H%d" % (i + 1), SuperMatrix5.make(rows, 0)))
+                # trace condition tr p = c
+                basis.append(("H%d" % (i + 1), SuperMatrix5(
+                    {(i, i): ONE, (4, 4): ONE}, 0)))
             else:
                 basis.append(("E%d%d" % (i + 1, j + 1),
-                              SuperMatrix5.make(rows, 0)))
+                              SuperMatrix5({(i, j): ONE}, 0)))
     for i in range(4):
-        rows = _zeros(5, 5)
-        rows[i][4] = ONE
-        basis.append(("alpha%d" % (i + 1), SuperMatrix5.make(rows, 1)))
+        basis.append(("alpha%d" % (i + 1), SuperMatrix5({(i, 4): ONE}, 1)))
     for j in range(4):
-        rows = _zeros(5, 5)
-        rows[4][j] = ONE
-        basis.append(("beta%d" % (j + 1), SuperMatrix5.make(rows, 1)))
+        basis.append(("beta%d" % (j + 1), SuperMatrix5({(4, j): ONE}, 1)))
     return tuple(basis)
 
 
@@ -187,14 +116,14 @@ def sigma_is_involution():
     """sigma^2 = id and antilinearity on every basis element."""
     failures = []
     for name, x in sl41_basis():
-        if not sigma(sigma(x)).sub(x).is_zero():
+        sx = sigma(x)
+        if sigma(sx) != x:
             failures.append((name, "sigma^2"))
-        ix = x.scale(GI)
-        if not sigma(ix).add(sigma(x).scale(GI)).is_zero():
+        if sigma(x.scale(GI)) != sx.scale(-GI):
             failures.append((name, "antilinearity"))
         if x.supertrace_condition():
             failures.append((name, "trace condition"))
-        if sigma(x).supertrace_condition():
+        if sx.supertrace_condition():
             failures.append((name, "image trace condition"))
     return failures
 
@@ -203,12 +132,10 @@ def bracket_compatibility():
     """sigma([x,y]) = [sigma x, sigma y] over all ordered basis pairs."""
     failures = []
     basis = sl41_basis()
-    images = [(n, sigma(x)) for n, x in basis]
-    for (n1, x), (sn1, sx) in zip(basis, images):
-        for (n2, y), (sn2, sy) in zip(basis, images):
-            lhs = sigma(supercommutator(x, y))
-            rhs = supercommutator(sx, sy)
-            if not lhs.sub(rhs).is_zero():
+    images = [sigma(x) for _n, x in basis]
+    for (n1, x), sx in zip(basis, images):
+        for (n2, y), sy in zip(basis, images):
+            if sigma(supercommutator(x, y)) != supercommutator(sx, sy):
                 failures.append((n1, n2))
     return failures
 
@@ -226,13 +153,11 @@ def _fixed_point_basis(cells, parity):
     is {x : sigma(x) = x}.
     """
     cols = []
-    for i, j in cells:
+    for cell in cells:
         for unit in (ONE, GI):
-            rows = _zeros(5, 5)
-            rows[i][j] = unit
-            x = SuperMatrix5.make(rows, parity)
-            d = x.sub(sigma(x)).entries
-            cols.append([_part(d[a][b], part) for a, b in cells
+            img = sigma(SuperMatrix5({cell: unit}, parity)).entries
+            d = accumulate({cell: unit}, _scaled(-ONE, img).items())
+            cols.append([_part(d.get(c, ZERO), part) for c in cells
                          for part in (0, 1)])
     return tuple(map(tuple, kernel_basis(list(zip(*cols)), len(cols))))
 
@@ -256,6 +181,12 @@ def fixed_point_dimension():
     return len(even_basis), len(odd_basis)
 
 
+def _complexified(vec, cells):
+    """The matrix whose cell k holds vec[2k] + i vec[2k + 1]."""
+    return accumulate({}, ((c, vec[2 * k] + vec[2 * k + 1] * GI)
+                           for k, c in enumerate(cells)))
+
+
 def su22_conditions_hold():
     """Every fixed-point basis vector satisfies the displayed conditions.
 
@@ -263,35 +194,21 @@ def su22_conditions_hold():
     alpha = i F beta^+.
     """
     even_basis, odd_basis = fixed_point_bases()
-    f = _f()
     failures = []
     for vec in even_basis:
-        p = _zeros(4, 4)
-        k = 0
-        for i in range(4):
-            for j in range(4):
-                p[i][j] = vec[k] + vec[k + 1] * GI
-                k += 2
-        cond = mat_add(mat_mul(f, p), mat_mul(mat_dagger(p), f))
-        if not mat_is_zero(cond):
+        p = _complexified(vec, [(i, j) for i in range(4) for j in range(4)])
+        if mat_mul(F, p) != _scaled(-ONE, mat_mul(mat_dagger(p), F)):
             failures.append("F p + p^+ F != 0")
         tr = ZERO
         for i in range(4):
-            tr = tr + p[i][i]
+            tr = tr + p.get((i, i), ZERO)
         if tr.re:
             failures.append("tr p not purely imaginary")
     for vec in odd_basis:
-        alpha = [[ZERO] for _ in range(4)]
-        beta = [[ZERO] * 4]
-        k = 0
-        for i in range(4):
-            alpha[i][0] = vec[k] + vec[k + 1] * GI
-            k += 2
-        for j in range(4):
-            beta[0][j] = vec[k] + vec[k + 1] * GI
-            k += 2
-        c1 = mat_sub(alpha, mat_scale(GI, mat_mul(f, mat_dagger(beta))))
-        if not mat_is_zero(c1):
+        # alpha a column (i, 0), beta a row (0, j)
+        alpha = _complexified(vec[:8], [(i, 0) for i in range(4)])
+        beta = _complexified(vec[8:], [(0, j) for j in range(4)])
+        if alpha != _scaled(GI, mat_mul(F, mat_dagger(beta))):
             failures.append("alpha != i F beta^+")
     return (len(even_basis), len(odd_basis)), failures
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmink import grassmann
-from qmink.algebra import Element
+from qmink.algebra import Element, TermMap
 from qmink.checks import run_suite
 from qmink.grassmann import GrassmannAlgebra, GrassmannMatrix, \
     GrassmannRational, exact_divide, rational_sum
@@ -373,6 +373,24 @@ def test_a_member_passes_through_without_trial(monkeypatch):
     x = GrassmannRational(ga, ga.gen("U"), (a, a, b_again))
     assert len(calls) == 3
     assert [f is m for f, m in zip(x.den, (a, a, b))] == [True] * 3
+
+
+def test_a_sum_counts_factors_by_identity(monkeypatch):
+    # every denominator factor is a basis member, so rational_sum keys its
+    # factor counts by identity and never hashes a factor's terms; the lcm
+    # keeps the order of first arrival, (1 - iu) twice, then (1 - iU)
+    ga, a, b, _ = _block_inverse_factors()
+    x = GrassmannRational(ga, ga.gen("U"), (a, a, b))
+    y = GrassmannRational(ga, ga.gen("s"), (b, a))
+    hashes = []
+    term_hash = TermMap.__hash__
+    monkeypatch.setattr(TermMap, "__hash__",
+                        lambda el: hashes.append(1) or term_hash(el))
+    total = x + y
+    assert hashes == []
+    assert [f is m for f, m in zip(total.den, (a, a, b))] == [True] * 3
+    monkeypatch.undo()
+    assert same_value(total, uncancelled_sum([x, y]))
 
 
 def test_factor_basis_bounds_the_block_inverse_work(monkeypatch):

@@ -4,30 +4,47 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
+import dense_matrices as dm
 from qmink import realforms
 from qmink.checks import run_suite
 from qmink.algebra import Element
+from qmink.classical import GI
 from qmink.grassmann import GrassmannMatrix, SymbolSpec
-from qmink.realforms import (bracket_compatibility, f_matrix,
+from qmink.realforms import (F, SuperMatrix5, bracket_compatibility,
                              fixed_point_dimension, generic_element,
-                             poincare_group_algebra, poincare_reality_reduce,
-                             reduced_element, sigma, sigma_is_involution,
-                             sl41_basis, su22_conditions_hold,
-                             supercommutator)
+                             mat_dagger, mat_mul, poincare_group_algebra,
+                             poincare_reality_reduce, reduced_element, sigma,
+                             sigma_is_involution, sl41_basis,
+                             su22_conditions_hold, supercommutator)
 from qmink.scalars import GaussRational
 
+ZERO = GaussRational(0)
 ONE = GaussRational(1)
 
 
 def test_f_matrix_properties():
-    f = [list(r) for r in f_matrix()]
-    # F^2 = identity, F hermitian
-    f2 = realforms.mat_mul(f, f)
-    for i in range(4):
-        for j in range(4):
-            want = ONE if i == j else GaussRational(0)
-            assert f2[i][j] == want
-            assert f[i][j].conjugate() == f[j][i]
+    # F^2 = identity, F hermitian, and F as the dense reference has it
+    assert mat_mul(F, F) == {(k, k): ONE for k in range(4)}
+    assert mat_dagger(F) == F
+    assert dm.dense(F, 4, 4) == dm.f_matrix()
+    assert all(F.values())
+
+
+def test_basis_names_pin_their_matrices():
+    # each name is its matrix: E_ij a single 1 at (i-1, j-1), H_k a 1 at
+    # (k-1, k-1) and at (4, 4), alpha_i a 1 at (i-1, 4), beta_j a 1 at
+    # (4, j-1); the involution: records are named after them
+    want = {}
+    for i in range(1, 5):
+        for j in range(1, 5):
+            if i != j:
+                want["E%d%d" % (i, j)] = ({(i - 1, j - 1): ONE}, 0)
+        want["H%d" % i] = ({(i - 1, i - 1): ONE, (4, 4): ONE}, 0)
+        want["alpha%d" % i] = ({(i - 1, 4): ONE}, 1)
+        want["beta%d" % i] = ({(4, i - 1): ONE}, 1)
+    basis = sl41_basis()
+    assert len(basis) == 24
+    assert {n: (x.entries, x.parity) for n, x in basis} == want
 
 
 def test_basis_size_and_parities():
@@ -72,11 +89,13 @@ def test_sigma_explicit_image():
     img = sigma(h1)
     for i in range(4):
         for j in range(4):
-            g = img.entries[i][j]
+            g = img.entries.get((i, j), ZERO)
             got = (Fraction(g.re, g.den), Fraction(g.im, g.den))
             assert got == expected[i][j], (i, j)
-    # the d entry of sigma(H1) is -conj(1) = -1
-    assert img.entries[4][4] == -ONE
+    # the d entry of sigma(H1) is -conj(1) = -1, and nothing else is set
+    assert img.entries[4, 4] == -ONE
+    assert all(i < 4 and j < 4 for i, j in img.entries if (i, j) != (4, 4))
+    assert all(img.entries.values())
 
 
 def test_bracket_compatibility_exhaustive():
@@ -88,7 +107,10 @@ def test_odd_odd_supercommutator_is_even():
     x = basis["alpha1"]
     z = supercommutator(x, x)
     assert z.parity == 0
-    assert sigma(z).sub(supercommutator(sigma(x), sigma(x))).is_zero()
+    assert z.entries == {}  # E15 E15 = 0
+    assert sigma(z) == supercommutator(sigma(x), sigma(x))
+    # [alpha1, beta1] = E15 E51 + E51 E15 = H1
+    assert supercommutator(x, basis["beta1"]) == basis["H1"]
 
 
 def test_fixed_point_dimensions():
@@ -194,9 +216,10 @@ def test_plus_conj_d_fails_sigma_involution(monkeypatch):
 
     def sigma_plus_conj_d(x):
         img = right(x)
-        rows = img.rows()
-        rows[4][4] = -rows[4][4]
-        return realforms.SuperMatrix5.make(rows, img.parity)
+        entries = dict(img.entries)
+        if (4, 4) in entries:
+            entries[4, 4] = -entries[4, 4]
+        return SuperMatrix5(entries, img.parity)
 
     monkeypatch.setattr(realforms, "sigma", sigma_plus_conj_d)
     assert set(false_records("sigma-involution")) == \
@@ -305,3 +328,68 @@ def test_kernel_basis_matches_back_substitution(data):
         assert all(x.im == 0 for x in vec)
     assert [[Fraction(x.re, x.den) for x in vec] for vec in got] == \
         reference_kernel_basis(rows, ncols)
+
+
+# the sparse matrices against the dense rows they replaced
+# (tests/dense_matrices.py): units, a half and a few Gaussian integers,
+# so that sums of products often cancel to zero
+GAUSS = [GaussRational(*t) for t in
+         [(1,), (-1,), (0, 1), (0, -1), (1, 1), (1, -1, 2), (3, 0, 2),
+          (-2, 5)]]
+ALL_CELLS = [(i, j) for i in range(5) for j in range(5)]
+PARITY_CELLS = ([(i, j) for i in range(4) for j in range(4)] + [(4, 4)],
+                [(i, 4) for i in range(4)] + [(4, j) for j in range(4)])
+
+
+def _entry_maps(cells):
+    return st.dictionaries(st.sampled_from(cells), st.sampled_from(GAUSS),
+                           max_size=len(cells))
+
+
+def _supermatrices(parity=None):
+    parities = st.just(parity) if parity is not None else st.sampled_from(
+        (0, 1))
+    return parities.flatmap(lambda p: _entry_maps(PARITY_CELLS[p]).map(
+        lambda e: SuperMatrix5(e, p)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_entry_maps(ALL_CELLS), _entry_maps(ALL_CELLS))
+@example({(0, 0): ONE, (0, 1): ONE}, {(0, 0): ONE, (1, 0): -ONE})
+@example({(0, 0): GI, (0, 1): ONE}, {(0, 2): GI, (1, 2): ONE})
+@example({}, {(2, 3): ONE})
+def test_sparse_product_matches_dense(a, b):
+    # the second and third examples cancel to the zero matrix
+    a0, b0 = dict(a), dict(b)
+    got = mat_mul(a, b)
+    assert dm.dense(got) == dm.mat_mul(dm.dense(a), dm.dense(b))
+    assert all(got.values())  # no zero is stored
+    assert (a, b) == (a0, b0)  # the operands are left as they were
+
+
+@settings(max_examples=150, deadline=None)
+@given(_supermatrices(), _supermatrices())
+@example(SuperMatrix5({(0, 4): ONE}, 1), SuperMatrix5({(4, 0): ONE}, 1))
+@example(SuperMatrix5({(0, 4): ONE, (1, 4): GI}, 1),
+         SuperMatrix5({(0, 4): -GI, (1, 4): ONE}, 1))
+def test_supercommutator_matches_dense(x, y):
+    # odd x odd adds the two products; the second example's anticommutator
+    # cancels to zero
+    z = supercommutator(x, y)
+    assert z.parity == (x.parity + y.parity) % 2
+    assert dm.dense(z.entries) == dm.supercommutator(
+        dm.dense(x.entries), x.parity, dm.dense(y.entries), y.parity)
+    assert all(z.entries.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_supermatrices())
+@example(SuperMatrix5({(4, 4): GaussRational(1, 1)}, 0))
+@example(SuperMatrix5({(0, 4): GI, (4, 3): GaussRational(3, 0, 2)}, 1))
+def test_sigma_matches_dense(x):
+    img = sigma(x)
+    assert img.parity == x.parity
+    assert dm.dense(img.entries) == dm.sigma(dm.dense(x.entries))
+    assert all(img.entries.values())
+    assert set(img.entries) <= set(PARITY_CELLS[x.parity])
+    assert sigma(img) == x
