@@ -1,6 +1,6 @@
 """Exact symbolic verification of quantum superconformal geometry.
 
-Layers: exact scalars over Q(i)[q, q^-1]; a parity-graded rewriting
+Layers: exact scalars over Z[i][q, q^-1] and Q(i); a parity-graded rewriting
 core on one pure-Python kernel; the quantum matrix superalgebra,
 Grassmannian and chiral Minkowski superspace; the classical (q = 1)
 geometry and real forms; and a verification CLI that runs its checks

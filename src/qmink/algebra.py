@@ -55,7 +55,7 @@ class Presentation:
     Values are immutable once rules are installed and every operation is
     pure; the per-word normal-form memo only ever receives idempotent
     writes, so it can be shared by every caller.  ``unit`` is the one of
-    the coefficient ring: the Scalar ONE of Q(i)[q, q^-1] by default, or
+    the coefficient ring: the Scalar ONE of Z[i][q, q^-1] by default, or
     a GaussRational one for the q = 1 layer.  Odd squares vanish: the
     rule g*g -> 0 comes with every odd generator g.
     """
@@ -474,10 +474,6 @@ class TensorPoly(TermMap):
     @classmethod
     def zero(cls, alg):
         return cls(alg, {})
-
-    @classmethod
-    def unit(cls, alg):
-        return cls(alg, {((), ()): alg.unit})
 
     def __mul__(self, other):
         """(a (x) b)(c (x) d) = (-1)^{|b||c|} ac (x) bd."""

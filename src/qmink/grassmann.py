@@ -40,9 +40,9 @@ def exact_divide(pres, num, g):
     Multivariate division by lead reduction in the order of the packed
     words, a graded monomial order: int order, and a product of words is
     the sum of their ints.  g has no odd letters, so multiplying by a
-    word of g brings no Koszul sign and kills no odd square.  With a
-    monomial-unit lead coefficient in g, the reduction therefore finds q
-    exactly when it exists.
+    word of g brings no Koszul sign and kills no odd square.  The
+    coefficients lie in the field Q(i), so g's lead coefficient is a
+    unit, and the reduction therefore finds q exactly when it exists.
 
     A word a contains a word b when no field of a is below b's field.
     With the guard bits G of the layout set in a, (a | G) - b clears the
@@ -54,7 +54,7 @@ def exact_divide(pres, num, g):
     lead(q)*lead(g) and its trailing word is trail(q)*trail(g).  Each of
     these products lies strictly above (below) every other product of a
     word of q with a word of g, and its coefficient is nonzero because
-    the coefficient ring, Q(i) or Q(i)[q, q^-1], is a domain.  So when
+    the coefficient ring Q(i) is a field.  So when
     num's lead word does not contain g's lead word, or num's trailing
     word does not contain g's trailing word, there is no quotient, and
     None is returned before any coefficient arithmetic.
@@ -70,9 +70,6 @@ def exact_divide(pres, num, g):
     if not gt:
         raise ZeroDivisionError
     glead = max(gt)
-    glc = gt[glead]
-    if glc.monomial_unit() is None:
-        return None
     r = dict(num.terms)
     if not r:
         return Element(pres, {})
@@ -82,7 +79,7 @@ def exact_divide(pres, num, g):
         return None
     heap = [-w for w in r]
     heapify(heap)
-    glc_inv = glc.inverse_of_unit()
+    glc_inv = gt[glead].inverse_of_unit()
     minus_g = [(w2, -c2) for w2, c2 in gt.items()]
     q = {}
     while heap:

@@ -7,11 +7,13 @@ transformation record lets queries be expressed back in the original
 basis as one common scale and ring numerators:
 scale*vec = sum coords[j]*basis[j].  The elimination only multiplies
 and subtracts, so it runs over any coefficient ring whose unit it is
-given: Scalar, the Laurent ring Q(i)[q,q^-1] (the default), or
+given: Scalar, the Laurent ring Z[i][q, q^-1] (the default), or
 GaussRational, the field Q(i) of the q = 1 layer.  The span is the one
 over the ring's fraction field; a caller that needs the coordinates
-themselves divides each numerator by the scale.  ``kernel_basis``
-solves a homogeneous system over Q(i) with the same solver.
+themselves divides each numerator by the scale, and over Scalar that
+division (``Scalar.exact_div``) fails when a coordinate leaves the ring.
+``kernel_basis`` solves a homogeneous system over Q(i) with the same
+solver.
 """
 
 from __future__ import annotations

@@ -100,7 +100,7 @@ def _closure_entry(a, b, minors, products, solver, basis_pairs):
     (or the square) is the target; when a < b and the sorted product
     D_a D_b is nonzero, its +-q^e multiple is split off as the lead.
     What remains must lie in the span of the sorted minor products, with
-    Laurent-polynomial coordinates.
+    coordinates in Z[i][q, q^-1], the ring Scalar computes in.
     """
     ab = products[(a, b)]
     if a == b:
@@ -134,13 +134,13 @@ def _closure_entry(a, b, minors, products, solver, basis_pairs):
             continue
         try:
             corr[basis_pairs[j]] = c.exact_div(scale)
-        except ScalarError:
+        except ScalarError as exc:
+            # exc says "not a Laurent polynomial", or adds "over Z[i]"
             c1, c2 = basis_pairs[j]
             return ClosureEntry(sign, exp, {}, kind, False,
-                                "coefficient (%s)/(%s) of %s*%s is not a "
-                                "Laurent polynomial"
+                                "coefficient (%s)/(%s) of %s*%s is %s"
                                 % (c.to_text(), scale.to_text(),
-                                   minors[c1].name, minors[c2].name))
+                                   minors[c1].name, minors[c2].name, exc))
     return ClosureEntry(sign, exp, corr, kind, True)
 
 

@@ -1,9 +1,13 @@
-"""Exact coefficient arithmetic: Gaussian-rational Laurent polynomials in q.
+"""Exact coefficient arithmetic: Gaussian-integer Laurent polynomials in q.
 
-A Scalar is an element of Q(i)[q, q^-1], stored as a map
-``exponent -> (re, im)`` of Gaussian *integer* numerators over a single
-positive integer denominator.  The representation is canonical: no zero
-numerator pairs, gcd(content, denominator) == 1, denominator >= 1.
+A Scalar is an element of Z[i][q, q^-1], stored as a map
+``exponent -> (re, im)`` of Gaussian integers.  The representation is
+canonical: no zero pair is stored.  Every value the quantum layer builds
+lies in this ring: its relations, minors and localization use only +-1,
++-q^+-1 and q^-1 - q, and its one division, ``exact_div`` in the closure
+table, refuses a quotient outside the ring.  So the quantum layer
+computes in a subring of Q(i)[q, q^-1], the ring the paper states its
+values in, and every value it reports lies in both.
 
 A GaussRational is an element of Q(i) alone, the coefficient ring of the
 q = 1 layer and of the su(2,2|1) matrices.  ``GaussRational.from_scalar``
@@ -24,40 +28,14 @@ class DigitLimitError(ScalarError):
     """A coefficient has more digits than Python converts to text."""
 
 
-def _content(coeffs, den):
-    g = den
-    for re, im in coeffs.values():
-        g = gcd(g, gcd(abs(re), abs(im)))
-        if g == 1:
-            return 1
-    return g
-
-
 class Scalar:
-    """Element of Q(i)[q, q^-1] with exact arithmetic."""
+    """Element of Z[i][q, q^-1] with exact arithmetic."""
 
-    __slots__ = ("_c", "_den", "_hash")
+    __slots__ = ("_c",)
 
-    def __init__(self, coeffs=None, den=1, _normalized=False):
-        if coeffs is None:
-            coeffs = {}
-        if not _normalized:
-            coeffs = {e: (re, im) for e, (re, im) in coeffs.items() if re or im}
-            if den == 0:
-                raise ZeroDivisionError("scalar denominator is zero")
-            if den < 0:
-                den = -den
-                coeffs = {e: (-re, -im) for e, (re, im) in coeffs.items()}
-            if not coeffs:
-                den = 1
-            else:
-                g = _content(coeffs, den)
-                if g > 1:
-                    den //= g
-                    coeffs = {e: (re // g, im // g) for e, (re, im) in coeffs.items()}
-        self._c = coeffs
-        self._den = den
-        self._hash = None
+    def __init__(self, coeffs=None):
+        self._c = {e: (re, im) for e, (re, im) in (coeffs or {}).items()
+                   if re or im}
 
     # -- constructors -----------------------------------------------------
 
@@ -71,12 +49,12 @@ class Scalar:
 
     @classmethod
     def q_pow(cls, k):
-        return _ONE if k == 0 else cls({k: (1, 0)})
+        return _ONE if k == 0 else _scalar({k: (1, 0)})
 
     @classmethod
-    def term(cls, exp, re, im=0, den=1):
-        """Single Laurent term (re + im*i)/den * q^exp."""
-        return cls({exp: (re, im)}, den)
+    def term(cls, exp, re, im=0):
+        """Single Laurent term (re + im*i) * q^exp."""
+        return cls({exp: (re, im)})
 
     # -- ring operations ---------------------------------------------------
 
@@ -84,56 +62,44 @@ class Scalar:
         return bool(self._c)
 
     def __add__(self, other):
-        if not isinstance(other, Scalar):
+        if other.__class__ is not Scalar:
             return NotImplemented
-        c1, c2 = self._c, other._c
+        c2 = other._c
         if not c2:
             return self
+        c1 = self._c
         if not c1:
             return other
-        a, b = self._den, other._den
         if len(c1) == 1 and len(c2) == 1:
-            e, = c1
-            if e in c2:
-                # one term plus one term at the same exponent: the content
-                # can only share factors with the common denominator
-                (r1, i1), (r2, i2) = c1[e], c2[e]
-                if a == b:
-                    den, re, im = a, r1 + r2, i1 + i2
-                else:
-                    g = gcd(a, b)
-                    ma, mb = b // g, a // g
-                    den, re, im = a * ma, r1 * ma + r2 * mb, i1 * ma + i2 * mb
-                if not (re or im):
-                    return _ZERO
-                if den > 1:
-                    g = gcd(den, gcd(re, im))
-                    if g > 1:
-                        den //= g
-                        re //= g
-                        im //= g
-                return Scalar({e: (re, im)}, den, _normalized=True)
-        g = gcd(a, b)
-        ma, mb = b // g, a // g
-        out = {e: (re * ma, im * ma) for e, (re, im) in self._c.items()}
-        for e, (re, im) in other._c.items():
-            pre, pim = out.get(e, (0, 0))
-            out[e] = (pre + re * mb, pim + im * mb)
-        return Scalar(out, a * ma)
+            (e, (re, im)), = c2.items()
+            p = c1.get(e)
+            if p is not None:
+                re += p[0]
+                im += p[1]
+                return _scalar({e: (re, im)}) if re or im else _ZERO
+        out = dict(c1)
+        for e, t in c2.items():
+            p = out.get(e)
+            out[e] = t if p is None else (p[0] + t[0], p[1] + t[1])
+        if len(out) < len(c1) + len(c2):
+            # an exponent met its own: that pair may have cancelled
+            out = {e: t for e, t in out.items() if t[0] or t[1]}
+            if not out:
+                return _ZERO
+        return _scalar(out)
 
     def __neg__(self):
-        return Scalar({e: (-re, -im) for e, (re, im) in self._c.items()},
-                      self._den, _normalized=True)
+        return _scalar({e: (-re, -im) for e, (re, im) in self._c.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, Scalar):
+        if other.__class__ is not Scalar:
             return NotImplemented
         if not other._c:
             return self
         return self + (-other)
 
     def __mul__(self, other):
-        if not isinstance(other, Scalar):
+        if other.__class__ is not Scalar:
             return NotImplemented
         # the unit by identity: the kernel, ONE and q_pow(0) hand out _ONE
         if other is _ONE:
@@ -143,70 +109,42 @@ class Scalar:
         c1, c2 = self._c, other._c
         if not c1 or not c2:
             return _ZERO
-        den = self._den * other._den
-        if len(c1) == 1 and len(c2) == 1:
-            # monomial times monomial: one term, nonzero (Q(i) is a domain),
-            # and its content can only share factors with den
-            e1, = c1
-            e2, = c2
-            (a, b), (c, d) = c1[e1], c2[e2]
-            re, im = a * c - b * d, a * d + b * c
-            if den > 1:
-                g = gcd(den, gcd(re, im))
-                if g > 1:
-                    den //= g
-                    re //= g
-                    im //= g
-            return Scalar({e1 + e2: (re, im)}, den, _normalized=True)
+        if len(c1) > len(c2):
+            c1, c2 = c2, c1
         out = {}
+        if len(c1) == 1:
+            # a term times anything: Z[i] is a domain and the exponents
+            # stay apart, so no product term is zero or meets another
+            (e1, (a, b)), = c1.items()
+            for e2, (c, d) in c2.items():
+                out[e1 + e2] = (a * c - b * d, a * d + b * c)
+            return _scalar(out)
         for e1, (a, b) in c1.items():
             for e2, (c, d) in c2.items():
                 e = e1 + e2
                 re, im = a * c - b * d, a * d + b * c
-                pre, pim = out.get(e, (0, 0))
-                out[e] = (pre + re, pim + im)
-        return Scalar(out, den)
+                p = out.get(e)
+                out[e] = (re, im) if p is None else (p[0] + re, p[1] + im)
+        return _scalar({e: t for e, t in out.items() if t[0] or t[1]})
 
     def __eq__(self, other):
-        if not isinstance(other, Scalar):
+        if other.__class__ is not Scalar:
             return NotImplemented
-        return self._den == other._den and self._c == other._c
+        return self._c == other._c
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self._den, frozenset(self._c.items())))
-        return h
+        return hash(frozenset(self._c.items()))
 
     def __repr__(self):
         return "Scalar(%s)" % self.to_text()
 
     # -- structure ---------------------------------------------------------
 
-    def monomial_unit(self):
-        """Return (exp, re, im, den) when self = (re+im*i)/den * q^exp, else None."""
-        if len(self._c) != 1:
-            return None
-        (e, (re, im)), = self._c.items()
-        return (e, re, im, self._den)
-
-    def inverse_of_unit(self):
-        """Inverse, defined only for monomial units c*q^k."""
-        mono = self.monomial_unit()
-        if mono is None:
-            raise ScalarError("only monomial units c*q^k are invertible: %r" % self)
-        e, re, im, den = mono
-        nrm = re * re + im * im
-        return Scalar({-e: (re * den, -im * den)}, nrm)
-
     def subs_q_one(self):
         """Evaluate q -> 1 (stays a Scalar, concentrated in exponent 0)."""
         re = sum(r for r, _ in self._c.values())
         im = sum(m for _, m in self._c.values())
-        return Scalar({0: (re, im)}, self._den)
-
-    def min_exp(self):
-        return min(self._c) if self._c else 0
+        return Scalar({0: (re, im)})
 
     def max_exp(self):
         return max(self._c) if self._c else 0
@@ -214,30 +152,40 @@ class Scalar:
     # -- exact division ----------------------------------------------------
 
     def exact_div(self, other):
-        """Exact quotient in Q(i)[q,q^-1]; raises ScalarError on a remainder.
+        """Exact quotient in Z[i][q, q^-1]; ScalarError when there is none.
 
         Long division from the top term: each quotient term is the
-        remainder's top term over the divisor's lead monomial.  An exact
+        remainder's top term over the divisor's lead term.  An exact
         quotient has no exponent below min(self) - min(other), so the first
-        quotient term that would fall below it proves a remainder.
+        quotient term that would fall below it proves a remainder: then
+        self/other is no Laurent polynomial at all.  A quotient term
+        whose coefficient is not a Gaussian integer proves that self/other
+        lies outside Z[i][q, q^-1].  The error message says which.
         """
-        if not other._c:
+        div = other._c
+        if not div:
             raise ZeroDivisionError("division by zero scalar")
         if not self._c:
             return _ZERO
-        top = other.max_exp()
-        lead_inv = Scalar({top: other._c[top]}, other._den,
-                          _normalized=True).inverse_of_unit()
-        low = self.min_exp() - other.min_exp()
-        quo, rem = _ZERO, self
+        top = max(div)
+        c, d = div[top]
+        nrm = c * c + d * d
+        low = min(self._c) - min(div)
+        quo, rem = {}, self
         while rem._c:
             e = max(rem._c)
-            if e - top < low:
-                raise ScalarError("non-exact scalar division")
-            t = Scalar({e: rem._c[e]}, rem._den, _normalized=True) * lead_inv
-            quo = quo + t
-            rem = rem - t * other
-        return quo
+            k = e - top
+            if k < low:
+                raise ScalarError("not a Laurent polynomial")
+            # (a + b*i)/(c + d*i) = (a + b*i)(c - d*i)/nrm
+            a, b = rem._c[e]
+            re, ru = divmod(a * c + b * d, nrm)
+            im, iu = divmod(b * c - a * d, nrm)
+            if ru or iu:
+                raise ScalarError("not a Laurent polynomial over Z[i]")
+            quo[k] = (re, im)
+            rem = rem - _scalar({k: (re, im)}) * other
+        return _scalar(quo)
 
     # -- printing ----------------------------------------------------------
 
@@ -249,7 +197,7 @@ class Scalar:
         try:
             for e in sorted(self._c, reverse=True):
                 re, im = self._c[e]
-                parts.append(_monomial_text(e, re, im, self._den))
+                parts.append(_monomial_text(e, re, im))
         except ValueError:  # past sys.get_int_max_str_digits()
             raise _digit_limit_error() from None
         return signed_join(parts)
@@ -260,6 +208,16 @@ class Scalar:
         if len(self._c) > 1 or t.startswith("-"):
             return "(" + t + ")"
         return t
+
+
+_new = object.__new__
+
+
+def _scalar(c):
+    """A Scalar from a map already in canonical form: no zero pair."""
+    x = _new(Scalar)
+    x._c = c
+    return x
 
 
 def signed_join(parts):
@@ -288,8 +246,8 @@ def _gauss_text(re, im, den):
     return "(%s)" % s if den == 1 else "(%s)/%d" % (s, den)
 
 
-def _monomial_text(e, re, im, den):
-    c = _gauss_text(re, im, den)
+def _monomial_text(e, re, im):
+    c = _gauss_text(re, im, 1)
     if e == 0:
         return c
     qp = "q" if e == 1 else "q^%d" % e
@@ -300,22 +258,19 @@ def _monomial_text(e, re, im, den):
     return "%s*%s" % (c, qp)
 
 
-_ZERO = Scalar({}, 1, _normalized=True)
-_ONE = Scalar({0: (1, 0)}, 1, _normalized=True)
-_I = Scalar({0: (0, 1)}, 1, _normalized=True)
-
-ZERO = _ZERO
-ONE = _ONE
-I = _I
-Q = Scalar({1: (1, 0)}, 1, _normalized=True)
-QINV = Scalar({-1: (1, 0)}, 1, _normalized=True)
+ZERO = _ZERO = _scalar({})
+ONE = _ONE = _scalar({0: (1, 0)})
+I = _scalar({0: (0, 1)})
+Q = _scalar({1: (1, 0)})
+QINV = _scalar({-1: (1, 0)})
 
 
 class GaussRational:
     """Element (re + im*i)/den of Q(i), the coefficient ring at q = 1.
 
     Canonical: den >= 1, gcd(re, im, den) == 1, and zero is (0, 0, 1).
-    It prints exactly as the Scalar with the same value at exponent 0.
+    With den == 1 it prints exactly as the Scalar with the same value at
+    exponent 0.
     """
 
     __slots__ = ("re", "im", "den")
@@ -339,7 +294,7 @@ class GaussRational:
         if len(c) != 1 or 0 not in c:
             raise ScalarError("scalar depends on q: %r" % (s,))
         re, im = c[0]
-        return cls(re, im, s._den)
+        return _raw(re, im, 1)
 
     def __bool__(self):
         return bool(self.re or self.im)
@@ -396,12 +351,6 @@ class GaussRational:
         """i -> -i."""
         return _raw(self.re, -self.im, self.den)
 
-    def monomial_unit(self):
-        """(0, re, im, den) when nonzero, else None, as Scalar has it."""
-        if not (self.re or self.im):
-            return None
-        return (0, self.re, self.im, self.den)
-
     def inverse_of_unit(self):
         """Inverse; every nonzero element of Q(i) is a unit."""
         re, im, den = self.re, self.im, self.den
@@ -423,9 +372,6 @@ class GaussRational:
 
     def __repr__(self):
         return "GaussRational(%s)" % self.to_text()
-
-
-_new = object.__new__
 
 
 def _raw(re, im, den):

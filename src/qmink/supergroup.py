@@ -101,8 +101,12 @@ def comultiply(p):
         raise ValueError("comultiply is defined on the SL_q(4|1) presentation")
     out = TensorPoly.zero(pres)
     for w, c in p.terms.items():
-        t = TensorPoly.unit(pres)
-        for r in w:
+        if not w:
+            out = out + TensorPoly(pres, {((), ()): c})
+            continue
+        # products and scale build new term maps: the cache stays as is
+        t = _delta_gen_cached(w[0])
+        for r in w[1:]:
             t = t * _delta_gen_cached(r)
         out = out + t.scale(c)
     return out

@@ -37,14 +37,8 @@ def divided(num, g):
     return None if quo is None else decoded(quo)
 
 
-monomials = st.builds(
-    lambda e, re, im, den: Scalar({e: (re, im)}, den),
-    st.integers(-2, 2), st.integers(-4, 4), st.integers(-4, 4),
-    st.integers(1, 6)).filter(bool)
-# two q-powers: never a monomial unit
-binomials = st.builds(
-    lambda e, re, im: Scalar({e: (re, im), e + 1: (1, 0)}),
-    st.integers(-2, 2), st.integers(-4, 4), st.integers(-4, 4))
+gauss = st.builds(GaussRational, st.integers(-4, 4), st.integers(-4, 4),
+                  st.integers(1, 6)).filter(bool)
 even_words = st.lists(st.sampled_from(EVEN), max_size=3).map(
     lambda w: tuple(sorted(w)))
 words = st.tuples(even_words, st.sets(st.sampled_from(ODD))).map(
@@ -55,12 +49,9 @@ def element(pairs, ga=GA):
     return Element(ga.pres, ga.pres.normal_form(dict(pairs)))
 
 
-odd_free = st.lists(st.tuples(even_words, monomials | binomials),
+odd_free = st.lists(st.tuples(even_words, gauss),
                     min_size=1, max_size=3).map(element).filter(bool)
-unit_lead = odd_free.filter(
-    lambda g: g.terms[max(g.terms)].monomial_unit() is not None)
-elements = st.lists(st.tuples(words, monomials | binomials),
-                    max_size=4).map(element)
+elements = st.lists(st.tuples(words, gauss), max_size=4).map(element)
 
 
 @settings(max_examples=150, deadline=None)
@@ -69,27 +60,21 @@ def test_exact_divide_recovers_quotient(q, g):
     num = q * g
     quo = divided(num, g)
     assert quo == reference_divide(num, g, tuple_words.packed_order)
-    if g.terms[max(g.terms)].monomial_unit() is not None:
-        assert quo == decoded(q)
+    # every nonzero coefficient is a unit of Q(i), so the quotient is found
+    assert quo == decoded(q)
     # the quotient is unique, so the (len(w), w) order finds the same one
-    # whenever its own lead coefficient of g is a unit
-    old = reference_divide(num, g)
-    assert old is None or quo is None or old == quo
+    assert reference_divide(num, g) == quo
 
 
 @settings(max_examples=150, deadline=None)
 @given(elements, odd_free)
 def test_exact_divide_matches_reference(num, g):
-    # over Q(i)[q, q^-1], where a lead coefficient may not be a unit, the
-    # reference reduces in the order of the packed words
+    # the reference reduces in the order of the packed words; over Q(i)
+    # the quotient, when there is one, is unique, so the (len(w), w) order
+    # finds the same one, or none
     quo = divided(num, g)
     assert quo == reference_divide(num, g, tuple_words.packed_order)
-    old = reference_divide(num, g)
-    assert old is None or quo is None or old == quo
-
-
-gauss = st.builds(GaussRational, st.integers(-4, 4), st.integers(-4, 4),
-                  st.integers(1, 6)).filter(bool)
+    assert reference_divide(num, g) == quo
 
 
 @settings(max_examples=150, deadline=None)
@@ -122,18 +107,18 @@ def test_a_short_field_does_not_borrow():
 
 
 @settings(max_examples=100, deadline=None)
-@given(elements.filter(bool), unit_lead, monomials)
+@given(elements.filter(bool), odd_free, gauss)
 def test_trailing_word_rejects_without_arithmetic(q, g, c):
     # g without a constant term: q*g + c keeps q*g's lead word, so only
     # the trailing word () rules the quotient out
     g = Element(PRES, {w: v for w, v in g.terms.items() if w}) or \
-        element([((0,), Scalar.from_int(1))])
+        element([((0,), GaussRational(1))])
     num = q * g + PRES.scalar(c)
     assert reference_divide(num, g, tuple_words.packed_order) is None
     calls = []
-    mul = Scalar.__mul__
+    mul = GaussRational.__mul__
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Scalar, "__mul__",
+        mp.setattr(GaussRational, "__mul__",
                    lambda a, b: calls.append(1) or mul(a, b))
         assert exact_divide(PRES, num, g) is None
     assert calls == []
@@ -411,14 +396,15 @@ def test_factor_basis_bounds_the_block_inverse_work(monkeypatch):
 def test_grassmann_api_refuses_scalar():
     # specialize_q1 is the one bridge in: a Scalar constant is refused at
     # once, and the same value as an int or a GaussRational is taken
-    half = Scalar.term(0, 1, 0, 2)
-    with pytest.raises(TypeError):
-        GA.scalar(half)
-    with pytest.raises(TypeError):
-        GrassmannMatrix(GA, [[half]])
-    x = GrassmannRational(GA, GA.gen("x"))
-    with pytest.raises(TypeError):
-        x + half
+    for s in (Scalar.from_int(2), Scalar.term(0, 1, 1)):
+        with pytest.raises(TypeError):
+            GA.scalar(s)
+        with pytest.raises(TypeError):
+            GrassmannMatrix(GA, [[s]])
+        x = GrassmannRational(GA, GA.gen("x"))
+        with pytest.raises(TypeError):
+            x + s
+    assert GA.scalar(2) == GA.scalar(GaussRational(2))
     g_half = GaussRational(1, 0, 2)
     assert GA.scalar(g_half) * GA.scalar(2) == GA.one()
     assert ((x + g_half) - x
@@ -433,7 +419,7 @@ def test_rational_equality_with_a_foreign_operand():
     assert x != "x"
     assert x in [None, x]
     assert [None, x].index(x) == 1
-    assert x != Scalar.term(0, 1, 0, 2)
+    assert x != Scalar.from_int(2)
     assert x == GrassmannRational(GA, GA.gen("x")) and x - x == 0
     # a bare Element is refused, in comparisons and in arithmetic alike,
     # rather than compared unequal

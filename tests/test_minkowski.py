@@ -61,7 +61,7 @@ def test_corrupted_minor_fails_closure(monkeypatch):
 
 
 def test_unit_ratio():
-    y = Scalar.term(1, 2, 1, 3) + I * QINV
+    y = Scalar.term(1, 2, 1) + I * QINV
     assert minkowski._unit_ratio(y, y) == (1, 0)
     assert minkowski._unit_ratio(Q * y, y) == (1, 1)
     assert minkowski._unit_ratio(-Scalar.q_pow(-2) * y, y) == (-1, -2)
@@ -91,6 +91,56 @@ def test_non_laurent_correction_fails_its_entry():
     assert not entry.correction
     assert entry.witness.endswith("of D[1,2]*D[1,3] is not a Laurent "
                                   "polynomial")
+
+
+@pytest.mark.parametrize("unit", [Scalar.from_int(2), ONE + I],
+                         ids=["two", "one-plus-i"])
+def test_correction_outside_gaussian_integers_fails_its_entry(unit):
+    # as above, with (2)*w or (1 + i)*w as the one sorted product: w's
+    # coordinate would be 1/2 or 1/(1 + i), a Laurent polynomial over
+    # Q(i) but not over Z[i], where Scalar computes
+    minors = minor_set()
+    a = minor_index(1, 5)
+    w = build_slq41().word(["a[1,1]", "a[2,2]"])
+    solver = SpanSolver()
+    solver.add(w.scale(unit).terms)
+    entry = minkowski._closure_entry(a, a, minors, {(a, a): w}, solver,
+                                     [(0, 1)])
+    assert entry.kind == "square" and not entry.ok
+    assert not entry.correction
+    assert entry.witness.startswith("coefficient (")
+    assert entry.witness.endswith("of D[1,2]*D[1,3] is not a Laurent "
+                                  "polynomial over Z[i]")
+
+
+def test_scaled_coordinates_fail_their_pair_records(monkeypatch):
+    # negative control over the whole suite: a solver that hands back
+    # twice the scale makes every correction coordinate a half.  Exactly
+    # the five corrected pairs fail, each as a pair: record with a
+    # witness, not an exception.  The closure table is cached: clear it
+    # so that it sees the solver, and again so that later tests do not.
+    class HalvingSolver(SpanSolver):
+        def express(self, vec):
+            found = super().express(vec)
+            if found is None:
+                return None
+            scale, coords = found
+            return scale * Scalar.from_int(2), coords
+
+    monkeypatch.setattr(minkowski, "SpanSolver", HalvingSolver)
+    closure_table.cache_clear()
+    try:
+        bad = {r.id: r.witness
+               for r in run_suite("grassmannian-closure").records
+               if not r.verdict}
+    finally:
+        closure_table.cache_clear()
+    assert sorted(bad) == ["pair:D[1,3]|D[2,4]", "pair:D[1,3]|D[2,5]",
+                           "pair:D[1,4]|D[2,5]", "pair:D[1,4]|D[3,5]",
+                           "pair:D[2,4]|D[3,5]"]
+    assert all(w.startswith("coefficient (") and
+               w.endswith("is not a Laurent polynomial over Z[i]")
+               for w in bad.values())
 
 
 def test_closure_identities_reconstruct():
@@ -182,7 +232,9 @@ def test_local_products_refuse_another_kind_or_localization():
     for u, v in ((loc.dinv(), other.from_minor(d13)),
                  (other.from_minor(d13), loc.dinv()),
                  (loc.dinv(), loc.ambient.one()),
-                 (loc.dinv(), TensorPoly.unit(loc.ambient)), (loc.dinv(), Q)):
+                 (loc.dinv(), TensorPoly(loc.ambient,
+                                         {((), ()): loc.ambient.unit})),
+                 (loc.dinv(), Q)):
         with pytest.raises(TypeError):
             u * v
 

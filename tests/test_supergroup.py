@@ -6,7 +6,7 @@ from qmink import checks
 from qmink.algebra import Presentation
 from qmink.checks import run_suite
 from qmink.minkowski import build_chiral_presentation
-from qmink.scalars import ONE, Q, QINV
+from qmink.scalars import I, ONE, Q, QINV
 from qmink.supergroup import (_delta_gen_cached, build_slq41, comultiply,
                               general_minor, minor)
 
@@ -150,3 +150,24 @@ def test_generator_coproducts_carry_the_unit_itself():
         d = _delta_gen_cached(r)
         assert len(d.terms) == 5
         assert all(c is ONE for c in d.terms.values())
+
+
+def test_comultiply_leaves_the_cached_coproducts_alone():
+    # comultiply starts each word's product from the cached Delta(w[0]),
+    # not from the unit, so scaling the result must build new term maps
+    pres = build_slq41()
+    r = rank(pres, "a[2,3]")
+    cached = _delta_gen_cached(r)
+    before = dict(cached.terms)
+    c = Q + I
+    for p in (pres.gen("a[2,3]").scale(c),
+              pres.word(["a[2,3]", "a[1,1]"]).scale(-QINV)
+              + pres.gen("a[2,3]").scale(c)):
+        d = comultiply(p)
+        assert _delta_gen_cached(r) is cached
+        assert cached.terms == before
+        assert all(v is ONE for v in cached.terms.values())
+    assert comultiply(pres.gen("a[2,3]").scale(c)) == cached.scale(c)
+    assert d == (comultiply(pres.gen("a[2,3]"))
+                 * comultiply(pres.gen("a[1,1]"))).scale(-QINV) \
+        + cached.scale(c)

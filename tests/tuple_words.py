@@ -98,10 +98,7 @@ def divide(num, g, key=graded_lex):
     if not g:
         raise ZeroDivisionError
     glead = max(g, key=key)
-    glc = g[glead]
-    if glc.monomial_unit() is None:
-        return None
-    glc_inv = glc.inverse_of_unit()
+    glc_inv = g[glead].inverse_of_unit()
     r = dict(num)
     q = {}
     while r:
