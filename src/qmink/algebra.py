@@ -530,7 +530,13 @@ def overlap_words(pres):
 
 
 def resolve_overlap(pres, word):
-    """Reduce the overlap word both ways; returns (agree, difference)."""
+    """Reduce the overlap word both ways; returns (agree, difference).
+
+    Normal forms are canonical and store no zero coefficient, so the two
+    reductions agree exactly when their term dicts are equal, and the
+    difference is then {}.  It is built only when they differ, as the
+    witness of a failing record.
+    """
     a, b, c = word
     rules = pres._rules
     left = {}
@@ -539,6 +545,9 @@ def resolve_overlap(pres, word):
     right = {}
     for w, coeff in rules[(b, c)].items():
         right[(a,) + w] = coeff
-    diff = accumulate(pres.normal_form(left),
-                      ((k, -v) for k, v in pres.normal_form(right).items()))
+    left = pres.normal_form(left)
+    right = pres.normal_form(right)
+    if left == right:
+        return True, {}
+    diff = accumulate(left, ((k, -v) for k, v in right.items()))
     return not diff, diff

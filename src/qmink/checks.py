@@ -167,6 +167,9 @@ def _suite_coaction():
         def thunk(lhs=lhs, rhs=rhs):
             dl = comultiply(Element(pres, {lhs: ONE}))
             dr = comultiply(Element(pres, dict(rhs)))
+            if dl == dr:
+                return True, ""
+            # the difference is only the failing record's witness
             diff = dl - dr
             return _pass_fail(not diff.terms, diff.to_text())
 

@@ -6,6 +6,11 @@ replacement terms.  Coefficients are opaque ring elements supporting
 ``*``, ``+`` and truthiness.  Normal forms of single words are memoized
 in a caller-owned dict, so repeated reductions share work.  ``accumulate``
 is the one sparse merge that every term map in qmink sums through.
+
+The coefficient ring must be an integral domain, as Z[i][q, q^-1] and
+Q(i) are: a product of nonzero coefficients is then nonzero.  Rules and
+memo entries hold no zero coefficient, so the two inline loops store a
+product on a new key as it is and test for zero only after a sum.
 """
 
 # reduction steps one nf_word call may take before it gives up, so that a
@@ -78,16 +83,20 @@ def nf_word(w0, rules, ngens, one, memo):
                 raise BudgetExceeded("rewrite budget exceeded at %r" % (w,))
             stack.extend(pending)
             continue
-        # inline: a generator fed to accumulate costs too much on 1-3 terms
+        # inline: a generator fed to accumulate costs too much on 1-3 terms;
+        # rc and sc are nonzero, so only a sum can be zero
         acc = {}
         for rw, rc in rhs:
             for sw, sc in memo[pre + rw + post]:
                 prev = acc.get(sw)
-                v = rc * sc if prev is None else prev + rc * sc
-                if v:
-                    acc[sw] = v
-                elif prev is not None:
-                    del acc[sw]
+                if prev is None:
+                    acc[sw] = rc * sc
+                else:
+                    v = prev + rc * sc
+                    if v:
+                        acc[sw] = v
+                    else:
+                        del acc[sw]
         memo[w] = tuple(acc.items())
         stack.pop()
         steps += 1
@@ -106,14 +115,21 @@ def normal_form_terms(terms, rules, ngens, one, memo):
     out = {}
     items = terms.items() if isinstance(terms, dict) else terms
     for w, c in items:
-        # inline: a generator fed to accumulate costs too much on 1-3 terms
+        # a caller's raw map may hold a zero; past this test c is nonzero
+        if not c:
+            continue
+        # inline: a generator fed to accumulate costs too much on 1-3 terms;
+        # c and sc are nonzero, so only a sum can be zero
         for sw, sc in _nf_word(w, rules, ngens, one, memo):
             prev = out.get(sw)
-            v = c * sc if prev is None else prev + c * sc
-            if v:
-                out[sw] = v
-            elif prev is not None:
-                del out[sw]
+            if prev is None:
+                out[sw] = c * sc
+            else:
+                v = prev + c * sc
+                if v:
+                    out[sw] = v
+                else:
+                    del out[sw]
     return out
 
 

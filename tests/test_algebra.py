@@ -17,10 +17,12 @@ from qmink.algebra import (MAX_DEGREE, AlgebraError, Element, Generator,
 from qmink.grassmann import supercommutative_presentation
 from qmink.kernel import BudgetExceeded, accumulate
 from qmink.linalg import DegenerateBasisError, SpanSolver
+from qmink.minkowski import build_chiral_presentation, localized
 from qmink.scalars import ONE, Q, QINV, GaussRational, Scalar
 from qmink.supergroup import build_slq41, minor
 
 import tuple_words
+from reference_merges import overlap_difference, reference_normal_form
 from tuple_words import decoded
 
 
@@ -367,8 +369,8 @@ def test_single_rule_presentation_trivially_confluent():
     assert overlap_words(pres) == []
 
 
-def test_corrupted_presentation_fails_confluence():
-    # replace one q by q^2 in the quantum 2x2 relations
+def corrupted_mq2():
+    """The quantum 2x2 relations with one q replaced by q^2."""
     gens = [Generator("a[%d,%d]" % (i, j), (i, j), 0, 2 * (i - 1) + (j - 1))
             for i in (1, 2) for j in (1, 2)]
     pres = Presentation(gens)
@@ -380,7 +382,23 @@ def test_corrupted_presentation_fails_confluence():
     pres.add_rule((3, 2), {(2, 3): Q})
     pres.add_rule((2, 1), {(1, 2): ONE})
     pres.add_rule((3, 0), {(0, 3): ONE, (1, 2): -qm1})
+    return pres
+
+
+def test_corrupted_presentation_fails_confluence():
+    pres = corrupted_mq2()
     assert unresolved_overlaps(pres) == [(3, 1, 0)]  # a22*a12*a11
+
+
+def test_unresolved_overlap_returns_the_full_difference():
+    # the difference is built only for a failing overlap, and it is the
+    # one the merge of nf(left) and -nf(right) gives
+    pres = corrupted_mq2()
+    for word in overlap_words(pres):
+        diff = overlap_difference(pres, word)
+        assert resolve_overlap(pres, word) == (not diff, diff)
+    diff = overlap_difference(pres, (3, 1, 0))
+    assert diff and all(diff.values())
 
 
 def sc_word_count(n_even, n_odd, d):
@@ -670,6 +688,43 @@ def test_term_map_sums_match_reference(a, b):
     # a term map minus itself, or plus its negation, cancels to empty
     assert (x - x).terms == {}
     assert (x + (-x)).terms == {}
+
+
+# the non-supercommutative presentations that production reduces in
+_rewriting_presentations = {
+    "slq41": build_slq41,
+    "chiral": build_chiral_presentation,
+    "straightener": lambda: localized().straightener(),
+}
+
+
+@st.composite
+def _raw_terms(draw):
+    """A presentation's name and (word, coeff) pairs: words need not be
+    normal, repeat, or carry a zero coefficient."""
+    name = draw(st.sampled_from(sorted(_rewriting_presentations)))
+    ngens = _rewriting_presentations[name]().ngens
+    words = st.lists(st.integers(0, ngens - 1), max_size=5).map(tuple)
+    coeffs = st.one_of(_small_scalars, st.sampled_from(
+        [Scalar.zero(), Scalar({}), Scalar({0: (0, 0)})]))
+    return name, draw(st.lists(st.tuples(words, coeffs), max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_raw_terms(), st.booleans())
+@example(("slq41", [((1, 0), ONE), ((0, 1), -Q)]), False)  # cancels
+@example(("slq41", [((1, 0), ONE), ((0, 1), -Q), ((1, 0), QINV)]), False)
+@example(("slq41", [((1, 0), Scalar.zero()), ((2,), ONE)]), True)
+@example(("chiral", [((5, 4), Scalar.zero())]), True)
+def test_normal_form_stores_no_zero_and_matches_reference(case, as_dict):
+    # the kernel stores a product on a new word untested: it is a product
+    # of nonzero coefficients once the zero inputs are skipped
+    name, pairs = case
+    pres = _rewriting_presentations[name]()
+    terms = dict(pairs) if as_dict else pairs
+    got = pres.normal_form(terms)
+    assert all(got.values())
+    assert got == reference_normal_form(pres, terms)
 
 
 def test_term_maps_of_another_kind_or_algebra_do_not_mix():

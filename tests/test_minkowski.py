@@ -21,6 +21,8 @@ from qmink.minkowski import (MINOR_ORDER, ClosureError,
 from qmink.scalars import I, ONE, Q, QINV, Scalar
 from qmink.supergroup import build_slq41, general_minor
 
+from reference_merges import homomorphism_witness, overlap_witness
+
 
 def test_minor_order():
     assert MINOR_ORDER[0] == (1, 2)
@@ -418,8 +420,15 @@ def test_wrong_rule_coefficient_fails_presentation_confluence(monkeypatch):
         return pres
 
     monkeypatch.setattr(checks, "build_chiral_presentation", corrupted)
-    assert set(false_records("presentation-confluence")) == \
+    bad = false_records("presentation-confluence")
+    assert set(bad) == \
         {"overlap:t[4,1]*t[3,2]*t[3,1]", "overlap:tau[5,1]*t[3,2]*t[3,1]"}
+    # each witness is the text of the full difference, byte for byte
+    pres = corrupted()
+    assert bad == {"overlap:%s" % pres.word_text(w): overlap_witness(pres, w)
+                   for w in (tuple(pres.generator(n).rank for n in ws)
+                             for ws in (("t[4,1]", "t[3,2]", "t[3,1]"),
+                                        ("tau[5,1]", "t[3,2]", "t[3,1]")))}
 
 
 def test_wrong_delta_term_fails_coaction(monkeypatch):
@@ -446,3 +455,15 @@ def test_wrong_delta_term_fails_coaction(monkeypatch):
         {"homomorphism:%s*a[1,1]" % g.name for g in pres.generators[1:]} \
         | {"membership:D[1,%d]" % j for j in (2, 3, 4, 5)} \
         | {"cofactor-pattern:D[1,2]"}
+    # each homomorphism witness is the text of the full difference,
+    # byte for byte, computed under the same flipped coproduct
+    try:
+        want = {}
+        for lhs, rhs in sorted(pres.rules.items()):
+            text = homomorphism_witness(pres, lhs, rhs)
+            if text != "0":
+                want["homomorphism:%s" % pres.word_text(lhs)] = text
+    finally:
+        supergroup._delta_gen_cached.cache_clear()
+    assert {k: w for k, w in bad.items()
+            if k.startswith("homomorphism:")} == want

@@ -3,12 +3,14 @@
 import pytest
 
 from qmink import checks
-from qmink.algebra import Presentation
+from qmink.algebra import Presentation, overlap_words, resolve_overlap
 from qmink.checks import run_suite
 from qmink.minkowski import build_chiral_presentation
-from qmink.scalars import I, ONE, Q, QINV
+from qmink.scalars import I, ONE, Q, QINV, Scalar
 from qmink.supergroup import (_delta_gen_cached, build_slq41, comultiply,
                               general_minor, minor)
+
+from reference_merges import overlap_difference, overlap_witness
 
 
 def rank(pres, name):
@@ -44,6 +46,14 @@ def test_wrong_rule_coefficient_fails_manin_confluence(monkeypatch):
     assert len(bad) == 24
     assert all(k.startswith("overlap:") and w and
                not w.startswith("exception:") for k, w in bad.items())
+    # each witness is the text of the full difference, byte for byte
+    pres = corrupted()
+    want = {}
+    for word in overlap_words(pres):
+        if overlap_difference(pres, word):
+            want["overlap:%s" % pres.word_text(word)] = \
+                overlap_witness(pres, word)
+    assert bad == want
 
 
 def test_generator_layout():
@@ -70,6 +80,25 @@ def test_manin_confluence():
     overlaps = records("manin-confluence", "overlap:")
     assert len(overlaps) == 2500
     assert [r.id for r in overlaps if not r.verdict] == []
+
+
+def test_agreeing_overlaps_build_no_difference(monkeypatch):
+    # two equal normal forms are compared, not subtracted: no coefficient
+    # is negated on the way to an agreeing verdict
+    pres = build_slq41()
+    negations = []
+    neg = Scalar.__neg__
+
+    def counted(self):
+        negations.append(self)
+        return neg(self)
+
+    monkeypatch.setattr(Scalar, "__neg__", counted)
+    words = overlap_words(pres)
+    assert len(words) == 2500
+    assert all(resolve_overlap(pres, w) == (True, {}) for w in words)
+    assert negations == []
+    assert -Q == Scalar.term(1, -1) and len(negations) == 1
 
 
 def test_comultiply_unit_and_generator():

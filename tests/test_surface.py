@@ -170,6 +170,8 @@ NEVER_CALLED = {
     "parser._Node.__eq__": "test_parser compares syntax trees",
     "scalars.GaussRational.to_factor_text":
         "prints the classical-limit failure witness",
+    "algebra.TensorPoly.to_text":
+        "prints the coaction homomorphism failure witness",
     "algebra.TermMap.__repr__": "one-line repr over to_text",
     "scalars.Scalar.__repr__": "one-line repr over to_text",
     "scalars.GaussRational.__repr__": "one-line repr over to_text",
