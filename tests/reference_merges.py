@@ -28,33 +28,22 @@ def _merge(out, c, terms):
             del out[sw]
 
 
-def reference_nf_word(w0, rules, ngens, one, memo):
-    """Leftmost reduction of the single word w0, memoized in memo."""
-    stack = [w0]
-    while stack:
-        w = stack[-1]
-        if w in memo:
-            stack.pop()
-            continue
+def reference_nf_word(w, rules, ngens, one, memo):
+    """Leftmost reduction of the single word w, memoized in memo."""
+    hit = memo.get(w)
+    if hit is None:
         red = next((i for i in range(len(w) - 1)
-                    if w[i] * ngens + w[i + 1] in rules), -1)
-        if red < 0:
-            memo[w] = ((w, one),)
-            stack.pop()
-            continue
-        rhs = rules[w[red] * ngens + w[red + 1]]
-        pre, post = w[:red], w[red + 2:]
-        pending = [pre + rw + post for rw, _rc in rhs
-                   if pre + rw + post not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        acc = {}
-        for rw, rc in rhs:
-            _merge(acc, rc, memo[pre + rw + post])
-        memo[w] = tuple(acc.items())
-        stack.pop()
-    return memo[w0]
+                    if w[i] * ngens + w[i + 1] in rules), None)
+        if red is None:
+            hit = ((w, one),)
+        else:
+            acc = {}
+            for rw, rc in rules[w[red] * ngens + w[red + 1]]:
+                _merge(acc, rc, reference_nf_word(w[:red] + rw + w[red + 2:],
+                                                  rules, ngens, one, memo))
+            hit = tuple(acc.items())
+        memo[w] = hit
+    return hit
 
 
 def reference_normal_form(pres, terms):
