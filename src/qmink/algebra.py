@@ -5,7 +5,9 @@ and a rank giving the monomial order) and degree-preserving quadratic
 rules rewriting the larger length-2 word into strictly smaller words
 under the graded-lexicographic order.  When the rule set is confluent
 (checked by resolving all length-3 overlap ambiguities) the normal
-words form a PBW-type basis and normal forms are unique.
+words form a PBW-type basis and normal forms are unique.  Production
+rewrites over Z[i][q, q^-1] only: the q = 1 layer's supercommutative
+algebras are grassmann.GrassmannAlgebra, whose normal form is closed.
 """
 
 from __future__ import annotations
@@ -15,23 +17,6 @@ from dataclasses import dataclass
 from . import kernel
 from .kernel import accumulate
 from .scalars import ONE, signed_join
-
-# packed supercommutative words: the value bits of an even letter's field,
-# and the highest total degree a word may have, which every field holds
-_EVEN_FIELD_BITS = 7
-MAX_DEGREE = (1 << _EVEN_FIELD_BITS) - 1
-
-
-def _odd_inversions(m1, m2):
-    """Pairs of a bit of m1 above a bit of m2: the odd letters a word with
-    mask m1 moves past when it is sorted together with one of mask m2."""
-    k = 0
-    while m2:
-        low = m2 & -m2
-        k += (m1 & -(low << 1)).bit_count()
-        m2 ^= low
-    return k
-
 
 class AlgebraError(ValueError):
     pass
@@ -55,30 +40,24 @@ class Presentation:
     Values are immutable once rules are installed and every operation is
     pure; the per-word normal-form memo only ever receives idempotent
     writes, so it can be shared by every caller.  ``unit`` is the one of
-    the coefficient ring: the Scalar ONE of Z[i][q, q^-1] by default, or
-    a GaussRational one for the q = 1 layer.  Odd squares vanish: the
-    rule g*g -> 0 comes with every odd generator g.
+    the coefficient ring, the Scalar ONE of Z[i][q, q^-1]; the tests pass
+    a GaussRational one to rewrite over Q(i), as a reference for the
+    closed-form Grassmann normal form.  Odd squares vanish: the rule
+    g*g -> 0 comes with every odd generator g.
     """
 
-    def __init__(self, generators, supercommutative=False, unit=ONE):
+    def __init__(self, generators, unit=ONE):
         gens = tuple(generators)
         if [g.rank for g in gens] != list(range(len(gens))):
             raise AlgebraError("generator ranks must be 0..n-1 in order")
         self.generators = gens
         self.ngens = len(gens)
         self.parities = tuple(g.parity for g in gens)
-        # closed-form normal forms (sort + Koszul sign) instead of
-        # letter-by-letter rewriting, and Element.terms keyed by packed
-        # int words (_pack_layout); only valid for the standard
-        # supercommutative rule set
-        self.supercommutative = supercommutative
         self.unit = unit
         self._rules = {}
         self._kernel_rules = None
         self._memo = {}
         self._by_name = {g.name: g for g in gens}
-        if supercommutative:
-            self._pack_layout()
         for g in gens:
             if g.parity:
                 self._rules[(g.rank, g.rank)] = {}
@@ -155,34 +134,6 @@ class Presentation:
             }
         return self._kernel_rules
 
-    def _pack_layout(self):
-        """Fields of the packed words of a supercommutative presentation.
-
-        A normal word is one int: a field per rank, rank 0 lowest, each
-        with a guard bit above it, and the total degree above them all.
-        An odd field is one bit, so w & odd_bits is the word's odd mask;
-        an even field holds any exponent up to MAX_DEGREE.  A product of
-        words is the sum of their ints, and int order is a graded
-        monomial order.  An exponent is at most the total degree, so a
-        word of degree at most MAX_DEGREE fills no field past its width.
-        """
-        fields = []
-        shift = odd = guards = 0
-        for p in self.parities:
-            width = 1 if p else _EVEN_FIELD_BITS
-            fields.append((shift, (1 << width) - 1))
-            if p:
-                odd |= 1 << shift
-            guards |= 1 << (shift + width)
-            shift += width + 1
-        self.fields = tuple(fields)
-        self.odd_bits = odd
-        self.guards = guards
-        self.letter_keys = tuple((1 << s) | (1 << shift) for s, _m in fields)
-        # the least int of a word of degree MAX_DEGREE + 1
-        self._key_limit = (MAX_DEGREE + 1) << shift
-        self._letters = {}
-
     # -- words ---------------------------------------------------------------
 
     def word_parity(self, w):
@@ -191,21 +142,7 @@ class Presentation:
             p ^= self.parities[r]
         return p
 
-    def letters(self, key):
-        """The sorted letters of the packed word key (memoized)."""
-        w = self._letters.get(key)
-        if w is None:
-            w = ()
-            for r, (shift, mask) in enumerate(self.fields):
-                e = (key >> shift) & mask
-                if e:
-                    w += (r,) * e
-            self._letters[key] = w
-        return w
-
     def word_text(self, w):
-        if self.supercommutative:
-            w = self.letters(w)
         if not w:
             return "1"
         return "*".join(self.generators[r].name for r in w)
@@ -214,12 +151,6 @@ class Presentation:
 
     def normal_form(self, terms):
         """Reduce a word->coefficient map (or iterable of pairs) to normal form."""
-        if self.supercommutative:
-            items = terms.items() if isinstance(terms, dict) else terms
-            sc = self._sc_word
-            return accumulate({}, ((nf[0], c if nf[1] > 0 else -c)
-                                   for w, c in items
-                                   if c and (nf := sc(w)) is not None))
         if not isinstance(terms, dict):
             # run a stream's coefficient products here, not inside the
             # kernel call, whose benchmark trace span must not hold them
@@ -228,80 +159,20 @@ class Presentation:
                                         self.unit, self._memo)
 
     def nf_word(self, w):
-        if self.supercommutative:
-            nf = self._sc_word(tuple(w))
-            if nf is None:
-                return ()
-            sw, sgn = nf
-            return ((sw, self.unit if sgn > 0 else -self.unit),)
         return kernel.nf_word(tuple(w), self._kernel_view(), self.ngens,
                               self.unit, self._memo)
 
-    def _sc_word(self, w):
-        """Packed word and Koszul sign of the letters w, or None when an
-        odd letter repeats."""
-        hit = self._memo.get(w)
-        if hit is not None or w in self._memo:
-            return hit
-        par = self.parities
-        odds = [r for r in w if par[r]]
-        res = None
-        if len(set(odds)) == len(odds):
-            if len(w) > MAX_DEGREE:
-                raise OverflowError("word of degree %d: packed words hold "
-                                    "degree %d at most" % (len(w), MAX_DEGREE))
-            inv = 0
-            for i in range(len(odds)):
-                oi = odds[i]
-                for j in range(i + 1, len(odds)):
-                    if oi > odds[j]:
-                        inv += 1
-            keys = self.letter_keys
-            res = (sum(keys[r] for r in w), -1 if inv & 1 else 1)
-        self._memo[w] = res
-        return res
+    def _product(self, t1, t2):
+        """Normal form of the product of two term maps: every pair of words
+        concatenated; normal_form merges equal words itself."""
+        t2 = t2.items()
+        return self.normal_form((w1 + w2, c1 * c2) for w1, c1 in t1.items()
+                                for w2, c2 in t2)
 
-    def _key(self, w):
-        """The Element.terms key of the normal word w: w itself, or its
-        packed int in a supercommutative presentation."""
-        return self._sc_word(w)[0] if self.supercommutative else w
-
-    def _sc_product(self, t1, t2):
-        """Product of two supercommutative term maps.
-
-        Packed words w1, w2 with disjoint odd masks m1, m2 multiply to the
-        word w1 + w2, times (-1)^k, where k counts the pairs of an odd
-        letter of w1 above an odd letter of w2; overlapping masks hold an
-        odd square, so the pair contributes nothing.
-        """
-        if not t1 or not t2:
-            return {}
-        if max(t1) + max(t2) >= self._key_limit:
-            raise OverflowError("product past degree %d, the most packed "
-                                "words hold" % MAX_DEGREE)
-        odd = self.odd_bits
-        b = [(w2, w2 & odd, c2) for w2, c2 in t2.items()]
-        # inline: a generator fed to accumulate cost a third more here
-        out = {}
-        for w1, c1 in t1.items():
-            m1 = w1 & odd
-            for w2, m2, c2 in b:
-                if m1 & m2:
-                    continue
-                c = c1 * c2
-                if m1 and m2 and _odd_inversions(m1, m2) & 1:
-                    c = -c
-                w = w1 + w2
-                prev = out.get(w)
-                if prev is None:
-                    out[w] = c
-                else:
-                    c = prev + c
-                    if c:
-                        out[w] = c
-                    else:
-                        del out[w]
-        return out
+    @staticmethod
+    def _term_order(term):
+        """Sort key of a term: its word as (len(w), w)."""
+        return (len(term[0]), term[0])
 
     def pbw_dimension(self, d):
         """Number of normal words of total degree d (transfer-matrix count)."""
@@ -328,14 +199,13 @@ class Presentation:
         return Element(self, {})
 
     def one(self):
-        return Element(self, {self._key(()): self.unit})
+        return Element(self, {(): self.unit})
 
     def scalar(self, s):
-        return Element(self, {self._key(()): s} if s else {})
+        return Element(self, {(): s} if s else {})
 
     def gen(self, name):
-        return Element(self, {self._key((self.generator(name).rank,)):
-                              self.unit})
+        return Element(self, {(self.generator(name).rank,): self.unit})
 
     def word(self, names_or_ranks):
         w = tuple(r if isinstance(r, int) else self.generator(r).rank
@@ -398,7 +268,8 @@ class TermMap:
 
 
 class Element(TermMap):
-    """Noncommutative polynomial kept in normal form."""
+    """Polynomial kept in normal form over alg, a Presentation or a
+    GrassmannAlgebra, whose private _product and _term_order it calls."""
 
     __slots__ = ()
 
@@ -406,22 +277,12 @@ class Element(TermMap):
         alg = self.alg
         if other.__class__ is not Element or other.alg is not alg:
             return NotImplemented
-        if alg.supercommutative:
-            return Element(alg, alg._sc_product(self.terms, other.terms))
-        # normal_form merges equal words itself
-        t2 = other.terms.items()
-        return Element(alg, alg.normal_form(
-            (w1 + w2, c1 * c2) for w1, c1 in self.terms.items()
-            for w2, c2 in t2))
+        return Element(alg, alg._product(self.terms, other.terms))
 
     def parity(self):
         """Parity when homogeneous; raises for mixed terms."""
-        alg = self.alg
-        if alg.supercommutative:
-            odd = alg.odd_bits
-            ps = {(w & odd).bit_count() & 1 for w in self.terms}
-        else:
-            ps = {alg.word_parity(w) for w in self.terms}
+        wp = self.alg.word_parity
+        ps = {wp(w) for w in self.terms}
         if len(ps) > 1:
             raise AlgebraError("element is not parity-homogeneous")
         return ps.pop() if ps else 0
@@ -429,13 +290,8 @@ class Element(TermMap):
     def sorted_terms(self):
         """Terms from the largest word down, words compared as (len(w), w)
         on their letters."""
-        alg = self.alg
-        if alg.supercommutative:
-            letters = alg.letters
-            key = lambda t: (len(letters(t[0])), letters(t[0]))
-        else:
-            key = lambda t: (len(t[0]), t[0])
-        return sorted(self.terms.items(), key=key, reverse=True)
+        return sorted(self.terms.items(), key=self.alg._term_order,
+                      reverse=True)
 
     def to_text(self):
         if not self.terms:
@@ -468,7 +324,7 @@ class TensorPoly(TermMap):
     def _reduce(alg, terms):
         nf = alg.nf_word
         return accumulate({}, (((u, v), c * cu * cv)
-                               for (w1, w2), c in terms.items() if c
+                               for (w1, w2), c in terms.items()
                                for u, cu in nf(w1) for v, cv in nf(w2)))
 
     @classmethod

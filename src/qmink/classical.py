@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .algebra import Element
 from .grassmann import (GrassmannAlgebra, GrassmannMatrix, GrassmannRational,
-                        SymbolSpec, rational_sum, supercommutative_presentation)
+                        SymbolSpec, d_dx, rational_sum)
 from .linalg import SpanSolver
 from .scalars import GaussRational
 
@@ -36,11 +36,7 @@ def minkowski_square(ga, vec=None):
     """(v0)^2 - (v1)^2 - (v2)^2 - (v3)^2."""
     if vec is None:
         vec = [ga.gen("x%d" % mu) for mu in range(4)]
-    total = ga.zero()
-    for mu in range(4):
-        term = vec[mu] * vec[mu]
-        total = total + (term if METRIC[mu] > 0 else -term)
-    return total
+    return minkowski_dot(ga, vec, vec)
 
 
 def minkowski_dot(ga, u, v):
@@ -49,23 +45,6 @@ def minkowski_dot(ga, u, v):
         term = u[mu] * v[mu]
         total = total + (term if METRIC[mu] > 0 else -term)
     return total
-
-
-def d_dx(el, rank):
-    """Partial derivative with respect to the even generator `rank`."""
-    pres = el.alg
-    if pres.parities[rank]:
-        raise ValueError("d_dx differentiates by an even generator, not %s"
-                         % pres.generators[rank].name)
-    shift, mask = pres.fields[rank]
-    step = pres.letter_keys[rank]
-    out = {}
-    for w, c in el.terms.items():
-        n = (w >> shift) & mask
-        if n:
-            # distinct words stay distinct with one `rank` less
-            out[w - step] = c * GaussRational(n)
-    return Element(pres, out)
 
 
 @dataclass
@@ -79,7 +58,7 @@ class PolyVectorField:
     def bracket(self, other):
         """[V, W] = V(W) - W(V), componentwise on the coefficients."""
         ga = self.ga
-        ranks = [ga.pres.generator("x%d" % mu).rank for mu in range(4)]
+        ranks = [ga.generator("x%d" % mu).rank for mu in range(4)]
         out = []
         for mu in range(4):
             acc = ga.zero()
@@ -182,7 +161,7 @@ class RationalMap:
         ga = self.ga
         images = {}
         for mu in range(4):
-            rank = ga.pres.generator("x%d" % mu).rank
+            rank = ga.generator("x%d" % mu).rank
             images[rank] = other.comps[mu]
         return RationalMap(ga, [
             substitute(ga, c.num, images) / substitute_product(ga, c.den, images)
@@ -192,13 +171,13 @@ class RationalMap:
 def substitute(ga, el, images):
     """Evaluate an Element at generator -> rational images (default identity)."""
     terms = []
-    letters = ga.pres.letters
+    letters = ga.letters
     for w, c in el.terms.items():
         f = GrassmannRational(ga, ga.scalar(c))
         for r in letters(w):
             img = images.get(r)
             if img is None:
-                img = GrassmannRational(ga, ga.pres.word([r]))
+                img = GrassmannRational(ga, ga.gen(ga.generators[r].name))
             f = f * img
         terms.append(f)
     return rational_sum(ga, terms)
@@ -474,8 +453,9 @@ def real_point(ga, c_names, theta_names):
 
 @lru_cache(maxsize=None)
 def _classical_image(pres):
-    return supercommutative_presentation(
-        [(g.name, g.parity) for g in pres.generators])
+    """The Grassmann algebra on pres's generators, each its own conjugate."""
+    return GrassmannAlgebra([(g.name, g.parity, g.name)
+                             for g in pres.generators])
 
 
 def specialize_q1(p):

@@ -1,13 +1,15 @@
-"""Supercommutative algebras (q = 1) with a hermitian involution.
+"""Supercommutative (Grassmann) algebras at q = 1, with a hermitian involution.
 
-Built on the same rewriting engine as the quantum layer: a Grassmann
-algebra is a confluent presentation whose rules swap generators with
-Koszul signs and kill odd squares.  Its coefficients are GaussRationals,
-elements of Q(i).  On top sit rational elements (numerators over
-central, odd-free denominators, so that inverses of even elements exist
-via a finite Neumann expansion) and dense matrices with a dagger.  Each
-algebra keeps a factor basis, the denominator factors it has seen so
-far, and every denominator is a product of its members.
+Normal forms are closed: a word's letters sorted by rank, times the
+Koszul sign of its odd letters, and zero when an odd letter repeats; no
+rule is built or rewritten.  Element terms are keyed by packed int words
+(``GrassmannAlgebra._pack_layout``), which only this module reads.
+Coefficients are GaussRationals, elements of Q(i).  On top sit rational
+elements (numerators over central, odd-free denominators, so that
+inverses of even elements exist via a finite Neumann expansion) and
+dense matrices with a dagger.  Each algebra keeps a factor basis, the
+denominator factors it has seen so far, and every denominator is a
+product of its members.
 """
 
 from __future__ import annotations
@@ -15,26 +17,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .algebra import Element, Generator, Presentation
+from .algebra import AlgebraError, Element, Generator
+from .kernel import accumulate
 from .scalars import GaussRational
 
-
-def supercommutative_presentation(variables):
-    """Presentation from a list of (name, parity) in rank order."""
-    gens = [Generator(name, (r,), parity, r)
-            for r, (name, parity) in enumerate(variables)]
-    one = GaussRational(1)
-    pres = Presentation(gens, supercommutative=True, unit=one)
-    for a in gens:
-        for b in gens:
-            if b.rank <= a.rank:
-                continue
-            sign = -one if (a.parity and b.parity) else one
-            pres.add_rule((b.rank, a.rank), {(a.rank, b.rank): sign})
-    return pres
+# packed words: the value bits of an even letter's field, and the highest
+# total degree a word may have, which every field holds
+_EVEN_FIELD_BITS = 7
+MAX_DEGREE = (1 << _EVEN_FIELD_BITS) - 1
 
 
-def exact_divide(pres, num, g):
+def _odd_inversions(m1, m2):
+    """Pairs of a bit of m1 above a bit of m2: the odd letters a word with
+    mask m1 moves past when it is sorted together with one of mask m2."""
+    k = 0
+    while m2:
+        low = m2 & -m2
+        k += (m1 & -(low << 1)).bit_count()
+        m2 ^= low
+    return k
+
+
+def exact_divide(ga, num, g):
     """Quotient q with q * g == num, or None; g must be odd-free.
 
     Multivariate division by lead reduction in the order of the packed
@@ -72,8 +76,8 @@ def exact_divide(pres, num, g):
     glead = max(gt)
     r = dict(num.terms)
     if not r:
-        return Element(pres, {})
-    guards = pres.guards
+        return Element(ga, {})
+    guards = ga.guards
     if ((max(r) | guards) - glead) & guards != guards or \
             ((min(r) | guards) - min(gt)) & guards != guards:
         return None
@@ -106,7 +110,24 @@ def exact_divide(pres, num, g):
                     r[w] = v
                 else:
                     del r[w]
-    return Element(pres, q)
+    return Element(ga, q)
+
+
+def d_dx(el, rank):
+    """Partial derivative with respect to the even generator `rank`."""
+    ga = el.alg
+    if ga.parities[rank]:
+        raise ValueError("d_dx differentiates by an even generator, not %s"
+                         % ga.generators[rank].name)
+    shift, mask = ga.fields[rank]
+    step = ga.letter_keys[rank]
+    out = {}
+    for w, c in el.terms.items():
+        n = (w >> shift) & mask
+        if n:
+            # distinct words stay distinct with one `rank` less
+            out[w - step] = c * GaussRational(n)
+    return Element(ga, out)
 
 
 class GrassmannAlgebra:
@@ -120,28 +141,166 @@ class GrassmannAlgebra:
     """
 
     def __init__(self, variables):
-        """variables: list of (name, parity, conjugate_name).
+        """variables: list of (name, parity, conjugate_name) in rank order.
 
         conjugate_name may equal name (self-conjugate variable).
         """
-        self.pres = supercommutative_presentation(
-            [(n, p) for (n, p, _c) in variables])
+        self.generators = tuple(Generator(n, (r,), p, r)
+                                for r, (n, p, _c) in enumerate(variables))
+        self.parities = tuple(g.parity for g in self.generators)
+        self.unit = GaussRational(1)
+        self._by_name = {g.name: g for g in self.generators}
+        self._memo = {}  # letter tuple -> (packed word, sign) or None
+        self._pack_layout()
         conj = {}
-        by_name = {n: r for r, (n, _p, _c) in enumerate(variables)}
         for r, (_n, _p, cname) in enumerate(variables):
-            if cname not in by_name:
+            if cname not in self._by_name:
                 raise ValueError("unknown conjugate partner %r" % cname)
-            conj[r] = by_name[cname]
+            conj[r] = self._by_name[cname].rank
         for r, rc in conj.items():
             if conj[rc] != r:
                 raise ValueError("conjugate partner table is not involutive")
-            if self.pres.parities[r] != self.pres.parities[rc]:
+            if self.parities[r] != self.parities[rc]:
                 raise ValueError("conjugate partners must share parity")
         self._conj = conj
         # the odd-free denominator factors seen so far, in order of
         # arrival, each keyed by its value; no member divides a later one
         self.factor_basis = {}
         self._member_ids = set()
+
+    def _pack_layout(self):
+        """Fields of the packed words.
+
+        A normal word is one int: a field per rank, rank 0 lowest, each
+        with a guard bit above it, and the total degree above them all.
+        An odd field is one bit, so w & odd_bits is the word's odd mask;
+        an even field holds any exponent up to MAX_DEGREE.  A product of
+        words is the sum of their ints, and int order is a graded
+        monomial order.  An exponent is at most the total degree, so a
+        word of degree at most MAX_DEGREE fills no field past its width.
+        """
+        fields = []
+        shift = odd = guards = 0
+        for p in self.parities:
+            width = 1 if p else _EVEN_FIELD_BITS
+            fields.append((shift, (1 << width) - 1))
+            if p:
+                odd |= 1 << shift
+            guards |= 1 << (shift + width)
+            shift += width + 1
+        self.fields = tuple(fields)
+        self.odd_bits = odd
+        self.guards = guards
+        self.letter_keys = tuple((1 << s) | (1 << shift) for s, _m in fields)
+        # the least int of a word of degree MAX_DEGREE + 1
+        self._key_limit = (MAX_DEGREE + 1) << shift
+        self._letters = {}
+
+    def generator(self, name):
+        g = self._by_name.get(name)
+        if g is None:
+            raise AlgebraError("unknown generator %r" % name)
+        return g
+
+    # -- words ---------------------------------------------------------------
+
+    def letters(self, key):
+        """The sorted letters of the packed word key (memoized)."""
+        w = self._letters.get(key)
+        if w is None:
+            w = ()
+            for r, (shift, mask) in enumerate(self.fields):
+                e = (key >> shift) & mask
+                if e:
+                    w += (r,) * e
+            self._letters[key] = w
+        return w
+
+    def word_text(self, key):
+        w = self.letters(key)
+        if not w:
+            return "1"
+        return "*".join(self.generators[r].name for r in w)
+
+    def word_parity(self, key):
+        return (key & self.odd_bits).bit_count() & 1
+
+    def _term_order(self, term):
+        """Sort key of a term: its letters as (len(w), w)."""
+        w = self.letters(term[0])
+        return (len(w), w)
+
+    # -- normal forms and products ---------------------------------------------
+
+    def normal_form(self, terms):
+        """Packed normal form of a map (or iterable of pairs) from raw
+        letter tuples to coefficients."""
+        items = terms.items() if isinstance(terms, dict) else terms
+        sc = self._sc_word
+        return accumulate({}, ((nf[0], c if nf[1] > 0 else -c)
+                               for w, c in items
+                               if c and (nf := sc(w)) is not None))
+
+    def _sc_word(self, w):
+        """Packed word and Koszul sign of the letters w, or None when an
+        odd letter repeats."""
+        hit = self._memo.get(w)
+        if hit is not None or w in self._memo:
+            return hit
+        par = self.parities
+        odds = [r for r in w if par[r]]
+        res = None
+        if len(set(odds)) == len(odds):
+            if len(w) > MAX_DEGREE:
+                raise OverflowError("word of degree %d: packed words hold "
+                                    "degree %d at most" % (len(w), MAX_DEGREE))
+            inv = 0
+            for i in range(len(odds)):
+                oi = odds[i]
+                for j in range(i + 1, len(odds)):
+                    if oi > odds[j]:
+                        inv += 1
+            keys = self.letter_keys
+            res = (sum(keys[r] for r in w), -1 if inv & 1 else 1)
+        self._memo[w] = res
+        return res
+
+    def _product(self, t1, t2):
+        """Product of two term maps of packed words.
+
+        Packed words w1, w2 with disjoint odd masks m1, m2 multiply to the
+        word w1 + w2, times (-1)^k, where k counts the pairs of an odd
+        letter of w1 above an odd letter of w2; overlapping masks hold an
+        odd square, so the pair contributes nothing.
+        """
+        if not t1 or not t2:
+            return {}
+        if max(t1) + max(t2) >= self._key_limit:
+            raise OverflowError("product past degree %d, the most packed "
+                                "words hold" % MAX_DEGREE)
+        odd = self.odd_bits
+        b = [(w2, w2 & odd, c2) for w2, c2 in t2.items()]
+        # inline: a generator fed to accumulate cost a third more here
+        out = {}
+        for w1, c1 in t1.items():
+            m1 = w1 & odd
+            for w2, m2, c2 in b:
+                if m1 & m2:
+                    continue
+                c = c1 * c2
+                if m1 and m2 and _odd_inversions(m1, m2) & 1:
+                    c = -c
+                w = w1 + w2
+                prev = out.get(w)
+                if prev is None:
+                    out[w] = c
+                else:
+                    c = prev + c
+                    if c:
+                        out[w] = c
+                    else:
+                        del out[w]
+        return out
 
     def split_factor(self, f, out):
         """Write the odd-free factor f over the factor basis.
@@ -166,7 +325,7 @@ class GrassmannAlgebra:
             raise ZeroDivisionError("zero denominator factor")
         if self.soul(f):
             raise ValueError("denominator factors must be odd-free")
-        pres, basis = self.pres, self.factor_basis
+        basis = self.factor_basis
         while True:
             # a constant: the empty word packs to 0
             mono = f.terms.get(0) if len(f.terms) == 1 else None
@@ -177,7 +336,7 @@ class GrassmannAlgebra:
                 out.append(same)
                 return None
             for m in basis:
-                quo = exact_divide(pres, f, m)
+                quo = exact_divide(self, f, m)
                 if quo is not None:
                     out.append(m)
                     f = quo
@@ -188,12 +347,13 @@ class GrassmannAlgebra:
                 out.append(f)
                 return None
 
-    # element constructors delegate to the presentation
+    # -- elements ---------------------------------------------------------------
+
     def zero(self):
-        return self.pres.zero()
+        return Element(self, {})
 
     def one(self):
-        return self.pres.one()
+        return Element(self, {0: self.unit})  # the empty word packs to 0
 
     def scalar(self, s):
         """The constant s, a GaussRational or an int."""
@@ -202,28 +362,28 @@ class GrassmannAlgebra:
         elif not isinstance(s, GaussRational):
             raise TypeError("a Grassmann constant is a GaussRational or an "
                             "int, not %r" % (s,))
-        return self.pres.scalar(s)
+        return Element(self, {0: s} if s else {})
 
     def gen(self, name):
-        return self.pres.gen(name)
+        return Element(self, {self.letter_keys[self.generator(name).rank]:
+                              self.unit})
 
     def star(self, el):
         """The involution, extended letter by letter: (ab)* = a* b*."""
-        conj, letters = self._conj, self.pres.letters
-        return Element(self.pres, self.pres.normal_form(
+        conj, letters = self._conj, self.letters
+        return Element(self, self.normal_form(
             (tuple(conj[r] for r in letters(w)), c.conjugate())
             for w, c in el.terms.items()))
 
     def body(self, el):
         """Terms containing no odd generator (the non-nilpotent part)."""
-        odd = self.pres.odd_bits
-        return Element(self.pres, {w: c for w, c in el.terms.items()
-                                   if not w & odd})
+        odd = self.odd_bits
+        return Element(self, {w: c for w, c in el.terms.items()
+                              if not w & odd})
 
     def soul(self, el):
-        odd = self.pres.odd_bits
-        return Element(self.pres, {w: c for w, c in el.terms.items()
-                                   if w & odd})
+        odd = self.odd_bits
+        return Element(self, {w: c for w, c in el.terms.items() if w & odd})
 
 
 class GrassmannRational:
@@ -368,7 +528,7 @@ def _cancel(ga, num, den):
     the factors left over."""
     left = []
     for f in den:
-        quo = exact_divide(ga.pres, num, f)
+        quo = exact_divide(ga, num, f)
         if quo is None:
             left.append(f)
         else:

@@ -7,10 +7,11 @@ replacement terms.  Coefficients are opaque ring elements supporting
 in a caller-owned dict, so repeated reductions share work.  ``accumulate``
 is the one sparse merge that every term map in qmink sums through.
 
-The coefficient ring must be an integral domain, as Z[i][q, q^-1] and
-Q(i) are: a product of nonzero coefficients is then nonzero.  Rules and
-memo entries hold no zero coefficient, so the two inline loops store a
-product on a new key as it is and test for zero only after a sum.
+Production rewrites over Z[i][q, q^-1] only, the tests also over Q(i):
+both are integral domains, as the coefficient ring must be, so a product
+of nonzero coefficients is nonzero.  Rules and memo entries hold no zero
+coefficient, so the two inline loops store a product on a new key as it
+is and test for zero only after a sum.
 """
 
 # reduction steps one nf_word call may take before it gives up, so that a

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qmink import kernel
-from qmink.algebra import (MAX_DEGREE, AlgebraError, Element, Generator,
+from qmink.algebra import (AlgebraError, Element, Generator,
                            MalformedRuleError, Presentation, TensorPoly,
                            overlap_words, resolve_overlap)
-from qmink.grassmann import supercommutative_presentation
+from qmink.grassmann import MAX_DEGREE
 from qmink.kernel import BudgetExceeded, accumulate
 from qmink.linalg import DegenerateBasisError, SpanSolver
 from qmink.minkowski import build_chiral_presentation, localized
@@ -23,7 +23,7 @@ from qmink.supergroup import build_slq41, minor
 
 import tuple_words
 from reference_merges import overlap_difference, reference_normal_form
-from tuple_words import decoded
+from tuple_words import decoded, grassmann_algebra
 
 
 def manin_presentation_even(n):
@@ -180,19 +180,15 @@ def _parities_and_terms(draw):
 @given(_parities_and_terms())
 def test_supercommutative_shortcut_matches_rewriting(case):
     parities, terms = case
-    sc = supercommutative_presentation(
-        [("v%d" % r, p) for r, p in enumerate(parities)])
-    # the same generators and rules, reduced letter by letter
-    ref = Presentation(sc.generators, unit=sc.unit)
-    for lhs, rhs in sc.rules.items():
-        if lhs not in ref.rules:  # odd squares come with the constructor
-            ref.add_rule(lhs, rhs)
+    sc = grassmann_algebra([("v%d" % r, p) for r, p in enumerate(parities)])
+    # the same generators under the Koszul rules, reduced letter by letter
+    ref = tuple_words.koszul_presentation(sc)
     packed = sc.normal_form(terms)
     assert decoded(Element(sc, packed)) == ref.normal_form(terms)
     assert decoded(Element(sc, packed)) == tuple_words.normal_form(
         sc.parities, terms)
     for w in terms:
-        assert decoded(Element(sc, dict(sc.nf_word(w)))) == \
+        assert decoded(Element(sc, sc.normal_form({w: sc.unit}))) == \
             dict(ref.nf_word(w))
 
 
@@ -211,9 +207,8 @@ def _grassmann_factors(draw):
     # carry Koszul signs and repeated odd letters; returns the
     # presentation and the two raw term maps
     n_even, n_odd = draw(st.integers(0, 3)), draw(st.integers(1, 3))
-    pres = supercommutative_presentation(
-        [("e%d" % r, 0) for r in range(n_even)]
-        + [("o%d" % r, 1) for r in range(n_odd)])
+    pres = grassmann_algebra([("e%d" % r, 0) for r in range(n_even)]
+                             + [("o%d" % r, 1) for r in range(n_odd)])
     words = st.lists(st.integers(0, n_even + n_odd - 1), max_size=4).map(tuple)
     coeffs = draw(st.sampled_from(_RING_COEFFS))
     tx, ty = (draw(st.dictionaries(words, coeffs, max_size=4))
@@ -266,7 +261,7 @@ def test_odd_mask_product_matches_dict_path(xy):
     prod = (x * y).terms
     # the product came from the packed words: no word was memoized
     assert len(pres._memo) == memo
-    assert prod == pres._sc_product(x.terms, y.terms)
+    assert prod == pres._product(x.terms, y.terms)
     tx, ty = decoded(x), decoded(y)
     assert prod == dict_path_raw(pres, tx, ty)
     assert decoded(x * y) == tuple_words.sc_product(pres.parities, tx, ty)
@@ -283,12 +278,12 @@ def test_raw_factors_are_normalized_first(case):
     assert all(pres.letters(w) == tuple(sorted(pres.letters(w)))
                for w in x.terms)
     ref = tuple_words.sc_product(pres.parities, tx, ty)
-    assert {pres._key(w): c for w, c in ref.items()} == (x * y).terms
+    assert {pres._sc_word(w)[0]: c for w, c in ref.items()} == (x * y).terms
 
 
 def test_raw_word_products():
     # unsorted words and a repeated odd letter, normalized when built
-    pres = supercommutative_presentation([("e", 0), ("s", 1), ("t", 1)])
+    pres = grassmann_algebra([("e", 0), ("s", 1), ("t", 1)])
     one = pres.unit
     t_s = Element(pres, pres.normal_form({(2, 1): one}))
     s_s = Element(pres, pres.normal_form({(1, 1): one}))
@@ -311,18 +306,22 @@ def test_packed_words_refuse_a_degree_past_the_fields():
     # every field holds any exponent up to MAX_DEGREE, the most a word's
     # total degree may be; past it the layout raises instead of carrying
     # into the guard bit or the next field
-    pres = supercommutative_presentation([("x", 0), ("s", 1), ("y", 0)])
+    pres = grassmann_algebra([("x", 0), ("s", 1), ("y", 0)])
     x, y = pres.gen("x"), pres.gen("y")
-    top = pres.word(["x"] * MAX_DEGREE)
+
+    def power(r, n):
+        return Element(pres, pres.normal_form({(r,) * n: pres.unit}))
+
+    top = power(0, MAX_DEGREE)
     assert decoded(top) == {(0,) * MAX_DEGREE: pres.unit}
     (w,) = top.terms
     assert w & pres.guards == 0
-    half = pres.word(["x"] * (MAX_DEGREE // 2))
-    mixed = half * pres.word(["y"] * (MAX_DEGREE - MAX_DEGREE // 2))
+    half = power(0, MAX_DEGREE // 2)
+    mixed = half * power(2, MAX_DEGREE - MAX_DEGREE // 2)
     assert decoded(mixed) == {(0,) * (MAX_DEGREE // 2) + (2,) * (
         MAX_DEGREE - MAX_DEGREE // 2): pres.unit}
     for past in (lambda: top * x, lambda: x * top, lambda: mixed * y,
-                 lambda: pres.word(["y"] * (MAX_DEGREE + 1)),
+                 lambda: power(2, MAX_DEGREE + 1),
                  lambda: pres.normal_form({(0,) * (MAX_DEGREE + 1):
                                            pres.unit})):
         with pytest.raises(OverflowError):
@@ -761,16 +760,21 @@ def test_tensor_products_refuse_another_kind_or_algebra():
     assert (t * TensorPoly(pres, {((), ()): pres.unit})).terms == t.terms
 
 
-@pytest.mark.parametrize("pres", [
-    build_slq41(),
-    supercommutative_presentation([("x", 0), ("y", 0), ("th", 1), ("ch", 1)]),
+_SLQ41 = build_slq41()
+_GRASSMANN = grassmann_algebra([("x", 0), ("y", 0), ("th", 1), ("ch", 1)])
+
+
+@pytest.mark.parametrize("pres,letters,nf_word", [
+    (_SLQ41, lambda w: w, _SLQ41.nf_word),
+    (_GRASSMANN, _GRASSMANN.letters,
+     lambda w: _GRASSMANN.normal_form({w: _GRASSMANN.unit}).items()),
 ], ids=["slq41", "supercommutative"])
-def test_normal_words_carry_the_unit_itself(pres):
+def test_normal_words_carry_the_unit_itself(pres, letters, nf_word):
     # the products' unit fast paths test the unit by identity, so the
-    # kernel must hand out the presentation's own unit, not a fresh one
-    letters = pres.letters if pres.supercommutative else (lambda w: w)
+    # kernel and the closed form must hand out the algebra's own unit,
+    # not a fresh one
     (w1, c1), = pres.one().terms.items()
     assert letters(w1) == () and c1 is pres.unit
     for w in [(), (0,), (1,), (0, 1), (0, 2, 3), (1, 2, 3)]:
-        (sw, c), = pres.nf_word(w)
+        (sw, c), = nf_word(w)
         assert letters(sw) == w and c is pres.unit

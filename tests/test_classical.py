@@ -11,7 +11,7 @@ from qmink.algebra import Element
 from qmink.checks import run_suite
 from qmink.classical import (RationalMap, SuperPoincareElement,
                              big_cell_reduce, bracket_closure_table,
-                             conformal_basis, conj_column, coordinate_algebra, det2, d_dx,
+                             conformal_basis, conj_column, coordinate_algebra, det2,
                              inversion_map, minkowski_square, pauli_map,
                              poincare_action, poincare_compose, real_point,
                              real_group_element, special_conformal_map,
@@ -19,12 +19,12 @@ from qmink.classical import (RationalMap, SuperPoincareElement,
                              substitute, super_poincare_chiral_action,
                              superflag_reduce, translation_map)
 from qmink.grassmann import (GrassmannMatrix, GrassmannRational, SymbolSpec,
-                             supercommutative_presentation)
+                             d_dx)
 from qmink.scalars import Q, QINV, GaussRational, Scalar
 from qmink.supergroup import build_slq41
 
 import tuple_words
-from tuple_words import decoded
+from tuple_words import decoded, grassmann_algebra
 
 
 def test_conformal_generator_forms():
@@ -50,7 +50,7 @@ def test_conformal_generator_forms():
 def test_partial_derivative():
     ga = coordinate_algebra()
     x0 = ga.gen("x0")
-    r0 = ga.pres.generator("x0").rank
+    r0 = ga.generator("x0").rank
     p = x0 * x0 * ga.gen("x1")
     assert d_dx(p, r0) == (x0 * ga.gen("x1")).scale(GaussRational(2))
 
@@ -64,17 +64,16 @@ def test_partial_derivative():
 def test_partial_derivative_matches_the_tuple_words(raw, name):
     # raw words over x0..x3 and an even w, unsorted, with repeats
     ga = coordinate_algebra(("w",))
-    pres = ga.pres
-    rank = pres.generator(name).rank
-    el = Element(pres, pres.normal_form(raw))
+    rank = ga.generator(name).rank
+    el = Element(ga, ga.normal_form(raw))
     assert decoded(d_dx(el, rank)) == tuple_words.d_dx(
-        tuple_words.normal_form(pres.parities, raw), rank)
+        tuple_words.normal_form(ga.parities, raw), rank)
 
 
 def test_partial_derivative_refuses_an_odd_generator():
     # an odd derivative needs a Koszul sign, which d_dx does not carry
     ga = SymbolSpec.empty().even_self("x0").odd_self("th").build()
-    th = ga.pres.generator("th").rank
+    th = ga.generator("th").rank
     with pytest.raises(ValueError, match="even generator"):
         d_dx(ga.gen("th") * ga.gen("x0"), th)
 
@@ -150,7 +149,7 @@ def test_sct_numeric_point():
     x = [Fraction(1), Fraction(1, 5), Fraction(-2), Fraction(1, 7)]
     bs = [ga.scalar(GaussRational(v.numerator, 0, v.denominator)) for v in b]
     k = special_conformal_map(ga, bs)
-    images = {ga.pres.generator("x%d" % mu).rank:
+    images = {ga.generator("x%d" % mu).rank:
               GrassmannRational(ga, ga.scalar(
                   GaussRational(v.numerator, 0, v.denominator)))
               for mu, v in enumerate(x)}
@@ -455,7 +454,7 @@ def test_even_image_fails_classical_limit(monkeypatch):
         gens = [(g.name, g.parity) for g in pres.generators]
         k = next(r for r, (_n, p) in enumerate(gens) if p)
         gens[k] = (gens[k][0], 0)
-        return supercommutative_presentation(gens)
+        return grassmann_algebra(gens)
 
     monkeypatch.setattr(classical, "_classical_image", even_image)
     bad = false_records("classical-limit")

@@ -123,6 +123,26 @@ def test_su22_conditions():
     assert failures == []
 
 
+def test_complexified_bases_store_no_zero():
+    # most cells of a fixed-point basis vector hold 0 + 0i: 276 of the 320
+    # cells over both bases, each a new key of accumulate, whose zero test
+    # on a new key keeps them out of the sparse matrix
+    even, odd = realforms.fixed_point_bases()
+    full = [(i, j) for i in range(4) for j in range(4)]
+    col, row = [(i, 0) for i in range(4)], [(0, j) for j in range(4)]
+    cases = [(v, full) for v in even] + [(v[:8], col) for v in odd] + \
+        [(v[8:], row) for v in odd]
+    zeros = 0
+    for vec, cells in cases:
+        want = {c: vec[2 * k] + vec[2 * k + 1] * GI
+                for k, c in enumerate(cells)}
+        zeros += sum(1 for v in want.values() if not v)
+        got = realforms._complexified(vec, cells)
+        assert all(got.values())
+        assert got == {c: v for c, v in want.items() if v}
+    assert zeros == 276
+
+
 def test_poincare_conjugation_involutive():
     ga = poincare_group_algebra()
     g = generic_element(ga)
@@ -157,15 +177,14 @@ def test_reverse_convention_breaks_the_group_conjugation():
     sp.even_self("t11", "t22", "u")
     sp.odd("x1", "x2", "f1", "f2")
     ga = sp.build()
-    pres = ga.pres
-    partner = {pres.generator(n).rank: pres.generator(c).rank
+    partner = {ga.generator(n).rank: ga.generator(c).rank
                for n, _p, c in sp.variables}
 
     def reversing_star(el):
         out = ga.zero()
         for w, c in el.terms.items():
-            img = tuple(partner[r] for r in reversed(pres.letters(w)))
-            out = out + Element(pres, pres.normal_form({img: c.conjugate()}))
+            img = tuple(partner[r] for r in reversed(ga.letters(w)))
+            out = out + Element(ga, ga.normal_form({img: c.conjugate()}))
         return out
 
     # GrassmannAlgebra.star keeps products in order; this one algebra

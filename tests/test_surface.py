@@ -145,9 +145,31 @@ def test_the_sparse_merge_is_written_once():
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         _deleting_functions(tree, path.stem, path.stem, found)
-    assert sorted(found) == ["algebra.Presentation._sc_product",
+    assert sorted(found) == ["grassmann.GrassmannAlgebra._product",
                              "grassmann.exact_divide", "kernel.accumulate",
                              "kernel.nf_word", "kernel.normal_form_terms"]
+
+
+# the fields of GrassmannAlgebra._pack_layout
+PACKED_LAYOUT = frozenset(("fields", "letter_keys", "guards", "odd_bits"))
+
+
+def test_only_grassmann_reads_the_packed_layout():
+    # packed words are one module's business: every other module of the
+    # program goes through GrassmannAlgebra's methods, and nothing, tests
+    # included, asks a presentation for a second, supercommutative mode
+    readers, flagged = set(), []
+    program = _program_files()
+    for path in program + sorted(Path(__file__).parent.glob("*.py")):
+        for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(sub, ast.Attribute) and sub.attr in PACKED_LAYOUT \
+                    and path in program:
+                readers.add(path.name)
+            elif isinstance(sub, ast.keyword) and \
+                    sub.arg == "supercommutative":
+                flagged.append(path.name)
+    assert readers == {"grassmann.py"}
+    assert flagged == []
 
 
 # functions that no production entry point calls, each kept for a reason;
@@ -170,6 +192,12 @@ NEVER_CALLED = {
     "parser._Node.__eq__": "test_parser compares syntax trees",
     "scalars.GaussRational.to_factor_text":
         "prints the classical-limit failure witness",
+    "grassmann.GrassmannAlgebra.word_text":
+        "prints the classical-limit failure witness",
+    "grassmann.GrassmannAlgebra._term_order":
+        "prints the classical-limit failure witness",
+    "grassmann.GrassmannAlgebra.word_parity":
+        "Element.parity of a Grassmann element, which no suite asks for",
     "algebra.TensorPoly.to_text":
         "prints the coaction homomorphism failure witness",
     "algebra.TermMap.__repr__": "one-line repr over to_text",

@@ -3,11 +3,34 @@ that packed int words replaced, kept as the reference the tests compare
 the packed paths against.
 
 A term map here is a dict from tuple words to coefficients.  `parities`
-is the tuple of generator parities of the presentation.
+is the tuple of generator parities of the algebra.  The Koszul rule set
+(`koszul_presentation`) reduces the same words letter by letter in the
+rewriting kernel.
 """
 
+from qmink.algebra import Presentation
+from qmink.grassmann import GrassmannAlgebra
 from qmink.kernel import accumulate
 from qmink.scalars import GaussRational
+
+
+def grassmann_algebra(variables):
+    """The GrassmannAlgebra on (name, parity) pairs in rank order, each
+    variable its own conjugate."""
+    return GrassmannAlgebra([(n, p, n) for n, p in variables])
+
+
+def koszul_presentation(ga):
+    """A rewriting Presentation of ga over Q(i): b a -> a b for ranks
+    a < b, with the sign -1 when both are odd (odd squares vanish by the
+    Presentation's own rule)."""
+    one = ga.unit
+    pres = Presentation(ga.generators, unit=one)
+    for a in ga.generators:
+        for b in ga.generators[a.rank + 1:]:
+            sign = -one if (a.parity and b.parity) else one
+            pres.add_rule((b.rank, a.rank), {(a.rank, b.rank): sign})
+    return pres
 
 
 def decoded(el):
