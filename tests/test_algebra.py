@@ -205,7 +205,7 @@ _RING_COEFFS = (
 def _grassmann_factors(draw):
     # raw tuple words, unsorted and with repeated letters, so products
     # carry Koszul signs and repeated odd letters; returns the
-    # presentation and the two raw term maps
+    # Grassmann algebra and the two raw term maps
     n_even, n_odd = draw(st.integers(0, 3)), draw(st.integers(1, 3))
     pres = grassmann_algebra([("e%d" % r, 0) for r in range(n_even)]
                              + [("o%d" % r, 1) for r in range(n_odd)])

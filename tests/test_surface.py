@@ -7,7 +7,8 @@ tests parse src/qmink/*.py and assert that each module-level public
 definition is named, and each public member of a module-level class is
 read as an attribute, somewhere in src/qmink or perfbench/*.py outside
 its own definition.  A test pins which functions hold a `del`, so that
-the sparse zero-dropping merge is not copied again.  The last test runs
+the sparse zero-dropping merge is not copied again, and one that only
+grassmann.py reads the packed word layout.  The last test runs
 the production entry points (tests/line_audit.py) and checks that every
 function in src/qmink is called there, but for an allow-list.
 """
