@@ -213,12 +213,37 @@ class Presentation:
         return Element(self, dict(self.nf_word(w)))
 
 
+def terms_text(terms, key_text, order=None):
+    """The printed sum of terms, a map key -> nonzero coefficient: the
+    one printing rule of every linear combination.
+
+    Terms print from the largest down, under order, a sort key of a
+    (key, coefficient) pair (None compares the pairs), each as
+    c.to_factor_text() + "*" + key_text(key).  A coefficient whose
+    factor text is 1 prints as the bare key, and the constant key, the
+    one whose text is 1, as the bare coefficient.  signed_join joins the
+    parts; the empty sum is 0.
+    """
+    if not terms:
+        return "0"
+    parts = []
+    for k, c in sorted(terms.items(), key=order, reverse=True):
+        kt = key_text(k)
+        if kt == "1":
+            parts.append(c.to_text())
+        else:
+            ct = c.to_factor_text()
+            parts.append(kt if ct == "1" else ct + "*" + kt)
+    return signed_join(parts)
+
+
 class TermMap:
     """A sparse linear combination over alg: key -> nonzero coefficient.
 
     The arithmetic Element, TensorPoly and LocalElement share: sums,
-    differences, negation and scalar multiples, all term by term.  Sums
-    and differences need the same class and the same alg.
+    differences, negation and scalar multiples, all term by term, and
+    the printed text.  Sums and differences need the same class and the
+    same alg.
     """
 
     __slots__ = ("alg", "terms")
@@ -263,13 +288,20 @@ class TermMap:
         return self.__class__(self.alg,
                               {k: s * c for k, c in self.terms.items()})
 
+    def to_text(self):
+        """The printed sum of the terms (terms_text); the class supplies
+        the text of one key, _key_text, and the sort key of a term,
+        _term_order."""
+        return terms_text(self.terms, self._key_text, self._term_order)
+
     def __repr__(self):
         return "<%s>" % self.to_text()
 
 
 class Element(TermMap):
     """Polynomial kept in normal form over alg, a Presentation or a
-    GrassmannAlgebra, whose private _product and _term_order it calls."""
+    GrassmannAlgebra, whose word_text, private _product and _term_order
+    it calls."""
 
     __slots__ = ()
 
@@ -280,34 +312,23 @@ class Element(TermMap):
         return Element(alg, alg._product(self.terms, other.terms))
 
     def parity(self):
-        """Parity when homogeneous; raises for mixed terms."""
+        """Parity when homogeneous; raises for mixed terms.  Words carry
+        a parity over a Presentation only."""
         wp = self.alg.word_parity
         ps = {wp(w) for w in self.terms}
         if len(ps) > 1:
             raise AlgebraError("element is not parity-homogeneous")
         return ps.pop() if ps else 0
 
-    def sorted_terms(self):
-        """Terms from the largest word down, words compared as (len(w), w)
-        on their letters."""
-        return sorted(self.terms.items(), key=self.alg._term_order,
-                      reverse=True)
+    # the algebra's own methods: printing calls them with no wrapper
+    # call per term in between
+    @property
+    def _key_text(self):
+        return self.alg.word_text
 
-    def to_text(self):
-        if not self.terms:
-            return "0"
-        word_text, unit = self.alg.word_text, self.alg.unit
-        parts = []
-        for w, c in self.sorted_terms():
-            wt = word_text(w)
-            if not w:
-                parts.append(c.to_text())
-            elif c == unit:
-                parts.append(wt)
-            else:
-                ct = c.to_factor_text()
-                parts.append(wt if ct == "1" else "%s*%s" % (ct, wt))
-        return signed_join(parts)
+    @property
+    def _term_order(self):
+        return self.alg._term_order
 
 
 class TensorPoly(TermMap):
@@ -353,18 +374,15 @@ class TensorPoly(TermMap):
         """The second-slot polynomial paired with first-slot word u."""
         return {v: c for (w, v), c in self.terms.items() if w == u}
 
-    def to_text(self):
-        if not self.terms:
-            return "0"
+    def _key_text(self, key):
         wt = self.alg.word_text
-        parts = []
-        for (u, v) in sorted(self.terms, key=lambda k: (len(k[0]), k[0], k[1]),
-                             reverse=True):
-            c = self.terms[(u, v)]
-            ct = c.to_factor_text()
-            body = "%s (x) %s" % (wt(u), wt(v))
-            parts.append(body if ct == "1" else "%s*%s" % (ct, body))
-        return signed_join(parts)
+        return "%s (x) %s" % (wt(key[0]), wt(key[1]))
+
+    @staticmethod
+    def _term_order(term):
+        """Sort key of a term: its pair of words as (len(u), u, v)."""
+        (u, v), _c = term
+        return (len(u), u, v)
 
 
 def overlap_words(pres):

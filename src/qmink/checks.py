@@ -276,22 +276,20 @@ def _suite_pauli_metric():
     def det_identity():
         a = classical.pauli_map(ga, [ga.gen("x%d" % mu) for mu in range(4)])
         x2 = classical.minkowski_square(ga)
-        return _pass_fail((classical.det2(a) - GrassmannRational(ga, x2))
-                          .is_zero())
+        return _pass_fail(classical.det2(a) == GrassmannRational(ga, x2))
 
     def sigma2_example():
         m = classical.pauli_map(ga, [0, 0, 1, 0])
         gi = classical.GI
         want = GrassmannMatrix(ga, [[0, -gi], [gi, 0]])
-        ok = (m - want).is_zero() and \
-            (classical.det2(m) - GrassmannRational(
-                ga, ga.scalar(-1))).is_zero()
+        ok = m == want and \
+            classical.det2(m) == GrassmannRational(ga, ga.scalar(-1))
         return _pass_fail(ok)
 
     def unit_example():
         m = classical.pauli_map(ga, [1, 0, 0, 0])
-        ok = (m - GrassmannMatrix.identity(ga, 2)).is_zero() and \
-            (classical.det2(m) - GrassmannRational(ga, ga.one())).is_zero()
+        ok = m == GrassmannMatrix.identity(ga, 2) and \
+            classical.det2(m) == GrassmannRational(ga, ga.one())
         return _pass_fail(ok)
 
     return [
@@ -333,40 +331,38 @@ def _suite_poincare_action():
         step = classical.poincare_action(
             L2, R2, N2, classical.poincare_action(L1, R1, N1, A1))
         lc, rc, nc = classical.poincare_compose((L2, R2, N2), (L1, R1, N1))
-        return _pass_fail((step - classical.poincare_action(lc, rc, nc, A1))
-                          .is_zero())
+        return _pass_fail(step == classical.poincare_action(lc, rc, nc, A1))
 
     def identity_action():
         eye = GrassmannMatrix.identity(ga, 2)
         zero = GrassmannMatrix.zeros(ga, 2, 2)
-        return _pass_fail((classical.poincare_action(eye, eye, zero, A1) - A1)
-                          .is_zero())
+        return _pass_fail(classical.poincare_action(eye, eye, zero, A1) == A1)
 
     def covariance():
         a1p = classical.poincare_action(L1, R1, N1, A1)
         a2p = classical.poincare_action(L1, R1, N1, A2)
         lhs = classical.det2(a1p - a2p) * classical.det2(L1)
         rhs = classical.det2(R1) * classical.det2(A1 - A2)
-        return _pass_fail((lhs - rhs).is_zero())
+        return _pass_fail(lhs == rhs)
 
     def equal_dets():
         adj = GrassmannMatrix(ga, [[L1.rows[1][1], -L1.rows[0][1]],
                                    [-L1.rows[1][0], L1.rows[0][0]]])
         a1p = classical.poincare_action(L1, adj, N1, A1)
         a2p = classical.poincare_action(L1, adj, N1, A2)
-        ok = (classical.det2(adj) - classical.det2(L1)).is_zero() and \
-            (classical.det2(a1p - a2p) - classical.det2(A1 - A2)).is_zero()
+        ok = classical.det2(adj) == classical.det2(L1) and \
+            classical.det2(a1p - a2p) == classical.det2(A1 - A2)
         return _pass_fail(ok)
 
     def column_invariance():
         p1 = GrassmannMatrix.vstack(m2("l"), m2("n"))
         g = m2("g")
-        return _pass_fail((classical.big_cell_reduce(p1 * g)
-                           - classical.big_cell_reduce(p1)).is_zero())
+        return _pass_fail(classical.big_cell_reduce(p1 * g)
+                          == classical.big_cell_reduce(p1))
 
     def pre_reduced():
         p1 = GrassmannMatrix.vstack(GrassmannMatrix.identity(ga, 2), A1)
-        return _pass_fail((classical.big_cell_reduce(p1) - A1).is_zero())
+        return _pass_fail(classical.big_cell_reduce(p1) == A1)
 
     return [
         ("identity", "the identity group element acts trivially",
@@ -418,7 +414,7 @@ def _suite_twistor():
         s = GrassmannMatrix(ga, [[g("s11"), g("s12")],
                                  [g("s21"), g("s22")], [z, z]])
         red = classical.superflag_reduce(p2 * s, p2)
-        ok = red.twistor_holds and (red.B - red.A).is_zero() \
+        ok = red.twistor_holds and red.B == red.A \
             and red.alpha.is_zero() and red.beta.is_zero()
         return _pass_fail(ok)
 
@@ -435,9 +431,8 @@ def _suite_twistor():
             b.rows[0] + [beta.rows[0][0]], b.rows[1] + [beta.rows[1][0]],
             [z, z, ga.one()]])
         red = classical.superflag_reduce(p1, p2)
-        ok = red.twistor_holds and (red.A - a).is_zero() \
-            and (red.B - b).is_zero() and (red.alpha - alpha).is_zero() \
-            and (red.beta - beta).is_zero()
+        ok = red.twistor_holds and red.A == a and red.B == b \
+            and red.alpha == alpha and red.beta == beta
         return _pass_fail(ok)
 
     return [
@@ -479,19 +474,19 @@ def _suite_super_action():
             chi=GrassmannMatrix.zeros(ga, 1, 2),
             d=GrassmannRational(ga, ga.one()))
         return _pass_fail(classical.super_poincare_chiral_action(e, pt)
-                          .equals(pt))
+                          == pt)
 
     def reality():
         moved = classical.super_poincare_chiral_action(g1, pt)
-        ok = (moved.C - moved.C.dagger()).is_zero() and \
-            (moved.thetabar - classical.conj_column(ga, moved.theta)).is_zero()
+        ok = moved.C == moved.C.dagger() and \
+            moved.thetabar == classical.conj_column(ga, moved.theta)
         return _pass_fail(ok)
 
     def composition():
         step = classical.super_poincare_chiral_action(
             g2, classical.super_poincare_chiral_action(g1, pt))
         direct = classical.super_poincare_chiral_action(g2.compose(g1), pt)
-        return _pass_fail(step.equals(direct))
+        return _pass_fail(step == direct)
 
     return [
         ("identity", "the identity element acts trivially",
@@ -563,7 +558,7 @@ def _suite_poincare_reality():
     red = realforms.reduced_element(ga)
 
     def involutive():
-        return _pass_fail(gen.conjugated().conjugated().equals(gen))
+        return _pass_fail(gen.conjugated().conjugated() == gen)
 
     rep = realforms.poincare_reality_reduce(red)
 

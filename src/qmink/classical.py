@@ -153,8 +153,7 @@ class RationalMap:
         return cls(ga, [ga.gen("x%d" % mu) for mu in range(4)])
 
     def __eq__(self, other):
-        return all((a - b).is_zero()
-                   for a, b in zip(self.comps, other.comps))
+        return all(a == b for a, b in zip(self.comps, other.comps))
 
     def compose(self, other):
         """self after other: x -> self(other(x))."""
@@ -294,7 +293,7 @@ def superflag_reduce(P1, P2):
     P2std = P2 * h
     B = P2std.block(2, 4, 0, 2)
     beta = P2std.block(2, 4, 2, 3)
-    ok = (B - (A - beta * alpha)).is_zero()
+    ok = B == A - beta * alpha
     return SuperflagReduction(A, alpha, B, beta, ok)
 
 
@@ -369,14 +368,6 @@ class SuperPoincareElement:
             d=self.d.star().inverse(),
         )
 
-    def equals(self, other):
-        return ((self.L - other.L).is_zero()
-                and (self.M - other.M).is_zero()
-                and (self.R - other.R).is_zero()
-                and (self.phi - other.phi).is_zero()
-                and (self.chi - other.chi).is_zero()
-                and (self.d - other.d).is_zero())
-
 
 @dataclass
 class ChiralPoint:
@@ -385,11 +376,6 @@ class ChiralPoint:
     C: GrassmannMatrix
     theta: GrassmannMatrix
     thetabar: GrassmannMatrix
-
-    def equals(self, other):
-        return ((self.C - other.C).is_zero()
-                and (self.theta - other.theta).is_zero()
-                and (self.thetabar - other.thetabar).is_zero())
 
 
 def conj_column(ga, col):

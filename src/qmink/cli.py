@@ -7,6 +7,7 @@ import json
 import sys
 
 from . import classical
+from .algebra import terms_text
 from .checks import SUITE_NAMES, UnknownSuiteError, run_suite
 from .kernel import BudgetExceeded
 from .minkowski import localized, minor_index, minor_set
@@ -143,18 +144,20 @@ def closure_table_data():
     from .minkowski import closure_table
     table = closure_table()
     names = [m.name for m in minor_set()]
+
+    def pair_text(pair):
+        return "%s*%s" % (names[pair[0]], names[pair[1]])
+
     entries = []
     for (a, b), e in sorted(table.entries.items()):
-        corr = " + ".join(
-            "%s*%s*%s" % (c.to_text(), names[c1], names[c2])
-            for (c1, c2), c in sorted(e.correction.items()))
         entries.append({
             "left": names[b],
             "right": names[a],
             "kind": e.kind,
             "sign": e.sign,
             "exponent": e.exponent,
-            "correction": corr,
+            "correction": terms_text(e.correction, pair_text)
+            if e.correction else "",
             "ok": e.ok,
         })
     return {"table": "closure", "minor_order": names, "entries": entries,
@@ -168,8 +171,7 @@ def conformal_table_data():
         entries.append({
             "left": sc.names[i],
             "right": sc.names[j],
-            "bracket": " + ".join("%s*%s" % (c.to_text(), sc.names[k])
-                                  for k, c in combo) or "0",
+            "bracket": terms_text(dict(combo), sc.names.__getitem__),
         })
     return {"table": "conformal", "basis": sc.names, "entries": entries,
             "closed": sc.closed}
@@ -190,13 +192,12 @@ def _emit_table(data, fmt):
                 lines.append("%s^2 = %s" % (e["left"], rhs))
                 continue
             else:
-                exp = e["exponent"]
-                qpow = "" if exp == 0 else ("q*" if exp == 1
-                                            else "q^%d*" % exp)
-                lead = "%s%s%s*%s" % ("-" if e["sign"] < 0 else "",
-                                      qpow, e["right"], e["left"])
-                rhs = lead + (" + " + e["correction"] if e["correction"]
-                              else "")
+                # the lead word sorts above every correction word, so
+                # its term prints first, as in the sum of both
+                rhs = terms_text({"%s*%s" % (e["right"], e["left"]):
+                                  Scalar.term(e["exponent"], e["sign"])}, str)
+                if e["correction"]:
+                    rhs += " + " + e["correction"]
             lines.append("%s*%s = %s" % (e["left"], e["right"], rhs))
         lines.append("all entries resolve: %s" % data["all_ok"])
     else:
@@ -219,8 +220,10 @@ def build_arg_parser():
                     "Minkowski superspace construction.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    nf = sub.add_parser("nf", help="print the canonical normal form of an "
-                                   "expression")
+    nf = sub.add_parser("nf", help="print the normal form of an expression "
+                                   "(in grq and minkq, a straightened "
+                                   "representative that depends on how "
+                                   "the input is written)")
     nf.add_argument("expr")
     nf.add_argument("--algebra", choices=ALGEBRAS, required=True)
 

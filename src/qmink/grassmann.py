@@ -222,9 +222,6 @@ class GrassmannAlgebra:
             return "1"
         return "*".join(self.generators[r].name for r in w)
 
-    def word_parity(self, key):
-        return (key & self.odd_bits).bit_count() & 1
-
     def _term_order(self, term):
         """Sort key of a term: its letters as (len(w), w)."""
         w = self.letters(term[0])

@@ -20,7 +20,7 @@ from functools import lru_cache
 from .algebra import AlgebraError, Generator, Presentation, TermMap
 from .kernel import accumulate
 from .linalg import SpanSolver, span_dimension
-from .scalars import ONE, QINV, Scalar, ScalarError, signed_join
+from .scalars import ONE, QINV, Scalar, ScalarError
 from .supergroup import build_slq41, comultiply, minor
 
 MINOR_ORDER = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
@@ -178,7 +178,9 @@ def closure_table():
 def straightening_presentation():
     """Rewrite system on the minor alphabet induced by the closure table.
 
-    Reorders minor words toward the table order, for canonical printing.
+    Reorders minor words toward the table order, for printing.  The
+    result is not a normal form: the degree-2 Plucker relations are no
+    rules here, so equal elements can print differently.
     Raises ClosureError, naming the entry, when an entry failed (a
     correction that is not a Laurent polynomial already fails its entry)
     or its correction does not lie below the reordered word.
@@ -322,25 +324,16 @@ class LocalElement(TermMap):
             cancelled.append(((w, k), c))
         return LocalElement(self.alg, accumulate({}, cancelled))
 
-    def to_text(self):
-        if not self.terms:
-            return "0"
-        names = [m.name for m in self.alg.minors]
-        parts = []
-        for (w, k) in sorted(self.terms, key=lambda t: (len(t[0]), t[0], t[1]),
-                             reverse=True):
-            c = self.terms[(w, k)]
-            bits = [names[m] for m in w]
-            bits += ["D12inv"] * k
-            body = "*".join(bits)
-            ct = c.to_factor_text()
-            if not bits:
-                parts.append(c.to_text())
-            elif ct == "1":
-                parts.append(body)
-            else:
-                parts.append("%s*%s" % (ct, body))
-        return signed_join(parts)
+    def _key_text(self, key):
+        w, k = key
+        minors = self.alg.minors
+        return "*".join([minors[m].name for m in w] + ["D12inv"] * k) or "1"
+
+    @staticmethod
+    def _term_order(term):
+        """Sort key of a term: its key as (len(w), w, k)."""
+        (w, k), _c = term
+        return (len(w), w, k)
 
 
 @lru_cache(maxsize=None)
@@ -368,65 +361,41 @@ def build_chiral_generators():
     }
 
 
-def chiral_relation_families():
-    """The eight relation families, as (family id, statement, lhs-rhs thunk).
-
-    Each instance maps the six generator elements to the element that
-    must vanish.
-    """
-    qm1 = QINV - Scalar.q_pow(1)
-
-    def fam(gens, name):
-        t = {(i, j): gens["t[%d,%d]" % (i, j)] for i in (3, 4) for j in (1, 2)}
-        tau = {j: gens["tau[5,%d]" % j] for j in (1, 2)}
-        q = Scalar.q_pow(1)
-        if name == "row":
-            return [("t[%d,1]*t[%d,2] - q*t[%d,2]*t[%d,1]" % (i, i, i, i),
-                     t[(i, 1)] * t[(i, 2)] - (t[(i, 2)] * t[(i, 1)]).scale(q))
-                    for i in (3, 4)]
-        if name == "column":
-            return [("t[3,%d]*t[4,%d] - q^-1*t[4,%d]*t[3,%d]" % (j, j, j, j),
-                     t[(3, j)] * t[(4, j)] - (t[(4, j)] * t[(3, j)]).scale(QINV))
-                    for j in (1, 2)]
-        if name == "antidiagonal":
-            return [("t[3,1]*t[4,2] - t[4,2]*t[3,1]",
-                     t[(3, 1)] * t[(4, 2)] - t[(4, 2)] * t[(3, 1)])]
-        if name == "diagonal":
-            return [("t[3,2]*t[4,1] - t[4,1]*t[3,2] - (q^-1 - q)*t[4,2]*t[3,1]",
-                     t[(3, 2)] * t[(4, 1)] - t[(4, 1)] * t[(3, 2)]
-                     - (t[(4, 2)] * t[(3, 1)]).scale(qm1))]
-        if name == "tau-tau":
-            return [("tau[5,1]*tau[5,2] + q^-1*tau[5,2]*tau[5,1]",
-                     tau[1] * tau[2] + (tau[2] * tau[1]).scale(QINV))]
-        if name == "t-tau-same-column":
-            return [("t[%d,%d]*tau[5,%d] - q^-1*tau[5,%d]*t[%d,%d]"
-                     % (i, j, j, j, i, j),
-                     t[(i, j)] * tau[j] - (tau[j] * t[(i, j)]).scale(QINV))
-                    for i in (3, 4) for j in (1, 2)]
-        if name == "t1-tau2":
-            return [("t[%d,1]*tau[5,2] - tau[5,2]*t[%d,1]" % (i, i),
-                     t[(i, 1)] * tau[2] - tau[2] * t[(i, 1)])
-                    for i in (3, 4)]
-        if name == "t2-tau1":
-            return [("t[%d,2]*tau[5,1] - tau[5,1]*t[%d,2] - (q^-1 - q)*t[%d,1]*tau[5,2]"
-                     % (i, i, i),
-                     t[(i, 2)] * tau[1] - tau[1] * t[(i, 2)]
-                     - (t[(i, 1)] * tau[2]).scale(qm1))
-                    for i in (3, 4)]
-        raise KeyError(name)
-
-    return [
-        ("row", "t[i,1] t[i,2] = q t[i,2] t[i,1]", fam),
-        ("column", "t[3,j] t[4,j] = q^-1 t[4,j] t[3,j]", fam),
-        ("antidiagonal", "t[3,1] t[4,2] = t[4,2] t[3,1]", fam),
-        ("diagonal",
-         "t[3,2] t[4,1] = t[4,1] t[3,2] + (q^-1 - q) t[4,2] t[3,1]", fam),
-        ("tau-tau", "tau[5,1] tau[5,2] = -q^-1 tau[5,2] tau[5,1]", fam),
-        ("t-tau-same-column", "t[i,j] tau[5,j] = q^-1 tau[5,j] t[i,j]", fam),
-        ("t1-tau2", "t[i,1] tau[5,2] = tau[5,2] t[i,1]", fam),
-        ("t2-tau1",
-         "t[i,2] tau[5,1] = tau[5,1] t[i,2] + (q^-1 - q) t[i,1] tau[5,2]", fam),
-    ]
+def chiral_relation_families(gens):
+    """The eight relation families on the six generator elements gens,
+    one (family id, instance text, element) per relation instance; the
+    element is lhs - rhs, which must vanish."""
+    t = {(i, j): gens["t[%d,%d]" % (i, j)] for i in (3, 4) for j in (1, 2)}
+    tau = {j: gens["tau[5,%d]" % j] for j in (1, 2)}
+    q = Scalar.q_pow(1)
+    qm1 = QINV - q
+    return (
+        [("row", "t[%d,1]*t[%d,2] - q*t[%d,2]*t[%d,1]" % (i, i, i, i),
+          t[(i, 1)] * t[(i, 2)] - (t[(i, 2)] * t[(i, 1)]).scale(q))
+         for i in (3, 4)]
+        + [("column", "t[3,%d]*t[4,%d] - q^-1*t[4,%d]*t[3,%d]" % (j, j, j, j),
+            t[(3, j)] * t[(4, j)] - (t[(4, j)] * t[(3, j)]).scale(QINV))
+           for j in (1, 2)]
+        + [("antidiagonal", "t[3,1]*t[4,2] - t[4,2]*t[3,1]",
+            t[(3, 1)] * t[(4, 2)] - t[(4, 2)] * t[(3, 1)]),
+           ("diagonal",
+            "t[3,2]*t[4,1] - t[4,1]*t[3,2] - (q^-1 - q)*t[4,2]*t[3,1]",
+            t[(3, 2)] * t[(4, 1)] - t[(4, 1)] * t[(3, 2)]
+            - (t[(4, 2)] * t[(3, 1)]).scale(qm1)),
+           ("tau-tau", "tau[5,1]*tau[5,2] + q^-1*tau[5,2]*tau[5,1]",
+            tau[1] * tau[2] + (tau[2] * tau[1]).scale(QINV))]
+        + [("t-tau-same-column",
+            "t[%d,%d]*tau[5,%d] - q^-1*tau[5,%d]*t[%d,%d]" % (i, j, j, j, i, j),
+            t[(i, j)] * tau[j] - (tau[j] * t[(i, j)]).scale(QINV))
+           for i in (3, 4) for j in (1, 2)]
+        + [("t1-tau2", "t[%d,1]*tau[5,2] - tau[5,2]*t[%d,1]" % (i, i),
+            t[(i, 1)] * tau[2] - tau[2] * t[(i, 1)])
+           for i in (3, 4)]
+        + [("t2-tau1", "t[%d,2]*tau[5,1] - tau[5,1]*t[%d,2] - "
+            "(q^-1 - q)*t[%d,1]*tau[5,2]" % (i, i, i),
+            t[(i, 2)] * tau[1] - tau[1] * t[(i, 2)]
+            - (t[(i, 1)] * tau[2]).scale(qm1))
+           for i in (3, 4)])
 
 
 def verify_presentation():
@@ -442,9 +411,8 @@ def verify_presentation():
         ok = amb.is_zero()
         records.append((family, statement, ok, "" if ok else amb.to_text()))
 
-    for famid, _famstmt, fam in chiral_relation_families():
-        for stmt, elem in fam(gens, famid):
-            record(famid, stmt, elem)
+    for family, statement, elem in chiral_relation_families(gens):
+        record(family, statement, elem)
     for j in (1, 2):
         tau = gens["tau[5,%d]" % j]
         record("odd-square", "tau[5,%d]^2 = 0" % j, tau * tau)

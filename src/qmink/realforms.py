@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .classical import GI, real_group_element
-from .grassmann import SymbolSpec
+from .classical import GI, SuperPoincareElement, real_group_element
+from .grassmann import GrassmannMatrix, GrassmannRational, SymbolSpec
 from .kernel import accumulate
 from .linalg import kernel_basis
 from .scalars import GaussRational
@@ -228,8 +228,6 @@ def poincare_group_algebra():
 
 
 def generic_element(ga):
-    from .classical import SuperPoincareElement
-    from .grassmann import GrassmannMatrix, GrassmannRational
     g = ga.gen
     return SuperPoincareElement(
         L=GrassmannMatrix(ga, [[g("l11"), g("l12")], [g("l21"), g("l22")]]),
@@ -264,14 +262,14 @@ def poincare_reality_reduce(g):
     ((L^+-1 chi^+ chi L^-1)^+ = -L^+-1 chi^+ chi L^-1); and whether g is a
     fixed point of the conjugation.
     """
-    cond1 = (g.L - g.R.dagger().inverse()).is_zero()
-    cond2 = (g.phi - g.chi.dagger()).is_zero()
-    cond_d = (g.d * g.d.star() - 1).is_zero()
+    cond1 = g.L == g.R.dagger().inverse()
+    cond2 = g.phi == g.chi.dagger()
+    cond_d = g.d * g.d.star() == 1
     n = g.N()
     s = g.L.dagger().inverse() * g.chi.dagger() * g.chi * g.L.inverse()
-    raw = (n - n.dagger() - s).is_zero()
+    raw = n - n.dagger() == s
     t = g.T()
-    t_herm = (t - t.dagger()).is_zero()
+    t_herm = t == t.dagger()
     equiv = (s.dagger() + s).is_zero()
-    fixed = g.conjugated().equals(g)
+    fixed = g.conjugated() == g
     return RealityReport(cond1 and cond2 and cond_d, raw, t_herm, equiv, fixed)

@@ -297,6 +297,12 @@ def test_raw_word_products():
     assert decoded(s * t) == {(1, 2): one}
     assert (s * s).terms == {}
     assert (pres.zero() * t_s).terms == {}
+    # parity is read off the words of a quantum presentation on the same
+    # letters; no production path asks a Grassmann element for it
+    quantum = Presentation([Generator(n, (r,), p, r)
+                            for r, (n, p) in enumerate(
+                                (("e", 0), ("s", 1), ("t", 1)))])
+    s, t, e = quantum.gen("s"), quantum.gen("t"), quantum.gen("e")
     assert (e * e * t).parity() == 1 and (s * t).parity() == 0
     with pytest.raises(AlgebraError):
         (e + s).parity()

@@ -370,7 +370,7 @@ def test_chiral_action_identity():
         phi=GrassmannMatrix.zeros(ga, 2, 1),
         chi=GrassmannMatrix.zeros(ga, 1, 2),
         d=GrassmannRational(ga, ga.one()))
-    assert super_poincare_chiral_action(e, pt).equals(pt)
+    assert super_poincare_chiral_action(e, pt) == pt
 
 
 def test_chiral_action_preserves_reality():
@@ -386,7 +386,7 @@ def test_chiral_action_composition():
     step = super_poincare_chiral_action(
         g2, super_poincare_chiral_action(g1, pt))
     direct = super_poincare_chiral_action(g2.compose(g1), pt)
-    assert step.equals(direct)
+    assert step == direct
 
 
 def test_wrong_half_fails_super_action(monkeypatch):
@@ -401,7 +401,7 @@ def test_wrong_half_fails_super_action(monkeypatch):
 def test_block_matrix_round_trip():
     ga, g1, _g2, _pt = _action_setup()
     again = SuperPoincareElement.from_matrix(g1.as_matrix())
-    assert g1.equals(again)
+    assert g1 == again
 
 
 def test_specialize_q1():

@@ -146,7 +146,7 @@ def test_complexified_bases_store_no_zero():
 def test_poincare_conjugation_involutive():
     ga = poincare_group_algebra()
     g = generic_element(ga)
-    assert g.conjugated().conjugated().equals(g)
+    assert g.conjugated().conjugated() == g
 
 
 def test_reduced_element_is_fixed_point():
@@ -203,7 +203,7 @@ def test_reverse_convention_breaks_the_group_conjugation():
         phi=GrassmannMatrix(ga, [[g("f1")], [g("f2")]]),
         chi=chi,
         d=GrassmannRational(ga, g("d")))
-    assert not el.conjugated().conjugated().equals(el)
+    assert el.conjugated().conjugated() != el
 
 
 def test_plain_convention_antihermitian_chi():

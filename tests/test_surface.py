@@ -6,8 +6,9 @@ never run it, so it can drift from what `qmink check` verifies.  These
 tests parse src/qmink/*.py and assert that each module-level public
 definition is named, and each public member of a module-level class is
 read as an attribute, somewhere in src/qmink or perfbench/*.py outside
-its own definition.  A test pins which functions hold a `del`, so that
-the sparse zero-dropping merge is not copied again, and one that only
+its own definition.  Tests pin which functions hold a `del`, so that
+the sparse zero-dropping merge is not copied again, and which print a
+sum, so that the term printer is not either; one checks that only
 grassmann.py reads the packed word layout.  The last test runs
 the production entry points (tests/line_audit.py) and checks that every
 function in src/qmink is called there, but for an allow-list.
@@ -123,18 +124,26 @@ def test_every_public_class_member_is_read_outside_the_tests():
     assert unread_class_members() == []
 
 
-def _deleting_functions(node, scope, func, out):
+def _holding_functions(node, scope, func, match, out):
     """Add to out the innermost function (module.name, or
-    module.Class.name) around each del statement under node."""
+    module.Class.name) around each node under node that match accepts."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
             name = "%s.%s" % (scope, child.name)
-            _deleting_functions(child, name, name if isinstance(
-                child, ast.FunctionDef) else func, out)
+            _holding_functions(child, name, name if isinstance(
+                child, ast.FunctionDef) else func, match, out)
             continue
-        if isinstance(child, ast.Delete):
+        if match(child):
             out.add(func)
-        _deleting_functions(child, scope, func, out)
+        _holding_functions(child, scope, func, match, out)
+
+
+def _functions_holding(match):
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        _holding_functions(tree, path.stem, path.stem, match, found)
+    return sorted(found)
 
 
 def test_the_sparse_merge_is_written_once():
@@ -142,13 +151,30 @@ def test_the_sparse_merge_is_written_once():
     # per-word loops and the packed Grassmann product stay inline for
     # speed, and exact_divide also pushes each word that enters its
     # remainder onto a heap
-    found = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        _deleting_functions(tree, path.stem, path.stem, found)
-    assert sorted(found) == ["grassmann.GrassmannAlgebra._product",
-                             "grassmann.exact_divide", "kernel.accumulate",
-                             "kernel.nf_word", "kernel.normal_form_terms"]
+    assert _functions_holding(lambda n: isinstance(n, ast.Delete)) == [
+        "grassmann.GrassmannAlgebra._product", "grassmann.exact_divide",
+        "kernel.accumulate", "kernel.nf_word", "kernel.normal_form_terms"]
+
+
+def _calls_signed_join(node):
+    return isinstance(node, ast.Call) and \
+        isinstance(node.func, ast.Name) and node.func.id == "signed_join"
+
+
+def _joins_with_plus(node):
+    return isinstance(node, ast.Call) and \
+        isinstance(node.func, ast.Attribute) and node.func.attr == "join" \
+        and isinstance(node.func.value, ast.Constant) \
+        and node.func.value.value == " + "
+
+
+def test_the_term_printer_is_written_once():
+    # every linear combination, the two CLI tables included, prints
+    # through algebra.terms_text; a Scalar joins its own monomials, and
+    # nothing else builds a sum's text
+    assert _functions_holding(_calls_signed_join) == [
+        "algebra.terms_text", "scalars.Scalar.to_text"]
+    assert _functions_holding(_joins_with_plus) == []
 
 
 # the fields of GrassmannAlgebra._pack_layout
@@ -177,12 +203,8 @@ def test_only_grassmann_reads_the_packed_layout():
 # any other never-called function is surface to delete, and an entry
 # that production reaches is stale
 NEVER_CALLED = {
-    "grassmann.GrassmannRational.__eq__":
-        "without it == falls back to identity",
     "grassmann.GrassmannRational.__bool__":
         "without it every rational is truthy",
-    "grassmann.GrassmannMatrix.__eq__":
-        "without it == falls back to identity",
     "minkowski.LocalElement.__eq__":
         "TermMap's would compare term dicts, not ambient images",
     "minkowski.LocalElement.is_zero":
@@ -191,15 +213,13 @@ NEVER_CALLED = {
         "TermMap's would test the term dict, not the ambient image",
     "scalars.Scalar.__hash__": "test_scalars pins the hash",
     "parser._Node.__eq__": "test_parser compares syntax trees",
-    "scalars.GaussRational.to_factor_text":
-        "prints the classical-limit failure witness",
     "grassmann.GrassmannAlgebra.word_text":
         "prints the classical-limit failure witness",
     "grassmann.GrassmannAlgebra._term_order":
         "prints the classical-limit failure witness",
-    "grassmann.GrassmannAlgebra.word_parity":
-        "Element.parity of a Grassmann element, which no suite asks for",
-    "algebra.TensorPoly.to_text":
+    "algebra.TensorPoly._key_text":
+        "prints the coaction homomorphism failure witness",
+    "algebra.TensorPoly._term_order":
         "prints the coaction homomorphism failure witness",
     "algebra.TermMap.__repr__": "one-line repr over to_text",
     "scalars.Scalar.__repr__": "one-line repr over to_text",
