@@ -124,25 +124,25 @@ def test_every_public_class_member_is_read_outside_the_tests():
     assert unread_class_members() == []
 
 
-def _holding_functions(node, scope, func, match, out):
+def _collect_holders(node, scope, func, match, out):
     """Add to out the innermost function (module.name, or
     module.Class.name) around each node under node that match accepts."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
             name = "%s.%s" % (scope, child.name)
-            _holding_functions(child, name, name if isinstance(
+            _collect_holders(child, name, name if isinstance(
                 child, ast.FunctionDef) else func, match, out)
             continue
         if match(child):
             out.add(func)
-        _holding_functions(child, scope, func, match, out)
+        _collect_holders(child, scope, func, match, out)
 
 
 def _functions_holding(match):
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        _holding_functions(tree, path.stem, path.stem, match, found)
+        _collect_holders(tree, path.stem, path.stem, match, found)
     return sorted(found)
 
 
