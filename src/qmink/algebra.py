@@ -70,21 +70,19 @@ class Presentation:
             raise AlgebraError("unknown generator %r" % name)
         return g
 
-    def add_rule(self, lhs, rhs, validate=True):
-        """Install lhs (a length-2 word) -> rhs (word -> coefficient map)."""
+    def add_rule(self, lhs, rhs):
+        """Install lhs (a length-2 word) -> rhs (word -> coefficient map).
+
+        Refuses a rule that is not degree- and parity-preserving or whose
+        rhs words are not all below lhs, so every rule set is
+        order-decreasing and every reduction terminates.
+        """
         lhs = tuple(lhs)
         if lhs in self._rules:
             raise AlgebraError("duplicate rule for %s" % (lhs,))
-        rhs = {tuple(w): c for w, c in rhs.items() if c}
-        if validate:
-            self._validate_rule(lhs, rhs)
-        self._rules[lhs] = rhs
-        self._kernel_rules = None
-        self._memo = {}
-
-    def _validate_rule(self, lhs, rhs):
         if len(lhs) != 2:
             raise MalformedRuleError("rule lhs must have length 2: %s" % (lhs,))
+        rhs = {tuple(w): c for w, c in rhs.items() if c}
         lp = self.word_parity(lhs)
         for w in rhs:
             if len(w) != 2:
@@ -95,29 +93,7 @@ class Presentation:
                                          % (lhs, w))
             if not w < lhs:
                 raise MalformedRuleError("rhs word %s not below lhs %s" % (w, lhs))
-
-    def interreduce(self):
-        """Replace every rhs by its normal form under the full rule set.
-
-        Needed when raw relations quote correction terms that are not
-        themselves normal (they reduce via other rules); afterwards the
-        order invariant is re-validated.
-        """
-        for _ in range(1 + len(self._rules)):
-            changed = False
-            for lhs, rhs in list(self._rules.items()):
-                self._kernel_rules = None
-                self._memo = {}
-                new = self.normal_form(rhs)
-                if new != rhs:
-                    self._rules[lhs] = new
-                    changed = True
-            if not changed:
-                break
-        else:
-            raise MalformedRuleError("interreduction did not stabilize")
-        for lhs, rhs in self._rules.items():
-            self._validate_rule(lhs, rhs)
+        self._rules[lhs] = rhs
         self._kernel_rules = None
         self._memo = {}
 
@@ -207,9 +183,8 @@ class Presentation:
     def gen(self, name):
         return Element(self, {(self.generator(name).rank,): self.unit})
 
-    def word(self, names_or_ranks):
-        w = tuple(r if isinstance(r, int) else self.generator(r).rank
-                  for r in names_or_ranks)
+    def word(self, names):
+        w = tuple(self.generator(n).rank for n in names)
         return Element(self, dict(self.nf_word(w)))
 
 

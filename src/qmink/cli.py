@@ -10,7 +10,8 @@ from . import classical
 from .algebra import terms_text
 from .checks import SUITE_NAMES, UnknownSuiteError, run_suite
 from .kernel import BudgetExceeded
-from .minkowski import localized, minor_index, minor_set
+from .minkowski import (build_chiral_presentation, closure_table, localized,
+                        minor_index, minor_set)
 from .parser import (Atom, ExprSyntaxError, ImagUnit, IntLit, Neg, Prod,
                      QPow, Sum, atom_text, parse)
 from .scalars import DigitLimitError, I, ONE, Scalar, ZERO
@@ -97,7 +98,6 @@ def evaluate_expression(node, algebra):
 
         return _evaluate(node, lambda s: pres.scalar(s), atom)
     if algebra == "chiral-abstract":
-        from .minkowski import build_chiral_presentation
         pres = build_chiral_presentation()
 
         def atom(n):
@@ -141,7 +141,6 @@ def normal_form_text(expr_text, algebra):
 
 
 def closure_table_data():
-    from .minkowski import closure_table
     table = closure_table()
     names = [m.name for m in minor_set()]
 

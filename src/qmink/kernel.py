@@ -14,19 +14,21 @@ coefficient, so the two inline loops store a product on a new key as it
 is and test for zero only after a sum.
 """
 
-# reduction steps one nf_word call may take before it gives up, so that a
-# malformed rule set (one that is not order-decreasing) ends in an error.
+# reduction steps one nf_word call may take before it gives up.  Every
+# reduction ends, as Presentation.add_rule refuses a rule set that is not
+# order-decreasing; the budget bounds the work on one long word.
 # Measured maxima per call: 26 over `check all`, 144 over the 9,000
 # queries of nf streams 7001, 7002 and 5001, and 699 for `qmink nf` of
 # the 25 slq41 generators multiplied in reversed order.  One call on a
 # long unsorted word costs more: that product written as two
 # parenthesized halves takes 172,923 steps in one call, and the whole
-# reversed word passed to one normal_form 271,496.
+# reversed word passed to one normal_form 271,496, so a longer grouped
+# product can exceed the budget.
 STEP_BUDGET = 1_000_000
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when reduction exceeds its step budget (malformed rule set)."""
+    """Raised when the reduction of one word exceeds the step budget."""
 
 
 def accumulate(out, pairs):

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
-from .algebra import AlgebraError, Generator, Presentation, TermMap
+from .algebra import AlgebraError, Element, Generator, Presentation, TermMap
 from .kernel import accumulate
 from .linalg import SpanSolver, span_dimension
 from .scalars import ONE, QINV, Scalar, ScalarError
@@ -361,61 +362,71 @@ def build_chiral_generators():
     }
 
 
-def chiral_relation_families(gens):
-    """The eight relation families on the six generator elements gens,
-    one (family id, instance text, element) per relation instance; the
-    element is lhs - rhs, which must vanish."""
-    t = {(i, j): gens["t[%d,%d]" % (i, j)] for i in (3, 4) for j in (1, 2)}
-    tau = {j: gens["tau[5,%d]" % j] for j in (1, 2)}
+def chiral_relations():
+    """The fifteen quadratic relations of quantum chiral Minkowski space,
+    one (family, lhs, rhs) per instance: lhs is a pair of generator
+    names, rhs maps normal pairs of names to coefficients, and the
+    relation reads lhs = rhs.  The one place their coefficients are
+    written: build_chiral_presentation installs them as rules and
+    verify_presentation substitutes the D-expressions into them."""
     q = Scalar.q_pow(1)
     qm1 = QINV - q
+
+    def t(i, j):
+        return "t[%d,%d]" % (i, j)
+
+    def tau(j):
+        return "tau[5,%d]" % j
+
     return (
-        [("row", "t[%d,1]*t[%d,2] - q*t[%d,2]*t[%d,1]" % (i, i, i, i),
-          t[(i, 1)] * t[(i, 2)] - (t[(i, 2)] * t[(i, 1)]).scale(q))
+        [("row", (t(i, 2), t(i, 1)), {(t(i, 1), t(i, 2)): QINV})
          for i in (3, 4)]
-        + [("column", "t[3,%d]*t[4,%d] - q^-1*t[4,%d]*t[3,%d]" % (j, j, j, j),
-            t[(3, j)] * t[(4, j)] - (t[(4, j)] * t[(3, j)]).scale(QINV))
+        + [("column", (t(4, j), t(3, j)), {(t(3, j), t(4, j)): q})
            for j in (1, 2)]
-        + [("antidiagonal", "t[3,1]*t[4,2] - t[4,2]*t[3,1]",
-            t[(3, 1)] * t[(4, 2)] - t[(4, 2)] * t[(3, 1)]),
-           ("diagonal",
-            "t[3,2]*t[4,1] - t[4,1]*t[3,2] - (q^-1 - q)*t[4,2]*t[3,1]",
-            t[(3, 2)] * t[(4, 1)] - t[(4, 1)] * t[(3, 2)]
-            - (t[(4, 2)] * t[(3, 1)]).scale(qm1)),
-           ("tau-tau", "tau[5,1]*tau[5,2] + q^-1*tau[5,2]*tau[5,1]",
-            tau[1] * tau[2] + (tau[2] * tau[1]).scale(QINV))]
-        + [("t-tau-same-column",
-            "t[%d,%d]*tau[5,%d] - q^-1*tau[5,%d]*t[%d,%d]" % (i, j, j, j, i, j),
-            t[(i, j)] * tau[j] - (tau[j] * t[(i, j)]).scale(QINV))
+        + [("antidiagonal", (t(4, 2), t(3, 1)), {(t(3, 1), t(4, 2)): ONE}),
+           ("diagonal", (t(4, 1), t(3, 2)),
+            {(t(3, 2), t(4, 1)): ONE, (t(3, 1), t(4, 2)): -qm1}),
+           ("tau-tau", (tau(2), tau(1)), {(tau(1), tau(2)): -q})]
+        + [("t-tau-same-column", (tau(j), t(i, j)), {(t(i, j), tau(j)): q})
            for i in (3, 4) for j in (1, 2)]
-        + [("t1-tau2", "t[%d,1]*tau[5,2] - tau[5,2]*t[%d,1]" % (i, i),
-            t[(i, 1)] * tau[2] - tau[2] * t[(i, 1)])
+        + [("t1-tau2", (tau(2), t(i, 1)), {(t(i, 1), tau(2)): ONE})
            for i in (3, 4)]
-        + [("t2-tau1", "t[%d,2]*tau[5,1] - tau[5,1]*t[%d,2] - "
-            "(q^-1 - q)*t[%d,1]*tau[5,2]" % (i, i, i),
-            t[(i, 2)] * tau[1] - tau[1] * t[(i, 2)]
-            - (t[(i, 1)] * tau[2]).scale(qm1))
+        + [("t2-tau1", (tau(1), t(i, 2)),
+            {(t(i, 2), tau(1)): ONE, (t(i, 1), tau(2)): -qm1})
            for i in (3, 4)])
 
 
+def _ranked(pres, lhs, rhs):
+    """A relation of chiral_relations on pres's generator ranks."""
+    def ranks(names):
+        return tuple(pres.generator(n).rank for n in names)
+
+    return ranks(lhs), {ranks(w): c for w, c in rhs.items()}
+
+
 def verify_presentation():
-    """Substitute the D-expressions into every relation family.
+    """Substitute the D-expressions into every rule of the abstract
+    presentation: the chiral relations, then the two odd squares.
 
-    Returns one (family, statement, ok, witness) per relation instance.
+    Returns one (family, statement, ok, witness) per rule; the statement
+    is the rule lhs = rhs, printed in the abstract presentation.
     """
+    pres = build_chiral_presentation()
     gens = build_chiral_generators()
+    images = [gens[g.name] for g in pres.generators]
+    odd_squares = [("odd-square", (g.name, g.name), {})
+                   for g in pres.generators if g.parity]
     records = []
-
-    def record(family, statement, elem):
+    for family, lhs, rhs in chiral_relations() + odd_squares:
+        lhs, rhs = _ranked(pres, lhs, rhs)
+        elem = images[lhs[0]] * images[lhs[1]]
+        for (a, b), c in rhs.items():
+            elem = elem - (images[a] * images[b]).scale(c)
         amb = elem.to_ambient()
         ok = amb.is_zero()
-        records.append((family, statement, ok, "" if ok else amb.to_text()))
-
-    for family, statement, elem in chiral_relation_families(gens):
-        record(family, statement, elem)
-    for j in (1, 2):
-        tau = gens["tau[5,%d]" % j]
-        record("odd-square", "tau[5,%d]^2 = 0" % j, tau * tau)
+        records.append((family, "%s = %s" % (pres.word_text(lhs),
+                                             Element(pres, rhs).to_text()),
+                        ok, "" if ok else amb.to_text()))
     return records
 
 
@@ -424,41 +435,14 @@ def verify_presentation():
 
 @lru_cache(maxsize=None)
 def build_chiral_presentation():
-    """Abstract presentation on t31 < t32 < t41 < t42 < tau51 < tau52."""
-    names = CHIRAL_NAMES
+    """Abstract presentation on t31 < t32 < t41 < t42 < tau51 < tau52:
+    the rules of chiral_relations, and the odd squares."""
     parities = (0, 0, 0, 0, 1, 1)
-    gens = [Generator(n, _chiral_index(n), p, r)
-            for r, (n, p) in enumerate(zip(names, parities))]
-    pres = Presentation(gens)
-    r = {n: g.rank for n, g in zip(names, gens)}
-    q = Scalar.q_pow(1)
-    qm1 = QINV - q
-
-    def add(lhs, rhs):
-        pres.add_rule(lhs, rhs, validate=False)
-
-    for i in (3, 4):
-        a, b = r["t[%d,1]" % i], r["t[%d,2]" % i]
-        add((b, a), {(a, b): QINV})
-    for j in (1, 2):
-        a, b = r["t[3,%d]" % j], r["t[4,%d]" % j]
-        add((b, a), {(a, b): q})
-    add((r["t[4,2]"], r["t[3,1]"]), {(r["t[3,1]"], r["t[4,2]"]): ONE})
-    add((r["t[4,1]"], r["t[3,2]"]),
-        {(r["t[3,2]"], r["t[4,1]"]): ONE,
-         (r["t[4,2]"], r["t[3,1]"]): -qm1})
-    add((r["tau[5,2]"], r["tau[5,1]"]), {(r["tau[5,1]"], r["tau[5,2]"]): -q})
-    for i in (3, 4):
-        for j in (1, 2):
-            add((r["tau[5,%d]" % j], r["t[%d,%d]" % (i, j)]),
-                {(r["t[%d,%d]" % (i, j)], r["tau[5,%d]" % j]): q})
-    for i in (3, 4):
-        add((r["tau[5,2]"], r["t[%d,1]" % i]),
-            {(r["t[%d,1]" % i], r["tau[5,2]"]): ONE})
-        add((r["tau[5,1]"], r["t[%d,2]" % i]),
-            {(r["t[%d,2]" % i], r["tau[5,1]"]): ONE,
-             (r["t[%d,1]" % i], r["tau[5,2]"]): -qm1})
-    pres.interreduce()
+    pres = Presentation(Generator(n, _chiral_index(n), p, r)
+                        for r, (n, p) in enumerate(zip(CHIRAL_NAMES,
+                                                       parities)))
+    for _family, lhs, rhs in chiral_relations():
+        pres.add_rule(*_ranked(pres, lhs, rhs))
     return pres
 
 
@@ -470,7 +454,6 @@ def _chiral_index(name):
 
 def supercommutative_dimension(n_even, n_odd, d):
     """Degree-d monomial count with n_even polynomial and n_odd exterior vars."""
-    from math import comb
     return sum(comb(n_odd, k) * comb(n_even - 1 + d - k, d - k)
                for k in range(0, min(d, n_odd) + 1))
 

@@ -548,14 +548,23 @@ def test_span_solver_coordinates_rebuild(vectors, dep_coeffs, coeffs):
     assert solver.express(fresh) is None
 
 
+def slq41_copy():
+    """A fresh copy of the slq41 presentation: same rules, empty memo."""
+    pres = build_slq41()
+    copy = Presentation(pres.generators)
+    for lhs, rhs in pres.rules.items():
+        if lhs not in copy.rules:  # odd squares come with the constructor
+            copy.add_rule(lhs, rhs)
+    return copy
+
+
 def test_budget_guard(monkeypatch):
+    # add_rule refuses a rule set that is not order-decreasing, so every
+    # reduction ends; the budget bounds the work on one long word.  The
+    # copy's memo is empty, so no earlier test has reduced this word.
     monkeypatch.setattr(kernel, "STEP_BUDGET", 100)
-    gens = [Generator(n, (r,), 0, r) for r, n in enumerate("ab")]
-    pres = Presentation(gens)
-    # not order-decreasing: b a -> b a would loop; bypass validation
-    pres.add_rule((1, 0), {(1, 0): ONE}, validate=False)
-    with pytest.raises(BudgetExceeded):
-        pres.normal_form({(1, 0): ONE})
+    with pytest.raises(BudgetExceeded, match="rewrite budget exceeded at "):
+        slq41_copy().nf_word(tuple(range(9, -1, -1)))
 
 
 def test_nf_word_pops_a_word_pushed_twice():
@@ -597,6 +606,8 @@ def test_rule_validation():
         pres.add_rule((2, 1), {(0,): ONE})  # degree drop
     with pytest.raises(MalformedRuleError):
         pres.add_rule((3, 0), {(0, 2): ONE})  # parity change
+    with pytest.raises(MalformedRuleError):
+        pres.add_rule((1, 0), {(1, 0): ONE})  # not decreasing: would loop
 
 
 def test_tensor_poly_associativity():
@@ -635,12 +646,7 @@ def test_tensor_koszul_sign():
 
 def test_step_budget_not_hit_on_paper_presentation(monkeypatch):
     monkeypatch.setattr(kernel, "STEP_BUDGET", 1_000_000)
-    pres = build_slq41()
-    tight = Presentation(pres.generators)
-    for lhs, rhs in pres.rules.items():
-        if lhs not in tight.rules:  # odd squares come with the constructor
-            tight.add_rule(lhs, rhs)
-    assert unresolved_overlaps(tight) == []
+    assert unresolved_overlaps(slq41_copy()) == []
 
 
 def reference_accumulate(start, pairs):

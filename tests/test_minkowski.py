@@ -8,6 +8,7 @@ import pytest
 from qmink import checks, minkowski, supergroup
 from qmink.algebra import Presentation, TensorPoly
 from qmink.checks import run_suite
+from qmink.cli import normal_form_text
 from qmink.linalg import SpanSolver
 from qmink.minkowski import (MINOR_ORDER, ClosureError,
                              build_chiral_generators,
@@ -273,6 +274,16 @@ def test_presentation_families_all_vanish():
     assert all(ok for _fam, _stmt, ok, _w in records)
 
 
+def test_presentation_statements_read_back_as_rules():
+    # each statement is a rule lhs = rhs of the abstract presentation, so
+    # the normal form of its left side prints as its right side
+    records = run_suite("minkowski-presentation").records
+    assert len(records) == 17
+    for r in records:
+        lhs, rhs = r.statement[:r.statement.index(" holds under")].split(" = ")
+        assert normal_form_text(lhs, "chiral-abstract") == rhs, r.id
+
+
 def test_single_relation_example():
     # t31 t32 - q t32 t31 = 0, worked directly in the localization
     gens = build_chiral_generators()
@@ -416,7 +427,7 @@ def test_wrong_rule_coefficient_fails_presentation_confluence(monkeypatch):
             if lhs == (t32, t31):
                 rhs = {(t31, t32): Q}
             if lhs not in pres.rules:  # odd squares are already installed
-                pres.add_rule(lhs, rhs, validate=False)
+                pres.add_rule(lhs, rhs)
         return pres
 
     monkeypatch.setattr(checks, "build_chiral_presentation", corrupted)
@@ -429,6 +440,28 @@ def test_wrong_rule_coefficient_fails_presentation_confluence(monkeypatch):
                    for w in (tuple(pres.generator(n).rank for n in ws)
                              for ws in (("t[4,1]", "t[3,2]", "t[3,1]"),
                                         ("tau[5,1]", "t[3,2]", "t[3,1]")))}
+
+
+def test_wrong_table_coefficient_fails_both_presentation_suites(monkeypatch):
+    # t[3,2]*t[3,1] = q*t[3,1]*t[3,2] in place of q^-1, written once in
+    # chiral_relations: the substitution refutes it, and the rule built
+    # from it leaves the two overlaps of the control above unresolved.
+    # At q = 1 both coefficients are 1, so the classical limit holds.
+    right = minkowski.chiral_relations
+    assert right()[0][:2] == ("row", ("t[3,2]", "t[3,1]"))
+
+    def typo():
+        rels = right()
+        family, lhs, rhs = rels[0]
+        rels[0] = (family, lhs, {w: Q for w in rhs})
+        return rels
+
+    monkeypatch.setattr(minkowski, "chiral_relations", typo)
+    cached = build_chiral_presentation
+    assert set(false_records("minkowski-presentation", cached)) == {"row:1"}
+    assert set(false_records("presentation-confluence", cached)) == \
+        {"overlap:t[4,1]*t[3,2]*t[3,1]", "overlap:tau[5,1]*t[3,2]*t[3,1]"}
+    assert false_records("classical-limit", cached) == {}
 
 
 def test_wrong_delta_term_fails_coaction(monkeypatch):

@@ -36,7 +36,7 @@ def test_wrong_rule_coefficient_fails_manin_confluence(monkeypatch):
             if lhs == (a14, a11):
                 rhs = {(a11, a14): QINV}
             if lhs not in pres.rules:  # odd squares are already installed
-                pres.add_rule(lhs, rhs, validate=False)
+                pres.add_rule(lhs, rhs)
         return pres
 
     assert right.rules[(a14, a11)] == {(a11, a14): Q}
