@@ -79,7 +79,8 @@ class PolyVectorField:
 
 @lru_cache(maxsize=None)
 def conformal_basis():
-    """The fifteen generators: P0..3, D, L(mu<nu), K0..3."""
+    """The fifteen generators: P0..3, D, L(mu<nu), K0..3, with the span
+    solver over them."""
     ga = coordinate_algebra()
     x = [ga.gen("x%d" % mu) for mu in range(4)]
     xl = [x[mu] if METRIC[mu] > 0 else -x[mu] for mu in range(4)]  # lowered
@@ -103,38 +104,25 @@ def conformal_basis():
                 c = c - x2
             comps.append(c)
         basis.append(PolyVectorField(ga, comps, "K%d" % mu))
-    return ga, basis
-
-
-@dataclass
-class StructureConstants:
-    names: list
-    table: dict  # (i, j) -> list of (k, GaussRational coordinate)
-    closed: bool  # False when a bracket's (i, j) is missing from table
-
-
-def bracket_closure_table():
-    """Every pairwise bracket resolved exactly in the 15-element basis."""
-    _ga, basis = conformal_basis()
     solver = SpanSolver(GaussRational(1))
     for vf in basis:
         solver.add(vf.flat())
-    table = {}
-    closed = True
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            br = basis[i].bracket(basis[j])
-            if br.is_zero():
-                table[(i, j)] = []
-                continue
-            found = solver.express(br.flat())
-            if found is None:
-                closed = False
-                continue
-            scale, coords = found
-            inv = scale.inverse_of_unit()
-            table[(i, j)] = [(k, c * inv) for k, c in enumerate(coords) if c]
-    return StructureConstants([vf.name for vf in basis], table, closed)
+    return ga, basis, solver
+
+
+def bracket_coordinates(i, j):
+    """The bracket of generators i and j resolved exactly in the basis:
+    (k, coordinate) pairs, or None when it leaves the span."""
+    _ga, basis, solver = conformal_basis()
+    br = basis[i].bracket(basis[j])
+    if br.is_zero():
+        return []
+    found = solver.express(br.flat())
+    if found is None:
+        return None
+    scale, coords = found
+    inv = scale.inverse_of_unit()
+    return [(k, c * inv) for k, c in enumerate(coords) if c]
 
 
 # -- finite conformal maps -----------------------------------------------------
@@ -318,10 +306,13 @@ class SuperPoincareElement:
     def N(self):
         return self.M * self.L.inverse()
 
-    def T(self):
-        S = self.L.dagger().inverse() * self.chi.dagger() * self.chi \
+    def S(self):
+        """L^+-1 chi^+ chi L^-1, the odd term of the reality condition."""
+        return self.L.dagger().inverse() * self.chi.dagger() * self.chi \
             * self.L.inverse()
-        return self.N() - S.scale(HALF)
+
+    def T(self):
+        return self.N() - self.S().scale(HALF)
 
     def as_matrix(self):
         ga = self.ga
@@ -418,11 +409,10 @@ def real_group_element(ga, r_names, chi_names, t_names, u_name):
     iu = ga.scalar(GI) * g(u_name)
     d = GrassmannRational(ga, ga.one() + iu) / GrassmannRational(ga, ga.one() - iu)
     L = R.dagger().inverse()
-    phi = chi.dagger()
-    S = L.dagger().inverse() * chi.dagger() * chi * L.inverse()
-    N = T + S.scale(HALF)
-    M = N * L
-    return SuperPoincareElement(L, M, R, phi, chi, d)
+    el = SuperPoincareElement(L, None, R, chi.dagger(), chi, d)
+    # M = N L with N = T + S/2, so that el.T() is the hermitian T
+    el.M = (T + el.S().scale(HALF)) * L
+    return el
 
 
 def real_point(ga, c_names, theta_names):

@@ -164,16 +164,22 @@ def closure_table_data():
 
 
 def conformal_table_data():
-    sc = classical.bracket_closure_table()
+    names = [vf.name for vf in classical.conformal_basis()[1]]
     entries = []
-    for (i, j), combo in sorted(sc.table.items()):
-        entries.append({
-            "left": sc.names[i],
-            "right": sc.names[j],
-            "bracket": terms_text(dict(combo), sc.names.__getitem__),
-        })
-    return {"table": "conformal", "basis": sc.names, "entries": entries,
-            "closed": sc.closed}
+    closed = True
+    for i in range(len(names)):
+        for j in range(i + 1, len(names)):
+            combo = classical.bracket_coordinates(i, j)
+            if combo is None:
+                closed = False
+                continue
+            entries.append({
+                "left": names[i],
+                "right": names[j],
+                "bracket": terms_text(dict(combo), names.__getitem__),
+            })
+    return {"table": "conformal", "basis": names, "entries": entries,
+            "closed": closed}
 
 
 def _emit_table(data, fmt):

@@ -368,7 +368,7 @@ def chiral_relations():
     names, rhs maps normal pairs of names to coefficients, and the
     relation reads lhs = rhs.  The one place their coefficients are
     written: build_chiral_presentation installs them as rules and
-    verify_presentation substitutes the D-expressions into them."""
+    substituted_residual substitutes the D-expressions into them."""
     q = Scalar.q_pow(1)
     qm1 = QINV - q
 
@@ -404,30 +404,36 @@ def _ranked(pres, lhs, rhs):
     return ranks(lhs), {ranks(w): c for w, c in rhs.items()}
 
 
-def verify_presentation():
-    """Substitute the D-expressions into every rule of the abstract
-    presentation: the chiral relations, then the two odd squares.
+def presentation_rules():
+    """Every rule of the abstract presentation: the chiral relations,
+    then the two odd squares.
 
-    Returns one (family, statement, ok, witness) per rule; the statement
-    is the rule lhs = rhs, printed in the abstract presentation.
+    Returns one (family, statement, lhs, rhs) per rule, lhs and rhs on
+    the generator ranks as in _ranked; the statement is the rule
+    lhs = rhs, printed in the abstract presentation.
     """
     pres = build_chiral_presentation()
-    gens = build_chiral_generators()
-    images = [gens[g.name] for g in pres.generators]
     odd_squares = [("odd-square", (g.name, g.name), {})
                    for g in pres.generators if g.parity]
-    records = []
+    rules = []
     for family, lhs, rhs in chiral_relations() + odd_squares:
         lhs, rhs = _ranked(pres, lhs, rhs)
-        elem = images[lhs[0]] * images[lhs[1]]
-        for (a, b), c in rhs.items():
-            elem = elem - (images[a] * images[b]).scale(c)
-        amb = elem.to_ambient()
-        ok = amb.is_zero()
-        records.append((family, "%s = %s" % (pres.word_text(lhs),
-                                             Element(pres, rhs).to_text()),
-                        ok, "" if ok else amb.to_text()))
-    return records
+        rules.append((family, "%s = %s" % (pres.word_text(lhs),
+                                           Element(pres, rhs).to_text()),
+                      lhs, rhs))
+    return rules
+
+
+def substituted_residual(lhs, rhs):
+    """The ambient image of lhs - rhs, a rule of presentation_rules,
+    with the D-expressions substituted for the generators; zero exactly
+    when the rule holds.  The generators are built on every call."""
+    gens = build_chiral_generators()
+    images = [gens[g.name] for g in build_chiral_presentation().generators]
+    elem = images[lhs[0]] * images[lhs[1]]
+    for (a, b), c in rhs.items():
+        elem = elem - (images[a] * images[b]).scale(c)
+    return elem.to_ambient()
 
 
 # -- abstract presentation -----------------------------------------------------

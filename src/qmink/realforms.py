@@ -242,34 +242,3 @@ def generic_element(ga):
 def reduced_element(ga):
     return real_group_element(ga, ("r11", "r12", "r21", "r22"),
                               ("x1", "x2"), ("t11", "t12", "t22"), "u")
-
-
-@dataclass
-class RealityReport:
-    conditions_hold: bool
-    raw_condition_holds: bool
-    t_hermitian: bool
-    equivalence_identity: bool
-    fixed_point: bool
-
-
-def poincare_reality_reduce(g):
-    """Check the displayed reality conditions on a super Poincare element.
-
-    Returns which of the following hold symbolically: L = R^+-1 and
-    phi = chi^+; the raw condition ML^-1 = (ML^-1)^+ + L^+-1 chi^+ chi L^-1;
-    T = T^+; the identity making the raw and T-forms equivalent
-    ((L^+-1 chi^+ chi L^-1)^+ = -L^+-1 chi^+ chi L^-1); and whether g is a
-    fixed point of the conjugation.
-    """
-    cond1 = g.L == g.R.dagger().inverse()
-    cond2 = g.phi == g.chi.dagger()
-    cond_d = g.d * g.d.star() == 1
-    n = g.N()
-    s = g.L.dagger().inverse() * g.chi.dagger() * g.chi * g.L.inverse()
-    raw = n - n.dagger() == s
-    t = g.T()
-    t_herm = t == t.dagger()
-    equiv = (s.dagger() + s).is_zero()
-    fixed = g.conjugated() == g
-    return RealityReport(cond1 and cond2 and cond_d, raw, t_herm, equiv, fixed)

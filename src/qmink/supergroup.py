@@ -127,16 +127,13 @@ class QuantumMinor:
 
 def minor(i, j):
     """Column-(1,2) quantum minor D[i,j] of the Grassmannian generators."""
-    pres = build_slq41()
     valid = (1 <= i < j <= 4) or (1 <= i <= 4 and j == 5) or (i == j == 5)
     if not valid:
         raise ValueError("invalid minor index pair (%d, %d)" % (i, j))
     if (i, j) == (5, 5):
-        value = pres.word(["a[5,1]", "a[5,2]"])
+        value = build_slq41().word(["a[5,1]", "a[5,2]"])
     else:
-        a = pres.word(["a[%d,1]" % i, "a[%d,2]" % j])
-        b = pres.word(["a[%d,2]" % i, "a[%d,1]" % j])
-        value = a - b.scale(QINV)
+        value = general_minor((i, j), (1, 2)).value
     return QuantumMinor((i, j), "D[%d,%d]" % (i, j), value)
 
 

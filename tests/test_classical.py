@@ -10,7 +10,7 @@ from qmink import classical
 from qmink.algebra import Element
 from qmink.checks import run_suite
 from qmink.classical import (RationalMap, SuperPoincareElement,
-                             big_cell_reduce, bracket_closure_table,
+                             big_cell_reduce, bracket_coordinates,
                              conformal_basis, conj_column, coordinate_algebra, det2,
                              inversion_map, minkowski_square, pauli_map,
                              poincare_action, poincare_compose, real_point,
@@ -20,6 +20,7 @@ from qmink.classical import (RationalMap, SuperPoincareElement,
                              superflag_reduce, translation_map)
 from qmink.grassmann import (GrassmannMatrix, GrassmannRational, SymbolSpec,
                              d_dx)
+from qmink.kernel import accumulate
 from qmink.scalars import Q, QINV, GaussRational, Scalar
 from qmink.supergroup import build_slq41
 
@@ -28,7 +29,7 @@ from tuple_words import decoded, grassmann_algebra
 
 
 def test_conformal_generator_forms():
-    ga, basis = conformal_basis()
+    ga, basis, _solver = conformal_basis()
     by_name = {vf.name: vf for vf in basis}
     assert len(by_name) == len(basis) == 15
     x = [ga.gen("x%d" % mu) for mu in range(4)]
@@ -79,12 +80,11 @@ def test_partial_derivative_refuses_an_odd_generator():
 
 
 def test_bracket_examples():
-    sc = bracket_closure_table()
-    names = sc.names
+    names = [vf.name for vf in conformal_basis()[1]]
     def entry(a, b):
         i, j = names.index(a), names.index(b)
-        combo = sc.table[(i, j)] if i < j else \
-            [(k, -c) for k, c in sc.table[(j, i)]]
+        combo = bracket_coordinates(i, j) if i < j else \
+            [(k, -c) for k, c in bracket_coordinates(j, i)]
         return {names[k]: c for k, c in combo}
     # translations commute
     assert entry("P0", "P1") == {}
@@ -101,9 +101,33 @@ def test_bracket_examples():
 
 
 def test_conformal_closure_all_pairs():
-    sc = bracket_closure_table()
-    assert sc.closed
-    assert len(sc.table) == 105
+    # every bracket has coordinates, and they sum back to the bracket
+    _ga, basis, _solver = conformal_basis()
+    pairs = [(i, j) for i in range(15) for j in range(i + 1, 15)]
+    assert len(basis) == 15 and len(pairs) == 105
+    for i, j in pairs:
+        combo = bracket_coordinates(i, j)
+        assert combo is not None, (i, j)
+        got = accumulate({}, ((key, c * v) for k, c in combo
+                              for key, v in basis[k].flat().items()))
+        assert got == basis[i].bracket(basis[j]).flat(), (i, j)
+
+
+def test_raising_bracket_fails_only_its_record(monkeypatch):
+    # each bracket record solves its own coordinates, so an exception
+    # there fails that record alone, not the suite as a builder record
+    right = classical.bracket_coordinates
+
+    def raising(i, j):
+        if (i, j) == (0, 14):
+            raise ArithmeticError("no coordinates")
+        return right(i, j)
+
+    monkeypatch.setattr(classical, "bracket_coordinates", raising)
+    records = run_suite("conformal-algebra").records
+    assert len(records) == 105
+    assert {r.id: r.witness for r in records if not r.verdict} == \
+        {"bracket:P0|K3": "exception: ArithmeticError('no coordinates')"}
 
 
 def _sct_algebra():

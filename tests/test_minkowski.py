@@ -15,10 +15,10 @@ from qmink.minkowski import (MINOR_ORDER, ClosureError,
                              build_chiral_presentation, chiral_normal_words,
                              closure_table, coaction_membership,
                              cofactor_proportional_to, localized, minor_index,
-                             minor_set,
-                             straightening_presentation,
+                             minor_set, presentation_rules,
+                             straightening_presentation, substituted_residual,
                              substituted_span_dimension,
-                             supercommutative_dimension, verify_presentation)
+                             supercommutative_dimension)
 from qmink.scalars import I, ONE, Q, QINV, Scalar
 from qmink.supergroup import build_slq41, general_minor
 
@@ -265,13 +265,34 @@ def test_chiral_generators():
 
 
 def test_presentation_families_all_vanish():
-    records = verify_presentation()
-    families = {fam for fam, _stmt, _ok, _w in records}
+    rules = presentation_rules()
+    families = {fam for fam, _stmt, _lhs, _rhs in rules}
     assert families == {"row", "column", "antidiagonal", "diagonal",
                         "tau-tau", "t-tau-same-column", "t1-tau2", "t2-tau1",
                         "odd-square"}
+    assert len(rules) == 17
+    assert all(substituted_residual(lhs, rhs).is_zero()
+               for _fam, _stmt, lhs, rhs in rules)
+
+
+def test_raising_residual_fails_only_its_record(monkeypatch):
+    # each relation record substitutes its own rule, so an exception in
+    # one residual fails that record alone, not the suite as a builder
+    # record; checks imports substituted_residual by name
+    right = minkowski.substituted_residual
+    diagonal = presentation_rules()[5]
+    assert diagonal[0] == "diagonal"
+
+    def raising(lhs, rhs):
+        if lhs == diagonal[2]:
+            raise ArithmeticError("no residual")
+        return right(lhs, rhs)
+
+    monkeypatch.setattr(checks, "substituted_residual", raising)
+    records = run_suite("minkowski-presentation").records
     assert len(records) == 17
-    assert all(ok for _fam, _stmt, ok, _w in records)
+    assert {r.id: r.witness for r in records if not r.verdict} == \
+        {"diagonal:1": "exception: ArithmeticError('no residual')"}
 
 
 def test_presentation_statements_read_back_as_rules():
@@ -398,7 +419,7 @@ def test_wrong_generator_coefficient_fails_minkowski_presentation(
     # t[3,1] = q^-1 D[2,3] D12inv in place of -q^-1 D[2,3] D12inv.  A sign
     # on one generator keeps every relation that is homogeneous in it, so
     # only the two with a correction term in t[3,1] fail.  No cache holds
-    # the generators: verify_presentation builds them on every call.
+    # the generators: substituted_residual builds them on every call.
     right = minkowski.build_chiral_generators
 
     def flipped():
@@ -500,3 +521,22 @@ def test_wrong_delta_term_fails_coaction(monkeypatch):
         supergroup._delta_gen_cached.cache_clear()
     assert {k: w for k, w in bad.items()
             if k.startswith("homomorphism:")} == want
+
+
+def test_empty_cofactor_fails_the_cofactor_pattern(monkeypatch):
+    # Delta(D[1,2]) with no D[1,3] term: the empty cofactor is not
+    # proportional to Dc[12;13], so the pattern record fails, and the
+    # membership records, which read only the failing rows, still pass.
+    # checks imports coaction_membership by name.
+    right = minkowski.coaction_membership
+
+    def emptied(qm):
+        rec = right(qm)
+        rec.cofactors = [(name, {} if name == "D[1,3]" else cof)
+                         for name, cof in rec.cofactors]
+        return rec
+
+    monkeypatch.setattr(checks, "coaction_membership", emptied)
+    assert false_records("coaction") == {
+        "cofactor-pattern:D[1,2]":
+        "cofactor of D[1,3] is not proportional to Dc[12;13]"}

@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 import dense_matrices as dm
-from qmink import realforms
+from qmink import classical, realforms
 from qmink.checks import run_suite
 from qmink.algebra import Element
 from qmink.classical import GI
@@ -13,7 +13,7 @@ from qmink.grassmann import GrassmannMatrix, SymbolSpec
 from qmink.realforms import (F, SuperMatrix5, bracket_compatibility,
                              fixed_point_dimension, generic_element,
                              mat_dagger, mat_mul, poincare_group_algebra,
-                             poincare_reality_reduce, reduced_element, sigma,
+                             reduced_element, sigma,
                              sigma_is_involution, sl41_basis,
                              su22_conditions_hold, supercommutator)
 from qmink.scalars import GaussRational
@@ -150,21 +150,12 @@ def test_poincare_conjugation_involutive():
 
 
 def test_reduced_element_is_fixed_point():
-    ga = poincare_group_algebra()
-    g = reduced_element(ga)
-    rep = poincare_reality_reduce(g)
-    assert rep.conditions_hold
-    assert rep.raw_condition_holds
-    assert rep.t_hermitian
-    assert rep.equivalence_identity
-    assert rep.fixed_point
-
-
-def test_generic_element_is_not_fixed():
-    ga = poincare_group_algebra()
-    rep = poincare_reality_reduce(generic_element(ga))
-    assert not rep.fixed_point
-    assert not rep.raw_condition_holds
+    # each record evaluates its own condition on the reduced element
+    records = run_suite("poincare-reality").records
+    assert [r.id for r in records] == [
+        "involutive", "fixed-point", "displayed-conditions", "t-hermitian",
+        "equivalence"]
+    assert all(r.verdict for r in records)
 
 
 def test_reverse_convention_breaks_the_group_conjugation():
@@ -263,6 +254,41 @@ def test_dropped_equation_fails_su221_dimensions(monkeypatch):
     assert set(false_records("su221-dimensions")) == \
         {"fixed-point-dimensions", "defining-conditions"}
     assert false_records("sigma-involution") == {}
+
+
+def test_generic_element_is_not_fixed(monkeypatch):
+    # the generic element in place of the reduced one: it is no fixed
+    # point, and neither the raw condition nor T = T^+ holds; L^+-1 chi^+
+    # chi L^-1 is anti-hermitian for any L and chi, so equivalence holds
+    monkeypatch.setattr(realforms, "reduced_element",
+                        realforms.generic_element)
+    assert set(false_records("poincare-reality")) == \
+        {"fixed-point", "displayed-conditions", "t-hermitian"}
+
+
+def test_unconjugated_dagger_fails_antilinearity(monkeypatch):
+    # a dagger that transposes without conjugating makes sigma linear:
+    # only the antilinearity record fails, and its witness names the
+    # first failing basis elements
+    monkeypatch.setattr(realforms, "mat_dagger",
+                        lambda a: {(j, i): c for (i, j), c in a.items()})
+    bad = false_records("sigma-involution")
+    assert list(bad) == ["antilinearity"]
+    assert bad["antilinearity"] == "failures: %s" % [
+        (name, "antilinearity") for name, _x in sl41_basis()[:5]]
+
+
+def test_raising_t_fails_only_the_t_hermitian_record(monkeypatch):
+    # the builder only builds the elements; each record computes its own
+    # condition, so an exception in T() fails t-hermitian alone
+    def raising(self):
+        raise ArithmeticError("no T")
+
+    monkeypatch.setattr(classical.SuperPoincareElement, "T", raising)
+    records = run_suite("poincare-reality").records
+    assert len(records) == 5
+    assert {r.id: r.witness for r in records if not r.verdict} == \
+        {"t-hermitian": "exception: ArithmeticError('no T')"}
 
 
 def test_reduced_element_d_is_a_phase_not_one():
