@@ -2,14 +2,14 @@
 
 A suite is a list of (id, statement, anchor, thunk); thunks return
 (verdict, witness) and run one after another, each timed on its own.
-One rule holds for every suite: the builder only warms the heavy shared
-objects (presentations, the closure table, the localization, the
-conformal basis), cached singletons, so that no record pays for
-building them; each thunk computes its own verdict.  So a record's
-seconds are the cost of its claim, and an exception fails that record
-alone.  The closure table is such a shared object, since the
-localization is built from it: grassmannian-closure's records read the
-entries it derived.
+One rule holds for every suite: the builder only builds what its
+records share, the cached singletons (presentations, the closure table,
+the localization, the conformal basis) and the suite's own symbols and
+elements, so that no record pays for them; each thunk computes its own
+verdict.  So a record's seconds are the cost of its claim, and an
+exception fails that record alone.  The closure table is such a shared
+object, since the localization is built from it: grassmannian-closure's
+records read the entries it derived.
 """
 
 from __future__ import annotations
