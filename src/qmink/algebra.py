@@ -43,7 +43,9 @@ class Presentation:
     the coefficient ring, the Scalar ONE of Z[i][q, q^-1]; the tests pass
     a GaussRational one to rewrite over Q(i), as a reference for the
     closed-form Grassmann normal form.  Odd squares vanish: the rule
-    g*g -> 0 comes with every odd generator g.
+    g*g -> 0 comes with every odd generator g.  Each rule is stored
+    twice, keyed by its word pair and, for the kernel, by its packed
+    key; __init__ and add_rule write both.
     """
 
     def __init__(self, generators, unit=ONE):
@@ -55,12 +57,13 @@ class Presentation:
         self.parities = tuple(g.parity for g in gens)
         self.unit = unit
         self._rules = {}
-        self._kernel_rules = None
+        self._kernel_rules = {}  # the kernel's view: packed key -> rhs terms
         self._memo = {}
         self._by_name = {g.name: g for g in gens}
         for g in gens:
             if g.parity:
                 self._rules[(g.rank, g.rank)] = {}
+                self._kernel_rules[g.rank * self.ngens + g.rank] = ()
 
     # -- construction -------------------------------------------------------
 
@@ -94,21 +97,12 @@ class Presentation:
             if not w < lhs:
                 raise MalformedRuleError("rhs word %s not below lhs %s" % (w, lhs))
         self._rules[lhs] = rhs
-        self._kernel_rules = None
+        self._kernel_rules[lhs[0] * self.ngens + lhs[1]] = tuple(rhs.items())
         self._memo = {}
 
     @property
     def rules(self):
         return dict(self._rules)
-
-    def _kernel_view(self):
-        if self._kernel_rules is None:
-            n = self.ngens
-            self._kernel_rules = {
-                a * n + b: tuple(rhs.items())
-                for (a, b), rhs in self._rules.items()
-            }
-        return self._kernel_rules
 
     # -- words ---------------------------------------------------------------
 
@@ -131,11 +125,11 @@ class Presentation:
             # run a stream's coefficient products here, not inside the
             # kernel call, whose benchmark trace span must not hold them
             terms = list(terms)
-        return kernel.normal_form_terms(terms, self._kernel_view(), self.ngens,
+        return kernel.normal_form_terms(terms, self._kernel_rules, self.ngens,
                                         self.unit, self._memo)
 
     def nf_word(self, w):
-        return kernel.nf_word(tuple(w), self._kernel_view(), self.ngens,
+        return kernel.nf_word(tuple(w), self._kernel_rules, self.ngens,
                               self.unit, self._memo)
 
     def _product(self, t1, t2):

@@ -33,6 +33,34 @@ def _pass_fail(flag, witness=""):
     return (bool(flag), witness if not flag else "")
 
 
+def _equal(a, b):
+    """(a == b, witness); the witness, built only when they differ, names
+    the differing components, entries or fields, or prints a - b."""
+    if a == b:
+        return True, ""
+    if isinstance(a, GrassmannRational):
+        return False, "difference %s" % (a - b).num.to_text()
+    if isinstance(a, classical.RationalMap):
+        pa, pb = ({"x%d" % mu: c for mu, c in enumerate(m.comps)}
+                  for m in (a, b))
+    elif isinstance(a, GrassmannMatrix):
+        pa, pb = ({"(%d,%d)" % (i + 1, j + 1): x for i, r in enumerate(m.rows)
+                   for j, x in enumerate(r)} for m in (a, b))
+    elif isinstance(a, realforms.SuperMatrix5):
+        pa, pb = ({"(%d,%d)" % (i + 1, j + 1): x
+                   for (i, j), x in m.entries.items()} for m in (a, b))
+    else:  # a dataclass: its fields
+        pa, pb = vars(a), vars(b)
+    return False, "differ at " + ", ".join(
+        k for k in sorted(pa.keys() | pb.keys()) if not pa.get(k) == pb.get(k))
+
+
+def _all_hold(conditions):
+    """(all hold, witness naming the failing ones); name -> truth value."""
+    failed = [name for name, ok in conditions.items() if not ok]
+    return (False, "fails: " + "; ".join(failed)) if failed else (True, "")
+
+
 # -- quantum suites ---------------------------------------------------------
 
 
@@ -238,15 +266,16 @@ def _suite_sct_inversion():
 
     def zero_case():
         k0 = classical.special_conformal_map(ga, [0] * 4)
-        return _pass_fail(k0 == classical.RationalMap.identity(ga))
+        return _equal(k0, classical.RationalMap.identity(ga))
 
     def inversion_identity():
         k = classical.special_conformal_map(ga, b)
-        return _pass_fail(k == inv.compose(tb).compose(inv))
+        return _equal(k, inv.compose(tb).compose(inv))
 
     def literal_fails():
         k = classical.special_conformal_map(ga, b, variant="literal")
-        return _pass_fail(not (k == inv.compose(tb).compose(inv)))
+        return _pass_fail(not (k == inv.compose(tb).compose(inv)),
+                          "the literal variant satisfies the identity")
 
     def composition():
         k1 = classical.special_conformal_map(ga, b)
@@ -254,10 +283,10 @@ def _suite_sct_inversion():
         tsum = classical.translation_map(
             ga, [GrassmannRational(ga, x) + GrassmannRational(ga, y)
                  for x, y in zip(b, c)])
-        return _pass_fail(k1.compose(k2) == inv.compose(tsum).compose(inv))
+        return _equal(k1.compose(k2), inv.compose(tsum).compose(inv))
 
     def involution():
-        return _pass_fail(inv.compose(inv) == classical.RationalMap.identity(ga))
+        return _equal(inv.compose(inv), classical.RationalMap.identity(ga))
 
     return [
         ("zero-parameter", "the special conformal map at b = 0 is the identity",
@@ -283,21 +312,19 @@ def _suite_pauli_metric():
     def det_identity():
         a = classical.pauli_map(ga, [ga.gen("x%d" % mu) for mu in range(4)])
         x2 = classical.minkowski_square(ga)
-        return _pass_fail(classical.det2(a) == GrassmannRational(ga, x2))
+        return _equal(classical.det2(a), GrassmannRational(ga, x2))
 
     def sigma2_example():
         m = classical.pauli_map(ga, [0, 0, 1, 0])
         gi = classical.GI
         want = GrassmannMatrix(ga, [[0, -gi], [gi, 0]])
-        ok = m == want and \
-            classical.det2(m) == GrassmannRational(ga, ga.scalar(-1))
-        return _pass_fail(ok)
+        return _all_hold({"matrix [[0,-i],[i,0]]": m == want,
+                          "determinant -1": classical.det2(m) == -1})
 
     def unit_example():
         m = classical.pauli_map(ga, [1, 0, 0, 0])
-        ok = m == GrassmannMatrix.identity(ga, 2) and \
-            classical.det2(m) == GrassmannRational(ga, ga.one())
-        return _pass_fail(ok)
+        return _all_hold({"identity": m == GrassmannMatrix.identity(ga, 2),
+                          "determinant 1": classical.det2(m) == 1})
 
     return [
         ("determinant-identity",
@@ -338,38 +365,39 @@ def _suite_poincare_action():
         step = classical.poincare_action(
             L2, R2, N2, classical.poincare_action(L1, R1, N1, A1))
         lc, rc, nc = classical.poincare_compose((L2, R2, N2), (L1, R1, N1))
-        return _pass_fail(step == classical.poincare_action(lc, rc, nc, A1))
+        return _equal(step, classical.poincare_action(lc, rc, nc, A1))
 
     def identity_action():
         eye = GrassmannMatrix.identity(ga, 2)
         zero = GrassmannMatrix.zeros(ga, 2, 2)
-        return _pass_fail(classical.poincare_action(eye, eye, zero, A1) == A1)
+        return _equal(classical.poincare_action(eye, eye, zero, A1), A1)
 
     def covariance():
         a1p = classical.poincare_action(L1, R1, N1, A1)
         a2p = classical.poincare_action(L1, R1, N1, A2)
         lhs = classical.det2(a1p - a2p) * classical.det2(L1)
         rhs = classical.det2(R1) * classical.det2(A1 - A2)
-        return _pass_fail(lhs == rhs)
+        return _equal(lhs, rhs)
 
     def equal_dets():
         adj = GrassmannMatrix(ga, [[L1.rows[1][1], -L1.rows[0][1]],
                                    [-L1.rows[1][0], L1.rows[0][0]]])
         a1p = classical.poincare_action(L1, adj, N1, A1)
         a2p = classical.poincare_action(L1, adj, N1, A2)
-        ok = classical.det2(adj) == classical.det2(L1) and \
-            classical.det2(a1p - a2p) == classical.det2(A1 - A2)
-        return _pass_fail(ok)
+        return _all_hold({
+            "det R = det L": classical.det2(adj) == classical.det2(L1),
+            "det(A'1 - A'2) = det(A1 - A2)":
+                classical.det2(a1p - a2p) == classical.det2(A1 - A2)})
 
     def column_invariance():
         p1 = GrassmannMatrix.vstack(m2("l"), m2("n"))
         g = m2("g")
-        return _pass_fail(classical.big_cell_reduce(p1 * g)
-                          == classical.big_cell_reduce(p1))
+        return _equal(classical.big_cell_reduce(p1 * g),
+                      classical.big_cell_reduce(p1))
 
     def pre_reduced():
         p1 = GrassmannMatrix.vstack(GrassmannMatrix.identity(ga, 2), A1)
-        return _pass_fail(classical.big_cell_reduce(p1) == A1)
+        return _equal(classical.big_cell_reduce(p1), A1)
 
     return [
         ("identity", "the identity group element acts trivially",
@@ -408,7 +436,7 @@ def _suite_twistor():
                                  [g("s21"), g("s22")],
                                  [g("o1"), g("o2")]])
         red = classical.superflag_reduce(p2 * s, p2)
-        return _pass_fail(red.twistor_holds)
+        return _pass_fail(red.twistor_holds, "B != A - beta alpha")
 
     def even_only():
         z = ga.zero()
@@ -421,9 +449,10 @@ def _suite_twistor():
         s = GrassmannMatrix(ga, [[g("s11"), g("s12")],
                                  [g("s21"), g("s22")], [z, z]])
         red = classical.superflag_reduce(p2 * s, p2)
-        ok = red.twistor_holds and red.B == red.A \
-            and red.alpha.is_zero() and red.beta.is_zero()
-        return _pass_fail(ok)
+        return _all_hold({"B = A - beta alpha": red.twistor_holds,
+                          "B = A": red.B == red.A,
+                          "alpha = 0": red.alpha.is_zero(),
+                          "beta = 0": red.beta.is_zero()})
 
     def pre_reduced():
         eye = GrassmannMatrix.identity(ga, 2)
@@ -438,9 +467,9 @@ def _suite_twistor():
             b.rows[0] + [beta.rows[0][0]], b.rows[1] + [beta.rows[1][0]],
             [z, z, ga.one()]])
         red = classical.superflag_reduce(p1, p2)
-        ok = red.twistor_holds and red.A == a and red.B == b \
-            and red.alpha == alpha and red.beta == beta
-        return _pass_fail(ok)
+        return _all_hold({"B = A - beta alpha": red.twistor_holds,
+                          "A": red.A == a, "B": red.B == b,
+                          "alpha": red.alpha == alpha, "beta": red.beta == beta})
 
     return [
         ("generic", "B = A - beta alpha for a generic symbolic flag pair",
@@ -480,20 +509,19 @@ def _suite_super_action():
             phi=GrassmannMatrix.zeros(ga, 2, 1),
             chi=GrassmannMatrix.zeros(ga, 1, 2),
             d=GrassmannRational(ga, ga.one()))
-        return _pass_fail(classical.super_poincare_chiral_action(e, pt)
-                          == pt)
+        return _equal(classical.super_poincare_chiral_action(e, pt), pt)
 
     def reality():
         moved = classical.super_poincare_chiral_action(g1, pt)
-        ok = moved.C == moved.C.dagger() and \
-            moved.thetabar == classical.conj_column(ga, moved.theta)
-        return _pass_fail(ok)
+        return _all_hold({"C hermitian": moved.C == moved.C.dagger(),
+                          "thetabar = conj(theta)": moved.thetabar
+                          == classical.conj_column(ga, moved.theta)})
 
     def composition():
         step = classical.super_poincare_chiral_action(
             g2, classical.super_poincare_chiral_action(g1, pt))
         direct = classical.super_poincare_chiral_action(g2.compose(g1), pt)
-        return _pass_fail(step == direct)
+        return _equal(step, direct)
 
     return [
         ("identity", "the identity element acts trivially",
@@ -512,8 +540,7 @@ def _suite_sigma_involution():
     basis = realforms.sl41_basis()
     for name, x in basis:
         def thunk(x=x):
-            img = realforms.sigma(realforms.sigma(x))
-            return _pass_fail(img == x)
+            return _equal(realforms.sigma(realforms.sigma(x)), x)
 
         checks.append(("involution:%s" % name,
                        "sigma^2 fixes the basis element %s" % name,
@@ -566,25 +593,26 @@ def _suite_poincare_reality():
     red = realforms.reduced_element(ga)
 
     def involutive():
-        return _pass_fail(gen.conjugated().conjugated() == gen)
+        return _equal(gen.conjugated().conjugated(), gen)
 
     def fixed():
-        return _pass_fail(red.conjugated() == red)
+        return _equal(red.conjugated(), red)
 
     def displayed():
         n = red.N()
-        return _pass_fail(red.L == red.R.dagger().inverse()
-                          and red.phi == red.chi.dagger()
-                          and red.d * red.d.star() == 1
-                          and n - n.dagger() == red.S())
+        return _all_hold({"L = R^+-1": red.L == red.R.dagger().inverse(),
+                          "phi = chi^+": red.phi == red.chi.dagger(),
+                          "d conj(d) = 1": red.d * red.d.star() == 1,
+                          "N - N^+ = L^+-1 chi^+ chi L^-1":
+                              n - n.dagger() == red.S()})
 
     def t_form():
         t = red.T()
-        return _pass_fail(t == t.dagger())
+        return _equal(t, t.dagger())
 
     def equivalence():
         s = red.S()
-        return _pass_fail((s.dagger() + s).is_zero())
+        return _equal(s.dagger() + s, GrassmannMatrix.zeros(ga, 2, 2))
 
     return [
         ("involutive",

@@ -150,7 +150,6 @@ class GrassmannAlgebra:
         self.parities = tuple(g.parity for g in self.generators)
         self.unit = GaussRational(1)
         self._by_name = {g.name: g for g in self.generators}
-        self._memo = {}  # letter tuple -> (packed word, sign) or None
         self._pack_layout()
         conj = {}
         for r, (_n, _p, cname) in enumerate(variables):
@@ -241,26 +240,15 @@ class GrassmannAlgebra:
     def _sc_word(self, w):
         """Packed word and Koszul sign of the letters w, or None when an
         odd letter repeats."""
-        hit = self._memo.get(w)
-        if hit is not None or w in self._memo:
-            return hit
         par = self.parities
         odds = [r for r in w if par[r]]
-        res = None
-        if len(set(odds)) == len(odds):
-            if len(w) > MAX_DEGREE:
-                raise OverflowError("word of degree %d: packed words hold "
-                                    "degree %d at most" % (len(w), MAX_DEGREE))
-            inv = 0
-            for i in range(len(odds)):
-                oi = odds[i]
-                for j in range(i + 1, len(odds)):
-                    if oi > odds[j]:
-                        inv += 1
-            keys = self.letter_keys
-            res = (sum(keys[r] for r in w), -1 if inv & 1 else 1)
-        self._memo[w] = res
-        return res
+        if len(set(odds)) != len(odds):
+            return None
+        if len(w) > MAX_DEGREE:
+            raise OverflowError("word of degree %d: packed words hold "
+                                "degree %d at most" % (len(w), MAX_DEGREE))
+        inv = sum(a > b for i, a in enumerate(odds) for b in odds[i + 1:])
+        return sum(self.letter_keys[r] for r in w), -1 if inv & 1 else 1
 
     def _product(self, t1, t2):
         """Product of two term maps of packed words.
@@ -409,6 +397,10 @@ class GrassmannRational:
         self.num = num
         self.den = tuple(den)
         if not _reduced:
+            if not isinstance(num, Element):
+                raise TypeError(num)
+            if num.alg is not ga:
+                raise ValueError("mixed algebras")
             self._normalize()
 
     def _normalize(self):
@@ -476,11 +468,6 @@ class GrassmannRational:
         if not b:
             raise ZeroDivisionError("element has zero body, not invertible")
         n = ga.soul(self.num)
-        if not n:
-            num = ga.one()
-            for f in self.den:
-                num = num * f
-            return GrassmannRational(ga, num, (b,))
         npows = [ga.one()]
         while npows[-1]:
             npows.append(npows[-1] * n)
@@ -492,10 +479,9 @@ class GrassmannRational:
         for k in range(k_max + 1):
             term = npows[k] * bpow[k_max - k]
             total = total + (term if k % 2 == 0 else -term)
-        num = total
         for f in self.den:
-            num = num * f
-        return GrassmannRational(ga, num, (b,) * (k_max + 1))
+            total = total * f
+        return GrassmannRational(ga, total, (b,) * (k_max + 1))
 
     def star(self):
         return GrassmannRational(self.ga, self.ga.star(self.num),
@@ -570,6 +556,8 @@ class GrassmannMatrix:
     @staticmethod
     def _coerce(ga, x):
         if isinstance(x, GrassmannRational):
+            if x.ga is not ga:
+                raise ValueError("mixed algebras")
             return x
         if isinstance(x, Element):
             return GrassmannRational(ga, x)

@@ -2,9 +2,10 @@
 
 Words are tuples of generator ranks; a rule set maps the packed key
 ``g * ngens + h`` of a length-2 factor to a tuple of (word, coeff)
-replacement terms.  Coefficients are opaque ring elements supporting
-``*``, ``+`` and truthiness.  Normal forms of single words are memoized
-in a caller-owned dict, so repeated reductions share work.  ``accumulate``
+replacement terms: Presentation.add_rule writes each rule there as it
+installs it.  Coefficients are opaque ring elements supporting ``*``,
+``+`` and truthiness.  Normal forms of single words are memoized in a
+caller-owned dict, so repeated reductions share work.  ``accumulate``
 is the one sparse merge that every term map in qmink sums through.
 
 Production rewrites over Z[i][q, q^-1] only, the tests also over Q(i):

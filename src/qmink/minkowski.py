@@ -232,7 +232,6 @@ class LocalizedAlgebra:
         self.exponents = exponents
         self.ambient = build_slq41()
         self._expand_cache = {(): self.ambient.one()}
-        self._d12_powers = {0: self.ambient.one()}
         self._straightener = None
 
     def expand(self, mword):
@@ -243,11 +242,10 @@ class LocalizedAlgebra:
         return cached
 
     def d12_power(self, k):
-        cached = self._d12_powers.get(k)
-        if cached is None:
-            cached = self.d12_power(k - 1) * self.minors[0].value
-            self._d12_powers[k] = cached
-        return cached
+        p = self.ambient.one()
+        for _ in range(k):
+            p = p * self.minors[0].value
+        return p
 
     def one(self):
         return LocalElement(self, {((), 0): ONE})

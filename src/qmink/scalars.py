@@ -94,8 +94,6 @@ class Scalar:
     def __sub__(self, other):
         if other.__class__ is not Scalar:
             return NotImplemented
-        if not other._c:
-            return self
         return self + (-other)
 
     def __mul__(self, other):
@@ -107,8 +105,6 @@ class Scalar:
         if self is _ONE:
             return other
         c1, c2 = self._c, other._c
-        if not c1 or not c2:
-            return _ZERO
         if len(c1) > len(c2):
             c1, c2 = c2, c1
         out = {}
@@ -311,10 +307,6 @@ class GaussRational:
     def __add__(self, other):
         if other.__class__ is not GaussRational:
             return NotImplemented
-        if not (other.re or other.im):
-            return self
-        if not (self.re or self.im):
-            return other
         a, b = self.den, other.den
         if a == b:
             re, im, den = self.re + other.re, self.im + other.im, a
@@ -329,8 +321,6 @@ class GaussRational:
     def __sub__(self, other):
         if other.__class__ is not GaussRational:
             return NotImplemented
-        if not (other.re or other.im):
-            return self
         return self + (-other)
 
     def __neg__(self):

@@ -12,10 +12,13 @@ each function defined in src/qmink whose code never ran, as
 module.Class.method (nested functions get their enclosing function's
 name as a prefix).  test_surface.py compares that set with its
 allow-list.  unreached_lines() runs them under a sys.settrace line
-tracer and returns the executable lines that never ran, by function.
+tracer and returns the executable lines that never ran, by function;
+line_counts() counts how often each executable line of one module ran,
+so that a traffic figure quoted for a fast path can be taken again.
 
-    python tests/line_audit.py          # never-called functions
-    python tests/line_audit.py --lines  # unreached lines, by function
+    python tests/line_audit.py                   # never-called functions
+    python tests/line_audit.py --lines           # unreached lines
+    python tests/line_audit.py --counts scalars  # runs of each line
 
 Each takes about 10 s on a 2-core x86-64 box with Python 3.11.
 """
@@ -30,9 +33,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qmink"
 
-# runs in the child: reads {"mode", "argv"} from stdin, runs each argv
-# through cli.main with its output discarded, and writes the code
-# positions ("calls") or the lines ("lines") it reached in PACKAGE as JSON
+# runs in the child: reads {"mode", "package", "argv"} from stdin, runs
+# each argv through cli.main with its output discarded, and writes as JSON
+# the code positions ("calls") it reached in the files under the prefix
+# "package", or each line ("lines") it reached there with its run count
 _CHILD = r"""
 import contextlib, io, json, sys
 job = json.load(sys.stdin)
@@ -44,9 +48,11 @@ if job["mode"] == "calls":
     def install():
         sys.setprofile(hook)
 else:
-    def local(frame, event, arg, add=seen.add):
+    seen = {}
+    def local(frame, event, arg, seen=seen):
         if event == "line":
-            add((frame.f_code.co_filename, frame.f_lineno))
+            key = (frame.f_code.co_filename, frame.f_lineno)
+            seen[key] = seen.get(key, 0) + 1
         return local
     def hook(frame, event, arg):
         if frame.f_code.co_filename.startswith(package):
@@ -70,7 +76,7 @@ if job["mode"] == "calls":
     out = sorted({(c.co_filename, c.co_firstlineno) for c in seen
                   if c.co_filename.startswith(package)})
 else:
-    out = sorted(seen)
+    out = sorted((f, line, n) for (f, line), n in seen.items())
 json.dump(out, sys.stdout)
 """
 
@@ -87,10 +93,9 @@ def production_argv():
     return argv + BAD_INPUT_ARGV
 
 
-def _run_child(mode):
+def _run_child(mode, prefix=str(PACKAGE) + os.sep):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    job = {"mode": mode, "package": str(PACKAGE) + os.sep,
-           "argv": production_argv()}
+    job = {"mode": mode, "package": prefix, "argv": production_argv()}
     proc = subprocess.run([sys.executable, "-c", _CHILD], input=json.dumps(job),
                           capture_output=True, text=True, env=env, cwd=ROOT,
                           timeout=600, check=True)
@@ -150,7 +155,7 @@ def _executable_lines(path):
 def unreached_lines():
     """{dotted name: [unreached line, ...]} over PACKAGE, and the counts
     (unreached, executable)."""
-    reached = set(_run_child("lines"))
+    reached = {(f, line) for f, line, _n in _run_child("lines")}
     out, total = {}, 0
     for path in sorted(PACKAGE.glob("*.py")):
         owner = _executable_lines(path)
@@ -161,7 +166,29 @@ def unreached_lines():
     return out, sum(len(v) for v in out.values()), total
 
 
+def line_counts(module):
+    """{executable line: how often it ran} over src/qmink/<module>.py,
+    and the dotted name of the def that owns each line."""
+    path = PACKAGE / (module + ".py")
+    ran = {line: n for _f, line, n in _run_child("lines", str(path))}
+    owner = _executable_lines(path)
+    return {line: ran.get(line, 0) for line in owner}, owner
+
+
 def main(argv):
+    if len(argv) == 2 and argv[0] == "--counts" and \
+            (PACKAGE / (argv[1] + ".py")).is_file():
+        counts, owner = line_counts(argv[1])
+        text = (PACKAGE / (argv[1] + ".py")).read_text(
+            encoding="utf-8").splitlines()
+        last = None
+        for line in sorted(counts):
+            if owner[line] != last:
+                last = owner[line]
+                print("%s:" % last)
+            print("  %5d  %9d  %s" % (line, counts[line],
+                                      text[line - 1].strip()))
+        return 0
     if argv == ["--lines"]:
         found, unreached, total = unreached_lines()
         for (path, name), lines in found.items():
@@ -172,7 +199,9 @@ def main(argv):
         print("%d of %d executable lines unreached" % (unreached, total))
         return 0
     if argv:
-        print("usage: python tests/line_audit.py [--lines]", file=sys.stderr)
+        print("usage: python tests/line_audit.py [--lines | --counts MODULE]"
+              "\n  MODULE: a module of src/qmink, such as scalars",
+              file=sys.stderr)
         return 2
     for name in sorted(never_called()):
         print(name)

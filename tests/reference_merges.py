@@ -49,7 +49,7 @@ def reference_nf_word(w, rules, ngens, one, memo):
 def reference_normal_form(pres, terms):
     """The normal form of a word -> coefficient map or stream of pairs of
     the non-supercommutative presentation pres, on a fresh memo."""
-    rules, ngens, one = pres._kernel_view(), pres.ngens, pres.unit
+    rules, ngens, one = pres._kernel_rules, pres.ngens, pres.unit
     memo = {}
     out = {}
     items = terms.items() if isinstance(terms, dict) else terms

@@ -257,10 +257,15 @@ def test_odd_mask_product_matches_dict_path(xy):
     for w in (*x.terms, *y.terms):
         assert (w & odd).bit_count() == sum(
             pres.parities[r] for r in pres.letters(w))
-    memo = len(pres._memo)
-    prod = (x * y).terms
-    # the product came from the packed words: no word was memoized
-    assert len(pres._memo) == memo
+    # the product comes from the packed words: no letter tuple is packed
+    def refuse(w):
+        raise AssertionError("product packed the letters %r" % (w,))
+
+    pres._sc_word = refuse
+    try:
+        prod = (x * y).terms
+    finally:
+        del pres._sc_word
     assert prod == pres._product(x.terms, y.terms)
     tx, ty = decoded(x), decoded(y)
     assert prod == dict_path_raw(pres, tx, ty)
@@ -590,7 +595,7 @@ def test_nf_word_pops_a_word_pushed_twice():
 
     sys.settrace(trace)
     try:
-        got = kernel.nf_word((1, 0, 0), pres._kernel_view(), 3, ONE, {})
+        got = kernel.nf_word((1, 0, 0), pres._kernel_rules, 3, ONE, {})
     finally:
         sys.settrace(None)
     assert pop in lines
@@ -608,6 +613,27 @@ def test_rule_validation():
         pres.add_rule((3, 0), {(0, 2): ONE})  # parity change
     with pytest.raises(MalformedRuleError):
         pres.add_rule((1, 0), {(1, 0): ONE})  # not decreasing: would loop
+
+
+def test_the_kernel_rule_view_follows_add_rule():
+    # add_rule writes the kernel's packed-key view of the rule with it:
+    # a normal form taken before a rule does not outlive it, and a refused
+    # rule leaves the view and the normal forms as they were
+    gens = [Generator(n, (r,), r // 2, r) for r, n in enumerate("abc")]
+    pres = Presentation(gens)
+    ba, ab, cc = {(1, 0): ONE}, {(0, 1): ONE}, {(2, 2): ONE}
+    assert pres.normal_form(cc) == {}  # the odd square, there from the start
+    assert pres.normal_form(ba) == ba
+    assert pres.nf_word((1, 0)) == (((1, 0), ONE),)
+    pres.add_rule((1, 0), {(0, 1): Q})
+    assert pres.normal_form(ba) == {(0, 1): Q}
+    assert pres.nf_word((1, 0, 0)) == (((0, 0, 1), Q * Q),)
+    view = dict(pres._kernel_rules)
+    for lhs, rhs in (((0, 1), ba), ((0, 2), {(0, 1): ONE}), ((1, 0), ab)):
+        with pytest.raises(AlgebraError):  # not decreasing, parity, duplicate
+            pres.add_rule(lhs, rhs)
+    assert pres._kernel_rules == view
+    assert pres.normal_form(ab) == ab and pres.normal_form(ba) == {(0, 1): Q}
 
 
 def test_tensor_poly_associativity():

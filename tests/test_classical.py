@@ -530,3 +530,12 @@ def test_wrong_half_fails_poincare_reality(monkeypatch):
     monkeypatch.setattr(classical, "HALF", GaussRational(1, 0, 3))
     assert set(false_records("poincare-reality")) == \
         {"fixed-point", "displayed-conditions"}
+
+
+def test_wrong_half_witnesses_name_what_broke(monkeypatch):
+    # the fixed-point record names the field of the element that moved,
+    # and displayed-conditions the one condition that fails
+    monkeypatch.setattr(classical, "HALF", GaussRational(1, 0, 3))
+    assert false_records("poincare-reality") == {
+        "fixed-point": "differ at M",
+        "displayed-conditions": "fails: N - N^+ = L^+-1 chi^+ chi L^-1"}

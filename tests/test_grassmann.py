@@ -442,6 +442,17 @@ def test_rational_equality_with_a_foreign_operand():
     for op in (lambda: m + n, lambda: m - n, lambda: m * n):
         with pytest.raises(ValueError, match="mixed algebras"):
             op()
+    # a value of the other algebra is refused when it is wrapped, not at
+    # the first product
+    for op in (lambda: GrassmannRational(GA, other.gen("x")),
+               lambda: GrassmannMatrix(GA, [[other.gen("x")]]),
+               lambda: GrassmannMatrix(GA, [[y]]),
+               lambda: GrassmannMatrix(GA, [[x, y]]),
+               lambda: m.scale(y)):
+        with pytest.raises(ValueError, match="mixed algebras"):
+            op()
+    with pytest.raises(TypeError):  # a Scalar, not a Q(i) constant
+        GrassmannRational(GA, Scalar.from_int(2))
     # a matrix scales through .scale() only
     for op in (lambda: m * 2, lambda: 2 * m, lambda: m * x, lambda: -m):
         with pytest.raises(TypeError):

@@ -237,6 +237,21 @@ def test_plus_conj_d_fails_sigma_involution(monkeypatch):
     assert false_records("su221-dimensions") == {}
 
 
+def test_e12_sent_to_e21_names_the_cells_that_moved(monkeypatch):
+    # sigma(E12) = E21 in place of -E43: sigma^2(E12) is then sigma(E21),
+    # and the involution record names the two cells where it and E12
+    # differ
+    right = realforms.sigma
+    e12 = dict(sl41_basis())["E12"]
+
+    def swapped(x):
+        return SuperMatrix5({(1, 0): ONE}, 0) if x == e12 else right(x)
+
+    monkeypatch.setattr(realforms, "sigma", swapped)
+    assert false_records("sigma-involution")["involution:E12"] == \
+        "differ at (1,2), (3,4)"
+
+
 def test_dropped_equation_fails_su221_dimensions(monkeypatch):
     # the even fixed-point system loses the imaginary part of the (1,3)
     # entry of x - sigma(x) = 0, which is p + F p^+ F; that entry is paired
