@@ -293,19 +293,23 @@ class GrassmannAlgebra:
         Appends to out the basis members whose product is f up to a
         constant, and returns the inverse of that constant, or None when
         the product is f itself.  A member passes through by identity, and
-        a factor equal to a member is that member.  Any other factor is
-        trial-divided by the members, earliest first; a member that
-        divides it is appended, and the quotient is split in turn.  A
-        quotient that no member divides joins the basis, so no member
-        divides a later one.  This is factor refinement (Bach, Driscoll &
-        Shallit, J. Algorithms 15, 1993) in one direction: the factors of
-        a sum's lcm do not divide one another, except a member that
-        arrived before its own divisor.
+        a factor equal to a member is that member.  Any other factor, which
+        must be an Element of this algebra, is trial-divided by the
+        members, earliest first; a member that divides it is appended, and
+        the quotient is split in turn.  A quotient that no member divides
+        joins the basis, so no member divides a later one.  This is factor
+        refinement (Bach, Driscoll & Shallit, J. Algorithms 15, 1993) in
+        one direction: the factors of a sum's lcm do not divide one
+        another, except a member that arrived before its own divisor.
         """
         members = self._member_ids
         if id(f) in members:
             out.append(f)
             return None
+        if not isinstance(f, Element):
+            raise TypeError(f)
+        if f.alg is not self:
+            raise ValueError("mixed algebras")
         if not f:
             raise ZeroDivisionError("zero denominator factor")
         if self.soul(f):

@@ -520,9 +520,12 @@ def coaction_membership(qm):
     t = comultiply(qm.value)
     cof = [{} for _ in minors]
     failing = []
-    for u in t.first_slot_words():
-        vec = t.second_slot_for(u)
-        found = solver.express(vec)
+    # first-slot word -> its second-slot polynomial, in one pass
+    slots = {}
+    for (u, v), c in t.terms.items():
+        slots.setdefault(u, {})[v] = c
+    for u in sorted(slots):
+        found = solver.express(slots[u])
         if found is None:
             failing.append(u)
             continue

@@ -112,13 +112,13 @@ def sl41_basis():
     return tuple(basis)
 
 
-def sigma_is_involution():
-    """sigma^2 = id and antilinearity on every basis element."""
+def antilinearity():
+    """sigma(iX) = -i sigma(X), and the trace condition on X and on
+    sigma(X), for every basis element; sigma^2 = id is checked apart, one
+    record per basis element."""
     failures = []
     for name, x in sl41_basis():
         sx = sigma(x)
-        if sigma(sx) != x:
-            failures.append((name, "sigma^2"))
         if sigma(x.scale(GI)) != sx.scale(-GI):
             failures.append((name, "antilinearity"))
         if x.supertrace_condition():

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import Element, Generator, Presentation, TensorPoly
+from .kernel import accumulate
 from .scalars import ONE, QINV, Scalar
 
 
@@ -95,21 +96,25 @@ def _delta_gen_cached(rank):
 
 
 def comultiply(p):
-    """Matrix comultiplication extended multiplicatively with Koszul signs."""
+    """Matrix comultiplication extended multiplicatively with Koszul signs.
+
+    Each word's coefficient scales Delta of its first letter, before the
+    products, and the words' products are summed into one term map.
+    """
     pres = p.alg
     if pres is not build_slq41():
         raise ValueError("comultiply is defined on the SL_q(4|1) presentation")
-    out = TensorPoly.zero(pres)
+    out = {}
     for w, c in p.terms.items():
         if not w:
-            out = out + TensorPoly(pres, {((), ()): c})
+            accumulate(out, ((((), ()), c),))
             continue
-        # products and scale build new term maps: the cache stays as is
-        t = _delta_gen_cached(w[0])
+        # scale and the products build new term maps: the cache stays as is
+        t = _delta_gen_cached(w[0]).scale(c)
         for r in w[1:]:
             t = t * _delta_gen_cached(r)
-        out = out + t.scale(c)
-    return out
+        accumulate(out, t.terms.items())
+    return TensorPoly(pres, out)
 
 
 # -- quantum minors -----------------------------------------------------------

@@ -8,12 +8,18 @@ as the references the tests compare against.
 - `overlap_difference` and `homomorphism_witness` build the full
   difference of the two sides of an `overlap:` or `homomorphism:` record,
   whose text is the record's witness when the difference is not zero.
+- `two_pass_product` and `reference_comultiply` are the tensor product
+  and the comultiplication as they were before the product reduced both
+  slots as it multiplied: the product merges every concatenated pair of
+  words first and reduces the merged map in a second pass, and the
+  comultiplication scales each word's full product and adds the words'
+  TensorPolys one by one.
 """
 
-from qmink.algebra import Element
+from qmink.algebra import Element, TensorPoly
 from qmink.kernel import accumulate
 from qmink.scalars import ONE
-from qmink.supergroup import comultiply
+from qmink.supergroup import _delta_gen_cached, comultiply
 
 
 def _merge(out, c, terms):
@@ -78,3 +84,39 @@ def homomorphism_witness(pres, lhs, rhs):
     dl = comultiply(Element(pres, {lhs: ONE}))
     dr = comultiply(Element(pres, dict(rhs)))
     return (dl - dr).to_text()
+
+
+def two_pass_product(a, b):
+    """a * b of two TensorPolys: (u (x) v)(x (x) y) = (-1)^{|v||x|}
+    ux (x) vy merged over all pairs, then both slots of each merged
+    key brought to normal form and merged again."""
+    alg = a.alg
+    wp = alg.word_parity
+    t2 = b.terms.items()
+    prod = {}
+    for (u, v), c1 in a.terms.items():
+        odd = wp(v)
+        accumulate(prod, (((u + x, v + y),
+                           -(c1 * c2) if odd and wp(x) else c1 * c2)
+                          for (x, y), c2 in t2))
+    nf = alg.nf_word
+    return TensorPoly(alg, accumulate({}, (((u, v), c * cu * cv)
+                                           for (w1, w2), c in prod.items()
+                                           for u, cu in nf(w1)
+                                           for v, cv in nf(w2))))
+
+
+def reference_comultiply(p):
+    """Delta(p) over slq41 through two_pass_product: each word's product
+    of generator coproducts, scaled by its coefficient, summed."""
+    pres = p.alg
+    out = TensorPoly(pres, {})
+    for w, c in p.terms.items():
+        if not w:
+            out = out + TensorPoly(pres, {((), ()): c})
+            continue
+        t = _delta_gen_cached(w[0])
+        for r in w[1:]:
+            t = two_pass_product(t, _delta_gen_cached(r))
+        out = out + t.scale(c)
+    return out

@@ -127,7 +127,11 @@ def test_geometry_identities():
 def test_real_forms():
     v = verdicts("sigma-involution", "su221-dimensions", "poincare-reality",
                  "super-action")
-    invol_ok = v["sigma-involution/antilinearity"]
+    # sigma^2 = id is the 24 involution: records; antilinearity checks
+    # sigma(iX) = -i sigma(X) and the trace conditions
+    invol_ok = v["sigma-involution/antilinearity"] and all(
+        ok for rid, ok in v.items()
+        if rid.startswith("sigma-involution/involution:"))
     compat_ok = v["sigma-involution/bracket-compatibility"]
     dims_ok = v["su221-dimensions/fixed-point-dimensions"]
     group_invol_ok = v["poincare-reality/involutive"]

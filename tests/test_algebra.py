@@ -18,11 +18,12 @@ from qmink.grassmann import MAX_DEGREE
 from qmink.kernel import BudgetExceeded, accumulate
 from qmink.linalg import DegenerateBasisError, SpanSolver
 from qmink.minkowski import build_chiral_presentation, localized
-from qmink.scalars import ONE, Q, QINV, GaussRational, Scalar
+from qmink.scalars import I, ONE, Q, QINV, GaussRational, Scalar
 from qmink.supergroup import build_slq41, minor
 
 import tuple_words
-from reference_merges import overlap_difference, reference_normal_form
+from reference_merges import (overlap_difference, reference_normal_form,
+                              two_pass_product)
 from tuple_words import decoded, grassmann_algebra
 
 
@@ -668,6 +669,40 @@ def test_tensor_koszul_sign():
     prod = t2 * TensorPoly(pres, {((odd1,), (odd2,)): ONE}) * t1
     assert prod.terms == {(u, v): cu * cv for u, cu in nf.items()
                           for v, cv in nf.items()}
+
+
+# slq41 ranks, row-major: a[1,1], a[1,2] and a[2,1] are even
+# (a[1,2]*a[1,1] -> q a[1,1]*a[1,2]), a[1,5] and a[5,1] odd
+A11, A12, A15, A21, A51 = 0, 1, 4, 5, 20
+TENSOR_WORDS = st.lists(st.sampled_from((A11, A12, A15, A21, A51)),
+                        max_size=2).map(tuple)
+TENSOR_COEFFS = st.sampled_from((Scalar.from_int(0), ONE, -ONE, Q, -Q,
+                                 QINV, I))
+TENSOR_TERMS = st.dictionaries(st.tuples(TENSOR_WORDS, TENSOR_WORDS),
+                               TENSOR_COEFFS, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TENSOR_TERMS, TENSOR_TERMS)
+# g (x) 1 cancels between the two pairs that make it
+@example({((A11,), ()): ONE, ((), ()): ONE},
+         {((), ()): ONE, ((A11,), ()): -ONE})
+# a[1,2]*a[1,1] and a[1,1]*a[1,2] cancel only once both are reduced
+@example({((A12,), ()): ONE, ((A11,), ()): -Q},
+         {((A11,), ()): ONE, ((A12,), ()): ONE})
+# the Koszul sign cancels o (x) o, and odd squares vanish: the product
+# is zero
+@example({((), (A15,)): ONE, ((A15,), ()): ONE},
+         {((), (A15,)): ONE, ((A15,), ()): ONE})
+# zero coefficients on both sides, empty words in every slot
+@example({((), ()): Scalar.from_int(0), ((A15,), (A15,)): ONE},
+         {((), ()): ONE, ((A12,), ()): Scalar.from_int(0)})
+def test_one_pass_tensor_product_matches_two_pass(left, right):
+    pres = build_slq41()
+    a, b = TensorPoly(pres, left), TensorPoly(pres, right)
+    got = (a * b).terms
+    assert got == two_pass_product(a, b).terms
+    assert all(got.values())
 
 
 def test_step_budget_not_hit_on_paper_presentation(monkeypatch):

@@ -459,6 +459,25 @@ def test_rational_equality_with_a_foreign_operand():
             op()
 
 
+def test_a_foreign_denominator_factor_is_refused():
+    # a = {x, y} and b = {u, v}: b's v packs to the same word as a's y, so
+    # read as a's own it would join a's factor basis as y
+    a = GrassmannAlgebra([("x", 0, "x"), ("y", 0, "y")])
+    b = GrassmannAlgebra([("u", 0, "u"), ("v", 0, "v")])
+    with pytest.raises(ValueError, match="mixed algebras"):
+        GrassmannRational(a, a.gen("x"), (b.gen("v"),))
+    with pytest.raises(TypeError):
+        GrassmannRational(a, a.gen("x"), (Scalar.from_int(2),))
+    assert a.factor_basis == {}
+    # a factor of its own algebra joins the basis, and a member of the
+    # basis passes by identity
+    r = GrassmannRational(a, a.gen("x"), (a.gen("y") + a.one(),))
+    (member,) = r.den
+    assert a.factor_basis == {member: member}
+    assert GrassmannRational(a, a.gen("x"), (member,)).den[0] is member
+    assert GrassmannRational(a, a.gen("x"), (a.gen("y") + a.one(),)) == r
+
+
 def test_matrix_shape_mismatch():
     # + and - refuse operands of different shapes, as * does, instead of
     # cutting both to the smaller one; == answers False

@@ -10,12 +10,12 @@ from qmink.checks import run_suite
 from qmink.algebra import Element
 from qmink.classical import GI
 from qmink.grassmann import GrassmannMatrix, SymbolSpec
-from qmink.realforms import (F, SuperMatrix5, bracket_compatibility,
-                             fixed_point_dimension, generic_element,
-                             mat_dagger, mat_mul, poincare_group_algebra,
-                             reduced_element, sigma,
-                             sigma_is_involution, sl41_basis,
-                             su22_conditions_hold, supercommutator)
+from qmink.realforms import (F, SuperMatrix5, antilinearity,
+                             bracket_compatibility, fixed_point_dimension,
+                             generic_element, mat_dagger, mat_mul,
+                             poincare_group_algebra, reduced_element, sigma,
+                             sl41_basis, su22_conditions_hold,
+                             supercommutator)
 from qmink.scalars import GaussRational
 
 ZERO = GaussRational(0)
@@ -58,7 +58,8 @@ def test_basis_size_and_parities():
 
 
 def test_sigma_involution_and_antilinearity():
-    assert sigma_is_involution() == []
+    assert all(sigma(sigma(x)) == x for _n, x in sl41_basis())
+    assert antilinearity() == []
 
 
 def test_sigma_explicit_image():
@@ -237,10 +238,8 @@ def test_plus_conj_d_fails_sigma_involution(monkeypatch):
     assert false_records("su221-dimensions") == {}
 
 
-def test_e12_sent_to_e21_names_the_cells_that_moved(monkeypatch):
-    # sigma(E12) = E21 in place of -E43: sigma^2(E12) is then sigma(E21),
-    # and the involution record names the two cells where it and E12
-    # differ
+def _send_e12_to_e21(monkeypatch):
+    """Patch sigma(E12) to E21 in place of -E43."""
     right = realforms.sigma
     e12 = dict(sl41_basis())["E12"]
 
@@ -248,8 +247,26 @@ def test_e12_sent_to_e21_names_the_cells_that_moved(monkeypatch):
         return SuperMatrix5({(1, 0): ONE}, 0) if x == e12 else right(x)
 
     monkeypatch.setattr(realforms, "sigma", swapped)
+
+
+def test_e12_sent_to_e21_names_the_cells_that_moved(monkeypatch):
+    # sigma^2(E12) is then sigma(E21), and the involution record names
+    # the two cells where it and E12 differ
+    _send_e12_to_e21(monkeypatch)
     assert false_records("sigma-involution")["involution:E12"] == \
         "differ at (1,2), (3,4)"
+
+
+def test_antilinearity_leaves_sigma_squared_to_the_involution_records(
+        monkeypatch):
+    # under the same patch sigma(iE12) = iE43 is not -i sigma(E12) = -iE21;
+    # the antilinearity record names that and nothing of sigma^2, which
+    # only involution:E12 checks
+    _send_e12_to_e21(monkeypatch)
+    bad = false_records("sigma-involution")
+    assert bad["antilinearity"] == "failures: [('E12', 'antilinearity')]"
+    assert set(bad) == {"involution:E12", "antilinearity",
+                        "bracket-compatibility"}
 
 
 def test_dropped_equation_fails_su221_dimensions(monkeypatch):

@@ -1,16 +1,19 @@
 """The 25-generator quantum supermatrix algebra and its comultiplication."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmink import checks
-from qmink.algebra import Presentation, overlap_words, resolve_overlap
+from qmink.algebra import (Element, Presentation, overlap_words,
+                           resolve_overlap)
 from qmink.checks import run_suite
 from qmink.minkowski import build_chiral_presentation
 from qmink.scalars import I, ONE, Q, QINV, Scalar
 from qmink.supergroup import (_delta_gen_cached, build_slq41, comultiply,
                               general_minor, minor)
 
-from reference_merges import overlap_difference, overlap_witness
+from reference_merges import (overlap_difference, overlap_witness,
+                              reference_comultiply)
 
 
 def rank(pres, name):
@@ -181,9 +184,27 @@ def test_generator_coproducts_carry_the_unit_itself():
         assert all(c is ONE for c in d.terms.values())
 
 
+COEFFS = st.sampled_from((ONE, -ONE, Q, -QINV, I, Q + I))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.lists(st.integers(0, 24), min_size=1,
+                                max_size=3).map(tuple),
+                       COEFFS, min_size=1, max_size=3), COEFFS)
+def test_comultiply_matches_the_reference(words, constant):
+    # a multi-term element with a constant term; the reference scales
+    # each word's full product and adds TensorPolys one by one
+    pres = build_slq41()
+    p = Element(pres, pres.normal_form({**words, (): constant}))
+    got = comultiply(p).terms
+    assert got == reference_comultiply(p).terms
+    assert got[((), ())] == constant
+
+
 def test_comultiply_leaves_the_cached_coproducts_alone():
     # comultiply starts each word's product from the cached Delta(w[0]),
-    # not from the unit, so scaling the result must build new term maps
+    # scaled by the word's coefficient, so the scaling must build a new
+    # term map
     pres = build_slq41()
     r = rank(pres, "a[2,3]")
     cached = _delta_gen_cached(r)

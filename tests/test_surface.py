@@ -148,10 +148,11 @@ def _functions_holding(match):
 
 def test_the_sparse_merge_is_written_once():
     # every term map sums through kernel.accumulate; the kernel's two
-    # per-word loops and the packed Grassmann product stay inline for
-    # speed, and exact_divide also pushes each word that enters its
-    # remainder onto a heap
+    # per-word loops, the tensor product's slot merge and the packed
+    # Grassmann product stay inline for speed, and exact_divide also
+    # pushes each word that enters its remainder onto a heap
     assert _functions_holding(lambda n: isinstance(n, ast.Delete)) == [
+        "algebra.TensorPoly.__mul__",
         "grassmann.GrassmannAlgebra._product", "grassmann.exact_divide",
         "kernel.accumulate", "kernel.nf_word", "kernel.normal_form_terms"]
 
