@@ -63,6 +63,18 @@ def exact_divide(ga, num, g):
     word does not contain g's trailing word, there is no quotient, and
     None is returned before any coefficient arithmetic.
 
+    Linear divisors, g = a + b*x with a constant a and one even letter
+    x: group num's terms by their cofactor of x, the word with every x
+    removed.  x is central and occurs in no cofactor, and distinct
+    cofactors are independent, so g divides num exactly when each
+    group, read as a polynomial in x, vanishes at the root x = -a/b
+    (the factor theorem; von zur Gathen & Gerhard, Modern Computer
+    Algebra, ch. 5).  Every group is tested, with an exit at the first
+    that does not vanish, and None is returned before the heap division
+    runs.  Testing the lead word's group alone is not enough: in the
+    q = 1 suites it often vanishes while another group does not.  When
+    all groups vanish, the heap division finds the quotient.
+
     The remainder is a dict plus a heap of its negated words (Monagan &
     Pearce, CASC 2007), so that heapq's smallest entry is the largest
     word.  A word is pushed when it enters the remainder and skipped when
@@ -80,6 +92,10 @@ def exact_divide(ga, num, g):
     guards = ga.guards
     if ((max(r) | guards) - glead) & guards != guards or \
             ((min(r) | guards) - min(gt)) & guards != guards:
+        return None
+    x = ga.even_letter_ranks.get(glead) if len(gt) == 2 and 0 in gt \
+        else None
+    if x is not None and not _vanishes_at_root(ga, r, x, gt[0], gt[glead]):
         return None
     heap = [-w for w in r]
     heapify(heap)
@@ -111,6 +127,35 @@ def exact_divide(ga, num, g):
                 else:
                     del r[w]
     return Element(ga, q)
+
+
+def _vanishes_at_root(ga, terms, x, a, b):
+    """Whether every x-group of terms vanishes at x = -a/b.
+
+    A group holds the terms with one cofactor of x, the word with every
+    x removed, and reads as a polynomial in x; a lone term c*x^k is
+    nonzero there, since a != 0.
+    """
+    shift, mask = ga.fields[x]
+    step = ga.letter_keys[x]
+    groups = {}
+    for w, c in terms.items():
+        k = (w >> shift) & mask
+        groups.setdefault(w - k * step, []).append((k, c))
+    root = -(a * b.inverse_of_unit())
+    powers = [ga.unit, root]
+    for group in groups.values():
+        if len(group) == 1:
+            return False
+        total = None
+        for k, c in group:
+            while len(powers) <= k:
+                powers.append(powers[-1] * root)
+            c = c * powers[k] if k else c
+            total = c if total is None else total + c
+        if total:
+            return False
+    return True
 
 
 def d_dx(el, rank):
@@ -191,6 +236,8 @@ class GrassmannAlgebra:
         self.odd_bits = odd
         self.guards = guards
         self.letter_keys = tuple((1 << s) | (1 << shift) for s, _m in fields)
+        self.even_letter_ranks = {k: r for r, k in enumerate(self.letter_keys)
+                                  if not self.parities[r]}
         # the least int of a word of degree MAX_DEGREE + 1
         self._key_limit = (MAX_DEGREE + 1) << shift
         self._letters = {}
@@ -287,6 +334,22 @@ class GrassmannAlgebra:
                         del out[w]
         return out
 
+    def check_factor(self, f):
+        """True when f is a member of the factor basis, which passes by
+        identity; False for any other valid denominator factor, a
+        nonzero odd-free Element of this algebra; raises for the rest."""
+        if id(f) in self._member_ids:
+            return True
+        if not isinstance(f, Element):
+            raise TypeError(f)
+        if f.alg is not self:
+            raise ValueError("mixed algebras")
+        if not f:
+            raise ZeroDivisionError("zero denominator factor")
+        if self.soul(f):
+            raise ValueError("denominator factors must be odd-free")
+        return False
+
     def split_factor(self, f, out):
         """Write the odd-free factor f over the factor basis.
 
@@ -302,18 +365,9 @@ class GrassmannAlgebra:
         one direction: the factors of a sum's lcm do not divide one
         another, except a member that arrived before its own divisor.
         """
-        members = self._member_ids
-        if id(f) in members:
+        if self.check_factor(f):
             out.append(f)
             return None
-        if not isinstance(f, Element):
-            raise TypeError(f)
-        if f.alg is not self:
-            raise ValueError("mixed algebras")
-        if not f:
-            raise ZeroDivisionError("zero denominator factor")
-        if self.soul(f):
-            raise ValueError("denominator factors must be odd-free")
         basis = self.factor_basis
         while True:
             # a constant: the empty word packs to 0
@@ -332,7 +386,7 @@ class GrassmannAlgebra:
                     break
             else:
                 basis[f] = f
-                members.add(id(f))
+                self._member_ids.add(id(f))
                 out.append(f)
                 return None
 
@@ -410,6 +464,8 @@ class GrassmannRational:
     def _normalize(self):
         ga = self.ga
         if not self.num:
+            for f in self.den:  # zero over a bad factor is no zero
+                ga.check_factor(f)
             self.den = ()
             return
         factors = []

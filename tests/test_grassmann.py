@@ -123,6 +123,86 @@ def test_trailing_word_rejects_without_arithmetic(q, g, c):
     assert calls == []
 
 
+# Linear divisors g = a + b*x, x even: exact_divide first tests every
+# x-group of num (its terms with one cofactor of x) at the root x = -a/b,
+# and runs the heap division only when they all vanish.
+linear = st.builds(lambda x, a, b: element([((), a), ((x,), b)]),
+                   st.sampled_from(EVEN), gauss, gauss)
+
+
+def _heap_refused(mp):
+    def refuse(heap):
+        raise AssertionError("the heap division ran")
+    mp.setattr(grassmann, "heappop", refuse)
+
+
+@settings(max_examples=150, deadline=None)
+@given(elements, linear, elements, st.booleans())
+def test_linear_divisor_matches_reference(q, g, e, exact):
+    num = q * g if exact else q * g + e
+    quo = divided(num, g)
+    assert quo == reference_divide(num, g, tuple_words.packed_order)
+    assert reference_divide(num, g) == quo
+    if exact:
+        assert quo == decoded(q)
+    if quo is None:
+        # the root test is complete for a + b*x: no rejection reaches the
+        # heap
+        with pytest.MonkeyPatch.context() as mp:
+            _heap_refused(mp)
+            assert exact_divide(GA, num, g) is None
+
+
+def _pinned_linear_cases():
+    """(num, g) pairs that pass the lead and trailing word tests."""
+    x, y, z, s = (GA.gen(n) for n in "xyzs")
+    one = GA.one()
+    g = one + x  # root -1
+    i = GaussRational(0, 1)
+    h = one - x.scale(i)  # root -i
+    return {
+        # the lead word's group, z^2*x + z^2*x^2, vanishes at -1; the group
+        # of y, y + y*x^2, reads 2 there
+        "lead group vanishes": (z * z * x * g + y * (one + x * x), g),
+        # z*s stands alone in its group: c*(-1)^0 != 0
+        "single-term group": (y * s * g + z * s, g),
+        # x^3 - 1 at -i reads i - 1
+        "cube": (x * x * x - one, h),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_pinned_linear_cases()))
+def test_linear_divisor_pinned_rejections(case, monkeypatch):
+    num, g = _pinned_linear_cases()[case]
+    assert reference_divide(num, g) is None
+    assert reference_divide(num, g, tuple_words.packed_order) is None
+    _heap_refused(monkeypatch)
+    tested = []
+    vanishes = grassmann._vanishes_at_root
+    monkeypatch.setattr(grassmann, "_vanishes_at_root",
+                        lambda *args: tested.append(vanishes(*args)) or
+                        tested[-1])
+    assert exact_divide(GA, num, g) is None
+    assert tested == [False]  # not the lead or the trailing word test
+
+
+def test_linear_divisor_pinned_quotients():
+    x, y, z, s = (GA.gen(n) for n in "xyzs")
+    one, i = GA.one(), GaussRational(0, 1)
+    cases = _pinned_linear_cases()
+    g, h = cases["lead group vanishes"][1], cases["cube"][1]
+    # the lead word's group of the first pinned rejection divides alone
+    assert divided(z * z * x * g, g) == decoded(z * z * x)
+    # x^4 - 1 = (1 - i x)(i x^3 + x^2 - i x - 1): one group, x^0..x^4
+    q1 = (x * x * x).scale(i) + x * x - x.scale(i) - one
+    assert q1 * h == x * x * x * x - one
+    # the groups of 1, y*s and z, up to x^4, odd letters among them
+    q2 = (x * x * x).scale(GaussRational(2, 1)) + y * s * x + z
+    for q, div in ((q1, h), (q2, g)):
+        num = q * div
+        assert divided(num, div) == decoded(q) == reference_divide(num, div)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.lists(st.sampled_from(EVEN + ODD), max_size=4)
                           .map(tuple), gauss), max_size=4))
@@ -476,6 +556,25 @@ def test_a_foreign_denominator_factor_is_refused():
     assert a.factor_basis == {member: member}
     assert GrassmannRational(a, a.gen("x"), (member,)).den[0] is member
     assert GrassmannRational(a, a.gen("x"), (a.gen("y") + a.one(),)) == r
+
+
+def test_a_zero_numerator_does_not_skip_the_factor_checks():
+    # zero over a bad factor raises what a nonzero numerator over it
+    # raises, instead of reading as 0
+    a = GrassmannAlgebra([("x", 0, "x"), ("y", 0, "y"), ("s", 1, "s")])
+    b = GrassmannAlgebra([("u", 0, "u"), ("v", 0, "v")])
+    for bad, error, match in ((a.zero(), ZeroDivisionError, None),
+                              (b.gen("v"), ValueError, "mixed algebras"),
+                              (Scalar.from_int(2), TypeError, None),
+                              (a.gen("s"), ValueError, "odd-free")):
+        for num in (a.gen("x"), a.zero()):
+            with pytest.raises(error, match=match):
+                GrassmannRational(a, num, (bad,))
+    assert a.factor_basis == {}
+    # a basis member passes by identity, and zero over it is 0
+    (member,) = GrassmannRational(a, a.gen("x"), (a.gen("y") + a.one(),)).den
+    zero = GrassmannRational(a, a.zero(), (member, member))
+    assert zero.den == () and zero == 0
 
 
 def test_matrix_shape_mismatch():

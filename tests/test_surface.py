@@ -179,7 +179,8 @@ def test_the_term_printer_is_written_once():
 
 
 # the fields of GrassmannAlgebra._pack_layout
-PACKED_LAYOUT = frozenset(("fields", "letter_keys", "guards", "odd_bits"))
+PACKED_LAYOUT = frozenset(("fields", "letter_keys", "even_letter_ranks",
+                           "guards", "odd_bits"))
 
 
 def test_only_grassmann_reads_the_packed_layout():
