@@ -133,8 +133,7 @@ def _vanishes_at_root(ga, terms, x, a, b):
     """Whether every x-group of terms vanishes at x = -a/b.
 
     A group holds the terms with one cofactor of x, the word with every
-    x removed, and reads as a polynomial in x; a lone term c*x^k is
-    nonzero there, since a != 0.
+    x removed, and reads as a polynomial in x.
     """
     shift, mask = ga.fields[x]
     step = ga.letter_keys[x]
@@ -145,8 +144,6 @@ def _vanishes_at_root(ga, terms, x, a, b):
     root = -(a * b.inverse_of_unit())
     powers = [ga.unit, root]
     for group in groups.values():
-        if len(group) == 1:
-            return False
         total = None
         for k, c in group:
             while len(powers) <= k:
@@ -335,11 +332,8 @@ class GrassmannAlgebra:
         return out
 
     def check_factor(self, f):
-        """True when f is a member of the factor basis, which passes by
-        identity; False for any other valid denominator factor, a
-        nonzero odd-free Element of this algebra; raises for the rest."""
-        if id(f) in self._member_ids:
-            return True
+        """Raise unless f can be a denominator factor: a nonzero odd-free
+        Element of this algebra."""
         if not isinstance(f, Element):
             raise TypeError(f)
         if f.alg is not self:
@@ -348,7 +342,6 @@ class GrassmannAlgebra:
             raise ZeroDivisionError("zero denominator factor")
         if self.soul(f):
             raise ValueError("denominator factors must be odd-free")
-        return False
 
     def split_factor(self, f, out):
         """Write the odd-free factor f over the factor basis.
@@ -365,9 +358,11 @@ class GrassmannAlgebra:
         one direction: the factors of a sum's lcm do not divide one
         another, except a member that arrived before its own divisor.
         """
-        if self.check_factor(f):
+        members = self._member_ids
+        if id(f) in members:
             out.append(f)
             return None
+        self.check_factor(f)
         basis = self.factor_basis
         while True:
             # a constant: the empty word packs to 0
@@ -386,7 +381,7 @@ class GrassmannAlgebra:
                     break
             else:
                 basis[f] = f
-                self._member_ids.add(id(f))
+                members.add(id(f))
                 out.append(f)
                 return None
 
@@ -465,7 +460,8 @@ class GrassmannRational:
         ga = self.ga
         if not self.num:
             for f in self.den:  # zero over a bad factor is no zero
-                ga.check_factor(f)
+                if id(f) not in ga._member_ids:
+                    ga.check_factor(f)
             self.den = ()
             return
         factors = []

@@ -6,7 +6,7 @@ from functools import reduce
 from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qmink import grassmann
 from qmink.algebra import Element, TermMap
@@ -130,6 +130,12 @@ linear = st.builds(lambda x, a, b: element([((), a), ((x,), b)]),
                    st.sampled_from(EVEN), gauss, gauss)
 
 
+X, Y, Z, S = (GA.gen(n) for n in "xyzs")
+I = GaussRational(0, 1)
+ROOT_M1 = GA.one() + X  # root -1
+ROOT_MI = GA.one() - X.scale(I)  # root -i
+
+
 def _heap_refused(mp):
     def refuse(heap):
         raise AssertionError("the heap division ran")
@@ -138,6 +144,14 @@ def _heap_refused(mp):
 
 @settings(max_examples=150, deadline=None)
 @given(elements, linear, elements, st.booleans())
+# the lead word's group of the "lead group vanishes" rejection divides alone
+@example(Z * Z * X, ROOT_M1, GA.zero(), True)
+# (1 - ix)(ix^3 + x^2 - ix - 1) = x^4 - 1: one group, x^0..x^4
+@example((X * X * X).scale(I) + X * X - X.scale(I) - GA.one(), ROOT_MI,
+         GA.zero(), True)
+# the groups of 1, y*s and z, up to x^4, odd letters among them
+@example((X * X * X).scale(GaussRational(2, 1)) + Y * S * X + Z, ROOT_M1,
+         GA.zero(), True)
 def test_linear_divisor_matches_reference(q, g, e, exact):
     num = q * g if exact else q * g + e
     quo = divided(num, g)
@@ -155,19 +169,16 @@ def test_linear_divisor_matches_reference(q, g, e, exact):
 
 def _pinned_linear_cases():
     """(num, g) pairs that pass the lead and trailing word tests."""
-    x, y, z, s = (GA.gen(n) for n in "xyzs")
     one = GA.one()
-    g = one + x  # root -1
-    i = GaussRational(0, 1)
-    h = one - x.scale(i)  # root -i
     return {
         # the lead word's group, z^2*x + z^2*x^2, vanishes at -1; the group
         # of y, y + y*x^2, reads 2 there
-        "lead group vanishes": (z * z * x * g + y * (one + x * x), g),
-        # z*s stands alone in its group: c*(-1)^0 != 0
-        "single-term group": (y * s * g + z * s, g),
+        "lead group vanishes": (Z * Z * X * ROOT_M1 + Y * (one + X * X),
+                                ROOT_M1),
+        # z*s stands alone in its group, whose sum c*(-1)^0 != 0
+        "single-term group": (Y * S * ROOT_M1 + Z * S, ROOT_M1),
         # x^3 - 1 at -i reads i - 1
-        "cube": (x * x * x - one, h),
+        "cube": (X * X * X - one, ROOT_MI),
     }
 
 
@@ -184,23 +195,6 @@ def test_linear_divisor_pinned_rejections(case, monkeypatch):
                         tested[-1])
     assert exact_divide(GA, num, g) is None
     assert tested == [False]  # not the lead or the trailing word test
-
-
-def test_linear_divisor_pinned_quotients():
-    x, y, z, s = (GA.gen(n) for n in "xyzs")
-    one, i = GA.one(), GaussRational(0, 1)
-    cases = _pinned_linear_cases()
-    g, h = cases["lead group vanishes"][1], cases["cube"][1]
-    # the lead word's group of the first pinned rejection divides alone
-    assert divided(z * z * x * g, g) == decoded(z * z * x)
-    # x^4 - 1 = (1 - i x)(i x^3 + x^2 - i x - 1): one group, x^0..x^4
-    q1 = (x * x * x).scale(i) + x * x - x.scale(i) - one
-    assert q1 * h == x * x * x * x - one
-    # the groups of 1, y*s and z, up to x^4, odd letters among them
-    q2 = (x * x * x).scale(GaussRational(2, 1)) + y * s * x + z
-    for q, div in ((q1, h), (q2, g)):
-        num = q * div
-        assert divided(num, div) == decoded(q) == reference_divide(num, div)
 
 
 @settings(max_examples=100, deadline=None)
