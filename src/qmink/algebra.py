@@ -43,9 +43,9 @@ class Presentation:
     the coefficient ring, the Scalar ONE of Z[i][q, q^-1]; the tests pass
     a GaussRational one to rewrite over Q(i), as a reference for the
     closed-form Grassmann normal form.  Odd squares vanish: the rule
-    g*g -> 0 comes with every odd generator g.  Each rule is stored
-    twice, keyed by its word pair and, for the kernel, by its packed
-    key; __init__ and add_rule write both.
+    g*g -> 0 comes with every odd generator g.  Each rule is stored once,
+    for the kernel: lhs (a, b) under the packed key a*ngens + b, its rhs
+    as (word, coefficient) pairs; ``rules`` is the view by word pair.
     """
 
     def __init__(self, generators, unit=ONE):
@@ -56,13 +56,11 @@ class Presentation:
         self.ngens = len(gens)
         self.parities = tuple(g.parity for g in gens)
         self.unit = unit
-        self._rules = {}
-        self._kernel_rules = {}  # the kernel's view: packed key -> rhs terms
+        self._kernel_rules = {}  # packed key -> rhs terms
         self._memo = {}
         self._by_name = {g.name: g for g in gens}
         for g in gens:
             if g.parity:
-                self._rules[(g.rank, g.rank)] = {}
                 self._kernel_rules[g.rank * self.ngens + g.rank] = ()
 
     # -- construction -------------------------------------------------------
@@ -81,10 +79,11 @@ class Presentation:
         order-decreasing and every reduction terminates.
         """
         lhs = tuple(lhs)
-        if lhs in self._rules:
-            raise AlgebraError("duplicate rule for %s" % (lhs,))
         if len(lhs) != 2:
             raise MalformedRuleError("rule lhs must have length 2: %s" % (lhs,))
+        key = lhs[0] * self.ngens + lhs[1]
+        if key in self._kernel_rules:
+            raise AlgebraError("duplicate rule for %s" % (lhs,))
         rhs = {tuple(w): c for w, c in rhs.items() if c}
         lp = self.word_parity(lhs)
         for w in rhs:
@@ -96,13 +95,15 @@ class Presentation:
                                          % (lhs, w))
             if not w < lhs:
                 raise MalformedRuleError("rhs word %s not below lhs %s" % (w, lhs))
-        self._rules[lhs] = rhs
-        self._kernel_rules[lhs[0] * self.ngens + lhs[1]] = tuple(rhs.items())
+        self._kernel_rules[key] = tuple(rhs.items())
         self._memo = {}
 
     @property
     def rules(self):
-        return dict(self._rules)
+        """A new dict of the rules keyed by word pair: lhs -> rhs map."""
+        n = self.ngens
+        return {divmod(k, n): dict(rhs)
+                for k, rhs in self._kernel_rules.items()}
 
     # -- words ---------------------------------------------------------------
 
@@ -150,14 +151,14 @@ class Presentation:
             raise AlgebraError("degree must be >= 0")
         if d == 0:
             return 1
-        rules = self._rules
-        counts = [1] * self.ngens
+        rules, n = self._kernel_rules, self.ngens
+        counts = [1] * n
         for _ in range(d - 1):
-            nxt = [0] * self.ngens
-            for b in range(self.ngens):
+            nxt = [0] * n
+            for b in range(n):
                 s = 0
-                for a in range(self.ngens):
-                    if (a, b) not in rules:
+                for a in range(n):
+                    if a * n + b not in rules:
                         s += counts[a]
                 nxt[b] = s
             counts = nxt
@@ -369,7 +370,7 @@ def overlap_words(pres):
     left-hand sides; the diamond lemma requires its two one-step
     reductions to share a normal form (``resolve_overlap``).
     """
-    rules = pres._rules
+    rules = pres.rules
     by_first = {}
     for (a, b) in rules:
         by_first.setdefault(a, []).append(b)
@@ -389,12 +390,12 @@ def resolve_overlap(pres, word):
     witness of a failing record.
     """
     a, b, c = word
-    rules = pres._rules
+    rules, n = pres._kernel_rules, pres.ngens
     left = {}
-    for w, coeff in rules[(a, b)].items():
+    for w, coeff in rules[a * n + b]:
         left[w + (c,)] = coeff
     right = {}
-    for w, coeff in rules[(b, c)].items():
+    for w, coeff in rules[b * n + c]:
         right[(a,) + w] = coeff
     left = pres.normal_form(left)
     right = pres.normal_form(right)

@@ -37,20 +37,13 @@ def _combine(pc, a, e, b):
                       ((k, ne * c) for k, c in b.items()))
 
 
-class _Pivot:
-    __slots__ = ("lead", "lead_coef", "row", "trans")
-
-    def __init__(self, row, trans):
-        self.row = row
-        self.trans = trans
-        self.lead = max(row, key=_word_key)
-        self.lead_coef = row[self.lead]
-
-
 class SpanSolver:
     """Echelon of added vectors; answers membership and coordinates.
 
     ``unit`` is the one of the coefficient ring the vectors live in.
+    A pivot is (sort key, lead, lead coefficient, row, trans), never
+    rewritten: the echelon is plain, as no row holds a word above its
+    lead, so a lead _eliminate has cleared never comes back.
     """
 
     def __init__(self, unit=ONE):
@@ -71,13 +64,12 @@ class SpanSolver:
         (row, trans, scale).
         """
         scale = self.unit
-        for p in self.pivots:
-            e = row.get(p.lead)
+        for _key, lead, pc, prow, ptrans in self.pivots:
+            e = row.get(lead)
             if e is None:
                 continue
-            pc = p.lead_coef
-            row = _combine(pc, row, e, p.row)
-            trans = _combine(pc, trans, e, p.trans)
+            row = _combine(pc, row, e, prow)
+            trans = _combine(pc, trans, e, ptrans)
             scale = pc * scale
         return row, trans, scale
 
@@ -91,18 +83,10 @@ class SpanSolver:
         row, trans, _scale = self._eliminate(row, {idx: self.unit})
         if not row:
             return False
-        piv = _Pivot(row, trans)
-        # keep reduced echelon form: clear the new lead from older rows so
-        # that no pivot's lead occurs in any other pivot's support
-        for p in self.pivots:
-            e = p.row.get(piv.lead)
-            if e is None:
-                continue
-            p.row = _combine(piv.lead_coef, p.row, e, piv.row)
-            p.trans = _combine(piv.lead_coef, p.trans, e, piv.trans)
-            p.lead_coef = p.row[p.lead]
-        self.pivots.append(piv)
-        self.pivots.sort(key=lambda p: _word_key(p.lead), reverse=True)
+        lead = max(row, key=_word_key)
+        # leads are distinct, so the sort never compares past the key
+        self.pivots.append((_word_key(lead), lead, row[lead], row, trans))
+        self.pivots.sort(reverse=True)
         return True
 
     def express(self, vec):

@@ -241,12 +241,6 @@ class LocalizedAlgebra:
             self._expand_cache[mword] = cached
         return cached
 
-    def d12_power(self, k):
-        p = self.ambient.one()
-        for _ in range(k):
-            p = p * self.minors[0].value
-        return p
-
     def one(self):
         return LocalElement(self, {((), 0): ONE})
 
@@ -281,18 +275,14 @@ class LocalElement(TermMap):
              c1 * c2 * Scalar.q_pow(k1 * sum(exps[m] for m in w2)))
             for (w1, k1), c1 in self.terms.items() for (w2, k2), c2 in t2)))
 
-    def max_dinv(self):
-        return max((k for (_w, k) in self.terms), default=0)
-
-    def to_ambient(self, power=None):
-        """Image p with self = p * D12inv^power, power >= every term's k."""
+    def to_ambient(self):
+        """Image p with self = p * D12inv^top, top the largest D12inv power
+        of a term: a power-k word gains top - k factors D[1,2] (minor 0)."""
         loc = self.alg
-        power = self.max_dinv() if power is None else power
+        top = max((k for (_w, k) in self.terms), default=0)
         acc = loc.ambient.zero()
         for (w, k), c in self.terms.items():
-            if k > power:
-                raise ValueError("requested power below a term's D12inv power")
-            acc = acc + (loc.expand(w) * loc.d12_power(power - k)).scale(c)
+            acc = acc + loc.expand(w + (0,) * (top - k)).scale(c)
         return acc
 
     def is_zero(self):
@@ -483,7 +473,7 @@ def substituted_span_dimension(d):
         el = loc.one()
         for gidx in w:
             el = el * gen_list[gidx]
-        vectors.append(el.to_ambient(power=d).terms)
+        vectors.append(el.to_ambient().terms)
     return span_dimension(vectors)
 
 
@@ -492,9 +482,7 @@ def substituted_span_dimension(d):
 
 @dataclass
 class CoactionRecord:
-    name: str
-    member: bool
-    failing_rows: list
+    failing_rows: list  # empty exactly when Delta(minor) is a member
     cofactors: list  # (minor name, {first-slot word: (coord, scale)})
 
 
@@ -533,8 +521,8 @@ def coaction_membership(qm):
         for mi, c in enumerate(coords):
             if c:
                 cof[mi][u] = (c, scale)
-    return CoactionRecord(qm.name, not failing, failing,
-                          [(m.name, cof[mi]) for mi, m in enumerate(minors)])
+    return CoactionRecord(failing, [(m.name, cof[mi])
+                                    for mi, m in enumerate(minors)])
 
 
 def cofactor_proportional_to(cofactor, target):

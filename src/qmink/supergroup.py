@@ -37,8 +37,10 @@ def manin_generators():
     return gens
 
 
-def manin_presentation():
-    """Manin relations on the SIZE x SIZE supermatrix bialgebra."""
+@lru_cache(maxsize=None)
+def build_slq41():
+    """Manin relations on the SIZE x SIZE supermatrix bialgebra: the
+    quantum supergroup presentation used everywhere downstream."""
     gens = manin_generators()
     pres = Presentation(gens)
     by_index = {g.index: g for g in gens}
@@ -67,12 +69,6 @@ def manin_presentation():
                 pres.add_rule((h.rank, g.rank),
                               {(g.rank, h.rank): sign, w: -qm1})
     return pres
-
-
-@lru_cache(maxsize=None)
-def build_slq41():
-    """The quantum supergroup presentation used everywhere downstream."""
-    return manin_presentation()
 
 
 # -- comultiplication ---------------------------------------------------------

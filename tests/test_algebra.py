@@ -523,6 +523,13 @@ def _combination(coeffs, vectors):
 @given(st.lists(_sparse_vectors, min_size=1, max_size=5),
        st.lists(_small_scalars, min_size=5, max_size=5),
        st.lists(_small_scalars, min_size=5, max_size=5))
+# each later lead occurs in every earlier pivot's row, and the echelon
+# is plain: no pivot row is cleared of a later lead
+@example(vectors=[{(3,): ONE, (1,): Q, (0,): ONE},
+                  {(1,): Scalar.from_int(2), (0,): I},
+                  {(0,): Q}],
+         dep_coeffs=[ONE, -Q, QINV, ONE, ONE],
+         coeffs=[Q, I, Scalar.from_int(-3), ONE, ONE])
 def test_span_solver_coordinates_rebuild(vectors, dep_coeffs, coeffs):
     basis = [v for v in vectors if any(v.values())]
     # one more vector that depends on the others, when it is nonzero
@@ -614,6 +621,13 @@ def test_rule_validation():
         pres.add_rule((3, 0), {(0, 2): ONE})  # parity change
     with pytest.raises(MalformedRuleError):
         pres.add_rule((1, 0), {(1, 0): ONE})  # not decreasing: would loop
+    rules = pres.rules
+    # the length is checked before the packed key is taken: (3, 3, 2)
+    # would share the odd square's key, and (1,) has no second letter
+    for lhs in ((1,), (3, 3, 2)):
+        with pytest.raises(MalformedRuleError):
+            pres.add_rule(lhs, {})
+    assert pres.rules == rules
 
 
 def test_the_kernel_rule_view_follows_add_rule():
