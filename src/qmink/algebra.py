@@ -23,13 +23,13 @@ class AlgebraError(ValueError):
 
 
 class MalformedRuleError(AlgebraError):
-    """A rule violates degree preservation, parity, or the monomial order."""
+    """A rule has a letter that is no generator rank, or violates degree
+    preservation, parity, or the monomial order."""
 
 
 @dataclass(frozen=True)
 class Generator:
     name: str
-    index: tuple
     parity: int
     rank: int
 
@@ -74,22 +74,25 @@ class Presentation:
     def add_rule(self, lhs, rhs):
         """Install lhs (a length-2 word) -> rhs (word -> coefficient map).
 
-        Refuses a rule that is not degree- and parity-preserving or whose
-        rhs words are not all below lhs, so every rule set is
-        order-decreasing and every reduction terminates.
+        Refuses a rule whose words are not each two generator ranks, that
+        is not parity-preserving, or whose rhs words are not all below
+        lhs, so every rule set is order-decreasing and every reduction
+        terminates.
         """
         lhs = tuple(lhs)
-        if len(lhs) != 2:
-            raise MalformedRuleError("rule lhs must have length 2: %s" % (lhs,))
-        key = lhs[0] * self.ngens + lhs[1]
+        rhs = {tuple(w): c for w, c in rhs.items() if c}
+        n = self.ngens
+        for w in (lhs, *rhs):
+            # checked before the packed key is taken: a longer lhs, or a
+            # letter out of range, would alias a real pair's key
+            if len(w) != 2 or not (0 <= w[0] < n and 0 <= w[1] < n):
+                raise MalformedRuleError("rule word %s is not two generator "
+                                         "ranks" % (w,))
+        key = lhs[0] * n + lhs[1]
         if key in self._kernel_rules:
             raise AlgebraError("duplicate rule for %s" % (lhs,))
-        rhs = {tuple(w): c for w, c in rhs.items() if c}
         lp = self.word_parity(lhs)
         for w in rhs:
-            if len(w) != 2:
-                raise MalformedRuleError("rule not degree-preserving: %s -> %s"
-                                         % (lhs, w))
             if self.word_parity(w) != lp:
                 raise MalformedRuleError("rule not parity-preserving: %s -> %s"
                                          % (lhs, w))

@@ -18,7 +18,7 @@ import time
 
 from . import classical, realforms
 from .algebra import Element, overlap_words, resolve_overlap
-from .grassmann import GrassmannMatrix, GrassmannRational, SymbolSpec
+from .grassmann import GrassmannMatrix, GrassmannRational, symbols
 from .minkowski import (build_chiral_presentation, closure_table,
                         coaction_membership, cofactor_proportional_to,
                         localized, minor_set, presentation_rules,
@@ -340,13 +340,11 @@ def _suite_pauli_metric():
 
 
 def _poincare_symbols():
-    sp = SymbolSpec.empty()
-    sp.even_self(*["%s%d%d" % (p, i, j) for p in ("l", "r", "n", "L", "R", "N",
-                                                  "g")
-                   for i in (1, 2) for j in (1, 2)],
-                 *["a%d" % k for k in range(1, 5)],
-                 *["e%d" % k for k in range(1, 5)])
-    return sp.build()
+    return symbols(real=(*["%s%d%d" % (p, i, j)
+                           for p in ("l", "r", "n", "L", "R", "N", "g")
+                           for i in (1, 2) for j in (1, 2)],
+                         *["a%d" % k for k in range(1, 5)],
+                         *["e%d" % k for k in range(1, 5)]))
 
 
 def _suite_poincare_action():
@@ -420,11 +418,10 @@ def _suite_poincare_action():
 
 
 def _suite_twistor():
-    sp = SymbolSpec.empty()
-    sp.even_self("b11", "b12", "b21", "b22", "b31", "b32", "b41", "b42",
-                 "b53", "s11", "s12", "s21", "s22")
-    sp.odd_self("d13", "d23", "d33", "d43", "d51", "d52", "o1", "o2")
-    ga = sp.build()
+    ga = symbols(real=("b11", "b12", "b21", "b22", "b31", "b32", "b41", "b42",
+                       "b53", "s11", "s12", "s21", "s22"),
+                 real_odd=("d13", "d23", "d33", "d43", "d51", "d52", "o1",
+                           "o2"))
     g = ga.gen
 
     def generic():
@@ -484,12 +481,10 @@ def _suite_twistor():
 
 
 def _super_action_setup():
-    sp = SymbolSpec.empty()
-    sp.even("r11", "r12", "r21", "r22", "R11", "R12", "R21", "R22",
-            "t12", "T12", "c12")
-    sp.even_self("t11", "t22", "T11", "T22", "u", "U", "c11", "c22")
-    sp.odd("x1", "x2", "X1", "X2", "th1", "th2")
-    ga = sp.build()
+    ga = symbols(even=("r11", "r12", "r21", "r22", "R11", "R12", "R21", "R22",
+                       "t12", "T12", "c12"),
+                 real=("t11", "t22", "T11", "T22", "u", "U", "c11", "c22"),
+                 odd=("x1", "x2", "X1", "X2", "th1", "th2"))
     g1 = classical.real_group_element(
         ga, ("r11", "r12", "r21", "r22"), ("x1", "x2"),
         ("t11", "t12", "t22"), "u")

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .algebra import Element
 from .grassmann import (GrassmannAlgebra, GrassmannMatrix, GrassmannRational,
-                        SymbolSpec, d_dx, rational_sum)
+                        d_dx, rational_sum, symbols)
 from .linalg import SpanSolver
 from .scalars import GaussRational
 
@@ -27,9 +27,7 @@ GI = GaussRational(0, 1)
 
 def coordinate_algebra(extra=()):
     """Commutative polynomial algebra on x0..x3 plus extra even symbols."""
-    sp = SymbolSpec.empty()
-    sp.even_self("x0", "x1", "x2", "x3", *extra)
-    return sp.build()
+    return symbols(real=("x0", "x1", "x2", "x3", *extra))
 
 
 def minkowski_square(ga, vec=None):

@@ -14,7 +14,6 @@ product of its members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .algebra import AlgebraError, Element, Generator
@@ -187,7 +186,7 @@ class GrassmannAlgebra:
 
         conjugate_name may equal name (self-conjugate variable).
         """
-        self.generators = tuple(Generator(n, (r,), p, r)
+        self.generators = tuple(Generator(n, p, r)
                                 for r, (n, p, _c) in enumerate(variables))
         self.parities = tuple(g.parity for g in self.generators)
         self.unit = GaussRational(1)
@@ -422,6 +421,22 @@ class GrassmannAlgebra:
     def soul(self, el):
         odd = self.odd_bits
         return Element(self, {w: c for w, c in el.terms.items() if w & odd})
+
+
+def symbols(even=(), real=(), odd=(), real_odd=()):
+    """The GrassmannAlgebra on these names, ranked in this order: each
+    `even` name then its starred conjugate partner, the self-conjugate
+    `real` evens, each `odd` name then its partner, the `real_odd`
+    names."""
+    variables = []
+    for names, parity, paired in ((even, 0, True), (real, 0, False),
+                                  (odd, 1, True), (real_odd, 1, False)):
+        for n in names:
+            if paired:
+                variables += [(n, parity, n + "*"), (n + "*", parity, n)]
+            else:
+                variables.append((n, parity, n))
+    return GrassmannAlgebra(variables)
 
 
 class GrassmannRational:
@@ -734,41 +749,3 @@ class GrassmannMatrix:
         for m in mats:
             rows.extend(m.rows)
         return cls(ga, rows)
-
-
-@dataclass
-class SymbolSpec:
-    """Helper for declaring batches of variables with conjugate partners."""
-
-    variables: list
-
-    @classmethod
-    def empty(cls):
-        return cls([])
-
-    def even(self, *names):
-        """Even variables, each with a fresh starred conjugate partner."""
-        for name in names:
-            self.variables.append((name, 0, name + "*"))
-            self.variables.append((name + "*", 0, name))
-        return self
-
-    def even_self(self, *names):
-        """Self-conjugate ("real") even variables."""
-        for name in names:
-            self.variables.append((name, 0, name))
-        return self
-
-    def odd(self, *names):
-        for name in names:
-            self.variables.append((name, 1, name + "*"))
-            self.variables.append((name + "*", 1, name))
-        return self
-
-    def odd_self(self, *names):
-        for name in names:
-            self.variables.append((name, 1, name))
-        return self
-
-    def build(self):
-        return GrassmannAlgebra(self.variables)

@@ -22,10 +22,7 @@ from .algebra import AlgebraError, Element, Generator, Presentation, TermMap
 from .kernel import accumulate
 from .linalg import SpanSolver, span_dimension
 from .scalars import ONE, QINV, Scalar, ScalarError
-from .supergroup import build_slq41, comultiply, minor
-
-MINOR_ORDER = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
-               (1, 5), (2, 5), (3, 5), (4, 5), (5, 5)]
+from .supergroup import MINOR_ORDER, build_slq41, comultiply, minor
 
 
 class ClosureError(RuntimeError):
@@ -191,9 +188,8 @@ def straightening_presentation():
     """
     table = closure_table()
     minors = minor_set()
-    gens = [Generator(m.name, m.rows, m.parity(), r)
-            for r, m in enumerate(minors)]
-    pres = Presentation(gens)
+    pres = Presentation(Generator(m.name, m.parity(), r)
+                        for r, m in enumerate(minors))
     for (a, b), e in sorted(table.entries.items()):
         if e.kind == "trivial":
             continue
@@ -432,18 +428,11 @@ def build_chiral_presentation():
     """Abstract presentation on t31 < t32 < t41 < t42 < tau51 < tau52:
     the rules of chiral_relations, and the odd squares."""
     parities = (0, 0, 0, 0, 1, 1)
-    pres = Presentation(Generator(n, _chiral_index(n), p, r)
-                        for r, (n, p) in enumerate(zip(CHIRAL_NAMES,
-                                                       parities)))
+    pres = Presentation(Generator(n, p, r) for r, (n, p)
+                        in enumerate(zip(CHIRAL_NAMES, parities)))
     for _family, lhs, rhs in chiral_relations():
         pres.add_rule(*_ranked(pres, lhs, rhs))
     return pres
-
-
-def _chiral_index(name):
-    inside = name[name.index("[") + 1:-1]
-    i, j = inside.split(",")
-    return (int(i), int(j))
 
 
 def supercommutative_dimension(n_even, n_odd, d):

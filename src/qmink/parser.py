@@ -15,6 +15,8 @@ from __future__ import annotations
 import re
 from itertools import islice
 
+from .supergroup import MINOR_ORDER
+
 
 class ExprSyntaxError(ValueError):
     def __init__(self, message, line, col):
@@ -95,9 +97,6 @@ _TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9]*|\d+|\^|\*|\+|-|\(|\)|\[|\]|,|;|\S")
 # accepts; the CLI's evaluator recurses over the tree, so deeper input
 # is a syntax error rather than a RecursionError there
 MAX_DEPTH = 100
-
-_MINOR_PAIRS = {(i, j) for i in range(1, 4) for j in range(i + 1, 5)} \
-    | {(i, 5) for i in range(1, 5)} | {(5, 5)}
 
 
 def _tokenize(text):
@@ -188,7 +187,7 @@ def _atom(text, tokens, k):
             ok = 1 <= i <= 5 and 1 <= j <= 5
             message = "a[%d,%d] out of range 1..5"
         elif tok == "D":
-            ok = (i, j) in _MINOR_PAIRS
+            ok = (i, j) in MINOR_ORDER
             message = "D[%d,%d] is not a quantum minor"
         elif tok == "t":
             ok = i in (3, 4) and j in (1, 2)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .classical import GI, SuperPoincareElement, real_group_element
-from .grassmann import GrassmannMatrix, GrassmannRational, SymbolSpec
+from .grassmann import GrassmannMatrix, GrassmannRational, symbols
 from .kernel import accumulate
 from .linalg import kernel_basis
 from .scalars import GaussRational
@@ -218,13 +218,11 @@ def su22_conditions_hold():
 
 def poincare_group_algebra():
     """Symbols for a generic and a reduced super Poincare element."""
-    sp = SymbolSpec.empty()
-    sp.even("l11", "l12", "l21", "l22",
-            "r11", "r12", "r21", "r22",
-            "m11", "m12", "m21", "m22", "d", "t12")
-    sp.even_self("t11", "t22", "u")
-    sp.odd("x1", "x2", "f1", "f2")
-    return sp.build()
+    return symbols(even=("l11", "l12", "l21", "l22",
+                         "r11", "r12", "r21", "r22",
+                         "m11", "m12", "m21", "m22", "d", "t12"),
+                   real=("t11", "t22", "u"),
+                   odd=("x1", "x2", "f1", "f2"))
 
 
 def generic_element(ga):

@@ -19,22 +19,27 @@ from .scalars import ONE, QINV, Scalar
 
 # a[i,j] runs over 1 <= i, j <= SIZE; index SIZE is the odd one
 SIZE = 5
+# rank -> (i, j) of a[i,j], row-major
+INDICES = tuple((i, j) for i in range(1, SIZE + 1) for j in range(1, SIZE + 1))
+
+# the column-(1,2) minors D[i,j] in table order
+MINOR_ORDER = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
+               (1, 5), (2, 5), (3, 5), (4, 5), (5, 5))
 
 
 def index_parity(i):
     return 1 if i == SIZE else 0
 
 
+def _rank(i, j):
+    return (i - 1) * SIZE + j - 1
+
+
 def manin_generators():
     """Row-major a[i,j] generators for M_q(4|1)."""
-    gens = []
-    rank = 0
-    for i in range(1, SIZE + 1):
-        for j in range(1, SIZE + 1):
-            par = (index_parity(i) + index_parity(j)) % 2
-            gens.append(Generator("a[%d,%d]" % (i, j), (i, j), par, rank))
-            rank += 1
-    return gens
+    return [Generator("a[%d,%d]" % (i, j),
+                      (index_parity(i) + index_parity(j)) % 2, r)
+            for r, (i, j) in enumerate(INDICES)]
 
 
 @lru_cache(maxsize=None)
@@ -43,13 +48,12 @@ def build_slq41():
     quantum supergroup presentation used everywhere downstream."""
     gens = manin_generators()
     pres = Presentation(gens)
-    by_index = {g.index: g for g in gens}
     qm1 = QINV - Scalar.q_pow(1)  # q^-1 - q
     for g in gens:
         for h in gens:
             if g.rank >= h.rank:
                 continue
-            (i, j), (k, l) = g.index, h.index
+            (i, j), (k, l) = INDICES[g.rank], INDICES[h.rank]
             sign = ONE if not (g.parity and h.parity) else -ONE
             if i == k:
                 # same row, j < l: g h = sign * q^eps * h g
@@ -65,7 +69,7 @@ def build_slq41():
                 pres.add_rule((h.rank, g.rank), {(g.rank, h.rank): sign})
             else:
                 # i < k, j < l: g h = sign * h g + sign (q^-1 - q) a_kj a_il
-                w = (by_index[(k, j)].rank, by_index[(i, l)].rank)
+                w = (_rank(k, j), _rank(i, l))
                 pres.add_rule((h.rank, g.rank),
                               {(g.rank, h.rank): sign, w: -qm1})
     return pres
@@ -76,14 +80,9 @@ def build_slq41():
 
 def _delta_gen(pres, rank):
     """Delta(a[i,j]) = sum_k a[i,k] (x) a[k,j]."""
-    g = pres.generators[rank]
-    i, j = g.index
-    terms = {}
-    for k in range(1, SIZE + 1):
-        u = pres.generator("a[%d,%d]" % (i, k)).rank
-        v = pres.generator("a[%d,%d]" % (k, j)).rank
-        terms[((u,), (v,))] = ONE
-    return TensorPoly(pres, terms)
+    i, j = INDICES[rank]
+    return TensorPoly(pres, {((_rank(i, k),), (_rank(k, j),)): ONE
+                             for k in range(1, SIZE + 1)})
 
 
 @lru_cache(maxsize=None)
@@ -128,8 +127,7 @@ class QuantumMinor:
 
 def minor(i, j):
     """Column-(1,2) quantum minor D[i,j] of the Grassmannian generators."""
-    valid = (1 <= i < j <= 4) or (1 <= i <= 4 and j == 5) or (i == j == 5)
-    if not valid:
+    if (i, j) not in MINOR_ORDER:
         raise ValueError("invalid minor index pair (%d, %d)" % (i, j))
     if (i, j) == (5, 5):
         value = build_slq41().word(["a[5,1]", "a[5,2]"])

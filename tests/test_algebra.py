@@ -29,26 +29,22 @@ from tuple_words import decoded, grassmann_algebra
 
 def manin_presentation_even(n):
     """Manin relations for the all-even quantum n x n matrix bialgebra."""
-    gens = []
-    rank = 0
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            gens.append(Generator("a[%d,%d]" % (i, j), (i, j), 0, rank))
-            rank += 1
+    indices = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    gens = [Generator("a[%d,%d]" % ij, 0, r) for r, ij in enumerate(indices)]
     pres = Presentation(gens)
-    by_index = {g.index: g for g in gens}
+    rank = {ij: r for r, ij in enumerate(indices)}
     qm1 = QINV - Q
     for g in gens:
         for h in gens:
             if g.rank >= h.rank:
                 continue
-            (i, j), (k, l) = g.index, h.index
+            (i, j), (k, l) = indices[g.rank], indices[h.rank]
             if i == k or j == l:
                 pres.add_rule((h.rank, g.rank), {(g.rank, h.rank): Q})
             elif j > l:
                 pres.add_rule((h.rank, g.rank), {(g.rank, h.rank): ONE})
             else:
-                w = (by_index[(k, j)].rank, by_index[(i, l)].rank)
+                w = (rank[(k, j)], rank[(i, l)])
                 pres.add_rule((h.rank, g.rank),
                               {(g.rank, h.rank): ONE, w: -qm1})
     return pres
@@ -305,7 +301,7 @@ def test_raw_word_products():
     assert (pres.zero() * t_s).terms == {}
     # parity is read off the words of a quantum presentation on the same
     # letters; no production path asks a Grassmann element for it
-    quantum = Presentation([Generator(n, (r,), p, r)
+    quantum = Presentation([Generator(n, p, r)
                             for r, (n, p) in enumerate(
                                 (("e", 0), ("s", 1), ("t", 1)))])
     s, t, e = quantum.gen("s"), quantum.gen("t"), quantum.gen("e")
@@ -374,7 +370,7 @@ def test_mq2_confluence():
 
 
 def test_single_rule_presentation_trivially_confluent():
-    gens = [Generator(n, (r,), 0, r) for r, n in enumerate("abc")]
+    gens = [Generator(n, 0, r) for r, n in enumerate("abc")]
     pres = Presentation(gens)
     pres.add_rule((1, 0), {(0, 1): ONE})  # ba -> ab only
     assert overlap_words(pres) == []
@@ -382,7 +378,7 @@ def test_single_rule_presentation_trivially_confluent():
 
 def corrupted_mq2():
     """The quantum 2x2 relations with one q replaced by q^2."""
-    gens = [Generator("a[%d,%d]" % (i, j), (i, j), 0, 2 * (i - 1) + (j - 1))
+    gens = [Generator("a[%d,%d]" % (i, j), 0, 2 * (i - 1) + (j - 1))
             for i in (1, 2) for j in (1, 2)]
     pres = Presentation(gens)
     qm1 = QINV - Q
@@ -584,7 +580,7 @@ def test_nf_word_pops_a_word_pushed_twice():
     # (1,0,0) -> (0,1,0) + (0,2,0), and (0,2,0) -> (0,1,0) pushes (0,1,0)
     # again before its first copy is reduced; once the second copy is
     # reduced, the first is found in the memo and popped unreduced
-    gens = [Generator(n, (r,), 0, r) for r, n in enumerate("abc")]
+    gens = [Generator(n, 0, r) for r, n in enumerate("abc")]
     pres = Presentation(gens)
     for lhs, rhs in [((1, 0), [(0, 1), (0, 2)]), ((2, 0), [(1, 0)]),
                      ((2, 1), [(1, 2)]), ((2, 2), [(1, 0), (1, 1), (0, 0)])]:
@@ -611,7 +607,7 @@ def test_nf_word_pops_a_word_pushed_twice():
 
 
 def test_rule_validation():
-    gens = [Generator(n, (r,), r % 2, r) for r, n in enumerate("abcd")]
+    gens = [Generator(n, r % 2, r) for r, n in enumerate("abcd")]
     pres = Presentation(gens)
     with pytest.raises(MalformedRuleError):
         pres.add_rule((0, 1), {(2, 3): ONE})  # rhs not below lhs
@@ -630,11 +626,24 @@ def test_rule_validation():
     assert pres.rules == rules
 
 
+def test_rule_letters_must_be_generator_ranks():
+    # the packed key lhs[0]*ngens + lhs[1] would alias an out-of-range
+    # pair onto a real one: (1, -1) onto (0, 3), (0, 5) onto (1, 1)
+    gens = [Generator(n, r % 2, r) for r, n in enumerate("abcd")]
+    pres = Presentation(gens)
+    rules = pres.rules
+    for lhs, rhs in (((1, -1), {}), ((0, 5), {}), ((0, 7), {}),
+                     ((2, 0), {(0, 9): ONE})):
+        with pytest.raises(MalformedRuleError):
+            pres.add_rule(lhs, rhs)
+    assert pres.rules == rules
+
+
 def test_the_kernel_rule_view_follows_add_rule():
     # add_rule writes the kernel's packed-key view of the rule with it:
     # a normal form taken before a rule does not outlive it, and a refused
     # rule leaves the view and the normal forms as they were
-    gens = [Generator(n, (r,), r // 2, r) for r, n in enumerate("abc")]
+    gens = [Generator(n, r // 2, r) for r, n in enumerate("abc")]
     pres = Presentation(gens)
     ba, ab, cc = {(1, 0): ONE}, {(0, 1): ONE}, {(2, 2): ONE}
     assert pres.normal_form(cc) == {}  # the odd square, there from the start

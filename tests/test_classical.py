@@ -18,8 +18,7 @@ from qmink.classical import (RationalMap, SuperPoincareElement,
                              specialize_q1,
                              substitute, super_poincare_chiral_action,
                              superflag_reduce, translation_map)
-from qmink.grassmann import (GrassmannMatrix, GrassmannRational, SymbolSpec,
-                             d_dx)
+from qmink.grassmann import GrassmannMatrix, GrassmannRational, d_dx, symbols
 from qmink.kernel import accumulate
 from qmink.scalars import Q, QINV, GaussRational, Scalar
 from qmink.supergroup import build_slq41
@@ -73,7 +72,7 @@ def test_partial_derivative_matches_the_tuple_words(raw, name):
 
 def test_partial_derivative_refuses_an_odd_generator():
     # an odd derivative needs a Koszul sign, which d_dx does not carry
-    ga = SymbolSpec.empty().even_self("x0").odd_self("th").build()
+    ga = symbols(real=("x0",), real_odd=("th",))
     th = ga.generator("th").rank
     with pytest.raises(ValueError, match="even generator"):
         d_dx(ga.gen("th") * ga.gen("x0"), th)
@@ -205,12 +204,10 @@ def test_pauli_map():
 
 
 def _symbols2():
-    sp = SymbolSpec.empty()
-    sp.even_self(*["%s%d%d" % (p, i, j) for p in ("l", "r", "n", "L", "R",
-                                                  "N", "g")
-                   for i in (1, 2) for j in (1, 2)],
-                 "a1", "a2", "a3", "a4", "e1", "e2", "e3", "e4")
-    return sp.build()
+    return symbols(real=(*["%s%d%d" % (p, i, j)
+                           for p in ("l", "r", "n", "L", "R", "N", "g")
+                           for i in (1, 2) for j in (1, 2)],
+                         "a1", "a2", "a3", "a4", "e1", "e2", "e3", "e4"))
 
 
 def _m2(ga, p):
@@ -282,11 +279,10 @@ def test_big_cell_numeric():
 
 
 def _flag_symbols():
-    sp = SymbolSpec.empty()
-    sp.even_self("b11", "b12", "b21", "b22", "b31", "b32", "b41", "b42",
-                 "b53", "s11", "s12", "s21", "s22")
-    sp.odd_self("d13", "d23", "d33", "d43", "d51", "d52", "o1", "o2")
-    return sp.build()
+    return symbols(real=("b11", "b12", "b21", "b22", "b31", "b32", "b41",
+                         "b42", "b53", "s11", "s12", "s21", "s22"),
+                   real_odd=("d13", "d23", "d33", "d43", "d51", "d52", "o1",
+                             "o2"))
 
 
 def test_twistor_generic():
@@ -372,12 +368,10 @@ def test_twistor_preconditions():
 
 
 def _action_setup():
-    sp = SymbolSpec.empty()
-    sp.even("r11", "r12", "r21", "r22", "R11", "R12", "R21", "R22",
-            "t12", "T12", "c12")
-    sp.even_self("t11", "t22", "T11", "T22", "u", "U", "c11", "c22")
-    sp.odd("x1", "x2", "X1", "X2", "th1", "th2")
-    ga = sp.build()
+    ga = symbols(even=("r11", "r12", "r21", "r22", "R11", "R12", "R21", "R22",
+                       "t12", "T12", "c12"),
+                 real=("t11", "t22", "T11", "T22", "u", "U", "c11", "c22"),
+                 odd=("x1", "x2", "X1", "X2", "th1", "th2"))
     g1 = real_group_element(ga, ("r11", "r12", "r21", "r22"), ("x1", "x2"),
                             ("t11", "t12", "t22"), "u")
     g2 = real_group_element(ga, ("R11", "R12", "R21", "R22"), ("X1", "X2"),

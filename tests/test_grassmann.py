@@ -12,7 +12,7 @@ from qmink import grassmann
 from qmink.algebra import Element, TermMap
 from qmink.checks import run_suite
 from qmink.grassmann import GrassmannAlgebra, GrassmannMatrix, \
-    GrassmannRational, exact_divide, rational_sum
+    GrassmannRational, exact_divide, rational_sum, symbols
 from qmink.scalars import GaussRational, Scalar
 
 import tuple_words
@@ -229,6 +229,17 @@ def test_star_swaps_partners_with_koszul_signs():
     # (a b u)* = b a v = -a b v, with i -> -i
     assert ref[(0, 1, 3)] == i
     assert ga.star(ga.star(el)) == el
+
+
+def test_symbols_rank_order_and_partners():
+    # each even name then its partner, the real evens, each odd name then
+    # its partner, the real odds: the variable lists of the suites' algebras
+    ga = symbols(even=("a",), real=("b",), odd=("c",), real_odd=("d",))
+    assert [g.name for g in ga.generators] == ["a", "a*", "b", "c", "c*", "d"]
+    assert ga.parities == (0, 0, 0, 1, 1, 1)
+    for name, image in (("a", "a*"), ("a*", "a"), ("b", "b"), ("c", "c*"),
+                        ("c*", "c"), ("d", "d")):
+        assert ga.star(ga.gen(name)) == ga.gen(image)
 
 
 # Rational arithmetic, over the algebra's own ring Q(i).  Denominator

@@ -5,9 +5,10 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qmink.parser import (_MINOR_PAIRS, _TOKEN, MAX_DEPTH, Atom,
-                          ExprSyntaxError, ImagUnit, IntLit, Neg, Prod, QPow,
-                          Sum, UnknownAtomError, _tokenize, atom_text, parse)
+from qmink.parser import (_TOKEN, MAX_DEPTH, Atom, ExprSyntaxError, ImagUnit,
+                          IntLit, Neg, Prod, QPow, Sum, UnknownAtomError,
+                          _tokenize, atom_text, parse)
+from qmink.supergroup import MINOR_ORDER
 
 
 def to_text(node):
@@ -366,7 +367,7 @@ class _Parser:
                 raise self.error("a[%d,%d] out of range 1..5" % (i, j), k,
                                  UnknownAtomError)
         elif kind == "D":
-            if (i, j) not in _MINOR_PAIRS:
+            if (i, j) not in MINOR_ORDER:
                 raise self.error("D[%d,%d] is not a quantum minor" % (i, j),
                                  k, UnknownAtomError)
         elif kind == "t":

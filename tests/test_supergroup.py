@@ -107,13 +107,15 @@ def test_agreeing_overlaps_build_no_difference(monkeypatch):
 def test_comultiply_unit_and_generator():
     pres = build_slq41()
     assert comultiply(pres.one()).terms == {((), ()): ONE}
-    d = comultiply(pres.gen("a[1,1]"))
-    expected = {}
-    for k in range(1, 6):
-        u = (rank(pres, "a[1,%d]" % k),)
-        v = (rank(pres, "a[%d,1]" % k),)
-        expected[(u, v)] = ONE
-    assert d.terms == expected
+    # every generator, its slots looked up by name: Delta's ranks are
+    # computed, and must name a[i,k] (x) a[k,j]
+    for i in range(1, 6):
+        for j in range(1, 6):
+            d = comultiply(pres.gen("a[%d,%d]" % (i, j)))
+            assert d.terms == {
+                ((rank(pres, "a[%d,%d]" % (i, k)),),
+                 (rank(pres, "a[%d,%d]" % (k, j)),)): ONE
+                for k in range(1, 6)}
 
 
 def test_comultiplication_is_algebra_map():
