@@ -22,7 +22,8 @@ SIZE = 5
 # rank -> (i, j) of a[i,j], row-major
 INDICES = tuple((i, j) for i in range(1, SIZE + 1) for j in range(1, SIZE + 1))
 
-# the column-(1,2) minors D[i,j] in table order
+# the eleven column-(1,2) minors D[i,j], in the order of the closure
+# table and of the Grassmannian's generators; no other pair is a minor
 MINOR_ORDER = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
                (1, 5), (2, 5), (3, 5), (4, 5), (5, 5))
 
