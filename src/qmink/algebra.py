@@ -385,7 +385,7 @@ def overlap_words(pres):
 
 
 def resolve_overlap(pres, word):
-    """Reduce the overlap word both ways; returns (agree, difference).
+    """Reduce the overlap word both ways; returns their difference.
 
     Normal forms are canonical and store no zero coefficient, so the two
     reductions agree exactly when their term dicts are equal, and the
@@ -403,6 +403,5 @@ def resolve_overlap(pres, word):
     left = pres.normal_form(left)
     right = pres.normal_form(right)
     if left == right:
-        return True, {}
-    diff = accumulate(left, ((k, -v) for k, v in right.items()))
-    return not diff, diff
+        return {}
+    return accumulate(left, ((k, -v) for k, v in right.items()))

@@ -77,7 +77,7 @@ def _overlap_records(pres, anchor):
         text = pres.word_text(word)
 
         def thunk(word=word):
-            return _vanishes(Element(pres, resolve_overlap(pres, word)[1]))
+            return _vanishes(Element(pres, resolve_overlap(pres, word)))
 
         checks.append(("overlap:%s" % text,
                        "both reductions of %s agree" % text, anchor, thunk))
@@ -111,10 +111,9 @@ def _suite_manin_confluence():
 
 
 def _suite_grassmannian_closure():
-    table = closure_table()
     names = [m.name for m in minor_set()]
     checks = []
-    for (a, b), entry in sorted(table.entries.items()):
+    for (a, b), entry in sorted(closure_table().items()):
         if entry.kind == "square":
             stmt = "%s^2 lies in the span of sorted minor products" % names[a]
         elif entry.kind == "trivial":
@@ -570,7 +569,7 @@ def _suite_su221_dimensions():
                           "got (%d, %d)" % (even, odd))
 
     def conditions():
-        _dims, failures = realforms.su22_conditions_hold()
+        failures = realforms.su22_conditions_hold()
         return _pass_fail(not failures, "; ".join(failures))
 
     return [

@@ -148,7 +148,7 @@ def closure_table_data():
         return "%s*%s" % (names[pair[0]], names[pair[1]])
 
     entries = []
-    for (a, b), e in sorted(table.entries.items()):
+    for (a, b), e in sorted(table.items()):
         entries.append({
             "left": names[b],
             "right": names[a],
@@ -160,7 +160,7 @@ def closure_table_data():
             "ok": e.ok,
         })
     return {"table": "closure", "minor_order": names, "entries": entries,
-            "all_ok": table.all_ok}
+            "all_ok": all(e.ok for e in table.values())}
 
 
 def conformal_table_data():

@@ -22,10 +22,6 @@ from .kernel import accumulate
 from .scalars import ONE, GaussRational
 
 
-class DegenerateBasisError(ValueError):
-    pass
-
-
 def _word_key(w):
     return (len(w), w)
 
@@ -74,13 +70,15 @@ class SpanSolver:
         return row, trans, scale
 
     def add(self, vec):
-        """Add a basis vector; returns True when it enlarges the span."""
+        """Add a basis vector; returns True when it enlarges the span.
+
+        A vector with no nonzero coefficient is dependent, like any other
+        that leaves the span as it is: it takes an index and no pivot.
+        """
         idx = self.nbasis
         self.nbasis += 1
-        row = {w: c for w, c in vec.items() if c}
-        if not row:
-            raise DegenerateBasisError("zero vector in basis (index %d)" % idx)
-        row, trans, _scale = self._eliminate(row, {idx: self.unit})
+        row, trans, _scale = self._eliminate(
+            {w: c for w, c in vec.items() if c}, {idx: self.unit})
         if not row:
             return False
         lead = max(row, key=_word_key)
@@ -109,8 +107,7 @@ class SpanSolver:
 def span_dimension(vectors):
     solver = SpanSolver()
     for v in vectors:
-        if v:
-            solver.add(v)
+        solver.add(v)
     return solver.rank
 
 
@@ -118,30 +115,19 @@ def kernel_basis(rows, ncols):
     """Basis of {v : rows v = 0} over Q(i), one vector per free column.
 
     Column c of the GaussRational rows goes into a SpanSolver as the
-    vector {(r,): rows[r][c]}.  A zero column, or one that ``add`` finds
-    dependent, is free; its basis vector is one at the column, minus its
-    coordinates over the earlier pivot columns: the RREF basis.
+    vector {(r,): rows[r][c]}, so solver index c is column c.  A column
+    that ``add`` finds dependent, a zero one included, is free; its basis
+    vector is one at the column, minus its coordinates over the earlier
+    pivot columns: the RREF basis.
     """
     solver = SpanSolver(GaussRational(1))
-    cols = [{(r,): row[c] for r, row in enumerate(rows) if row[c]}
-            for c in range(ncols)]
-    added = []  # the column of each solver index
-    free = []
-    for c, col in enumerate(cols):
-        if col:
-            added.append(c)
-            if solver.add(col):
-                continue
-        free.append(c)
+    cols = [{(r,): row[c] for r, row in enumerate(rows)} for c in range(ncols)]
+    free = [c for c, col in enumerate(cols) if not solver.add(col)]
     basis = []
     for f in free:
-        vec = [solver.zero] * ncols
+        scale, coords = solver.express(cols[f])
+        inv = scale.inverse_of_unit()
+        vec = [-(c * inv) if c else solver.zero for c in coords]
         vec[f] = solver.unit
-        if cols[f]:
-            scale, coords = solver.express(cols[f])
-            inv = scale.inverse_of_unit()
-            for j, c in enumerate(coords):
-                if c:
-                    vec[added[j]] = -(c * inv)
         basis.append(vec)
     return basis

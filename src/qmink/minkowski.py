@@ -56,24 +56,6 @@ class ClosureEntry:
     witness: str = ""
 
 
-@dataclass
-class QCommutationTable:
-    entries: dict
-    all_ok: bool
-
-    def d12_exponents(self):
-        """Exchange exponents of every minor against D[1,2] (index 0)."""
-        out = {0: 0}
-        for b in range(1, len(MINOR_ORDER)):
-            e = self.entries[(0, b)]
-            if not (e.ok and e.sign == 1 and not e.correction):
-                raise LocalizationError(
-                    "D[1,2] does not q-commute purely with %s: %s"
-                    % (minor_set()[b].name, e.witness or "correction present"))
-            out[b] = e.exponent
-        return out
-
-
 def _lead_word(terms):
     return max(terms, key=lambda w: (len(w), w))
 
@@ -91,14 +73,16 @@ def _unit_ratio(x, y):
     return None
 
 
-def _closure_entry(a, b, minors, products, solver, basis_pairs):
+def _closure_entry(a, b, minors, products, solver):
     """The reordering identity for D_b D_a (a <= b), derived or refuted.
 
     An even nonzero square is trivial.  Otherwise the reversed product
     (or the square) is the target; when a < b and the sorted product
     D_a D_b is nonzero, its +-q^e multiple is split off as the lead.
     What remains must lie in the span of the sorted minor products, with
-    coordinates in Z[i][q, q^-1], the ring Scalar computes in.
+    coordinates in Z[i][q, q^-1], the ring Scalar computes in.  The
+    solver holds the values of products in key order, so coordinate j
+    belongs to the j-th key of products.
     """
     ab = products[(a, b)]
     if a == b:
@@ -127,14 +111,13 @@ def _closure_entry(a, b, minors, products, solver, basis_pairs):
                             % ("square" if a == b else "correction"))
     scale, coords = found
     corr = {}
-    for j, c in enumerate(coords):
+    for (c1, c2), c in zip(products, coords):
         if not c:
             continue
         try:
-            corr[basis_pairs[j]] = c.exact_div(scale)
+            corr[(c1, c2)] = c.exact_div(scale)
         except ScalarError as exc:
             # exc says "not a Laurent polynomial", or adds "over Z[i]"
-            c1, c2 = basis_pairs[j]
             return ClosureEntry(sign, exp, {}, kind, False,
                                 "coefficient (%s)/(%s) of %s*%s is %s"
                                 % (c.to_text(), scale.to_text(),
@@ -146,31 +129,22 @@ def _closure_entry(a, b, minors, products, solver, basis_pairs):
 def closure_table():
     """Re-derive the reordering identities among the eleven minors.
 
-    For every ordered pair the normal form of the reversed (or squared)
-    product is expressed over sorted minor products by exact linear
-    algebra; absence of a solution falsifies the closure claim and is
-    recorded (kind/ok), not raised.
+    Returns a dict (a, b) -> ClosureEntry, one per a <= b.  For every
+    pair the normal form of the reversed (or squared) product is
+    expressed over the sorted minor products D_a D_b (a <= b) by exact
+    linear algebra; the solver takes each, a vanishing one (an odd
+    square) as dependent.  Absence of a solution falsifies the closure
+    claim and is recorded (kind/ok), not raised.
     """
     minors = minor_set()
     n = len(minors)
     products = {(a, b): minors[a].value * minors[b].value
                 for a in range(n) for b in range(a, n)}
-    # sorted products: strict pairs plus even squares
-    basis_pairs = []
     solver = SpanSolver()
-    for a in range(n):
-        for b in range(a, n):
-            if a == b and minors[a].parity() == 1:
-                continue
-            p = products[(a, b)]
-            if not p:
-                continue
-            solver.add(p.terms)
-            basis_pairs.append((a, b))
-    entries = {(a, b): _closure_entry(a, b, minors, products, solver,
-                                      basis_pairs)
-               for a in range(n) for b in range(a, n)}
-    return QCommutationTable(entries, all(e.ok for e in entries.values()))
+    for p in products.values():
+        solver.add(p.terms)
+    return {key: _closure_entry(*key, minors, products, solver)
+            for key in products}
 
 
 def straightening_presentation():
@@ -186,11 +160,10 @@ def straightening_presentation():
     through the ambient algebra.  An odd minor's square, zero in the
     table, is the rule the presentation already has.
     """
-    table = closure_table()
     minors = minor_set()
     pres = Presentation(Generator(m.name, m.parity(), r)
                         for r, m in enumerate(minors))
-    for (a, b), e in sorted(table.entries.items()):
+    for (a, b), e in sorted(closure_table().items()):
         if e.kind == "trivial":
             continue
         where = "%s*%s" % (minors[b].name, minors[a].name)
@@ -323,8 +296,23 @@ class LocalElement(TermMap):
 
 @lru_cache(maxsize=None)
 def localized():
-    """Adjoin D12inv after verifying pure q-commutation of D[1,2]."""
-    return LocalizedAlgebra(minor_set(), closure_table().d12_exponents())
+    """Adjoin D12inv after verifying pure q-commutation of D[1,2].
+
+    Reads the exchange exponent of every minor against D[1,2] (index 0)
+    from the closure table; raises LocalizationError when an entry
+    failed, has a minus sign or carries a correction.
+    """
+    minors = minor_set()
+    table = closure_table()
+    exponents = {0: 0}
+    for b in range(1, len(minors)):
+        e = table[(0, b)]
+        if not (e.ok and e.sign == 1 and not e.correction):
+            raise LocalizationError(
+                "D[1,2] does not q-commute purely with %s: %s"
+                % (minors[b].name, e.witness or "correction present"))
+        exponents[b] = e.exponent
+    return LocalizedAlgebra(minors, exponents)
 
 
 # -- chiral Minkowski generators ----------------------------------------------

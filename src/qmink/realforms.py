@@ -188,7 +188,8 @@ def _complexified(vec, cells):
 
 
 def su22_conditions_hold():
-    """Every fixed-point basis vector satisfies the displayed conditions.
+    """The conditions that some fixed-point basis vector fails, [] when
+    every one holds.
 
     Even sector: F p + p^+ F = 0 and tr p purely imaginary; odd sector:
     alpha = i F beta^+.
@@ -210,7 +211,7 @@ def su22_conditions_hold():
         beta = _complexified(vec[8:], [(0, j) for j in range(4)])
         if alpha != _scaled(GI, mat_mul(F, mat_dagger(beta))):
             failures.append("alpha != i F beta^+")
-    return (len(even_basis), len(odd_basis)), failures
+    return failures
 
 
 # -- group-level reality ---------------------------------------------------------

@@ -10,7 +10,7 @@ from qmink.algebra import Presentation, TensorPoly
 from qmink.checks import run_suite
 from qmink.cli import normal_form_text
 from qmink.linalg import SpanSolver
-from qmink.minkowski import (MINOR_ORDER, ClosureError,
+from qmink.minkowski import (MINOR_ORDER, ClosureError, LocalizationError,
                              build_chiral_generators,
                              build_chiral_presentation, chiral_normal_words,
                              closure_table, coaction_membership,
@@ -35,9 +35,8 @@ def test_minor_order():
 
 def test_closure_table_complete_and_ok():
     table = closure_table()
-    assert table.all_ok
-    assert len(table.entries) == 66
-    for (a, b), e in table.entries.items():
+    assert len(table) == 66
+    for (a, b), e in table.items():
         assert a <= b
         assert e.ok
 
@@ -53,10 +52,9 @@ def test_corrupted_minor_fails_closure(monkeypatch):
     closure_table.cache_clear()
     try:
         table = closure_table()
-        assert not table.all_ok
-        failing = sorted(k for k, e in table.entries.items() if not e.ok)
+        failing = sorted(k for k, e in table.items() if not e.ok)
         assert failing == [(1, 2), (1, 4), (1, 6), (1, 7)]
-        assert all(table.entries[k].witness for k in failing)
+        assert all(table[k].witness for k in failing)
         with pytest.raises(ClosureError, match=r"D\[1,4\]\*D\[1,3\]"):
             straightening_presentation()
     finally:
@@ -81,18 +79,17 @@ def test_unit_ratio():
 
 def test_non_laurent_correction_fails_its_entry():
     # the square of D[1,5] stands in for w; the one sorted product in the
-    # span is (1 + q)*w, so the correction would be w's coordinate
-    # 1/(1 + q), which is not a Laurent polynomial
+    # span is (1 + q)*w, keyed as D[1,5]*D[1,5], so the correction would
+    # be w's coordinate 1/(1 + q), which is not a Laurent polynomial
     minors = minor_set()
     a = minor_index(1, 5)
     w = build_slq41().word(["a[1,1]", "a[2,2]"])
     solver = SpanSolver()
     solver.add(w.scale(ONE + Q).terms)
-    entry = minkowski._closure_entry(a, a, minors, {(a, a): w}, solver,
-                                     [(0, 1)])
+    entry = minkowski._closure_entry(a, a, minors, {(a, a): w}, solver)
     assert entry.kind == "square" and not entry.ok
     assert not entry.correction
-    assert entry.witness.endswith("of D[1,2]*D[1,3] is not a Laurent "
+    assert entry.witness.endswith("of D[1,5]*D[1,5] is not a Laurent "
                                   "polynomial")
 
 
@@ -107,12 +104,11 @@ def test_correction_outside_gaussian_integers_fails_its_entry(unit):
     w = build_slq41().word(["a[1,1]", "a[2,2]"])
     solver = SpanSolver()
     solver.add(w.scale(unit).terms)
-    entry = minkowski._closure_entry(a, a, minors, {(a, a): w}, solver,
-                                     [(0, 1)])
+    entry = minkowski._closure_entry(a, a, minors, {(a, a): w}, solver)
     assert entry.kind == "square" and not entry.ok
     assert not entry.correction
     assert entry.witness.startswith("coefficient (")
-    assert entry.witness.endswith("of D[1,2]*D[1,3] is not a Laurent "
+    assert entry.witness.endswith("of D[1,5]*D[1,5] is not a Laurent "
                                   "polynomial over Z[i]")
 
 
@@ -152,7 +148,7 @@ def test_closure_identities_reconstruct():
     table = closure_table()
     minors = minor_set()
     vals = [m.value for m in minors]
-    for (a, b), e in sorted(table.entries.items()):
+    for (a, b), e in sorted(table.items()):
         if e.kind == "trivial":
             continue
         if e.kind == "square":
@@ -174,24 +170,42 @@ def test_odd_minor_squares_vanish():
 
 
 def test_d12_q_commutes_purely():
-    table = closure_table()
-    exps = table.d12_exponents()
+    exps = localized().exponents
     # frozen from the derivation: column-sharing minors exchange with q,
     # disjoint ones with q^2
     assert exps == {0: 0, 1: 1, 2: 1, 3: 1, 4: 1, 5: 2,
                     6: 1, 7: 1, 8: 2, 9: 2, 10: 2}
 
 
+def test_corrected_d12_entry_refuses_localization(monkeypatch):
+    # negative control: a correction on D[3,4]*D[1,2] breaks pure
+    # q-commutation, so localized() must refuse to adjoin D12inv.  The
+    # localization is cached: clear it so that it sees the table, and
+    # again so that later tests do not.
+    table = dict(closure_table())
+    key = (minor_index(1, 2), minor_index(3, 4))
+    table[key] = dataclasses.replace(table[key], correction={(1, 4): ONE})
+    monkeypatch.setattr(minkowski, "closure_table", lambda: table)
+    localized.cache_clear()
+    try:
+        with pytest.raises(LocalizationError, match=r"D\[3,4\]"):
+            localized()
+    finally:
+        monkeypatch.undo()
+        localized.cache_clear()
+    assert localized().exponents[minor_index(3, 4)] == 2
+
+
 def test_plucker_corrections():
     # the five interleaved pairs straighten with a D12-type correction
     table = closure_table()
-    corrected = sorted((a, b) for (a, b), e in table.entries.items()
+    corrected = sorted((a, b) for (a, b), e in table.items()
                        if e.kind == "reorder" and e.correction)
     names = [(MINOR_ORDER[a], MINOR_ORDER[b]) for a, b in corrected]
     assert names == [((1, 3), (2, 4)), ((1, 3), (2, 5)), ((1, 4), (2, 5)),
                      ((1, 4), (3, 5)), ((2, 4), (3, 5))]
     for a, b in corrected:
-        e = table.entries[(a, b)]
+        e = table[(a, b)]
         assert e.sign == 1 and e.exponent == 2
 
 

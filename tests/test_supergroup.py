@@ -99,7 +99,7 @@ def test_agreeing_overlaps_build_no_difference(monkeypatch):
     monkeypatch.setattr(Scalar, "__neg__", counted)
     words = overlap_words(pres)
     assert len(words) == 2500
-    assert all(resolve_overlap(pres, w) == (True, {}) for w in words)
+    assert all(resolve_overlap(pres, w) == {} for w in words)
     assert negations == []
     assert -Q == Scalar.term(1, -1) and len(negations) == 1
 
