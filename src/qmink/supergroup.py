@@ -57,8 +57,8 @@ def build_slq41():
             (i, j), (k, l) = INDICES[g.rank], INDICES[h.rank]
             sign = ONE if not (g.parity and h.parity) else -ONE
             if i == k or j == l:
-                # same row (j < l) or column (i < k), sharing index s:
-                # g h = sign * q^eps * h g, eps = 1 when s is odd, else -1
+                # same row (j < l) or same column (i < k):
+                # g h = sign * q^eps * h g, eps set by the shared index
                 eps = 1 if index_parity(i if i == k else j) else -1
                 pres.add_rule((h.rank, g.rank),
                               {(g.rank, h.rank): sign * Scalar.q_pow(-eps)})
