@@ -81,8 +81,8 @@ def _closure_entry(a, b, minors, products, solver):
     D_a D_b is nonzero, its +-q^e multiple is split off as the lead.
     What remains must lie in the span of the sorted minor products, with
     coordinates in Z[i][q, q^-1], the ring Scalar computes in.  The
-    solver holds the values of products in key order, so coordinate j
-    belongs to the j-th key of products.
+    solver holds products' values in key order (zero for an odd
+    square), so coordinate j belongs to the j-th key of products.
     """
     ab = products[(a, b)]
     if a == b:
@@ -132,17 +132,17 @@ def closure_table():
     Returns a dict (a, b) -> ClosureEntry, one per a <= b.  For every
     pair the normal form of the reversed (or squared) product is
     expressed over the sorted minor products D_a D_b (a <= b) by exact
-    linear algebra; the solver takes each, a vanishing one (an odd
-    square) as dependent.  Absence of a solution falsifies the closure
-    claim and is recorded (kind/ok), not raised.
+    linear algebra; an odd square's slot holds the zero vector, so the
+    square must lie in the span of the others.  Absence of a solution
+    falsifies the closure claim and is recorded (kind/ok), not raised.
     """
     minors = minor_set()
     n = len(minors)
     products = {(a, b): minors[a].value * minors[b].value
                 for a in range(n) for b in range(a, n)}
     solver = SpanSolver()
-    for p in products.values():
-        solver.add(p.terms)
+    for (a, b), p in products.items():
+        solver.add(p.terms if a < b or minors[a].parity() == 0 else {})
     return {key: _closure_entry(*key, minors, products, solver)
             for key in products}
 

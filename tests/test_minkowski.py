@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from qmink import checks, minkowski, supergroup
+from qmink import checks, cli, minkowski, supergroup
 from qmink.algebra import Presentation, TensorPoly
 from qmink.checks import run_suite
 from qmink.cli import normal_form_text
@@ -57,8 +57,35 @@ def test_corrupted_minor_fails_closure(monkeypatch):
         assert all(table[k].witness for k in failing)
         with pytest.raises(ClosureError, match=r"D\[1,4\]\*D\[1,3\]"):
             straightening_presentation()
+        assert cli.closure_table_data()["all_ok"] is False
     finally:
         closure_table.cache_clear()
+
+
+def test_odd_minor_with_nonzero_square_fails_its_square_record(monkeypatch):
+    # negative control: D[1,5] replaced by a[1,1]*a[5,2] + a[1,2]*a[5,1],
+    # odd like D[1,5] but with a nonzero square.  The square is no basis
+    # product, so it must lie in the span of the others, and it does not.
+    # The closure table is cached: clear it so that it sees the mutation,
+    # and again so that later tests do not.
+    a = minor_index(1, 5)
+    minors = list(minor_set())
+    odd = (build_slq41().word(["a[1,1]", "a[5,2]"])
+           + build_slq41().word(["a[1,2]", "a[5,1]"]))
+    assert odd.parity() == 1 and odd * odd
+    minors[a] = dataclasses.replace(minors[a], value=odd)
+    monkeypatch.setattr(minkowski, "minor_set", lambda: tuple(minors))
+    closure_table.cache_clear()
+    try:
+        entry = closure_table()[(a, a)]
+        bad = {r.id: r.witness
+               for r in run_suite("grassmannian-closure").records
+               if not r.verdict}
+    finally:
+        closure_table.cache_clear()
+    assert entry.kind == "square" and not entry.ok
+    assert bad["pair:D[1,5]|D[1,5]"] == ("square not in the span of sorted "
+                                         "minor products")
 
 
 def test_unit_ratio():
