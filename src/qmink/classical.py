@@ -248,17 +248,9 @@ def big_cell_reduce(P1):
 # -- superflag big cell and twistor relation ------------------------------------
 
 
-@dataclass
-class SuperflagReduction:
-    A: GrassmannMatrix
-    alpha: GrassmannMatrix
-    B: GrassmannMatrix
-    beta: GrassmannMatrix
-    twistor_holds: bool
-
-
 def superflag_reduce(P1, P2):
-    """Standard forms of a flag pair and the twistor verdict B = A - beta alpha.
+    """Big-cell blocks (A, alpha, B, beta) of the standard forms of a flag
+    pair; the twistor relation says B = A - beta alpha.
 
     P1 is 5x2 (two even columns), P2 is 5x3 (two even and one odd
     column); the top 2x2 blocks and the (5,3) entry must have
@@ -277,10 +269,7 @@ def superflag_reduce(P1, P2):
     rows125 = GrassmannMatrix.vstack(P2.block(0, 2, 0, 3), P2.block(4, 5, 0, 3))
     h = rows125.inverse()
     P2std = P2 * h
-    B = P2std.block(2, 4, 0, 2)
-    beta = P2std.block(2, 4, 2, 3)
-    ok = B == A - beta * alpha
-    return SuperflagReduction(A, alpha, B, beta, ok)
+    return A, alpha, P2std.block(2, 4, 0, 2), P2std.block(2, 4, 2, 3)
 
 
 # -- the super Poincare group and its chiral action -----------------------------

@@ -330,9 +330,26 @@ class GrassmannAlgebra:
                         del out[w]
         return out
 
-    def check_factor(self, f):
-        """Raise unless f can be a denominator factor: a nonzero odd-free
-        Element of this algebra."""
+    def split_factor(self, f, out):
+        """Write the odd-free factor f over the factor basis.
+
+        Appends to out the basis members whose product is f up to a
+        constant, and returns the inverse of that constant, or None when
+        the product is f itself.  A member passes through by identity.  Any
+        other factor must be a nonzero odd-free Element of this algebra, or
+        this raises; one equal to a member is that member, and any other
+        is trial-divided by the members, earliest first; a member that
+        divides it is appended, and the quotient is split in turn.  A
+        quotient that no member divides joins the basis, so no member
+        divides a later one.  This is factor refinement (Bach, Driscoll &
+        Shallit, J. Algorithms 15, 1993) in one direction: the factors of a
+        sum's lcm do not divide one another, except a member that arrived
+        before its own divisor.
+        """
+        members = self._member_ids
+        if id(f) in members:
+            out.append(f)
+            return None
         if not isinstance(f, Element):
             raise TypeError(f)
         if f.alg is not self:
@@ -341,27 +358,6 @@ class GrassmannAlgebra:
             raise ZeroDivisionError("zero denominator factor")
         if self.soul(f):
             raise ValueError("denominator factors must be odd-free")
-
-    def split_factor(self, f, out):
-        """Write the odd-free factor f over the factor basis.
-
-        Appends to out the basis members whose product is f up to a
-        constant, and returns the inverse of that constant, or None when
-        the product is f itself.  A member passes through by identity, and
-        a factor equal to a member is that member.  Any other factor, which
-        must be an Element of this algebra, is trial-divided by the
-        members, earliest first; a member that divides it is appended, and
-        the quotient is split in turn.  A quotient that no member divides
-        joins the basis, so no member divides a later one.  This is factor
-        refinement (Bach, Driscoll & Shallit, J. Algorithms 15, 1993) in
-        one direction: the factors of a sum's lcm do not divide one
-        another, except a member that arrived before its own divisor.
-        """
-        members = self._member_ids
-        if id(f) in members:
-            out.append(f)
-            return None
-        self.check_factor(f)
         basis = self.factor_basis
         while True:
             # a constant: the empty word packs to 0
@@ -473,18 +469,15 @@ class GrassmannRational:
 
     def _normalize(self):
         ga = self.ga
-        if not self.num:
-            for f in self.den:  # zero over a bad factor is no zero
-                if id(f) not in ga._member_ids:
-                    ga.check_factor(f)
-            self.den = ()
-            return
         factors = []
-        for f in self.den:
+        for f in self.den:  # zero over a bad factor raises too
             unit = ga.split_factor(f, factors)
             if unit is not None:
                 self.num = self.num.scale(unit)
-        self.num, self.den = _cancel(ga, self.num, factors)
+        if self.num:
+            self.num, self.den = _cancel(ga, self.num, factors)
+        else:
+            self.den = ()
 
     def _den_counter(self):
         """Multiplicity of each factor, keyed by id: equal factors are the

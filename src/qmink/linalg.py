@@ -111,21 +111,22 @@ def span_dimension(vectors):
     return solver.rank
 
 
-def kernel_basis(rows, ncols):
-    """Basis of {v : rows v = 0} over Q(i), one vector per free column.
+def kernel_basis(cols):
+    """Basis of {v : sum_c v[c] cols[c] = 0} over Q(i), one vector per
+    free column.
 
-    Column c of the GaussRational rows goes into a SpanSolver as the
-    vector {(r,): rows[r][c]}, so solver index c is column c.  A column
+    Column c, a list of GaussRationals, goes into a SpanSolver as the
+    vector {(r,): cols[c][r]}, so solver index c is column c.  A column
     that ``add`` finds dependent, a zero one included, is free; its basis
     vector is one at the column, minus its coordinates over the earlier
     pivot columns: the RREF basis.
     """
     solver = SpanSolver(GaussRational(1))
-    cols = [{(r,): row[c] for r, row in enumerate(rows)} for c in range(ncols)]
-    free = [c for c, col in enumerate(cols) if not solver.add(col)]
+    vecs = [{(r,): x for r, x in enumerate(col)} for col in cols]
+    free = [c for c, vec in enumerate(vecs) if not solver.add(vec)]
     basis = []
     for f in free:
-        scale, coords = solver.express(cols[f])
+        scale, coords = solver.express(vecs[f])
         inv = scale.inverse_of_unit()
         vec = [-(c * inv) if c else solver.zero for c in coords]
         vec[f] = solver.unit

@@ -457,12 +457,6 @@ def substituted_span_dimension(d):
 # -- coaction -------------------------------------------------------------------
 
 
-@dataclass
-class CoactionRecord:
-    failing_rows: list  # empty exactly when Delta(minor) is a member
-    cofactors: list  # (minor name, {first-slot word: (coord, scale)})
-
-
 @lru_cache(maxsize=None)
 def _minor_span_solver():
     solver = SpanSolver()
@@ -472,42 +466,28 @@ def _minor_span_solver():
 
 
 def coaction_membership(qm):
-    """Check Delta(minor) lies in M_q(4|1) (x) span{minors}.
-
-    Groups the comultiplication by first-slot word and expresses every
-    second-slot polynomial over the eleven minors (in their span over
-    Q(i)(q)); the cofactor of each minor is accumulated as a first-slot
-    polynomial whose coefficients are the quotients coord/scale, kept as
-    (coord, scale) pairs.
-    """
-    minors = minor_set()
+    """Rows of Delta(minor): each first-slot word, in order, maps to its
+    second-slot polynomial expressed over the eleven minors (in their span
+    over Q(i)(q)), as SpanSolver.express gives it, or to None where it
+    leaves the span.  Delta(minor) lies in M_q(4|1) (x) span{minors}
+    exactly when no row is None."""
     solver = _minor_span_solver()
-    t = comultiply(qm.value)
-    cof = [{} for _ in minors]
-    failing = []
-    # first-slot word -> its second-slot polynomial, in one pass
     slots = {}
-    for (u, v), c in t.terms.items():
+    for (u, v), c in comultiply(qm.value).terms.items():
         slots.setdefault(u, {})[v] = c
-    for u in sorted(slots):
-        found = solver.express(slots[u])
-        if found is None:
-            failing.append(u)
-            continue
-        scale, coords = found
-        for mi, c in enumerate(coords):
-            if c:
-                cof[mi][u] = (c, scale)
-    return CoactionRecord(failing, [(m.name, cof[mi])
-                                    for mi, m in enumerate(minors)])
+    return {u: solver.express(slots[u]) for u in sorted(slots)}
 
 
-def cofactor_proportional_to(cofactor, target):
-    """If cofactor == +-q^e * target (word -> (coord, scale) against an
-    Element), return (sign, e); otherwise None.
+def cofactor_proportional_to(rows, mi, target):
+    """If the cofactor of minor mi in the coaction rows is +-q^e * target
+    (an Element), return (sign, e); otherwise None.
 
-    coord/scale == +-q^e * t is checked as coord == +-q^e * (scale * t).
+    The cofactor maps each first-slot word whose row gives minor mi a
+    nonzero coordinate to coord/scale; coord/scale == +-q^e * t is
+    checked as coord == +-q^e * (scale * t).
     """
+    cofactor = {u: (found[1][mi], found[0]) for u, found in rows.items()
+                if found is not None and found[1][mi]}
     if set(cofactor) != set(target.terms):
         return None
     units = {_unit_ratio(c, scale * target.terms[w])

@@ -159,7 +159,7 @@ def _fixed_point_basis(cells, parity):
             d = accumulate({cell: unit}, _scaled(-ONE, img).items())
             cols.append([_part(d.get(c, ZERO), part) for c in cells
                          for part in (0, 1)])
-    return tuple(map(tuple, kernel_basis(list(zip(*cols)), len(cols))))
+    return tuple(map(tuple, kernel_basis(cols)))
 
 
 @lru_cache(maxsize=None)
@@ -173,12 +173,6 @@ def fixed_point_bases():
     even = [(i, j) for i in range(4) for j in range(4)]
     odd = [(i, 4) for i in range(4)] + [(4, j) for j in range(4)]
     return _fixed_point_basis(even, 0), _fixed_point_basis(odd, 1)
-
-
-def fixed_point_dimension():
-    """Real dimensions (even, odd) of the sigma fixed points."""
-    even_basis, odd_basis = fixed_point_bases()
-    return len(even_basis), len(odd_basis)
 
 
 def _complexified(vec, cells):

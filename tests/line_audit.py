@@ -93,12 +93,18 @@ def production_argv():
     return argv + BAD_INPUT_ARGV
 
 
+def child_env():
+    """os.environ with ROOT/src first on PYTHONPATH, so that a child
+    python finds qmink in a checkout where it is not installed."""
+    src, rest = str(ROOT / "src"), os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + rest if rest else src)
+
+
 def _run_child(mode, prefix=str(PACKAGE) + os.sep):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     job = {"mode": mode, "package": prefix, "argv": production_argv()}
     proc = subprocess.run([sys.executable, "-c", _CHILD], input=json.dumps(job),
-                          capture_output=True, text=True, env=env, cwd=ROOT,
-                          timeout=600, check=True)
+                          capture_output=True, text=True, env=child_env(),
+                          cwd=ROOT, timeout=600, check=True)
     return [tuple(x) for x in json.loads(proc.stdout)]
 
 

@@ -17,6 +17,7 @@ from qmink.minkowski import (build_chiral_presentation,
                              supercommutative_dimension)
 from qmink.supergroup import build_slq41
 
+from line_audit import child_env
 from reporting import deterministic
 
 
@@ -163,7 +164,7 @@ def test_cli_contract():
     proc = subprocess.run(
         [sys.executable, "-m", "qmink.cli", "check", "all", "--format",
          "json"],
-        capture_output=True, text=True, timeout=600)
+        capture_output=True, text=True, env=child_env(), timeout=600)
     dt = time.monotonic() - t0
     ok = proc.returncode == 0 and dt < 600.0
     data = json.loads(proc.stdout) if proc.stdout else {}

@@ -21,6 +21,7 @@ from qmink.parser import Atom, ImagUnit, IntLit, Neg, Prod, QPow, Sum
 from qmink.reports import SuiteReport
 from qmink.scalars import I, Scalar
 
+from line_audit import child_env
 from reporting import deterministic
 from test_parser import _exprs, to_text
 
@@ -227,7 +228,7 @@ _OVERSIZED = [
 def test_nf_deep_nesting_is_bad_input(expr, message):
     proc = subprocess.run(
         [sys.executable, "-m", "qmink.cli", "nf", "--algebra", "slq41", "--",
-         expr], capture_output=True, text=True, timeout=60)
+         expr], capture_output=True, text=True, env=child_env(), timeout=60)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and message in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -582,6 +582,35 @@ def test_a_zero_numerator_does_not_skip_the_factor_checks():
     assert zero.den == () and zero == 0
 
 
+@pytest.mark.parametrize("variables, match", [
+    ([("a", 0, "b")], "unknown conjugate partner"),
+    ([("a", 0, "b"), ("b", 0, "b")], "not involutive"),
+    ([("a", 0, "b"), ("b", 1, "a")], "share parity"),
+], ids=["unknown-partner", "not-involutive", "mixed-parity"])
+def test_a_bad_conjugate_table_is_refused(variables, match):
+    with pytest.raises(ValueError, match=match):
+        GrassmannAlgebra(variables)
+
+
+def test_matrix_inverse_refusals_and_pivot_swap():
+    s = GA.gen("s")
+    with pytest.raises(ValueError, match="only square"):
+        GrassmannMatrix(GA, [[1, 0]]).inverse()
+    # an odd entry has zero body, so no pivot can be found
+    with pytest.raises(ZeroDivisionError, match="no invertible pivot"):
+        GrassmannMatrix(GA, [[s]]).inverse()
+    # column 0's pivot is row 1, as s has zero body
+    m = GrassmannMatrix(GA, [[s, 1], [1, s]])
+    assert m * m.inverse() == GrassmannMatrix.identity(GA, 2)
+
+
+def test_rational_inverse_refuses_zero_and_odd():
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        GrassmannRational(GA, GA.zero()).inverse()
+    with pytest.raises(ZeroDivisionError, match="zero body"):
+        GrassmannRational(GA, GA.gen("s")).inverse()
+
+
 def test_matrix_shape_mismatch():
     # + and - refuse operands of different shapes, as * does, instead of
     # cutting both to the smaller one; == answers False

@@ -406,21 +406,21 @@ def test_abstract_presentation_supercommutes_at_q1():
 
 def test_coaction_membership_all_minors():
     for qm in minor_set():
-        rec = coaction_membership(qm)
-        assert not rec.failing_rows, qm.name
+        rows = coaction_membership(qm)
+        assert None not in rows.values(), qm.name
 
 
 def test_coaction_cofactor_pattern_for_d12():
-    rec = coaction_membership(minor_set()[0])
-    minors = minor_set()
-    for (name, cof), m in zip(rec.cofactors, minors):
-        assert cof, "cofactor of %s vanishes" % name
+    rows = coaction_membership(minor_set()[0])
+    for mi, m in enumerate(minor_set()):
+        assert any(coords[mi] for _scale, coords in rows.values()), \
+            "cofactor of %s vanishes" % m.name
         if m.rows == (5, 5):
             continue
         target = general_minor((1, 2), m.rows)
-        prop = cofactor_proportional_to(cof, target.value)
+        prop = cofactor_proportional_to(rows, mi, target.value)
         # quantum Cauchy-Binet: the cofactor is exactly the column minor
-        assert prop == (1, 0), name
+        assert prop == (1, 0), m.name
 
 
 def test_straightener_exists_and_is_order_compatible():
@@ -567,15 +567,16 @@ def test_wrong_delta_term_fails_coaction(monkeypatch):
 def test_empty_cofactor_fails_the_cofactor_pattern(monkeypatch):
     # Delta(D[1,2]) with no D[1,3] term: the empty cofactor is not
     # proportional to Dc[12;13], so the pattern record fails, and the
-    # membership records, which read only the failing rows, still pass.
+    # membership records, which read only which rows are None, still pass.
     # checks imports coaction_membership by name.
     right = minkowski.coaction_membership
+    d13 = minor_index(1, 3)
 
     def emptied(qm):
-        rec = right(qm)
-        rec.cofactors = [(name, {} if name == "D[1,3]" else cof)
-                         for name, cof in rec.cofactors]
-        return rec
+        rows = right(qm)
+        for _scale, coords in rows.values():
+            coords[d13] = Scalar.zero()
+        return rows
 
     monkeypatch.setattr(checks, "coaction_membership", emptied)
     assert false_records("coaction") == {

@@ -11,7 +11,7 @@ from qmink.algebra import Element
 from qmink.classical import GI
 from qmink.grassmann import GrassmannMatrix
 from qmink.realforms import (F, SuperMatrix5, antilinearity,
-                             bracket_compatibility, fixed_point_dimension,
+                             bracket_compatibility, fixed_point_bases,
                              generic_element, mat_dagger, mat_mul,
                              poincare_group_algebra, reduced_element, sigma,
                              sl41_basis, su22_conditions_hold,
@@ -115,7 +115,8 @@ def test_odd_odd_supercommutator_is_even():
 
 
 def test_fixed_point_dimensions():
-    assert fixed_point_dimension() == (16, 8)
+    even, odd = fixed_point_bases()
+    assert (len(even), len(odd)) == (16, 8)
 
 
 def test_su22_conditions():
@@ -267,12 +268,12 @@ def test_dropped_equation_fails_su221_dimensions(monkeypatch):
     # with no other, so one more real direction passes as a fixed point
     # and breaks the conditions
     solve = realforms.kernel_basis
-    dropped = 2 * (0 * 4 + 2) + 1  # row (cell, part) = ((0, 2), imaginary)
+    dropped = 2 * (0 * 4 + 2) + 1  # entry (cell, part) = ((0, 2), imaginary)
 
-    def kernel_without_equation(rows, ncols):
-        if ncols == 32:
-            rows = rows[:dropped] + rows[dropped + 1:]
-        return solve(rows, ncols)
+    def kernel_without_equation(cols):
+        if len(cols) == 32:
+            cols = [col[:dropped] + col[dropped + 1:] for col in cols]
+        return solve(cols)
 
     monkeypatch.setattr(realforms, "kernel_basis", kernel_without_equation)
     assert set(false_records("su221-dimensions")) == \
@@ -378,7 +379,7 @@ def _matrices():
         for k, (src, m) in enumerate(copies):
             dst = (src + k + 1) % len(cols)
             cols[dst] = [m * x for x in cols[src]]
-        return [[c[r] for c in cols] for r in range(len(cols[0]))], len(cols)
+        return cols
 
     shapes = st.tuples(st.integers(1, 5), st.integers(1, 7))
     return shapes.flatmap(build).map(assemble)
@@ -386,17 +387,16 @@ def _matrices():
 
 @settings(max_examples=200, deadline=None)
 @given(_matrices())
-@example(([[0, 1, 2], [0, 2, 4]], 3))
-@example(([[0, 0], [0, 0]], 2))
-@example(([[1, 0, 3, 0, -1], [0, 1, 2, 0, 4], [2, 1, 8, 0, 2]], 5))
-def test_kernel_basis_matches_back_substitution(data):
-    rows, ncols = data
+@example([[0, 0], [1, 2], [2, 4]])
+@example([[0, 0], [0, 0]])
+@example([[1, 0, 2], [0, 1, 1], [3, 2, 8], [0, 0, 0], [-1, 4, 2]])
+def test_kernel_basis_matches_back_substitution(cols):
     got = realforms.kernel_basis(
-        [[GaussRational(x) for x in r] for r in rows], ncols)
+        [[GaussRational(x) for x in c] for c in cols])
     for vec in got:
         assert all(x.im == 0 for x in vec)
     assert [[Fraction(x.re, x.den) for x in vec] for vec in got] == \
-        reference_kernel_basis(rows, ncols)
+        reference_kernel_basis(list(zip(*cols)), len(cols))
 
 
 # the sparse matrices against the dense rows they replaced
