@@ -22,11 +22,6 @@ class AlgebraError(ValueError):
     pass
 
 
-class MalformedRuleError(AlgebraError):
-    """A rule has a letter that is no generator rank, or violates degree
-    preservation, parity, or the monomial order."""
-
-
 @dataclass(frozen=True)
 class Generator:
     name: str
@@ -86,18 +81,18 @@ class Presentation:
             # checked before the packed key is taken: a longer lhs, or a
             # letter out of range, would alias a real pair's key
             if len(w) != 2 or not (0 <= w[0] < n and 0 <= w[1] < n):
-                raise MalformedRuleError("rule word %s is not two generator "
-                                         "ranks" % (w,))
+                raise AlgebraError("rule word %s is not two generator ranks"
+                                   % (w,))
         key = lhs[0] * n + lhs[1]
         if key in self._kernel_rules:
             raise AlgebraError("duplicate rule for %s" % (lhs,))
         lp = self.word_parity(lhs)
         for w in rhs:
             if self.word_parity(w) != lp:
-                raise MalformedRuleError("rule not parity-preserving: %s -> %s"
-                                         % (lhs, w))
+                raise AlgebraError("rule not parity-preserving: %s -> %s"
+                                   % (lhs, w))
             if not w < lhs:
-                raise MalformedRuleError("rhs word %s not below lhs %s" % (w, lhs))
+                raise AlgebraError("rhs word %s not below lhs %s" % (w, lhs))
         self._kernel_rules[key] = tuple(rhs.items())
         self._memo = {}
 

@@ -29,10 +29,6 @@ from .scalars import ONE
 from .supergroup import build_slq41, comultiply, general_minor
 
 
-def _pass_fail(flag, witness=""):
-    return (bool(flag), witness if not flag else "")
-
-
 def _equal(a, b):
     """(a == b, witness); the witness, built only when they differ, names
     the differing components, entries or fields, or prints a - b."""
@@ -93,8 +89,8 @@ def _pbw_records(pres, n_even, n_odd, top, anchor, note=""):
 
         def thunk(d=d, expected=expected):
             got = pres.pbw_dimension(d)
-            return _pass_fail(got == expected,
-                              "degree %d count %d != %d" % (d, got, expected))
+            return (got == expected,
+                    "degree %d count %d != %d" % (d, got, expected))
 
         checks.append(("pbw:%d" % d,
                        "degree-%d normal words number %d (%s%d even + %d odd "
@@ -122,7 +118,7 @@ def _suite_grassmannian_closure():
             stmt = "%s*%s reorders inside the minor span" % (names[b], names[a])
 
         def thunk(entry=entry):
-            return _pass_fail(entry.ok, entry.witness)
+            return entry.ok, entry.witness
 
         checks.append(("pair:%s|%s" % (names[a], names[b]), stmt,
                        "closure of quantum minor commutation relations",
@@ -156,8 +152,8 @@ def _suite_presentation_confluence():
         def thunk(d=d):
             abstract = pres.pbw_dimension(d)
             image = substituted_span_dimension(d)
-            return _pass_fail(abstract == image,
-                              "abstract %d != substituted %d" % (abstract, image))
+            return (abstract == image,
+                    "abstract %d != substituted %d" % (abstract, image))
 
         checks.append(("span:%d" % d,
                        "degree-%d component of the abstract presentation "
@@ -174,8 +170,7 @@ def _suite_coaction():
         def thunk(qm=qm):
             failing = [pres.word_text(u) for u, found
                        in coaction_membership(qm).items() if found is None]
-            return _pass_fail(not failing,
-                              "failing first-slot words: %s" % failing)
+            return not failing, "failing first-slot words: %s" % failing
 
         checks.append(("membership:%s" % qm.name,
                        "second tensor slots of Delta(%s) lie in the minor "
@@ -275,8 +270,8 @@ def _suite_sct_inversion():
 
     def literal_fails():
         k = classical.special_conformal_map(ga, b, variant="literal")
-        return _pass_fail(not (k == inv.compose(tb).compose(inv)),
-                          "the literal variant satisfies the identity")
+        return (not (k == inv.compose(tb).compose(inv)),
+                "the literal variant satisfies the identity")
 
     def composition():
         k1 = classical.special_conformal_map(ga, b)
@@ -544,7 +539,7 @@ def _suite_sigma_involution():
 
     def antilinear():
         failures = realforms.antilinearity()
-        return _pass_fail(not failures, "failures: %s" % failures[:5])
+        return not failures, "failures: %s" % failures[:5]
 
     checks.append(("antilinearity",
                    "sigma(iX) = -i sigma(X) and the trace condition is "
@@ -553,7 +548,7 @@ def _suite_sigma_involution():
 
     def compat():
         failures = realforms.bracket_compatibility()
-        return _pass_fail(not failures, "failing pairs: %s" % failures[:5])
+        return not failures, "failing pairs: %s" % failures[:5]
 
     checks.append(("bracket-compatibility",
                    "sigma([X,Y]) = [sigma X, sigma Y] for all 576 ordered "
@@ -565,12 +560,11 @@ def _suite_sigma_involution():
 def _suite_su221_dimensions():
     def dims():
         even, odd = map(len, realforms.fixed_point_bases())
-        return _pass_fail((even, odd) == (16, 8),
-                          "got (%d, %d)" % (even, odd))
+        return (even, odd) == (16, 8), "got (%d, %d)" % (even, odd)
 
     def conditions():
         failures = realforms.su22_conditions_hold()
-        return _pass_fail(not failures, "; ".join(failures))
+        return not failures, "; ".join(failures)
 
     return [
         ("fixed-point-dimensions",
@@ -649,10 +643,6 @@ _SUITE_BUILDERS = {
 SUITE_NAMES = tuple(_SUITE_BUILDERS)
 
 
-class UnknownSuiteError(ValueError):
-    pass
-
-
 def _run_checks(checks):
     records = []
     for cid, stmt, anchor, thunk in checks:
@@ -682,7 +672,7 @@ def run_suite(name, serial=True):
         return report
     builder = _SUITE_BUILDERS.get(name)
     if builder is None:
-        raise UnknownSuiteError(
+        raise ValueError(
             "unknown suite %r (expected one of %s or 'all')"
             % (name, ", ".join(SUITE_NAMES)))
     try:

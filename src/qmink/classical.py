@@ -253,16 +253,10 @@ def superflag_reduce(P1, P2):
     pair; the twistor relation says B = A - beta alpha.
 
     P1 is 5x2 (two even columns), P2 is 5x3 (two even and one odd
-    column); the top 2x2 blocks and the (5,3) entry must have
-    invertible body.
+    column).  An inverse raises ZeroDivisionError unless the top 2x2
+    blocks and the (5,3) entry have invertible body: the body of P2's
+    rows 1, 2 and 5 is block-diagonal, as their other entries are odd.
     """
-    ga = P1.ga
-    for m, what in ((P1, "P1"), (P2, "P2")):
-        top = m.block(0, 2, 0, 2)
-        if not ga.body(det2(top).num):
-            raise ValueError("top 2x2 block of %s is not invertible" % what)
-    if not ga.body(P2.rows[4][2].num):
-        raise ValueError("entry (5,3) of P2 is not invertible")
     topinv = P1.block(0, 2, 0, 2).inverse()
     A = P1.block(2, 4, 0, 2) * topinv
     alpha = P1.block(4, 5, 0, 2) * topinv
@@ -424,6 +418,5 @@ def _classical_image(pres):
 def specialize_q1(p):
     """Evaluate q -> 1 and map words into the supercommutative algebra."""
     image = _classical_image(p.alg)
-    terms = {w: GaussRational.from_scalar(c.subs_q_one())
-             for w, c in p.terms.items()}
+    terms = {w: c.at_q_one() for w, c in p.terms.items()}
     return Element(image, image.normal_form(terms))

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import classical
 from .algebra import terms_text
-from .checks import SUITE_NAMES, UnknownSuiteError, run_suite
+from .checks import SUITE_NAMES, run_suite
 from .kernel import BudgetExceeded
 from .minkowski import (build_chiral_presentation, closure_table, localized,
                         minor_index, minor_set)
@@ -250,8 +251,21 @@ def build_arg_parser():
 
 
 def main(argv=None):
-    ap = build_arg_parser()
-    args = ap.parse_args(argv)
+    args = build_arg_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at /dev/null so that the
+        # interpreter's own flush at exit does not fail again, and exit
+        # as for an unwritable --out
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
+
+
+def _run(args):
+    """Run the parsed command; returns the exit code."""
     if args.command == "nf":
         try:
             print(normal_form_text(args.expr, args.algebra))
@@ -265,12 +279,8 @@ def main(argv=None):
         if args.profile:
             import cProfile
             prof = cProfile.Profile()
-        try:
-            report = prof.runcall(run_suite, args.suite) if prof \
-                else run_suite(args.suite)
-        except UnknownSuiteError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
+        report = prof.runcall(run_suite, args.suite) if prof \
+            else run_suite(args.suite)
         out = report.to_json(indent=2) if args.format == "json" \
             else report.to_text(verbose=args.verbose)
         print(out)

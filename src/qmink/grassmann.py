@@ -616,6 +616,8 @@ class GrassmannMatrix:
     def __init__(self, ga, rows):
         self.ga = ga
         self.rows = [[self._coerce(ga, x) for x in row] for row in rows]
+        if len({len(r) for r in self.rows}) > 1:
+            raise ValueError("rows of different lengths")
 
     @staticmethod
     def _coerce(ga, x):
@@ -642,18 +644,15 @@ class GrassmannMatrix:
     def shape(self):
         return (len(self.rows), len(self.rows[0]) if self.rows else 0)
 
-    def _same_shape(self, other):
-        return [len(r) for r in self.rows] == [len(r) for r in other.rows]
-
     def __add__(self, other):
-        if not self._same_shape(other):
+        if self.shape != other.shape:
             raise ValueError("shape mismatch")
         return GrassmannMatrix(self.ga, [
             [a + b for a, b in zip(r1, r2)]
             for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
-        if not self._same_shape(other):
+        if self.shape != other.shape:
             raise ValueError("shape mismatch")
         return GrassmannMatrix(self.ga, [
             [a - b for a, b in zip(r1, r2)]
@@ -728,7 +727,7 @@ class GrassmannMatrix:
     def __eq__(self, other):
         if not isinstance(other, GrassmannMatrix):
             return NotImplemented
-        return other.ga is self.ga and self._same_shape(other) and \
+        return other.ga is self.ga and self.shape == other.shape and \
             (self - other).is_zero()
 
     def block(self, r0, r1, c0, c1):

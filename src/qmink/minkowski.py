@@ -26,11 +26,9 @@ from .supergroup import MINOR_ORDER, build_slq41, comultiply, minor
 
 
 class ClosureError(RuntimeError):
-    """A minor reordering fell outside the span of minor products."""
-
-
-class LocalizationError(RuntimeError):
-    """D[1,2] fails to q-commute purely with some minor."""
+    """The closure table does not give the algebra it is read for: an
+    entry failed, an entry gives no rewrite rule, or D[1,2] does not
+    q-commute purely with some minor."""
 
 
 @lru_cache(maxsize=None)
@@ -299,7 +297,7 @@ def localized():
     """Adjoin D12inv after verifying pure q-commutation of D[1,2].
 
     Reads the exchange exponent of every minor against D[1,2] (index 0)
-    from the closure table; raises LocalizationError when an entry
+    from the closure table; raises ClosureError when an entry
     failed, has a minus sign or carries a correction.
     """
     minors = minor_set()
@@ -308,7 +306,7 @@ def localized():
     for b in range(1, len(minors)):
         e = table[(0, b)]
         if not (e.ok and e.sign == 1 and not e.correction):
-            raise LocalizationError(
+            raise ClosureError(
                 "D[1,2] does not q-commute purely with %s: %s"
                 % (minors[b].name, e.witness or "correction present"))
         exponents[b] = e.exponent

@@ -6,13 +6,16 @@ which is written with * or juxtaposition, and product binds tighter
 than sum; parentheses group.  parse reads the token list in one
 precedence-climbing loop (Pratt, "Top down operator precedence", 1973)
 with an explicit stack for "(", so it does not recurse.  Syntax errors
-carry the line and column of the offending token.  atom_text prints an
-atom back in this grammar, for the CLI's error messages.
+carry the line and column of the offending token.  The syntax tree
+nodes are slotted dataclasses: a node equals another of the same class
+with equal fields, and nodes are not hashable.  atom_text prints an atom
+back in this grammar, for the CLI's error messages.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from itertools import islice
 
 from .supergroup import MINOR_ORDER
@@ -23,72 +26,40 @@ class ExprSyntaxError(ValueError):
         super().__init__("%s (line %d, column %d)" % (message, line, col))
 
 
-class UnknownAtomError(ExprSyntaxError):
+@dataclass(slots=True)
+class IntLit:
+    value: int
+
+
+@dataclass(slots=True)
+class ImagUnit:
     pass
 
 
-class _Node:
-    """A syntax tree node: equal to another node when both have the same
-    class and equal fields.  Nodes are not hashable."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name)
-                   for name in self.__slots__)
-
-    def __repr__(self):
-        return "%s(%s)" % (self.__class__.__name__, ", ".join(
-            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+@dataclass(slots=True)
+class QPow:
+    exp: int
 
 
-class IntLit(_Node):
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-
-class ImagUnit(_Node):
-    __slots__ = ()
+@dataclass(slots=True)
+class Atom:
+    kind: str  # "a", "D", "Dc", "t", "tau", "D12inv"
+    indices: tuple
 
 
-class QPow(_Node):
-    __slots__ = ("exp",)
-
-    def __init__(self, exp):
-        self.exp = exp
+@dataclass(slots=True)
+class Neg:
+    arg: object
 
 
-class Atom(_Node):
-    __slots__ = ("kind", "indices")
-
-    def __init__(self, kind, indices):
-        self.kind = kind  # "a", "D", "Dc", "t", "tau", "D12inv"
-        self.indices = indices
+@dataclass(slots=True)
+class Prod:
+    factors: tuple
 
 
-class Neg(_Node):
-    __slots__ = ("arg",)
-
-    def __init__(self, arg):
-        self.arg = arg
-
-
-class Prod(_Node):
-    __slots__ = ("factors",)
-
-    def __init__(self, factors):
-        self.factors = factors
-
-
-class Sum(_Node):
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        self.terms = terms  # first term positive; later may be Neg for "-"
+@dataclass(slots=True)
+class Sum:
+    terms: tuple  # first term positive; later may be Neg for "-"
 
 
 _TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9]*|\d+|\^|\*|\+|-|\(|\)|\[|\]|,|;|\S")
@@ -110,8 +81,8 @@ def _tokenize(text):
     return tokens
 
 
-def _error(text, tokens, message, k, kind=ExprSyntaxError):
-    """kind(message) at the line and column of token k.
+def _error(text, tokens, message, k):
+    """ExprSyntaxError(message) at the line and column of token k.
 
     Only "\\n" starts a line, and a column counts characters from 1.
     Both come from the token's offset in the text, found again here,
@@ -121,8 +92,8 @@ def _error(text, tokens, message, k, kind=ExprSyntaxError):
         offset = len(text)
     else:
         offset = next(islice(_TOKEN.finditer(text), k, None)).start()
-    return kind(message, text.count("\n", 0, offset) + 1,
-                offset - text.rfind("\n", 0, offset))
+    return ExprSyntaxError(message, text.count("\n", 0, offset) + 1,
+                           offset - text.rfind("\n", 0, offset))
 
 
 def _integer_error(text, tokens, k):
@@ -201,11 +172,10 @@ def _atom(text, tokens, k):
             if not (1 <= r[0] < r[1] <= 5 and 1 <= c[0] < c[1] <= 5):
                 raise _error(text, tokens,
                              "invalid minor Dc[%d;%d]: rows and columns must "
-                             "be strictly increasing in 1..5" % (i, j), k,
-                             UnknownAtomError)
+                             "be strictly increasing in 1..5" % (i, j), k)
             return Atom("Dc", r + c), k + 6
         if not ok:
-            raise _error(text, tokens, message % (i, j), k, UnknownAtomError)
+            raise _error(text, tokens, message % (i, j), k)
         return Atom(tok, (i, j)), k + 6
     if tok == "q":
         if tokens[k + 1] != "^":
@@ -219,8 +189,7 @@ def _atom(text, tokens, k):
         return ImagUnit(), k + 1
     if tok == "D12inv":
         return Atom("D12inv", ()), k + 1
-    raise _error(text, tokens, "unknown atom name %r" % tok, k,
-                 UnknownAtomError)
+    raise _error(text, tokens, "unknown atom name %r" % tok, k)
 
 
 def parse(text):

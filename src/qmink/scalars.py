@@ -10,8 +10,8 @@ computes in a subring of Q(i)[q, q^-1], the ring the paper states its
 values in, and every value it reports lies in both.
 
 A GaussRational is an element of Q(i) alone, the coefficient ring of the
-q = 1 layer and of the su(2,2|1) matrices.  ``GaussRational.from_scalar``
-carries a q-free Scalar across; nothing carries one back.
+q = 1 layer and of the su(2,2|1) matrices.  ``Scalar.at_q_one`` carries
+a Scalar across, evaluated at q = 1; nothing carries one back.
 """
 
 from __future__ import annotations
@@ -136,11 +136,11 @@ class Scalar:
 
     # -- structure ---------------------------------------------------------
 
-    def subs_q_one(self):
-        """Evaluate q -> 1 (stays a Scalar, concentrated in exponent 0)."""
+    def at_q_one(self):
+        """The value at q = 1: the GaussRational of the summed coefficients."""
         re = sum(r for r, _ in self._c.values())
         im = sum(m for _, m in self._c.values())
-        return Scalar({0: (re, im)})
+        return _raw(re, im, 1)
 
     def max_exp(self):
         return max(self._c) if self._c else 0
@@ -281,17 +281,6 @@ class GaussRational:
         self.im = im // g
         self.den = den // g
 
-    @classmethod
-    def from_scalar(cls, s):
-        """The q-free Scalar s as a GaussRational; ScalarError if q occurs."""
-        c = s._c
-        if not c:
-            return _GZERO
-        if len(c) != 1 or 0 not in c:
-            raise ScalarError("scalar depends on q: %r" % (s,))
-        re, im = c[0]
-        return _raw(re, im, 1)
-
     def __bool__(self):
         return bool(self.re or self.im)
 
@@ -386,6 +375,3 @@ def _reduced(re, im, den):
     x.im = im
     x.den = den
     return x
-
-
-_GZERO = _raw(0, 0, 1)

@@ -357,6 +357,32 @@ def test_check_unknown_suite():
         main(["check", "no-such-suite"])
 
 
+def test_run_suite_refuses_an_unknown_suite():
+    # argparse's choices refuse it in the CLI; run_suite names the suites
+    with pytest.raises(ValueError, match="unknown suite 'no-such-suite'") \
+            as exc:
+        run_suite("no-such-suite")
+    assert all(name in str(exc.value) for name in SUITE_NAMES + ("'all'",))
+
+
+def test_closed_stdout_is_exit_2_without_traceback():
+    # coaction's JSON report is over 64 KiB, more than a pipe holds, so
+    # the child is still writing when the reader closes the pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qmink.cli", "check", "coaction", "--format",
+         "json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=child_env())
+    try:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 2
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
+
+
 def test_serial_flag_is_a_usage_error(capsys):
     # --serial was accepted and ignored; now argparse refuses it
     with pytest.raises(SystemExit) as exc:

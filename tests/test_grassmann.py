@@ -626,3 +626,23 @@ def test_matrix_shape_mismatch():
     assert row != GrassmannMatrix(GA, [[x], [y]])
     assert row == GrassmannMatrix(GA, [[x, y]])
     assert (row - row).shape == (1, 2)
+
+
+
+def test_ragged_rows_are_refused():
+    # rows of different lengths are refused when a matrix is built, so no
+    # operation can drop the entries past a shorter row's end
+    short = GrassmannMatrix(GA, [[1, 2]])
+    long_ = GrassmannMatrix(GA, [[3, 4, 5]])
+    for build in (lambda: GrassmannMatrix(GA, [[1, 2], [3, 4, 5]]),
+                  lambda: GrassmannMatrix.vstack(short, long_)):
+        with pytest.raises(ValueError, match="rows of different lengths"):
+            build()
+    # as a 2x3 matrix, every operation keeps all six entries
+    m = GrassmannMatrix(GA, [[1, 2, 0], [3, 4, 5]])
+    t = GrassmannMatrix(GA, [[1, 3], [2, 4], [0, 5]])
+    assert m.transpose() == t and m.dagger() == t
+    assert GrassmannMatrix.identity(GA, 2) * m == m
+    assert m * GrassmannMatrix.identity(GA, 3) == m
+    with pytest.raises(ValueError, match="only square"):
+        m.inverse()

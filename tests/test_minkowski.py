@@ -10,7 +10,7 @@ from qmink.algebra import Presentation, TensorPoly
 from qmink.checks import run_suite
 from qmink.cli import normal_form_text
 from qmink.linalg import SpanSolver
-from qmink.minkowski import (MINOR_ORDER, ClosureError, LocalizationError,
+from qmink.minkowski import (MINOR_ORDER, ClosureError,
                              build_chiral_generators,
                              build_chiral_presentation, chiral_normal_words,
                              closure_table, coaction_membership,
@@ -19,7 +19,7 @@ from qmink.minkowski import (MINOR_ORDER, ClosureError, LocalizationError,
                              straightening_presentation, substituted_residual,
                              substituted_span_dimension,
                              supercommutative_dimension)
-from qmink.scalars import I, ONE, Q, QINV, Scalar
+from qmink.scalars import I, ONE, Q, QINV, GaussRational, Scalar
 from qmink.supergroup import build_slq41, general_minor
 
 from reference_merges import homomorphism_witness, overlap_witness
@@ -215,7 +215,7 @@ def test_corrected_d12_entry_refuses_localization(monkeypatch):
     monkeypatch.setattr(minkowski, "closure_table", lambda: table)
     localized.cache_clear()
     try:
-        with pytest.raises(LocalizationError, match=r"D\[3,4\]"):
+        with pytest.raises(ClosureError, match=r"D\[3,4\]"):
             localized()
     finally:
         monkeypatch.undo()
@@ -287,7 +287,7 @@ def test_localized_exchange_classical_limit():
     # every exchange coefficient q^e becomes 1 at q = 1
     loc = localized()
     for e in loc.exponents.values():
-        assert Scalar.q_pow(e).subs_q_one() == ONE
+        assert Scalar.q_pow(e).at_q_one() == GaussRational(1)
 
 
 def test_chiral_generators():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qmink.parser import (_TOKEN, MAX_DEPTH, Atom, ExprSyntaxError, ImagUnit,
-                          IntLit, Neg, Prod, QPow, Sum, UnknownAtomError,
-                          _tokenize, atom_text, parse)
+                          IntLit, Neg, Prod, QPow, Sum, _tokenize, atom_text,
+                          parse)
 from qmink.supergroup import MINOR_ORDER
 
 
@@ -82,15 +82,16 @@ def test_spec_examples():
 
 
 def test_unknown_atoms():
-    with pytest.raises(UnknownAtomError):
+    with pytest.raises(ExprSyntaxError, match=r"a\[6,1\] out of range"):
         parse("a[6,1]")
-    with pytest.raises(UnknownAtomError):
+    with pytest.raises(ExprSyntaxError,
+                       match=r"D\[2,1\] is not a quantum minor"):
         parse("D[2,1]")
-    with pytest.raises(UnknownAtomError):
+    with pytest.raises(ExprSyntaxError, match=r"t\[5,1\] out of range"):
         parse("t[5,1]")
-    with pytest.raises(UnknownAtomError):
+    with pytest.raises(ExprSyntaxError, match="unknown atom name 'zeta'"):
         parse("zeta")
-    with pytest.raises(UnknownAtomError):
+    with pytest.raises(ExprSyntaxError, match=r"invalid minor Dc\[43;12\]"):
         parse("Dc[43;12]")
 
 
@@ -214,8 +215,8 @@ class _Parser:
         self.k += 1
         return tok
 
-    def error(self, message, k, kind=ExprSyntaxError):
-        """kind(message) at the line and column of token k.
+    def error(self, message, k):
+        """ExprSyntaxError(message) at the line and column of token k.
 
         Only "\\n" starts a line, and a column counts characters from
         1.  Both come from the token's offset in the text, found again
@@ -226,8 +227,8 @@ class _Parser:
             offset = len(text)
         else:
             offset = next(islice(_TOKEN.finditer(text), k, None)).start()
-        return kind(message, text.count("\n", 0, offset) + 1,
-                    offset - text.rfind("\n", 0, offset))
+        return ExprSyntaxError(message, text.count("\n", 0, offset) + 1,
+                               offset - text.rfind("\n", 0, offset))
 
     def expect(self, what):
         tok = self.advance()
@@ -356,28 +357,23 @@ class _Parser:
             if not (1 <= r[0] < r[1] <= 5 and 1 <= c[0] < c[1] <= 5):
                 raise self.error(
                     "invalid minor Dc[%d;%d]: rows and columns must be "
-                    "strictly increasing in 1..5" % (rows, cols), k,
-                    UnknownAtomError)
+                    "strictly increasing in 1..5" % (rows, cols), k)
             return Atom("Dc", r + c)
-        raise self.error("unknown atom name %r" % tok, k, UnknownAtomError)
+        raise self.error("unknown atom name %r" % tok, k)
 
     def _indexed_atom(self, kind, i, j, k):
         if kind == "a":
             if not (1 <= i <= 5 and 1 <= j <= 5):
-                raise self.error("a[%d,%d] out of range 1..5" % (i, j), k,
-                                 UnknownAtomError)
+                raise self.error("a[%d,%d] out of range 1..5" % (i, j), k)
         elif kind == "D":
             if (i, j) not in MINOR_ORDER:
-                raise self.error("D[%d,%d] is not a quantum minor" % (i, j),
-                                 k, UnknownAtomError)
+                raise self.error("D[%d,%d] is not a quantum minor" % (i, j), k)
         elif kind == "t":
             if not (i in (3, 4) and j in (1, 2)):
-                raise self.error("t[%d,%d] out of range" % (i, j), k,
-                                 UnknownAtomError)
+                raise self.error("t[%d,%d] out of range" % (i, j), k)
         elif kind == "tau":
             if not (i == 5 and j in (1, 2)):
-                raise self.error("tau[%d,%d] out of range" % (i, j), k,
-                                 UnknownAtomError)
+                raise self.error("tau[%d,%d] out of range" % (i, j), k)
         return Atom(kind, (i, j))
 
 
@@ -389,9 +385,9 @@ class _ReferenceParser(_Parser):
         self.triples = _reference_tokenize(text)
         self.tokens = [tok for tok, _line, _col in self.triples]
 
-    def error(self, message, k, kind=ExprSyntaxError):
+    def error(self, message, k):
         _tok, line, col = self.triples[k]
-        return kind(message, line, col)
+        return ExprSyntaxError(message, line, col)
 
 
 def _reference_parse(text):

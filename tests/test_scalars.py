@@ -329,8 +329,9 @@ def test_exact_div_matches_reference(a, b, r):
 
 
 def test_subs_q_one():
-    assert not (QINV - Q).subs_q_one()
-    assert (Q * Scalar.from_int(3)).subs_q_one() == Scalar.from_int(3)
+    assert not (QINV - Q).at_q_one()
+    assert (Q * Scalar.from_int(3)).at_q_one() == GaussRational(3)
+    assert Scalar.zero().at_q_one() == GaussRational(0)
 
 
 def test_text_forms():
@@ -365,9 +366,9 @@ def back(g):
 @example(Scalar.term(0, 0, -1), Scalar.term(0, 2, 2))
 @example(Scalar.zero(), Scalar.term(0, 0, -1))
 def test_gauss_rational_matches_scalar(x, y):
-    # from_scalar is a ring map from the exponent-0 Scalars that commutes
+    # at_q_one is a ring map from the exponent-0 Scalars that commutes
     # with every operation the q = 1 layer uses
-    f = GaussRational.from_scalar
+    f = Scalar.at_q_one
     a, b = f(x), f(y)
     assert a.den == 1 and gcd(a.re, a.im, a.den) == 1
     assert back(a) == x and back(b) == y
@@ -401,12 +402,11 @@ def test_gauss_rational_matches_scalar(x, y):
 @given(raw_parts, raw_parts, raw_dens)
 def test_gauss_rational_constructor_is_canonical(re, im, den):
     # the same value as (re + im*i)/den, in lowest terms with den >= 1;
-    # with den == 1 it is the one from_scalar gives
+    # with den == 1 it is the one at_q_one gives
     g = GaussRational(re, im, den)
     assert g.den >= 1 and gcd(g.re, g.im, g.den) == 1
     assert g.re * den == re * g.den and g.im * den == im * g.den
-    assert GaussRational(re, im) == \
-        GaussRational.from_scalar(Scalar({0: (re, im)}))
+    assert GaussRational(re, im) == Scalar({0: (re, im)}).at_q_one()
 
 
 @settings(max_examples=300)
@@ -438,7 +438,14 @@ def test_gauss_unit_product_matches_general_path(x, u):
 @pytest.mark.parametrize("s", [Q, QINV, Q + ONE, Scalar.term(2, 1, 1)],
                          ids=["q", "qinv", "q+1", "q2"])
 def test_gauss_rational_rejects_q(s):
-    with pytest.raises(ScalarError):
-        GaussRational.from_scalar(s)
-    # at q = 1 the same scalars cross
-    assert back(GaussRational.from_scalar(s.subs_q_one())) == s.subs_q_one()
+    # no Scalar mixes with a GaussRational: at_q_one, which sums the
+    # coefficients over every exponent, is the one way across
+    g = GaussRational(1)
+    assert g != s and s != g
+    with pytest.raises(TypeError):
+        g + s
+    with pytest.raises(TypeError):
+        s * g
+    coeffs = s._c.values()
+    assert s.at_q_one() == GaussRational(sum(re for re, _ in coeffs),
+                                         sum(im for _, im in coeffs))

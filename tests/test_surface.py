@@ -214,7 +214,6 @@ NEVER_CALLED = {
     "minkowski.LocalElement.__bool__":
         "TermMap's would test the term dict, not the ambient image",
     "scalars.Scalar.__hash__": "test_scalars pins the hash",
-    "parser._Node.__eq__": "test_parser compares syntax trees",
     "grassmann.GrassmannAlgebra.word_text":
         "prints the classical-limit failure witness",
     "grassmann.GrassmannAlgebra._term_order":
@@ -226,7 +225,6 @@ NEVER_CALLED = {
     "algebra.TermMap.__repr__": "one-line repr over to_text",
     "scalars.Scalar.__repr__": "one-line repr over to_text",
     "scalars.GaussRational.__repr__": "one-line repr over to_text",
-    "parser._Node.__repr__": "hypothesis prints failing trees with it",
     "kernel.backend_name": "perfbench records it with each run",
 }
 
