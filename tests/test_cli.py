@@ -375,12 +375,11 @@ def test_closed_stdout_is_exit_2_without_traceback():
     try:
         assert len(proc.stdout.read(10)) == 10
         proc.stdout.close()
-        err = proc.stderr.read()
         assert proc.wait(timeout=120) == 2
+        assert proc.stderr.read() == b""
     finally:
         proc.kill()
         proc.stderr.close()
-    assert err == b""
 
 
 def test_serial_flag_is_a_usage_error(capsys):
