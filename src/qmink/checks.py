@@ -34,8 +34,9 @@ def _equal(a, b):
     the differing components, entries or fields, or prints a - b."""
     if a == b:
         return True, ""
-    if isinstance(a, GrassmannRational):
-        return False, "difference %s" % (a - b).num.to_text()
+    if isinstance(a, GrassmannRational):  # a - b, over its denominator
+        t = list(map(Element.to_text, ((d := a - b).num, *d.den)))
+        return False, "difference " + ("(%s)" if d.den else "%s") % ")/(".join(t)
     if isinstance(a, classical.RationalMap):
         pa, pb = ({"x%d" % mu: c for mu, c in enumerate(m.comps)}
                   for m in (a, b))
@@ -334,11 +335,9 @@ def _suite_pauli_metric():
 
 
 def _poincare_symbols():
-    return symbols(real=(*["%s%d%d" % (p, i, j)
-                           for p in ("l", "r", "n", "L", "R", "N", "g")
-                           for i in (1, 2) for j in (1, 2)],
-                         *["a%d" % k for k in range(1, 5)],
-                         *["e%d" % k for k in range(1, 5)]))
+    return symbols(real=["%s%d%d" % (p, i, j)
+                         for p in ("l", "r", "n", "L", "R", "N", "g", "a", "e")
+                         for i in (1, 2) for j in (1, 2)])
 
 
 def _suite_poincare_action():
@@ -350,10 +349,7 @@ def _suite_poincare_action():
 
     L1, R1, N1 = m2("l"), m2("r"), m2("n")
     L2, R2, N2 = m2("L"), m2("R"), m2("N")
-    A1 = GrassmannMatrix(ga, [[ga.gen("a1"), ga.gen("a2")],
-                              [ga.gen("a3"), ga.gen("a4")]])
-    A2 = GrassmannMatrix(ga, [[ga.gen("e1"), ga.gen("e2")],
-                              [ga.gen("e3"), ga.gen("e4")]])
+    A1, A2 = m2("a"), m2("e")
 
     def axiom():
         step = classical.poincare_action(
@@ -418,30 +414,26 @@ def _suite_twistor():
                            "o2"))
     g = ga.gen
 
-    def generic():
+    def flag_pair(odd):
+        """(P2 S, P2); the odd entries are symbols, or zero when not odd."""
+        o = g if odd else (lambda _name: 0)
         p2 = GrassmannMatrix(ga, [
-            [g("b11"), g("b12"), g("d13")],
-            [g("b21"), g("b22"), g("d23")],
-            [g("b31"), g("b32"), g("d33")],
-            [g("b41"), g("b42"), g("d43")],
-            [g("d51"), g("d52"), g("b53")]])
+            [g("b11"), g("b12"), o("d13")],
+            [g("b21"), g("b22"), o("d23")],
+            [g("b31"), g("b32"), o("d33")],
+            [g("b41"), g("b42"), o("d43")],
+            [o("d51"), o("d52"), g("b53")]])
         s = GrassmannMatrix(ga, [[g("s11"), g("s12")],
                                  [g("s21"), g("s22")],
-                                 [g("o1"), g("o2")]])
-        A, alpha, B, beta = classical.superflag_reduce(p2 * s, p2)
+                                 [o("o1"), o("o2")]])
+        return p2 * s, p2
+
+    def generic():
+        A, alpha, B, beta = classical.superflag_reduce(*flag_pair(True))
         return _equal(B, A - beta * alpha)
 
     def even_only():
-        z = ga.zero()
-        p2 = GrassmannMatrix(ga, [
-            [g("b11"), g("b12"), z],
-            [g("b21"), g("b22"), z],
-            [g("b31"), g("b32"), z],
-            [g("b41"), g("b42"), z],
-            [z, z, g("b53")]])
-        s = GrassmannMatrix(ga, [[g("s11"), g("s12")],
-                                 [g("s21"), g("s22")], [z, z]])
-        A, alpha, B, beta = classical.superflag_reduce(p2 * s, p2)
+        A, alpha, B, beta = classical.superflag_reduce(*flag_pair(False))
         return _all_hold({"B = A - beta alpha": B == A - beta * alpha,
                           "B = A": B == A, "alpha = 0": alpha.is_zero(),
                           "beta = 0": beta.is_zero()})
@@ -505,8 +497,8 @@ def _suite_super_action():
     def reality():
         moved = classical.super_poincare_chiral_action(g1, pt)
         return _all_hold({"C hermitian": moved.C == moved.C.dagger(),
-                          "thetabar = conj(theta)": moved.thetabar
-                          == classical.conj_column(ga, moved.theta)})
+                          "thetabar = conj(theta)":
+                          moved.thetabar == moved.theta.star()})
 
     def composition():
         step = classical.super_poincare_chiral_action(

@@ -212,9 +212,8 @@ def special_conformal_map(ga, b, variant="standard"):
 
 
 def pauli_map(ga, x):
-    """A = x^mu sigma_mu as a 2x2 matrix; entries in the given algebra."""
-    x = [v if isinstance(v, (Element, GrassmannRational)) else ga.scalar(v)
-         for v in x]
+    """A = x^mu sigma_mu as a 2x2 matrix; x holds Elements or constants."""
+    x = [v if isinstance(v, Element) else ga.scalar(v) for v in x]
     i = ga.scalar(GI)
     return GrassmannMatrix(ga, [
         [x[0] + x[3], x[1] - i * x[2]],
@@ -288,25 +287,26 @@ class SuperPoincareElement:
         return self.M * self.L.inverse()
 
     def S(self):
-        """L^+-1 chi^+ chi L^-1, the odd term of the reality condition."""
-        return self.L.dagger().inverse() * self.chi.dagger() * self.chi \
-            * self.L.inverse()
+        """L^+-1 chi^+ chi L^-1, the odd term of the reality condition,
+        as X^+ X with X = chi L^-1: L^-1 has even entries, which commute
+        with every entry under the involution, so L^+-1 = (L^-1)^+ and
+        (chi L^-1)^+ = (L^-1)^+ chi^+, and L is inverted once."""
+        x = self.chi * self.L.inverse()
+        return x.dagger() * x
 
     def T(self):
         return self.N() - self.S().scale(HALF)
 
     def as_matrix(self):
-        ga = self.ga
-        z = GrassmannRational(ga, ga.zero())
         rphi = self.R * self.phi
         dchi = self.chi.scale(self.d)
         rows = []
         for i in range(2):
-            rows.append(self.L.rows[i] + [z, z, z])
+            rows.append(self.L.rows[i] + [0, 0, 0])
         for i in range(2):
             rows.append(self.M.rows[i] + self.R.rows[i] + [rphi.rows[i][0]])
-        rows.append(dchi.rows[0] + [z, z, self.d])
-        return GrassmannMatrix(ga, rows)
+        rows.append(dchi.rows[0] + [0, 0, self.d])
+        return GrassmannMatrix(self.ga, rows)
 
     @classmethod
     def from_matrix(cls, m):
@@ -350,11 +350,6 @@ class ChiralPoint:
     thetabar: GrassmannMatrix
 
 
-def conj_column(ga, col):
-    return GrassmannMatrix(ga, [[col.rows[i][0].star()]
-                                for i in range(len(col.rows))])
-
-
 def super_poincare_chiral_action(g, pt):
     """The action on (C, theta, thetabar):
 
@@ -362,8 +357,7 @@ def super_poincare_chiral_action(g, pt):
     theta -> d^-1 R (theta + phi)
     thetabar -> d L^-1t (thetabar + phibar)
     """
-    ga = g.ga
-    phibar = conj_column(ga, g.phi)
+    phibar = g.phi.star()
     T = g.T()
     C2 = g.R * (pt.C
                 + (g.phi * pt.thetabar.transpose()).scale(HALF)
@@ -402,7 +396,7 @@ def real_point(ga, c_names, theta_names):
     c11, c12, c22 = c_names
     C = GrassmannMatrix(ga, [[g(c11), g(c12)], [ga.star(g(c12)), g(c22)]])
     theta = GrassmannMatrix(ga, [[g(theta_names[0])], [g(theta_names[1])]])
-    return ChiralPoint(C, theta, conj_column(ga, theta))
+    return ChiralPoint(C, theta, theta.star())
 
 
 # -- q -> 1 specialization --------------------------------------------------------

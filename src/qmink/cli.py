@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from . import classical
 from .algebra import terms_text
@@ -283,17 +284,17 @@ def _run(args):
             else run_suite(args.suite)
         out = report.to_json(indent=2) if args.format == "json" \
             else report.to_text(verbose=args.verbose)
-        print(out)
-        try:
+        code = 0 if report.passed else 1
+        try:  # the files first: a reader may close stdout early
             if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(out + "\n")
+                Path(args.out).write_text(out + "\n", encoding="utf-8")
             if prof:
                 prof.dump_stats(args.profile)
         except OSError as exc:
             print("error: %s" % exc, file=sys.stderr)
-            return 2
-        return 0 if report.passed else 1
+            code = 2
+        print(out)
+        return code
     if args.command == "table":
         data = closure_table_data() if args.which == "closure" \
             else conformal_table_data()

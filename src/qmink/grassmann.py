@@ -524,28 +524,24 @@ class GrassmannRational:
         return self * self._coerce(other).inverse()
 
     def inverse(self):
-        """1/(b + n) = sum_k (-n)^k b^{-k-1}, n nilpotent, b the body."""
+        """1/(b - n) = sum_k n^k b^{-k-1}, n = -soul nilpotent, b the body;
+        Horner's rule gives the numerator sum_{j<=K} n^j b^{K-j} over
+        b^{K+1}, where n^{K+1} = 0."""
         ga = self.ga
         if not self.num:
             raise ZeroDivisionError("inverse of zero")
         b = ga.body(self.num)
         if not b:
             raise ZeroDivisionError("element has zero body, not invertible")
-        n = ga.soul(self.num)
-        npows = [ga.one()]
-        while npows[-1]:
-            npows.append(npows[-1] * n)
-        k_max = len(npows) - 2
-        bpow = [ga.one()]
-        for _ in range(k_max):
-            bpow.append(bpow[-1] * b)
-        total = ga.zero()
-        for k in range(k_max + 1):
-            term = npows[k] * bpow[k_max - k]
-            total = total + (term if k % 2 == 0 else -term)
+        n = -ga.soul(self.num)
+        total, p, k = ga.one(), n, 0
+        while p:
+            total = total * b + p
+            p = p * n
+            k += 1
         for f in self.den:
             total = total * f
-        return GrassmannRational(ga, total, (b,) * (k_max + 1))
+        return GrassmannRational(ga, total, (b,) * (k + 1))
 
     def star(self):
         return GrassmannRational(self.ga, self.ga.star(self.num),
@@ -681,12 +677,13 @@ class GrassmannMatrix:
         return GrassmannMatrix(self.ga, [[self.rows[i][j] for i in range(m)]
                                          for j in range(n)])
 
+    def star(self):
+        """The entrywise involution."""
+        return GrassmannMatrix(self.ga, [[a.star() for a in r]
+                                         for r in self.rows])
+
     def dagger(self):
-        """Entrywise involution followed by transpose."""
-        m, n = self.shape
-        return GrassmannMatrix(self.ga,
-                               [[self.rows[i][j].star() for i in range(m)]
-                                for j in range(n)])
+        return self.star().transpose()
 
     def inverse(self):
         """Gauss-Jordan; pivots need invertible body."""

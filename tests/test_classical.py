@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmink import checks, classical
+from qmink import checks, classical, realforms
 from qmink.algebra import Element
 from qmink.checks import run_suite
 from qmink.classical import (RationalMap, SuperPoincareElement,
                              big_cell_reduce, bracket_coordinates,
-                             conformal_basis, conj_column, coordinate_algebra, det2,
+                             conformal_basis, coordinate_algebra, det2,
                              inversion_map, minkowski_square, pauli_map,
                              poincare_action, poincare_compose, real_point,
                              real_group_element, special_conformal_map,
@@ -188,6 +188,14 @@ def test_sct_numeric_point():
         expected = GrassmannRational(ga, ga.scalar(
             GaussRational(want.numerator, 0, want.denominator)))
         assert (got - expected).is_zero()
+
+
+def test_pauli_map_refuses_a_rational_coordinate():
+    # it multiplies Elements only; a rational is not a Grassmann constant
+    ga = coordinate_algebra()
+    x0 = GrassmannRational(ga, ga.gen("x0"))
+    with pytest.raises(TypeError, match="Grassmann constant"):
+        pauli_map(ga, [x0, 0, 0, 0])
 
 
 def test_pauli_map():
@@ -369,6 +377,15 @@ def test_equal_witnesses_name_what_differs():
         (False, "differ at x1, x3")
 
 
+def test_a_rational_witness_keeps_its_denominator():
+    ga = coordinate_algebra()
+    x0, x1 = ga.gen("x0"), ga.gen("x1")
+    a = GrassmannRational(ga, x0 * x1)
+    b = GrassmannRational(ga, x0, (x1,))
+    assert checks._equal(a, b) == \
+        (False, "difference (x0*x1*x1 + (-1)*x0)/(x1)")
+
+
 def test_twistor_preconditions():
     ga = _flag_symbols()
     g = ga.gen
@@ -410,7 +427,19 @@ def test_chiral_action_preserves_reality():
     assert (pt.C - pt.C.dagger()).is_zero()
     moved = super_poincare_chiral_action(g1, pt)
     assert (moved.C - moved.C.dagger()).is_zero()
-    assert (moved.thetabar - conj_column(ga, moved.theta)).is_zero()
+    assert (moved.thetabar - moved.theta.star()).is_zero()
+
+
+def test_s_matches_the_paper_form_with_two_inverses():
+    # S() inverts L once, as X^+ X with X = chi L^-1; the paper writes
+    # L^+-1 chi^+ chi L^-1
+    pga = realforms.poincare_group_algebra()
+    _ga, g1, g2, _pt = checks._super_action_setup()
+    for el in (realforms.generic_element(pga), realforms.reduced_element(pga),
+               g1, g2):
+        L, chi = el.L, el.chi
+        assert el.S() == \
+            L.dagger().inverse() * chi.dagger() * chi * L.inverse()
 
 
 def test_chiral_action_composition():

@@ -382,6 +382,24 @@ def test_closed_stdout_is_exit_2_without_traceback():
         proc.stderr.close()
 
 
+def test_closed_stdout_still_writes_the_out_file(tmp_path):
+    # the report file is written before the report is printed
+    path = tmp_path / "r.json"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qmink.cli", "check", "coaction", "--format",
+         "json", "--out", str(path)], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env=child_env())
+    try:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 2
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert len(json.loads(path.read_text())["records"]) == 320
+
+
 def test_serial_flag_is_a_usage_error(capsys):
     # --serial was accepted and ignored; now argparse refuses it
     with pytest.raises(SystemExit) as exc:

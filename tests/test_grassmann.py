@@ -611,6 +611,40 @@ def test_rational_inverse_refuses_zero_and_odd():
         GrassmannRational(GA, GA.gen("s")).inverse()
 
 
+@pytest.mark.parametrize("with_den", [False, True], ids=["plain", "den"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_inverse_for_each_nilpotency_order(k, with_den):
+    # the soul o0 o1 + ... + o(2k-2) o(2k-1) has n^k != 0 and n^(k+1) = 0
+    ga = symbols(real=("x", "y"), real_odd=["o%d" % i for i in range(6)])
+    g = ga.gen
+    soul = ga.zero()
+    for j in range(k):
+        soul = soul + g("o%d" % (2 * j)) * g("o%d" % (2 * j + 1))
+    power = ga.one()
+    for _ in range(k):
+        power = power * soul
+    assert power and not power * soul
+    den = (g("y") + ga.one(),) if with_den else ()
+    x = GrassmannRational(ga, g("x") + ga.scalar(2) + soul, den)
+    inv = x.inverse()
+    assert x * inv == 1 and inv * x == 1
+    assert len(inv.den) == k + 1
+
+
+def test_matrix_star_is_entrywise_and_involutive():
+    ga = symbols(even=("a",), real=("x",), odd=("s", "t"))
+    a, x, s, t = (ga.gen(n) for n in ("a", "x", "s", "t"))
+    m = GrassmannMatrix(ga, [[a, s, x * t], [s * t + a, 1, ga.gen("t*")]])
+    star = m.star()
+    assert all(star.rows[i][j] == m.rows[i][j].star()
+               for i in range(2) for j in range(3))
+    assert star != m and star.star() == m
+    assert m.dagger() == GrassmannMatrix(
+        ga, [[m.rows[i][j].star() for i in range(2)] for j in range(3)])
+    col = m.block(0, 2, 1, 2)  # the column (s, 1)
+    assert col.star() == GrassmannMatrix(ga, [[ga.gen("s*")], [1]])
+
+
 def test_matrix_shape_mismatch():
     # + and - refuse operands of different shapes, as * does, instead of
     # cutting both to the smaller one; == answers False
