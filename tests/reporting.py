@@ -1,6 +1,10 @@
-"""Shared helper for tests that compare check reports."""
+"""Shared helpers for tests that compare check reports."""
 
-from qmink.reports import NONDETERMINISTIC_FIELDS
+from dataclasses import fields
+
+from qmink.reports import NONDETERMINISTIC_FIELDS, CheckRecord
+
+RECORD_FIELDS = {f.name for f in fields(CheckRecord)}
 
 
 def deterministic(report):
@@ -9,3 +13,20 @@ def deterministic(report):
         for key in NONDETERMINISTIC_FIELDS:
             del r[key]
     return report
+
+
+def report_dict(report):
+    """The report as a dict: the general path that `SuiteReport.to_json`
+    is held to, as ``json.dumps(report_dict(r), indent=2, sort_keys=True)``."""
+    records = []
+    for r in report.records:
+        d = {f.name: getattr(r, f.name) for f in fields(CheckRecord)}
+        d["seconds"] = round(d["seconds"], 6)
+        records.append(d)
+    return {
+        "suite": report.suite,
+        "passed": report.passed,
+        "counts": {"total": len(report.records),
+                   "failed": sum(1 for r in report.records if not r.verdict)},
+        "records": records,
+    }

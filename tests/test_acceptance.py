@@ -6,19 +6,21 @@ give them: the 25-generator confluence check under 2 minutes and the
 full CLI suite under 10 minutes.
 """
 
+import functools
 import hashlib
 import json
 import subprocess
 import sys
 import time
 
-from qmink.checks import run_suite
+from qmink.checks import SUITE_NAMES, run_suite
 from qmink.minkowski import (build_chiral_presentation,
                              supercommutative_dimension)
+from qmink.reports import CheckRecord, SuiteReport
 from qmink.supergroup import build_slq41
 
 from line_audit import child_env
-from reporting import deterministic
+from reporting import RECORD_FIELDS, deterministic, report_dict
 
 
 def report(name, ok, detail=""):
@@ -159,13 +161,19 @@ def verdict_digest(data):
                           .encode()).hexdigest()
 
 
-def test_cli_contract():
+@functools.cache
+def check_all_json():
+    """One `qmink check all --format json` child: (process, wall seconds)."""
     t0 = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-m", "qmink.cli", "check", "all", "--format",
          "json"],
         capture_output=True, text=True, env=child_env(), timeout=600)
-    dt = time.monotonic() - t0
+    return proc, time.monotonic() - t0
+
+
+def test_cli_contract():
+    proc, dt = check_all_json()
     ok = proc.returncode == 0 and dt < 600.0
     data = json.loads(proc.stdout) if proc.stdout else {}
     verdicts_ok = bool(data) and data.get("passed") is True and \
@@ -177,3 +185,21 @@ def test_cli_contract():
            "(exit=%d, %d records, digest %s, %.1fs)"
            % (proc.returncode, n_records, "ok" if digest_ok else "changed",
               dt))
+
+
+def test_json_report_is_json_dumps_byte_for_byte():
+    # the full `check all` report and each suite's, rebuilt from the
+    # printed records, against the general path
+    proc, _dt = check_all_json()
+    data = json.loads(proc.stdout)
+    assert all(set(r) == RECORD_FIELDS for r in data["records"])
+    full = SuiteReport("all", [CheckRecord(**r) for r in data["records"]])
+    assert full.to_json(indent=2) + "\n" == proc.stdout
+    suites = {name: SuiteReport(name) for name in SUITE_NAMES}
+    for r in data["records"]:
+        name, rid = r["id"].split("/", 1)
+        suites[name].records.append(CheckRecord(**dict(r, id=rid)))
+    for rep in (full, *suites.values()):
+        assert rep.records
+        assert rep.to_json(indent=2) == json.dumps(
+            report_dict(rep), indent=2, sort_keys=True), rep.suite

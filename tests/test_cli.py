@@ -419,8 +419,9 @@ def test_report_determinism():
     checks = _SUITE_BUILDERS["sct-inversion"]()
     rep1 = SuiteReport("sct-inversion", _run_checks(checks))
     rep2 = SuiteReport("sct-inversion", _run_checks(checks))
-    d1, d2 = (deterministic(rep.to_dict()) for rep in (rep1, rep2))
-    assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+    d1, d2 = (deterministic(json.loads(rep.to_json(indent=2)))
+              for rep in (rep1, rep2))
+    assert d1 == d2
 
 
 def test_check_out_file(tmp_path, capsys):
