@@ -23,10 +23,10 @@ def report_dict(report):
         d = {f.name: getattr(r, f.name) for f in fields(CheckRecord)}
         d["seconds"] = round(d["seconds"], 6)
         records.append(d)
+    failed = sum(1 for r in report.records if not r.verdict)
     return {
         "suite": report.suite,
-        "passed": report.passed,
-        "counts": {"total": len(report.records),
-                   "failed": sum(1 for r in report.records if not r.verdict)},
+        "passed": not failed,
+        "counts": {"total": len(report.records), "failed": failed},
         "records": records,
     }
