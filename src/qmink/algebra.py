@@ -12,8 +12,6 @@ algebras are grassmann.GrassmannAlgebra, whose normal form is closed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import kernel
 from .kernel import accumulate
 from .scalars import ONE, signed_join
@@ -22,11 +20,13 @@ class AlgebraError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Generator:
-    name: str
-    parity: int
-    rank: int
+    __slots__ = ("name", "parity", "rank")
+
+    def __init__(self, name, parity, rank):
+        self.name = name
+        self.parity = parity
+        self.rank = rank
 
 
 class Presentation:

@@ -46,7 +46,7 @@ def _equal(a, b):
     elif isinstance(a, realforms.SuperMatrix5):
         pa, pb = ({"(%d,%d)" % (i + 1, j + 1): x
                    for (i, j), x in m.entries.items()} for m in (a, b))
-    else:  # a dataclass: its fields
+    else:  # a SuperPoincareElement or ChiralPoint: its attributes
         pa, pb = vars(a), vars(b)
     return False, "differ at " + ", ".join(
         k for k in sorted(pa.keys() | pb.keys()) if not pa.get(k) == pb.get(k))

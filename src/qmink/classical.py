@@ -11,7 +11,6 @@ quantum layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import Element
@@ -45,13 +44,15 @@ def minkowski_dot(ga, u, v):
     return total
 
 
-@dataclass
 class PolyVectorField:
     """sum_mu comps[mu] d/dx^mu over a coordinate algebra."""
 
-    ga: GrassmannAlgebra
-    comps: list
-    name: str = ""
+    __slots__ = ("ga", "comps", "name")
+
+    def __init__(self, ga, comps, name=""):
+        self.ga = ga
+        self.comps = comps
+        self.name = name
 
     def bracket(self, other):
         """[V, W] = V(W) - W(V), componentwise on the coefficients."""
@@ -268,16 +269,20 @@ def superflag_reduce(P1, P2):
 # -- the super Poincare group and its chiral action -----------------------------
 
 
-@dataclass
 class SuperPoincareElement:
-    """Blocks of [[L,0,0],[M,R,R phi],[d chi,0,d]]."""
+    """Blocks of [[L,0,0],[M,R,R phi],[d chi,0,d]]; equal to another
+    element with equal blocks."""
 
-    L: GrassmannMatrix
-    M: GrassmannMatrix
-    R: GrassmannMatrix
-    phi: GrassmannMatrix  # 2x1
-    chi: GrassmannMatrix  # 1x2
-    d: GrassmannRational
+    def __init__(self, L, M, R, phi, chi, d):
+        self.L = L
+        self.M = M
+        self.R = R
+        self.phi = phi  # 2x1
+        self.chi = chi  # 1x2
+        self.d = d
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and vars(self) == vars(other)
 
     @property
     def ga(self):
@@ -341,13 +346,17 @@ class SuperPoincareElement:
         )
 
 
-@dataclass
 class ChiralPoint:
-    """Big-cell coordinates (C, theta, thetabar); theta columns are 2x1."""
+    """Big-cell coordinates (C, theta, thetabar); theta columns are 2x1.
+    Equal to another point with equal coordinates."""
 
-    C: GrassmannMatrix
-    theta: GrassmannMatrix
-    thetabar: GrassmannMatrix
+    def __init__(self, C, theta, thetabar):
+        self.C = C
+        self.theta = theta
+        self.thetabar = thetabar
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and vars(self) == vars(other)
 
 
 def super_poincare_chiral_action(g, pt):

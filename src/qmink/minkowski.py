@@ -14,7 +14,6 @@ the two column pairs), so only the chiral side is constructed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -41,17 +40,19 @@ def minor_index(i, j):
     return MINOR_ORDER.index((i, j))
 
 
-@dataclass
 class ClosureEntry:
     """D_b D_a = sign * q^exponent * D_a D_b + correction (a <= b), the
     entry at key (a, b) of the closure table."""
 
-    sign: int
-    exponent: int
-    correction: dict
-    kind: str  # "reorder", "trivial", "square"
-    ok: bool
-    witness: str = ""
+    __slots__ = ("sign", "exponent", "correction", "kind", "ok", "witness")
+
+    def __init__(self, sign, exponent, correction, kind, ok, witness=""):
+        self.sign = sign
+        self.exponent = exponent
+        self.correction = correction
+        self.kind = kind  # "reorder", "trivial", "square"
+        self.ok = ok
+        self.witness = witness
 
 
 def _lead_word(terms):

@@ -7,15 +7,14 @@ than sum; parentheses group.  parse reads the token list in one
 precedence-climbing loop (Pratt, "Top down operator precedence", 1973)
 with an explicit stack for "(", so it does not recurse.  Syntax errors
 carry the line and column of the offending token.  The syntax tree
-nodes are slotted dataclasses: a node equals another of the same class
-with equal fields, and nodes are not hashable.  atom_text prints an atom
-back in this grammar, for the CLI's error messages.
+nodes are plain slotted classes on one base: a node equals another of
+the same class with equal fields, and nodes are not hashable.  atom_text
+prints an atom back in this grammar, for the CLI's error messages.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import islice
 
 from .supergroup import MINOR_ORDER
@@ -26,40 +25,61 @@ class ExprSyntaxError(ValueError):
         super().__init__("%s (line %d, column %d)" % (message, line, col))
 
 
-@dataclass(slots=True)
-class IntLit:
-    value: int
+class _Node:
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    __hash__ = None
 
 
-@dataclass(slots=True)
-class ImagUnit:
-    pass
+class IntLit(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
 
 
-@dataclass(slots=True)
-class QPow:
-    exp: int
+class ImagUnit(_Node):
+    __slots__ = ()
 
 
-@dataclass(slots=True)
-class Atom:
-    kind: str  # "a", "D", "Dc", "t", "tau", "D12inv"
-    indices: tuple
+class QPow(_Node):
+    __slots__ = ("exp",)
+
+    def __init__(self, exp):
+        self.exp = exp
 
 
-@dataclass(slots=True)
-class Neg:
-    arg: object
+class Atom(_Node):
+    __slots__ = ("kind", "indices")
+
+    def __init__(self, kind, indices):
+        self.kind = kind  # "a", "D", "Dc", "t", "tau", "D12inv"
+        self.indices = indices
 
 
-@dataclass(slots=True)
-class Prod:
-    factors: tuple
+class Neg(_Node):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg):
+        self.arg = arg
 
 
-@dataclass(slots=True)
-class Sum:
-    terms: tuple  # first term positive; later may be Neg for "-"
+class Prod(_Node):
+    __slots__ = ("factors",)
+
+    def __init__(self, factors):
+        self.factors = factors
+
+
+class Sum(_Node):
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = terms  # first term positive; later may be Neg for "-"
 
 
 _TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9]*|\d+|\^|\*|\+|-|\(|\)|\[|\]|,|;|\S")

@@ -12,7 +12,6 @@ Grassmann machinery from the classical module.  Nothing here involves q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .classical import GI, SuperPoincareElement, real_group_element
@@ -51,7 +50,6 @@ def _scaled(s, a):
     return {k: s * c for k, c in a.items()}
 
 
-@dataclass(frozen=True)
 class SuperMatrix5:
     """5x5 matrix over Q(i) with the (4|1) block grading.
 
@@ -59,8 +57,17 @@ class SuperMatrix5:
     exactly when their entry maps and parities are.
     """
 
-    entries: dict  # (i, j) -> nonzero GaussRational, never changed
-    parity: int  # 0: even block-diagonal, 1: odd block-off-diagonal
+    __slots__ = ("entries", "parity")
+
+    def __init__(self, entries, parity):
+        # (i, j) -> nonzero GaussRational, never changed
+        self.entries = entries
+        # 0: even block-diagonal, 1: odd block-off-diagonal
+        self.parity = parity
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and \
+            self.entries == other.entries and self.parity == other.parity
 
     def scale(self, s):
         return SuperMatrix5(_scaled(s, self.entries), self.parity)

@@ -7,26 +7,30 @@ the only non-deterministic part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 NONDETERMINISTIC_FIELDS = ("seconds",)
 
 
-@dataclass
 class CheckRecord:
-    id: str
-    statement: str
-    anchor: str
-    verdict: bool
-    witness: str = ""
-    seconds: float = 0.0
+    __slots__ = ("id", "statement", "anchor", "verdict", "witness", "seconds")
+
+    def __init__(self, id, statement, anchor, verdict, witness="",
+                 seconds=0.0):
+        self.id = id
+        self.statement = statement
+        self.anchor = anchor
+        self.verdict = verdict
+        self.witness = witness
+        self.seconds = seconds
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    records: list = field(default_factory=list)
+    __slots__ = ("suite", "records")
+
+    def __init__(self, suite, records=None):
+        self.suite = suite
+        self.records = [] if records is None else records
 
     @property
     def passed(self):

@@ -9,7 +9,6 @@ comultiplication and the quantum minors on columns (1,2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import Element, Generator, Presentation, TensorPoly
@@ -113,11 +112,13 @@ def comultiply(p):
 # -- quantum minors -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class QuantumMinor:
-    rows: tuple
-    name: str
-    value: Element
+    __slots__ = ("rows", "name", "value")
+
+    def __init__(self, rows, name, value):
+        self.rows = rows
+        self.name = name
+        self.value = value
 
     def parity(self):
         return self.value.parity()

@@ -1,10 +1,8 @@
 """Shared helpers for tests that compare check reports."""
 
-from dataclasses import fields
-
 from qmink.reports import NONDETERMINISTIC_FIELDS, CheckRecord
 
-RECORD_FIELDS = {f.name for f in fields(CheckRecord)}
+RECORD_FIELDS = set(CheckRecord.__slots__)
 
 
 def deterministic(report):
@@ -20,7 +18,7 @@ def report_dict(report):
     is held to, as ``json.dumps(report_dict(r), indent=2, sort_keys=True)``."""
     records = []
     for r in report.records:
-        d = {f.name: getattr(r, f.name) for f in fields(CheckRecord)}
+        d = {name: getattr(r, name) for name in CheckRecord.__slots__}
         d["seconds"] = round(d["seconds"], 6)
         records.append(d)
     failed = sum(1 for r in report.records if not r.verdict)

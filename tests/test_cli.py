@@ -400,6 +400,20 @@ def test_closed_stdout_still_writes_the_out_file(tmp_path):
     assert len(json.loads(path.read_text())["records"]) == 320
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every process imports these two modules first, so their imports are
+    # paid on each check and each one-shot nf; dataclasses alone, with
+    # inspect, ast, dis and tokenize behind it, took a quarter of it
+    code = ("import sys; before = set(sys.modules); "
+            "import qmink.checks, qmink.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env(), timeout=60, check=True)
+    new = set(proc.stdout.split())
+    assert {"qmink.checks", "qmink.cli"} <= new
+    assert not new & {"dataclasses", "inspect"}
+
+
 def test_serial_flag_is_a_usage_error(capsys):
     # --serial was accepted and ignored; now argparse refuses it
     with pytest.raises(SystemExit) as exc:

@@ -13,6 +13,7 @@ from qmink.algebra import Element, TermMap
 from qmink.checks import run_suite
 from qmink.grassmann import GrassmannAlgebra, GrassmannMatrix, \
     GrassmannRational, exact_divide, rational_sum, symbols
+from qmink.kernel import accumulate
 from qmink.scalars import GaussRational, Scalar
 
 import tuple_words
@@ -270,24 +271,48 @@ def prod(factors, ga=GA):
     return reduce(mul, factors, ga.one())
 
 
+# The uncancelled references multiply out over tuple words, which have no
+# degree cap: an uncancelled denominator, and a cross product with one,
+# can pass the degree that packed words hold.
+
+
+def uncancelled(x):
+    """x as an uncancelled fraction over tuple words: (parities, the
+    numerator's terms, [each denominator factor's terms]).  A fraction
+    already in this form is returned as it is."""
+    if isinstance(x, GrassmannRational):
+        return x.ga.parities, decoded(x.num), [decoded(f) for f in x.den]
+    return x
+
+
+def tuple_prod(parities, factors):
+    out = {(): GaussRational(1)}
+    for f in factors:
+        out = tuple_words.sc_product(parities, out, f)
+    return out
+
+
 def same_value(new, ref):
-    """new == ref as fractions, by Element cross-multiplication only."""
-    return new.num * prod(ref.den, ref.ga) == ref.num * prod(new.den, new.ga)
+    """new == ref as fractions, by cross-multiplication over tuple words."""
+    par, a, a_den = uncancelled(new)
+    _par, b, b_den = uncancelled(ref)
+    return tuple_prod(par, [a] + b_den) == tuple_prod(par, [b] + a_den)
 
 
 def uncancelled_product(x, y):
-    return GrassmannRational(x.ga, x.num * y.num, x.den + y.den,
-                             _reduced=True)
+    par, a, a_den = uncancelled(x)
+    _par, b, b_den = uncancelled(y)
+    return par, tuple_words.sc_product(par, a, b), a_den + b_den
 
 
 def uncancelled_sum(terms):
-    ga = terms[0].ga
-    num = ga.zero()
-    for i, t in enumerate(terms):
-        others = [f for j, u in enumerate(terms) if j != i for f in u.den]
-        num = num + t.num * prod(others, ga)
-    return GrassmannRational(ga, num, sum((t.den for t in terms), ()),
-                             _reduced=True)
+    terms = [uncancelled(t) for t in terms]
+    par = terms[0][0]
+    num = {}
+    for i, (_par, a, _den) in enumerate(terms):
+        others = [f for j, u in enumerate(terms) if j != i for f in u[2]]
+        accumulate(num, tuple_prod(par, [a] + others).items())
+    return par, num, [f for u in terms for f in u[2]]
 
 
 @st.composite
@@ -349,25 +374,18 @@ def assert_over_basis(ga, values):
             assert exact_divide(ga, m, earlier) is None
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(factor_pairs, min_size=1, max_size=3),
-       st.lists(product_picks, max_size=3), st.data())
-def test_split_factors_match_uncancelled(base, products, data):
-    ga = GrassmannAlgebra(LETTERS)
+def split_pool(ga, base, products):
+    """The factor pool of base and products, drawn as factor_pairs and
+    product_picks."""
     pool = [element(pairs, ga) for pairs in base]
-    pool += [prod([pool[i % len(base)] for i in picks], ga).scale(c)
-             for picks, c in products]
-    index = st.sampled_from(range(len(pool)))
+    return pool + [prod([pool[i % len(base)] for i in picks], ga).scale(c)
+                   for picks, c in products]
 
-    def rational():
-        den = tuple(pool[i] for i in data.draw(st.lists(index, max_size=3)))
-        num = element(data.draw(term_pairs), ga) * prod(
-            [pool[i] for i in data.draw(st.lists(index, max_size=2))], ga)
-        x = GrassmannRational(ga, num, den)
-        assert same_value(x, GrassmannRational(ga, num, den, _reduced=True))
-        return x
 
-    xs = [rational() for _ in range(6)]
+def assert_split_factors(ga, xs):
+    """Six rationals over ga: a product, a sum, a difference and a matrix
+    entry of them equal their uncancelled fractions, and each lies over
+    ga's factor basis."""
     x, y = xs[:2]
     values = [x * y, x + y, x - y]
     assert same_value(values[0], uncancelled_product(x, y))
@@ -379,6 +397,40 @@ def test_split_factors_match_uncancelled(base, products, data):
     assert same_value(entry, uncancelled_sum([uncancelled_product(a, b)
                                               for a, b in zip(row, col)]))
     assert_over_basis(ga, xs + values + [entry])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(factor_pairs, min_size=1, max_size=3),
+       st.lists(product_picks, max_size=3), st.data())
+def test_split_factors_match_uncancelled(base, products, data):
+    ga = GrassmannAlgebra(LETTERS)
+    pool = split_pool(ga, base, products)
+    index = st.sampled_from(range(len(pool)))
+
+    def rational():
+        den = tuple(pool[i] for i in data.draw(st.lists(index, max_size=3)))
+        num = element(data.draw(term_pairs), ga) * prod(
+            [pool[i] for i in data.draw(st.lists(index, max_size=2))], ga)
+        x = GrassmannRational(ga, num, den)
+        assert same_value(x, GrassmannRational(ga, num, den, _reduced=True))
+        return x
+
+    assert_split_factors(ga, [rational() for _ in range(6)])
+
+
+def test_split_factors_past_the_packed_degree():
+    # a falsifying example of the test above, when its references
+    # multiplied packed words: the pool x + x^3 and (x + x^3)^3, times i.
+    # Over three copies of the degree-9 member in each denominator, the
+    # entry's uncancelled denominator has degree 162
+    i = GaussRational(0, 1)
+    ga = GrassmannAlgebra(LETTERS)
+    pool = split_pool(ga, [[((0,), i), ((0, 0, 0), i)]], [([0, 0, 0], i)])
+    assert max(map(len, decoded(pool[1]))) == 9
+    assert 18 * 9 > grassmann.MAX_DEGREE
+    assert_split_factors(ga, [
+        GrassmannRational(ga, element([((k % 3,), GaussRational(k + 1))], ga),
+                          (pool[1],) * 3) for k in range(6)])
 
 
 def _block_inverse_factors():

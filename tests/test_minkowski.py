@@ -1,6 +1,5 @@
 """Closure table, localization, chiral Minkowski presentation, coaction."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -46,8 +45,9 @@ def test_corrupted_minor_fails_closure(monkeypatch):
     # closure table is cached: clear it so that it sees the mutation, and
     # again so that later tests do not.
     minors = list(minor_set())
-    minors[1] = dataclasses.replace(
-        minors[1], value=build_slq41().word(["a[1,1]", "a[3,2]"]))
+    minors[1] = supergroup.QuantumMinor(
+        minors[1].rows, minors[1].name,
+        build_slq41().word(["a[1,1]", "a[3,2]"]))
     monkeypatch.setattr(minkowski, "minor_set", lambda: tuple(minors))
     closure_table.cache_clear()
     try:
@@ -73,7 +73,7 @@ def test_odd_minor_with_nonzero_square_fails_its_square_record(monkeypatch):
     odd = (build_slq41().word(["a[1,1]", "a[5,2]"])
            + build_slq41().word(["a[1,2]", "a[5,1]"]))
     assert odd.parity() == 1 and odd * odd
-    minors[a] = dataclasses.replace(minors[a], value=odd)
+    minors[a] = supergroup.QuantumMinor(minors[a].rows, minors[a].name, odd)
     monkeypatch.setattr(minkowski, "minor_set", lambda: tuple(minors))
     closure_table.cache_clear()
     try:
@@ -211,7 +211,9 @@ def test_corrected_d12_entry_refuses_localization(monkeypatch):
     # again so that later tests do not.
     table = dict(closure_table())
     key = (minor_index(1, 2), minor_index(3, 4))
-    table[key] = dataclasses.replace(table[key], correction={(1, 4): ONE})
+    e = table[key]
+    table[key] = minkowski.ClosureEntry(e.sign, e.exponent, {(1, 4): ONE},
+                                        e.kind, e.ok, e.witness)
     monkeypatch.setattr(minkowski, "closure_table", lambda: table)
     localized.cache_clear()
     try:
