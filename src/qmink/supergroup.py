@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import Element, Generator, Presentation, TensorPoly
+from .algebra import Generator, Presentation, TensorPoly
 from .kernel import accumulate
 from .scalars import ONE, QINV, Scalar
 

@@ -403,7 +403,7 @@ def test_closed_stdout_still_writes_the_out_file(tmp_path):
 def test_import_loads_neither_dataclasses_nor_inspect():
     # every process imports these two modules first, so their imports are
     # paid on each check and each one-shot nf; dataclasses alone, with
-    # inspect, ast, dis and tokenize behind it, took a quarter of it
+    # inspect, ast, dis and tokenize behind it, took nearly a quarter of it
     code = ("import sys; before = set(sys.modules); "
             "import qmink.checks, qmink.cli; "
             "print(' '.join(sorted(set(sys.modules) - before)))")
