@@ -1,13 +1,14 @@
 """Parity-graded free algebra with quadratic term rewriting.
 
-A presentation owns an ordered set of generators (each with a Z2 parity
-and a rank giving the monomial order) and degree-preserving quadratic
-rules rewriting the larger length-2 word into strictly smaller words
-under the graded-lexicographic order.  When the rule set is confluent
-(checked by resolving all length-3 overlap ambiguities) the normal
-words form a PBW-type basis and normal forms are unique.  Production
-rewrites over Z[i][q, q^-1] only: the q = 1 layer's supercommutative
-algebras are grassmann.GrassmannAlgebra, whose normal form is closed.
+A presentation owns an ordered set of generators (each with a Z2
+parity; its position, the rank, gives the monomial order) and
+degree-preserving quadratic rules rewriting the larger length-2 word
+into strictly smaller words under the graded-lexicographic order.
+When the rule set is confluent (checked by resolving all length-3
+overlap ambiguities) the normal words form a PBW-type basis and normal
+forms are unique.  Production rewrites over Z[i][q, q^-1] only: the
+q = 1 layer's supercommutative algebras are grassmann.GrassmannAlgebra,
+whose normal form is closed.
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ class AlgebraError(ValueError):
 
 
 class Generator:
-    __slots__ = ("name", "parity", "rank")
+    """A generator's name and Z2 parity; its rank is its position in the
+    generator tuple of its algebra."""
 
-    def __init__(self, name, parity, rank):
+    __slots__ = ("name", "parity")
+
+    def __init__(self, name, parity):
         self.name = name
         self.parity = parity
-        self.rank = rank
 
 
 class Presentation:
@@ -45,26 +48,24 @@ class Presentation:
 
     def __init__(self, generators, unit=ONE):
         gens = tuple(generators)
-        if [g.rank for g in gens] != list(range(len(gens))):
-            raise AlgebraError("generator ranks must be 0..n-1 in order")
         self.generators = gens
         self.ngens = len(gens)
         self.parities = tuple(g.parity for g in gens)
         self.unit = unit
         self._kernel_rules = {}  # packed key -> rhs terms
         self._memo = {}
-        self._by_name = {g.name: g for g in gens}
-        for g in gens:
-            if g.parity:
-                self._kernel_rules[g.rank * self.ngens + g.rank] = ()
+        self._ranks = {g.name: r for r, g in enumerate(gens)}
+        for r, p in enumerate(self.parities):
+            if p:
+                self._kernel_rules[r * self.ngens + r] = ()
 
     # -- construction -------------------------------------------------------
 
-    def generator(self, name):
-        g = self._by_name.get(name)
-        if g is None:
+    def rank(self, name):
+        r = self._ranks.get(name)
+        if r is None:
             raise AlgebraError("unknown generator %r" % name)
-        return g
+        return r
 
     def add_rule(self, lhs, rhs):
         """Install lhs (a length-2 word) -> rhs (word -> coefficient map).
@@ -174,10 +175,10 @@ class Presentation:
         return Element(self, {(): s} if s else {})
 
     def gen(self, name):
-        return Element(self, {(self.generator(name).rank,): self.unit})
+        return Element(self, {(self.rank(name),): self.unit})
 
     def word(self, names):
-        w = tuple(self.generator(n).rank for n in names)
+        w = tuple(map(self.rank, names))
         return Element(self, dict(self.nf_word(w)))
 
 

@@ -26,7 +26,8 @@ from .minkowski import (build_chiral_presentation, closure_table,
                         supercommutative_dimension)
 from .reports import CheckRecord, SuiteReport
 from .scalars import ONE
-from .supergroup import build_slq41, comultiply, general_minor
+from .supergroup import (MINOR_NAMES, MINOR_ORDER, build_slq41, comultiply,
+                         general_minor)
 
 
 def _equal(a, b):
@@ -43,9 +44,9 @@ def _equal(a, b):
     elif isinstance(a, GrassmannMatrix):
         pa, pb = ({"(%d,%d)" % (i + 1, j + 1): x for i, r in enumerate(m.rows)
                    for j, x in enumerate(r)} for m in (a, b))
-    elif isinstance(a, realforms.SuperMatrix5):
+    elif isinstance(a, dict):  # an sl(4|1) matrix: (i, j) -> entry
         pa, pb = ({"(%d,%d)" % (i + 1, j + 1): x
-                   for (i, j), x in m.entries.items()} for m in (a, b))
+                   for (i, j), x in m.items()} for m in (a, b))
     else:  # a SuperPoincareElement or ChiralPoint: its attributes
         pa, pb = vars(a), vars(b)
     return False, "differ at " + ", ".join(
@@ -108,7 +109,7 @@ def _suite_manin_confluence():
 
 
 def _suite_grassmannian_closure():
-    names = [m.name for m in minor_set()]
+    names = MINOR_NAMES
     checks = []
     for (a, b), entry in sorted(closure_table().items()):
         if entry.kind == "square":
@@ -167,27 +168,27 @@ def _suite_coaction():
     pres = build_slq41()
     minors = minor_set()
     checks = []
-    for qm in minors:
+    for name, qm in zip(MINOR_NAMES, minors):
         def thunk(qm=qm):
             failing = [pres.word_text(u) for u, found
                        in coaction_membership(qm).items() if found is None]
             return not failing, "failing first-slot words: %s" % failing
 
-        checks.append(("membership:%s" % qm.name,
+        checks.append(("membership:%s" % name,
                        "second tensor slots of Delta(%s) lie in the minor "
-                       "span" % qm.name,
+                       "span" % name,
                        "coaction restricts to the quantum Grassmannian",
                        thunk))
 
     def cofactor_thunk():
         rows = coaction_membership(minors[0])
-        for mi, m in enumerate(minors):
-            if m.rows == (5, 5):
+        for mi, cols in enumerate(MINOR_ORDER):
+            if cols == (5, 5):
                 continue
-            target = general_minor((1, 2), m.rows)
-            if cofactor_proportional_to(rows, mi, target.value) is None:
-                return False, "cofactor of %s is not proportional to %s" \
-                    % (m.name, target.name)
+            target = general_minor((1, 2), cols)
+            if cofactor_proportional_to(rows, mi, target) is None:
+                return False, "cofactor of %s is not proportional to " \
+                    "Dc[12;%d%d]" % ((MINOR_NAMES[mi],) + cols)
         return True, ""
 
     checks.append(("cofactor-pattern:D[1,2]",

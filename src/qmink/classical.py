@@ -57,7 +57,7 @@ class PolyVectorField:
     def bracket(self, other):
         """[V, W] = V(W) - W(V), componentwise on the coefficients."""
         ga = self.ga
-        ranks = [ga.generator("x%d" % mu).rank for mu in range(4)]
+        ranks = [ga.rank("x%d" % mu) for mu in range(4)]
         out = []
         for mu in range(4):
             acc = ga.zero()
@@ -145,10 +145,7 @@ class RationalMap:
     def compose(self, other):
         """self after other: x -> self(other(x))."""
         ga = self.ga
-        images = {}
-        for mu in range(4):
-            rank = ga.generator("x%d" % mu).rank
-            images[rank] = other.comps[mu]
+        images = {ga.rank("x%d" % mu): other.comps[mu] for mu in range(4)}
         return RationalMap(ga, [
             substitute(ga, c.num, images) / substitute_product(ga, c.den, images)
             for c in self.comps])

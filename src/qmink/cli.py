@@ -13,11 +13,11 @@ from .algebra import terms_text
 from .checks import SUITE_NAMES, run_suite
 from .kernel import BudgetExceeded
 from .minkowski import (build_chiral_presentation, closure_table, localized,
-                        minor_index, minor_set)
+                        minor_index)
 from .parser import (Atom, ExprSyntaxError, ImagUnit, IntLit, Neg, Prod,
                      QPow, Sum, atom_text, parse)
 from .scalars import DigitLimitError, I, ONE, Scalar, ZERO
-from .supergroup import build_slq41, general_minor, minor
+from .supergroup import MINOR_NAMES, build_slq41, general_minor, minor
 
 ALGEBRAS = ("slq41", "grq", "minkq", "chiral-abstract")
 
@@ -91,10 +91,10 @@ def evaluate_expression(node, algebra):
             if n.kind == "a":
                 return pres.gen("a[%d,%d]" % n.indices)
             if n.kind == "D":
-                return minor(*n.indices).value
+                return minor(*n.indices)
             if n.kind == "Dc":
                 r1, r2, c1, c2 = n.indices
-                return general_minor((r1, r2), (c1, c2)).value
+                return general_minor((r1, r2), (c1, c2))
             raise EvaluationError("atom %s is not defined in slq41"
                                       % atom_text(n))
 
@@ -144,7 +144,7 @@ def normal_form_text(expr_text, algebra):
 
 def closure_table_data():
     table = closure_table()
-    names = [m.name for m in minor_set()]
+    names = MINOR_NAMES
 
     def pair_text(pair):
         return "%s*%s" % (names[pair[0]], names[pair[1]])
@@ -252,29 +252,16 @@ def build_arg_parser():
 
 
 def main(argv=None):
+    """Run the command line argv; returns the exit code."""
     args = build_arg_parser().parse_args(argv)
-    try:
-        code = _run(args)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout: point it at /dev/null so that the
-        # interpreter's own flush at exit does not fail again, and exit
-        # as for an unwritable --out
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 2
-    return code
-
-
-def _run(args):
-    """Run the parsed command; returns the exit code."""
     if args.command == "nf":
         try:
-            print(normal_form_text(args.expr, args.algebra))
+            text = normal_form_text(args.expr, args.algebra)
         except (ExprSyntaxError, EvaluationError, DigitLimitError,
                 BudgetExceeded) as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2
-        return 0
+        return _print_out(text)
     if args.command == "check":
         prof = None
         if args.profile:
@@ -293,14 +280,31 @@ def _run(args):
         except OSError as exc:
             print("error: %s" % exc, file=sys.stderr)
             code = 2
-        print(out)
-        return code
-    if args.command == "table":
-        data = closure_table_data() if args.which == "closure" \
-            else conformal_table_data()
-        print(_emit_table(data, args.format))
-        return 0
-    return 2
+        return _print_out(out) or code
+    data = closure_table_data() if args.which == "closure" \
+        else conformal_table_data()
+    return _print_out(_emit_table(data, args.format))
+
+
+def _print_out(text):
+    """Print text on stdout and flush it.  Returns 0, or 2 when stdout is
+    closed or cannot be written, as for an unwritable --out; one error
+    line says why, but for a reader that closed the pipe early."""
+    out = sys.stdout
+    if out is None:  # fd 1 was closed when the interpreter started
+        print("error: stdout is closed", file=sys.stderr)
+        return 2
+    try:
+        print(text, file=out)
+        out.flush()
+    except OSError as exc:
+        # point fd 1 at /dev/null, so that the interpreter's own flush
+        # of what is left in the buffer does not fail again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print("error: %s" % exc, file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -186,17 +186,16 @@ class GrassmannAlgebra:
 
         conjugate_name may equal name (self-conjugate variable).
         """
-        self.generators = tuple(Generator(n, p, r)
-                                for r, (n, p, _c) in enumerate(variables))
+        self.generators = tuple(Generator(n, p) for n, p, _c in variables)
         self.parities = tuple(g.parity for g in self.generators)
         self.unit = GaussRational(1)
-        self._by_name = {g.name: g for g in self.generators}
+        self._ranks = {g.name: r for r, g in enumerate(self.generators)}
         self._pack_layout()
         conj = {}
         for r, (_n, _p, cname) in enumerate(variables):
-            if cname not in self._by_name:
+            if cname not in self._ranks:
                 raise ValueError("unknown conjugate partner %r" % cname)
-            conj[r] = self._by_name[cname].rank
+            conj[r] = self._ranks[cname]
         for r, rc in conj.items():
             if conj[rc] != r:
                 raise ValueError("conjugate partner table is not involutive")
@@ -238,11 +237,11 @@ class GrassmannAlgebra:
         self._key_limit = (MAX_DEGREE + 1) << shift
         self._letters = {}
 
-    def generator(self, name):
-        g = self._by_name.get(name)
-        if g is None:
+    def rank(self, name):
+        r = self._ranks.get(name)
+        if r is None:
             raise AlgebraError("unknown generator %r" % name)
-        return g
+        return r
 
     # -- words ---------------------------------------------------------------
 
@@ -398,8 +397,7 @@ class GrassmannAlgebra:
         return Element(self, {0: s} if s else {})
 
     def gen(self, name):
-        return Element(self, {self.letter_keys[self.generator(name).rank]:
-                              self.unit})
+        return Element(self, {self.letter_keys[self.rank(name)]: self.unit})
 
     def star(self, el):
         """The involution, extended letter by letter: (ab)* = a* b*."""

@@ -21,7 +21,8 @@ from .algebra import AlgebraError, Element, Generator, Presentation, TermMap
 from .kernel import accumulate
 from .linalg import SpanSolver, span_dimension
 from .scalars import ONE, QINV, Scalar, ScalarError
-from .supergroup import MINOR_ORDER, build_slq41, comultiply, minor
+from .supergroup import (MINOR_NAMES, MINOR_ORDER, build_slq41, comultiply,
+                         minor)
 
 
 class ClosureError(RuntimeError):
@@ -32,7 +33,8 @@ class ClosureError(RuntimeError):
 
 @lru_cache(maxsize=None)
 def minor_set():
-    """The eleven minors in the fixed table order."""
+    """The eleven minors in the fixed table order, as Elements of
+    build_slq41(); MINOR_NAMES holds their names."""
     return tuple(minor(i, j) for (i, j) in MINOR_ORDER)
 
 
@@ -89,7 +91,7 @@ def _closure_entry(a, b, minors, products, solver):
             return ClosureEntry(1, 0, {}, "trivial", True)
         kind, residual = "square", ab
     else:
-        kind, residual = "reorder", minors[b].value * minors[a].value
+        kind, residual = "reorder", minors[b] * minors[a]
     sign, exp = 1, 0
     if a < b and ab:
         lead = _lead_word(ab.terms)
@@ -120,7 +122,7 @@ def _closure_entry(a, b, minors, products, solver):
             return ClosureEntry(sign, exp, {}, kind, False,
                                 "coefficient (%s)/(%s) of %s*%s is %s"
                                 % (c.to_text(), scale.to_text(),
-                                   minors[c1].name, minors[c2].name, exc))
+                                   MINOR_NAMES[c1], MINOR_NAMES[c2], exc))
     return ClosureEntry(sign, exp, corr, kind, True)
 
 
@@ -137,7 +139,7 @@ def closure_table():
     """
     minors = minor_set()
     n = len(minors)
-    products = {(a, b): minors[a].value * minors[b].value
+    products = {(a, b): minors[a] * minors[b]
                 for a in range(n) for b in range(a, n)}
     solver = SpanSolver()
     for (a, b), p in products.items():
@@ -159,13 +161,12 @@ def straightening_presentation():
     through the ambient algebra.  An odd minor's square, zero in the
     table, is the rule the presentation already has.
     """
-    minors = minor_set()
-    pres = Presentation(Generator(m.name, m.parity(), r)
-                        for r, m in enumerate(minors))
+    pres = Presentation(Generator(name, m.parity())
+                        for name, m in zip(MINOR_NAMES, minor_set()))
     for (a, b), e in sorted(closure_table().items()):
         if e.kind == "trivial":
             continue
-        where = "%s*%s" % (minors[b].name, minors[a].name)
+        where = "%s*%s" % (MINOR_NAMES[b], MINOR_NAMES[a])
         if not e.ok:
             raise ClosureError("closure entry %s failed: %s"
                                % (where, e.witness))
@@ -205,7 +206,7 @@ class LocalizedAlgebra:
     def expand(self, mword):
         cached = self._expand_cache.get(mword)
         if cached is None:
-            cached = self.expand(mword[:-1]) * self.minors[mword[-1]].value
+            cached = self.expand(mword[:-1]) * self.minors[mword[-1]]
             self._expand_cache[mword] = cached
         return cached
 
@@ -283,8 +284,7 @@ class LocalElement(TermMap):
 
     def _key_text(self, key):
         w, k = key
-        minors = self.alg.minors
-        return "*".join([minors[m].name for m in w] + ["D12inv"] * k) or "1"
+        return "*".join([MINOR_NAMES[m] for m in w] + ["D12inv"] * k) or "1"
 
     @staticmethod
     def _term_order(term):
@@ -309,7 +309,7 @@ def localized():
         if not (e.ok and e.sign == 1 and not e.correction):
             raise ClosureError(
                 "D[1,2] does not q-commute purely with %s: %s"
-                % (minors[b].name, e.witness or "correction present"))
+                % (MINOR_NAMES[b], e.witness or "correction present"))
         exponents[b] = e.exponent
     return LocalizedAlgebra(minors, exponents)
 
@@ -320,17 +320,16 @@ CHIRAL_NAMES = ("t[3,1]", "t[3,2]", "t[4,1]", "t[4,2]", "tau[5,1]", "tau[5,2]")
 
 
 def build_chiral_generators():
-    """The t and tau block entries as localized elements."""
+    """The t and tau block entries as localized elements, in the rank
+    order of CHIRAL_NAMES."""
     loc = localized()
     mi = minor_index
-    return {
-        "t[3,1]": loc.from_minor(mi(2, 3), -QINV, 1),
-        "t[3,2]": loc.from_minor(mi(1, 3), ONE, 1),
-        "t[4,1]": loc.from_minor(mi(2, 4), -QINV, 1),
-        "t[4,2]": loc.from_minor(mi(1, 4), ONE, 1),
-        "tau[5,1]": loc.from_minor(mi(2, 5), -QINV, 1),
-        "tau[5,2]": loc.from_minor(mi(1, 5), ONE, 1),
-    }
+    return (loc.from_minor(mi(2, 3), -QINV, 1),  # t[3,1]
+            loc.from_minor(mi(1, 3), ONE, 1),    # t[3,2]
+            loc.from_minor(mi(2, 4), -QINV, 1),  # t[4,1]
+            loc.from_minor(mi(1, 4), ONE, 1),    # t[4,2]
+            loc.from_minor(mi(2, 5), -QINV, 1),  # tau[5,1]
+            loc.from_minor(mi(1, 5), ONE, 1))    # tau[5,2]
 
 
 def chiral_relations():
@@ -370,7 +369,7 @@ def chiral_relations():
 def _ranked(pres, lhs, rhs):
     """A relation of chiral_relations on pres's generator ranks."""
     def ranks(names):
-        return tuple(pres.generator(n).rank for n in names)
+        return tuple(map(pres.rank, names))
 
     return ranks(lhs), {ranks(w): c for w, c in rhs.items()}
 
@@ -399,8 +398,7 @@ def substituted_residual(lhs, rhs):
     """The ambient image of lhs - rhs, a rule of presentation_rules,
     with the D-expressions substituted for the generators; zero exactly
     when the rule holds.  The generators are built on every call."""
-    gens = build_chiral_generators()
-    images = [gens[g.name] for g in build_chiral_presentation().generators]
+    images = build_chiral_generators()
     elem = images[lhs[0]] * images[lhs[1]]
     for (a, b), c in rhs.items():
         elem = elem - (images[a] * images[b]).scale(c)
@@ -415,8 +413,7 @@ def build_chiral_presentation():
     """Abstract presentation on t31 < t32 < t41 < t42 < tau51 < tau52:
     the rules of chiral_relations, and the odd squares."""
     parities = (0, 0, 0, 0, 1, 1)
-    pres = Presentation(Generator(n, p, r) for r, (n, p)
-                        in enumerate(zip(CHIRAL_NAMES, parities)))
+    pres = Presentation(map(Generator, CHIRAL_NAMES, parities))
     for _family, lhs, rhs in chiral_relations():
         pres.add_rule(*_ranked(pres, lhs, rhs))
     return pres
@@ -442,8 +439,7 @@ def chiral_normal_words(d):
 def substituted_span_dimension(d):
     """Rank of the images of the degree-d abstract normal words."""
     loc = localized()
-    gens = build_chiral_generators()
-    gen_list = [gens[n] for n in CHIRAL_NAMES]
+    gen_list = build_chiral_generators()
     vectors = []
     for w in chiral_normal_words(d):
         el = loc.one()
@@ -460,7 +456,7 @@ def substituted_span_dimension(d):
 def _minor_span_solver():
     solver = SpanSolver()
     for m in minor_set():
-        solver.add(m.value.terms)
+        solver.add(m.terms)
     return solver
 
 
@@ -472,7 +468,7 @@ def coaction_membership(qm):
     exactly when no row is None."""
     solver = _minor_span_solver()
     slots = {}
-    for (u, v), c in comultiply(qm.value).terms.items():
+    for (u, v), c in comultiply(qm).terms.items():
         slots.setdefault(u, {})[v] = c
     return {u: solver.express(slots[u]) for u in sorted(slots)}
 

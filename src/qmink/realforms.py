@@ -5,9 +5,11 @@ The Lie-superalgebra side works with exact sparse 5x5 matrices over
 Q(i): a matrix is a dict from (row, column) to a nonzero GaussRational,
 and no zero is ever stored, so a product costs only the nonzero entry
 pairs that meet (a basis matrix holds one or two entries, its sigma
-image at most two).  The sigma fixed points are solved for with
-``linalg.kernel_basis`` over the same ring; the group side reuses the
-Grassmann machinery from the classical module.  Nothing here involves q.
+image at most two), and two matrices are equal exactly when their dicts
+are.  The (4|1) block grading is read off the entries (parity).  The
+sigma fixed points are solved for with ``linalg.kernel_basis`` over the
+same ring; the group side reuses the Grassmann machinery from the
+classical module.  Nothing here involves q.
 """
 
 from __future__ import annotations
@@ -50,43 +52,24 @@ def _scaled(s, a):
     return {k: s * c for k, c in a.items()}
 
 
-class SuperMatrix5:
-    """5x5 matrix over Q(i) with the (4|1) block grading.
+def parity(x):
+    """The (4|1) grading of a homogeneous matrix: 1 when an entry lies in
+    an off-diagonal block, 0 otherwise (the zero matrix included)."""
+    return 1 if any((i == 4) != (j == 4) for i, j in x) else 0
 
-    entries holds the nonzero entries only, so two matrices are equal
-    exactly when their entry maps and parities are.
-    """
 
-    __slots__ = ("entries", "parity")
-
-    def __init__(self, entries, parity):
-        # (i, j) -> nonzero GaussRational, never changed
-        self.entries = entries
-        # 0: even block-diagonal, 1: odd block-off-diagonal
-        self.parity = parity
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and \
-            self.entries == other.entries and self.parity == other.parity
-
-    def scale(self, s):
-        return SuperMatrix5(_scaled(s, self.entries), self.parity)
-
-    def supertrace_condition(self):
-        """tr p - c, which vanishes on sl(4|1)."""
-        e = self.entries
-        tr = ZERO
-        for k in range(4):
-            tr = tr + e.get((k, k), ZERO)
-        return tr - e.get((4, 4), ZERO)
+def supertrace_condition(x):
+    """tr p - c, which vanishes on sl(4|1)."""
+    tr = ZERO
+    for k in range(4):
+        tr = tr + x.get((k, k), ZERO)
+    return tr - x.get((4, 4), ZERO)
 
 
 def supercommutator(x, y):
-    """[x, y] = xy - (-1)^{|x||y|} yx on 5x5 matrices."""
-    sign = ONE if x.parity and y.parity else -ONE
-    yx = _scaled(sign, mat_mul(y.entries, x.entries))
-    return SuperMatrix5(accumulate(mat_mul(x.entries, y.entries),
-                                   yx.items()), (x.parity + y.parity) % 2)
+    """[x, y] = xy - (-1)^{|x||y|} yx on homogeneous 5x5 matrices."""
+    sign = ONE if parity(x) and parity(y) else -ONE
+    return accumulate(mat_mul(x, y), _scaled(sign, mat_mul(y, x)).items())
 
 
 def sigma(x):
@@ -94,9 +77,8 @@ def sigma(x):
 
     That is K x^+ K with K = diag(F, i), its 4x4 block negated.
     """
-    img = mat_mul(K, mat_mul(mat_dagger(x.entries), K))
-    return SuperMatrix5({(i, j): -c if i < 4 and j < 4 else c
-                         for (i, j), c in img.items()}, x.parity)
+    img = mat_mul(K, mat_mul(mat_dagger(x), K))
+    return {(i, j): -c if i < 4 and j < 4 else c for (i, j), c in img.items()}
 
 
 @lru_cache(maxsize=None)
@@ -107,15 +89,13 @@ def sl41_basis():
         for j in range(4):
             if i == j:
                 # trace condition tr p = c
-                basis.append(("H%d" % (i + 1), SuperMatrix5(
-                    {(i, i): ONE, (4, 4): ONE}, 0)))
+                basis.append(("H%d" % (i + 1), {(i, i): ONE, (4, 4): ONE}))
             else:
-                basis.append(("E%d%d" % (i + 1, j + 1),
-                              SuperMatrix5({(i, j): ONE}, 0)))
+                basis.append(("E%d%d" % (i + 1, j + 1), {(i, j): ONE}))
     for i in range(4):
-        basis.append(("alpha%d" % (i + 1), SuperMatrix5({(i, 4): ONE}, 1)))
+        basis.append(("alpha%d" % (i + 1), {(i, 4): ONE}))
     for j in range(4):
-        basis.append(("beta%d" % (j + 1), SuperMatrix5({(4, j): ONE}, 1)))
+        basis.append(("beta%d" % (j + 1), {(4, j): ONE}))
     return tuple(basis)
 
 
@@ -126,11 +106,11 @@ def antilinearity():
     failures = []
     for name, x in sl41_basis():
         sx = sigma(x)
-        if sigma(x.scale(GI)) != sx.scale(-GI):
+        if sigma(_scaled(GI, x)) != _scaled(-GI, sx):
             failures.append((name, "antilinearity"))
-        if x.supertrace_condition():
+        if supertrace_condition(x):
             failures.append((name, "trace condition"))
-        if sx.supertrace_condition():
+        if supertrace_condition(sx):
             failures.append((name, "image trace condition"))
     return failures
 
@@ -152,7 +132,7 @@ def _part(x, part):
     return GaussRational(x.im if part else x.re, 0, x.den)
 
 
-def _fixed_point_basis(cells, parity):
+def _fixed_point_basis(cells):
     """Basis over Q of the sigma fixed points supported on cells.
 
     Parameter 2k (2k + 1) is the real (imaginary) unit in cell k; its
@@ -162,7 +142,7 @@ def _fixed_point_basis(cells, parity):
     cols = []
     for cell in cells:
         for unit in (ONE, GI):
-            img = sigma(SuperMatrix5({cell: unit}, parity)).entries
+            img = sigma({cell: unit})
             d = accumulate({cell: unit}, _scaled(-ONE, img).items())
             cols.append([_part(d.get(c, ZERO), part) for c in cells
                          for part in (0, 1)])
@@ -179,7 +159,7 @@ def fixed_point_bases():
     """
     even = [(i, j) for i in range(4) for j in range(4)]
     odd = [(i, 4) for i in range(4)] + [(4, j) for j in range(4)]
-    return _fixed_point_basis(even, 0), _fixed_point_basis(odd, 1)
+    return _fixed_point_basis(even), _fixed_point_basis(odd)
 
 
 def _complexified(vec, cells):

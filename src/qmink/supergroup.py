@@ -25,6 +25,8 @@ INDICES = tuple((i, j) for i in range(1, SIZE + 1) for j in range(1, SIZE + 1))
 # table and of the Grassmannian's generators; no other pair is a minor
 MINOR_ORDER = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
                (1, 5), (2, 5), (3, 5), (4, 5), (5, 5))
+# their names, in the same order
+MINOR_NAMES = tuple("D[%d,%d]" % ij for ij in MINOR_ORDER)
 
 
 def index_parity(i):
@@ -38,37 +40,33 @@ def _rank(i, j):
 def manin_generators():
     """Row-major a[i,j] generators for M_q(4|1)."""
     return [Generator("a[%d,%d]" % (i, j),
-                      (index_parity(i) + index_parity(j)) % 2, r)
-            for r, (i, j) in enumerate(INDICES)]
+                      (index_parity(i) + index_parity(j)) % 2)
+            for i, j in INDICES]
 
 
 @lru_cache(maxsize=None)
 def build_slq41():
     """Manin relations on the SIZE x SIZE supermatrix bialgebra: the
     quantum supergroup presentation used everywhere downstream."""
-    gens = manin_generators()
-    pres = Presentation(gens)
+    pres = Presentation(manin_generators())
+    odd = pres.parities
     qm1 = QINV - Scalar.q_pow(1)  # q^-1 - q
-    for g in gens:
-        for h in gens:
-            if g.rank >= h.rank:
-                continue
-            (i, j), (k, l) = INDICES[g.rank], INDICES[h.rank]
-            sign = ONE if not (g.parity and h.parity) else -ONE
+    for g, (i, j) in enumerate(INDICES):
+        for h in range(g + 1, len(INDICES)):
+            k, l = INDICES[h]
+            sign = -ONE if odd[g] and odd[h] else ONE
             if i == k or j == l:
                 # same row (j < l) or same column (i < k):
                 # g h = sign * q^eps * h g, eps set by the shared index
                 eps = 1 if index_parity(i if i == k else j) else -1
-                pres.add_rule((h.rank, g.rank),
-                              {(g.rank, h.rank): sign * Scalar.q_pow(-eps)})
+                pres.add_rule((h, g), {(g, h): sign * Scalar.q_pow(-eps)})
             elif j > l:
                 # i < k, j > l: g h = sign * h g
-                pres.add_rule((h.rank, g.rank), {(g.rank, h.rank): sign})
+                pres.add_rule((h, g), {(g, h): sign})
             else:
                 # i < k, j < l: g h = sign * h g + sign (q^-1 - q) a_kj a_il
                 w = (_rank(k, j), _rank(i, l))
-                pres.add_rule((h.rank, g.rank),
-                              {(g.rank, h.rank): sign, w: -qm1})
+                pres.add_rule((h, g), {(g, h): sign, w: -qm1})
     return pres
 
 
@@ -112,27 +110,14 @@ def comultiply(p):
 # -- quantum minors -----------------------------------------------------------
 
 
-class QuantumMinor:
-    __slots__ = ("rows", "name", "value")
-
-    def __init__(self, rows, name, value):
-        self.rows = rows
-        self.name = name
-        self.value = value
-
-    def parity(self):
-        return self.value.parity()
-
-
 def minor(i, j):
-    """Column-(1,2) quantum minor D[i,j] of the Grassmannian generators."""
+    """Column-(1,2) quantum minor D[i,j] of the Grassmannian generators,
+    an Element of build_slq41()."""
     if (i, j) not in MINOR_ORDER:
         raise ValueError("invalid minor index pair (%d, %d)" % (i, j))
     if (i, j) == (5, 5):
-        value = build_slq41().word(["a[5,1]", "a[5,2]"])
-    else:
-        value = general_minor((i, j), (1, 2)).value
-    return QuantumMinor((i, j), "D[%d,%d]" % (i, j), value)
+        return build_slq41().word(["a[5,1]", "a[5,2]"])
+    return general_minor((i, j), (1, 2))
 
 
 def general_minor(rows, cols):
@@ -144,6 +129,4 @@ def general_minor(rows, cols):
     pres = build_slq41()
     a = pres.word(["a[%d,%d]" % (r1, c1), "a[%d,%d]" % (r2, c2)])
     b = pres.word(["a[%d,%d]" % (r1, c2), "a[%d,%d]" % (r2, c1)])
-    value = a - b.scale(QINV)
-    return QuantumMinor(tuple(rows), "Dc[%d%d;%d%d]" % (r1, r2, c1, c2),
-                        value)
+    return a - b.scale(QINV)

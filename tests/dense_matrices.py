@@ -65,6 +65,12 @@ def f_matrix():
     return f
 
 
+def parity(rows):
+    """The (4|1) grading of the rows: 1 when a nonzero entry lies in the
+    alpha column or the beta row, 0 otherwise."""
+    return 1 if any([r[4] for r in rows[:4]] + rows[4][:4]) else 0
+
+
 def supercommutator(x, px, y, py):
     """[x, y] = xy - (-1)^{|x||y|} yx on the rows x and y of parities
     px and py."""

@@ -50,7 +50,7 @@ def test_conformal_generator_forms():
 def test_partial_derivative():
     ga = coordinate_algebra()
     x0 = ga.gen("x0")
-    r0 = ga.generator("x0").rank
+    r0 = ga.rank("x0")
     p = x0 * x0 * ga.gen("x1")
     assert d_dx(p, r0) == (x0 * ga.gen("x1")).scale(GaussRational(2))
 
@@ -64,7 +64,7 @@ def test_partial_derivative():
 def test_partial_derivative_matches_the_tuple_words(raw, name):
     # raw words over x0..x3 and an even w, unsorted, with repeats
     ga = coordinate_algebra(("w",))
-    rank = ga.generator(name).rank
+    rank = ga.rank(name)
     el = Element(ga, ga.normal_form(raw))
     assert decoded(d_dx(el, rank)) == tuple_words.d_dx(
         tuple_words.normal_form(ga.parities, raw), rank)
@@ -73,7 +73,7 @@ def test_partial_derivative_matches_the_tuple_words(raw, name):
 def test_partial_derivative_refuses_an_odd_generator():
     # an odd derivative needs a Koszul sign, which d_dx does not carry
     ga = symbols(real=("x0",), real_odd=("th",))
-    th = ga.generator("th").rank
+    th = ga.rank("th")
     with pytest.raises(ValueError, match="even generator"):
         d_dx(ga.gen("th") * ga.gen("x0"), th)
 
@@ -172,7 +172,7 @@ def test_sct_numeric_point():
     x = [Fraction(1), Fraction(1, 5), Fraction(-2), Fraction(1, 7)]
     bs = [ga.scalar(GaussRational(v.numerator, 0, v.denominator)) for v in b]
     k = special_conformal_map(ga, bs)
-    images = {ga.generator("x%d" % mu).rank:
+    images = {ga.rank("x%d" % mu):
               GrassmannRational(ga, ga.scalar(
                   GaussRational(v.numerator, 0, v.denominator)))
               for mu, v in enumerate(x)}

@@ -365,6 +365,34 @@ def test_run_suite_refuses_an_unknown_suite():
     assert all(name in str(exc.value) for name in SUITE_NAMES + ("'all'",))
 
 
+# the ways stdout can fail: a pipe whose reader is gone, fd 1 closed (as
+# the shell's >&- leaves it, so that sys.stdout is None), and a full
+# device, where the system has one
+FAILING_STDOUTS = ("pipe", "closed") + (
+    ("full",) if os.path.exists("/dev/full") else ())
+
+
+def run_with_failing_stdout(argv, way):
+    """Run qmink argv with the stdout of FAILING_STDOUTS named way;
+    returns the exit code and stderr."""
+    kwargs = {}
+    if way == "pipe":
+        read_end, kwargs["stdout"] = os.pipe()
+        os.close(read_end)
+    elif way == "closed":
+        kwargs["preexec_fn"] = lambda: os.close(1)
+    else:
+        kwargs["stdout"] = os.open("/dev/full", os.O_WRONLY)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qmink.cli", *argv],
+                              stderr=subprocess.PIPE, env=child_env(),
+                              timeout=120, **kwargs)
+    finally:
+        if "stdout" in kwargs:
+            os.close(kwargs["stdout"])
+    return proc.returncode, proc.stderr
+
+
 def test_closed_stdout_is_exit_2_without_traceback():
     # coaction's JSON report is over 64 KiB, more than a pipe holds, so
     # the child is still writing when the reader closes the pipe
@@ -380,6 +408,18 @@ def test_closed_stdout_is_exit_2_without_traceback():
     finally:
         proc.kill()
         proc.stderr.close()
+    # each command, each way: a reader that left says nothing, the other
+    # two say one error line
+    for argv in (["nf", "a[1,2]*a[1,1]", "--algebra", "slq41"],
+                 ["check", "pauli-metric"], ["table", "closure"]):
+        for way in FAILING_STDOUTS:
+            code, err = run_with_failing_stdout(argv, way)
+            assert code == 2, (argv, way, err)
+            if way == "pipe":
+                assert err == b"", argv
+            else:
+                assert err.startswith(b"error: ") and err.count(b"\n") == 1
+                assert b"Traceback" not in err
 
 
 def test_closed_stdout_still_writes_the_out_file(tmp_path):
@@ -398,6 +438,13 @@ def test_closed_stdout_still_writes_the_out_file(tmp_path):
         proc.kill()
         proc.stderr.close()
     assert len(json.loads(path.read_text())["records"]) == 320
+    for way in FAILING_STDOUTS:
+        path = tmp_path / ("%s.json" % way)
+        code, err = run_with_failing_stdout(
+            ["check", "pauli-metric", "--format", "json", "--out", str(path)],
+            way)
+        assert code == 2 and b"Traceback" not in err, way
+        assert len(json.loads(path.read_text())["records"]) == 3, way
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qmink import grassmann
-from qmink.algebra import Element, TermMap
+from qmink.algebra import AlgebraError, Element, TermMap
 from qmink.checks import run_suite
 from qmink.grassmann import GrassmannAlgebra, GrassmannMatrix, \
     GrassmannRational, exact_divide, rational_sum, symbols
@@ -237,7 +237,10 @@ def test_symbols_rank_order_and_partners():
     # its partner, the real odds: the variable lists of the suites' algebras
     ga = symbols(even=("a",), real=("b",), odd=("c",), real_odd=("d",))
     assert [g.name for g in ga.generators] == ["a", "a*", "b", "c", "c*", "d"]
+    assert [ga.rank(g.name) for g in ga.generators] == list(range(6))
     assert ga.parities == (0, 0, 0, 1, 1, 1)
+    with pytest.raises(AlgebraError, match="unknown generator 'e'"):
+        ga.rank("e")
     for name, image in (("a", "a*"), ("a*", "a"), ("b", "b"), ("c", "c*"),
                         ("c*", "c"), ("d", "d")):
         assert ga.star(ga.gen(name)) == ga.gen(image)

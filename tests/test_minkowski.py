@@ -9,7 +9,7 @@ from qmink.algebra import Presentation, TensorPoly
 from qmink.checks import run_suite
 from qmink.cli import normal_form_text
 from qmink.linalg import SpanSolver
-from qmink.minkowski import (MINOR_ORDER, ClosureError,
+from qmink.minkowski import (CHIRAL_NAMES, MINOR_ORDER, ClosureError,
                              build_chiral_generators,
                              build_chiral_presentation, chiral_normal_words,
                              closure_table, coaction_membership,
@@ -18,8 +18,9 @@ from qmink.minkowski import (MINOR_ORDER, ClosureError,
                              straightening_presentation, substituted_residual,
                              substituted_span_dimension,
                              supercommutative_dimension)
+from qmink.parser import atom_text, parse
 from qmink.scalars import I, ONE, Q, QINV, GaussRational, Scalar
-from qmink.supergroup import build_slq41, general_minor
+from qmink.supergroup import MINOR_NAMES, build_slq41, general_minor, minor
 
 from reference_merges import homomorphism_witness, overlap_witness
 
@@ -30,6 +31,11 @@ def test_minor_order():
     evens = [p for p in MINOR_ORDER if (p[0] <= 4 and p[1] <= 4) or p == (5, 5)]
     odds = [p for p in MINOR_ORDER if p[1] == 5 and p[0] <= 4]
     assert len(evens) == 7 and len(odds) == 4
+    # the names are the parser's own spelling, and minor_set() holds the
+    # minors in the same order
+    for k, (i, j) in enumerate(MINOR_ORDER):
+        assert MINOR_NAMES[k] == atom_text(parse("D[%d,%d]" % (i, j)))
+        assert minor_set()[k] == minor(i, j)
 
 
 def test_closure_table_complete_and_ok():
@@ -45,16 +51,15 @@ def test_corrupted_minor_fails_closure(monkeypatch):
     # closure table is cached: clear it so that it sees the mutation, and
     # again so that later tests do not.
     minors = list(minor_set())
-    minors[1] = supergroup.QuantumMinor(
-        minors[1].rows, minors[1].name,
-        build_slq41().word(["a[1,1]", "a[3,2]"]))
+    minors[1] = build_slq41().word(["a[1,1]", "a[3,2]"])
     monkeypatch.setattr(minkowski, "minor_set", lambda: tuple(minors))
     closure_table.cache_clear()
     try:
         table = closure_table()
         failing = sorted(k for k, e in table.items() if not e.ok)
         assert failing == [(1, 2), (1, 4), (1, 6), (1, 7)]
-        assert all(table[k].witness for k in failing)
+        assert {table[k].witness for k in failing} == \
+            {"correction not in the span of sorted minor products"}
         with pytest.raises(ClosureError, match=r"D\[1,4\]\*D\[1,3\]"):
             straightening_presentation()
         assert cli.closure_table_data()["all_ok"] is False
@@ -73,7 +78,7 @@ def test_odd_minor_with_nonzero_square_fails_its_square_record(monkeypatch):
     odd = (build_slq41().word(["a[1,1]", "a[5,2]"])
            + build_slq41().word(["a[1,2]", "a[5,1]"]))
     assert odd.parity() == 1 and odd * odd
-    minors[a] = supergroup.QuantumMinor(minors[a].rows, minors[a].name, odd)
+    minors[a] = odd
     monkeypatch.setattr(minkowski, "minor_set", lambda: tuple(minors))
     closure_table.cache_clear()
     try:
@@ -173,8 +178,7 @@ def test_closure_identities_reconstruct():
     # independent verification: every derived identity evaluates to zero
     # in the ambient algebra
     table = closure_table()
-    minors = minor_set()
-    vals = [m.value for m in minors]
+    vals = minor_set()
     for (a, b), e in sorted(table.items()):
         if e.kind == "trivial":
             continue
@@ -193,7 +197,7 @@ def test_odd_minor_squares_vanish():
     minors = minor_set()
     for (i, j) in ((1, 5), (2, 5), (3, 5), (4, 5), (5, 5)):
         m = minors[minor_index(i, j)]
-        assert (m.value * m.value).is_zero()
+        assert (m * m).is_zero()
 
 
 def test_d12_q_commutes_purely():
@@ -293,7 +297,7 @@ def test_localized_exchange_classical_limit():
 
 
 def test_chiral_generators():
-    gens = build_chiral_generators()
+    gens = dict(zip(CHIRAL_NAMES, build_chiral_generators()))
     mi = minor_index
     assert gens["t[3,1]"].terms == {((mi(2, 3),), 1): -QINV}
     assert gens["t[3,2]"].terms == {((mi(1, 3),), 1): ONE}
@@ -350,10 +354,8 @@ def test_presentation_statements_read_back_as_rules():
 
 def test_single_relation_example():
     # t31 t32 - q t32 t31 = 0, worked directly in the localization
-    gens = build_chiral_generators()
-    t31, t32 = gens["t[3,1]"], gens["t[3,2]"]
+    t31, t32, _t41, _t42, tau1, tau2 = build_chiral_generators()
     assert (t31 * t32 - (t32 * t31).scale(Q)).is_zero()
-    tau1, tau2 = gens["tau[5,1]"], gens["tau[5,2]"]
     assert (tau1 * tau2 + (tau2 * tau1).scale(QINV)).is_zero()
 
 
@@ -407,22 +409,22 @@ def test_abstract_presentation_supercommutes_at_q1():
 
 
 def test_coaction_membership_all_minors():
-    for qm in minor_set():
+    for name, qm in zip(MINOR_NAMES, minor_set()):
         rows = coaction_membership(qm)
-        assert None not in rows.values(), qm.name
+        assert None not in rows.values(), name
 
 
 def test_coaction_cofactor_pattern_for_d12():
     rows = coaction_membership(minor_set()[0])
-    for mi, m in enumerate(minor_set()):
+    for mi, (name, cols) in enumerate(zip(MINOR_NAMES, MINOR_ORDER)):
         assert any(coords[mi] for _scale, coords in rows.values()), \
-            "cofactor of %s vanishes" % m.name
-        if m.rows == (5, 5):
+            "cofactor of %s vanishes" % name
+        if cols == (5, 5):
             continue
-        target = general_minor((1, 2), m.rows)
-        prop = cofactor_proportional_to(rows, mi, target.value)
+        target = general_minor((1, 2), cols)
+        prop = cofactor_proportional_to(rows, mi, target)
         # quantum Cauchy-Binet: the cofactor is exactly the column minor
-        assert prop == (1, 0), m.name
+        assert prop == (1, 0), name
 
 
 def test_straightener_exists_and_is_order_compatible():
@@ -466,9 +468,10 @@ def test_wrong_generator_coefficient_fails_minkowski_presentation(
     right = minkowski.build_chiral_generators
 
     def flipped():
-        gens = right()
-        gens["t[3,1]"] = localized().from_minor(minor_index(2, 3), QINV, 1)
-        return gens
+        gens = list(right())
+        gens[CHIRAL_NAMES.index("t[3,1]")] = \
+            localized().from_minor(minor_index(2, 3), QINV, 1)
+        return tuple(gens)
 
     monkeypatch.setattr(minkowski, "build_chiral_generators", flipped)
     assert set(false_records("minkowski-presentation")) == \
@@ -483,7 +486,7 @@ def test_wrong_rule_coefficient_fails_presentation_confluence(monkeypatch):
     # resolve.  The copy is built from the cached presentation without
     # changing it, and checks imports build_chiral_presentation by name.
     right = build_chiral_presentation()
-    t31, t32 = (right.generator(n).rank for n in ("t[3,1]", "t[3,2]"))
+    t31, t32 = (right.rank(n) for n in ("t[3,1]", "t[3,2]"))
 
     def corrupted():
         pres = Presentation(right.generators)
@@ -501,7 +504,7 @@ def test_wrong_rule_coefficient_fails_presentation_confluence(monkeypatch):
     # each witness is the text of the full difference, byte for byte
     pres = corrupted()
     assert bad == {"overlap:%s" % pres.word_text(w): overlap_witness(pres, w)
-                   for w in (tuple(pres.generator(n).rank for n in ws)
+                   for w in (tuple(pres.rank(n) for n in ws)
                              for ws in (("t[4,1]", "t[3,2]", "t[3,1]"),
                                         ("tau[5,1]", "t[3,2]", "t[3,1]")))}
 
@@ -534,7 +537,7 @@ def test_wrong_delta_term_fails_coaction(monkeypatch):
     # pattern of Delta(D[1,2]) fail.  Delta of a generator is cached, and
     # comultiply reaches _delta_gen through that cache.
     pres = build_slq41()
-    a11, a15, a51 = (pres.generator(n).rank
+    a11, a15, a51 = (pres.rank(n)
                      for n in ("a[1,1]", "a[1,5]", "a[5,1]"))
     right = supergroup._delta_gen
 

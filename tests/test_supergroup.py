@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmink import checks
-from qmink.algebra import (Element, Presentation, overlap_words,
-                           resolve_overlap)
+from qmink.algebra import (AlgebraError, Element, Presentation,
+                           overlap_words, resolve_overlap)
 from qmink.checks import run_suite
 from qmink.minkowski import build_chiral_presentation
 from qmink.scalars import I, ONE, Q, QINV, Scalar
@@ -14,10 +14,6 @@ from qmink.supergroup import (_delta_gen_cached, build_slq41, comultiply,
 
 from reference_merges import (overlap_difference, overlap_witness,
                               reference_comultiply)
-
-
-def rank(pres, name):
-    return pres.generator(name).rank
 
 
 def records(suite, family):
@@ -31,7 +27,7 @@ def test_wrong_rule_coefficient_fails_manin_confluence(monkeypatch):
     # only the rules' left-hand sides and stay true.  The copy is built
     # from the cached presentation without changing it.
     right = build_slq41()
-    a11, a14 = rank(right, "a[1,1]"), rank(right, "a[1,4]")
+    a11, a14 = right.rank("a[1,1]"), right.rank("a[1,4]")
 
     def corrupted():
         pres = Presentation(right.generators)
@@ -63,20 +59,22 @@ def test_generator_layout():
     pres = build_slq41()
     assert pres.ngens == 25
     assert sum(pres.parities) == 8  # a[i,5], a[5,j] for i,j <= 4
-    assert pres.generator("a[5,5]").parity == 0
-    assert pres.generator("a[1,5]").parity == 1
+    assert pres.parities[pres.rank("a[5,5]")] == 0
+    assert pres.parities[pres.rank("a[1,5]")] == 1
+    with pytest.raises(AlgebraError, match=r"unknown generator 'a\[6,1\]'"):
+        pres.rank("a[6,1]")
     assert len(pres.rules) == 300 + 8  # every unordered pair plus odd squares
 
 
 def test_rule_lookup_examples():
     pres = build_slq41()
     rules = pres.rules
-    r = rules[(rank(pres, "a[1,2]"), rank(pres, "a[1,1]"))]
-    assert r == {(rank(pres, "a[1,1]"), rank(pres, "a[1,2]")): Q}
-    r = rules[(rank(pres, "a[5,2]"), rank(pres, "a[5,1]"))]
-    assert r == {(rank(pres, "a[5,1]"), rank(pres, "a[5,2]")): -QINV}
-    r = rules[(rank(pres, "a[2,1]"), rank(pres, "a[1,2]"))]
-    assert r == {(rank(pres, "a[1,2]"), rank(pres, "a[2,1]")): ONE}
+    r = rules[(pres.rank("a[1,2]"), pres.rank("a[1,1]"))]
+    assert r == {(pres.rank("a[1,1]"), pres.rank("a[1,2]")): Q}
+    r = rules[(pres.rank("a[5,2]"), pres.rank("a[5,1]"))]
+    assert r == {(pres.rank("a[5,1]"), pres.rank("a[5,2]")): -QINV}
+    r = rules[(pres.rank("a[2,1]"), pres.rank("a[1,2]"))]
+    assert r == {(pres.rank("a[1,2]"), pres.rank("a[2,1]")): ONE}
 
 
 def test_manin_confluence():
@@ -113,8 +111,8 @@ def test_comultiply_unit_and_generator():
         for j in range(1, 6):
             d = comultiply(pres.gen("a[%d,%d]" % (i, j)))
             assert d.terms == {
-                ((rank(pres, "a[%d,%d]" % (i, k)),),
-                 (rank(pres, "a[%d,%d]" % (k, j)),)): ONE
+                ((pres.rank("a[%d,%d]" % (i, k)),),
+                 (pres.rank("a[%d,%d]" % (k, j)),)): ONE
                 for k in range(1, 6)}
 
 
@@ -127,14 +125,14 @@ def test_comultiplication_is_algebra_map():
 def test_minor_values():
     pres = build_slq41()
     d12 = minor(1, 2)
-    assert d12.value == pres.word(["a[1,1]", "a[2,2]"]) \
+    assert d12 == pres.word(["a[1,1]", "a[2,2]"]) \
         - pres.word(["a[1,2]", "a[2,1]"]).scale(QINV)
     assert d12.parity() == 0
     d55 = minor(5, 5)
-    assert d55.value == pres.word(["a[5,1]", "a[5,2]"])
+    assert d55 == pres.word(["a[5,1]", "a[5,2]"])
     assert d55.parity() == 0
     d15 = minor(1, 5)
-    assert d15.value == pres.word(["a[1,1]", "a[5,2]"]) \
+    assert d15 == pres.word(["a[1,1]", "a[5,2]"]) \
         - pres.word(["a[1,2]", "a[5,1]"]).scale(QINV)
     assert d15.parity() == 1
 
@@ -151,12 +149,12 @@ def test_minor_index_validation():
 def test_general_minor():
     pres = build_slq41()
     m = general_minor((3, 4), (3, 4))
-    assert m.value == pres.word(["a[3,3]", "a[4,4]"]) \
+    assert m == pres.word(["a[3,3]", "a[4,4]"]) \
         - pres.word(["a[3,4]", "a[4,3]"]).scale(QINV)
     m2 = general_minor((3, 4), (4, 5))
-    assert m2.value == pres.word(["a[3,4]", "a[4,5]"]) \
+    assert m2 == pres.word(["a[3,4]", "a[4,5]"]) \
         - pres.word(["a[3,5]", "a[4,4]"]).scale(QINV)
-    assert general_minor((1, 2), (1, 2)).value == minor(1, 2).value
+    assert general_minor((1, 2), (1, 2)) == minor(1, 2)
     with pytest.raises(ValueError):
         general_minor((4, 3), (1, 2))
     with pytest.raises(ValueError):
@@ -208,7 +206,7 @@ def test_comultiply_leaves_the_cached_coproducts_alone():
     # scaled by the word's coefficient, so the scaling must build a new
     # term map
     pres = build_slq41()
-    r = rank(pres, "a[2,3]")
+    r = pres.rank("a[2,3]")
     cached = _delta_gen_cached(r)
     before = dict(cached.terms)
     c = Q + I

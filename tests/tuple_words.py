@@ -26,10 +26,11 @@ def koszul_presentation(ga):
     Presentation's own rule)."""
     one = ga.unit
     pres = Presentation(ga.generators, unit=one)
-    for a in ga.generators:
-        for b in ga.generators[a.rank + 1:]:
-            sign = -one if (a.parity and b.parity) else one
-            pres.add_rule((b.rank, a.rank), {(a.rank, b.rank): sign})
+    odd = ga.parities
+    for a in range(len(odd)):
+        for b in range(a + 1, len(odd)):
+            sign = -one if (odd[a] and odd[b]) else one
+            pres.add_rule((b, a), {(a, b): sign})
     return pres
 
 
