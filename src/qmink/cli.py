@@ -259,7 +259,7 @@ def main(argv=None):
             text = normal_form_text(args.expr, args.algebra)
         except (ExprSyntaxError, EvaluationError, DigitLimitError,
                 BudgetExceeded) as exc:
-            print("error: %s" % exc, file=sys.stderr)
+            _print_err("error: %s" % exc)
             return 2
         return _print_out(text)
     if args.command == "check":
@@ -278,7 +278,7 @@ def main(argv=None):
             if prof:
                 prof.dump_stats(args.profile)
         except OSError as exc:
-            print("error: %s" % exc, file=sys.stderr)
+            _print_err("error: %s" % exc)
             code = 2
         return _print_out(out) or code
     data = closure_table_data() if args.which == "closure" \
@@ -292,7 +292,7 @@ def _print_out(text):
     line says why, but for a reader that closed the pipe early."""
     out = sys.stdout
     if out is None:  # fd 1 was closed when the interpreter started
-        print("error: stdout is closed", file=sys.stderr)
+        _print_err("error: stdout is closed")
         return 2
     try:
         print(text, file=out)
@@ -302,9 +302,23 @@ def _print_out(text):
         # of what is left in the buffer does not fail again at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
         if not isinstance(exc, BrokenPipeError):
-            print("error: %s" % exc, file=sys.stderr)
+            _print_err("error: %s" % exc)
         return 2
     return 0
+
+
+def _print_err(text):
+    """Print one line on stderr.  A stderr that is closed or cannot be
+    written loses the line and changes no exit code."""
+    err = sys.stderr
+    if err is None:  # fd 2 was closed when the interpreter started
+        return
+    try:
+        print(text, file=err)
+        err.flush()
+    except OSError:
+        # as for stdout: the flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), err.fileno())
 
 
 if __name__ == "__main__":

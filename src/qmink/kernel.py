@@ -4,27 +4,44 @@ Words are tuples of generator ranks; a rule set maps the packed key
 ``g * ngens + h`` of a length-2 factor to a tuple of (word, coeff)
 replacement terms: Presentation.add_rule writes each rule there as it
 installs it.  Coefficients are opaque ring elements supporting ``*``,
-``+`` and truthiness.  Normal forms of single words are memoized in a
-caller-owned dict, so repeated reductions share work.  ``accumulate``
-is the one sparse merge that every term map in qmink sums through.
+``+`` and truthiness.  ``accumulate`` is the one sparse merge that every
+term map in qmink sums through.
+
+Rewriting happens only at a junction.  If u is a normal word, the only
+pair of u*g that can reduce is its last one, so the normal form of a
+word is built by multiplying a normal prefix by one letter at a time.
+For u = p*x and a rule x*g -> sum c*y*z,
+
+    nf(u*g) = sum c * sum_{v, d in nf(p*y)} d * nf(v*z),
+
+and every product on the right is again a normal word times a letter.
+The caller-owned memo maps a word to its normal form: the key u + (g,)
+holds nf(u*g), and nf_word stores each whole word it is asked for as
+well.  nf_word scans a word once for its first reducible pair, then
+folds the remaining letters in; it runs the products on an explicit
+stack of generator frames (Levandovskyy and Schoenemann, "Plural", ISSAC
+2003, and de Graaf, J. Symbolic Comput. 32, 2001, compute in PBW-type
+algebras by the same product).
 
 Production rewrites over Z[i][q, q^-1] only, the tests also over Q(i):
 both are integral domains, as the coefficient ring must be, so a product
 of nonzero coefficients is nonzero.  Rules and memo entries hold no zero
-coefficient, so the two inline loops store a product on a new key as it
-is and test for zero only after a sum.
+coefficient, so the inline loops store a product on a new key as it is
+and test for zero only after a sum.
 """
 
-# reduction steps one nf_word call may take before it gives up.  Every
+# junction rewrites one nf_word call may take before it gives up: a step
+# is one frame, the product of one normal word by one letter.  Every
 # reduction ends, as Presentation.add_rule refuses a rule set that is not
 # order-decreasing; the budget bounds the work on one long word.
-# Measured maxima per call: 26 over `check all`, 144 over the 9,000
-# queries of nf streams 7001, 7002 and 5001, and 699 for `qmink nf` of
-# the 25 slq41 generators multiplied in reversed order.  One call on a
-# long unsorted word costs more: that product written as two
-# parenthesized halves takes 172,923 steps in one call, and the whole
-# reversed word passed to one normal_form 271,496, so a longer grouped
-# product can exceed the budget.
+# Measured maxima per call: 6 over `check all`, 31 over the 9,000
+# queries of nf streams 7001, 7002 and 5001, and 144 for `qmink nf` of
+# the 25 slq41 generators multiplied in reversed order.  A product of
+# two long normal forms costs more in one call: that product written as
+# two parenthesized halves takes 76,222 steps in one call, as each word
+# of the left half is multiplied by the right half's words on its own,
+# and the whole reversed word passed to one normal_form 52,138, the
+# steps of the flat product over all its calls.
 STEP_BUDGET = 1_000_000
 
 
@@ -53,60 +70,109 @@ def nf_word(w0, rules, ngens, one, memo):
     hit = memo.get(w0)
     if hit is not None:
         return hit
-    budget = STEP_BUDGET
-    steps = 0
-    stack = [w0]
-    while stack:
-        w = stack[-1]
-        if w in memo:
-            stack.pop()
+    # the one scan: w0[:red] is normal and the pair w0[red - 1], w0[red]
+    # reduces
+    for red in range(1, len(w0)):
+        if w0[red - 1] * ngens + w0[red] in rules:
+            break
+    else:
+        hit = memo[w0] = ((w0, one),)
+        return hit
+    # the trampoline: a frame yields the key of a product it misses, the
+    # product's own frame runs on top of it and writes the memo entry, and
+    # the frame below resumes; the depth of a reduction is bounded by
+    # memory, not by Python's recursion limit
+    frame = _multiply(w0, w0[:red - 1], rules[w0[red - 1] * ngens + w0[red]],
+                      w0[red + 1:], rules, ngens, memo)
+    stack = []
+    steps = 1  # a step is one frame: one junction rewritten
+    while True:
+        k = next(frame, None)
+        if k is None:
+            if not stack:
+                return memo[w0]
+            frame = stack.pop()
             continue
-        red = -1
-        n = len(w) - 1
-        for i in range(n):
-            if w[i] * ngens + w[i + 1] in rules:
-                red = i
-                break
-        if red < 0:
-            memo[w] = ((w, one),)
-            stack.pop()
-            continue
-        rhs = rules[w[red] * ngens + w[red + 1]]
-        pre = w[:red]
-        post = w[red + 2:]
-        pending = None
-        for rw, _rc in rhs:
-            child = pre + rw + post
-            if child not in memo:
-                if pending is None:
-                    pending = []
-                pending.append(child)
-        if pending:
-            steps += len(pending)
-            if steps > budget:
-                raise BudgetExceeded("rewrite budget exceeded at %r" % (w,))
-            stack.extend(pending)
-            continue
-        # inline: a generator fed to accumulate costs too much on 1-3 terms;
-        # rc and sc are nonzero, so only a sum can be zero
-        acc = {}
-        for rw, rc in rhs:
-            for sw, sc in memo[pre + rw + post]:
-                prev = acc.get(sw)
-                if prev is None:
-                    acc[sw] = rc * sc
-                else:
-                    v = prev + rc * sc
-                    if v:
-                        acc[sw] = v
-                    else:
-                        del acc[sw]
-        memo[w] = tuple(acc.items())
-        stack.pop()
         steps += 1
-        if steps > budget:
-            raise BudgetExceeded("rewrite budget exceeded at %r" % (w,))
-    return memo[w0]
+        if steps > STEP_BUDGET:
+            raise BudgetExceeded("rewrite budget exceeded at %r" % (k,))
+        stack.append(frame)
+        frame = _multiply(k, k[:-2], rules[k[-2] * ngens + k[-1]], (),
+                          rules, ngens, memo)
+
+
+def _multiply(key, p, rhs, rest, rules, ngens, memo):
+    """The frame that writes memo[key]: the normal form of p*x*g*rest,
+    where p*x is a normal word, x*g -> rhs is a rule and key is p*x*g
+    (rest empty) or nf_word's whole word.
+
+    For each rhs term c*y*z it takes nf(p*y), then each of its words v
+    times z; then it multiplies the sum by the letters of rest, one at a
+    time.  Each product of a normal word v by a letter g tests only the
+    pair v[-1], g: a normal one is the word v + (g,) itself, with the
+    coefficient None for one, so no product by one is taken; a reducible
+    one is read from the memo under v + (g,), and on a miss the frame
+    yields that key and reads the memo again when it is resumed.
+    """
+    out = {}
+    for (y, z), c in rhs:
+        if not p:
+            heads = (((y,), None),)
+        elif p[-1] * ngens + y in rules:
+            s = p + (y,)
+            heads = memo.get(s)
+            if heads is None:
+                yield s
+                heads = memo[s]
+        else:
+            heads = ((p + (y,), None),)
+        for v, d in heads:
+            d = c if d is None else c * d
+            s = v + (z,)
+            if v[-1] * ngens + z in rules:
+                tails = memo.get(s)
+                if tails is None:
+                    yield s
+                    tails = memo[s]
+            else:
+                tails = ((s, None),)
+            # inline: a generator fed to accumulate costs too much on 1-3
+            # terms; d and e are nonzero, so only a sum can be zero
+            for t, e in tails:
+                e = d if e is None else d * e
+                prev = out.get(t)
+                if prev is None:
+                    out[t] = e
+                else:
+                    e = prev + e
+                    if e:
+                        out[t] = e
+                    else:
+                        del out[t]
+    for g in rest:
+        acc = {}
+        for v, c in out.items():
+            s = v + (g,)
+            if v[-1] * ngens + g in rules:
+                tails = memo.get(s)
+                if tails is None:
+                    yield s
+                    tails = memo[s]
+            else:
+                tails = ((s, None),)
+            for t, e in tails:
+                e = c if e is None else c * e
+                prev = acc.get(t)
+                if prev is None:
+                    acc[t] = e
+                else:
+                    e = prev + e
+                    if e:
+                        acc[t] = e
+                    else:
+                        del acc[t]
+        out = acc
+    memo[key] = tuple(out.items())
 
 
 # normal_form_terms calls this alias, so the benchmark tracer, which

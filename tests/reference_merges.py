@@ -4,7 +4,9 @@ as the references the tests compare against.
 
 - `reference_normal_form` reduces a term map (or a stream of pairs)
   with a fresh memo, testing every coefficient, product or sum, for
-  zero before it is stored.
+  zero before it is stored.  `reference_nf_word` rewrites a whole word
+  at its leftmost reducible pair, as the kernel did before it rewrote
+  only at the junction of a normal word and the next letter.
 - `overlap_difference` and `homomorphism_witness` build the full
   difference of the two sides of an `overlap:` or `homomorphism:` record,
   whose text is the record's witness when the difference is not zero.

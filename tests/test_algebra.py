@@ -1,9 +1,8 @@
 """Rewriting core: normal forms, confluence, PBW counts, linear algebra."""
 
-import inspect
 import itertools
 import random
-import sys
+from collections import Counter
 from functools import lru_cache
 from math import comb
 
@@ -577,34 +576,39 @@ def test_budget_guard(monkeypatch):
         slq41_copy().nf_word(tuple(range(9, -1, -1)))
 
 
-def test_nf_word_pops_a_word_pushed_twice():
-    # (1,0,0) -> (0,1,0) + (0,2,0), and (0,2,0) -> (0,1,0) pushes (0,1,0)
-    # again before its first copy is reduced; once the second copy is
-    # reduced, the first is found in the memo and popped unreduced
+class _CountingMemo(dict):
+    """A memo that counts the lookups and the writes of each key."""
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = Counter()
+        self.writes = Counter()
+
+    def get(self, key, default=None):
+        self.lookups[key] += 1
+        return super().get(key, default)
+
+    def __setitem__(self, key, value):
+        self.writes[key] += 1
+        super().__setitem__(key, value)
+
+
+def test_a_product_needed_twice_is_taken_once():
+    # (1,0,0): 1*0 -> 0*1 + 0*2, and each is then multiplied by 0.
+    # (0,1)*0 is a product's frame; (0,2)*0 -> (0,1)*0 requests the same
+    # product again, and the trampoline has answered the first request
+    # before any other frame resumes, so the memo answers the second
     gens = [Generator(n, 0) for n in "abc"]
     pres = Presentation(gens)
     for lhs, rhs in [((1, 0), [(0, 1), (0, 2)]), ((2, 0), [(1, 0)]),
                      ((2, 1), [(1, 2)]), ((2, 2), [(1, 0), (1, 1), (0, 0)])]:
         pres.add_rule(lhs, dict.fromkeys(rhs, ONE))
-    source, first = inspect.getsourcelines(kernel.nf_word)
-    pop = first + 1 + next(k for k, line in enumerate(source)
-                           if line.strip() == "if w in memo:")
-    lines = set()
-
-    def trace(frame, event, arg):
-        if frame.f_code is not kernel.nf_word.__code__:
-            return None
-        if event == "line":
-            lines.add(frame.f_lineno)
-        return trace
-
-    sys.settrace(trace)
-    try:
-        got = kernel.nf_word((1, 0, 0), pres._kernel_rules, 3, ONE, {})
-    finally:
-        sys.settrace(None)
-    assert pop in lines
+    memo = _CountingMemo()
+    got = kernel.nf_word((1, 0, 0), pres._kernel_rules, 3, ONE, memo)
+    assert memo.lookups[(0, 1, 0)] == 2
+    assert memo.writes == Counter({(1, 0, 0): 1, (0, 1, 0): 1, (0, 2, 0): 1})
     assert dict(got) == naive_nf(pres, {(1, 0, 0): ONE})
+    assert dict(memo[(0, 1, 0)]) == {(0, 0, 1): ONE, (0, 0, 2): ONE}
 
 
 def test_rule_validation():
@@ -821,6 +825,60 @@ def test_normal_form_stores_no_zero_and_matches_reference(case, as_dict):
     got = pres.normal_form(terms)
     assert all(got.values())
     assert got == reference_normal_form(pres, terms)
+
+
+# the presentations the kernel reduces in, and the even quantum 2x2
+# matrices, whose rules have two rhs terms
+_kernel_presentations = dict(_rewriting_presentations,
+                             manin2=lambda: manin_presentation_even(2))
+
+
+def _normal_word(draw, pres, max_size):
+    """A normal word: each letter after the first is drawn from those that
+    do not reduce with the one before it, until there is none."""
+    rules, n = pres._kernel_rules, pres.ngens
+    w = ()
+    for _ in range(draw(st.integers(0, max_size))):
+        free = [g for g in range(n) if not w or w[-1] * n + g not in rules]
+        if not free:
+            break
+        w += (draw(st.sampled_from(free)),)
+    return w
+
+
+@st.composite
+def _kernel_words(draw):
+    """A presentation's name and a word of 0 to 10 letters: any letters,
+    two normal words concatenated, or a normal word, a rule's left side
+    and any letters, so a prefix that is not normal."""
+    name = draw(st.sampled_from(sorted(_kernel_presentations)))
+    pres = _kernel_presentations[name]()
+    letters = st.integers(0, pres.ngens - 1)
+    shape = draw(st.sampled_from(("any", "normal*normal", "normal*lhs*any")))
+    if shape == "any":
+        return name, tuple(draw(st.lists(letters, max_size=10)))
+    u = _normal_word(draw, pres, 5)
+    if shape == "normal*normal":
+        return name, u + _normal_word(draw, pres, 10 - len(u))
+    lhs = draw(st.sampled_from(sorted(pres.rules)))
+    rest = draw(st.lists(letters, max_size=8 - len(u)))
+    return name, u + lhs + tuple(rest)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_words(), st.booleans())
+@example(("slq41", (1, 0, 1, 0, 1, 0)), False)
+@example(("manin2", (3, 2, 1, 0, 3, 2, 1, 0)), False)
+def test_nf_word_matches_the_leftmost_reducer(case, warm):
+    # the junction kernel against the whole-word leftmost reducer of
+    # tests/reference_merges.py, on a fresh memo or the presentation's own
+    name, w = case
+    pres = _kernel_presentations[name]()
+    memo = pres._memo if warm else {}
+    got = kernel.nf_word(w, pres._kernel_rules, pres.ngens, pres.unit, memo)
+    assert all(c for _w, c in got)
+    assert dict(got) == reference_normal_form(pres, {w: pres.unit})
+    assert memo[w] is got
 
 
 def test_term_maps_of_another_kind_or_algebra_do_not_mix():

@@ -447,6 +447,52 @@ def test_closed_stdout_still_writes_the_out_file(tmp_path):
         assert len(json.loads(path.read_text())["records"]) == 3, way
 
 
+# the ways a child's stderr cannot be written: closed, and the full
+# device, where the system has one
+FAILING_STDERRS = ("closed",) + (
+    ("full",) if os.path.exists("/dev/full") else ())
+
+
+@pytest.mark.parametrize("way", FAILING_STDERRS)
+@pytest.mark.parametrize("argv", [
+    ["nf", "a[6,1]", "--algebra", "slq41"],
+    ["check", "pauli-metric", "--out", "{tmp}/no-such-dir/r.txt"],
+], ids=["nf-bad-input", "check-bad-out"])
+def test_unwritable_stderr_keeps_exit_2(tmp_path, argv, way):
+    # the error line is lost, but "bad input" stays exit 2, not the 1 of
+    # a false claim; check still prints its report
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    kwargs = {}
+    if way == "closed":
+        kwargs["preexec_fn"] = lambda: os.close(2)
+    else:
+        kwargs["stderr"] = os.open("/dev/full", os.O_WRONLY)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qmink.cli", *argv],
+                              stdout=subprocess.PIPE, env=child_env(),
+                              timeout=120, **kwargs)
+    finally:
+        if "stderr" in kwargs:
+            os.close(kwargs["stderr"])
+    assert proc.returncode == 2, way
+    if argv[0] == "check":
+        assert proc.stdout.startswith(b"suite pauli-metric: PASS")
+    else:
+        assert proc.stdout == b""
+
+
+def test_nf_of_a_deep_word_is_not_bounded_by_recursion():
+    # a[1,2]^1500 * a[1,1] moves a[1,1] past 1,500 letters, one rewrite
+    # for each; a recursive kernel ends in RecursionError on it
+    expr = "*".join(["a[1,2]"] * 1500 + ["a[1,1]"])
+    proc = subprocess.run([sys.executable, "-m", "qmink.cli", "nf", expr,
+                           "--algebra", "slq41"], capture_output=True,
+                          text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == "*".join(["q^1500", "a[1,1]"] + ["a[1,2]"] * 1500) \
+        + "\n"
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     # every process imports these two modules first, so their imports are
     # paid on each check and each one-shot nf; dataclasses alone, with

@@ -142,7 +142,7 @@ def test_the_sparse_merge_is_written_once():
     assert _functions_holding(lambda n: isinstance(n, ast.Delete)) == [
         "algebra.TensorPoly.__mul__",
         "grassmann.GrassmannAlgebra._product", "grassmann.exact_divide",
-        "kernel.accumulate", "kernel.nf_word", "kernel.normal_form_terms"]
+        "kernel._multiply", "kernel.accumulate", "kernel.normal_form_terms"]
 
 
 def _calls_signed_join(node):
