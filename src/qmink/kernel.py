@@ -38,10 +38,10 @@ and test for zero only after a sum.
 # queries of nf streams 7001, 7002 and 5001, and 144 for `qmink nf` of
 # the 25 slq41 generators multiplied in reversed order.  A product of
 # two long normal forms costs more in one call: that product written as
-# two parenthesized halves takes 76,222 steps in one call, as each word
-# of the left half is multiplied by the right half's words on its own,
-# and the whole reversed word passed to one normal_form 52,138, the
-# steps of the flat product over all its calls.
+# two parenthesized halves takes 76,222 steps in one call, since a call
+# folds a whole word of the right half into one word of the left, and
+# the whole reversed word passed to one normal_form 52,138, the steps of
+# the flat product over all its calls.
 STEP_BUDGET = 1_000_000
 
 

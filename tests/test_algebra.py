@@ -611,6 +611,23 @@ def test_a_product_needed_twice_is_taken_once():
     assert dict(memo[(0, 1, 0)]) == {(0, 0, 1): ONE, (0, 0, 2): ONE}
 
 
+def test_terms_that_cancel_in_a_product_are_dropped():
+    # a*a*b comes out of two products with opposite signs, so it cancels
+    # in the sum of a product's rhs terms for (1,2,1), and in the sum over
+    # the last letter for (1,0,0); no production presentation cancels
+    # there
+    pres = Presentation(Generator(n, 0) for n in "abc")
+    for lhs, rhs in [((1, 0), {(0, 1): -ONE, (0, 2): -ONE}),
+                     ((2, 0), {(0, 2): -ONE, (0, 1): ONE}),
+                     ((2, 1), {(0, 0): -ONE})]:
+        pres.add_rule(lhs, rhs)
+    two = ONE + ONE
+    for w, want in [((1, 0, 0), {(0, 0, 2): two}),
+                    ((1, 2, 1), {(0, 0, 2): -two})]:
+        got = dict(kernel.nf_word(w, pres._kernel_rules, 3, ONE, {}))
+        assert got == want == naive_nf(pres, {w: ONE})
+
+
 def test_rule_validation():
     gens = [Generator(n, r % 2) for r, n in enumerate("abcd")]
     pres = Presentation(gens)
