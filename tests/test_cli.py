@@ -265,16 +265,36 @@ def test_bad_input_exits_2(capsys, argv):
     assert "Traceback" not in err
 
 
+_REVERSED_GENERATORS = " ".join("a[%d,%d]" % (i, j) for i in range(5, 0, -1)
+                                for j in range(5, 0, -1))
+
+
 def test_nf_past_the_rewrite_budget_is_bad_input(capsys, monkeypatch):
     # no other test multiplies all 25 generators, so some word of this
     # product is not in the memo and needs at least one rewrite step
     monkeypatch.setattr(kernel, "STEP_BUDGET", 0)
-    expr = " ".join("a[%d,%d]" % (i, j) for i in range(5, 0, -1)
-                    for j in range(5, 0, -1))
-    rc, out, err = run(capsys, "nf", expr, "--algebra", "slq41")
+    rc, out, err = run(capsys, "nf", _REVERSED_GENERATORS, "--algebra",
+                       "slq41")
     assert rc == 2 and out == ""
     assert err.startswith("error: rewrite budget exceeded at ")
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("algebra, expr, budget, message", [
+    ("slq41", "t[3,1] +", None, "unexpected end of input (line 1, column 9)"),
+    ("grq", "D12inv*D[1,2] - (q", None,
+     "expected ')', found end of input (line 1, column 19)"),
+    ("slq41", _REVERSED_GENERATORS + " +", 0,
+     "unexpected end of input (line 1, column 177)"),
+], ids=["undefined-atom", "D12inv-in-grq", "past-the-budget"])
+def test_a_syntax_error_is_reported_before_evaluation(
+        capsys, monkeypatch, algebra, expr, budget, message):
+    # each text also holds an evaluation error: an atom the algebra does
+    # not define, or a product past a rewrite budget of 0 steps
+    if budget is not None:
+        monkeypatch.setattr(kernel, "STEP_BUDGET", budget)
+    rc, out, err = run(capsys, "nf", "--algebra", algebra, "--", expr)
+    assert (rc, out, err) == (2, "", "error: %s\n" % message)
 
 
 _FRAGMENTS = ["a[1,2]", "a[5,5]", "a[6,1]", "D[1,2]", "D[3,4]", "D[2,5]",
