@@ -227,8 +227,8 @@ def signed_join(parts):
 
 def _digit_limit_error():
     return DigitLimitError(
-        "a coefficient has more than %d digits, Python's limit for "
-        "printing an integer" % sys.get_int_max_str_digits())
+        "a number in the result has more than %d digits, Python's limit "
+        "for printing an integer" % sys.get_int_max_str_digits())
 
 
 def _gauss_text(re, im, den):

@@ -220,11 +220,15 @@ _OVERSIZED = [
     ("-" * 3000 + "q", "nested deeper"),
     ("9" * 5000, "invalid integer literal"),
     ("9" * 3000 + "*" + "9" * 3000, "more than 4300 digits"),
+    # the coefficient is 1 and the exponent has 4,301 digits
+    ("q^%s*q^%s*a[1,1]" % ("9" * 4300, "9" * 4300),
+     "a number in the result has more than 4300 digits"),
 ]
 
 
 @pytest.mark.parametrize("expr, message", _OVERSIZED, ids=[
-    "parentheses", "minus-signs", "long-integer", "long-coefficient"])
+    "parentheses", "minus-signs", "long-integer", "long-coefficient",
+    "long-exponent"])
 def test_nf_deep_nesting_is_bad_input(expr, message):
     proc = subprocess.run(
         [sys.executable, "-m", "qmink.cli", "nf", "--algebra", "slq41", "--",
