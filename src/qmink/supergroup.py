@@ -73,16 +73,13 @@ def build_slq41():
 # -- comultiplication ---------------------------------------------------------
 
 
-def _delta_gen(pres, rank):
-    """Delta(a[i,j]) = sum_k a[i,k] (x) a[k,j]."""
-    i, j = INDICES[rank]
-    return TensorPoly(pres, {((_rank(i, k),), (_rank(k, j),)): ONE
-                             for k in range(1, SIZE + 1)})
-
-
 @lru_cache(maxsize=None)
 def _delta_gen_cached(rank):
-    return _delta_gen(build_slq41(), rank)
+    """Delta(a[i,j]) = sum_k a[i,k] (x) a[k,j], a[i,j] the generator of
+    this rank."""
+    i, j = INDICES[rank]
+    return TensorPoly(build_slq41(), {((_rank(i, k),), (_rank(k, j),)): ONE
+                                      for k in range(1, SIZE + 1)})
 
 
 def comultiply(p):

@@ -1,6 +1,7 @@
 """Closure table, localization, chiral Minkowski presentation, coaction."""
 
 import itertools
+from functools import lru_cache
 
 import pytest
 
@@ -22,6 +23,7 @@ from qmink.parser import atom_text, parse
 from qmink.scalars import I, ONE, Q, QINV, GaussRational, Scalar
 from qmink.supergroup import MINOR_NAMES, build_slq41, general_minor, minor
 
+import reference_merges
 from reference_merges import homomorphism_witness, overlap_witness
 
 
@@ -534,37 +536,38 @@ def test_wrong_table_coefficient_fails_both_presentation_suites(monkeypatch):
 def test_wrong_delta_term_fails_coaction(monkeypatch):
     # Delta(a[1,1]) with -a[1,5] (x) a[5,1] in place of +a[1,5] (x) a[5,1]:
     # every rule in a[1,1], the four minors D[1,j] and the cofactor
-    # pattern of Delta(D[1,2]) fail.  Delta of a generator is cached, and
-    # comultiply reaches _delta_gen through that cache.
+    # pattern of Delta(D[1,2]) fail.  comultiply, and the reference
+    # comultiply behind homomorphism_witness, read Delta of a generator
+    # from _delta_gen_cached, so a cache of the flipped Delta stands in
+    # for it, and the cache of the right one never holds a flipped value.
     pres = build_slq41()
     a11, a15, a51 = (pres.rank(n)
                      for n in ("a[1,1]", "a[1,5]", "a[5,1]"))
-    right = supergroup._delta_gen
+    right = supergroup._delta_gen_cached
 
-    def flipped(alg, rank):
-        delta = right(alg, rank)
+    @lru_cache(maxsize=None)
+    def flipped(rank):
+        delta = right(rank)
         if rank != a11:
             return delta
         terms = dict(delta.terms)
         terms[((a15,), (a51,))] = -terms[((a15,), (a51,))]
-        return TensorPoly(alg, terms)
+        return TensorPoly(pres, terms)
 
-    monkeypatch.setattr(supergroup, "_delta_gen", flipped)
-    bad = false_records("coaction", supergroup._delta_gen_cached)
+    monkeypatch.setattr(supergroup, "_delta_gen_cached", flipped)
+    monkeypatch.setattr(reference_merges, "_delta_gen_cached", flipped)
+    bad = false_records("coaction")
     assert set(bad) == \
         {"homomorphism:%s*a[1,1]" % g.name for g in pres.generators[1:]} \
         | {"membership:D[1,%d]" % j for j in (2, 3, 4, 5)} \
         | {"cofactor-pattern:D[1,2]"}
     # each homomorphism witness is the text of the full difference,
     # byte for byte, computed under the same flipped coproduct
-    try:
-        want = {}
-        for lhs, rhs in sorted(pres.rules.items()):
-            text = homomorphism_witness(pres, lhs, rhs)
-            if text != "0":
-                want["homomorphism:%s" % pres.word_text(lhs)] = text
-    finally:
-        supergroup._delta_gen_cached.cache_clear()
+    want = {}
+    for lhs, rhs in sorted(pres.rules.items()):
+        text = homomorphism_witness(pres, lhs, rhs)
+        if text != "0":
+            want["homomorphism:%s" % pres.word_text(lhs)] = text
     assert {k: w for k, w in bad.items()
             if k.startswith("homomorphism:")} == want
 
