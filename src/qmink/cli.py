@@ -14,9 +14,8 @@ from .checks import SUITE_NAMES, run_suite
 from .kernel import BudgetExceeded
 from .minkowski import (build_chiral_presentation, closure_table, localized,
                         minor_index)
-from .parser import (Atom, ExprSyntaxError, ImagUnit, IntLit, Neg, Prod,
-                     QPow, Sum, atom_text, parse)
-from .scalars import DigitLimitError, I, ONE, Scalar, ZERO
+from .parser import ExprSyntaxError, atom_text, parse
+from .scalars import DigitLimitError, ONE, Scalar
 from .supergroup import MINOR_NAMES, build_slq41, general_minor, minor
 
 ALGEBRAS = ("slq41", "grq", "minkq", "chiral-abstract")
@@ -26,114 +25,75 @@ class EvaluationError(ValueError):
     pass
 
 
-def _evaluate(node, scalar, atom):
-    """The value of node in the algebra of scalar and atom.
-
-    A subtree that holds no Atom folds to one Scalar.  A Scalar meets
-    the algebra only as element.scale(s) in a product, as scalar(s)
-    where a sum mixes constants with elements, and as scalar(s) when
-    the whole expression is constant.  Nodes are visited left to
-    right, so the first EvaluationError is the one of a left-to-right
-    walk.
-    """
-    def ev(n):
-        cls = n.__class__
-        if cls is Atom:
-            return atom(n)
-        if cls is Prod:
-            coeff = ONE
-            out = None
-            for f in n.factors:
-                v = ev(f)
-                if v.__class__ is Scalar:
-                    coeff = coeff * v
-                elif out is None:
-                    out = v
-                else:
-                    out = out * v
-            if out is None:
-                return coeff
-            return out if coeff is ONE else out.scale(coeff)
-        if cls is Sum:
-            const = ZERO
-            out = None
-            for t in n.terms:
-                v = ev(t)
-                if v.__class__ is Scalar:
-                    const = const + v
-                elif out is None:
-                    out = v
-                else:
-                    out = out + v
-            if out is None:
-                return const
-            return out + scalar(const) if const else out
-        if cls is Neg:
-            return -ev(n.arg)
-        if cls is IntLit:
-            return Scalar.from_int(n.value)
-        if cls is QPow:
-            return Scalar.q_pow(n.exp)
-        if cls is ImagUnit:
-            return I
-        raise TypeError(n)
-
-    value = ev(node)
-    return scalar(value) if value.__class__ is Scalar else value
-
-
-def evaluate_expression(node, algebra):
-    """Evaluate a parsed expression in one of the named algebras."""
-    if algebra == "slq41":
+def _algebra(name):
+    """The scalar and atom callbacks of parse for the named algebra."""
+    if name == "slq41":
         pres = build_slq41()
 
-        def atom(n):
-            if n.kind == "a":
-                return pres.gen("a[%d,%d]" % n.indices)
-            if n.kind == "D":
-                return minor(*n.indices)
-            if n.kind == "Dc":
-                r1, r2, c1, c2 = n.indices
+        def atom(kind, indices):
+            if kind == "a":
+                return pres.gen("a[%d,%d]" % indices)
+            if kind == "D":
+                return minor(*indices)
+            if kind == "Dc":
+                r1, r2, c1, c2 = indices
                 return general_minor((r1, r2), (c1, c2))
             raise EvaluationError("atom %s is not defined in slq41"
-                                      % atom_text(n))
+                                  % atom_text(kind, indices))
 
-        return _evaluate(node, lambda s: pres.scalar(s), atom)
-    if algebra == "chiral-abstract":
+        return pres.scalar, atom
+    if name == "chiral-abstract":
         pres = build_chiral_presentation()
 
-        def atom(n):
-            if n.kind in ("t", "tau"):
-                return pres.gen("%s[%d,%d]" % ((n.kind,) + n.indices))
-            raise EvaluationError(
-                "atom %s is not defined in chiral-abstract" % atom_text(n))
+        def atom(kind, indices):
+            if kind in ("t", "tau"):
+                return pres.gen("%s[%d,%d]" % ((kind,) + indices))
+            raise EvaluationError("atom %s is not defined in chiral-abstract"
+                                  % atom_text(kind, indices))
 
-        return _evaluate(node, lambda s: pres.scalar(s), atom)
-    if algebra in ("grq", "minkq"):
+        return pres.scalar, atom
+    if name in ("grq", "minkq"):
         loc = localized()
 
-        def atom(n):
-            if n.kind == "D":
-                return loc.from_minor(minor_index(*n.indices))
-            if n.kind == "D12inv":
-                if algebra == "grq":
+        def atom(kind, indices):
+            if kind == "D":
+                return loc.from_minor(minor_index(*indices))
+            if kind == "D12inv":
+                if name == "grq":
                     raise EvaluationError(
                         "D12inv lives in minkq, not in grq")
                 return loc.dinv()
             raise EvaluationError("atom %s is not defined in %s"
-                                  % (atom_text(n), algebra))
+                                  % (atom_text(kind, indices), name))
 
-        def scalar(s):
-            return loc.one().scale(s)
-
-        return _evaluate(node, scalar, atom)
+        return loc.one().scale, atom
     raise EvaluationError("unknown algebra %r (expected one of %s)"
-                          % (algebra, ", ".join(ALGEBRAS)))
+                          % (name, ", ".join(ALGEBRAS)))
+
+
+def _read_syntax(text):
+    """parse(text) with every atom the constant 1: it raises the syntax
+    error of text, if text has one, and evaluates nothing."""
+    return parse(text, lambda s: s, lambda kind, indices: ONE)
+
+
+def evaluate_expression(text, algebra):
+    """The value of expression text in one of the named algebras.
+
+    parse evaluates as it reads, so an evaluation error or an exceeded
+    rewrite budget can come before a syntax error later in the text.
+    The syntax error goes first: the text is read again with every atom
+    the constant 1, which raises it if there is one.
+    """
+    try:
+        return parse(text, *_algebra(algebra))
+    except (EvaluationError, BudgetExceeded):
+        _read_syntax(text)
+        raise
 
 
 def normal_form_text(expr_text, algebra):
-    node = parse(expr_text)
-    value = evaluate_expression(node, algebra)
+    value = evaluate_expression(expr_text, algebra)
     if algebra in ("grq", "minkq"):
         return value.straightened().to_text()
     return value.to_text()

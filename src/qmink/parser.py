@@ -1,15 +1,18 @@
-"""Expression grammar for the CLI.
+"""Expression grammar for the CLI, evaluated as it is read.
 
 Atoms: integers, i, q, q^k (integer k), a[i,j], D[i,j], Dc[r1r2;c1c2],
 t[i,j], tau[5,j] and D12inv.  Unary minus binds tighter than product,
 which is written with * or juxtaposition, and product binds tighter
 than sum; parentheses group.  parse reads the token list in one
 precedence-climbing loop (Pratt, "Top down operator precedence", 1973)
-with an explicit stack for "(", so it does not recurse.  Syntax errors
-carry the line and column of the offending token.  The syntax tree
-nodes are plain slotted classes on one base: a node equals another of
-the same class with equal fields, and nodes are not hashable.  atom_text
-prints an atom back in this grammar, for the CLI's error messages.
+with an explicit stack for "(", so it does not recurse, and folds each
+finished operand, term and sum into its value at once (syntax-directed
+translation, Aho, Lam, Sethi and Ullman, "Compilers", 2nd ed., 2006,
+ch. 5): no syntax tree is built.  Constants fold into one Scalar per
+term and per sum; the caller's callbacks give the atoms' values and
+lift a constant into the algebra.  Syntax errors carry the line and
+column of the offending token.  atom_text prints an atom back in this
+grammar, for the CLI's error messages.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import re
 from itertools import islice
 
+from .scalars import I, ONE, Scalar, ZERO
 from .supergroup import MINOR_ORDER
 
 
@@ -25,68 +29,11 @@ class ExprSyntaxError(ValueError):
         super().__init__("%s (line %d, column %d)" % (message, line, col))
 
 
-class _Node:
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and all(
-            getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    __hash__ = None
-
-
-class IntLit(_Node):
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-
-class ImagUnit(_Node):
-    __slots__ = ()
-
-
-class QPow(_Node):
-    __slots__ = ("exp",)
-
-    def __init__(self, exp):
-        self.exp = exp
-
-
-class Atom(_Node):
-    __slots__ = ("kind", "indices")
-
-    def __init__(self, kind, indices):
-        self.kind = kind  # "a", "D", "Dc", "t", "tau", "D12inv"
-        self.indices = indices
-
-
-class Neg(_Node):
-    __slots__ = ("arg",)
-
-    def __init__(self, arg):
-        self.arg = arg
-
-
-class Prod(_Node):
-    __slots__ = ("factors",)
-
-    def __init__(self, factors):
-        self.factors = factors
-
-
-class Sum(_Node):
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        self.terms = terms  # first term positive; later may be Neg for "-"
-
-
 _TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9]*|\d+|\^|\*|\+|-|\(|\)|\[|\]|,|;|\S")
 
 # deepest nesting of "(" and unary "-", counted together, that parse
-# accepts; the CLI's evaluator recurses over the tree, so deeper input
-# is a syntax error rather than a RecursionError there
+# accepts: the input bound that README documents for nf, so deeper input
+# is a syntax error
 MAX_DEPTH = 100
 
 
@@ -162,8 +109,9 @@ def _index_error(text, tokens, k, sep):
 _SEPARATORS = {"a": ",", "D": ",", "t": ",", "tau": ",", "Dc": ";"}
 
 
-def _atom(text, tokens, k):
-    """The atom named by token k, and the index of the token after it."""
+def _atom(text, tokens, k, atom):
+    """The value of the atom named by token k, and the index of the token
+    after it: a Scalar for i and q^k, atom(kind, indices) for the rest."""
     tok = tokens[k]
     sep = _SEPARATORS.get(tok)
     if sep is not None:
@@ -193,44 +141,53 @@ def _atom(text, tokens, k):
                 raise _error(text, tokens,
                              "invalid minor Dc[%d;%d]: rows and columns must "
                              "be strictly increasing in 1..5" % (i, j), k)
-            return Atom("Dc", r + c), k + 6
+            return atom("Dc", r + c), k + 6
         if not ok:
             raise _error(text, tokens, message % (i, j), k)
-        return Atom(tok, (i, j)), k + 6
+        return atom(tok, (i, j)), k + 6
     if tok == "q":
         if tokens[k + 1] != "^":
-            return QPow(1), k + 1
+            return Scalar.q_pow(1), k + 1
         if tokens[k + 2] == "-":
-            return QPow(-_integer(text, tokens, k + 3,
-                                  "an integer exponent")), k + 4
-        return QPow(_integer(text, tokens, k + 2,
-                             "an integer exponent")), k + 3
+            return Scalar.q_pow(-_integer(text, tokens, k + 3,
+                                          "an integer exponent")), k + 4
+        return Scalar.q_pow(_integer(text, tokens, k + 2,
+                                     "an integer exponent")), k + 3
     if tok == "i":
-        return ImagUnit(), k + 1
+        return I, k + 1
     if tok == "D12inv":
-        return Atom("D12inv", ()), k + 1
+        return atom("D12inv", ()), k + 1
     raise _error(text, tokens, "unknown atom name %r" % tok, k)
 
 
-def parse(text):
-    """Parse an expression; raises ExprSyntaxError with position info.
+def parse(text, scalar, atom):
+    """The value of the expression text; raises ExprSyntaxError with
+    position info.
 
-    One loop reads the tokens left to right.  At an operand it counts
-    unary "-" and opens "(" until it reads a primary, an integer or an
-    atom.  The finished operand, with its "-" applied, is a factor of
-    the term being read; "*" or juxtaposition asks for the next factor.
-    Otherwise the term joins the sum being read, and "+" or "-" asks
-    for the next term.  Otherwise the sum is finished: it closes the
-    innermost "(" and is an operand there, or it is the whole
-    expression.  Each open "(" keeps the enclosing sum, term and signs
-    on a stack.
+    Integers, i and q^k are Scalars; atom(kind, indices) is the value of
+    any other atom.  One loop reads the tokens left to right.  At an
+    operand it counts unary "-" and opens "(" until it reads a primary.
+    The finished operand, negated if an odd number of "-" precede it, is
+    folded into the term being read: a Scalar into its coefficient, any
+    other value into its product, on the right.  "*" or juxtaposition
+    asks for the next factor.  Otherwise the term, negated after a
+    binary "-", is folded into the sum being read, a Scalar into its
+    constant, and "+" or "-" asks for the next term.  Otherwise the sum
+    is finished, its constant added once as scalar(constant): it closes
+    the innermost "(" and is an operand there, or it is the whole
+    expression, whose value is never a bare Scalar.  Each open "(" keeps
+    the enclosing sum, term and signs on a stack.  Values are computed
+    in the order of the text, so the first error that atom or the
+    algebra raises is the leftmost one.
     """
     tokens = _tokenize(text)
     k = 0
     depth = 0  # open "(" plus pending unary "-", at most MAX_DEPTH
-    stack = []  # per open "(": the enclosing terms, factors, negs, minus
-    terms = []  # the finished terms of the innermost sum
-    factors = []  # the finished factors of the term being read
+    stack = []  # per open "(": the enclosing sum, term, negs and minus
+    const = ZERO  # the sum of the Scalar terms of the innermost sum
+    total = None  # the sum of its other terms, if it has one
+    coeff = ONE  # the product of the Scalar factors of the term being read
+    prod = None  # the product of its other factors, if it has one
     negs = 0  # unary "-" before the operand being read
     minus = False  # whether a binary "-" precedes the term being read
     while True:
@@ -245,33 +202,37 @@ def parse(text):
             if tok == "-":
                 negs += 1
             else:
-                stack.append((terms, factors, negs, minus))
-                terms = []
-                factors = []
-                negs = 0
-                minus = False
+                stack.append((const, total, coeff, prod, negs, minus))
+                const, total, coeff, prod, negs, minus = \
+                    ZERO, None, ONE, None, 0, False
             continue
         if tok is None:
             raise _error(text, tokens, "unexpected end of input", k)
         if tok.isdigit():
             try:
-                node = IntLit(int(tok))
+                value = Scalar.from_int(int(tok))
             except ValueError:
                 raise _integer_error(text, tokens, k) from None
             k += 1
         elif tok[0].isalpha():
-            node, k = _atom(text, tokens, k)
+            value, k = _atom(text, tokens, k, atom)
         else:
             raise _error(text, tokens, "unexpected token %r" % tok, k)
-        # node is a finished operand; each pass of this loop closes one
-        # operand, and then a term, a sum and a "(" if the tokens end them
+        # value is a finished operand; each pass of this loop folds one
+        # operand in, and then a term, a sum and a "(" if the tokens end
+        # them
         while True:
             if negs:
                 depth -= negs
-                for _ in range(negs):
-                    node = Neg(node)
+                if negs & 1:
+                    value = -value
                 negs = 0
-            factors.append(node)
+            if value.__class__ is Scalar:
+                coeff = value if coeff is ONE else coeff * value
+            elif prod is None:
+                prod = value
+            else:
+                prod = prod * value
             tok = tokens[k]
             if tok == "*":
                 k += 1
@@ -279,30 +240,44 @@ def parse(text):
             if tok is not None and (tok[0].isdigit() or tok[0].isalpha()
                                     or tok == "("):
                 break
-            node = factors[0] if len(factors) == 1 else Prod(tuple(factors))
-            terms.append(Neg(node) if minus else node)
+            if prod is None:
+                value = coeff
+            else:
+                value = prod if coeff is ONE else prod.scale(coeff)
+                prod = None
+            coeff = ONE
+            if minus:
+                value = -value
+            if value.__class__ is Scalar:
+                const = const + value
+            elif total is None:
+                total = value
+            else:
+                total = total + value
             if tok == "+" or tok == "-":
                 k += 1
-                factors = []
                 minus = tok == "-"
                 break
-            node = terms[0] if len(terms) == 1 else Sum(tuple(terms))
+            if total is None:
+                value = const
+            else:
+                value = total + scalar(const) if const else total
             if not stack:
                 if tok is not None:
                     raise _error(text, tokens,
                                  "unexpected trailing token %r" % tok, k)
-                return node
+                return scalar(value) if value.__class__ is Scalar else value
             if tok != ")":
                 raise _expected(text, tokens, k, ")")
             k += 1
             depth -= 1
-            terms, factors, negs, minus = stack.pop()
+            const, total, coeff, prod, negs, minus = stack.pop()
 
 
-def atom_text(node):
+def atom_text(kind, indices):
     """An atom as the grammar writes it, for error messages."""
-    if node.kind == "D12inv":
+    if kind == "D12inv":
         return "D12inv"
-    if node.kind == "Dc":
-        return "Dc[%d%d;%d%d]" % node.indices
-    return "%s[%d,%d]" % ((node.kind,) + node.indices)
+    if kind == "Dc":
+        return "Dc[%d%d;%d%d]" % indices
+    return "%s[%d,%d]" % ((kind,) + indices)

@@ -9,7 +9,6 @@ import pstats
 import random
 import subprocess
 import sys
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,13 +16,12 @@ from hypothesis import given, settings, strategies as st
 from qmink import cli, kernel
 from qmink.checks import SUITE_NAMES, _SUITE_BUILDERS, _run_checks, run_suite
 from qmink.cli import ALGEBRAS, EvaluationError, main, normal_form_text
-from qmink.parser import Atom, ImagUnit, IntLit, Neg, Prod, QPow, Sum
 from qmink.reports import SuiteReport
-from qmink.scalars import I, Scalar
 
 from line_audit import child_env
+from reference_parser import (ATOMS, exprs, reference_evaluate,
+                              reference_parse, to_text)
 from reporting import deterministic
-from test_parser import _exprs, to_text
 
 
 def run(capsys, *argv):
@@ -46,9 +44,8 @@ def test_nf_examples(capsys):
 
 
 def test_nf_round_trips_through_the_grammar():
-    from qmink.parser import parse
     text = normal_form_text("a[2,2]*a[1,1]", "slq41")
-    parse(text)  # canonical output is parseable
+    cli._read_syntax(text)  # canonical output is parseable
     assert normal_form_text(text, "slq41") == text
 
 
@@ -132,35 +129,6 @@ def test_nf_output_digest():
     assert h.hexdigest() == NF_SHA256
 
 
-def _reference_evaluate(node, scalar, atom):
-    """Evaluation that maps every node into the algebra, constants too:
-    the path before constant folding."""
-    def ev(n):
-        if isinstance(n, IntLit):
-            return scalar(Scalar.from_int(n.value))
-        if isinstance(n, ImagUnit):
-            return scalar(I)
-        if isinstance(n, QPow):
-            return scalar(Scalar.q_pow(n.exp))
-        if isinstance(n, Atom):
-            return atom(n)
-        if isinstance(n, Neg):
-            return -ev(n.arg)
-        if isinstance(n, Prod):
-            out = ev(n.factors[0])
-            for f in n.factors[1:]:
-                out = out * ev(f)
-            return out
-        if isinstance(n, Sum):
-            out = ev(n.terms[0])
-            for t in n.terms[1:]:
-                out = out + ev(t)
-            return out
-        raise TypeError(n)
-
-    return ev(node)
-
-
 def _nf_outcome(expr, algebra):
     try:
         return normal_form_text(expr, algebra)
@@ -169,8 +137,16 @@ def _nf_outcome(expr, algebra):
 
 
 def _reference_nf_outcome(expr, algebra):
-    with mock.patch.object(cli, "_evaluate", _reference_evaluate):
-        return _nf_outcome(expr, algebra)
+    """_nf_outcome of the reference tree of expr, each node evaluated in
+    the algebra, constants too, and printed as normal_form_text prints."""
+    try:
+        value = reference_evaluate(reference_parse(expr),
+                                   *cli._algebra(algebra))
+    except EvaluationError as exc:
+        return exc.__class__, str(exc)
+    if algebra in ("grq", "minkq"):
+        value = value.straightened()
+    return value.to_text()
 
 
 @pytest.mark.parametrize("algebra, expr, expected", [
@@ -209,8 +185,31 @@ def test_undefined_atoms_print_as_written(capsys, algebra, expr, message):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(ALGEBRAS), _exprs(3))
+@given(st.sampled_from(ALGEBRAS), exprs(3))
 def test_constant_folding_matches_elementwise_evaluation(algebra, node):
+    # most of these trees hold an atom the algebra does not define: the
+    # same first EvaluationError on both sides
+    expr = to_text(node)
+    assert _nf_outcome(expr, algebra) == _reference_nf_outcome(expr, algebra)
+
+
+# each algebra's own atoms of reference_parser.ATOMS
+_OWN_ATOMS = {
+    "slq41": [a for a in ATOMS if a.kind in ("a", "D", "Dc")],
+    "grq": [a for a in ATOMS if a.kind == "D"],
+    "minkq": [a for a in ATOMS if a.kind in ("D", "D12inv")],
+    "chiral-abstract": [a for a in ATOMS if a.kind in ("t", "tau")],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ALGEBRAS).flatmap(
+    lambda algebra: st.tuples(st.just(algebra),
+                              exprs(2, _OWN_ATOMS[algebra]))))
+def test_values_match_the_reference_evaluation(case):
+    # trees over the algebra's own atoms: parse's folded value prints as
+    # the reference tree evaluated node by node
+    algebra, node = case
     expr = to_text(node)
     assert _nf_outcome(expr, algebra) == _reference_nf_outcome(expr, algebra)
 

@@ -19,7 +19,7 @@ from qmink.minkowski import (CHIRAL_NAMES, MINOR_ORDER, ClosureError,
                              straightening_presentation, substituted_residual,
                              substituted_span_dimension,
                              supercommutative_dimension)
-from qmink.parser import atom_text, parse
+from qmink.parser import atom_text
 from qmink.scalars import I, ONE, Q, QINV, GaussRational, Scalar
 from qmink.supergroup import MINOR_NAMES, build_slq41, general_minor, minor
 
@@ -36,7 +36,7 @@ def test_minor_order():
     # the names are the parser's own spelling, and minor_set() holds the
     # minors in the same order
     for k, (i, j) in enumerate(MINOR_ORDER):
-        assert MINOR_NAMES[k] == atom_text(parse("D[%d,%d]" % (i, j)))
+        assert MINOR_NAMES[k] == atom_text("D", (i, j))
         assert minor_set()[k] == minor(i, j)
 
 

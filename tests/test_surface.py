@@ -202,7 +202,6 @@ NEVER_CALLED = {
     "minkowski.LocalElement.__bool__":
         "TermMap's would test the term dict, not the ambient image",
     "scalars.Scalar.__hash__": "test_scalars pins the hash",
-    "parser._Node.__eq__": "test_parser pins node equality",
     "grassmann.GrassmannAlgebra.word_text":
         "prints the classical-limit failure witness",
     "grassmann.GrassmannAlgebra._term_order":
