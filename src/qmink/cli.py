@@ -73,7 +73,7 @@ def _algebra(name):
 
 def _read_syntax(text):
     """parse(text) with every atom the constant 1: it raises the syntax
-    error of text, if text has one, and evaluates nothing."""
+    error of text, if text has one, and touches no algebra."""
     return parse(text, lambda s: s, lambda kind, indices: ONE)
 
 

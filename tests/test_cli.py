@@ -19,7 +19,7 @@ from qmink.cli import ALGEBRAS, EvaluationError, main, normal_form_text
 from qmink.reports import SuiteReport
 
 from line_audit import child_env
-from reference_parser import (ATOMS, exprs, reference_evaluate,
+from reference_parser import (Atom, exprs, reference_evaluate,
                               reference_parse, to_text)
 from reporting import deterministic
 
@@ -193,12 +193,16 @@ def test_constant_folding_matches_elementwise_evaluation(algebra, node):
     assert _nf_outcome(expr, algebra) == _reference_nf_outcome(expr, algebra)
 
 
-# each algebra's own atoms of reference_parser.ATOMS
+# atoms of each algebra, most pairs of them not commuting
 _OWN_ATOMS = {
-    "slq41": [a for a in ATOMS if a.kind in ("a", "D", "Dc")],
-    "grq": [a for a in ATOMS if a.kind == "D"],
-    "minkq": [a for a in ATOMS if a.kind in ("D", "D12inv")],
-    "chiral-abstract": [a for a in ATOMS if a.kind in ("t", "tau")],
+    "slq41": [Atom("a", (1, 1)), Atom("a", (1, 2)), Atom("a", (2, 1)),
+              Atom("a", (5, 5)), Atom("D", (1, 2)), Atom("Dc", (1, 2, 3, 4))],
+    "grq": [Atom("D", p) for p in ((1, 2), (1, 3), (2, 4), (3, 4), (1, 5))],
+    "minkq": [Atom("D", p) for p in ((1, 3), (2, 4), (2, 5))]
+    + [Atom("D12inv", ())],
+    "chiral-abstract": [Atom(kind, (i, j)) for kind, i in (("t", 3), ("t", 4),
+                                                        ("tau", 5))
+                        for j in (1, 2)],
 }
 
 
