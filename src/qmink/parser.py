@@ -249,7 +249,7 @@ def parse(text, scalar, atom):
             if minus:
                 value = -value
             if value.__class__ is Scalar:
-                const = const + value
+                const = value if const is ZERO else const + value
             elif total is None:
                 total = value
             else:
