@@ -184,15 +184,6 @@ def test_undefined_atoms_print_as_written(capsys, algebra, expr, message):
     assert (rc, out, err) == (2, "", "error: %s\n" % message)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(ALGEBRAS), exprs(3))
-def test_constant_folding_matches_elementwise_evaluation(algebra, node):
-    # most of these trees hold an atom the algebra does not define: the
-    # same first EvaluationError on both sides
-    expr = to_text(node)
-    assert _nf_outcome(expr, algebra) == _reference_nf_outcome(expr, algebra)
-
-
 # atoms of each algebra, most pairs of them not commuting
 _OWN_ATOMS = {
     "slq41": [Atom("a", (1, 1)), Atom("a", (1, 2)), Atom("a", (2, 1)),
@@ -206,13 +197,14 @@ _OWN_ATOMS = {
 }
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(ALGEBRAS).flatmap(
-    lambda algebra: st.tuples(st.just(algebra),
-                              exprs(2, _OWN_ATOMS[algebra]))))
-def test_values_match_the_reference_evaluation(case):
-    # trees over the algebra's own atoms: parse's folded value prints as
-    # the reference tree evaluated node by node
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from(ALGEBRAS).flatmap(lambda algebra: st.tuples(
+    st.just(algebra), exprs(3) | exprs(2, _OWN_ATOMS[algebra]))))
+def test_constant_folding_matches_elementwise_evaluation(case):
+    # parse's folded value prints as the reference tree evaluated node by
+    # node, or both raise the same first EvaluationError: most trees over
+    # all atoms hold one the algebra does not define, and trees over its
+    # own atoms compare values
     algebra, node = case
     expr = to_text(node)
     assert _nf_outcome(expr, algebra) == _reference_nf_outcome(expr, algebra)
