@@ -38,9 +38,8 @@ def _equal(a, b):
     if isinstance(a, GrassmannRational):  # a - b, over its denominator
         t = list(map(Element.to_text, ((d := a - b).num, *d.den)))
         return False, "difference " + ("(%s)" if d.den else "%s") % ")/(".join(t)
-    if isinstance(a, classical.RationalMap):
-        pa, pb = ({"x%d" % mu: c for mu, c in enumerate(m.comps)}
-                  for m in (a, b))
+    if isinstance(a, tuple):  # a point: its coordinates
+        pa, pb = ({"x%d" % mu: c for mu, c in enumerate(p)} for p in (a, b))
     elif isinstance(a, GrassmannMatrix):
         pa, pb = ({"(%d,%d)" % (i + 1, j + 1): x for i, r in enumerate(m.rows)
                    for j, x in enumerate(r)} for m in (a, b))
@@ -254,37 +253,35 @@ def _suite_conformal_algebra():
 
 
 def _suite_sct_inversion():
+    """The maps applied to the generic point X = (x0..x3): two rational
+    maps agree exactly when they agree at X, and a map applied to the
+    image of X under another is their composite."""
     ga = classical.coordinate_algebra(
         extra=("b0", "b1", "b2", "b3", "c0", "c1", "c2", "c3"))
-    b = [ga.gen("b%d" % mu) for mu in range(4)]
-    c = [ga.gen("c%d" % mu) for mu in range(4)]
-    inv = classical.inversion_map(ga)
-    tb = classical.translation_map(
-        ga, [GrassmannRational(ga, x) for x in b])
+    X, b, c = (tuple(GrassmannRational(ga, ga.gen("%s%d" % (s, mu)))
+                     for mu in range(4)) for s in "xbc")
+
+    def conjugated(v):  # translation by v conjugated by the inversion, at X
+        return classical.invert(classical.translate(classical.invert(X), v))
 
     def zero_case():
-        k0 = classical.special_conformal_map(ga, [0] * 4)
-        return _equal(k0, classical.RationalMap.identity(ga))
+        return _equal(classical.special_conformal(X, [0] * 4), X)
 
     def inversion_identity():
-        k = classical.special_conformal_map(ga, b)
-        return _equal(k, inv.compose(tb).compose(inv))
+        return _equal(classical.special_conformal(X, b), conjugated(b))
 
     def literal_fails():
-        k = classical.special_conformal_map(ga, b, variant="literal")
-        return (not (k == inv.compose(tb).compose(inv)),
+        k = classical.special_conformal(X, b, variant="literal")
+        return (not (k == conjugated(b)),
                 "the literal variant satisfies the identity")
 
     def composition():
-        k1 = classical.special_conformal_map(ga, b)
-        k2 = classical.special_conformal_map(ga, c)
-        tsum = classical.translation_map(
-            ga, [GrassmannRational(ga, x) + GrassmannRational(ga, y)
-                 for x, y in zip(b, c)])
-        return _equal(k1.compose(k2), inv.compose(tsum).compose(inv))
+        kc = classical.special_conformal(X, c)
+        return _equal(classical.special_conformal(kc, b),
+                      conjugated(tuple(u + v for u, v in zip(b, c))))
 
     def involution():
-        return _equal(inv.compose(inv), classical.RationalMap.identity(ga))
+        return _equal(classical.invert(classical.invert(X)), X)
 
     return [
         ("zero-parameter", "the special conformal map at b = 0 is the identity",
@@ -308,8 +305,9 @@ def _suite_pauli_metric():
     ga = classical.coordinate_algebra()
 
     def det_identity():
-        a = classical.pauli_map(ga, [ga.gen("x%d" % mu) for mu in range(4)])
-        x2 = classical.minkowski_square(ga)
+        x = [ga.gen("x%d" % mu) for mu in range(4)]
+        a = classical.pauli_map(ga, x)
+        x2 = classical.minkowski_square(x)
         return _equal(classical.det2(a), GrassmannRational(ga, x2))
 
     def sigma2_example():

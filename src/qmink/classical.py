@@ -1,8 +1,9 @@
 """The q = 1 geometry: conformal algebra, big cells, twistors, superspace.
 
 Vector fields are quadruples of exact polynomials in x0..x3 with the
-mostly-minus metric; finite maps are tuples of rational functions
-compared by cross-multiplication; the super side runs over Grassmann
+mostly-minus metric; finite conformal maps are functions on points,
+checked at the generic point, whose coordinates are rationals compared
+by cross-multiplication; the super side runs over Grassmann
 algebras from the grassmann module.  Coefficients are GaussRationals,
 and the conformal structure constants are solved over the same ring.
 The last section carries the q -> 1 specialization bridge from the
@@ -15,7 +16,7 @@ from functools import lru_cache
 
 from .algebra import Element
 from .grassmann import (GrassmannAlgebra, GrassmannMatrix, GrassmannRational,
-                        d_dx, rational_sum, symbols)
+                        d_dx, symbols)
 from .linalg import SpanSolver
 from .scalars import GaussRational
 
@@ -29,19 +30,17 @@ def coordinate_algebra(extra=()):
     return symbols(real=("x0", "x1", "x2", "x3", *extra))
 
 
-def minkowski_square(ga, vec=None):
+def minkowski_square(vec):
     """(v0)^2 - (v1)^2 - (v2)^2 - (v3)^2."""
-    if vec is None:
-        vec = [ga.gen("x%d" % mu) for mu in range(4)]
-    return minkowski_dot(ga, vec, vec)
+    return minkowski_dot(vec, vec)
 
 
-def minkowski_dot(ga, u, v):
-    total = ga.zero()
-    for mu in range(4):
-        term = u[mu] * v[mu]
-        total = total + (term if METRIC[mu] > 0 else -term)
-    return total
+def minkowski_dot(u, v):
+    """u0 v0 - u1 v1 - u2 v2 - u3 v3 over any ring: the sum starts from
+    its first term, so Elements and rationals share this function."""
+    t = [u[mu] * v[mu] if g > 0 else -(u[mu] * v[mu])
+         for mu, g in enumerate(METRIC)]
+    return sum(t[1:], t[0])
 
 
 class PolyVectorField:
@@ -83,7 +82,7 @@ def conformal_basis():
     ga = coordinate_algebra()
     x = [ga.gen("x%d" % mu) for mu in range(4)]
     xl = [x[mu] if METRIC[mu] > 0 else -x[mu] for mu in range(4)]  # lowered
-    x2 = minkowski_square(ga)
+    x2 = minkowski_square(x)
     basis = []
     for mu in range(4):
         comps = [ga.one() if nu == mu else ga.zero() for nu in range(4)]
@@ -127,66 +126,19 @@ def bracket_coordinates(i, j):
 # -- finite conformal maps -----------------------------------------------------
 
 
-class RationalMap:
-    """Four rational functions of x0..x3 (extra symbols allowed)."""
-
-    def __init__(self, ga, comps):
-        self.ga = ga
-        self.comps = [c if isinstance(c, GrassmannRational)
-                      else GrassmannRational(ga, c) for c in comps]
-
-    @classmethod
-    def identity(cls, ga):
-        return cls(ga, [ga.gen("x%d" % mu) for mu in range(4)])
-
-    def __eq__(self, other):
-        return all(a == b for a, b in zip(self.comps, other.comps))
-
-    def compose(self, other):
-        """self after other: x -> self(other(x))."""
-        ga = self.ga
-        images = {ga.rank("x%d" % mu): other.comps[mu] for mu in range(4)}
-        return RationalMap(ga, [
-            substitute(ga, c.num, images) / substitute_product(ga, c.den, images)
-            for c in self.comps])
+def translate(x, b):
+    """The point x + b."""
+    return tuple(x[mu] + b[mu] for mu in range(4))
 
 
-def substitute(ga, el, images):
-    """Evaluate an Element at generator -> rational images (default identity)."""
-    terms = []
-    letters = ga.letters
-    for w, c in el.terms.items():
-        f = GrassmannRational(ga, ga.scalar(c))
-        for r in letters(w):
-            img = images.get(r)
-            if img is None:
-                img = GrassmannRational(ga, ga.gen(ga.generators[r].name))
-            f = f * img
-        terms.append(f)
-    return rational_sum(ga, terms)
+def invert(x):
+    """The point x / x^2."""
+    x2 = minkowski_square(x)
+    return tuple(x[mu] / x2 for mu in range(4))
 
 
-def substitute_product(ga, factors, images):
-    total = GrassmannRational(ga, ga.one())
-    for f in factors:
-        total = total * substitute(ga, f, images)
-    return total
-
-
-def translation_map(ga, b):
-    return RationalMap(ga, [GrassmannRational(ga, ga.gen("x%d" % mu)) + b[mu]
-                            for mu in range(4)])
-
-
-def inversion_map(ga):
-    """x^mu -> x^mu / x^2."""
-    x2 = minkowski_square(ga)
-    return RationalMap(ga, [GrassmannRational(ga, ga.gen("x%d" % mu), (x2,))
-                            for mu in range(4)])
-
-
-def special_conformal_map(ga, b, variant="standard"):
-    """x^mu -> (x^mu + b^mu x^2) / (1 + 2 b.x + c b^2 x^2), c = 1 or 2.
+def special_conformal(x, b, variant="standard"):
+    """The point (x + b x^2) / (1 + 2 b.x + c b^2 x^2), c = 1 or 2.
 
     ``variant="standard"`` uses the denominator 1 + 2 b.x + b^2 x^2;
     ``variant="literal"`` uses the coefficient 2 on the b^2 x^2 term for
@@ -194,16 +146,12 @@ def special_conformal_map(ga, b, variant="standard"):
     """
     if variant not in ("standard", "literal"):
         raise ValueError("variant must be 'standard' or 'literal'")
-    b = [x if isinstance(x, Element) else ga.scalar(x) for x in b]
-    x = [ga.gen("x%d" % mu) for mu in range(4)]
-    x2 = minkowski_square(ga)
-    b2 = minkowski_square(ga, b)
-    bx = minkowski_dot(ga, b, x)
-    den = ga.one() + bx.scale(GaussRational(2)) + b2 * x2
+    x2 = minkowski_square(x)
+    b2x2 = x2 * minkowski_square(b)
+    den = minkowski_dot(x, b) * 2 + b2x2 + 1
     if variant == "literal":
-        den = den + b2 * x2
-    return RationalMap(ga, [GrassmannRational(ga, x[mu] + b[mu] * x2, (den,))
-                            for mu in range(4)])
+        den = den + b2x2
+    return tuple((x[mu] + x2 * b[mu]) / den for mu in range(4))
 
 
 # -- Pauli map and the Poincare action on the big cell --------------------------

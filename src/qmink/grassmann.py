@@ -235,7 +235,6 @@ class GrassmannAlgebra:
                                   if not self.parities[r]}
         # the least int of a word of degree MAX_DEGREE + 1
         self._key_limit = (MAX_DEGREE + 1) << shift
-        self._letters = {}
 
     def rank(self, name):
         r = self._ranks.get(name)
@@ -246,15 +245,12 @@ class GrassmannAlgebra:
     # -- words ---------------------------------------------------------------
 
     def letters(self, key):
-        """The sorted letters of the packed word key (memoized)."""
-        w = self._letters.get(key)
-        if w is None:
-            w = ()
-            for r, (shift, mask) in enumerate(self.fields):
-                e = (key >> shift) & mask
-                if e:
-                    w += (r,) * e
-            self._letters[key] = w
+        """The sorted letters of the packed word key."""
+        w = ()
+        for r, (shift, mask) in enumerate(self.fields):
+            e = (key >> shift) & mask
+            if e:
+                w += (r,) * e
         return w
 
     def word_text(self, key):

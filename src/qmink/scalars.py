@@ -68,8 +68,6 @@ class Scalar:
         if not c2:
             return self
         c1 = self._c
-        if not c1:
-            return other
         if len(c1) == 1 and len(c2) == 1:
             (e, (re, im)), = c2.items()
             p = c1.get(e)

@@ -9,15 +9,14 @@ from hypothesis import given, settings, strategies as st
 from qmink import checks, classical, realforms
 from qmink.algebra import Element
 from qmink.checks import run_suite
-from qmink.classical import (RationalMap, SuperPoincareElement,
-                             big_cell_reduce, bracket_coordinates,
-                             conformal_basis, coordinate_algebra, det2,
-                             inversion_map, minkowski_square, pauli_map,
-                             poincare_action, poincare_compose, real_point,
-                             real_group_element, special_conformal_map,
-                             specialize_q1,
-                             substitute, super_poincare_chiral_action,
-                             superflag_reduce, translation_map)
+from qmink.classical import (SuperPoincareElement, big_cell_reduce,
+                             bracket_coordinates, conformal_basis,
+                             coordinate_algebra, det2, invert, minkowski_dot,
+                             minkowski_square, pauli_map, poincare_action,
+                             poincare_compose, real_point, real_group_element,
+                             special_conformal, specialize_q1,
+                             super_poincare_chiral_action, superflag_reduce,
+                             translate)
 from qmink.grassmann import GrassmannMatrix, GrassmannRational, d_dx, symbols
 from qmink.kernel import accumulate
 from qmink.scalars import Q, QINV, GaussRational, Scalar
@@ -38,7 +37,7 @@ def test_conformal_generator_forms():
     assert d.comps == x
     # K1 = 2 x_1 x^nu d_nu - x^2 d_1 with x_1 = -x^1
     k1 = by_name["K1"]
-    x2 = minkowski_square(ga)
+    x2 = minkowski_square(x)
     two = GaussRational(2)
     for nu in range(4):
         expected = (-x[1] * x[nu]).scale(two)
@@ -129,65 +128,69 @@ def test_raising_bracket_fails_only_its_record(monkeypatch):
         {"bracket:P0|K3": "exception: ArithmeticError('no coordinates')"}
 
 
-def _sct_algebra():
-    return coordinate_algebra(extra=("b0", "b1", "b2", "b3",
-                                     "c0", "c1", "c2", "c3"))
+def _sct_points():
+    """The points x, b and c, coordinates x0..x3, b0..b3 and c0..c3, as
+    rationals over the sct-inversion suite's algebra."""
+    ga = coordinate_algebra(extra=("b0", "b1", "b2", "b3",
+                                   "c0", "c1", "c2", "c3"))
+    return [tuple(GrassmannRational(ga, ga.gen("%s%d" % (name, mu)))
+                  for mu in range(4)) for name in "xbc"]
 
 
 def test_sct_zero_parameter():
-    ga = _sct_algebra()
-    k0 = special_conformal_map(ga, [0] * 4)
-    assert k0 == RationalMap.identity(ga)
+    x, _b, _c = _sct_points()
+    assert special_conformal(x, [0] * 4) == x
 
 
 def test_sct_inversion_identity_and_typo():
-    ga = _sct_algebra()
-    b = [ga.gen("b%d" % mu) for mu in range(4)]
-    inv = inversion_map(ga)
-    tb = translation_map(ga, [GrassmannRational(ga, v) for v in b])
-    conjugated = inv.compose(tb).compose(inv)
-    assert special_conformal_map(ga, b) == conjugated
-    assert not (special_conformal_map(ga, b, variant="literal") == conjugated)
+    x, b, _c = _sct_points()
+    conjugated = invert(translate(invert(x), b))
+    assert special_conformal(x, b) == conjugated
+    assert not (special_conformal(x, b, variant="literal") == conjugated)
     with pytest.raises(ValueError):
-        special_conformal_map(ga, b, variant="bogus")
+        special_conformal(x, b, variant="bogus")
 
 
 def test_sct_composition():
-    ga = _sct_algebra()
-    b = [ga.gen("b%d" % mu) for mu in range(4)]
-    c = [ga.gen("c%d" % mu) for mu in range(4)]
-    kb = special_conformal_map(ga, b)
-    kc = special_conformal_map(ga, c)
-    inv = inversion_map(ga)
-    tsum = translation_map(ga, [GrassmannRational(ga, u) + GrassmannRational(ga, v)
-                                for u, v in zip(b, c)])
-    assert kb.compose(kc) == inv.compose(tsum).compose(inv)
-    assert inv.compose(inv) == RationalMap.identity(ga)
+    x, b, c = _sct_points()
+    bc = tuple(u + v for u, v in zip(b, c))
+    assert special_conformal(special_conformal(x, c), b) == \
+        invert(translate(invert(x), bc))
+    assert invert(invert(x)) == x
 
 
 def test_sct_numeric_point():
-    # evaluate both constructions at a rational point and compare
-    ga = _sct_algebra()
+    # apply the map to a rational point and compare with the formula
+    # evaluated in plain fractions
+    ga = coordinate_algebra()
     b = [Fraction(1, 2), Fraction(-1, 3), Fraction(0), Fraction(2)]
     x = [Fraction(1), Fraction(1, 5), Fraction(-2), Fraction(1, 7)]
-    bs = [ga.scalar(GaussRational(v.numerator, 0, v.denominator)) for v in b]
-    k = special_conformal_map(ga, bs)
-    images = {ga.rank("x%d" % mu):
-              GrassmannRational(ga, ga.scalar(
-                  GaussRational(v.numerator, 0, v.denominator)))
-              for mu, v in enumerate(x)}
-    # direct formula with plain fractions
+
+    def point(vs):
+        return tuple(GrassmannRational(ga, ga.scalar(
+            GaussRational(v.numerator, 0, v.denominator))) for v in vs)
+
+    got = special_conformal(point(x), point(b))
     bx = b[0] * x[0] - b[1] * x[1] - b[2] * x[2] - b[3] * x[3]
     x2 = x[0] ** 2 - x[1] ** 2 - x[2] ** 2 - x[3] ** 2
     b2 = b[0] ** 2 - b[1] ** 2 - b[2] ** 2 - b[3] ** 2
     den = 1 + 2 * bx + b2 * x2
-    for mu in range(4):
-        want = (x[mu] + b[mu] * x2) / den
-        got = substitute(ga, k.comps[mu].num, images) / \
-            classical.substitute_product(ga, k.comps[mu].den, images)
-        expected = GrassmannRational(ga, ga.scalar(
-            GaussRational(want.numerator, 0, want.denominator)))
-        assert (got - expected).is_zero()
+    want = point([(x[mu] + b[mu] * x2) / den for mu in range(4)])
+    assert all((g - w).is_zero() for g, w in zip(got, want))
+
+
+def test_minkowski_dot_over_elements_and_rationals():
+    # one function serves both rings, with the same value
+    ga = coordinate_algebra(extra=("b0", "b1", "b2", "b3"))
+    x = [ga.gen("x%d" % mu) for mu in range(4)]
+    b = [ga.gen("b%d" % mu) + ga.scalar(GaussRational(mu)) for mu in range(4)]
+    dot = minkowski_dot(x, b)
+    assert isinstance(dot, Element)
+    assert dot == x[0] * b[0] - x[1] * b[1] - x[2] * b[2] - x[3] * b[3]
+    rational = minkowski_dot([GrassmannRational(ga, v) for v in x],
+                             [GrassmannRational(ga, v) for v in b])
+    assert isinstance(rational, GrassmannRational)
+    assert rational == GrassmannRational(ga, dot)
 
 
 def test_pauli_map_refuses_a_rational_coordinate():
@@ -200,8 +203,9 @@ def test_pauli_map_refuses_a_rational_coordinate():
 
 def test_pauli_map():
     ga = coordinate_algebra()
-    a = pauli_map(ga, [ga.gen("x%d" % mu) for mu in range(4)])
-    assert (det2(a) - GrassmannRational(ga, minkowski_square(ga))).is_zero()
+    x = [ga.gen("x%d" % mu) for mu in range(4)]
+    a = pauli_map(ga, x)
+    assert (det2(a) - GrassmannRational(ga, minkowski_square(x))).is_zero()
     m = pauli_map(ga, [0, 0, 1, 0])
     gi = classical.GI
     assert (m - GrassmannMatrix(ga, [[0, -gi], [gi, 0]])).is_zero()
@@ -365,16 +369,16 @@ def test_flipped_twistor_sign_fails_generic(monkeypatch):
 
 def test_equal_witnesses_name_what_differs():
     # a rational's witness prints the numerator of the difference, a
-    # map's names the components that differ
+    # point's names the coordinates that differ
     ga = coordinate_algebra()
     x = [ga.gen("x%d" % mu) for mu in range(4)]
     a = GrassmannRational(ga, x[0] * x[1])
     b = GrassmannRational(ga, x[0] * x[1] + x[1] * x[1])
     assert checks._equal(a, a) == (True, "")
     assert checks._equal(a, b) == (False, "difference (-1)*x1*x1")
-    moved = RationalMap(ga, [x[0], x[1] * x[2], x[2], x[3] + ga.one()])
-    assert checks._equal(moved, RationalMap.identity(ga)) == \
-        (False, "differ at x1, x3")
+    point = tuple(GrassmannRational(ga, v) for v in x)
+    moved = (point[0], point[1] * point[2], point[2], point[3] + 1)
+    assert checks._equal(moved, point) == (False, "differ at x1, x3")
 
 
 def test_a_rational_witness_keeps_its_denominator():
@@ -528,7 +532,7 @@ def test_missing_x2_term_fails_conformal_algebra(monkeypatch):
     # K_mu built without its -x^2 d_mu term: the P|K brackets leave the
     # span, since x^2 enters only there
     monkeypatch.setattr(classical, "minkowski_square",
-                        lambda ga, vec=None: ga.zero())
+                        lambda vec: vec[0] - vec[0])
     conformal_basis.cache_clear()
     try:
         bad = false_records("conformal-algebra")
@@ -543,9 +547,9 @@ def test_flipped_translation_fails_sct_inversion(monkeypatch):
     # x -> x - b in place of x + b: the two records that conjugate a
     # translation by the inversion fail, and the literal variant still
     # fails its identity
-    right = classical.translation_map
-    monkeypatch.setattr(classical, "translation_map",
-                        lambda ga, b: right(ga, [-x for x in b]))
+    right = classical.translate
+    monkeypatch.setattr(classical, "translate",
+                        lambda x, b: right(x, [-v for v in b]))
     assert set(false_records("sct-inversion")) == \
         {"inversion-identity", "composition"}
 
