@@ -143,6 +143,9 @@ def special_conformal(x, b, variant="standard"):
     ``variant="standard"`` uses the denominator 1 + 2 b.x + b^2 x^2;
     ``variant="literal"`` uses the coefficient 2 on the b^2 x^2 term for
     comparison (it fails the inversion identity, see the checks).
+    b may hold ints (b = 0 in the zero-parameter record), so x's side is
+    the left operand of each product: a rational takes an int on its
+    right only.
     """
     if variant not in ("standard", "literal"):
         raise ValueError("variant must be 'standard' or 'literal'")
