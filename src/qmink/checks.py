@@ -335,7 +335,7 @@ def _suite_pauli_metric():
 
 def _poincare_symbols():
     return symbols(real=["%s%d%d" % (p, i, j)
-                         for p in ("l", "r", "n", "L", "R", "N", "g", "a", "e")
+                         for p in ("l", "r", "m", "L", "R", "M", "g", "a", "e")
                          for i in (1, 2) for j in (1, 2)])
 
 
@@ -346,24 +346,20 @@ def _suite_poincare_action():
         return GrassmannMatrix(ga, [[ga.gen("%s11" % p), ga.gen("%s12" % p)],
                                     [ga.gen("%s21" % p), ga.gen("%s22" % p)]])
 
-    L1, R1, N1 = m2("l"), m2("r"), m2("n")
-    L2, R2, N2 = m2("L"), m2("R"), m2("N")
+    L1, M1, R1 = m2("l"), m2("m"), m2("r")
+    g1 = classical.poincare_element(L1, M1, R1)
+    g2 = classical.poincare_element(m2("L"), m2("M"), m2("R"))
     A1, A2 = m2("a"), m2("e")
+    act = classical.poincare_action
 
     def axiom():
-        step = classical.poincare_action(
-            L2, R2, N2, classical.poincare_action(L1, R1, N1, A1))
-        lc, rc, nc = classical.poincare_compose((L2, R2, N2), (L1, R1, N1))
-        return _equal(step, classical.poincare_action(lc, rc, nc, A1))
+        return _equal(act(g2, act(g1, A1)), act(g2 * g1, A1))
 
     def identity_action():
-        eye = GrassmannMatrix.identity(ga, 2)
-        zero = GrassmannMatrix.zeros(ga, 2, 2)
-        return _equal(classical.poincare_action(eye, eye, zero, A1), A1)
+        return _equal(act(GrassmannMatrix.identity(ga, 4), A1), A1)
 
     def covariance():
-        a1p = classical.poincare_action(L1, R1, N1, A1)
-        a2p = classical.poincare_action(L1, R1, N1, A2)
+        a1p, a2p = act(g1, A1), act(g1, A2)
         lhs = classical.det2(a1p - a2p) * classical.det2(L1)
         rhs = classical.det2(R1) * classical.det2(A1 - A2)
         return _equal(lhs, rhs)
@@ -371,22 +367,21 @@ def _suite_poincare_action():
     def equal_dets():
         adj = GrassmannMatrix(ga, [[L1.rows[1][1], -L1.rows[0][1]],
                                    [-L1.rows[1][0], L1.rows[0][0]]])
-        a1p = classical.poincare_action(L1, adj, N1, A1)
-        a2p = classical.poincare_action(L1, adj, N1, A2)
+        g = classical.poincare_element(L1, M1, adj)
+        a1p, a2p = act(g, A1), act(g, A2)
         return _all_hold({
             "det R = det L": classical.det2(adj) == classical.det2(L1),
             "det(A'1 - A'2) = det(A1 - A2)":
                 classical.det2(a1p - a2p) == classical.det2(A1 - A2)})
 
     def column_invariance():
-        p1 = GrassmannMatrix.vstack(m2("l"), m2("n"))
-        g = m2("g")
-        return _equal(classical.big_cell_reduce(p1 * g),
-                      classical.big_cell_reduce(p1))
+        p1 = GrassmannMatrix.vstack(L1, M1)
+        return _equal(classical.chart(p1 * m2("g"), (0, 1)),
+                      classical.chart(p1, (0, 1)))
 
     def pre_reduced():
         p1 = GrassmannMatrix.vstack(GrassmannMatrix.identity(ga, 2), A1)
-        return _equal(classical.big_cell_reduce(p1), A1)
+        return _equal(classical.chart(p1, (0, 1)), A1)
 
     return [
         ("identity", "the identity group element acts trivially",

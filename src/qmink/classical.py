@@ -133,8 +133,8 @@ def translate(x, b):
 
 def invert(x):
     """The point x / x^2."""
-    x2 = minkowski_square(x)
-    return tuple(x[mu] / x2 for mu in range(4))
+    inv = minkowski_square(x).inverse()
+    return tuple(v * inv for v in x)
 
 
 def special_conformal(x, b, variant="standard"):
@@ -154,10 +154,11 @@ def special_conformal(x, b, variant="standard"):
     den = minkowski_dot(x, b) * 2 + b2x2 + 1
     if variant == "literal":
         den = den + b2x2
-    return tuple((x[mu] + x2 * b[mu]) / den for mu in range(4))
+    inv = den.inverse()
+    return tuple((x[mu] + x2 * b[mu]) * inv for mu in range(4))
 
 
-# -- Pauli map and the Poincare action on the big cell --------------------------
+# -- Pauli map and big-cell charts ----------------------------------------------
 
 
 def pauli_map(ga, x):
@@ -175,22 +176,25 @@ def det2(m):
     return m.rows[0][0] * m.rows[1][1] - m.rows[0][1] * m.rows[1][0]
 
 
-def poincare_action(L, R, N, A):
-    """A -> N + R A L^{-1}."""
-    return N + R * A * L.inverse()
+def chart(P, pivots):
+    """Big-cell coordinates of the column span of P: the rows of P outside
+    pivots times the inverse of the square block the pivot rows form, so
+    chart(P h, pivots) = chart(P, pivots) for every invertible h."""
+    top = GrassmannMatrix(P.ga, [P.rows[i] for i in pivots])
+    rest = [row for i, row in enumerate(P.rows) if i not in pivots]
+    return GrassmannMatrix(P.ga, rest) * top.inverse()
 
 
-def poincare_compose(g2, g1):
-    """(L, R, N) pairs composed via the block lower-triangular product."""
-    (L1, R1, N1), (L2, R2, N2) = g1, g2
-    return (L2 * L1, R2 * R1, N2 + R2 * N1 * L2.inverse())
+def poincare_element(L, M, R):
+    """The block matrix [[L, 0], [M, R]] of 2x2 blocks."""
+    return GrassmannMatrix(L.ga, [row + [0, 0] for row in L.rows]
+                           + [m + r for m, r in zip(M.rows, R.rows)])
 
 
-def big_cell_reduce(P1):
-    """Bottom block of the GL(2)-normalized representative of a 4x2 matrix."""
-    top = P1.block(0, 2, 0, 2)
-    bottom = P1.block(2, 4, 0, 2)
-    return bottom * top.inverse()
+def poincare_action(g, A):
+    """A -> the chart of g [I; A], which is N + R A L^-1 with N = M L^-1."""
+    eye = GrassmannMatrix.identity(A.ga, 2)
+    return chart(g * GrassmannMatrix.vstack(eye, A), (0, 1))
 
 
 # -- superflag big cell and twistor relation ------------------------------------
@@ -201,17 +205,16 @@ def superflag_reduce(P1, P2):
     pair; the twistor relation says B = A - beta alpha.
 
     P1 is 5x2 (two even columns), P2 is 5x3 (two even and one odd
-    column).  An inverse raises ZeroDivisionError unless the top 2x2
-    blocks and the (5,3) entry have invertible body: the body of P2's
-    rows 1, 2 and 5 is block-diagonal, as their other entries are odd.
+    column): A over alpha is P1's chart on rows 1 and 2, B beside beta
+    P2's chart on rows 1, 2 and 5.  An inverse raises ZeroDivisionError
+    unless the top 2x2 blocks and the (5,3) entry have invertible body:
+    the body of P2's rows 1, 2 and 5 is block-diagonal, as their other
+    entries are odd.
     """
-    topinv = P1.block(0, 2, 0, 2).inverse()
-    A = P1.block(2, 4, 0, 2) * topinv
-    alpha = P1.block(4, 5, 0, 2) * topinv
-    rows125 = GrassmannMatrix.vstack(P2.block(0, 2, 0, 3), P2.block(4, 5, 0, 3))
-    h = rows125.inverse()
-    P2std = P2 * h
-    return A, alpha, P2std.block(2, 4, 0, 2), P2std.block(2, 4, 2, 3)
+    a = chart(P1, (0, 1))
+    b = chart(P2, (0, 1, 4))
+    return a.block(0, 2, 0, 2), a.block(2, 3, 0, 2), \
+        b.block(0, 2, 0, 2), b.block(0, 2, 2, 3)
 
 
 # -- the super Poincare group and its chiral action -----------------------------
@@ -339,7 +342,8 @@ def real_group_element(ga, r_names, chi_names, t_names, u_name):
     t11, t12, t22 = t_names
     T = GrassmannMatrix(ga, [[g(t11), g(t12)], [ga.star(g(t12)), g(t22)]])
     iu = ga.scalar(GI) * g(u_name)
-    d = GrassmannRational(ga, ga.one() + iu) / GrassmannRational(ga, ga.one() - iu)
+    d = GrassmannRational(ga, ga.one() + iu) \
+        * GrassmannRational(ga, ga.one() - iu).inverse()
     L = R.dagger().inverse()
     el = SuperPoincareElement(L, None, R, chi.dagger(), chi, d)
     # M = N L with N = T + S/2, so that el.T() is the hermitian T

@@ -514,9 +514,6 @@ class GrassmannRational:
                 den = a_den + b_den
         return GrassmannRational(self.ga, num, den, _reduced=True)
 
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
     def inverse(self):
         """1/(b - n) = sum_k n^k b^{-k-1}, n = -soul nilpotent, b the body;
         Horner's rule gives the numerator sum_{j<=K} n^j b^{K-j} over

@@ -64,10 +64,7 @@ class Scalar:
     def __add__(self, other):
         if other.__class__ is not Scalar:
             return NotImplemented
-        c2 = other._c
-        if not c2:
-            return self
-        c1 = self._c
+        c1, c2 = self._c, other._c
         if len(c1) == 1 and len(c2) == 1:
             (e, (re, im)), = c2.items()
             p = c1.get(e)

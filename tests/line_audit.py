@@ -13,12 +13,14 @@ module.Class.method (nested functions get their enclosing function's
 name as a prefix).  test_surface.py compares that set with its
 allow-list.  unreached_lines() runs them under a sys.settrace line
 tracer and returns the executable lines that never ran, by function;
-line_counts() counts how often each executable line of one module ran,
-so that a traffic figure quoted for a fast path can be taken again.
+line_counts() counts how often each executable line of the named modules
+ran, in one traced child, so that a traffic figure quoted for a fast
+path can be taken again.
 
     python tests/line_audit.py                   # never-called functions
     python tests/line_audit.py --lines           # unreached lines
     python tests/line_audit.py --counts scalars  # runs of each line
+    python tests/line_audit.py --counts scalars grassmann
 
 Each takes about 10 s on a 2-core x86-64 box with Python 3.11.
 """
@@ -35,12 +37,12 @@ PACKAGE = ROOT / "src" / "qmink"
 
 # runs in the child: reads {"mode", "package", "argv"} from stdin, runs
 # each argv through cli.main with its output discarded, and writes as JSON
-# the code positions ("calls") it reached in the files under the prefix
+# the code positions ("calls") it reached in the files under the prefixes
 # "package", or each line ("lines") it reached there with its run count
 _CHILD = r"""
 import contextlib, io, json, sys
 job = json.load(sys.stdin)
-package = job["package"]
+package = tuple(job["package"])
 seen = set()
 if job["mode"] == "calls":
     def hook(frame, event, arg, add=seen.add):
@@ -100,8 +102,8 @@ def child_env():
     return dict(os.environ, PYTHONPATH=src + os.pathsep + rest if rest else src)
 
 
-def _run_child(mode, prefix=str(PACKAGE) + os.sep):
-    job = {"mode": mode, "package": prefix, "argv": production_argv()}
+def _run_child(mode, prefixes=(str(PACKAGE) + os.sep,)):
+    job = {"mode": mode, "package": list(prefixes), "argv": production_argv()}
     proc = subprocess.run([sys.executable, "-c", _CHILD], input=json.dumps(job),
                           capture_output=True, text=True, env=child_env(),
                           cwd=ROOT, timeout=600, check=True)
@@ -172,28 +174,34 @@ def unreached_lines():
     return out, sum(len(v) for v in out.values()), total
 
 
-def line_counts(module):
-    """{executable line: how often it ran} over src/qmink/<module>.py,
-    and the dotted name of the def that owns each line."""
-    path = PACKAGE / (module + ".py")
-    ran = {line: n for _f, line, n in _run_child("lines", str(path))}
-    owner = _executable_lines(path)
-    return {line: ran.get(line, 0) for line in owner}, owner
+def line_counts(modules):
+    """{module: ({executable line: how often it ran}, {line: dotted name
+    of the def that owns it})} over src/qmink/<module>.py for each of
+    modules, all traced in one child."""
+    paths = {m: PACKAGE / (m + ".py") for m in modules}
+    ran = {(f, line): n for f, line, n in
+           _run_child("lines", [str(p) for p in paths.values()])}
+    out = {}
+    for module, path in paths.items():
+        owner = _executable_lines(path)
+        out[module] = ({line: ran.get((str(path), line), 0)
+                        for line in owner}, owner)
+    return out
 
 
 def main(argv):
-    if len(argv) == 2 and argv[0] == "--counts" and \
-            (PACKAGE / (argv[1] + ".py")).is_file():
-        counts, owner = line_counts(argv[1])
-        text = (PACKAGE / (argv[1] + ".py")).read_text(
-            encoding="utf-8").splitlines()
-        last = None
-        for line in sorted(counts):
-            if owner[line] != last:
-                last = owner[line]
-                print("%s:" % last)
-            print("  %5d  %9d  %s" % (line, counts[line],
-                                      text[line - 1].strip()))
+    if len(argv) >= 2 and argv[0] == "--counts" and \
+            all((PACKAGE / (m + ".py")).is_file() for m in argv[1:]):
+        for module, (counts, owner) in line_counts(argv[1:]).items():
+            text = (PACKAGE / (module + ".py")).read_text(
+                encoding="utf-8").splitlines()
+            last = None
+            for line in sorted(counts):
+                if owner[line] != last:
+                    last = owner[line]
+                    print("%s:" % last)
+                print("  %5d  %9d  %s" % (line, counts[line],
+                                          text[line - 1].strip()))
         return 0
     if argv == ["--lines"]:
         found, unreached, total = unreached_lines()
@@ -205,7 +213,8 @@ def main(argv):
         print("%d of %d executable lines unreached" % (unreached, total))
         return 0
     if argv:
-        print("usage: python tests/line_audit.py [--lines | --counts MODULE]"
+        print("usage: python tests/line_audit.py "
+              "[--lines | --counts MODULE [MODULE ...]]"
               "\n  MODULE: a module of src/qmink, such as scalars",
               file=sys.stderr)
         return 2

@@ -9,14 +9,13 @@ from hypothesis import given, settings, strategies as st
 from qmink import checks, classical, realforms
 from qmink.algebra import Element
 from qmink.checks import run_suite
-from qmink.classical import (SuperPoincareElement, big_cell_reduce,
-                             bracket_coordinates, conformal_basis,
-                             coordinate_algebra, det2, invert, minkowski_dot,
-                             minkowski_square, pauli_map, poincare_action,
-                             poincare_compose, real_point, real_group_element,
-                             special_conformal, specialize_q1,
-                             super_poincare_chiral_action, superflag_reduce,
-                             translate)
+from qmink.classical import (SuperPoincareElement, bracket_coordinates, chart,
+                             conformal_basis, coordinate_algebra, det2, invert,
+                             minkowski_dot, minkowski_square, pauli_map,
+                             poincare_action, poincare_element, real_point,
+                             real_group_element, special_conformal,
+                             specialize_q1, super_poincare_chiral_action,
+                             superflag_reduce, translate)
 from qmink.grassmann import GrassmannMatrix, GrassmannRational, d_dx, symbols
 from qmink.kernel import accumulate
 from qmink.scalars import Q, QINV, GaussRational, Scalar
@@ -179,6 +178,17 @@ def test_sct_numeric_point():
     assert all((g - w).is_zero() for g, w in zip(got, want))
 
 
+def test_sct_inversion_inverts_each_divisor_once(monkeypatch):
+    # x^2 once per invert (8 calls) and the denominator once per special
+    # conformal map (5 calls), not once per coordinate
+    calls = []
+    inverse = GrassmannRational.inverse
+    monkeypatch.setattr(GrassmannRational, "inverse",
+                        lambda self: calls.append(self) or inverse(self))
+    assert all(r.verdict for r in run_suite("sct-inversion").records)
+    assert len(calls) == 13
+
+
 def test_minkowski_dot_over_elements_and_rationals():
     # one function serves both rings, with the same value
     ga = coordinate_algebra(extra=("b0", "b1", "b2", "b3"))
@@ -217,7 +227,7 @@ def test_pauli_map():
 
 def _symbols2():
     return symbols(real=(*["%s%d%d" % (p, i, j)
-                           for p in ("l", "r", "n", "L", "R", "N", "g")
+                           for p in ("l", "r", "m", "L", "R", "M", "g")
                            for i in (1, 2) for j in (1, 2)],
                          "a1", "a2", "a3", "a4", "e1", "e2", "e3", "e4"))
 
@@ -229,50 +239,58 @@ def _m2(ga, p):
 
 def test_poincare_action_axiom():
     ga = _symbols2()
-    L1, R1, N1 = _m2(ga, "l"), _m2(ga, "r"), _m2(ga, "n")
-    L2, R2, N2 = _m2(ga, "L"), _m2(ga, "R"), _m2(ga, "N")
+    L1, M1, R1 = _m2(ga, "l"), _m2(ga, "m"), _m2(ga, "r")
+    L2, M2, R2 = _m2(ga, "L"), _m2(ga, "M"), _m2(ga, "R")
+    g1, g2 = poincare_element(L1, M1, R1), poincare_element(L2, M2, R2)
     A = GrassmannMatrix(ga, [[ga.gen("a1"), ga.gen("a2")],
                              [ga.gen("a3"), ga.gen("a4")]])
-    eye = GrassmannMatrix.identity(ga, 2)
-    zero = GrassmannMatrix.zeros(ga, 2, 2)
-    assert (poincare_action(eye, eye, zero, A) - A).is_zero()
-    step = poincare_action(L2, R2, N2, poincare_action(L1, R1, N1, A))
-    combined = poincare_action(*poincare_compose((L2, R2, N2), (L1, R1, N1)),
-                               A)
-    assert (step - combined).is_zero()
+    assert (poincare_action(GrassmannMatrix.identity(ga, 4), A) - A).is_zero()
+    step = poincare_action(g2, poincare_action(g1, A))
+    assert (step - poincare_action(g2 * g1, A)).is_zero()
+    # the chart of g [I; A] is N + R A L^-1 with N = M L^-1, and the block
+    # product composes (L, R, N) as (L2 L1, R2 R1, N2 + R2 N1 L2^-1)
+    N1, N2 = M1 * L1.inverse(), M2 * L2.inverse()
+    assert (poincare_action(g1, A) - (N1 + R1 * A * L1.inverse())).is_zero()
+    g21 = g2 * g1
+    assert (g21 - poincare_element(L2 * L1, M2 * L1 + R2 * M1,
+                                   R2 * R1)).is_zero()
+    N21 = g21.block(2, 4, 0, 2) * (L2 * L1).inverse()
+    assert (N21 - (N2 + R2 * N1 * L2.inverse())).is_zero()
 
 
 def test_difference_determinant_covariance():
     ga = _symbols2()
-    L, R, N = _m2(ga, "l"), _m2(ga, "r"), _m2(ga, "n")
+    L, M, R = _m2(ga, "l"), _m2(ga, "m"), _m2(ga, "r")
     A1 = GrassmannMatrix(ga, [[ga.gen("a1"), ga.gen("a2")],
                               [ga.gen("a3"), ga.gen("a4")]])
     A2 = GrassmannMatrix(ga, [[ga.gen("e1"), ga.gen("e2")],
                               [ga.gen("e3"), ga.gen("e4")]])
-    A1p = poincare_action(L, R, N, A1)
-    A2p = poincare_action(L, R, N, A2)
+    g = poincare_element(L, M, R)
+    A1p = poincare_action(g, A1)
+    A2p = poincare_action(g, A2)
     assert (det2(A1p - A2p) * det2(L) - det2(R) * det2(A1 - A2)).is_zero()
     # equal determinants: R = adj(L) has det R = det L
     adj = GrassmannMatrix(ga, [[L.rows[1][1], -L.rows[0][1]],
                                [-L.rows[1][0], L.rows[0][0]]])
     assert (det2(adj) - det2(L)).is_zero()
-    B1 = poincare_action(L, adj, N, A1)
-    B2 = poincare_action(L, adj, N, A2)
+    g = poincare_element(L, M, adj)
+    B1 = poincare_action(g, A1)
+    B2 = poincare_action(g, A2)
     assert (det2(B1 - B2) - det2(A1 - A2)).is_zero()
 
 
 def test_big_cell_reduce():
     ga = _symbols2()
     top = _m2(ga, "l")
-    bottom = _m2(ga, "n")
+    bottom = _m2(ga, "m")
     P1 = GrassmannMatrix.vstack(top, bottom)
-    red = big_cell_reduce(P1)
+    red = chart(P1, (0, 1))
     # independent check: red * top == bottom (no inversion involved)
     assert (red * top - bottom).is_zero()
     g = _m2(ga, "g")
-    assert (big_cell_reduce(P1 * g) - red).is_zero()
+    assert (chart(P1 * g, (0, 1)) - red).is_zero()
     pre = GrassmannMatrix.vstack(GrassmannMatrix.identity(ga, 2), bottom)
-    assert (big_cell_reduce(pre) - bottom).is_zero()
+    assert (chart(pre, (0, 1)) - bottom).is_zero()
 
 
 def test_big_cell_numeric():
@@ -286,7 +304,7 @@ def test_big_cell_numeric():
         body = ga.body(det2(top).num)
         if not body:
             continue
-        red = big_cell_reduce(P1)
+        red = chart(P1, (0, 1))
         assert (red * top - P1.block(2, 4, 0, 2)).is_zero()
 
 
@@ -311,6 +329,32 @@ def test_twistor_generic():
                              [g("o1"), g("o2")]])
     A, alpha, B, beta = superflag_reduce(P2 * S, P2)
     assert B == A - beta * alpha
+
+
+def test_odd_chart():
+    # the charts superflag_reduce takes: P1's on rows 1 and 2, and P2's on
+    # rows 1, 2 and 5, where the pivot block has odd off-diagonal entries
+    ga = symbols(real=("b11", "b12", "b21", "b22", "b31", "b32", "b41",
+                       "b42", "b53", "s11", "s12", "s21", "s22", "s33"),
+                 real_odd=("d13", "d23", "d33", "d43", "d51", "d52", "o1",
+                           "o2", "o3", "o4"))
+    g = ga.gen
+    P2 = GrassmannMatrix(ga, [
+        [g("b11"), g("b12"), g("d13")],
+        [g("b21"), g("b22"), g("d23")],
+        [g("b31"), g("b32"), g("d33")],
+        [g("b41"), g("b42"), g("d43")],
+        [g("d51"), g("d52"), g("b53")]])
+    h = GrassmannMatrix(ga, [[g("s11"), g("s12"), g("o1")],
+                             [g("s21"), g("s22"), g("o2")],
+                             [g("o3"), g("o4"), g("s33")]])
+    assert chart(P2 * h, (0, 1, 4)) == chart(P2, (0, 1, 4))
+    # independent checks, no inversion involved: chart times the pivot
+    # rows gives back the other rows, for the 5x3 and the 5x2 case
+    assert chart(P2, (0, 1, 4)) * GrassmannMatrix.vstack(
+        P2.block(0, 2, 0, 3), P2.block(4, 5, 0, 3)) == P2.block(2, 4, 0, 3)
+    P1 = P2.block(0, 5, 0, 2)
+    assert chart(P1, (0, 1)) * P1.block(0, 2, 0, 2) == P1.block(2, 5, 0, 2)
 
 
 def test_twistor_even_and_prereduced():
@@ -560,9 +604,11 @@ def test_wrong_metric_fails_pauli_metric(monkeypatch):
 
 
 def test_wrong_action_fails_poincare_action(monkeypatch):
-    # A -> N + R A L in place of N + R A L^-1
+    # A -> (M + R A) L in place of (M + R A) L^-1 = N + R A L^-1
     monkeypatch.setattr(classical, "poincare_action",
-                        lambda L, R, N, A: N + R * A * L)
+                        lambda g, A: (g.block(2, 4, 0, 2)
+                                      + g.block(2, 4, 2, 4) * A)
+                        * g.block(0, 2, 0, 2))
     assert set(false_records("poincare-action")) == \
         {"axiom", "covariance", "metric-preserved"}
 

@@ -453,7 +453,7 @@ def test_a_sum_over_a_factor_and_its_multiple():
     # 2, not 3
     ga, a, b, _ = _block_inverse_factors()
     one = GrassmannRational(ga, ga.one())
-    total = one / GrassmannRational(ga, a) + \
+    total = one * GrassmannRational(ga, a).inverse() + \
         GrassmannRational(ga, ga.one(), (a * b,))
     assert len(total.den) == 2
     basis = list(ga.factor_basis)

@@ -91,8 +91,9 @@ near_monomials = st.builds(
 @example(Scalar.term(0, 2, 1), Scalar.zero())
 @example(Scalar.zero(), Scalar.zero())
 def test_one_term_sum_matches_general_path(x, y):
-    # the merge and zero-operand paths of __add__ and __sub__ build the
-    # canonical Scalar the general constructor would build
+    # __add__ and __sub__, through the one-term merge or the general path
+    # (x + 0 and 0 + 0 among them), build the canonical Scalar the general
+    # constructor would build
     for got, sign in ((x + y, 1), (x - y, -1)):
         expected = general_sum(x, y, sign)
         assert got._c == expected._c

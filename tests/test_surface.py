@@ -11,13 +11,15 @@ the sparse zero-dropping merge is not copied again, and which print a
 sum, so that the term printer is not either; one checks that only
 grassmann.py reads the packed word layout.  The last test runs
 the production entry points (tests/line_audit.py) and checks that every
-function in src/qmink is called there, but for an allow-list.
+function in src/qmink is called there, but for an allow-list; another
+checks that the audit refuses an unknown module before it starts one.
 """
 
 import ast
 from collections import Counter
 from pathlib import Path
 
+import line_audit
 from line_audit import never_called
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -219,3 +221,15 @@ NEVER_CALLED = {
 
 def test_only_allow_listed_functions_are_never_called():
     assert never_called() == set(NEVER_CALLED)
+
+
+def test_line_counts_refuse_an_unknown_module_before_the_child(monkeypatch,
+                                                               capsys):
+    def child(*_args):
+        raise AssertionError("a traced child was started")
+
+    monkeypatch.setattr(line_audit, "_run_child", child)
+    for argv in (["--counts"], ["--counts", "nosuch"],
+                 ["--counts", "scalars", "nosuch"]):
+        assert line_audit.main(argv) == 2
+        assert "--counts MODULE [MODULE ...]" in capsys.readouterr().err
